@@ -172,7 +172,7 @@ func BenchmarkHAChaos(b *testing.B) {
 }
 
 // BenchmarkParallelDES regenerates the parallel-simulator scaling
-// figure: serial vs 1/2/4/8-shard wall time on a generated 16-cluster
+// figure: 1/2/4/8-shard wall time on a generated 16-cluster
 // scenario, plus the GOMAXPROCS-independence fingerprint check.
 func BenchmarkParallelDES(b *testing.B) {
 	runFigure(b, experiments.ParallelDES,

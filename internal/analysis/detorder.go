@@ -10,14 +10,14 @@ import (
 // Detorder guards the determinism the differential tests and the PR 5
 // degenerate-vertex fix rest on: in determinism-critical packages, a
 // `range` over a map must not feed ordered output (writers, wire
-// encoding, fingerprints), LP column construction, or an
-// order-sensitive float reduction, unless the keys are collected and
-// sorted first. Go randomizes map iteration per run, so any such sink
-// makes two runs of the same scenario diverge.
+// encoding, fingerprints), LP column construction, an order-sensitive
+// float reduction, or the simulation kernel's schedule, unless the keys
+// are collected and sorted first. Go randomizes map iteration per run,
+// so any such sink makes two runs of the same scenario diverge.
 var Detorder = &Analyzer{
 	Name: "detorder",
 	Doc: "flags map iteration feeding ordered sinks in " +
-		"determinism-critical packages (sim, core, routing, telemetry, " +
+		"determinism-critical packages (sim, simrun, core, routing, telemetry, " +
 		"controlplane, experiments, forecast); collect keys and sort them first",
 	Run: runDetorder,
 }
@@ -28,6 +28,7 @@ var Detorder = &Analyzer{
 // control plane's wire encoding, and experiment report emission.
 var detorderCritical = []string{
 	"/internal/sim",
+	"/internal/simrun",
 	"/internal/core",
 	"/internal/routing",
 	"/internal/telemetry",
@@ -213,10 +214,12 @@ func outlivesLoop(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) bool {
 	return false
 }
 
-// checkRangeCall flags ordered-output sinks: fmt.Fprint* and the
-// io.Writer/hash.Hash Write-method family. Anything written inside a
-// map range lands on the wire, in a file, or in a fingerprint in
-// random order.
+// checkRangeCall flags ordered-output sinks: fmt.Fprint*, the
+// io.Writer/hash.Hash Write-method family, and event scheduling on a
+// sim.Kernel or sim.Shard. Anything written inside a map range lands on
+// the wire, in a file, or in a fingerprint in random order; events
+// scheduled there get their same-instant tie-break sequence in random
+// order (the autoscaler's ScaleEvents bug).
 func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
 	fn := pass.CalleeFunc(call)
 	if fn == nil {
@@ -233,6 +236,12 @@ func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
 			pass.Reportf(call.Pos(),
 				"%s.%s inside range over map %s writes in random order; sort the keys first",
 				recvTypeName(sig), fn.Name(), mapStr)
+		case "At", "After", "Send":
+			if recv := recvTypeName(sig); recv == "sim.Kernel" || recv == "sim.Shard" {
+				pass.Reportf(call.Pos(),
+					"%s.%s inside range over map %s schedules events in random order, and same-instant events fire in schedule order; iterate sorted keys",
+					recv, fn.Name(), mapStr)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
+	"github.com/servicelayernetworking/slate/internal/lp"
 	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/search"
@@ -37,10 +38,14 @@ type ShardedOptimizer struct {
 	app     *appgraph.App
 	cfg     Config // normalized
 	skipEps float64
-	shards  []*shard
-	single  bool // fell back to one shard (frontend called at a non-root position)
-	race    *RaceConfig
-	stats   OptimizerStats
+	// solver is the one simplex scratch every shard's Optimizer solves
+	// in: shards are solved one after another, and a dense tableau per
+	// shard (~10 MB each at 48 clusters) would stay resident for nothing.
+	solver *lp.Solver
+	shards []*shard
+	single bool // fell back to one shard (frontend called at a non-root position)
+	race   *RaceConfig
+	stats  OptimizerStats
 }
 
 // shard is one independent subproblem: a subset of classes, the
@@ -66,7 +71,7 @@ func NewShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, 
 	if skipEps <= 0 {
 		skipEps = DefaultSkipEpsilon
 	}
-	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps}
+	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps, solver: lp.NewSolver()}
 	s.partition()
 	return s
 }
@@ -98,7 +103,7 @@ func (s *ShardedOptimizer) partition() {
 		s.shards = []*shard{{
 			classes: s.app.Classes,
 			app:     s.app,
-			opt:     NewOptimizer(s.top, s.app, s.cfg),
+			opt:     s.newOptimizer(s.app, s.cfg),
 		}}
 		s.stats.Shards = 1
 		return
@@ -165,7 +170,14 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 		Services: services,
 		Classes:  classes,
 	}
-	return &shard{classes: classes, app: sub, opt: NewOptimizer(s.top, sub, cfg)}
+	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub, cfg)}
+}
+
+// newOptimizer returns a shard's Optimizer solving in the shared scratch.
+func (s *ShardedOptimizer) newOptimizer(app *appgraph.App, cfg Config) *Optimizer {
+	opt := NewOptimizer(s.top, app, cfg)
+	opt.solver = s.solver
+	return opt
 }
 
 // Stats reports cumulative solve counters, aggregated over shards.

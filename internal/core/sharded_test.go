@@ -86,6 +86,13 @@ func TestShardedPartition(t *testing.T) {
 	if s.Shards() != 4 {
 		t.Errorf("star app shards = %d, want 4", s.Shards())
 	}
+	// Shards are solved one after another in one tableau scratch; a
+	// scratch per shard held hundreds of MB at 48 clusters × 24 shards.
+	for i, sh := range s.shards {
+		if sh.opt.solver != s.solver {
+			t.Errorf("shard %d solves in its own lp.Solver, want the shared one", i)
+		}
+	}
 
 	// Single class: one shard.
 	chain := appgraph.LinearChain(appgraph.ChainOptions{})

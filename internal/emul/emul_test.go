@@ -230,11 +230,15 @@ func TestMeshTracesReconstructAcrossSidecars(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
+	// A sidecar records its span after the response has left, so the
+	// frontend's may land a moment after the client has the body.
 	var spans []telemetry.Span
-	for _, svc := range []appgraph.ServiceID{appgraph.AnomalyFR, appgraph.AnomalyMP, appgraph.AnomalyDB} {
-		for _, cl := range []topology.ClusterID{topology.West, topology.East} {
-			if p := m.Proxy(svc, cl); p != nil {
-				spans = append(spans, p.DrainSpans()...)
+	for deadline := time.Now().Add(2 * time.Second); len(spans) < 3 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, svc := range []appgraph.ServiceID{appgraph.AnomalyFR, appgraph.AnomalyMP, appgraph.AnomalyDB} {
+			for _, cl := range []topology.ClusterID{topology.West, topology.East} {
+				if p := m.Proxy(svc, cl); p != nil {
+					spans = append(spans, p.DrainSpans()...)
+				}
 			}
 		}
 	}

@@ -295,8 +295,8 @@ func TestGenerateDynamicsValid(t *testing.T) {
 }
 
 // TestGenerateRunsUnderSimrun is the end-to-end property: a generated
-// scenario runs under both the serial and the parallel engine, and the
-// parallel run is shard-count deterministic.
+// scenario runs on the simulation engine at one shard and at four, with
+// the same arrivals, and each shard count is reproducible.
 func TestGenerateRunsUnderSimrun(t *testing.T) {
 	g, err := Generate(GenSpec{Seed: 17, Clusters: 8, Services: 32, Classes: 6,
 		TotalRPS: 300, TailAlpha: 1.8, ChurnEvents: 4, HotspotClasses: 1, StormClasses: 1,
@@ -305,30 +305,33 @@ func TestGenerateRunsUnderSimrun(t *testing.T) {
 		t.Fatal(err)
 	}
 	scn := g.Scenario("gen-e2e")
-	serial, err := simrun.Run(scn, g.Policy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Completed == 0 || serial.Availability < 0.99 {
-		t.Fatalf("serial run: completed=%d availability=%v", serial.Completed, serial.Availability)
-	}
-	par, err := simrun.RunParallel(scn, g.Policy(), simrun.ParallelOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Generated != serial.Generated {
-		t.Errorf("parallel generated %d requests, serial %d", par.Generated, serial.Generated)
-	}
-	if par.Completed == 0 {
-		t.Error("parallel run completed nothing")
-	}
-	par2, err := simrun.RunParallel(scn, g.Policy(), simrun.ParallelOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Completed != par2.Completed || par.Mean != par2.Mean {
-		t.Errorf("parallel run not reproducible: %d/%v vs %d/%v",
-			par.Completed, par.Mean, par2.Completed, par2.Mean)
+	var generated uint64
+	for _, shards := range []int{1, 4} {
+		opt := simrun.ParallelOptions{Shards: shards}
+		res, err := simrun.RunParallel(scn, g.Policy(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed == 0 || res.Availability < 0.99 {
+			t.Fatalf("%d shards: completed=%d availability=%v", shards, res.Completed, res.Availability)
+		}
+		if res.Parallel.Shards != shards {
+			t.Errorf("ran on %d shards, want %d", res.Parallel.Shards, shards)
+		}
+		if generated == 0 {
+			generated = res.Generated
+		}
+		if res.Generated != generated {
+			t.Errorf("%d shards generated %d requests, one shard %d", shards, res.Generated, generated)
+		}
+		again, err := simrun.RunParallel(scn, g.Policy(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != again.Completed || res.Mean != again.Mean {
+			t.Errorf("%d shards: run not reproducible: %d/%v vs %d/%v",
+				shards, res.Completed, res.Mean, again.Completed, again.Mean)
+		}
 	}
 }
 

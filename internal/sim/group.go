@@ -77,7 +77,7 @@ func (s *Shard) Send(to int, at Time, fn func(*Kernel)) {
 	if to < 0 || to >= len(s.g.shards) {
 		panic(fmt.Sprintf("sim: send to unknown shard %d (group has %d)", to, len(s.g.shards)))
 	}
-	if at < s.k.now+s.g.lookahead {
+	if at < s.g.horizon(s.k.now) {
 		panic(fmt.Sprintf("sim: cross-shard send at %v violates lookahead %v (now %v)",
 			at, s.g.lookahead, s.k.now))
 	}
@@ -101,6 +101,9 @@ type Group struct {
 // NewGroup returns a group of n fresh kernels with the given lookahead.
 // The lookahead must be positive: it is the minimum virtual-time
 // distance of any cross-shard event, and the window width under load.
+// A group whose shards never message each other (one shard, always) has
+// no such distance; it passes MaxTime, and every Run or RunUntil is then
+// a single window.
 func NewGroup(n int, lookahead Time) *Group {
 	if n < 1 {
 		panic("sim: group needs at least one shard")
@@ -159,6 +162,15 @@ func (g *Group) Pending() int {
 	return n
 }
 
+// horizon returns t + lookahead, saturating at MaxTime: the time before
+// which no cross-shard event sent at or after t can land.
+func (g *Group) horizon(t Time) Time {
+	if t > MaxTime-g.lookahead {
+		return MaxTime
+	}
+	return t + g.lookahead
+}
+
 // nextEventAt returns the earliest timestamp any shard could fire next:
 // the minimum over heap tops and undelivered inbox messages. MaxTime if
 // the group is drained.
@@ -183,7 +195,7 @@ func (g *Group) Run() {
 		if next == MaxTime {
 			return
 		}
-		g.window(next+g.lookahead, false)
+		g.window(g.horizon(next), false)
 	}
 }
 
@@ -200,7 +212,7 @@ func (g *Group) RunUntil(deadline Time) {
 			g.window(deadline, true)
 			return
 		}
-		wEnd := next + g.lookahead
+		wEnd := g.horizon(next)
 		if wEnd >= deadline {
 			g.window(deadline, true)
 			continue

@@ -120,24 +120,28 @@ func TestGroupDeterminismRepeatedRuns(t *testing.T) {
 }
 
 // TestGroupLookaheadViolationPanics: scheduling a cross-shard event
-// closer than the lookahead must panic — it is a causality bug.
+// closer than the lookahead must panic — it is a causality bug. Under
+// the unbounded lookahead every cross-shard send is one (now+lookahead
+// must saturate, not wrap negative and let the send through).
 func TestGroupLookaheadViolationPanics(t *testing.T) {
-	g := NewGroup(2, Time(10*time.Millisecond))
-	s := g.Shard(0)
-	s.Kernel().At(0, func(k *Kernel) {
-		defer func() {
-			if recover() == nil {
-				t.Error("short cross-shard send did not panic")
-			}
-		}()
-		s.Send(1, k.Now()+Time(time.Millisecond), func(*Kernel) {})
-	})
-	g.Run()
+	for _, lookahead := range []Time{Time(10 * time.Millisecond), MaxTime} {
+		g := NewGroup(2, lookahead)
+		s := g.Shard(0)
+		s.Kernel().At(Time(time.Millisecond), func(k *Kernel) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("lookahead %v: short cross-shard send did not panic", lookahead)
+				}
+			}()
+			s.Send(1, k.Now()+Time(time.Millisecond), func(*Kernel) {})
+		})
+		g.Run()
+	}
 }
 
 // TestGroupRunUntilBarrier: RunUntil leaves every kernel exactly at the
 // deadline, events beyond it stay pending, and a later RunUntil picks
-// them up — the barrier the parallel runner's control ticks rely on.
+// them up — the barrier simrun's control ticks rely on.
 func TestGroupRunUntilBarrier(t *testing.T) {
 	g := NewGroup(3, Time(2*time.Millisecond))
 	fired := make([]int, 3)
@@ -202,15 +206,28 @@ func TestGroupConservativeOrder(t *testing.T) {
 }
 
 // TestGroupSingleShardMatchesKernel: a 1-shard group behaves exactly
-// like a bare kernel (local Send degrades to At).
+// like a bare kernel (local Send degrades to At), and under the
+// unbounded lookahead a lone shard has, each RunUntil and the draining
+// Run is a single window however many events it covers.
 func TestGroupSingleShardMatchesKernel(t *testing.T) {
-	g := NewGroup(1, Time(time.Millisecond))
+	g := NewGroup(1, MaxTime)
 	var order []int
-	g.Shard(0).Send(0, Time(3*time.Millisecond), func(*Kernel) { order = append(order, 2) })
-	g.Shard(0).Kernel().At(Time(time.Millisecond), func(*Kernel) { order = append(order, 1) })
+	g.Shard(0).Send(0, Time(3*time.Millisecond), func(*Kernel) { order = append(order, 3) })
+	for _, ms := range []int{1, 2, 4, 5} {
+		g.Shard(0).Kernel().At(Time(ms)*Time(time.Millisecond), func(*Kernel) { order = append(order, ms) })
+	}
+	g.RunUntil(Time(2 * time.Millisecond))
+	if len(order) != 2 || g.Windows() != 1 || g.Now() != Time(2*time.Millisecond) {
+		t.Fatalf("after RunUntil(2ms): order %v, %d windows, clock %v; want [1 2], 1, 2ms", order, g.Windows(), g.Now())
+	}
 	g.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v, want [1 2]", order)
+	for i, v := range order {
+		if v != i+1 {
+			t.Fatalf("order = %v, want [1 2 3 4 5]", order)
+		}
+	}
+	if len(order) != 5 || g.Windows() != 2 {
+		t.Fatalf("after Run: %d events in %d windows, want 5 in 2", len(order), g.Windows())
 	}
 }
 

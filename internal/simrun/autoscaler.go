@@ -3,6 +3,7 @@ package simrun
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
@@ -93,8 +94,13 @@ type ScaleEvent struct {
 
 // autoscaler drives per-pool scaling inside a run.
 type autoscaler struct {
-	cfg    AutoscalerConfig
-	pools  map[core.PoolKey]*pool
+	cfg   AutoscalerConfig
+	pools map[core.PoolKey]*pool
+	// keys lists the pools in (service, cluster) order. tick walks it, so
+	// resizes decided in the same tick are scheduled — and, landing at the
+	// same instant, fire and are recorded — in an order that does not
+	// depend on map iteration.
+	keys   []core.PoolKey
 	conc   map[core.PoolKey]int // per-replica concurrency
 	init   map[core.PoolKey]int // initial replicas
 	cur    map[core.PoolKey]int // current replicas (post-delay)
@@ -122,8 +128,18 @@ func newAutoscaler(cfg AutoscalerConfig, pools map[core.PoolKey]*pool, conc map[
 		replicas := p.servers / conc[key]
 		a.init[key] = replicas
 		a.cur[key] = replicas
+		a.keys = append(a.keys, key)
 	}
+	sort.Slice(a.keys, func(i, j int) bool { return lessPool(a.keys[i], a.keys[j]) })
 	return a
+}
+
+// lessPool orders pool keys by (service, cluster).
+func lessPool(a, b core.PoolKey) bool {
+	if a.Service != b.Service {
+		return a.Service < b.Service
+	}
+	return a.Cluster < b.Cluster
 }
 
 func (a *autoscaler) maxFor(key core.PoolKey) int {
@@ -137,7 +153,8 @@ func (a *autoscaler) maxFor(key core.PoolKey) int {
 // accumulated since the previous tick, and schedules effective changes
 // after ReactionDelay.
 func (a *autoscaler) tick(k *sim.Kernel) {
-	for key, p := range a.pools {
+	for _, key := range a.keys {
+		p := a.pools[key]
 		servers := p.servers
 		if servers <= 0 {
 			continue
@@ -180,7 +197,6 @@ func (a *autoscaler) tick(k *sim.Kernel) {
 			continue
 		}
 		a.cur[key] = desired
-		key := key
 		target := desired * a.conc[key]
 		k.After(a.cfg.ReactionDelay, func(k *sim.Kernel) {
 			a.pools[key].resize(k, target)

@@ -114,28 +114,6 @@ func TestRunnerRuleTTLDegradesToLocalThroughOutage(t *testing.T) {
 	}
 }
 
-func TestRunnerFaultDeterminism(t *testing.T) {
-	sched := fault.NewSchedule().
-		Outage(fault.Global, 8*time.Second, 10*time.Second).
-		Partition(topology.West, topology.East, 10*time.Second, 6*time.Second).
-		Flap(fault.Global, 22*time.Second, 2, time.Second, time.Second)
-	_, table := remoteChildApp()
-	a, err := Run(faultScenario(sched, 4*time.Second), Static("remote", table))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(faultScenario(sched, 4*time.Second), Static("remote", table))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Mean != b.Mean || a.P99 != b.P99 || a.Completed != b.Completed ||
-		a.Failed != b.Failed || a.DegradedCalls != b.DegradedCalls || a.MissedTicks != b.MissedTicks {
-		t.Errorf("same seed diverged under faults:\n  a: mean=%v p99=%v done=%d failed=%d degraded=%d missed=%d\n  b: mean=%v p99=%v done=%d failed=%d degraded=%d missed=%d",
-			a.Mean, a.P99, a.Completed, a.Failed, a.DegradedCalls, a.MissedTicks,
-			b.Mean, b.P99, b.Completed, b.Failed, b.DegradedCalls, b.MissedTicks)
-	}
-}
-
 func TestRunnerClusterOutageOnlyStalesThatCluster(t *testing.T) {
 	// Only east's cluster controller is down; west keeps getting rule
 	// refreshes, so with a TTL set west must never degrade while east

@@ -1,0 +1,222 @@
+package simrun_test
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"sort"
+	"testing"
+	"time"
+
+	"github.com/servicelayernetworking/slate/internal/appgraph"
+	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/fault"
+	"github.com/servicelayernetworking/slate/internal/obs"
+	"github.com/servicelayernetworking/slate/internal/scenario"
+	"github.com/servicelayernetworking/slate/internal/simrun"
+	"github.com/servicelayernetworking/slate/internal/topology"
+	"github.com/servicelayernetworking/slate/internal/workload"
+)
+
+// fingerprint hashes everything a run reports: every per-class sample,
+// all counters, the timeline, per-cluster local-served rates, scale
+// events, final replicas and wire bytes. dump, when non-nil, is the
+// JSONL span dump of the same run and is hashed byte for byte.
+func fingerprint(r *simrun.Result, dump []byte) uint64 {
+	h := fnv.New64a()
+	bits := math.Float64bits
+	classes := make([]string, 0, len(r.PerClass))
+	for name := range r.PerClass {
+		classes = append(classes, name)
+	}
+	sort.Strings(classes)
+	for _, name := range classes {
+		cr := r.PerClass[name]
+		fmt.Fprintf(h, "class %s %d %d %d %d %v\n", name, cr.Completed, cr.Mean, cr.P50, cr.P99, cr.Samples)
+	}
+	fmt.Fprintf(h, "run %d %d %d %d %d %d %d %x %d %d %x %d %x %d %d\n",
+		r.Generated, r.Completed, r.Failed, r.Mean, r.P50, r.P99,
+		r.EgressBytes, bits(r.EgressCost), r.MeasuredWindow, r.PolicyErrors,
+		bits(r.RemoteFraction), r.MissedTicks, bits(r.Availability), r.DegradedCalls, len(r.Timeline))
+	for _, p := range r.Timeline {
+		fmt.Fprintf(h, "timeline %d %d %x\n", p.At, p.Mean, bits(p.RPS))
+	}
+	clusters := make([]string, 0, len(r.LocalServedRPS))
+	for c := range r.LocalServedRPS {
+		clusters = append(clusters, string(c))
+	}
+	sort.Strings(clusters)
+	for _, c := range clusters {
+		fmt.Fprintf(h, "local %s %x\n", c, bits(r.LocalServedRPS[topology.ClusterID(c)]))
+	}
+	// In (At, Service, Cluster) order, which TestScaleEventsOrderStable
+	// pins; the constants below were recorded with the events so sorted.
+	for _, e := range r.ScaleEvents {
+		fmt.Fprintf(h, "scale %d %s %s %d\n", e.At, e.Pool.Service, e.Pool.Cluster, e.Replicas)
+	}
+	pools := make([]core.PoolKey, 0, len(r.FinalReplicas))
+	for key := range r.FinalReplicas {
+		pools = append(pools, key)
+	}
+	sort.Slice(pools, func(i, j int) bool {
+		if pools[i].Service != pools[j].Service {
+			return pools[i].Service < pools[j].Service
+		}
+		return pools[i].Cluster < pools[j].Cluster
+	})
+	for _, key := range pools {
+		fmt.Fprintf(h, "final %s %s %d\n", key.Service, key.Cluster, r.FinalReplicas[key])
+	}
+	if w := r.Wire; w != nil {
+		fmt.Fprintf(h, "wire %d %d %d %d\n", w.FullTableBytes, w.PatchBytes, w.FullTelemetryBytes, w.DeltaTelemetryBytes)
+	}
+	fmt.Fprintf(h, "spans %d\n", len(dump))
+	h.Write(dump)
+	return h.Sum64()
+}
+
+// TestRunFingerprintsPinned holds Run to the results of the serial
+// executor it replaced. The constants were recorded at commit 397f956
+// from that executor, on scenarios that together use every Scenario
+// feature; a one-shard run of the sharded engine must reproduce each of
+// them bit for bit, the span dump included.
+func TestRunFingerprintsPinned(t *testing.T) {
+	top := topology.TwoClusters(40 * time.Millisecond)
+	chain := func() *appgraph.App {
+		return appgraph.LinearChain(appgraph.ChainOptions{
+			Services:        3,
+			MeanServiceTime: 10 * time.Millisecond,
+			Pool:            appgraph.ReplicaPool{Replicas: 2, Concurrency: 4},
+			Clusters:        []topology.ClusterID{topology.West, topology.East},
+		})
+	}
+	slate := func(app *appgraph.App, cfg core.ControllerConfig, demand core.Demand) simrun.Policy {
+		ctrl, err := core.NewController(top, app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if demand != nil {
+			ctrl.SetDemand(demand)
+		}
+		return simrun.SLATE(ctrl, demand != nil)
+	}
+
+	cases := []struct {
+		name  string
+		build func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy)
+		spans bool
+		want  uint64
+	}{
+		{
+			// Weighted SLATE tables refreshed by the control loop
+			// (fig6a's overload, converging from all-local).
+			name: "control-loop",
+			build: func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+				app := chain()
+				return simrun.Scenario{
+					Name: "pin-control-loop", Top: top, App: app,
+					Workload: []workload.Spec{
+						workload.Steady("default", topology.West, 900),
+						workload.Steady("default", topology.East, 100),
+					},
+					Duration: 12 * time.Second, Warmup: 2 * time.Second,
+					ControlPeriod: 2 * time.Second, Seed: 11,
+				}, slate(app, core.ControllerConfig{DemandSmoothing: 0.7}, nil)
+			},
+			want: 0x0a3781713de96b11,
+		},
+		{
+			// Global and cluster-controller outages, a partition, rule
+			// TTL degradation and span export (the chaos experiment).
+			name: "chaos",
+			build: func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+				app := chain()
+				demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
+				return simrun.Scenario{
+					Name: "pin-chaos", Top: top, App: app,
+					Workload: []workload.Spec{
+						workload.Steady("default", topology.West, 900),
+						workload.Steady("default", topology.East, 100),
+					},
+					Duration: 14 * time.Second, Warmup: 2 * time.Second,
+					ControlPeriod: time.Second, Seed: 5,
+					RuleTTL: 2500 * time.Millisecond,
+					Faults: fault.NewSchedule().
+						Outage(fault.Global, 5*time.Second, 5*time.Second).
+						Outage(fault.ClusterTarget(topology.East), 2*time.Second, 2*time.Second).
+						Partition(topology.West, topology.East, 3*time.Second, 3*time.Second),
+					SpanSink: sink,
+				}, slate(app, core.ControllerConfig{Decompose: true}, demand)
+			},
+			spans: true,
+			want:  0x4946936f1c1676a1,
+		},
+		{
+			// HPA scaling of eight pools through a burst, under SLATE.
+			name: "autoscaler",
+			build: func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+				app := chain()
+				return simrun.Scenario{
+					Name: "pin-autoscaler", Top: top, App: app,
+					Workload: []workload.Spec{
+						workload.Burst("default", topology.West, 300, 850, 4*time.Second, 10*time.Second),
+						workload.Steady("default", topology.East, 100),
+					},
+					Duration: 24 * time.Second, Warmup: 2 * time.Second,
+					ControlPeriod: 2 * time.Second, Seed: 41,
+					Autoscaler: &simrun.AutoscalerConfig{
+						Period: 2 * time.Second, TargetUtilization: 0.7,
+						ReactionDelay: 3 * time.Second, MaxReplicas: 12,
+						DownscaleStabilization: 4 * time.Second,
+					},
+				}, slate(app, core.ControllerConfig{DemandSmoothing: 0.7, LearnProfiles: true}, nil)
+			},
+			want: 0xa57f88728f9673bd,
+		},
+		{
+			// Generated 16-cluster scenario: heavy tails, churn, hotspots,
+			// retry storms, wire accounting on a static locality table.
+			name: "gen16",
+			build: func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+				g, err := scenario.Generate(scenario.GenSpec{
+					Seed: 23, Clusters: 16, Regions: 4, Services: 48, Classes: 8,
+					TailAlpha: 1.8, TotalRPS: 1200, RemoteFraction: 0.12,
+					ChurnEvents: 6, HotspotClasses: 2, StormClasses: 2,
+					Duration: 3 * time.Second, Warmup: 500 * time.Millisecond,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scn := g.Scenario("pin-gen16")
+				scn.ControlPeriod = 500 * time.Millisecond
+				scn.MeasureWire = true
+				return scn, g.Policy()
+			},
+			want: 0x1c223922fc8f66c1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			var sink simrun.SpanSink
+			if tc.spans {
+				sink = obs.NewSpanWriter(&buf)
+			}
+			scn, pol := tc.build(sink)
+			res, err := simrun.Run(scn, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed == 0 {
+				t.Fatal("nothing completed")
+			}
+			if tc.spans && buf.Len() == 0 {
+				t.Fatal("no spans exported")
+			}
+			if got := fingerprint(res, buf.Bytes()); got != tc.want {
+				t.Errorf("fingerprint %#x, want %#x: Run no longer reproduces the serial engine's result", got, tc.want)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
-// Parallel scenario execution: RunParallel partitions a scenario's
-// clusters across sim.Group shards and runs them under conservative
-// virtual-time synchronization (see internal/sim/group.go).
+// The simulation engine. There is one executor: RunParallel partitions a
+// scenario's clusters across sim.Group shards and runs them under
+// conservative virtual-time synchronization (see internal/sim/group.go),
+// and Run is its one-shard case — one kernel, no cross-shard messages,
+// one window per control barrier.
 //
 // The partition exploits the model's physics: a cluster's pools,
 // telemetry aggregator, and rule-freshness clock are touched only by
@@ -24,12 +26,17 @@
 // (time, shard, seq) barrier exchange, every RNG stream is derived by
 // name from the scenario seed (never from shard indices), and results
 // are merged in fixed shard order — so a run is bit-identical for a
-// given (seed, shard count) at any GOMAXPROCS. Routing-pick draws come
-// from per-cluster streams ("picks@<cluster>") rather than the serial
-// runner's single global stream, so serial and parallel runs of the
-// same seed agree statistically but not bitwise; the differential tests
-// pin Generated/Completed exactly and the latency moments to tight
-// tolerances.
+// given (seed, shard count) at any GOMAXPROCS. Two data choices depend
+// on the shard count. A one-shard partition draws every routing pick
+// from the single stream "routing-picks" and shard 0 mints trace/span
+// IDs without a shard prefix, which is what every figure metric and
+// TestRunFingerprintsPinned were recorded with; more shards draw from
+// per-cluster streams ("picks@<cluster>", independent of the
+// partition), so runs of the same seed at different shard counts agree
+// statistically but not bitwise — the shard-count table tests pin
+// Generated/Completed exactly and the latency moments to tight
+// tolerances. Exported spans are merged across shards in (End, shard,
+// per-shard sequence) order.
 package simrun
 
 import (
@@ -68,7 +75,9 @@ type ParallelStats struct {
 	Messages uint64
 	// Events is the total number of DES events fired across shards.
 	Events uint64
-	// Lookahead is the conservative lookahead the run used.
+	// Lookahead is the conservative lookahead the run used: the minimum
+	// one-way delay between clusters on different shards. With one shard
+	// there is no such pair and it is unbounded, time.Duration(sim.MaxTime).
 	Lookahead time.Duration
 }
 
@@ -202,8 +211,8 @@ func buildPartition(scn *Scenario, want int) partition {
 		compOf[r] = append(compOf[r], i)
 	}
 	compWeight := make(map[int]float64)
-	for r, members := range compOf {
-		for _, i := range members {
+	for _, r := range order {
+		for _, i := range compOf[r] {
 			compWeight[r] += weight[i]
 		}
 	}
@@ -242,26 +251,24 @@ func buildPartition(scn *Scenario, want int) partition {
 		}
 	}
 
-	// Lookahead: the minimum network delay any cross-shard event pays.
-	p.lookahead = time.Millisecond
-	first := true
+	// Lookahead: the minimum network delay any cross-shard event pays;
+	// unbounded when no cluster pair crosses a shard boundary.
+	p.lookahead = time.Duration(sim.MaxTime)
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
 			if p.shardOf[ids[i]] == p.shardOf[ids[j]] {
 				continue
 			}
-			d := scn.Top.OneWay(ids[i], ids[j])
-			if first || d < p.lookahead {
+			if d := scn.Top.OneWay(ids[i], ids[j]); d < p.lookahead {
 				p.lookahead = d
-				first = false
 			}
 		}
 	}
 	return p
 }
 
-// shardRun is the per-shard mirror of the serial runner: pools,
-// aggregators, freshness clocks, and counters for the clusters the
+// shardRun is one shard's slice of the model: pools, aggregators,
+// pick streams, freshness clocks, and counters for the clusters the
 // shard owns. All fields are touched only from the shard's own window
 // goroutine (or from the coordinator at a quiescent barrier).
 type shardRun struct {
@@ -269,9 +276,11 @@ type shardRun struct {
 	sh  *sim.Shard
 	par *parRun
 
-	pools     map[core.PoolKey]*pool
-	aggs      map[topology.ClusterID]*telemetry.Aggregator
-	picks     map[topology.ClusterID]*sim.RNG
+	pools map[core.PoolKey]*pool
+	aggs  map[topology.ClusterID]*telemetry.Aggregator
+	picks map[topology.ClusterID]*sim.RNG
+	// lastFresh records, per cluster, the virtual time rules last
+	// reached that cluster's proxies; see degradedAt.
 	lastFresh map[topology.ClusterID]sim.Time
 	scaler    *autoscaler
 
@@ -284,6 +293,10 @@ type shardRun struct {
 	egressBytes int64
 	egressCost  float64
 
+	// Span export state. spans buffers finished spans, in End order,
+	// until the coordinator drains it at a barrier; traceSeq/spanSeq
+	// allocate deterministic IDs so a seeded run always dumps the same
+	// trace file.
 	spans    []telemetry.Span
 	traceSeq uint64
 	spanSeq  uint64
@@ -299,18 +312,26 @@ type parRun struct {
 	shards []*shardRun
 	table  *routing.Table // swapped only at barriers
 	res    *Result
-	wire   *wireMeter
-	sink   SpanSink
+	wire   *wireMeter // accounts control-plane bytes when MeasureWire is set
+	sink   SpanSink   // nil after the first write error
 
+	// Live observability counters (obs.Default()): the chaos experiment
+	// watches these move.
 	mDegraded  *obs.Counter
 	mMissed    *obs.Counter
 	mOutage    *obs.Counter
 	mPartition *obs.Counter
 }
 
-// RunParallel executes the scenario like Run, but sharded across
+// Run executes the scenario under the policy on one shard and returns
+// the result.
+func Run(scn Scenario, pol Policy) (*Result, error) {
+	return RunParallel(scn, pol, ParallelOptions{Shards: 1})
+}
+
+// RunParallel executes the scenario under the policy, sharded across
 // kernels with conservative synchronization. See the package comment in
-// this file for the determinism contract relative to Run.
+// this file for the determinism contract.
 func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
@@ -373,6 +394,7 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 	}
 
+	onePick := root.DeriveNamed("routing-picks")
 	for s := 0; s < len(part.owned); s++ {
 		sr := &shardRun{
 			id:          s,
@@ -387,9 +409,13 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 		for _, c := range part.owned[s] {
 			sr.aggs[c] = telemetry.NewAggregator()
-			// Per-cluster pick streams: keyed by cluster name, not shard
-			// index, so draws do not depend on the partition.
-			sr.picks[c] = root.DeriveNamed("picks@" + string(c))
+			// One shard draws every pick from one shared stream; more
+			// shards use per-cluster streams, keyed by cluster name, not
+			// shard index, so draws do not depend on the partition.
+			sr.picks[c] = onePick
+			if len(part.owned) > 1 {
+				sr.picks[c] = root.DeriveNamed("picks@" + string(c))
+			}
 		}
 		for _, cl := range scn.App.Classes {
 			sr.perClass[cl.Name] = &ClassResult{Class: cl.Name}
@@ -410,8 +436,8 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 	}
 
-	// Arrivals, scheduled on the arrival cluster's shard from the same
-	// named streams the serial runner uses.
+	// Arrivals, pre-generated from named streams (so policies see
+	// identical loads) and scheduled on the arrival cluster's shard.
 	for _, spec := range scn.Workload {
 		spec := spec
 		stream := root.DeriveNamed("arrivals/" + spec.Class + "@" + string(spec.Cluster))
@@ -456,9 +482,10 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 	}
 
-	// Drive windows between control barriers, then drain. Ticks fire at
-	// i×ControlPeriod for i = 1, 2, … exactly while the serial runner's
-	// rescheduling chain would (first tick unconditional).
+	// Drive windows between control barriers, then drain in-flight work
+	// (arrivals stop at Duration; completions beyond it still count).
+	// Ticks fire at i×ControlPeriod for i = 1, 2, … while that is before
+	// Duration; the first tick is unconditional.
 	if scn.ControlPeriod > 0 {
 		for i := 1; ; i++ {
 			at := time.Duration(i) * scn.ControlPeriod
@@ -490,7 +517,10 @@ func (p *parRun) controlTick(now time.Duration) {
 	if pt, ok := timelineFrom(now, merged, p.scn.ControlPeriod); ok {
 		p.res.Timeline = append(p.res.Timeline, pt)
 	}
+	p.exportSpans()
 	if p.scn.Faults.DownAt(fault.Global, now) {
+		// The global controller is down: no optimization, no rule push —
+		// every cluster's rules age toward RuleTTL.
 		p.res.MissedTicks++
 		p.mMissed.Inc()
 		p.mOutage.Inc()
@@ -501,6 +531,7 @@ func (p *parRun) controlTick(now time.Duration) {
 	} else if tab != nil {
 		p.table = tab
 	}
+	// Rule pushes reach every cluster whose controller is up.
 	for _, c := range p.scn.Top.ClusterIDs() {
 		if !p.scn.Faults.DownAt(fault.ClusterTarget(c), now) {
 			p.shards[p.part.shardOf[c]].lastFresh[c] = sim.Time(now)
@@ -511,19 +542,23 @@ func (p *parRun) controlTick(now time.Duration) {
 	}
 }
 
-// nextTrace and nextSpan mint IDs unique across shards and stable for a
-// given (seed, shard count): high bits carry the shard, low bits a
-// per-shard sequence driven entirely by the shard's own event order.
+// nextTrace and nextSpan mint non-zero IDs (zero parent means root),
+// unique across shards and stable for a given (seed, shard count): high
+// bits carry the shard — so shard 0's IDs are the bare sequence — low
+// bits a per-shard sequence driven entirely by the shard's own event
+// order.
 func (sr *shardRun) nextTrace() uint64 {
 	sr.traceSeq++
-	return uint64(sr.id+1)<<48 | sr.traceSeq
+	return uint64(sr.id)<<48 | sr.traceSeq
 }
 
 func (sr *shardRun) nextSpan() uint64 {
 	sr.spanSeq++
-	return uint64(sr.id+1)<<48 | sr.spanSeq
+	return uint64(sr.id)<<48 | sr.spanSeq
 }
 
+// degradedAt reports whether cluster c's proxies have passed the rule
+// staleness TTL at now and must degrade to local-biased routing.
 func (sr *shardRun) degradedAt(c topology.ClusterID, now sim.Time) bool {
 	if sr.par.scn.RuleTTL <= 0 {
 		return false
@@ -531,7 +566,7 @@ func (sr *shardRun) degradedAt(c topology.ClusterID, now sim.Time) bool {
 	return (now - sr.lastFresh[c]).Duration() > sr.par.scn.RuleTTL
 }
 
-func (sr *shardRun) accountEgress(k *sim.Kernel, from, to topology.ClusterID, bytes int64) {
+func (sr *shardRun) accountEgress(from, to topology.ClusterID, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
@@ -554,6 +589,7 @@ func (sr *shardRun) fallbackCluster(svc appgraph.ServiceID, src topology.Cluster
 			return c
 		}
 	}
+	// Validate() guarantees at least one placement.
 	return s.Clusters(sr.par.scn.Top)[0]
 }
 
@@ -589,7 +625,9 @@ func (sr *shardRun) startRequest(k *sim.Kernel, class *appgraph.Class, arrival t
 	})
 }
 
-// executeNode mirrors runner.executeNode with one extra arm: when the
+// executeNode runs one call node: route to a cluster, pay the network
+// delay, queue for service, then run children (sequentially or in
+// parallel), and finally pay the response network delay. When the
 // destination cluster lives on another shard, the service + subtree
 // executes there (reached by a cross-shard message after the one-way
 // network delay, which is ≥ the group lookahead by construction), and
@@ -600,10 +638,14 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	p := sr.par
 	var dst topology.ClusterID
 	if node == class.Root {
-		dst = pinned
+		dst = pinned // roots execute at the arrival cluster
 	} else {
 		var d routing.Distribution
 		if sr.degradedAt(src, k.Now()) {
+			// Rules are past the staleness TTL: the hardened proxy stops
+			// trusting them and biases local (DESIGN.md degradation
+			// ladder). The pick draw is still consumed so fault-free
+			// prefixes of hardened/unhardened runs stay aligned.
 			sr.degraded++
 			p.mDegraded.Inc()
 			d = routing.Local(src)
@@ -612,6 +654,8 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		}
 		dst = d.Pick(sr.picks[src].Float64())
 		if dst == "" || !p.scn.App.Services[node.Service].PlacedIn(dst) {
+			// Misconfigured rule (e.g. table routes to a cluster without
+			// replicas): fail over to any placement, nearest first.
 			dst = sr.fallbackCluster(node.Service, src)
 		}
 	}
@@ -622,6 +666,9 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		ctx.crossed = true
 	}
 
+	// Span export: one span per call node, closed when the node (and its
+	// subtree, and the response hop) completes. selfID doubles as the
+	// children's parent ID so the dump reconstructs the call tree.
 	selfID := parent
 	if p.sink != nil && ctx.trace != 0 {
 		selfID = sr.nextSpan()
@@ -646,7 +693,9 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	}
 
 	if remote && p.scn.Faults.PartitionedAt(src, dst, k.Now().Duration()) {
-		// Fast-fail after the one-way probe; the subtree never executes,
+		// The inter-cluster link is cut: the call fast-fails after the
+		// one-way probe and the whole request counts as failed. The
+		// subtree never executes — exactly what a connection error does —
 		// so no cross-shard traffic is needed even for a remote target.
 		ctx.failed = true
 		p.mPartition.Inc()
@@ -658,7 +707,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	if remote {
 		netOut = p.scn.Top.OneWay(src, dst)
 		if measure {
-			sr.accountEgress(k, src, dst, node.Work.RequestBytes)
+			sr.accountEgress(src, dst, node.Work.RequestBytes)
 		}
 	}
 
@@ -669,7 +718,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 			rctx := &reqCtx{crossed: true, trace: trace}
 			dsr.servePool(k, rctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
 				if measure {
-					dsr.accountEgress(k, dst, src, node.Work.ResponseBytes)
+					dsr.accountEgress(dst, src, node.Work.ResponseBytes)
 				}
 				failed := rctx.failed
 				dsr.sh.Send(sr.id, k.Now()+sim.Time(p.scn.Top.OneWay(dst, src)), func(k *sim.Kernel) {
@@ -687,7 +736,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		sr.servePool(k, ctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
 			if remote {
 				if measure {
-					sr.accountEgress(k, dst, src, node.Work.ResponseBytes)
+					sr.accountEgress(dst, src, node.Work.ResponseBytes)
 				}
 				k.After(p.scn.Top.OneWay(dst, src), done)
 				return
@@ -723,7 +772,10 @@ func (sr *shardRun) servePool(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class,
 	pl.submit(k, job)
 }
 
-// runChildren mirrors runner.runChildren on the shard owning `at`.
+// runChildren executes a node's children per its Parallel flag, on the
+// shard owning `at`, then calls done. Each child call with Count > 1
+// repeats sequentially within its own slot (parallel fan-out applies
+// across children, not within one child's repetitions).
 func (sr *shardRun) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, at topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
 	children := node.Children
 	if len(children) == 0 {
@@ -757,6 +809,7 @@ func (sr *shardRun) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	next(k, 0)
 }
 
+// repeatCall issues `count` sequential executions of a child node.
 func (sr *shardRun) repeatCall(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, measure bool, parent uint64, count int, done func(*sim.Kernel)) {
 	if count <= 0 {
 		done(k)
@@ -767,22 +820,62 @@ func (sr *shardRun) repeatCall(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class
 	})
 }
 
+// exportSpans drains every shard's span buffer into the sink in (End,
+// shard, per-shard sequence) order. Each buffer is already in End order,
+// so this is a k-way merge; and every span still open at a barrier ends
+// after it, so draining at each barrier keeps the order global while
+// bounding the buffers. A write error stops span export for the rest of
+// the run, not the run.
+func (p *parRun) exportSpans() {
+	if p.sink == nil {
+		return
+	}
+	next := make([]int, len(p.shards))
+	for {
+		best := -1
+		for s, sr := range p.shards {
+			if next[s] < len(sr.spans) && (best < 0 || sr.spans[next[s]].End < p.shards[best].spans[next[best]].End) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		if err := p.sink.WriteSpan(p.shards[best].spans[next[best]]); err != nil {
+			p.sink = nil
+			return
+		}
+		next[best]++
+	}
+	for _, sr := range p.shards {
+		sr.spans = sr.spans[:0]
+	}
+}
+
 // finalize merges per-shard state into the result in fixed shard order,
 // so the merged output is as deterministic as the shards themselves.
 func (p *parRun) finalize() {
 	res := p.res
 	res.MeasuredWindow = p.scn.Duration - p.scn.Warmup
-	for _, cl := range p.scn.App.Classes {
-		res.PerClass[cl.Name] = &ClassResult{Class: cl.Name}
-	}
 	var all []time.Duration
+	for _, cl := range p.scn.App.Classes {
+		cr := &ClassResult{Class: cl.Name}
+		res.PerClass[cl.Name] = cr
+		for _, sr := range p.shards {
+			src := sr.perClass[cl.Name]
+			cr.Samples = append(cr.Samples, src.Samples...)
+			cr.Completed += src.Completed
+		}
+		if len(cr.Samples) > 0 {
+			cr.Mean = telemetry.MeanOf(cr.Samples)
+			cr.P50 = telemetry.QuantileOf(cr.Samples, 0.50)
+			cr.P99 = telemetry.QuantileOf(cr.Samples, 0.99)
+		}
+		res.Completed += cr.Completed
+		all = append(all, cr.Samples...)
+	}
 	var totalCalls, remoteCalls uint64
 	for _, sr := range p.shards {
-		for _, cl := range p.scn.App.Classes {
-			src, dst := sr.perClass[cl.Name], res.PerClass[cl.Name]
-			dst.Samples = append(dst.Samples, src.Samples...)
-			dst.Completed += src.Completed
-		}
 		res.Failed += sr.failed
 		res.DegradedCalls += sr.degraded
 		res.EgressBytes += sr.egressBytes
@@ -794,15 +887,6 @@ func (p *parRun) finalize() {
 				res.LocalServedRPS[c] = float64(n) / res.MeasuredWindow.Seconds()
 			}
 		}
-	}
-	for _, cr := range res.PerClass {
-		if len(cr.Samples) > 0 {
-			cr.Mean = telemetry.MeanOf(cr.Samples)
-			cr.P50 = telemetry.QuantileOf(cr.Samples, 0.50)
-			cr.P99 = telemetry.QuantileOf(cr.Samples, 0.99)
-		}
-		res.Completed += cr.Completed
-		all = append(all, cr.Samples...)
 	}
 	if len(all) > 0 {
 		res.Mean = telemetry.MeanOf(all)
@@ -817,28 +901,7 @@ func (p *parRun) finalize() {
 		res.Availability = float64(res.Completed) / float64(res.Completed+res.Failed)
 	}
 
-	// Spans buffered per shard are merged into one global order before
-	// export: (Start, Trace, ID) is total because IDs are unique.
-	if p.sink != nil {
-		var spans []telemetry.Span
-		for _, sr := range p.shards {
-			spans = append(spans, sr.spans...)
-		}
-		sort.Slice(spans, func(i, j int) bool {
-			if spans[i].Start != spans[j].Start {
-				return spans[i].Start < spans[j].Start
-			}
-			if spans[i].Trace != spans[j].Trace {
-				return spans[i].Trace < spans[j].Trace
-			}
-			return spans[i].ID < spans[j].ID
-		})
-		for _, sp := range spans {
-			if err := p.sink.WriteSpan(sp); err != nil {
-				break
-			}
-		}
-	}
+	p.exportSpans()
 
 	if p.scn.Autoscaler != nil {
 		res.FinalReplicas = map[core.PoolKey]int{}
@@ -857,10 +920,7 @@ func (p *parRun) finalize() {
 			if a.At != b.At {
 				return a.At < b.At
 			}
-			if a.Pool.Service != b.Pool.Service {
-				return a.Pool.Service < b.Pool.Service
-			}
-			return a.Pool.Cluster < b.Pool.Cluster
+			return lessPool(a.Pool, b.Pool)
 		})
 	}
 

@@ -1,6 +1,7 @@
 package simrun
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +11,8 @@ import (
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/fault"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/sim"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 	"github.com/servicelayernetworking/slate/internal/workload"
 )
@@ -88,7 +91,7 @@ func resultFingerprint(t *testing.T, r *Result) []interface{} {
 	}
 	return []interface{}{
 		r.Generated, r.Completed, r.Failed, r.Mean, r.P50, r.P99,
-		r.EgressBytes, r.RemoteFraction, r.DegradedCalls,
+		r.EgressBytes, r.RemoteFraction, r.DegradedCalls, r.MissedTicks,
 		r.Parallel.Messages, r.Parallel.Windows, samples,
 	}
 }
@@ -139,69 +142,66 @@ func TestParallelDeterminismRepeatedRuns(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialDeterministicRouting pins the differential
-// contract on a scenario whose routing is deterministic (single-target
-// rules), so serial and parallel runs make identical routing decisions:
-// arrival counts, completions, and egress must match exactly, and the
-// latency distribution must agree tightly (only same-timestamp event
-// ordering can differ).
-func TestParallelMatchesSerialDeterministicRouting(t *testing.T) {
-	scn, _ := fourClusterScenario(5)
-	rules := map[routing.Key]routing.Distribution{}
+// TestShardCountsAgree pins the contract between shard counts. One and
+// four shards draw routing picks from different streams (see the engine's
+// package comment), so only a scenario whose routing is deterministic
+// (single-target rules) makes identical routing decisions at both:
+// there egress and the remote fraction must match exactly and the
+// latency tightly (only same-timestamp event ordering can differ).
+// Under weighted (randomized) routing only the statistics must agree.
+// Arrivals come from the same named streams at any shard count, so
+// Generated and Completed always match exactly.
+func TestShardCountsAgree(t *testing.T) {
+	scn, weighted := fourClusterScenario(9)
+	allToA := map[routing.Key]routing.Distribution{}
 	for _, id := range scn.Top.ClusterIDs() {
-		rules[routing.Key{Service: "wk", Class: routing.AnyClass, Cluster: id}] = routing.Local("a")
+		allToA[routing.Key{Service: "wk", Class: routing.AnyClass, Cluster: id}] = routing.Local("a")
 	}
-	pol := Static("all-to-a", routing.NewTable(1, rules))
-
-	serial, err := Run(scn, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunParallel(scn, pol, ParallelOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Generated != par.Generated {
-		t.Fatalf("generated: serial %d, parallel %d", serial.Generated, par.Generated)
-	}
-	if serial.Completed != par.Completed {
-		t.Fatalf("completed: serial %d, parallel %d", serial.Completed, par.Completed)
-	}
-	if serial.EgressBytes != par.EgressBytes {
-		t.Fatalf("egress: serial %d, parallel %d", serial.EgressBytes, par.EgressBytes)
-	}
-	if serial.RemoteFraction != par.RemoteFraction { //slate:nolint floatcmp -- deterministic routing makes both engines compute the identical quotient
-		t.Fatalf("remote fraction: serial %v, parallel %v", serial.RemoteFraction, par.RemoteFraction)
-	}
-	if rel := math.Abs(serial.Mean.Seconds()-par.Mean.Seconds()) / serial.Mean.Seconds(); rel > 0.02 {
-		t.Fatalf("mean latency diverged: serial %v, parallel %v (rel %.3f)", serial.Mean, par.Mean, rel)
-	}
-}
-
-// TestParallelMatchesSerialStatistically covers weighted (randomized)
-// routing: pick streams differ between the runners by design, so only
-// the statistics must agree.
-func TestParallelMatchesSerialStatistically(t *testing.T) {
-	scn, pol := fourClusterScenario(9)
-	serial, err := Run(scn, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunParallel(scn, pol, ParallelOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Generated != par.Generated {
-		t.Fatalf("generated: serial %d, parallel %d", serial.Generated, par.Generated)
-	}
-	if serial.Completed != par.Completed {
-		t.Fatalf("completed: serial %d, parallel %d", serial.Completed, par.Completed)
-	}
-	if rel := math.Abs(serial.Mean.Seconds()-par.Mean.Seconds()) / serial.Mean.Seconds(); rel > 0.10 {
-		t.Fatalf("mean latency diverged: serial %v, parallel %v (rel %.3f)", serial.Mean, par.Mean, rel)
-	}
-	if math.Abs(serial.RemoteFraction-par.RemoteFraction) > 0.03 {
-		t.Fatalf("remote fraction diverged: serial %v, parallel %v", serial.RemoteFraction, par.RemoteFraction)
+	for _, tc := range []struct {
+		name          string
+		seed          int64
+		pol           Policy
+		exactRouting  bool
+		meanTolerance float64
+	}{
+		{"deterministic routing", 5, Static("all-to-a", routing.NewTable(1, allToA)), true, 0.02},
+		{"weighted routing", 9, weighted, false, 0.10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scn.Seed = tc.seed
+			one, err := RunParallel(scn, tc.pol, ParallelOptions{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			four, err := RunParallel(scn, tc.pol, ParallelOptions{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Parallel.Shards != 1 || four.Parallel.Shards != 4 {
+				t.Fatalf("ran on %d and %d shards, want 1 and 4", one.Parallel.Shards, four.Parallel.Shards)
+			}
+			if one.Generated != four.Generated {
+				t.Fatalf("generated: 1 shard %d, 4 shards %d", one.Generated, four.Generated)
+			}
+			if one.Completed != four.Completed {
+				t.Fatalf("completed: 1 shard %d, 4 shards %d", one.Completed, four.Completed)
+			}
+			if rel := math.Abs(one.Mean.Seconds()-four.Mean.Seconds()) / one.Mean.Seconds(); rel > tc.meanTolerance {
+				t.Fatalf("mean latency diverged: 1 shard %v, 4 shards %v (rel %.3f)", one.Mean, four.Mean, rel)
+			}
+			if !tc.exactRouting {
+				if math.Abs(one.RemoteFraction-four.RemoteFraction) > 0.03 {
+					t.Fatalf("remote fraction diverged: 1 shard %v, 4 shards %v", one.RemoteFraction, four.RemoteFraction)
+				}
+				return
+			}
+			if one.EgressBytes != four.EgressBytes {
+				t.Fatalf("egress: 1 shard %d, 4 shards %d", one.EgressBytes, four.EgressBytes)
+			}
+			if one.RemoteFraction != four.RemoteFraction { //slate:nolint floatcmp -- deterministic routing makes both shard counts compute the identical quotient
+				t.Fatalf("remote fraction: 1 shard %v, 4 shards %v", one.RemoteFraction, four.RemoteFraction)
+			}
+		})
 	}
 }
 
@@ -310,8 +310,16 @@ func TestParallelCoalescesCoupledClusters(t *testing.T) {
 }
 
 // TestParallelFaultsAndDegradation: partitions and rule-TTL degradation
-// behave under sharding and stay deterministic.
+// behave at any shard count and stay deterministic.
 func TestParallelFaultsAndDegradation(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testFaultsAndDegradation(t, shards)
+		})
+	}
+}
+
+func testFaultsAndDegradation(t *testing.T, shards int) {
 	run := func() *Result {
 		scn, pol := fourClusterScenario(13)
 		scn.ControlPeriod = time.Second
@@ -322,7 +330,7 @@ func TestParallelFaultsAndDegradation(t *testing.T) {
 		scn.Faults = fault.NewSchedule().
 			Outage(fault.Global, 10*time.Second, 8*time.Second).
 			Partition("a", "b", 3*time.Second, 3*time.Second)
-		res, err := RunParallel(scn, pol, ParallelOptions{Shards: 4})
+		res, err := RunParallel(scn, pol, ParallelOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,12 +348,12 @@ func TestParallelFaultsAndDegradation(t *testing.T) {
 	}
 	r2 := run()
 	if !reflect.DeepEqual(resultFingerprint(t, r1), resultFingerprint(t, r2)) {
-		t.Fatal("faulted parallel run is not reproducible")
+		t.Fatal("faulted run is not reproducible")
 	}
 }
 
-// TestParallelDynamics: a scheduled pool shrink must degrade latency in
-// both runners, and Dynamics must validate.
+// TestParallelDynamics: a scheduled pool shrink must degrade latency at
+// any shard count, and Dynamics must validate.
 func TestParallelDynamics(t *testing.T) {
 	// Hot enough that halving wk@a (8 → 4 servers at ~700 rps, ρ 0.35 →
 	// 0.7) visibly queues.
@@ -363,24 +371,18 @@ func TestParallelDynamics(t *testing.T) {
 	shrunk.Dynamics = []PoolEvent{
 		{At: 4 * time.Second, Service: "wk", Cluster: "a", Replicas: 1},
 	}
-	for _, runner := range []struct {
-		name string
-		run  func(Scenario) (*Result, error)
-	}{
-		{"serial", func(s Scenario) (*Result, error) { return Run(s, pol) }},
-		{"parallel", func(s Scenario) (*Result, error) { return RunParallel(s, pol, ParallelOptions{Shards: 4}) }},
-	} {
-		rBase, err := runner.run(base)
+	for _, shards := range []int{1, 4} {
+		rBase, err := RunParallel(base, pol, ParallelOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rShrunk, err := runner.run(shrunk)
+		rShrunk, err := RunParallel(shrunk, pol, ParallelOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rShrunk.Mean <= rBase.Mean {
-			t.Errorf("%s: halving wk@a capacity did not raise mean latency (%v <= %v)",
-				runner.name, rShrunk.Mean, rBase.Mean)
+			t.Errorf("%d shards: halving wk@a capacity did not raise mean latency (%v <= %v)",
+				shards, rShrunk.Mean, rBase.Mean)
 		}
 	}
 
@@ -395,37 +397,59 @@ func TestParallelDynamics(t *testing.T) {
 	}
 }
 
+// TestParallelSpanExport: spans from four shards come out as one dump
+// in (End, shard, sequence) order — also when control barriers drain the
+// shard buffers piecemeal — with parents resolvable across shard
+// boundaries.
 func TestParallelSpanExport(t *testing.T) {
-	scn, pol := fourClusterScenario(21)
-	scn.Duration = 6 * time.Second
-	sink := &memSink{}
-	scn.SpanSink = sink
-	res, err := RunParallel(scn, pol, ParallelOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.spans) == 0 {
-		t.Fatal("no spans exported")
-	}
-	// Global export order is (Start, Trace, ID)-sorted.
-	for i := 1; i < len(sink.spans); i++ {
-		if sink.spans[i].Start < sink.spans[i-1].Start {
-			t.Fatalf("span %d starts before its predecessor", i)
+	for _, period := range []time.Duration{0, time.Second} {
+		scn, pol := fourClusterScenario(21)
+		scn.Duration = 6 * time.Second
+		scn.ControlPeriod = period
+		sink := &memSink{}
+		scn.SpanSink = sink
+		res, err := RunParallel(scn, pol, ParallelOptions{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Parents exist for every non-root span, across shard boundaries.
-	ids := map[uint64]bool{}
-	for _, sp := range sink.spans {
-		ids[uint64(sp.ID)] = true
-	}
-	for _, sp := range sink.spans {
-		if sp.Parent != 0 && !ids[uint64(sp.Parent)] {
-			t.Fatalf("span %d has unknown parent %d", sp.ID, sp.Parent)
+		if len(sink.spans) == 0 {
+			t.Fatal("no spans exported")
 		}
-	}
-	// 2 spans per completed request (fe + wk).
-	if got, want := uint64(len(sink.spans)), 2*res.Completed; got != want {
-		t.Fatalf("exported %d spans for %d completions, want %d", got, res.Completed, want)
+		// IDs carry the minting shard in their high bits; shard 0's are the
+		// bare sequence.
+		shardOf := func(sp telemetry.Span) uint64 { return uint64(sp.ID) >> 48 }
+		minted := map[uint64]bool{}
+		for i, sp := range sink.spans {
+			minted[shardOf(sp)] = true
+			if i == 0 {
+				continue
+			}
+			prev := sink.spans[i-1]
+			if sp.End < prev.End || (sp.End == prev.End && shardOf(sp) < shardOf(prev)) {
+				t.Fatalf("control period %v: span %d (end %v, shard %d) exported after span (end %v, shard %d)",
+					period, i, sp.End, shardOf(sp), prev.End, shardOf(prev))
+			}
+		}
+		if len(minted) != 4 || !minted[0] {
+			t.Fatalf("spans minted by shards %v, want 0..3", minted)
+		}
+		// Parents exist for every non-root span, across shard boundaries.
+		ids := map[uint64]bool{}
+		for _, sp := range sink.spans {
+			if ids[uint64(sp.ID)] {
+				t.Fatalf("span ID %d minted twice", sp.ID)
+			}
+			ids[uint64(sp.ID)] = true
+		}
+		for _, sp := range sink.spans {
+			if sp.Parent != 0 && !ids[uint64(sp.Parent)] {
+				t.Fatalf("span %d has unknown parent %d", sp.ID, sp.Parent)
+			}
+		}
+		// 2 spans per completed request (fe + wk).
+		if got, want := uint64(len(sink.spans)), 2*res.Completed; got != want {
+			t.Fatalf("exported %d spans for %d completions, want %d", got, res.Completed, want)
+		}
 	}
 }
 
@@ -444,5 +468,31 @@ func TestParallelControlLoopConverges(t *testing.T) {
 	}
 	if res.Parallel.Windows == 0 {
 		t.Fatal("no synchronization windows ran")
+	}
+}
+
+// TestOneShardOneWindowPerBarrier: with no cluster pair across a shard
+// boundary the lookahead is unbounded, so a one-shard run needs one
+// window per control barrier plus the final drain, and sends nothing.
+func TestOneShardOneWindowPerBarrier(t *testing.T) {
+	scn, pol := fourClusterScenario(23)
+	scn.ControlPeriod = time.Second
+	res, err := Run(scn, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := res.Parallel
+	if ps.Shards != 1 || ps.Messages != 0 {
+		t.Fatalf("Run used %d shards and sent %d messages, want 1 and 0", ps.Shards, ps.Messages)
+	}
+	if ps.Lookahead != time.Duration(sim.MaxTime) {
+		t.Fatalf("one-shard lookahead %v, want unbounded", ps.Lookahead)
+	}
+	ticks := uint64(scn.Duration / scn.ControlPeriod)
+	if ps.Windows == 0 || ps.Windows > ticks+2 {
+		t.Fatalf("%d windows for %d control ticks, want at most ticks+2", ps.Windows, ticks)
+	}
+	if ps.Events == 0 || len(res.Timeline) < 10 {
+		t.Fatalf("run did no work: %d events, %d timeline points", ps.Events, len(res.Timeline))
 	}
 }

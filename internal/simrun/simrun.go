@@ -10,6 +10,9 @@
 // latency as a function of load, added network RTT, and cross-cluster
 // bytes — are exactly the quantities the simulator models, and virtual
 // time makes parameter sweeps deterministic and fast on a single core.
+//
+// This file holds the scenario and result types and the model's parts
+// (replica pools, wire accounting); the executor is in parallel.go.
 package simrun
 
 import (
@@ -21,7 +24,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
-	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
@@ -29,7 +31,7 @@ import (
 	"github.com/servicelayernetworking/slate/internal/workload"
 )
 
-// Policy produces routing tables for the runner. Implementations wrap
+// Policy produces routing tables for a run. Implementations wrap
 // core.Controller (SLATE), baseline.Controller (Waterfall), or a static
 // table.
 type Policy interface {
@@ -220,7 +222,8 @@ type Result struct {
 	// Wire totals the control-plane bytes both distribution strategies
 	// would have sent (nil unless Scenario.MeasureWire).
 	Wire *WireStats
-	// Parallel reports sharded-execution statistics (nil for serial runs).
+	// Parallel reports how the engine executed the run. It is never nil:
+	// Run reports Shards: 1.
 	Parallel *ParallelStats
 }
 
@@ -251,7 +254,7 @@ type TimelinePoint struct {
 func (r *Result) CDF() []telemetry.CDFPoint {
 	var all []time.Duration
 	for _, cr := range r.PerClass {
-		all = append(all, cr.Samples...)
+		all = append(all, cr.Samples...) //slate:nolint detorder -- CDFOf sorts the samples, so collection order cannot reach the output
 	}
 	return telemetry.CDFOf(all)
 }
@@ -332,233 +335,11 @@ func drawServiceTime(rng *sim.RNG, w appgraph.Work) time.Duration {
 	}
 }
 
-// Run executes the scenario under the policy and returns the result.
-func Run(scn Scenario, pol Policy) (*Result, error) {
-	if err := scn.Validate(); err != nil {
-		return nil, err
-	}
-	table, err := pol.Init()
-	if err != nil {
-		return nil, fmt.Errorf("simrun: policy init: %w", err)
-	}
-	if table == nil {
-		table = routing.EmptyTable()
-	}
-
-	k := sim.NewKernel()
-	root := sim.NewRNG(scn.Seed)
-
-	r := &runner{
-		k:         k,
-		scn:       scn,
-		table:     table,
-		pol:       pol,
-		pools:     make(map[core.PoolKey]*pool),
-		aggs:      make(map[topology.ClusterID]*telemetry.Aggregator),
-		pickRNG:   root.DeriveNamed("routing-picks"),
-		lastFresh: make(map[topology.ClusterID]sim.Time),
-		res: &Result{
-			Scenario:       scn.Name,
-			Policy:         pol.Name(),
-			PerClass:       make(map[string]*ClassResult),
-			LocalServedRPS: make(map[topology.ClusterID]float64),
-		},
-	}
-	r.sink = scn.SpanSink
-	if scn.MeasureWire {
-		r.res.Wire = &WireStats{}
-		r.wire = newWireMeter(r.res.Wire)
-	}
-	reg := obs.Default()
-	r.mDegraded = reg.Counter("slate_sim_degraded_calls_total",
-		"Simulated routing decisions that fell back to local-biased routing (rules past TTL).")
-	r.mMissed = reg.Counter("slate_sim_missed_ticks_total",
-		"Simulated control rounds skipped because the global controller was down.")
-	faults := reg.CounterVec("slate_fault_injected_total",
-		"Faults injected into control RPCs, by kind.", "kind")
-	r.mOutage = faults.With("outage")
-	r.mPartition = faults.With("partition")
-	for sid, svc := range scn.App.Services {
-		for c, pl := range svc.Placement {
-			if pl.Replicas <= 0 {
-				continue
-			}
-			key := core.PoolKey{Service: sid, Cluster: c}
-			r.pools[key] = &pool{
-				key:     key,
-				servers: pl.Servers(),
-				rng:     root.DeriveNamed("svc/" + string(sid) + "@" + string(c)),
-			}
-		}
-	}
-	for _, c := range scn.Top.ClusterIDs() {
-		r.aggs[c] = telemetry.NewAggregator()
-	}
-	for _, cl := range scn.App.Classes {
-		r.res.PerClass[cl.Name] = &ClassResult{Class: cl.Name}
-	}
-
-	// Schedule arrivals (pre-generated so policies see identical loads).
-	for _, spec := range scn.Workload {
-		spec := spec
-		stream := root.DeriveNamed("arrivals/" + spec.Class + "@" + string(spec.Cluster))
-		class := scn.App.Class(spec.Class)
-		for _, at := range workload.Arrivals(spec, scn.Duration, stream) {
-			at := at
-			k.At(sim.Time(at), func(k *sim.Kernel) {
-				r.startRequest(k, class, spec.Cluster)
-			})
-			r.res.Generated++
-		}
-	}
-
-	// Scheduled pool dynamics (churn, migration).
-	for _, ev := range scn.Dynamics {
-		ev := ev
-		conc := scalerConc(scn, core.PoolKey{Service: ev.Service, Cluster: ev.Cluster})
-		if conc < 1 {
-			conc = 1
-		}
-		k.At(sim.Time(ev.At), func(k *sim.Kernel) {
-			r.pools[core.PoolKey{Service: ev.Service, Cluster: ev.Cluster}].resize(k, ev.Replicas*conc)
-		})
-	}
-
-	// Autoscaler loop.
-	var scaler *autoscaler
-	if scn.Autoscaler != nil {
-		conc := map[core.PoolKey]int{}
-		for sid, svc := range scn.App.Services {
-			for c, pl := range svc.Placement {
-				if pl.Replicas > 0 {
-					conc[core.PoolKey{Service: sid, Cluster: c}] = pl.Concurrency
-				}
-			}
-		}
-		cfg := scn.Autoscaler.defaults()
-		scaler = newAutoscaler(cfg, r.pools, conc)
-		var tick func(*sim.Kernel)
-		tick = func(k *sim.Kernel) {
-			scaler.tick(k)
-			if k.Now().Duration()+cfg.Period < scn.Duration {
-				k.After(cfg.Period, tick)
-			}
-		}
-		k.After(cfg.Period, tick)
-	}
-
-	// Control loop.
-	if scn.ControlPeriod > 0 {
-		var tick func(*sim.Kernel)
-		tick = func(k *sim.Kernel) {
-			now := k.Now()
-			var groups [][]telemetry.WindowStats
-			for _, c := range scn.Top.ClusterIDs() {
-				groups = append(groups, r.aggs[c].Flush(scn.ControlPeriod))
-			}
-			merged := telemetry.Merge(groups...)
-			r.recordTimeline(now.Duration(), merged, scn.ControlPeriod)
-			if scn.Faults.DownAt(fault.Global, now.Duration()) {
-				// The global controller is down: no optimization, no rule
-				// push — every cluster's rules age toward RuleTTL.
-				r.res.MissedTicks++
-				r.mMissed.Inc()
-				r.mOutage.Inc()
-			} else {
-				if tab, err := r.pol.Tick(merged, scn.ControlPeriod); err != nil {
-					r.res.PolicyErrors++
-				} else if tab != nil {
-					r.table = tab
-				}
-				// Rule pushes reach every cluster whose controller is up.
-				for _, c := range scn.Top.ClusterIDs() {
-					if !scn.Faults.DownAt(fault.ClusterTarget(c), now.Duration()) {
-						r.lastFresh[c] = now
-					}
-				}
-				if scn.MeasureWire {
-					r.wire.tick(r.table, groups, scn.Top.ClusterIDs(), scn.ControlPeriod)
-				}
-			}
-			if now.Duration()+scn.ControlPeriod < scn.Duration {
-				k.After(scn.ControlPeriod, tick)
-			}
-		}
-		k.After(scn.ControlPeriod, tick)
-	}
-
-	// Run to the horizon, then drain in-flight work (arrivals stop at
-	// Duration; completions beyond it still count).
-	k.Run()
-
-	if scaler != nil {
-		r.res.ScaleEvents = scaler.events
-		r.res.FinalReplicas = map[core.PoolKey]int{}
-		for key, p := range r.pools {
-			c := 1
-			if v := scalerConc(scn, key); v > 0 {
-				c = v
-			}
-			r.res.FinalReplicas[key] = p.servers / c
-		}
-	}
-	r.finalize()
-	return r.res, nil
-}
-
 func scalerConc(scn Scenario, key core.PoolKey) int {
 	if svc, ok := scn.App.Services[key.Service]; ok {
 		return svc.Placement[key.Cluster].Concurrency
 	}
 	return 0
-}
-
-type runner struct {
-	k       *sim.Kernel
-	scn     Scenario
-	table   *routing.Table
-	pol     Policy
-	pools   map[core.PoolKey]*pool
-	aggs    map[topology.ClusterID]*telemetry.Aggregator
-	pickRNG *sim.RNG
-	res     *Result
-
-	// lastFresh records, per cluster, the virtual time rules last
-	// reached that cluster's proxies; see degradedAt.
-	lastFresh map[topology.ClusterID]sim.Time
-
-	// wire accounts control-plane bytes when MeasureWire is set.
-	wire *wireMeter
-
-	remoteCalls, totalCalls uint64
-	localServed             map[topology.ClusterID]uint64
-
-	// Span export state. traceSeq/spanSeq allocate deterministic IDs so
-	// a seeded run always dumps the same trace file; sink goes nil after
-	// the first write error.
-	sink     SpanSink
-	traceSeq uint64
-	spanSeq  uint64
-
-	// Live observability counters (obs.Default()): the chaos experiment
-	// watches these move.
-	mDegraded  *obs.Counter
-	mMissed    *obs.Counter
-	mOutage    *obs.Counter
-	mPartition *obs.Counter
-}
-
-// nextTrace and nextSpan mint non-zero IDs (zero parent means root).
-func (r *runner) nextTrace() uint64 { r.traceSeq++; return r.traceSeq }
-func (r *runner) nextSpan() uint64  { r.spanSeq++; return r.spanSeq }
-
-// degradedAt reports whether cluster c's proxies have passed the rule
-// staleness TTL at now and must degrade to local-biased routing.
-func (r *runner) degradedAt(c topology.ClusterID, now sim.Time) bool {
-	if r.scn.RuleTTL <= 0 {
-		return false
-	}
-	return (now - r.lastFresh[c]).Duration() > r.scn.RuleTTL
 }
 
 // reqCtx carries per-request state through the call tree.
@@ -568,231 +349,8 @@ type reqCtx struct {
 	trace   uint64 // exported trace ID (0 when span export is off)
 }
 
-// startRequest launches one root request of class at cluster.
-func (r *runner) startRequest(k *sim.Kernel, class *appgraph.Class, arrival topology.ClusterID) {
-	start := k.Now()
-	afterWarmup := start.Duration() >= r.scn.Warmup
-	ctx := &reqCtx{}
-	if r.sink != nil && afterWarmup {
-		ctx.trace = r.nextTrace()
-	}
-	r.executeNode(k, ctx, class, class.Root, arrival, arrival, afterWarmup, 0, func(k *sim.Kernel) {
-		if !afterWarmup {
-			return
-		}
-		if ctx.failed {
-			r.res.Failed++
-			return
-		}
-		lat := (k.Now() - start).Duration()
-		cr := r.res.PerClass[class.Name]
-		cr.Samples = append(cr.Samples, lat)
-		cr.Completed++
-		if !ctx.crossed {
-			if r.localServed == nil {
-				r.localServed = make(map[topology.ClusterID]uint64)
-			}
-			r.localServed[arrival]++
-		}
-		r.aggs[arrival].Record(telemetry.MetricKey{
-			Service: telemetry.E2EService,
-			Class:   class.Name,
-			Cluster: string(arrival),
-		}, lat, 0)
-	})
-}
-
-// executeNode runs one call node: route to a cluster, pay the network
-// delay, queue for service, then run children (sequentially or in
-// parallel), and finally pay the response network delay.
-func (r *runner) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, pinned topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
-	// Routing decision.
-	var dst topology.ClusterID
-	if node == class.Root {
-		dst = pinned // roots execute at the arrival cluster
-	} else {
-		var d routing.Distribution
-		if r.degradedAt(src, k.Now()) {
-			// Rules are past the staleness TTL: the hardened proxy stops
-			// trusting them and biases local (DESIGN.md degradation
-			// ladder). The pick draw is still consumed so fault-free
-			// prefixes of hardened/unhardened runs stay aligned.
-			r.res.DegradedCalls++
-			r.mDegraded.Inc()
-			d = routing.Local(src)
-		} else {
-			d = r.table.Lookup(string(node.Service), class.Name, src)
-		}
-		dst = d.Pick(r.pickRNG.Float64())
-		if dst == "" || !r.scn.App.Services[node.Service].PlacedIn(dst) {
-			// Misconfigured rule (e.g. table routes to a cluster without
-			// replicas): fail over to any placement, nearest first.
-			dst = r.fallbackCluster(node.Service, src)
-		}
-	}
-	r.totalCalls++
-	remote := dst != src
-	if remote {
-		r.remoteCalls++
-		ctx.crossed = true
-	}
-
-	// Span export: one span per call node, closed when the node (and its
-	// subtree, and the response hop) completes. selfID doubles as the
-	// children's parent ID so the dump reconstructs the call tree.
-	selfID := parent
-	if r.sink != nil && ctx.trace != 0 {
-		selfID = r.nextSpan()
-		startAt := k.Now().Duration()
-		span := telemetry.Span{
-			Trace:     telemetry.TraceID(ctx.trace),
-			ID:        telemetry.SpanID(selfID),
-			Parent:    telemetry.SpanID(parent),
-			Service:   string(node.Service),
-			Cluster:   string(dst),
-			Class:     class.Name,
-			Start:     startAt,
-			ReqBytes:  node.Work.RequestBytes,
-			RespBytes: node.Work.ResponseBytes,
-			Remote:    remote,
-		}
-		inner := done
-		done = func(k *sim.Kernel) {
-			span.End = k.Now().Duration()
-			if r.sink != nil {
-				if err := r.sink.WriteSpan(span); err != nil {
-					r.sink = nil // stop exporting, keep simulating
-				}
-			}
-			inner(k)
-		}
-	}
-
-	if remote && r.scn.Faults.PartitionedAt(src, dst, k.Now().Duration()) {
-		// The inter-cluster link is cut: the call fast-fails after the
-		// one-way probe and the whole request counts as failed. The
-		// subtree never executes — exactly what a connection error does.
-		ctx.failed = true
-		r.mPartition.Inc()
-		k.After(r.scn.Top.OneWay(src, dst), done)
-		return
-	}
-
-	netOut := time.Duration(0)
-	if remote {
-		netOut = r.scn.Top.OneWay(src, dst)
-		if measure {
-			r.accountEgress(src, dst, node.Work.RequestBytes)
-		}
-	}
-
-	proceed := func(k *sim.Kernel) {
-		pl := r.pools[core.PoolKey{Service: node.Service, Cluster: dst}]
-		job := &poolJob{
-			serviceTime: drawServiceTime(pl.rng, node.Work),
-			done: func(k *sim.Kernel, sojourn time.Duration) {
-				if measure {
-					r.aggs[dst].Record(telemetry.MetricKey{
-						Service: string(node.Service),
-						Class:   class.Name,
-						Cluster: string(dst),
-					}, sojourn, 0)
-				}
-				r.runChildren(k, ctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
-					// Response travels back to the caller.
-					if remote {
-						if measure {
-							r.accountEgress(dst, src, node.Work.ResponseBytes)
-						}
-						k.After(r.scn.Top.OneWay(dst, src), done)
-						return
-					}
-					done(k)
-				})
-			},
-		}
-		pl.submit(k, job)
-	}
-	if netOut > 0 {
-		k.After(netOut, proceed)
-	} else {
-		proceed(k)
-	}
-}
-
-// runChildren executes a node's children per its Parallel flag, then
-// calls done. Each child call with Count > 1 repeats sequentially
-// within its own slot (parallel fan-out applies across children, not
-// within one child's repetitions).
-func (r *runner) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, at topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
-	children := node.Children
-	if len(children) == 0 {
-		done(k)
-		return
-	}
-	if node.Parallel {
-		remaining := len(children)
-		for _, ch := range children {
-			ch := ch
-			r.repeatCall(k, ctx, class, ch, at, measure, parent, ch.Count, func(k *sim.Kernel) {
-				remaining--
-				if remaining == 0 {
-					done(k)
-				}
-			})
-		}
-		return
-	}
-	var next func(k *sim.Kernel, idx int)
-	next = func(k *sim.Kernel, idx int) {
-		if idx >= len(children) {
-			done(k)
-			return
-		}
-		ch := children[idx]
-		r.repeatCall(k, ctx, class, ch, at, measure, parent, ch.Count, func(k *sim.Kernel) {
-			next(k, idx+1)
-		})
-	}
-	next(k, 0)
-}
-
-// repeatCall issues `count` sequential executions of a child node.
-func (r *runner) repeatCall(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, measure bool, parent uint64, count int, done func(*sim.Kernel)) {
-	if count <= 0 {
-		done(k)
-		return
-	}
-	r.executeNode(k, ctx, class, node, src, src, measure, parent, func(k *sim.Kernel) {
-		r.repeatCall(k, ctx, class, node, src, measure, parent, count-1, done)
-	})
-}
-
-func (r *runner) fallbackCluster(svc appgraph.ServiceID, src topology.ClusterID) topology.ClusterID {
-	s := r.scn.App.Services[svc]
-	if s.PlacedIn(src) {
-		return src
-	}
-	for _, c := range r.scn.Top.Nearest(src) {
-		if s.PlacedIn(c) {
-			return c
-		}
-	}
-	// Validate() guarantees at least one placement.
-	return s.Clusters(r.scn.Top)[0]
-}
-
-// recordTimeline folds one control window's end-to-end stats into the
-// result's timeline.
-func (r *runner) recordTimeline(at time.Duration, stats []telemetry.WindowStats, window time.Duration) {
-	if pt, ok := timelineFrom(at, stats, window); ok {
-		r.res.Timeline = append(r.res.Timeline, pt)
-	}
-}
-
 // timelineFrom summarizes one control window's end-to-end stats into a
-// timeline point (shared by the serial and parallel runners). ok is
-// false when the window saw no completed requests.
+// timeline point. ok is false when the window saw no completed requests.
 func timelineFrom(at time.Duration, stats []telemetry.WindowStats, window time.Duration) (TimelinePoint, bool) {
 	var latSum float64
 	var n uint64
@@ -814,8 +372,7 @@ func timelineFrom(at time.Duration, stats []telemetry.WindowStats, window time.D
 }
 
 // wireMeter accounts control-plane wire bytes under both distribution
-// strategies, one control tick at a time. Shared by the serial and
-// parallel runners (the parallel runner ticks it at window barriers).
+// strategies, one control tick at a time (at the control barrier).
 type wireMeter struct {
 	w *WireStats
 	// prevSent is the last table slice "pushed" to each cluster;
@@ -876,50 +433,5 @@ func (m *wireMeter) tick(table *routing.Table, groups [][]telemetry.WindowStats,
 			}
 		}
 		m.prevStats[c] = stats
-	}
-}
-
-func (r *runner) accountEgress(from, to topology.ClusterID, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	r.res.EgressBytes += bytes
-	r.res.EgressCost += r.scn.Top.EgressCost(from, to, bytes)
-	r.aggs[from].Record(telemetry.MetricKey{
-		Service: "__egress__",
-		Class:   routing.AnyClass,
-		Cluster: string(from),
-	}, 0, bytes)
-}
-
-func (r *runner) finalize() {
-	res := r.res
-	res.MeasuredWindow = r.scn.Duration - r.scn.Warmup
-	var all []time.Duration
-	for _, cr := range res.PerClass {
-		if len(cr.Samples) > 0 {
-			cr.Mean = telemetry.MeanOf(cr.Samples)
-			cr.P50 = telemetry.QuantileOf(cr.Samples, 0.50)
-			cr.P99 = telemetry.QuantileOf(cr.Samples, 0.99)
-		}
-		res.Completed += cr.Completed
-		all = append(all, cr.Samples...)
-	}
-	if len(all) > 0 {
-		res.Mean = telemetry.MeanOf(all)
-		res.P50 = telemetry.QuantileOf(all, 0.50)
-		res.P99 = telemetry.QuantileOf(all, 0.99)
-	}
-	if r.totalCalls > 0 {
-		res.RemoteFraction = float64(r.remoteCalls) / float64(r.totalCalls)
-	}
-	res.Availability = 1
-	if res.Completed+res.Failed > 0 {
-		res.Availability = float64(res.Completed) / float64(res.Completed+res.Failed)
-	}
-	if res.MeasuredWindow > 0 {
-		for c, n := range r.localServed {
-			res.LocalServedRPS[c] = float64(n) / res.MeasuredWindow.Seconds()
-		}
 	}
 }

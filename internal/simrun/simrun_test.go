@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,34 +141,6 @@ func TestRunnerRemoteRoutingPaysRTT(t *testing.T) {
 	// Nothing was served fully locally in west.
 	if rps := res.LocalServedRPS[topology.West]; !almostEqual(rps, 0) {
 		t.Errorf("LocalServedRPS west = %v, want 0", rps)
-	}
-}
-
-func TestRunnerDeterminism(t *testing.T) {
-	top := topology.TwoClusters(20 * time.Millisecond)
-	app := appgraph.LinearChain(appgraph.ChainOptions{})
-	scn := Scenario{
-		Name: "det",
-		Top:  top,
-		App:  app,
-		Workload: []workload.Spec{
-			workload.Steady("default", topology.West, 300),
-			workload.Steady("default", topology.East, 100),
-		},
-		Duration: 20 * time.Second,
-		Warmup:   2 * time.Second,
-		Seed:     7,
-	}
-	a, err := Run(scn, Static("local", routing.EmptyTable()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(scn, Static("local", routing.EmptyTable()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Mean != b.Mean || a.P99 != b.P99 || a.Completed != b.Completed || a.EgressBytes != b.EgressBytes {
-		t.Errorf("same seed produced different results: %+v vs %+v", a.Mean, b.Mean)
 	}
 }
 
@@ -535,6 +508,69 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 	// Requests kept completing throughout.
 	if res.Completed < res.Generated*9/10 {
 		t.Errorf("completed %d of %d during scale-down", res.Completed, res.Generated)
+	}
+}
+
+// TestScaleEventsOrderStable: pools resized in the same autoscaler tick
+// act at the same instant, so their order in ScaleEvents (and the
+// kernel's tie-break among the resize events) must come from the pool
+// keys, not from map iteration: repeated runs list identical events, in
+// (At, Service, Cluster) order.
+func TestScaleEventsOrderStable(t *testing.T) {
+	clusters := []topology.ClusterID{topology.West, topology.East}
+	run := func() []ScaleEvent {
+		// Eight pools (gateway + 3 services, two clusters) hit by a burst
+		// in both clusters, so several scale in every tick.
+		scn := Scenario{
+			Name: "hpa",
+			Top:  topology.TwoClusters(40 * time.Millisecond),
+			App: appgraph.LinearChain(appgraph.ChainOptions{
+				Services:        3,
+				MeanServiceTime: 10 * time.Millisecond,
+				Pool:            appgraph.ReplicaPool{Replicas: 2, Concurrency: 4},
+				Clusters:        clusters,
+			}),
+			Workload: []workload.Spec{
+				workload.Burst("default", topology.West, 300, 1500, 2*time.Second, 10*time.Second),
+				workload.Burst("default", topology.East, 300, 1500, 2*time.Second, 10*time.Second),
+			},
+			Duration: 20 * time.Second,
+			Warmup:   time.Second,
+			Seed:     41,
+			Autoscaler: &AutoscalerConfig{
+				Period:        2 * time.Second,
+				ReactionDelay: 3 * time.Second,
+				MaxReplicas:   12,
+			},
+		}
+		res, err := Run(scn, Static("local", routing.EmptyTable()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ScaleEvents
+	}
+	want := run()
+	sameInstant := 0
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if a.At > b.At {
+			t.Fatalf("scale events out of time order: %v after %v", b.At, a.At)
+		}
+		if a.At != b.At {
+			continue
+		}
+		sameInstant++
+		if a.Pool.Service > b.Pool.Service || (a.Pool.Service == b.Pool.Service && a.Pool.Cluster >= b.Pool.Cluster) {
+			t.Fatalf("same-instant scale events out of pool order: %v before %v", a.Pool, b.Pool)
+		}
+	}
+	if sameInstant < 4 {
+		t.Fatalf("only %d same-instant scale event pairs among %d events; the scenario does not exercise the tie", sameInstant, len(want))
+	}
+	for i := 0; i < 4; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d listed scale events in a different order:\n got %v\nwant %v", i+2, got, want)
+		}
 	}
 }
 

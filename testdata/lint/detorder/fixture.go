@@ -7,6 +7,9 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"time"
+
+	"github.com/servicelayernetworking/slate/internal/sim"
 )
 
 // fingerprint hashes map entries in iteration order: two runs of the
@@ -77,6 +80,27 @@ func localAccum(weights map[string]float64) []float64 {
 	}
 	sort.Float64s(out)
 	return out
+}
+
+// schedule hands the kernel one event per map entry: events landing at
+// the same instant fire in schedule order, so the run depends on map
+// order.
+func schedule(k *sim.Kernel, delays map[string]time.Duration) {
+	for _, d := range delays {
+		k.After(d, func(*sim.Kernel) {}) // want `sim\.Kernel\.After inside range over map delays schedules events in random order`
+	}
+}
+
+// scheduleSorted walks sorted keys instead: no finding.
+func scheduleSorted(k *sim.Kernel, delays map[string]time.Duration) {
+	var names []string
+	for name := range delays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		k.After(delays[name], func(*sim.Kernel) {})
+	}
 }
 
 // suppressed shows //slate:nolint working against detorder.
