@@ -132,7 +132,7 @@ func BenchmarkBurstReaction(b *testing.B) {
 }
 
 // BenchmarkScalability regenerates the optimizer solve-time scaling
-// table (paper §5 "scalability & fast reaction") plus the monolithic-
+// table (paper §5 "scalability & fast reaction") plus the one-shard-
 // vs-decomposed control-loop comparison: steady-state tick latency and
 // control-plane bytes per tick at n clusters × n classes.
 func BenchmarkScalability(b *testing.B) {
@@ -563,7 +563,7 @@ func benchSnapshot(b *testing.B) *benchSnapshotState {
 		return out
 	}
 	ctrl, err := core.NewController(top, app, core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true, Predictive: true,
+		DemandSmoothing: 1, Decompose: true, Forecast: forecast.Defaults(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -606,7 +606,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	cold, err := core.NewController(s.top, s.app, core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true, Predictive: true,
+		DemandSmoothing: 1, Decompose: true, Forecast: forecast.Defaults(),
 	})
 	if err != nil {
 		b.Fatal(err)

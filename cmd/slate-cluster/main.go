@@ -1,8 +1,8 @@
 // Command slate-cluster runs a SLATE Cluster Controller daemon for one
 // cluster: it receives telemetry pushed by local SLATE-proxies
 // (POST /v1/metrics), relays aggregated windows to the Global
-// Controller, and accepts rule pushes (POST /v1/rules) for local
-// distribution (paper §3.2).
+// Controller, and accepts incremental rule pushes (POST /v1/patch) for
+// local distribution (paper §3.2).
 //
 // Usage:
 //

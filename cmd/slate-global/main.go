@@ -27,6 +27,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/forecast"
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/scenario"
 )
@@ -60,16 +61,21 @@ func main() {
 	if err != nil {
 		log.Fatalf("slate-global: %v", err)
 	}
-	ctrl, err := core.NewController(top, app, core.ControllerConfig{
-		Optimizer:       core.Config{LatencyWeight: *latWeight, CostWeight: *costWeight},
+	cfg := core.ControllerConfig{
+		Optimizer: core.Config{
+			LatencyWeight: *latWeight, CostWeight: *costWeight,
+			DemandMargin: *margin, Budget: *budget,
+		},
 		MaxStep:         *maxStep,
 		LearnProfiles:   *learn,
 		GuardRegression: *guard,
-		Robust:          *margin > 0,
-		DemandMargin:    *margin,
-		Budget:          *budget,
-		Predictive:      *predictive,
-	})
+		Decompose:       true,
+		Search:          true,
+	}
+	if *predictive {
+		cfg.Forecast = forecast.Defaults()
+	}
+	ctrl, err := core.NewController(top, app, cfg)
 	if err != nil {
 		log.Fatalf("slate-global: %v", err)
 	}

@@ -201,7 +201,6 @@ func (c *Cluster) AddProxy(p *dataplane.Proxy) {
 // Handler returns the daemon's HTTP API.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/rules", c.handleRules)
 	mux.HandleFunc("POST /v1/patch", c.handlePatch)
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("GET /v1/rules", c.handleGetRules)
@@ -340,27 +339,6 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
-}
-
-func (c *Cluster) handleRules(w http.ResponseWriter, r *http.Request) {
-	fenced, ok := c.admitPush(w, r)
-	if !ok {
-		return
-	}
-	var table routing.Table
-	if err := json.NewDecoder(r.Body).Decode(&table); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if fenced && table.Version < c.Table().Version {
-		// CAS: under a replicated control plane a full-table push may
-		// never move the table backwards (equal versions are idempotent
-		// re-pushes and fine).
-		c.rejectPush(w, dataplane.RejectCAS, "table version regression")
-		return
-	}
-	c.ApplyTable(&table)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handlePatch applies an incremental rule push from the global

@@ -198,14 +198,14 @@ func TestClusterControllerRulePushAppliesToProxies(t *testing.T) {
 	table := routing.NewTable(7, map[routing.Key]routing.Distribution{
 		{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
 	})
-	body, _ := json.Marshal(table)
-	resp, err := http.Post(srv.URL+"/v1/rules", "application/json", strings.NewReader(string(body)))
+	body, _ := json.Marshal(routing.FullPatch(table))
+	resp, err := http.Post(srv.URL+"/v1/patch", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(resp)
 	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("rules status = %d", resp.StatusCode)
+		t.Fatalf("patch status = %d", resp.StatusCode)
 	}
 	if p.TableVersion() != 7 {
 		t.Errorf("proxy table version = %d, want 7", p.TableVersion())

@@ -233,10 +233,6 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 	if oldTable.Version == 0 {
 		t.Fatal("gA never published")
 	}
-	oldJSON, err := json.Marshal(oldTable)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The lease lapses; gB takes over at epoch 2 under shifted demand and
 	// publishes a strictly newer table.
@@ -283,20 +279,9 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 			resp.StatusCode, resp.Header.Get(dataplane.HeaderReject), dataplane.RejectCAS)
 	}
 
-	// Same for the legacy full-table endpoint.
-	resp = postRaw(t, ccsrv.URL+"/v1/rules", oldJSON, map[string]string{
-		dataplane.HeaderLeaderEpoch: "3",
-	})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || resp.Header.Get(dataplane.HeaderReject) != dataplane.RejectCAS {
-		t.Fatalf("stale legacy push: status %d reject %q, want 409 %q",
-			resp.StatusCode, resp.Header.Get(dataplane.HeaderReject), dataplane.RejectCAS)
-	}
-
 	// A headerless push on a fenced cluster is rejected outright: every
 	// legitimate publisher in a replicated deployment states its epoch.
-	resp = postRaw(t, ccsrv.URL+"/v1/rules", oldJSON, nil)
+	resp = postRaw(t, ccsrv.URL+"/v1/patch", staleJSON, nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict || resp.Header.Get(dataplane.HeaderReject) != dataplane.RejectStaleLeader {

@@ -65,11 +65,13 @@ func FuzzHandleMetrics(f *testing.F) {
 	})
 }
 
-// FuzzHandleRules feeds arbitrary bodies to the cluster controller's
-// rule-push endpoint. No input may panic; any accepted table must hold
-// the Distribution invariant (normalized non-negative weights), because
-// the decoder routes every rule through routing.NewDistribution.
-func FuzzHandleRules(f *testing.F) {
+// FuzzHandlePatch feeds arbitrary bodies to the cluster controller's
+// rule-push endpoint (routing.Patch decode + Cluster.ApplyPatch). No
+// input may panic; it must answer only 204 (applied), 400 (malformed),
+// or 409 (version gap), and any applied patch must leave a table that
+// holds the Distribution invariant (normalized non-negative weights),
+// because every rule is routed through routing.NewDistribution.
+func FuzzHandlePatch(f *testing.F) {
 	c := NewCluster(topology.West, "")
 	h := c.Handler()
 
@@ -79,27 +81,33 @@ func FuzzHandleRules(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := json.Marshal(routing.NewTable(3, map[routing.Key]routing.Distribution{
-		{Service: "gateway", Class: "default", Cluster: topology.West}: d,
-	}))
-	if err != nil {
-		f.Fatal(err)
+	key := routing.Key{Service: "gateway", Class: "default", Cluster: topology.West}
+	base := routing.NewTable(3, map[routing.Key]routing.Distribution{key: d})
+	next := routing.NewTable(4, map[routing.Key]routing.Distribution{
+		{Service: "svc-1", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
+	})
+	for _, p := range []*routing.Patch{routing.MakePatch(base, next), routing.FullPatch(next)} {
+		valid, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
 	}
-	f.Add(valid)
-	f.Add([]byte(`{"version":1,"rules":[]}`))
-	f.Add([]byte(`{"version":2,"rules":[{"service":"s","class":"*","cluster":"west","weights":{"west":-1}}]}`))
-	f.Add([]byte(`{"version":9,"rules":[{"weights":{"x":1e308,"y":1e308}}]}`))
+	f.Add([]byte(`{"from_version":9,"version":10}`))
+	f.Add([]byte(`{"from_version":3,"version":4,"set":[{"service":"s","class":"*","cluster":"west","weights":{"west":-1}}]}`))
+	f.Add([]byte(`{"version":9,"full":true,"set":[{"weights":{"x":1e308,"y":1e308}}]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/rules", bytes.NewReader(body))
+		c.ApplyTable(base) // every execution patches the same table
+		req := httptest.NewRequest(http.MethodPost, "/v1/patch", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		switch rec.Code {
 		case http.StatusNoContent:
 			tab := c.Table()
 			if tab == nil {
-				t.Fatal("accepted rule push left a nil table")
+				t.Fatal("applied patch left a nil table")
 			}
 			for _, k := range tab.Keys() {
 				dist, ok := tab.Get(k)
@@ -118,10 +126,13 @@ func FuzzHandleRules(f *testing.F) {
 					t.Fatalf("rule %v: weights sum to %v, want 1", k, sum)
 				}
 			}
-		case http.StatusBadRequest:
-			// malformed body rejected, nothing applied
+		case http.StatusBadRequest, http.StatusConflict:
+			// malformed body or version gap: nothing applied
+			if c.Table() != base {
+				t.Fatalf("POST /v1/patch(%q) = %d but the table changed", body, rec.Code)
+			}
 		default:
-			t.Fatalf("POST /v1/rules(%q) = %d, want 204 or 400", body, rec.Code)
+			t.Fatalf("POST /v1/patch(%q) = %d, want 204, 400, or 409", body, rec.Code)
 		}
 	})
 }

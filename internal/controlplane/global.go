@@ -14,7 +14,6 @@
 //	GET  global:/v1/table                              current rules
 //	GET  global:/v1/status                             demand, version
 //	POST cluster:/v1/patch     routing.Patch           incremental rule push
-//	POST cluster:/v1/rules     routing.Table           full rule push (legacy)
 //	GET  cluster:/v1/rules[?since=N]                   table, or patch since version N
 //	GET  cluster:/v1/stats                             local window peek
 //
@@ -218,7 +217,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		mColdSolves: reg.Gauge("slate_global_lp_cold_solves",
 			"Cumulative LP solves from scratch."),
 		mShards: reg.Gauge("slate_global_subproblems",
-			"Independent optimizer subproblems (0 when running monolithic)."),
+			"Independent optimizer subproblems (1 when the app is not decomposed)."),
 		mSubSolves: reg.Gauge("slate_global_subproblem_solves",
 			"Cumulative decomposed subproblem solves actually run."),
 		mSkipSolves: reg.Gauge("slate_global_subproblem_skips",
@@ -590,17 +589,6 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 			// restarted, or a push went missing): resync in full.
 			g.mResyncs.With(string(c)).Inc()
 			if err := g.postPatch(ctx, c, u, routing.FullPatch(desired)); err != nil {
-				return err
-			}
-		case ok && (code == http.StatusNotFound || code == http.StatusMethodNotAllowed):
-			// Pre-patch peer (rolling upgrade): fall back to the legacy
-			// full-table push.
-			body, err := json.Marshal(desired)
-			if err != nil {
-				return err
-			}
-			g.mPatchBytes.With(string(c)).Add(uint64(len(body)))
-			if err := postJSONHeaders(ctx, g.client, u+"/v1/rules", body, g.publisherHeaders()); err != nil {
 				return err
 			}
 		default:

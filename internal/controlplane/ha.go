@@ -306,8 +306,7 @@ func (g *Global) stepDown(reason string) {
 }
 
 // publisherHeaders returns the fencing headers stamped on rule pushes,
-// nil when not replicated (legacy single-controller pushes stay
-// headerless).
+// nil when not replicated (single-controller pushes stay headerless).
 func (g *Global) publisherHeaders() map[string]string {
 	g.mu.Lock()
 	defer g.mu.Unlock()

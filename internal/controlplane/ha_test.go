@@ -361,6 +361,78 @@ func TestTickErrorMetricAcrossFaultSchedule(t *testing.T) {
 	}
 }
 
+// TestFailoverWithStaleFormatSnapshot covers a rolling upgrade: the
+// follower's cached snapshot is in the previous encoding (format 1).
+// On winning the lease it must reject the snapshot, start cold, and
+// still land a valid table on every cluster within two control periods
+// — demand drifts beforehand so the clusters hold a table well past
+// version 1, which a leader counting from zero could not replace (the
+// CAS fence refuses version regressions).
+func TestFailoverWithStaleFormatSnapshot(t *testing.T) {
+	const ttl = 10 * time.Second
+	rig := newHARig(t, 2, HAConfig{LeaseTTL: ttl, EventThreshold: -1})
+	r0, r1 := rig.reps[0], rig.reps[1]
+	for i := 0; i < 3; i++ {
+		rig.report(900-200*float64(i), 100)
+		rig.step(nil)
+		rig.clk.Advance(time.Second)
+	}
+	if !r0.g.IsLeader() || r1.g.IsLeader() {
+		t.Fatal("want r0 leader, r1 follower")
+	}
+	vBefore := rig.clusters[0].Table().Version
+	if vBefore < 2 {
+		t.Fatalf("cluster table at v%d before failover, want drift to have moved it past 1", vBefore)
+	}
+	r1.g.mu.Lock()
+	if r1.g.snapCache == nil {
+		r1.g.mu.Unlock()
+		t.Fatal("follower never cached a leader snapshot")
+	}
+	r1.g.snapCache.Format = 1
+	r1.g.mu.Unlock()
+
+	restoresBefore := r1.g.mSnapRestores.Value()
+	rig.clk.Advance(ttl + time.Second)
+	dead := map[int]bool{0: true}
+	for period := 1; ; period++ {
+		patchesBefore := []uint64{rig.clusters[0].mPatches.Value(), rig.clusters[1].mPatches.Value()}
+		rig.report(900, 100)
+		rig.step(dead)
+		fresh := true
+		for i, cc := range rig.clusters {
+			fresh = fresh && cc.mPatches.Value() > patchesBefore[i]
+		}
+		if fresh {
+			break
+		}
+		if period == 2 {
+			t.Fatalf("no fresh table on every cluster within two periods (r1 status %+v)",
+				getJSON[GlobalHealth](t, r1.srv.URL+"/v1/health"))
+		}
+		rig.clk.Advance(time.Second)
+	}
+	if !r1.g.IsLeader() {
+		t.Fatal("r1 did not take over after the lease lapsed")
+	}
+	if got := r1.g.mSnapRestores.Value(); got != restoresBefore {
+		t.Fatalf("format-1 snapshot was restored (%d restores)", got-restoresBefore)
+	}
+	if st := r1.ctrl.OptimizerStats(); st.ColdSolves == 0 {
+		t.Fatalf("rejected snapshot but no cold solve: warm state came from somewhere (stats %+v)", st)
+	}
+	for _, cc := range rig.clusters {
+		tab := cc.Table()
+		if err := tab.Validate(topology.TwoClusters(40 * time.Millisecond)); err != nil {
+			t.Fatalf("cluster %s holds an invalid table: %v", cc.ID(), err)
+		}
+		if len(tab.Keys()) == 0 || tab.Version < vBefore {
+			t.Fatalf("cluster %s holds table v%d with %d rules after failover, want rules at v%d or later",
+				cc.ID(), tab.Version, len(tab.Keys()), vBefore)
+		}
+	}
+}
+
 // TestEventDrivenResolve exercises the telemetry-triggered re-solve:
 // a load swing beyond the threshold arms an immediate solve, the token
 // bucket bounds the rate, and shard fingerprints confine the work to

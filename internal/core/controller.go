@@ -37,20 +37,19 @@ type ControllerConfig struct {
 	// GuardTolerance is the relative degradation that triggers rollback
 	// (default 0.15).
 	GuardTolerance float64
-	// Decompose replaces the monolithic optimizer with a
-	// ShardedOptimizer: independent (call-graph component × class)
-	// subproblems, each warm-started and skipped entirely when its
-	// telemetry inputs are unchanged within SkipEpsilon.
+	// Decompose partitions the app into independent (call-graph
+	// component × class) subproblems; false plans the whole app as one
+	// shard. Either way each shard is warm-started and skipped entirely
+	// when its telemetry inputs are unchanged within SkipEpsilon.
 	Decompose bool
 	// SkipEpsilon is the relative input-change threshold below which a
-	// decomposed subproblem reuses its previous solution (default
-	// DefaultSkipEpsilon). Only used with Decompose.
+	// shard reuses its previous solution (default DefaultSkipEpsilon).
 	SkipEpsilon float64
 	// Search arms the anytime local-search optimizer as a race against
-	// the warm simplex on every dirty shard (implies the decomposed
-	// pipeline): search wins when it certifies a table within MaxGap of
-	// the LP optimum inside SearchDeadline, otherwise the simplex runs,
-	// and on both failing the incumbent table is held.
+	// the warm simplex on every dirty shard: search wins when it
+	// certifies a table within MaxGap of the LP optimum inside
+	// SearchDeadline, otherwise the simplex runs, and on both failing
+	// the incumbent table is held.
 	Search bool
 	// SearchDeadline is the per-shard search budget, converted to a
 	// deterministic evaluation count so the published table never
@@ -59,41 +58,12 @@ type ControllerConfig struct {
 	// MaxGap is the certified optimality gap a search result may carry
 	// and still win (default DefaultMaxGap).
 	MaxGap float64
-	// Robust arms demand-uncertainty-aware optimization: tables are
-	// feasible and queueing-priced for every demand vector within
-	// DemandMargin of the estimate (Kulfi-style semi-oblivious
-	// routing), so a flash crowd landing between ticks meets a table
-	// that already has headroom for it.
-	Robust bool
-	// DemandMargin is the relative half-width of the uncertainty set
-	// (0.25 = each class may surge +25% before the next tick). Only
-	// used with Robust; 0 keeps the nominal path bit-identical.
-	DemandMargin float64
-	// Budget is the Bertsimas–Sim Γ: at most Budget classes surge
-	// simultaneously per pool (0 = the full box). Only used with
-	// Robust.
-	Budget int
-	// Predictive arms the demand forecaster: every tick plans for
-	// max(estimate, one-window-ahead forecast) per key, so a
+	// Forecast arms the demand forecaster when non-zero
+	// (forecast.Defaults() is EWMA level + Holt trend): every tick
+	// plans for max(estimate, one-window-ahead forecast) per key, so a
 	// forecasted swing re-solves before the window that would have
 	// missed it (the forecast change dirties the shard fingerprint).
-	Predictive bool
-	// Forecast tunes the forecaster (zero value: forecast.Defaults(),
-	// EWMA level + Holt trend). Only used with Predictive.
 	Forecast forecast.Config
-}
-
-// planner is the optimizer interface the controller drives: the
-// monolithic Optimizer and the decomposed ShardedOptimizer both satisfy
-// it, producing equivalent plans (differential-tested).
-type planner interface {
-	Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error)
-	Stats() OptimizerStats
-	// snapshotState / restoreState carry the optimizer's warm state
-	// (simplex bases, shard fingerprints, cached sub-plans) across a
-	// controller failover.
-	snapshotState() *OptimizerSnapshot
-	restoreState(*OptimizerSnapshot) error
 }
 
 // Controller is SLATE's global controller: it ingests telemetry windows,
@@ -110,8 +80,8 @@ type Controller struct {
 	profs   Profiles
 	history *SampleHistory
 	demand  Demand
-	fc      *forecast.Forecaster // nil unless cfg.Predictive
-	opt     planner
+	fc      *forecast.Forecaster // nil when cfg.Forecast is zero
+	opt     *ShardedOptimizer
 
 	cur     *routing.Table
 	prev    *routing.Table
@@ -136,25 +106,13 @@ func NewController(top *topology.Topology, app *appgraph.App, cfg ControllerConf
 	if cfg.GuardTolerance <= 0 {
 		cfg.GuardTolerance = 0.15
 	}
-	if cfg.Robust {
-		cfg.Optimizer.DemandMargin = cfg.DemandMargin
-		cfg.Optimizer.Budget = cfg.Budget
-	}
 	var fc *forecast.Forecaster
-	if cfg.Predictive {
-		fcfg := cfg.Forecast
-		if fcfg == (forecast.Config{}) {
-			fcfg = forecast.Defaults()
-		}
-		fc = forecast.New(fcfg)
+	if cfg.Forecast != (forecast.Config{}) {
+		fc = forecast.New(cfg.Forecast)
 	}
-	var opt planner = NewOptimizer(top, app, cfg.Optimizer)
-	if cfg.Decompose || cfg.Search {
-		so := NewShardedOptimizer(top, app, cfg.Optimizer, cfg.SkipEpsilon)
-		if cfg.Search {
-			so.EnableSearch(RaceConfig{Deadline: cfg.SearchDeadline, MaxGap: cfg.MaxGap})
-		}
-		opt = so
+	opt := newShardedOptimizer(top, app, cfg.Optimizer, cfg.SkipEpsilon, cfg.Decompose)
+	if cfg.Search {
+		opt.EnableSearch(RaceConfig{Deadline: cfg.SearchDeadline, MaxGap: cfg.MaxGap})
 	}
 	return &Controller{
 		cfg:     cfg,
@@ -300,7 +258,7 @@ func hasDemand(d Demand) bool {
 
 // observeForecast feeds the window's frontend arrival rates to the
 // forecaster (keys the window did not report receive an implicit zero
-// via EndWindow, so vanished streams decay). No-op unless Predictive.
+// via EndWindow, so vanished streams decay). No-op without a forecaster.
 func (c *Controller) observeForecast(stats []telemetry.WindowStats) {
 	if c.fc == nil {
 		return
@@ -316,7 +274,7 @@ func (c *Controller) observeForecast(stats []telemetry.WindowStats) {
 }
 
 // planDemand returns the demand the optimizer plans for. Without the
-// forecaster it is the EWMA estimate. With Predictive, each key plans
+// forecaster it is the EWMA estimate. With one, each key plans
 // for max(estimate, one-window-ahead forecast): never less than
 // currently observed — the conservative merge means a wrong forecast
 // can only over-provision, not starve a live stream — and a predicted

@@ -18,9 +18,6 @@ import (
 // tables that lose flow (weight pointing at clusters without replicas,
 // or no usable rule for a triple that carries traffic).
 func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, error) {
-	if f.useMILP {
-		return nil, fmt.Errorf("core: cannot evaluate a table against a MILP formulation")
-	}
 	C := len(f.clusters)
 	x := make([]float64, f.model.NumVars())
 	exec := make([]float64, len(f.nodes)*C)
@@ -153,26 +150,19 @@ func (f *formulation) robustExtra(pr *poolRef, x []float64) float64 {
 // otherwise, directly comparable to Plan.Objective from a simplex
 // solve of the same problem.
 func EvaluateTable(p *Problem, table *routing.Table) (float64, error) {
-	cfg := p.Config.normalized()
-	if p.Top == nil || p.App == nil {
-		return 0, fmt.Errorf("core: problem missing topology or app")
-	}
 	if table == nil {
 		return 0, fmt.Errorf("core: nil table")
 	}
-	if err := p.App.Validate(p.Top); err != nil {
-		return 0, fmt.Errorf("core: invalid app: %w", err)
+	o := NewOptimizer(p.Top, p.App, p.Config)
+	if err := o.ensure(p.Demand, p.Profiles); err != nil {
+		return 0, err
 	}
-	f, err := buildFormulation(p.Top, p.App, cfg, p.Demand, p.Profiles)
+	x, err := o.f.assign(table, p.Demand)
 	if err != nil {
 		return 0, err
 	}
-	x, err := f.assign(table, p.Demand)
-	if err != nil {
-		return 0, err
-	}
-	if err := f.model.CheckFeasible(x, 1e-6); err != nil {
+	if err := o.f.model.CheckFeasible(x, 1e-6); err != nil {
 		return 0, fmt.Errorf("core: table infeasible: %w", err)
 	}
-	return f.model.EvalObjective(x), nil
+	return o.f.model.EvalObjective(x), nil
 }

@@ -27,14 +27,6 @@ type Config struct {
 	// (queuemodel.DefaultBreakFracs when nil). The last fraction is the
 	// utilization cap.
 	BreakFracs []float64
-	// PinClasses lists traffic classes that must be routed
-	// all-or-nothing: at every hop, 100% of the class's requests from a
-	// given source cluster go to a single destination cluster. This
-	// turns the LP into a true MILP (binary choice variables, solved by
-	// branch-and-bound) — useful for classes that must not be split,
-	// e.g. sticky sessions or cache-affine traffic (paper §5 "caching &
-	// data locality"). Splittable classes keep fractional rules.
-	PinClasses []string
 	// DemandMargin arms robust optimization (Kulfi-style semi-oblivious
 	// routing): the plan is feasible and queueing-priced for every
 	// demand vector in an uncertainty set around the estimate, where
@@ -53,15 +45,6 @@ type Config struct {
 // Margin 0 must add zero variables and constraints so the robust
 // config is provably identical to the nominal path when off.
 func (c Config) robustActive() bool { return c.DemandMargin > 0 }
-
-func (c Config) pinned(class string) bool {
-	for _, p := range c.PinClasses {
-		if p == class {
-			return true
-		}
-	}
-	return false
-}
 
 func (c Config) normalized() Config {
 	if c.LatencyWeight == 0 && c.CostWeight == 0 { //slate:nolint floatcmp -- zero means "weight unset": assigned literally, never computed
@@ -192,38 +175,15 @@ type formulation struct {
 	pools    []*poolRef
 	poolIdx  map[PoolKey]*poolRef
 	demands  []demandRef
-	useMILP  bool
 }
 
-// Optimize builds and solves the routing LP and extracts routing rules.
-// version is stamped onto the produced table. Each call formulates from
-// scratch; a control loop re-solving every tick should hold an Optimizer,
-// which caches the formulation and warm-starts the solver.
+// Optimize builds and solves the routing LP from scratch and extracts
+// routing rules: the first (cold) solve of a fresh Optimizer. version is
+// stamped onto the produced table. A control loop re-solving every tick
+// should hold an Optimizer, which caches the formulation and warm-starts
+// the solver.
 func (p *Problem) Optimize(version uint64) (*Plan, error) {
-	cfg := p.Config.normalized()
-	if p.Top == nil || p.App == nil {
-		return nil, fmt.Errorf("core: problem missing topology or app")
-	}
-	if err := p.App.Validate(p.Top); err != nil {
-		return nil, fmt.Errorf("core: invalid app: %w", err)
-	}
-	f, err := buildFormulation(p.Top, p.App, cfg, p.Demand, p.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	var sol *lp.Solution
-	if f.useMILP {
-		sol, err = f.model.SolveMILP(nil)
-	} else {
-		sol, err = f.model.Solve()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: solving routing LP: %w", err)
-	}
-	if err := f.statusErr(sol); err != nil {
-		return nil, err
-	}
-	return f.extract(sol, p.Demand, version), nil
+	return NewOptimizer(p.Top, p.App, p.Config).Optimize(p.Demand, p.Profiles, version)
 }
 
 // buildFormulation constructs the routing LP. Demand and profiles seed
@@ -491,52 +451,6 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	// τ/τ̄ already makes heavy classes consume proportionally more PWL
 	// capacity and pay proportionally more aggregate delay, which prices
 	// their longer service time; adding Δτ again would double-count it.
-
-	// All-or-nothing pinning: for pinned classes, add binary selector
-	// variables y[n,i,j] with x[n,i,j] <= M*y and sum_j y = 1, so every
-	// (node, source cluster) routes to exactly one destination.
-	for ni, nr := range f.nodes {
-		if nr.parent == -1 || !cfg.pinned(nr.class.Name) {
-			continue
-		}
-		// Upper bound on any single flow: total class demand times the
-		// node's cumulative call multiplier.
-		mult := 1.0
-		for cur := ni; f.nodes[cur].parent != -1; cur = f.nodes[cur].parent {
-			mult *= float64(f.nodes[cur].node.Count)
-		}
-		bigM := demand.Total(nr.class.Name)*mult + 1
-		bySrc := make(map[int][]srcDst)
-		f.forEachFlow(ni, func(sd srcDst, _ lp.Var) {
-			bySrc[sd.i] = append(bySrc[sd.i], sd)
-		})
-		srcs := make([]int, 0, len(bySrc))
-		for i := range bySrc {
-			srcs = append(srcs, i)
-		}
-		sort.Ints(srcs)
-		for _, i := range srcs {
-			sds := bySrc[i]
-			sort.Slice(sds, func(a, b int) bool { return sds[a].j < sds[b].j })
-			if len(sds) < 2 {
-				continue // only one possible destination: nothing to pin
-			}
-			f.useMILP = true
-			var sel []lp.Term
-			for _, sd := range sds {
-				y := model.AddVar(fmt.Sprintf("y[%s#%d][%s->%s]", nr.class.Name, ni, clusters[sd.i], clusters[sd.j]), 0)
-				model.SetUpper(y, 1)
-				model.SetInteger(y)
-				model.MustConstraint(
-					fmt.Sprintf("pin[%s#%d][%s->%s]", nr.class.Name, ni, clusters[sd.i], clusters[sd.j]),
-					[]lp.Term{{Var: f.flow[ni][sd], Coef: 1}, {Var: y, Coef: -bigM}}, lp.LE, 0)
-				sel = append(sel, lp.Term{Var: y, Coef: 1})
-			}
-			model.MustConstraint(
-				fmt.Sprintf("pinsel[%s#%d][%s]", nr.class.Name, ni, clusters[i]),
-				sel, lp.EQ, 1)
-		}
-	}
 	return f, nil
 }
 

@@ -323,91 +323,6 @@ func TestRoutingTableLookupChainsToLocalFallback(t *testing.T) {
 	_ = routing.AnyClass
 }
 
-func TestOptimizePinClassesAllOrNothing(t *testing.T) {
-	// Without pinning, the overload scenario splits svc-1 traffic from
-	// west fractionally. With the class pinned, every rule must route
-	// 100% to a single cluster, and the solution stays feasible.
-	p := chainProblem(40*time.Millisecond, 900, 100, Config{})
-	plan, err := p.Optimize(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := plan.Table.Lookup("svc-1", "default", topology.West)
-	if len(d.Clusters()) < 2 {
-		t.Fatalf("unpinned plan should split traffic, got %v", d)
-	}
-
-	// Pin at a demand that still fits a single pool (700 < 760 cap):
-	// the MILP must produce only single-destination rules.
-	relaxed := chainProblem(40*time.Millisecond, 700, 100, Config{})
-	relaxedPlan, err := relaxed.Optimize(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := chainProblem(40*time.Millisecond, 700, 100, Config{PinClasses: []string{"default"}})
-	pinnedPlan, err := pinned.Optimize(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range pinnedPlan.Table.Keys() {
-		dist, _ := pinnedPlan.Table.Get(k)
-		if n := len(dist.Clusters()); n != 1 {
-			t.Errorf("pinned rule %v splits across %d clusters: %v", k, n, dist)
-		}
-	}
-	// Pinning restricts the feasible set: objective can only get worse
-	// (or stay equal).
-	if pinnedPlan.Objective < relaxedPlan.Objective-1e-6 {
-		t.Errorf("pinned objective %v better than relaxed %v", pinnedPlan.Objective, relaxedPlan.Objective)
-	}
-	for _, l := range pinnedPlan.Loads {
-		if l.Utilization > 0.95+1e-9 {
-			t.Errorf("pinned pool %v over cap: %v", l.Key, l.Utilization)
-		}
-	}
-}
-
-func TestOptimizePinClassesInfeasibleWhenUnsplittable(t *testing.T) {
-	// West demand 900 pinned all-or-nothing cannot fit in either single
-	// pool (cap 760): the MILP must report infeasibility.
-	p := chainProblem(40*time.Millisecond, 900, 0, Config{PinClasses: []string{"default"}})
-	_, err := p.Optimize(1)
-	if err == nil {
-		t.Skip("pinned 900 fit a single pool: capacity model changed")
-	}
-	if !strings.Contains(err.Error(), "infeasible") {
-		t.Fatalf("err = %v, want infeasible", err)
-	}
-}
-
-func TestOptimizePinOnlyAffectsNamedClass(t *testing.T) {
-	top := topology.TwoClusters(30 * time.Millisecond)
-	app := appgraph.TwoClassApp(appgraph.TwoClassOptions{
-		LightTime: 2 * time.Millisecond,
-		HeavyTime: 20 * time.Millisecond,
-		Pool:      appgraph.ReplicaPool{Replicas: 2, Concurrency: 4},
-	})
-	demand := Demand{
-		"L": {topology.West: 400, topology.East: 50},
-		"H": {topology.West: 330, topology.East: 50},
-	}
-	p := &Problem{Top: top, App: app, Demand: demand,
-		Profiles: DefaultProfiles(app, top, demand),
-		Config:   Config{PinClasses: []string{"L"}}}
-	plan, err := p.Optimize(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl := plan.Table.Lookup(string(appgraph.TwoClassWorker), "L", topology.West)
-	if len(dl.Clusters()) != 1 {
-		t.Errorf("pinned class L splits: %v", dl)
-	}
-	dh := plan.Table.Lookup(string(appgraph.TwoClassWorker), "H", topology.West)
-	if dh.Weight(topology.East) <= 0 || dh.Weight(topology.East) >= 1 {
-		t.Errorf("unpinned class H should split fractionally: %v", dh)
-	}
-}
-
 // propagateLoads independently recomputes per-pool raw loads by pushing
 // demand through the plan's routing rules down the call trees — used to
 // cross-check the optimizer's reported Loads.

@@ -10,17 +10,13 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// Optimizer is the re-solving counterpart of Problem.Optimize for a
-// control loop: it caches the LP formulation across ticks (the model's
+// Optimizer solves the routing LP for one app (or one shard's sub-app)
+// tick after tick: it caches the LP formulation across ticks (the model's
 // structure depends only on topology, placement, and config) and
 // mutates demand right-hand sides, PWL segment costs, and load scales in
 // place, then warm-starts the simplex from the previous tick's optimal
 // basis. At steady state a tick costs a handful of phase-2 pivots
 // instead of a full two-phase solve over a freshly built model.
-//
-// Classes listed in Config.PinClasses force the MILP path, whose big-M
-// constants depend on demand; the Optimizer then formulates from scratch
-// every call, exactly like Problem.Optimize.
 //
 // Not safe for concurrent use.
 type Optimizer struct {
@@ -46,11 +42,11 @@ type OptimizerStats struct {
 	// WarmSolves counts solves that installed the previous basis and
 	// skipped phase 1.
 	WarmSolves uint64
-	// ColdSolves counts solves from scratch (first tick, basis gone
-	// stale, or MILP path).
+	// ColdSolves counts solves from scratch (first tick or basis gone
+	// stale).
 	ColdSolves uint64
-	// Shards is the number of independent subproblems the app
-	// decomposed into (0 for the monolithic Optimizer).
+	// Shards is the number of independent subproblems the app is
+	// partitioned into (1 when not decomposed).
 	Shards uint64
 	// SubSolves counts subproblem solves actually run by a
 	// ShardedOptimizer.
@@ -82,15 +78,6 @@ func (o *Optimizer) Stats() OptimizerStats { return o.stats }
 // profiles, reusing the cached formulation and the previous optimal
 // basis when possible. version is stamped onto the produced table.
 func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	if o.top == nil || o.app == nil {
-		return nil, fmt.Errorf("core: optimizer missing topology or app")
-	}
-	if len(o.cfg.PinClasses) > 0 {
-		o.stats.Builds++
-		o.stats.ColdSolves++
-		p := &Problem{Top: o.top, App: o.app, Demand: demand, Profiles: profiles, Config: o.cfg}
-		return p.Optimize(version)
-	}
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err
 	}
@@ -143,6 +130,9 @@ func (o *Optimizer) ensure(demand Demand, profiles Profiles) error {
 }
 
 func (o *Optimizer) build(demand Demand, profiles Profiles) error {
+	if o.top == nil || o.app == nil {
+		return fmt.Errorf("core: optimizer missing topology or app")
+	}
 	if err := o.app.Validate(o.top); err != nil {
 		return fmt.Errorf("core: invalid app: %w", err)
 	}

@@ -190,33 +190,6 @@ func TestOptimizerInfeasibleThenRecovers(t *testing.T) {
 	}
 }
 
-// TestOptimizerPinClassesBypassesCache checks the MILP path (demand-
-// dependent big-M) formulates from scratch every call and still pins.
-func TestOptimizerPinClassesBypassesCache(t *testing.T) {
-	top, app := gcpScenario()
-	demand := gcpDemand(500, 100, 400, 100)
-	profs := DefaultProfiles(app, top, demand)
-	opt := NewOptimizer(top, app, Config{PinClasses: []string{"default"}})
-
-	for tick := 1; tick <= 3; tick++ {
-		plan, err := opt.Optimize(demand, profs, uint64(tick))
-		if err != nil {
-			t.Fatalf("tick %d: %v", tick, err)
-		}
-		for _, k := range plan.Table.Keys() {
-			d, _ := plan.Table.Get(k)
-			for _, w := range d.Weights() {
-				if w > 1e-9 && w < 1-1e-9 {
-					t.Fatalf("tick %d: pinned class split with weight %v", tick, w)
-				}
-			}
-		}
-	}
-	if st := opt.Stats(); st.Builds != 3 || st.ColdSolves != 3 {
-		t.Fatalf("stats = %+v, want 3 builds / 3 cold solves on MILP path", opt.Stats())
-	}
-}
-
 // TestControllerHoldsTableOnIterLimit starves the solver's pivot budget
 // and checks Tick degrades to holding the published table (no policy
 // error), then resumes optimizing once the budget is restored.

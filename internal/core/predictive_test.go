@@ -16,7 +16,6 @@ import (
 func TestControllerPredictivePlansAhead(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{
 		DemandSmoothing: 1,
-		Predictive:      true,
 		Forecast:        forecast.Config{Alpha: 0.9, Beta: 0.8},
 	})
 	for _, w := range []float64{300, 400, 500, 600} {
@@ -48,7 +47,6 @@ func TestControllerPredictivePlansAhead(t *testing.T) {
 func TestControllerPredictiveNeverStarves(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{
 		DemandSmoothing: 1,
-		Predictive:      true,
 		Forecast:        forecast.Config{Alpha: 0.9, Beta: 0.8},
 	})
 	for _, w := range []float64{600, 500, 400, 300} {
@@ -62,11 +60,15 @@ func TestControllerPredictiveNeverStarves(t *testing.T) {
 	}
 }
 
-// TestControllerPredictiveDefaultsAndUnknownClasses checks the zero
-// Forecast config falls back to forecast.Defaults() and that stats for
-// classes the app does not define never leak into planned demand.
+// TestControllerPredictiveDefaultsAndUnknownClasses checks that the zero
+// Forecast config builds no forecaster, and that with forecast.Defaults()
+// stats for classes the app does not define never leak into planned
+// demand.
 func TestControllerPredictiveDefaultsAndUnknownClasses(t *testing.T) {
-	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 1, Predictive: true})
+	if off, _ := newChainController(t, ControllerConfig{}); off.fc != nil {
+		t.Fatal("zero Forecast config built a forecaster")
+	}
+	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 1, Forecast: forecast.Defaults()})
 	stats := frontendStats(app, "default", 400, 100, 20*time.Millisecond)
 	stats = append(stats, frontendStats(app, "no-such-class", 900, 900, 20*time.Millisecond)...)
 	for i := 0; i < 3; i++ {

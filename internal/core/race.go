@@ -21,7 +21,7 @@ import (
 // simplex. When search loses (infeasible candidate, gap too wide, or no
 // incumbent yet), the warm simplex runs as before; if that fails too,
 // the controller holds the incumbent table — the same fallback ladder
-// as the plain sharded path.
+// as without the race.
 //
 // Robust shards: the search descends on the nominal model, so its
 // certified lower bound brackets the *nominal* LP optimum. That bound
@@ -107,7 +107,7 @@ func (s *ShardedOptimizer) EnableSearch(rc RaceConfig) {
 // the warm simplex when armed, else (or when search loses) run the
 // simplex alone.
 func (s *ShardedOptimizer) solveShard(sh *shard, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	if s.race != nil && sh.plan != nil && len(sh.opt.cfg.PinClasses) == 0 {
+	if s.race != nil && sh.plan != nil {
 		if plan, ok := s.trySearch(sh, demand, profiles, version); ok {
 			s.stats.SearchSolves++
 			return plan, nil

@@ -170,22 +170,19 @@ func TestSearchRaceDeterminism(t *testing.T) {
 	}
 }
 
-// TestControllerSearchConfig: Search implies the decomposed pipeline
-// with the race armed, end to end through the controller.
+// TestControllerSearchConfig: Search arms the race on the controller's
+// pipeline, end to end.
 func TestControllerSearchConfig(t *testing.T) {
 	top, app := raceFixture()
 	c, err := NewController(top, app, ControllerConfig{
+		Decompose:      true,
 		Search:         true,
 		SearchDeadline: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, ok := c.opt.(*ShardedOptimizer)
-	if !ok {
-		t.Fatalf("Search config did not select the sharded optimizer: %T", c.opt)
-	}
-	if so.race == nil {
+	if c.opt.race == nil {
 		t.Fatal("race not armed")
 	}
 

@@ -14,18 +14,20 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// ShardedOptimizer decomposes the routing problem into independent
-// subproblems — one per connected component of the (call-graph × traffic
-// class) coupling graph — and solves each with its own warm-started
-// Optimizer. Two classes couple iff their call trees share a service at
-// a non-root position: root nodes are pinned to the arrival cluster
-// (x[root][i][i] = demand, a constant), so constant root load on the
-// shared frontend only shifts every feasible point's objective by the
-// same amount and never changes a shard's argmin. If some class calls
-// the frontend service at a non-root position its variable load would
-// land on top of other classes' constant root load at a different point
-// of the PWL delay curve, so the partition falls back to a single shard
-// (exactness over speed).
+// ShardedOptimizer is the controller's planning pipeline. It partitions
+// the routing problem into independent subproblems — one per connected
+// component of the (call-graph × traffic class) coupling graph, or a
+// single one holding the whole app when decomposition is off — and
+// solves each with its own warm-started Optimizer. Two classes couple
+// iff their call trees share a service at a non-root position: root
+// nodes are pinned to the arrival cluster (x[root][i][i] = demand, a
+// constant), so constant root load on the shared frontend only shifts
+// every feasible point's objective by the same amount and never changes
+// a shard's argmin. If some class calls the frontend service at a
+// non-root position its variable load would land on top of other
+// classes' constant root load at a different point of the PWL delay
+// curve, so the partition falls back to a single shard (exactness over
+// speed).
 //
 // Dirty-tracking: each shard fingerprints its inputs (its classes'
 // demand plus its pools' profiles); when a tick's fingerprint matches
@@ -43,7 +45,6 @@ type ShardedOptimizer struct {
 	// shard (~10 MB each at 48 clusters) would stay resident for nothing.
 	solver *lp.Solver
 	shards []*shard
-	single bool // fell back to one shard (frontend called at a non-root position)
 	race   *RaceConfig
 	stats  OptimizerStats
 }
@@ -68,11 +69,18 @@ const DefaultSkipEpsilon = 1e-9
 // uses DefaultSkipEpsilon. The partition depends only on the app's call
 // trees, so it is computed once.
 func NewShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, skipEps float64) *ShardedOptimizer {
+	return newShardedOptimizer(top, app, cfg, skipEps, true)
+}
+
+// newShardedOptimizer is NewShardedOptimizer with the partition as data:
+// decompose false keeps the whole app in one shard.
+func newShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, skipEps float64, decompose bool) *ShardedOptimizer {
 	if skipEps <= 0 {
 		skipEps = DefaultSkipEpsilon
 	}
 	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps, solver: lp.NewSolver()}
-	s.partition()
+	s.partition(decompose)
+	s.stats.Shards = uint64(len(s.shards))
 	return s
 }
 
@@ -86,7 +94,7 @@ func varServices(cl *appgraph.Class) map[appgraph.ServiceID]bool {
 	return out
 }
 
-func (s *ShardedOptimizer) partition() {
+func (s *ShardedOptimizer) partition(decompose bool) {
 	frontend := s.app.FrontendService()
 	vars := make([]map[appgraph.ServiceID]bool, len(s.app.Classes))
 	for i, cl := range s.app.Classes {
@@ -94,18 +102,17 @@ func (s *ShardedOptimizer) partition() {
 		if vars[i][frontend] {
 			// Variable frontend load couples every class through the
 			// frontend pool's PWL delay curve: decomposing would be inexact.
-			s.single = true
+			decompose = false
 		}
 	}
-	if s.single || len(s.app.Classes) <= 1 {
-		// Fall back to the untouched app (not a rebuilt sub-app) so the
-		// formulation is exactly the monolithic one.
+	if !decompose || len(s.app.Classes) <= 1 {
+		// One shard over the untouched app (not a rebuilt sub-app), so the
+		// formulation is exactly the LP Problem.Optimize builds.
 		s.shards = []*shard{{
 			classes: s.app.Classes,
 			app:     s.app,
-			opt:     s.newOptimizer(s.app, s.cfg),
+			opt:     s.newOptimizer(s.app),
 		}}
-		s.stats.Shards = 1
 		return
 	}
 
@@ -143,7 +150,6 @@ func (s *ShardedOptimizer) partition() {
 	for _, r := range order {
 		s.shards = append(s.shards, s.newShard(groups[r]))
 	}
-	s.stats.Shards = uint64(len(s.shards))
 }
 
 // newShard builds the sub-app for a class group: the shared frontend
@@ -156,26 +162,17 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 			services[n.Service] = s.app.Services[n.Service]
 		})
 	}
-	cfg := s.cfg
-	cfg.PinClasses = nil
-	for _, p := range s.cfg.PinClasses {
-		for _, cl := range classes {
-			if cl.Name == p {
-				cfg.PinClasses = append(cfg.PinClasses, p)
-			}
-		}
-	}
 	sub := &appgraph.App{
 		Name:     s.app.Name,
 		Services: services,
 		Classes:  classes,
 	}
-	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub, cfg)}
+	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub)}
 }
 
 // newOptimizer returns a shard's Optimizer solving in the shared scratch.
-func (s *ShardedOptimizer) newOptimizer(app *appgraph.App, cfg Config) *Optimizer {
-	opt := NewOptimizer(s.top, app, cfg)
+func (s *ShardedOptimizer) newOptimizer(app *appgraph.App) *Optimizer {
+	opt := NewOptimizer(s.top, app, s.cfg)
 	opt.solver = s.solver
 	return opt
 }
@@ -192,15 +189,15 @@ func (s *ShardedOptimizer) Stats() OptimizerStats {
 	return out
 }
 
-// Shards reports how many independent subproblems the app decomposed
-// into (1 means the partition fell back to the monolithic problem).
+// Shards reports how many independent subproblems the app is
+// partitioned into (1 means the whole app is one LP).
 func (s *ShardedOptimizer) Shards() int { return len(s.shards) }
 
 // Optimize solves every dirty subproblem and merges the sub-plans into
 // one versioned plan. Subproblems whose inputs are unchanged within
 // epsilon reuse their cached sub-plan without solving.
 func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	if !s.single && len(s.shards) > 1 {
+	if len(s.shards) > 1 {
 		if err := s.checkFrontendCapacity(demand, profiles); err != nil {
 			return nil, err
 		}
@@ -290,7 +287,7 @@ func fingerprintsEqual(a, b []float64, eps float64) bool {
 	return true
 }
 
-// checkFrontendCapacity rejects demand the monolithic LP would find
+// checkFrontendCapacity rejects demand the one-shard LP would find
 // infeasible but the shards individually would not: every shard prices
 // only its own classes' constant root load on the frontend pools, so
 // the aggregate across shards must be pre-checked against each pool's
@@ -320,7 +317,7 @@ func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand, profiles Profile
 		// margin increments, budgeted per shard exactly as each shard's
 		// own rob[p][c] rows are — so the aggregate pre-check must add
 		// the same increments or shards would individually accept a
-		// worst-case total the monolithic robust LP rejects.
+		// worst-case total the one-shard robust LP rejects.
 		if s.cfg.robustActive() {
 			for _, sh := range s.shards {
 				incs := make([]float64, 0, len(sh.classes))

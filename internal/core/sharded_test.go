@@ -114,13 +114,18 @@ func TestShardedPartition(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesMonolithic holds the decomposed, warm-started
+// pipeline to the reference: Problem.Optimize, the whole app as one LP
+// built and solved from scratch.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	app := starTestApp(3, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
 		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
 	profs := DefaultProfiles(app, top, Demand{})
 
-	mono := NewOptimizer(top, app, Config{})
+	mono := func(d Demand, version uint64) (*Plan, error) {
+		return (&Problem{Top: top, App: app, Demand: d, Profiles: profs}).Optimize(version)
+	}
 	dec := NewShardedOptimizer(top, app, Config{}, 0)
 
 	// Several ticks with drifting demand, exercising both the cold and
@@ -131,7 +136,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 		// Make classes asymmetric so the shards genuinely differ.
 		d["cb"][topology.West] = w / 2
 		d["cc"][topology.East] = 50
-		mp, err := mono.Optimize(d, profs, uint64(i+1))
+		mp, err := mono(d, uint64(i+1))
 		if err != nil {
 			t.Fatalf("monolithic tick %d: %v", i, err)
 		}
@@ -147,7 +152,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 
 	// Merged egress totals agree with the monolithic plan.
 	d := starDemand(app, 900, 100)
-	mp, _ := mono.Optimize(d, profs, 10)
+	mp, _ := mono(d, 10)
 	dp, _ := dec.Optimize(d, profs, 10)
 	if math.Abs(mp.EgressBytesPerSecond-dp.EgressBytesPerSecond) > 1e-3*math.Max(1, mp.EgressBytesPerSecond) {
 		t.Errorf("egress bytes: monolithic %.3f vs decomposed %.3f", mp.EgressBytesPerSecond, dp.EgressBytesPerSecond)
@@ -310,6 +315,9 @@ func TestControllerDecomposeConfig(t *testing.T) {
 		t.Errorf("controller stats = %+v, want 2 shards / 2 sub-solves", st)
 	}
 
+	// Decompose: false is the same pipeline with one shard: it publishes
+	// exactly the table the from-scratch reference LP produces, and skips
+	// a bit-identical second tick like any other clean shard.
 	mctrl, err := NewController(top, app, ControllerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +325,17 @@ func TestControllerDecomposeConfig(t *testing.T) {
 	mctrl.SetDemand(starDemand(app, 900, 100))
 	if _, err := mctrl.Prime(); err != nil {
 		t.Fatal(err)
+	}
+	ref, err := (&Problem{Top: top, App: app, Demand: mctrl.Demand(), Profiles: mctrl.Profiles()}).Optimize(mctrl.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameTable(t, "one-shard controller vs Problem.Optimize", ref.Table, mctrl.Table())
+	if _, err := mctrl.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	if st := mctrl.OptimizerStats(); st.Shards != 1 || st.SubSolves != 1 || st.SkippedSolves != 1 {
+		t.Errorf("one-shard controller stats = %+v, want 1 shard / 1 sub-solve / 1 skip", st)
 	}
 	keys := ctrl.Table().Keys()
 	if len(keys) == 0 {

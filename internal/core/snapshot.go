@@ -39,26 +39,26 @@ import (
 // encoding the same state twice yields identical bytes.
 
 // SnapshotFormat versions the snapshot encoding. Restore rejects
-// snapshots from a different format rather than guessing.
-const SnapshotFormat = 1
+// snapshots from a different format rather than guessing. Format 2
+// dropped the optimizer's "sharded" flag: every optimizer snapshot is a
+// list of shards, one when the app is not decomposed.
+const SnapshotFormat = 2
 
 // ShardSnapshot is one optimizer subproblem's warm state: the input
 // fingerprint of its last solve, the simplex basis that solve ended on,
 // and the cached sub-plan (which doubles as the search race's
-// incumbent). For the monolithic optimizer there is exactly one, with
-// only the basis populated.
+// incumbent).
 type ShardSnapshot struct {
 	Fingerprint []float64 `json:"fingerprint,omitempty"`
 	Basis       []int     `json:"basis,omitempty"`
 	Plan        *Plan     `json:"plan,omitempty"`
 }
 
-// OptimizerSnapshot is the planner's warm state: one ShardSnapshot per
+// OptimizerSnapshot is the optimizer's warm state: one ShardSnapshot per
 // subproblem, in partition order (a pure function of the app's call
 // trees, so it matches across processes built from the same scenario).
 type OptimizerSnapshot struct {
-	Sharded bool            `json:"sharded"`
-	Shards  []ShardSnapshot `json:"shards,omitempty"`
+	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
 // ControllerSnapshot is the controller's complete warm state. It is
@@ -107,11 +107,21 @@ func (c *Controller) Snapshot() *ControllerSnapshot {
 // configuration as the one that produced the snapshot; a mismatched
 // optimizer shape is rejected. On success the next Tick resumes with
 // warm solves (or fingerprint skips) instead of a cold-solve storm.
+//
+// A snapshot in another format is rejected and the controller starts
+// cold, except that it adopts the snapshot's version counter when that
+// is ahead of its own: the counter means the same in every format, and
+// the clusters' CAS fence refuses tables older than the one they hold,
+// so a cold leader counting from zero would be fenced out until it
+// caught up.
 func (c *Controller) Restore(s *ControllerSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("core: nil snapshot")
 	}
 	if s.Format != SnapshotFormat {
+		if s.Version > c.version {
+			c.version = s.Version
+		}
 		return fmt.Errorf("core: unknown snapshot format %d (want %d)", s.Format, SnapshotFormat)
 	}
 	if s.Optimizer != nil {
@@ -141,29 +151,12 @@ func (c *Controller) Restore(s *ControllerSnapshot) error {
 	return nil
 }
 
-// snapshotState captures the monolithic optimizer's warm state: its
-// simplex basis, as the single shard of an unsharded snapshot.
-func (o *Optimizer) snapshotState() *OptimizerSnapshot {
-	return &OptimizerSnapshot{Shards: []ShardSnapshot{{Basis: append([]int(nil), o.basis...)}}}
-}
-
-// restoreState stages a snapshot's basis for the first solve (the
-// formulation itself is rebuilt from demand and profiles on that tick).
-func (o *Optimizer) restoreState(s *OptimizerSnapshot) error {
-	if s.Sharded || len(s.Shards) != 1 {
-		return fmt.Errorf("core: snapshot shape mismatch: monolithic optimizer, snapshot has %d shards (sharded=%v)",
-			len(s.Shards), s.Sharded)
-	}
-	o.restored = append([]int(nil), s.Shards[0].Basis...)
-	return nil
-}
-
 // snapshotState captures every shard's warm state in partition order.
 // A fingerprint containing a non-finite entry (a pool that had no
 // profile when last solved) is dropped rather than breaking the JSON
 // encoding — that shard simply re-solves after restore.
 func (s *ShardedOptimizer) snapshotState() *OptimizerSnapshot {
-	out := &OptimizerSnapshot{Sharded: true}
+	out := &OptimizerSnapshot{}
 	for _, sh := range s.shards {
 		out.Shards = append(out.Shards, ShardSnapshot{
 			Fingerprint: finiteSlice(sh.fp),
@@ -182,9 +175,9 @@ func (s *ShardedOptimizer) snapshotState() *OptimizerSnapshot {
 // outright; a dirty shard warm-starts from the restored basis; with
 // the race armed, the restored plan is the search's incumbent.
 func (s *ShardedOptimizer) restoreState(snap *OptimizerSnapshot) error {
-	if !snap.Sharded || len(snap.Shards) != len(s.shards) {
-		return fmt.Errorf("core: snapshot shape mismatch: %d shards, snapshot has %d (sharded=%v)",
-			len(s.shards), len(snap.Shards), snap.Sharded)
+	if len(snap.Shards) != len(s.shards) {
+		return fmt.Errorf("core: snapshot shape mismatch: %d shards, snapshot has %d",
+			len(s.shards), len(snap.Shards))
 	}
 	for i, sh := range s.shards {
 		ss := snap.Shards[i]

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
+	"github.com/servicelayernetworking/slate/internal/forecast"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -79,15 +80,15 @@ func requireSameTable(t *testing.T, ctx string, want, got interface{ MarshalJSON
 
 // TestSnapshotRestoreBitIdentical is the failover contract: a restored
 // controller publishes bit-identical tables and serves its first
-// post-restore tick warm (no cold solves), across the monolithic,
+// post-restore tick warm (no cold solves), across the one-shard,
 // decomposed, robust, search-race, and predictive configurations.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	configs := map[string]ControllerConfig{
-		"monolithic": {DemandSmoothing: 1},
+		"one-shard":  {DemandSmoothing: 1},
 		"decomposed": {DemandSmoothing: 1, Decompose: true},
-		"robust":     {DemandSmoothing: 1, Decompose: true, Robust: true, DemandMargin: 0.25, Budget: 1},
-		"search":     {DemandSmoothing: 1, Search: true},
-		"predictive": {DemandSmoothing: 1, Decompose: true, Predictive: true},
+		"robust":     {DemandSmoothing: 1, Decompose: true, Optimizer: Config{DemandMargin: 0.25, Budget: 1}},
+		"search":     {DemandSmoothing: 1, Decompose: true, Search: true},
+		"predictive": {DemandSmoothing: 1, Decompose: true, Forecast: forecast.Defaults()},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -98,9 +99,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			}
 
 			// First post-restore tick repeats the last window: every shard's
-			// fingerprint is clean, so the decomposed pipelines skip solves
-			// outright and the monolithic one warm-starts from the restored
-			// basis. Either way: zero cold solves.
+			// fingerprint is clean, so every solve is skipped outright —
+			// zero cold solves.
 			ta, err := a.Tick(starStats(app, 1), time.Second)
 			if err != nil {
 				t.Fatalf("original tick: %v", err)
@@ -114,12 +114,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if st.ColdSolves != 0 {
 				t.Fatalf("first post-restore tick ran %d cold solves, want 0 (stats %+v)", st.ColdSolves, st)
 			}
-			if cfg.Decompose || cfg.Search {
-				if st.SkippedSolves == 0 {
-					t.Fatalf("clean-input tick skipped no shards (stats %+v)", st)
-				}
-			} else if st.WarmSolves == 0 {
-				t.Fatalf("monolithic post-restore tick was not warm (stats %+v)", st)
+			if st.SkippedSolves == 0 {
+				t.Fatalf("clean-input tick skipped no shards (stats %+v)", st)
 			}
 
 			// Second post-restore tick drifts demand by 2% — the
@@ -144,15 +140,17 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if cfg.Search && st.SearchSolves+st.SimplexWins == 0 {
 				t.Fatalf("search race did not arm from the restored incumbent (stats %+v)", st)
 			}
-			if (cfg.Decompose || cfg.Search) && st.SubSolves == 0 {
-				t.Fatalf("dirty tick solved no shards (stats %+v)", st)
+			if st.SubSolves == 0 || st.WarmSolves+st.SearchSolves == 0 {
+				t.Fatalf("dirty tick solved no shard warm (stats %+v)", st)
 			}
 		})
 	}
 }
 
 // TestSnapshotRestoreShapeMismatch pins that a snapshot from a
-// different optimizer configuration is rejected whole, not half-applied.
+// different shard count or snapshot format (including format 1, which a
+// pre-upgrade leader would serve) is rejected, not half-applied: of a
+// foreign format only the version counter is adopted.
 func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	app := starTestApp(2, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
@@ -166,15 +164,23 @@ func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := dec.Restore(mono.Snapshot()); err == nil {
-		t.Fatal("restoring a monolithic snapshot into a decomposed controller did not fail")
+		t.Fatal("restoring a one-shard snapshot into a decomposed controller did not fail")
 	}
 	if err := mono.Restore(dec.Snapshot()); err == nil {
-		t.Fatal("restoring a decomposed snapshot into a monolithic controller did not fail")
+		t.Fatal("restoring a decomposed snapshot into a one-shard controller did not fail")
 	}
-	bad := mono.Snapshot()
-	bad.Format = SnapshotFormat + 1
-	if err := mono.Restore(bad); err == nil {
-		t.Fatal("restoring an unknown snapshot format did not fail")
+	for _, format := range []int{1, SnapshotFormat + 1} {
+		bad := dec.Snapshot()
+		bad.Format = format
+		bad.Version = mono.Version() + 5
+		bad.Demand = Demand{"ca": {topology.West: 1}}
+		if err := mono.Restore(bad); err == nil {
+			t.Fatalf("restoring snapshot format %d did not fail", format)
+		}
+		if mono.Version() != bad.Version || len(mono.Demand()) != 0 {
+			t.Fatalf("format %d: version %d demand %v, want only the version counter (%d) adopted",
+				format, mono.Version(), mono.Demand(), bad.Version)
+		}
 	}
 }
 
@@ -182,7 +188,7 @@ func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 // state twice yields identical bytes (the control plane compares and
 // caches encoded snapshots).
 func TestSnapshotEncodingDeterministic(t *testing.T) {
-	a, _, _ := snapshotTestPair(t, ControllerConfig{DemandSmoothing: 1, Decompose: true, Predictive: true})
+	a, _, _ := snapshotTestPair(t, ControllerConfig{DemandSmoothing: 1, Decompose: true, Forecast: forecast.Defaults()})
 	b1, err := json.Marshal(a.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -194,4 +200,52 @@ func TestSnapshotEncodingDeterministic(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatal("snapshot encoding is not deterministic")
 	}
+}
+
+// FuzzControllerRestore feeds arbitrary ControllerSnapshot JSON — what a
+// follower decodes from a leader's GET /v1/snapshot — to Restore. It
+// must either reject the snapshot or leave a usable controller: the
+// next Tick may fail, but must not panic and must still return a table.
+func FuzzControllerRestore(f *testing.F) {
+	top := topology.TwoClusters(40 * time.Millisecond)
+	app := starTestApp(2, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
+		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
+	cfg := ControllerConfig{DemandSmoothing: 1, Decompose: true, Search: true, Forecast: forecast.Defaults()}
+
+	warm, err := NewController(top, app, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, scale := range []float64{1, 1.1} {
+		if _, err := warm.Tick(starStats(app, scale), time.Second); err != nil {
+			f.Fatal(err)
+		}
+	}
+	valid, err := json.Marshal(warm.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"format":1,"version":7,"optimizer":{"sharded":true,"shards":[{},{}]}}`))
+	f.Add([]byte(`{"format":2,"version":3,"optimizer":{"shards":[{"plan":{}},{"basis":[-1,9999999]}]}}`))
+	f.Add([]byte(`{"format":2,"demand":{"ca":{"west":-5,"nowhere":1e308}},"forecast":{}}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var snap ControllerSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			return
+		}
+		c, err := NewController(top, app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Restore(&snap) // rejected or applied: either way c must stay usable
+		for i := 0; i < 2; i++ {
+			tab, _ := c.Tick(starStats(app, 1.05), time.Second)
+			if tab == nil {
+				t.Fatalf("tick %d after Restore(%q) returned a nil table", i, body)
+			}
+		}
+	})
 }

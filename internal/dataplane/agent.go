@@ -121,7 +121,6 @@ type Agent struct {
 	opts       AgentOptions
 	client     *http.Client
 
-	lastVersion uint64
 	// leaderEpoch is the control plane's fenced leader epoch as last
 	// reported on a rules response; failovers counts observed changes.
 	// Only touched from Sync (one goroutine), so no lock.
@@ -273,12 +272,10 @@ func (a *Agent) pushTelemetry(ctx context.Context) error {
 // controller answers with a routing.Patch carrying only the changed
 // rules (empty when the agent is current). A version gap (the patch's
 // base is not the table this proxy holds, e.g. the agent fell behind
-// the controller's history) triggers a full-table resync. A legacy
-// controller that ignores the query and returns a full table is
-// detected by the response shape (a table always has a "rules" key, a
-// patch never does) and handled as before. Any successful poll marks
-// the proxy's rules fresh, even when the version is unchanged —
-// freshness means "the controller answered", not "the rules changed".
+// the controller's history) triggers a full-table resync. Any
+// successful poll marks the proxy's rules fresh, even when the version
+// is unchanged — freshness means "the controller answered", not "the
+// rules changed".
 func (a *Agent) pollRules(ctx context.Context) error {
 	body, epoch, err := a.getRules(ctx, fmt.Sprintf("?since=%d", a.proxy.TableVersion()))
 	if err != nil {
@@ -297,27 +294,12 @@ func (a *Agent) pollRules(ctx context.Context) error {
 			return a.resyncRules(ctx)
 		}
 	}
-	var probe struct {
-		Rules json.RawMessage `json:"rules"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return fmt.Errorf("dataplane: agent poll: %w", err)
-	}
-	if probe.Rules != nil {
-		var table routing.Table
-		if err := json.Unmarshal(body, &table); err != nil {
-			return fmt.Errorf("dataplane: agent poll: %w", err)
-		}
-		a.applyTable(&table)
-		return nil
-	}
 	var patch routing.Patch
 	if err := json.Unmarshal(body, &patch); err != nil {
 		return fmt.Errorf("dataplane: agent poll: %w", err)
 	}
 	if patch.Empty() && patch.Version == a.proxy.TableVersion() {
 		a.proxy.MarkRulesFresh()
-		a.lastVersion = patch.Version
 		return nil
 	}
 	if err := a.proxy.ApplyPatch(&patch); err != nil {
@@ -326,7 +308,6 @@ func (a *Agent) pollRules(ctx context.Context) error {
 		}
 		return a.resyncRules(ctx)
 	}
-	a.lastVersion = patch.Version
 	return nil
 }
 
@@ -346,20 +327,7 @@ func (a *Agent) resyncRules(ctx context.Context) error {
 		return fmt.Errorf("dataplane: agent resync: %w", err)
 	}
 	a.proxy.SetTable(&table)
-	a.lastVersion = table.Version
 	return nil
-}
-
-// applyTable installs a full table fetched from the controller,
-// skipping the swap (but renewing freshness) when the version is
-// unchanged.
-func (a *Agent) applyTable(table *routing.Table) {
-	if table.Version != a.lastVersion {
-		a.proxy.SetTable(table)
-		a.lastVersion = table.Version
-	} else {
-		a.proxy.MarkRulesFresh()
-	}
 }
 
 // getRules performs one (retried) GET of the controller's rules

@@ -14,6 +14,26 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
+// serveRules answers GET /v1/rules the way the cluster controller does:
+// the full table without a query, a routing.Patch for ?since=N — empty
+// when the poller is current, else a full patch (the shape a poller
+// outside the history window gets).
+func serveRules(w http.ResponseWriter, r *http.Request, table *routing.Table) {
+	w.Header().Set("Content-Type", "application/json")
+	since := r.URL.Query().Get("since")
+	if since == "" {
+		body, _ := table.MarshalJSON()
+		w.Write(body)
+		return
+	}
+	p := routing.FullPatch(table)
+	if since == strconv.FormatUint(table.Version, 10) {
+		p = routing.MakePatch(table, table)
+	}
+	body, _ := json.Marshal(p)
+	w.Write(body)
+}
+
 func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
 	// Fake cluster controller: records pushed metrics, serves a table.
 	var pushed int
@@ -27,9 +47,7 @@ func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
 			io.Copy(io.Discard, r.Body)
 			w.WriteHeader(http.StatusAccepted)
 		case "/v1/rules":
-			w.Header().Set("Content-Type", "application/json")
-			body, _ := table.MarshalJSON()
-			w.Write(body)
+			serveRules(w, r, table)
 		default:
 			http.NotFound(w, r)
 		}
@@ -62,7 +80,7 @@ func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
 		t.Errorf("table version = %d, want 9 (polled)", p.TableVersion())
 	}
 	// Second sync with no new telemetry: no push, same table (version
-	// unchanged -> SetTable skipped).
+	// unchanged -> empty patch, rules only marked fresh).
 	if err := agent.Sync(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +148,10 @@ func TestAgentLeaderFailoverResync(t *testing.T) {
 			w.WriteHeader(http.StatusAccepted)
 		case "/v1/rules":
 			w.Header().Set("X-Slate-Leader-Epoch", strconv.FormatUint(epoch, 10))
-			w.Header().Set("Content-Type", "application/json")
 			if r.URL.Query().Get("since") == "" {
 				fullFetches++
-				body, _ := current.MarshalJSON()
-				w.Write(body)
-				return
 			}
-			// Incremental answer: a full patch up to the current table (the
-			// shape a poller that fell behind the history window gets).
-			body, _ := json.Marshal(routing.FullPatch(current))
-			w.Write(body)
+			serveRules(w, r, current)
 		default:
 			http.NotFound(w, r)
 		}

@@ -86,9 +86,7 @@ func newCCServer(t *testing.T, table *routing.Table) *ccServer {
 			cc.mu.Lock()
 			tab := cc.table
 			cc.mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			body, _ := tab.MarshalJSON()
-			w.Write(body)
+			serveRules(w, r, tab)
 		default:
 			http.NotFound(w, r)
 		}
@@ -428,9 +426,7 @@ func TestAgentSendsSourceHeader(t *testing.T) {
 			gotSource = r.Header.Get(HeaderSource)
 		}
 		if r.URL.Path == "/v1/rules" {
-			body, _ := routing.EmptyTable().MarshalJSON()
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
+			serveRules(w, r, routing.EmptyTable())
 			return
 		}
 		io.Copy(io.Discard, r.Body)

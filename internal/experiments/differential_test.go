@@ -14,11 +14,12 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// teePolicy drives the simulation with the monolithic controller while
-// feeding the identical telemetry stream to a shadow decomposed
-// controller, asserting every tick that the two emit equivalent tables.
-// This is the differential proof that decomposition is an optimization,
-// not a semantic change.
+// teePolicy drives the simulation with the one-shard ("monolithic")
+// controller while feeding the identical telemetry stream to a shadow
+// decomposed controller — the same pipeline partitioned into N shards —
+// asserting every tick that the two emit equivalent tables. This is the
+// differential proof that decomposition is an optimization, not a
+// semantic change.
 type teePolicy struct {
 	t      *testing.T
 	mono   *core.Controller
@@ -200,10 +201,11 @@ func differentialCases(t *testing.T) []differentialCase {
 	}
 }
 
-// TestDecomposedMatchesMonolithic proves the sharded incremental
-// pipeline is behavior-preserving: across every fig6 scenario and the
-// chaos fault schedule, a decomposed controller fed the same telemetry
-// as the monolithic one emits equivalent routing tables on every tick.
+// TestDecomposedMatchesMonolithic proves the partition is
+// behavior-preserving: across every fig6 scenario and the chaos fault
+// schedule, an N-shard controller fed the same telemetry as the
+// one-shard controller (whose single LP is the one Problem.Optimize
+// builds) emits equivalent routing tables on every tick.
 func TestDecomposedMatchesMonolithic(t *testing.T) {
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,8 +227,10 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 			if tee.ticks == 0 {
 				t.Fatal("tee policy never ticked; differential comparison is vacuous")
 			}
-			decStats := tee.shadow.OptimizerStats()
-			if decStats.Shards == 0 {
+			if n := tee.mono.OptimizerStats().Shards; n != 1 {
+				t.Errorf("Decompose: false controller reports %d shards, want 1", n)
+			}
+			if tee.shadow.OptimizerStats().Shards == 0 {
 				t.Errorf("decomposed controller reports 0 shards")
 			}
 		})

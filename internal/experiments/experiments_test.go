@@ -274,12 +274,17 @@ func TestScalabilitySolveTimes(t *testing.T) {
 			t.Errorf("%s = %vms, want (0, 2000]", k, v)
 		}
 	}
-	// The decomposed pipeline must beat the monolithic loop on both
-	// steady-state tick latency and control-plane bytes at 8 clusters ×
-	// 8 classes, with ≥90% of subproblem solves skipped on unchanged
-	// ticks.
-	if m, d := fig.Summary["tick_ms_monolithic_at_8x8"], fig.Summary["tick_ms_decomposed_at_8x8"]; !(d < m) || d <= 0 {
-		t.Errorf("steady tick ms at 8x8: decomposed %v not strictly below monolithic %v", d, m)
+	// The decomposed pipeline must beat full-table fan-out on
+	// control-plane bytes at 8 clusters × 8 classes, with ≥90% of
+	// subproblem solves skipped on unchanged ticks. Steady tick latency
+	// is no longer ordered: the one-shard leg runs the same pipeline, so
+	// its clean shard skips too (what decomposition still buys is the
+	// perturbed tick below: one of eight shards re-solves, not the whole
+	// LP).
+	for _, k := range []string{"tick_ms_monolithic_at_8x8", "tick_ms_decomposed_at_8x8"} {
+		if v := fig.Summary[k]; v <= 0 {
+			t.Errorf("%s = %vms, want > 0", k, v)
+		}
 	}
 	if m, d := fig.Summary["wire_bytes_monolithic_at_8x8"], fig.Summary["wire_bytes_decomposed_at_8x8"]; !(d < m) || d <= 0 {
 		t.Errorf("wire bytes at 8x8: decomposed %v not strictly below monolithic %v", d, m)

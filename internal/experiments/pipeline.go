@@ -68,8 +68,8 @@ func starApp(classes int, clusters []topology.ClusterID) *appgraph.App {
 }
 
 // wireProbe accounts control-plane bytes per tick for both strategies
-// using the real wire structs: the monolithic loop broadcasts the full
-// table to every cluster and ingests full telemetry reports; the
+// using the real wire structs: the "monolithic" strategy broadcasts the
+// full table to every cluster and ingests full telemetry reports; the
 // pipeline sends per-cluster patches and delta reports.
 type wireProbe struct {
 	prevSent  map[topology.ClusterID]*routing.Table
@@ -133,8 +133,9 @@ type pipelineResult struct {
 	perturbSolves       float64 // sub-solves triggered by one class change
 }
 
-// runPipelineSize drives two controllers — one monolithic, one
-// decomposed — through identical telemetry: a warm-up tick, steady
+// runPipelineSize drives two controllers — one planning the whole app
+// as a single shard ("monolithic"), one decomposed — through identical
+// telemetry: a warm-up tick, steady
 // ticks with unchanged stats, and one perturbed tick touching a single
 // class. n is both the cluster count and the class count.
 func runPipelineSize(n, steadyTicks int) (*pipelineResult, error) {
@@ -277,12 +278,12 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// pipelineSweep appends the monolithic-vs-decomposed control-loop
-// series to the scalability figure: per-tick wall time and control-
-// plane bytes as clusters and classes grow together (n clusters × n
-// classes). The decomposed pipeline skips unchanged subproblems and
-// ships patches/deltas, so both series should fall well below the
-// monolithic full-solve, full-fan-out loop at scale.
+// pipelineSweep appends the one-shard-vs-decomposed control-loop series
+// to the scalability figure: per-tick wall time and control-plane bytes
+// as clusters and classes grow together (n clusters × n classes). Both
+// legs skip a shard whose inputs are unchanged, so steady tick time is
+// close; patches/deltas put the wire series well below full-table
+// fan-out at scale.
 func pipelineSweep(fig *Figure) error {
 	const steadyTicks = 5
 	tm := Series{Name: "tick-ms-monolithic", XLabel: "clusters = classes", YLabel: "steady tick ms (median)"}

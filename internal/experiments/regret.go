@@ -112,15 +112,11 @@ func regretPolicy(scn *simrun.Scenario, leg string) (simrun.Policy, error) {
 	switch leg {
 	case "reactive":
 	case "robust":
-		cfg.Robust = true
-		cfg.DemandMargin = regretMargin
+		cfg.Optimizer.DemandMargin = regretMargin
 	case "predictive":
-		cfg.Predictive = true
 		cfg.Forecast = regretForecast()
 	case "robust+predictive":
-		cfg.Robust = true
-		cfg.DemandMargin = regretMargin
-		cfg.Predictive = true
+		cfg.Optimizer.DemandMargin = regretMargin
 		cfg.Forecast = regretForecast()
 	default:
 		return nil, fmt.Errorf("regret: unknown leg %q", leg)

@@ -11,8 +11,8 @@ import (
 )
 
 // robustTeePolicy drives the simulation with a plain controller while
-// feeding the identical telemetry to a shadow controller that has
-// Robust switched on with DemandMargin 0. Margin 0 must build the
+// feeding the identical telemetry to a shadow controller configured for
+// robust planning (a budget Γ) at DemandMargin 0. Margin 0 must build the
 // exact same LP (no robust variables or rows at all — see
 // Config.robustActive), so the tables must match *bit for bit* on
 // every tick, not merely within a tolerance: routing.Diff is the
@@ -56,9 +56,9 @@ func (p *robustTeePolicy) Tick(stats []telemetry.WindowStats, window time.Durati
 	return monoTab, monoErr
 }
 
-// TestRobustMarginZeroMatchesNominal proves switching Robust on with a
-// zero margin changes nothing: across every fig6 scenario and the chaos
-// fault schedule, a Robust/DemandMargin-0 controller fed the same
+// TestRobustMarginZeroMatchesNominal proves the robust off-state is the
+// value margin 0: across every fig6 scenario and the chaos fault
+// schedule, a DemandMargin-0 controller with a budget set, fed the same
 // telemetry as a plain controller publishes bit-identical routing
 // tables on every tick (the PR-8 tee style, with exact comparison).
 func TestRobustMarginZeroMatchesNominal(t *testing.T) {
@@ -68,9 +68,8 @@ func TestRobustMarginZeroMatchesNominal(t *testing.T) {
 			newCtrl := func(robust bool) *core.Controller {
 				cfg := tc.cfg
 				if robust {
-					cfg.Robust = true
-					cfg.DemandMargin = 0
-					cfg.Budget = 3 // must be inert while the margin is 0
+					cfg.Optimizer.DemandMargin = 0
+					cfg.Optimizer.Budget = 3 // must be inert while the margin is 0
 				}
 				ctrl, err := core.NewController(tc.scn.Top, tc.scn.App, cfg)
 				if err != nil {

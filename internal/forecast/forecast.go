@@ -61,8 +61,9 @@ type Config struct {
 	SeasonLength int
 }
 
-// Defaults returns the trend-tracking configuration the controller
-// uses when ControllerConfig.Forecast is zero.
+// Defaults returns the trend-tracking configuration (EWMA level + Holt
+// trend) that slate-global's -predictive passes as
+// ControllerConfig.Forecast; the zero Config there means no forecaster.
 func Defaults() Config {
 	return Config{Alpha: 0.5, Beta: 0.3}
 }

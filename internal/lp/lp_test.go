@@ -179,81 +179,6 @@ func TestRedundantConstraints(t *testing.T) {
 	}
 }
 
-func TestMILPKnapsack(t *testing.T) {
-	// max 10a + 13b + 7c, 3a + 4b + 2c <= 6, binary -> a=0 b=c=1? Check:
-	// b+c: weight 6, value 20. a+c: weight 5, value 17. a+b: weight 7 no.
-	// Optimum 20.
-	m := NewModel()
-	vars := []Var{
-		m.AddVar("a", -10),
-		m.AddVar("b", -13),
-		m.AddVar("c", -7),
-	}
-	for _, v := range vars {
-		m.SetUpper(v, 1)
-		m.SetInteger(v)
-	}
-	m.MustConstraint("w", []Term{{vars[0], 3}, {vars[1], 4}, {vars[2], 2}}, LE, 6)
-	sol, err := m.SolveMILP(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if !almost(sol.Objective, -20) {
-		t.Errorf("objective = %v, want -20", sol.Objective)
-	}
-	for _, v := range vars {
-		x := sol.Value(v)
-		if math.Abs(x-math.Round(x)) > 1e-6 {
-			t.Errorf("var %d = %v, not integral", v, x)
-		}
-	}
-}
-
-func TestMILPMatchesLPWhenRelaxationIntegral(t *testing.T) {
-	m := NewModel()
-	x := m.AddVar("x", -1)
-	m.SetInteger(x)
-	m.MustConstraint("c", []Term{{x, 1}}, LE, 7)
-	sol, err := m.SolveMILP(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sol.Objective, -7) {
-		t.Errorf("objective = %v, want -7", sol.Objective)
-	}
-}
-
-func TestMILPInfeasible(t *testing.T) {
-	// 2x = 3 with x integer has no solution.
-	m := NewModel()
-	x := m.AddVar("x", 1)
-	m.SetInteger(x)
-	m.MustConstraint("c", []Term{{x, 2}}, EQ, 3)
-	sol, err := m.SolveMILP(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Infeasible {
-		t.Errorf("status = %v, want infeasible", sol.Status)
-	}
-}
-
-func TestMILPWithoutIntegerVarsEqualsSolve(t *testing.T) {
-	m := NewModel()
-	x := m.AddVar("x", -2)
-	m.SetUpper(x, 3.5)
-	sol, err := m.SolveMILP(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sol.Objective, -7) {
-		t.Errorf("objective = %v, want -7", sol.Objective)
-	}
-}
-
 // bruteForce enumerates all vertices of {Ax rel b, 0 <= x <= ub} for tiny
 // problems by solving every n-subset of the active-constraint system, and
 // returns the best feasible objective (min). Used as ground truth.
@@ -470,124 +395,5 @@ func TestLargeLPPerformanceSanity(t *testing.T) {
 	// Total shipped is 200; min cost must be >= 200 * min cost ~ 200.
 	if sol.Objective < 200 {
 		t.Errorf("objective %v below theoretical floor", sol.Objective)
-	}
-}
-
-// bruteForceILP enumerates all integer points of {0..ub}^n and returns
-// the best feasible objective (min) — ground truth for small MILPs.
-func bruteForceILP(obj []float64, cons []struct {
-	a   []float64
-	rel Rel
-	rhs float64
-}, ub []int) (float64, bool) {
-	n := len(obj)
-	best := math.Inf(1)
-	found := false
-	x := make([]int, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			for _, c := range cons {
-				dot := 0.0
-				for j := 0; j < n; j++ {
-					dot += c.a[j] * float64(x[j])
-				}
-				switch c.rel {
-				case LE:
-					if dot > c.rhs+1e-9 {
-						return
-					}
-				case GE:
-					if dot < c.rhs-1e-9 {
-						return
-					}
-				case EQ:
-					if math.Abs(dot-c.rhs) > 1e-9 {
-						return
-					}
-				}
-			}
-			v := 0.0
-			for j := 0; j < n; j++ {
-				v += obj[j] * float64(x[j])
-			}
-			found = true
-			if v < best {
-				best = v
-			}
-			return
-		}
-		for v := 0; v <= ub[i]; v++ {
-			x[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return best, found
-}
-
-func TestMILPAgainstBruteForceRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 120; trial++ {
-		n := 2 + rng.Intn(3) // 2..4 integer vars
-		k := 1 + rng.Intn(3)
-		obj := make([]float64, n)
-		ub := make([]int, n)
-		for j := range obj {
-			obj[j] = math.Round((rng.Float64()*4-2)*4) / 4
-			ub[j] = 1 + rng.Intn(4)
-		}
-		cons := make([]struct {
-			a   []float64
-			rel Rel
-			rhs float64
-		}, k)
-		for i := range cons {
-			a := make([]float64, n)
-			for j := range a {
-				a[j] = math.Round((rng.Float64()*4-2)*2) / 2
-			}
-			cons[i].a = a
-			cons[i].rel = Rel(rng.Intn(3))
-			cons[i].rhs = math.Round((rng.Float64()*10 - 2))
-		}
-		want, feasible := bruteForceILP(obj, cons, ub)
-
-		m := NewModel()
-		vars := make([]Var, n)
-		for j := 0; j < n; j++ {
-			vars[j] = m.AddVar("x", obj[j])
-			m.SetUpper(vars[j], float64(ub[j]))
-			m.SetInteger(vars[j])
-		}
-		for _, c := range cons {
-			terms := make([]Term, n)
-			for j := 0; j < n; j++ {
-				terms[j] = Term{vars[j], c.a[j]}
-			}
-			m.MustConstraint("c", terms, c.rel, c.rhs)
-		}
-		sol, err := m.SolveMILP(nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !feasible {
-			if sol.Status == Optimal {
-				t.Fatalf("trial %d: MILP found %v but brute force says infeasible", trial, sol.Objective)
-			}
-			continue
-		}
-		if sol.Status != Optimal {
-			t.Fatalf("trial %d: status %v, brute force found %v", trial, sol.Status, want)
-		}
-		if math.Abs(sol.Objective-want) > 1e-6*(1+math.Abs(want)) {
-			t.Fatalf("trial %d: MILP %v, brute force %v", trial, sol.Objective, want)
-		}
-		for j, v := range vars {
-			xv := sol.Value(v)
-			if math.Abs(xv-math.Round(xv)) > 1e-6 {
-				t.Fatalf("trial %d: var %d = %v not integral", trial, j, xv)
-			}
-		}
 	}
 }

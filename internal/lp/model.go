@@ -1,16 +1,14 @@
 // Package lp implements a self-contained linear programming solver — a
-// dense two-phase primal simplex — plus a branch-and-bound wrapper for
-// mixed-integer programs.
+// dense two-phase primal simplex.
 //
 // SLATE's global controller formulates request routing as an
 // optimization (paper §3.3: "formulated as a Mixed Integer Linear
 // Program"). With convex piecewise-linear latency costs the continuous
-// relaxation is exact, so the hot path is pure LP; branch-and-bound
-// covers integral extensions such as all-or-nothing class pinning. The
-// solver stays a simple tableau simplex — SLATE's per-application models
-// have hundreds of variables, far below the scale where revised simplex
-// or interior point methods pay off — but its pivots are sparsity-aware
-// and a reusable Solver supports scratch reuse and warm starts from the
+// relaxation is exact, so the routing problem is a pure LP. The solver
+// stays a simple tableau simplex — SLATE's per-application models have
+// hundreds of variables, far below the scale where revised simplex or
+// interior point methods pay off — but its pivots are sparsity-aware and
+// a reusable Solver supports scratch reuse and warm starts from the
 // previous tick's basis (see Solver.SolveFrom).
 package lp
 
@@ -53,10 +51,9 @@ type Term struct {
 }
 
 type variable struct {
-	name    string
-	obj     float64
-	upper   float64 // +Inf when unbounded above
-	integer bool
+	name  string
+	obj   float64
+	upper float64 // +Inf when unbounded above
 }
 
 type constraint struct {
@@ -66,9 +63,9 @@ type constraint struct {
 	rhs   float64
 }
 
-// Model is a linear (or mixed-integer) program under construction:
-// minimize c·x subject to linear constraints, x ≥ 0, with optional
-// upper bounds and integrality marks. Not safe for concurrent use.
+// Model is a linear program under construction: minimize c·x subject to
+// linear constraints, x ≥ 0, with optional upper bounds. Not safe for
+// concurrent use.
 type Model struct {
 	vars []variable
 	cons []constraint
@@ -87,12 +84,6 @@ func (m *Model) AddVar(name string, obj float64) Var {
 // SetUpper bounds the variable above: x ≤ hi.
 func (m *Model) SetUpper(v Var, hi float64) {
 	m.vars[v].upper = hi
-}
-
-// SetInteger marks the variable as integral (used by SolveMILP; Solve
-// ignores the mark and solves the continuous relaxation).
-func (m *Model) SetInteger(v Var) {
-	m.vars[v].integer = true
 }
 
 // SetObj replaces the variable's objective coefficient.

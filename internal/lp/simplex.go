@@ -25,8 +25,7 @@ var ErrIterLimit = fmt.Errorf("lp: simplex iteration limit exceeded")
 // Solve minimizes the model's objective over its constraints using a
 // two-phase primal simplex with Bland's anti-cycling rule engaged after
 // a degenerate stretch. Upper bounds registered with SetUpper are
-// expanded into explicit constraints. Integer marks are ignored (this is
-// the continuous relaxation); use SolveMILP to enforce them.
+// expanded into explicit constraints.
 //
 // Solve allocates fresh scratch per call; a re-solving control loop
 // should hold a Solver and use its Solve/SolveFrom instead.

@@ -13,6 +13,11 @@
 #   5. go test -race -coverprofile ./...  (full suite under the race
 #                          detector, with per-package coverage)
 #   6. coverage gate      (total statement coverage >= COVER_THRESHOLD)
+#   7. benchmark module   (go vet + go test in benchmark/, its own Go
+#                          module: `./...` above does not descend into
+#                          it, so an API prune that breaks
+#                          benchmark/adapter.go would otherwise surface
+#                          only at the benchmark gate)
 #
 # Usage:
 #   ./scripts/check.sh                 # everything, from the repo root
@@ -117,6 +122,10 @@ else
     echo "no coverage profile at $COVER_PROFILE (test step failed?)" >&2
     finish 1
 fi
+
+begin "benchmark module: go vet + go test"
+go -C benchmark vet ./... && go -C benchmark test ./...
+finish $?
 
 if [ "$fail" -ne 0 ]; then
     echo "check.sh: FAILED" >&2
