@@ -1,12 +1,16 @@
 // Benchmarks regenerating every figure of the paper's evaluation
 // (HotNets '24, §4) plus micro-benchmarks of the hot paths. Each
-// figure benchmark runs the full experiment and reports its headline
-// metrics via b.ReportMetric, so
+// figure benchmark runs the full experiment and reports the metrics its
+// entry in the figure list (figures_test.go) names via b.ReportMetric,
+// so
 //
 //	go test -bench=. -benchmem
 //
 // reproduces the paper's artifacts from a clean checkout. EXPERIMENTS.md
-// records paper-vs-measured values.
+// records paper-vs-measured values. Nothing here is gated: these are
+// developer tools. Figure values are held by TestFiguresPinned against
+// FIGURES.json, zero-allocation paths by the per-package AllocsPerRun
+// tests and the hotalloc analyzer, and performance by BENCHMARK.json.
 package slate_test
 
 import (
@@ -14,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path"
 	"sort"
 	"testing"
 	"time"
@@ -38,157 +43,117 @@ func benchOptions() experiments.Options {
 	return experiments.Options{Duration: 60 * time.Second, Warmup: 10 * time.Second, Seed: 42}
 }
 
-func runFigure(b *testing.B, f func(experiments.Options) (*experiments.Figure, error), metrics ...string) {
+// runFigure runs one experiment b.N times at the published options and
+// reports every metric its spec lists. A listed metric the figure did
+// not produce fails the benchmark.
+func runFigure(b *testing.B, spec figureSpec) {
 	b.Helper()
 	var fig *experiments.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = f(benchOptions())
+		fig, err = spec.run(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, m := range metrics {
-		if v, ok := fig.Summary[m]; ok {
-			b.ReportMetric(v, m)
+	for _, k := range spec.pinned {
+		v, ok := fig.Summary[k]
+		if !ok {
+			b.Fatalf("%s: listed metric %q missing from Summary", spec.id, k)
+		}
+		b.ReportMetric(v, k)
+	}
+	for _, pat := range spec.wallClock {
+		matched := false
+		for k, v := range fig.Summary {
+			if ok, _ := path.Match(pat, k); ok {
+				b.ReportMetric(v, k)
+				matched = true
+			}
+		}
+		if !matched {
+			b.Fatalf("%s: no Summary key matches listed wall-clock metric %q", spec.id, pat)
 		}
 	}
 }
 
 // BenchmarkFig3 regenerates Fig. 3: the latency penalty of static
 // conservative/aggressive thresholds vs SLATE's load-dependent optimum.
-func BenchmarkFig3(b *testing.B) {
-	runFigure(b, experiments.Fig3,
-		"conservative_penalty_at_600rps_ms", "aggressive_penalty_at_740rps_ms")
-}
+func BenchmarkFig3(b *testing.B) { runFigure(b, figureByID("fig3")) }
 
 // BenchmarkFig4 regenerates Fig. 4: the empirical routing threshold vs
 // west load at 5/25/50 ms RTT.
-func BenchmarkFig4(b *testing.B) {
-	runFigure(b, experiments.Fig4,
-		"offload_onset_rps_rtt5ms", "offload_onset_rps_rtt25ms", "offload_onset_rps_rtt50ms")
-}
+func BenchmarkFig4(b *testing.B) { runFigure(b, figureByID("fig4")) }
 
 // BenchmarkFig6a regenerates Fig. 6a: latency CDF, west overloaded
 // ("how much to route").
-func BenchmarkFig6a(b *testing.B) {
-	runFigure(b, experiments.Fig6a,
-		"mean_latency_ratio_waterfall_over_slate", "slate_mean_ms", "waterfall_mean_ms")
-}
+func BenchmarkFig6a(b *testing.B) { runFigure(b, figureByID("fig6a")) }
 
 // BenchmarkFig6b regenerates Fig. 6b: latency CDF on the GCP topology
 // with OR and IOW overloaded ("which cluster").
-func BenchmarkFig6b(b *testing.B) {
-	runFigure(b, experiments.Fig6b,
-		"mean_latency_ratio_waterfall_over_slate", "slate_mean_ms", "waterfall_mean_ms")
-}
+func BenchmarkFig6b(b *testing.B) { runFigure(b, figureByID("fig6b")) }
 
 // BenchmarkFig6c regenerates Fig. 6c: the anomaly-detection multi-hop
 // scenario ("where in the topology"), including the egress-cost ratio.
-func BenchmarkFig6c(b *testing.B) {
-	runFigure(b, experiments.Fig6c,
-		"egress_ratio_waterfall_over_slate", "mean_latency_ratio_waterfall_over_slate")
-}
+func BenchmarkFig6c(b *testing.B) { runFigure(b, figureByID("fig6c")) }
 
 // BenchmarkFig6d regenerates Fig. 6d: the two-class scenario ("which
 // subset of requests").
-func BenchmarkFig6d(b *testing.B) {
-	runFigure(b, experiments.Fig6d,
-		"mean_latency_ratio_waterfall_over_slate", "slate_mean_ms", "waterfall_mean_ms")
-}
+func BenchmarkFig6d(b *testing.B) { runFigure(b, figureByID("fig6d")) }
 
 // BenchmarkHeadline regenerates the abstract's claims: max average
 // latency ratio and egress cost ratio vs Waterfall.
-func BenchmarkHeadline(b *testing.B) {
-	runFigure(b, experiments.Headline,
-		"max_mean_latency_ratio", "egress_ratio_fig6c")
-}
+func BenchmarkHeadline(b *testing.B) { runFigure(b, figureByID("headline")) }
 
 // BenchmarkAblationThreshold sweeps Waterfall's static threshold
 // (DESIGN.md ablation: threshold sensitivity).
-func BenchmarkAblationThreshold(b *testing.B) {
-	runFigure(b, experiments.AblationWaterfallThreshold,
-		"slate_mean_ms", "waterfall_best_mean_ms", "waterfall_worst_mean_ms")
-}
+func BenchmarkAblationThreshold(b *testing.B) { runFigure(b, figureByID("ablation-threshold")) }
 
 // BenchmarkAblationClasses compares per-class vs class-blind SLATE
 // (DESIGN.md ablation: traffic-class granularity).
-func BenchmarkAblationClasses(b *testing.B) {
-	runFigure(b, experiments.AblationClassGranularity, "classblind_over_perclass")
-}
+func BenchmarkAblationClasses(b *testing.B) { runFigure(b, figureByID("ablation-classes")) }
 
 // BenchmarkAblationStepSize sweeps the rollout step bound (DESIGN.md
 // ablation: incremental rollout).
-func BenchmarkAblationStepSize(b *testing.B) {
-	runFigure(b, experiments.AblationStepSize)
-}
+func BenchmarkAblationStepSize(b *testing.B) { runFigure(b, figureByID("ablation-step")) }
 
 // BenchmarkBurstReaction regenerates the burst-reaction timeline (the
 // paper's §2 motivation: request routing reacts far faster than
 // autoscaling).
-func BenchmarkBurstReaction(b *testing.B) {
-	runFigure(b, experiments.BurstReaction,
-		"slate_burst_mean_ms", "waterfall_burst_mean_ms", "local-only_burst_mean_ms")
-}
+func BenchmarkBurstReaction(b *testing.B) { runFigure(b, figureByID("burst")) }
 
 // BenchmarkScalability regenerates the optimizer solve-time scaling
 // table (paper §5 "scalability & fast reaction") plus the one-shard-
 // vs-decomposed control-loop comparison: steady-state tick latency and
 // control-plane bytes per tick at n clusters × n classes.
-func BenchmarkScalability(b *testing.B) {
-	runFigure(b, experiments.Scalability,
-		"solve_ms_at_12_clusters", "solve_ms_at_16_services", "solve_ms_at_16_classes",
-		"tick_ms_monolithic_at_8x8", "tick_ms_decomposed_at_8x8",
-		"wire_bytes_monolithic_at_8x8", "wire_bytes_decomposed_at_8x8",
-		"subproblem_skip_rate_steady")
-}
+func BenchmarkScalability(b *testing.B) { runFigure(b, figureByID("scalability")) }
 
 // BenchmarkAutoscalerInteraction regenerates the routing×autoscaling
 // co-design experiment (paper §5).
-func BenchmarkAutoscalerInteraction(b *testing.B) {
-	runFigure(b, experiments.AutoscalerInteraction,
-		"autoscaler-only_burst_mean_ms", "slate-only_burst_mean_ms",
-		"combined_burst_mean_ms", "scaling_suppression_ratio")
-}
+func BenchmarkAutoscalerInteraction(b *testing.B) { runFigure(b, figureByID("autoscaler")) }
 
 // BenchmarkChaos regenerates the fault-injection experiment: hardened
 // (rule-staleness TTL) vs stale-forever dataplane through a
 // global-controller outage overlapping a cluster partition (paper §5
 // "do no harm when the controller is blind").
-func BenchmarkChaos(b *testing.B) {
-	runFigure(b, experiments.Chaos,
-		"hardened_availability", "unhardened_availability",
-		"availability_gain", "hardened_recovery_s")
-}
+func BenchmarkChaos(b *testing.B) { runFigure(b, figureByID("chaos")) }
 
 // BenchmarkHAChaos regenerates the leader-failover chaos experiment:
 // three global replicas vs the single ticker through a leader kill that
 // coincides with a regional demand flip, scored as availability and
 // time-to-fresh-table in sync periods.
-func BenchmarkHAChaos(b *testing.B) {
-	runFigure(b, experiments.HAChaos,
-		"replicated_availability", "single_availability", "availability_gain",
-		"replicated_ttf_periods", "single_ttf_periods")
-}
+func BenchmarkHAChaos(b *testing.B) { runFigure(b, figureByID("hachaos")) }
 
 // BenchmarkParallelDES regenerates the parallel-simulator scaling
 // figure: 1/2/4/8-shard wall time on a generated 16-cluster
 // scenario, plus the GOMAXPROCS-independence fingerprint check.
-func BenchmarkParallelDES(b *testing.B) {
-	runFigure(b, experiments.ParallelDES,
-		"speedup_shards_8", "serial_wall_ms", "wall_ms_shards_8", "determinism_ok")
-}
+func BenchmarkParallelDES(b *testing.B) { runFigure(b, figureByID("pardes")) }
 
 // BenchmarkRegret regenerates the demand-uncertainty evaluation: the
 // reactive / robust / predictive / robust+predictive controllers over
 // the stress suite (flash crowd, adversarial walk, diurnal swing,
 // correlated surge), scored as latency regret vs a clairvoyant oracle.
-func BenchmarkRegret(b *testing.B) {
-	runFigure(b, experiments.Regret,
-		"flash-crowd/reactive_worst_regret_ms", "flash-crowd/robust_worst_regret_ms",
-		"adversarial-walk/reactive_worst_regret_ms", "adversarial-walk/predictive_worst_regret_ms",
-		"diurnal/reactive_mean_regret_ms", "diurnal/predictive_mean_regret_ms")
-}
+func BenchmarkRegret(b *testing.B) { runFigure(b, figureByID("regret")) }
 
 // --- Micro-benchmarks of the hot paths -------------------------------
 

@@ -28,15 +28,10 @@ type ControllerConfig struct {
 	// LearnProfiles enables online profile fitting from telemetry. When
 	// false the controller trusts its initial profiles.
 	LearnProfiles bool
-	// MinFitSamples gates profile fitting (default 3 windows).
-	MinFitSamples int
 	// GuardRegression enables the rollback guardrail: if the measured
-	// objective degrades by more than GuardTolerance after a rule change,
+	// objective degrades by more than guardTolerance after a rule change,
 	// the previous table is restored and held for one period.
 	GuardRegression bool
-	// GuardTolerance is the relative degradation that triggers rollback
-	// (default 0.15).
-	GuardTolerance float64
 	// Decompose partitions the app into independent (call-graph
 	// component × class) subproblems; false plans the whole app as one
 	// shard. Either way each shard is warm-started and skipped entirely
@@ -65,6 +60,10 @@ type ControllerConfig struct {
 	// missed it (the forecast change dirties the shard fingerprint).
 	Forecast forecast.Config
 }
+
+// guardTolerance is the relative degradation of the measured objective
+// that makes the GuardRegression guardrail roll a rule change back.
+const guardTolerance = 0.15
 
 // Controller is SLATE's global controller: it ingests telemetry windows,
 // maintains demand estimates and latency profiles, re-optimizes, and
@@ -102,9 +101,6 @@ func NewController(top *topology.Topology, app *appgraph.App, cfg ControllerConf
 	}
 	if cfg.DemandSmoothing <= 0 || cfg.DemandSmoothing > 1 {
 		cfg.DemandSmoothing = 0.5
-	}
-	if cfg.GuardTolerance <= 0 {
-		cfg.GuardTolerance = 0.15
 	}
 	var fc *forecast.Forecaster
 	if cfg.Forecast != (forecast.Config{}) {
@@ -157,9 +153,6 @@ func (c *Controller) OptimizerStats() OptimizerStats { return c.opt.Stats() }
 // optimization runs where telemetry has not accumulated yet).
 func (c *Controller) SetDemand(d Demand) { c.demand = d }
 
-// SetProfiles overrides the latency profiles.
-func (c *Controller) SetProfiles(p Profiles) { c.profs = p }
-
 // Prime runs one optimization with the current (seeded) demand estimate
 // and publishes the result in full, bypassing the MaxStep rollout. Use
 // it to start an experiment from the optimizer's plan when demand is
@@ -186,7 +179,7 @@ func (c *Controller) Tick(stats []telemetry.WindowStats, window time.Duration) (
 	c.observeForecast(stats)
 	if c.cfg.LearnProfiles {
 		c.history.Observe(stats)
-		FitProfiles(c.profs, c.history.Samples(), c.cfg.MinFitSamples)
+		FitProfiles(c.profs, c.history.Samples())
 	}
 
 	measured, haveMeasured := c.measuredObjective(stats, window)
@@ -194,7 +187,7 @@ func (c *Controller) Tick(stats []telemetry.WindowStats, window time.Duration) (
 	// Regression guardrail: if the last change made things worse, revert
 	// and hold one period so telemetry reflects the restored table.
 	if c.cfg.GuardRegression && haveMeasured && c.haveLastObj && c.prev != nil && !c.holdAfterRevert {
-		if measured > c.lastObjective*(1+c.cfg.GuardTolerance) {
+		if measured > c.lastObjective*(1+guardTolerance) {
 			c.cur = c.prev
 			c.prev = nil
 			c.holdAfterRevert = true

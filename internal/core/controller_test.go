@@ -119,7 +119,6 @@ func TestControllerGuardRevertsOnRegression(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{
 		DemandSmoothing: 1,
 		GuardRegression: true,
-		GuardTolerance:  0.10,
 	})
 	// Tick 1: moderate latency, causes a rule change (overload).
 	_, err := c.Tick(frontendStats(app, "default", 900, 100, 50*time.Millisecond), time.Second)
@@ -150,7 +149,6 @@ func TestControllerLearnProfilesFromTelemetry(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{
 		DemandSmoothing: 1,
 		LearnProfiles:   true,
-		MinFitSamples:   3,
 	})
 	fe := string(app.FrontendService())
 	// Feed windows whose svc-1 latencies come from a true M/M/8 pool

@@ -126,18 +126,19 @@ func DefaultProfiles(app *appgraph.App, top *topology.Topology, demand Demand) P
 	return out
 }
 
+// minFitSamples is how many (load, latency) windows a pool must have
+// accumulated before FitProfiles replaces its declared profile.
+const minFitSamples = 3
+
 // FitProfiles updates profiles in place from telemetry window stats:
 // for each (service, cluster) with enough samples it fits an M/M/c
 // curve through the observed (load, latency) history. history maps a
 // pool to its accumulated samples (standard-load, latency). Pools
 // without enough data keep their previous profile. This is SLATE
 // learning latency profiles dynamically in production (§5).
-func FitProfiles(p Profiles, history map[PoolKey][]queuemodel.Sample, minSamples int) {
-	if minSamples <= 0 {
-		minSamples = 3
-	}
+func FitProfiles(p Profiles, history map[PoolKey][]queuemodel.Sample) {
 	for key, samples := range history {
-		if len(samples) < minSamples {
+		if len(samples) < minFitSamples {
 			continue
 		}
 		cur, ok := p.Get(key.Service, key.Cluster)

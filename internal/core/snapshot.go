@@ -26,7 +26,7 @@ import (
 //     embeds a queuemodel.Model interface value, which has no stable
 //     serialization; the restored controller re-derives DefaultProfiles
 //     and (with LearnProfiles) refits from fresh telemetry within
-//     MinFitSamples windows. Bit-identical resume therefore holds
+//     minFitSamples windows. Bit-identical resume therefore holds
 //     exactly when LearnProfiles is off, and approximately (converging
 //     within a few windows) when it is on.
 //   - Solve counters (OptimizerStats): they describe a process, not the

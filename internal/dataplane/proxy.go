@@ -74,9 +74,6 @@ type Config struct {
 	Resolver Resolver
 	// Netem injects cross-cluster delay; nil disables.
 	Netem *netem.Emulator
-	// Classifier derives traffic classes at the ingress; nil uses a
-	// default (service + method + templated path).
-	Classifier *classifier.Classifier
 	// Transport overrides the outbound HTTP transport (tests).
 	Transport http.RoundTripper
 	// RNG is the stream for routing picks and span IDs, typically
@@ -114,7 +111,7 @@ type Proxy struct {
 	local   string
 	resolve Resolver
 	nem     *netem.Emulator
-	cls     *classifier.Classifier
+	cls     *classifier.Classifier // ingress classes: service + method + templated path
 	agg     *telemetry.Aggregator
 
 	table    atomic.Pointer[routing.Table]
@@ -155,10 +152,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Resolver == nil {
 		return nil, fmt.Errorf("dataplane: config missing resolver")
 	}
-	cls := cfg.Classifier
-	if cls == nil {
-		cls = classifier.New(classifier.Options{MinSamples: 1, TemplatePaths: true})
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		tr = &http.Transport{MaxIdleConnsPerHost: 64}
@@ -178,7 +171,7 @@ func New(cfg Config) (*Proxy, error) {
 		local:      cfg.LocalApp,
 		resolve:    cfg.Resolver,
 		nem:        cfg.Netem,
-		cls:        cls,
+		cls:        classifier.New(classifier.Options{MinSamples: 1, TemplatePaths: true}),
 		agg:        telemetry.NewAggregator(),
 		rng:        rng,
 		client:     &http.Client{Transport: tr},

@@ -97,9 +97,6 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
-// VarName returns the variable's name.
-func (m *Model) VarName(v Var) string { return m.vars[v].name }
-
 // AddConstraint adds Σ terms rel rhs. Terms referencing the same
 // variable are summed. It returns an error for out-of-range variables
 // or non-finite coefficients.

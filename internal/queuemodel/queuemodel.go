@@ -54,14 +54,6 @@ func NewMMc(servers int, meanServiceTime time.Duration) MMc {
 // Capacity returns c·μ, the saturation throughput.
 func (m MMc) Capacity() float64 { return float64(m.Servers) * m.Mu }
 
-// Rho returns the server utilization λ/(c·μ).
-func (m MMc) Rho(lambda float64) float64 {
-	if lambda <= 0 {
-		return 0
-	}
-	return lambda / m.Capacity()
-}
-
 // ErlangC returns the probability an arriving request must wait (all c
 // servers busy), computed with the numerically stable iterative form of
 // the Erlang C formula.

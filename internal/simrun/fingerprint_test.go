@@ -21,8 +21,8 @@ import (
 
 // fingerprint hashes everything a run reports: every per-class sample,
 // all counters, the timeline, per-cluster local-served rates, scale
-// events, final replicas and wire bytes. dump, when non-nil, is the
-// JSONL span dump of the same run and is hashed byte for byte.
+// events and final replicas. dump, when non-nil, is the JSONL span dump
+// of the same run and is hashed byte for byte.
 func fingerprint(r *simrun.Result, dump []byte) uint64 {
 	h := fnv.New64a()
 	bits := math.Float64bits
@@ -68,9 +68,6 @@ func fingerprint(r *simrun.Result, dump []byte) uint64 {
 	for _, key := range pools {
 		fmt.Fprintf(h, "final %s %s %d\n", key.Service, key.Cluster, r.FinalReplicas[key])
 	}
-	if w := r.Wire; w != nil {
-		fmt.Fprintf(h, "wire %d %d %d %d\n", w.FullTableBytes, w.PatchBytes, w.FullTelemetryBytes, w.DeltaTelemetryBytes)
-	}
 	fmt.Fprintf(h, "spans %d\n", len(dump))
 	h.Write(dump)
 	return h.Sum64()
@@ -80,7 +77,9 @@ func fingerprint(r *simrun.Result, dump []byte) uint64 {
 // executor it replaced. The constants were recorded at commit 397f956
 // from that executor, on scenarios that together use every Scenario
 // feature; a one-shard run of the sharded engine must reproduce each of
-// them bit for bit, the span dump included.
+// them bit for bit, the span dump included. gen16 was re-recorded at
+// 17d281c when the DES's wire accounting (and its line of the hash) was
+// deleted: the same run, hashed without that line.
 func TestRunFingerprintsPinned(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	chain := func() *appgraph.App {
@@ -176,7 +175,7 @@ func TestRunFingerprintsPinned(t *testing.T) {
 		},
 		{
 			// Generated 16-cluster scenario: heavy tails, churn, hotspots,
-			// retry storms, wire accounting on a static locality table.
+			// retry storms on a static locality table.
 			name: "gen16",
 			build: func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
 				g, err := scenario.Generate(scenario.GenSpec{
@@ -190,10 +189,9 @@ func TestRunFingerprintsPinned(t *testing.T) {
 				}
 				scn := g.Scenario("pin-gen16")
 				scn.ControlPeriod = 500 * time.Millisecond
-				scn.MeasureWire = true
 				return scn, g.Policy()
 			},
-			want: 0x1c223922fc8f66c1,
+			want: 0x8ca06cdc2c894f2a,
 		},
 	}
 	for _, tc := range cases {

@@ -312,8 +312,7 @@ type parRun struct {
 	shards []*shardRun
 	table  *routing.Table // swapped only at barriers
 	res    *Result
-	wire   *wireMeter // accounts control-plane bytes when MeasureWire is set
-	sink   SpanSink   // nil after the first write error
+	sink   SpanSink // nil after the first write error
 
 	// Live observability counters (obs.Default()): the chaos experiment
 	// watches these move.
@@ -365,10 +364,6 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 			LocalServedRPS: make(map[topology.ClusterID]float64),
 			Parallel:       &ParallelStats{Shards: len(part.owned), Lookahead: part.lookahead},
 		},
-	}
-	if scn.MeasureWire {
-		p.res.Wire = &WireStats{}
-		p.wire = newWireMeter(p.res.Wire)
 	}
 	reg := obs.Default()
 	p.mDegraded = reg.Counter("slate_sim_degraded_calls_total",
@@ -507,7 +502,7 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 
 // controlTick runs one control round at a quiescent barrier: flush
 // every cluster's window (in topology order), merge, tick the policy,
-// refresh rules, account wire bytes.
+// refresh rules.
 func (p *parRun) controlTick(now time.Duration) {
 	var groups [][]telemetry.WindowStats
 	for _, c := range p.scn.Top.ClusterIDs() {
@@ -536,9 +531,6 @@ func (p *parRun) controlTick(now time.Duration) {
 		if !p.scn.Faults.DownAt(fault.ClusterTarget(c), now) {
 			p.shards[p.part.shardOf[c]].lastFresh[c] = sim.Time(now)
 		}
-	}
-	if p.wire != nil {
-		p.wire.tick(p.table, groups, p.scn.Top.ClusterIDs(), p.scn.ControlPeriod)
 	}
 }
 

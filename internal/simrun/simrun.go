@@ -12,16 +12,14 @@
 // time makes parameter sweeps deterministic and fast on a single core.
 //
 // This file holds the scenario and result types and the model's parts
-// (replica pools, wire accounting); the executor is in parallel.go.
+// (replica pools); the executor is in parallel.go.
 package simrun
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
-	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
 	"github.com/servicelayernetworking/slate/internal/routing"
@@ -91,13 +89,6 @@ type Scenario struct {
 	// resizes one pool at its timestamp (generated TraDE-style scenarios
 	// use these heavily; see internal/scenario).
 	Dynamics []PoolEvent
-	// MeasureWire accounts, per control tick, the bytes the control
-	// plane would have moved under both distribution strategies — full
-	// table fan-out + full telemetry fan-in versus per-cluster rule
-	// patches + delta telemetry reports — using the real wire structs
-	// (routing.Patch, controlplane.MetricsReport). Results land in
-	// Result.Wire. The measurement does not affect simulated time.
-	MeasureWire bool
 }
 
 // SpanSink receives exported trace spans (see obs.SpanWriter).
@@ -219,28 +210,9 @@ type Result struct {
 	// FinalReplicas reports each pool's replica count at the end of the
 	// run (when the autoscaler is enabled).
 	FinalReplicas map[core.PoolKey]int
-	// Wire totals the control-plane bytes both distribution strategies
-	// would have sent (nil unless Scenario.MeasureWire).
-	Wire *WireStats
 	// Parallel reports how the engine executed the run. It is never nil:
 	// Run reports Shards: 1.
 	Parallel *ParallelStats
-}
-
-// WireStats compares control-plane wire cost over a run: the monolithic
-// strategy (full routing table to every cluster, full telemetry report
-// from every cluster, every tick) against the incremental one
-// (per-cluster rule patches, changed-stats-only telemetry deltas).
-type WireStats struct {
-	// FullTableBytes is json(table) × clusters summed over ticks.
-	FullTableBytes int64
-	// PatchBytes is the per-cluster routing.Patch payloads (a full
-	// patch on each cluster's first tick, deltas after).
-	PatchBytes int64
-	// FullTelemetryBytes is every cluster's complete MetricsReport.
-	FullTelemetryBytes int64
-	// DeltaTelemetryBytes is the epoch-marked changed-stats reports.
-	DeltaTelemetryBytes int64
 }
 
 // TimelinePoint is one control-window observation.
@@ -369,69 +341,4 @@ func timelineFrom(at time.Duration, stats []telemetry.WindowStats, window time.D
 		Mean: time.Duration(latSum / float64(n) * float64(time.Second)),
 		RPS:  float64(n) / window.Seconds(),
 	}, true
-}
-
-// wireMeter accounts control-plane wire bytes under both distribution
-// strategies, one control tick at a time (at the control barrier).
-type wireMeter struct {
-	w *WireStats
-	// prevSent is the last table slice "pushed" to each cluster;
-	// prevStats each cluster's last telemetry window; epoch the report
-	// sequence number.
-	prevSent  map[topology.ClusterID]*routing.Table
-	prevStats map[topology.ClusterID][]telemetry.WindowStats
-	epoch     uint64
-}
-
-func newWireMeter(w *WireStats) *wireMeter {
-	return &wireMeter{
-		w:         w,
-		prevSent:  make(map[topology.ClusterID]*routing.Table),
-		prevStats: make(map[topology.ClusterID][]telemetry.WindowStats),
-	}
-}
-
-// tick accounts one control tick's wire bytes under both distribution
-// strategies. groups holds each cluster's flushed window, aligned with
-// clusters. The incremental side mirrors the live control plane
-// exactly: a full patch / full report on a cluster's first tick, deltas
-// after, empty patches still counted (they renew freshness).
-func (m *wireMeter) tick(table *routing.Table, groups [][]telemetry.WindowStats, clusters []topology.ClusterID, window time.Duration) {
-	w := m.w
-	m.epoch++
-	full, err := json.Marshal(table)
-	if err != nil {
-		return
-	}
-	w.FullTableBytes += int64(len(full)) * int64(len(clusters))
-	for i, c := range clusters {
-		desired := table.Restrict(c)
-		patch := routing.MakePatch(m.prevSent[c], desired)
-		w.PatchBytes += int64(patch.WireBytes())
-		m.prevSent[c] = desired
-
-		stats := groups[i]
-		rep := controlplane.MetricsReport{
-			Cluster: c, WindowMS: window.Milliseconds(), Epoch: m.epoch, Stats: stats,
-		}
-		fullRep, err := json.Marshal(rep)
-		if err != nil {
-			continue
-		}
-		w.FullTelemetryBytes += int64(len(fullRep))
-		prev, seen := m.prevStats[c]
-		if !seen {
-			w.DeltaTelemetryBytes += int64(len(fullRep))
-		} else {
-			changed, removed := telemetry.DeltaReport(prev, stats, 1e-9)
-			deltaRep, err := json.Marshal(controlplane.MetricsReport{
-				Cluster: c, WindowMS: window.Milliseconds(), Delta: true,
-				Epoch: m.epoch, Stats: changed, Removed: removed,
-			})
-			if err == nil {
-				w.DeltaTelemetryBytes += int64(len(deltaRep))
-			}
-		}
-		m.prevStats[c] = stats
-	}
 }

@@ -11,7 +11,9 @@
 #                          run records the warm-cache wall time
 #   4. slate-lint -audit  (every //slate:nolint must carry a -- reason)
 #   5. go test -race -coverprofile ./...  (full suite under the race
-#                          detector, with per-package coverage)
+#                          detector, with per-package coverage; includes
+#                          TestFiguresPinned, which holds the paper's
+#                          figure values to FIGURES.json bit for bit)
 #   6. coverage gate      (total statement coverage >= COVER_THRESHOLD)
 #   7. benchmark module   (go vet + go test in benchmark/, its own Go
 #                          module: `./...` above does not descend into
