@@ -90,8 +90,10 @@ var figures = []figureSpec{
 		"replicated_ttf_periods", "single_ttf_periods", "windows", "kill_window"}},
 	{id: "regret", run: experiments.Regret, pinned: regretKeys()},
 	{id: "pardes", run: experiments.ParallelDES,
-		pinned: []string{"determinism_ok"}, wallClock: []string{"speedup_*", "*wall_ms*"},
-		skip: "sets runtime.GOMAXPROCS process-wide, so it cannot run beside parallel subtests; the CI determinism matrix runs it"},
+		pinned: []string{"serial_mean_ms", "fingerprint_shards_4",
+			"messages_shards_1", "messages_shards_2", "messages_shards_4", "messages_shards_8",
+			"windows_shards_1", "windows_shards_2", "windows_shards_4", "windows_shards_8"},
+		wallClock: []string{"speedup_*", "*wall_ms*"}},
 	{id: "pardes-1m", run: experiments.ParallelDES1M,
 		skip: "minutes of wall time; the CI determinism matrix runs it once"},
 	{id: "gapcurve", run: experiments.GapCurve,

@@ -236,7 +236,7 @@ func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
 			pass.Reportf(call.Pos(),
 				"%s.%s inside range over map %s writes in random order; sort the keys first",
 				recvTypeName(sig), fn.Name(), mapStr)
-		case "At", "After", "Send":
+		case "At", "After", "Send", "Post", "Reserve", "PostReserved":
 			if recv := recvTypeName(sig); recv == "sim.Kernel" || recv == "sim.Shard" {
 				pass.Reportf(call.Pos(),
 					"%s.%s inside range over map %s schedules events in random order, and same-instant events fire in schedule order; iterate sorted keys",

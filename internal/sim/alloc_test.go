@@ -25,6 +25,30 @@ func TestSchedulingAllocationFree(t *testing.T) {
 	}
 }
 
+// TestPostAllocationFree pins the typed-event cycle — Post, PostReserved,
+// dispatch to the handler — at zero allocations: an Event is stored in
+// the slot by value, so not even a closure is made.
+func TestPostAllocationFree(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	k.SetHandler(func(*Kernel, Event) { fired++ })
+	for i := 0; i < 8; i++ {
+		k.Post(k.Now(), Event{})
+	}
+	k.Run()
+
+	if n := testing.AllocsPerRun(1000, func() {
+		k.Post(k.Now()+1, Event{Op: 1, A: 2})
+		k.PostReserved(k.Now()+1, k.Reserve(1), Event{Op: 3, X: 4})
+		k.Run()
+	}); n != 0 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
+		t.Fatalf("post+fire allocates %v per run, want 0", n)
+	}
+	if fired != 8+2*1001 {
+		t.Fatalf("handler fired %d times, want %d", fired, 8+2*1001)
+	}
+}
+
 // TestCancelAllocationFree pins schedule+cancel (the common timeout
 // pattern: nearly every timeout is cancelled by its request finishing
 // first) at zero allocations, including draining the lazily-deleted

@@ -26,34 +26,39 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// xmsg is one cross-shard event in flight: scheduled by shard `from`
-// during a window, delivered to shard `to`'s kernel at the next
-// barrier. seq is a per-sender counter making the sort key (at, from,
-// seq) a total order.
+// xmsg is one cross-shard event in flight: sent by shard `from` during a
+// window, moved to shard `to`'s inbox at the barrier, posted to its
+// kernel when due. seq is a per-sender counter making the sort key (at,
+// from, seq) a total order. The event travels by value.
 type xmsg struct {
-	at   Time
-	from int
-	seq  uint64
-	fn   func(*Kernel)
+	at       Time
+	from, to int
+	seq      uint64
+	ev       Event
+}
+
+func cmpXmsg(a, b xmsg) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
 }
 
 // Shard is one member of a Group: a Kernel plus the message plumbing
 // for conservative cross-shard scheduling.
 type Shard struct {
-	id      int
-	g       *Group
-	k       *Kernel
-	outbox  []xmsg // messages produced during the current window
-	toShard []int  // destination per outbox entry (parallel slice)
-	inbox   []xmsg // sorted, pending delivery at coming barriers
-	seq     uint64 // per-sender sequence for deterministic ordering
-	sent    uint64 // cumulative cross-shard messages sent
+	id       int
+	g        *Group
+	k        *Kernel
+	outbox   []xmsg // messages produced during the current window
+	inbox    []xmsg // sorted, pending delivery at coming barriers
+	received bool   // inbox grew at this barrier and needs its order restored
+	seq      uint64 // per-sender sequence for deterministic ordering
+	sent     uint64 // cumulative cross-shard messages sent
 }
 
 // ID returns the shard's index within its group.
@@ -63,15 +68,18 @@ func (s *Shard) ID() int { return s.id }
 // this shard's callbacks may use it exactly like a standalone kernel.
 func (s *Shard) Kernel() *Kernel { return s.k }
 
-// Send schedules fn to run on shard `to` at absolute virtual time at.
-// Sends to the local shard degrade to Kernel.At. Cross-shard sends must
-// respect the group's lookahead: at >= now + lookahead. Violating the
-// lookahead panics — it is always a model bug (the event could land in
-// a window the destination has already executed), and silently
-// reordering would destroy both causality and reproducibility.
-func (s *Shard) Send(to int, at Time, fn func(*Kernel)) {
+// Send schedules the typed event ev for shard `to`'s handler at absolute
+// virtual time at. Sends to the local shard degrade to Kernel.Post.
+// Cross-shard sends must respect the group's lookahead: at >= now +
+// lookahead. Violating the lookahead panics — it is always a model bug
+// (the event could land in a window the destination has already
+// executed), and silently reordering would destroy both causality and
+// reproducibility.
+//
+//slate:hot
+func (s *Shard) Send(to int, at Time, ev Event) {
 	if to == s.id {
-		s.k.At(at, fn)
+		s.k.Post(at, ev)
 		return
 	}
 	if to < 0 || to >= len(s.g.shards) {
@@ -81,8 +89,7 @@ func (s *Shard) Send(to int, at Time, fn func(*Kernel)) {
 		panic(fmt.Sprintf("sim: cross-shard send at %v violates lookahead %v (now %v)",
 			at, s.g.lookahead, s.k.now))
 	}
-	s.outbox = append(s.outbox, xmsg{at: at, from: s.id, seq: s.seq, fn: fn})
-	s.toShard = append(s.toShard, to)
+	s.outbox = append(s.outbox, xmsg{at: at, from: s.id, to: to, seq: s.seq, ev: ev})
 	s.seq++
 	s.sent++
 }
@@ -255,8 +262,7 @@ func (g *Group) window(wEnd Time, inclusive bool) {
 			if m.at > wEnd || (!inclusive && m.at == wEnd) {
 				break
 			}
-			s.k.At(m.at, m.fn)
-			s.inbox[cut].fn = nil
+			s.k.Post(m.at, m.ev)
 			cut++
 		}
 		if cut > 0 {
@@ -271,47 +277,32 @@ func (g *Group) window(wEnd Time, inclusive bool) {
 			wg.Add(1)
 			go func(s *Shard) {
 				defer wg.Done()
-				s.runWindow(wEnd, inclusive)
+				s.k.run(wEnd, inclusive)
 			}(s)
 		}
 		wg.Wait()
 	} else {
 		for _, s := range g.shards {
-			s.runWindow(wEnd, inclusive)
+			s.k.run(wEnd, inclusive)
 		}
 	}
-	// Barrier: exchange outboxes in shard order, then restore each
-	// inbox's (at, from, seq) order. The exchange runs on the calling
-	// goroutine after wg.Wait, so it is serial and deterministic.
+	// Barrier: exchange outboxes in shard order, then restore the (at,
+	// from, seq) order of each inbox that received something. The
+	// exchange runs on the calling goroutine after wg.Wait, so it is
+	// serial and deterministic.
 	for _, s := range g.shards {
-		for i, m := range s.outbox {
-			dst := g.shards[s.toShard[i]]
+		for _, m := range s.outbox {
+			dst := g.shards[m.to]
 			dst.inbox = append(dst.inbox, m)
-			s.outbox[i].fn = nil
+			dst.received = true
 		}
 		s.outbox = s.outbox[:0]
-		s.toShard = s.toShard[:0]
 	}
 	for _, s := range g.shards {
-		in := s.inbox
-		sort.Slice(in, func(i, j int) bool {
-			if in[i].at != in[j].at {
-				return in[i].at < in[j].at
-			}
-			if in[i].from != in[j].from {
-				return in[i].from < in[j].from
-			}
-			return in[i].seq < in[j].seq
-		})
+		if s.received {
+			slices.SortFunc(s.inbox, cmpXmsg)
+			s.received = false
+		}
 	}
 	g.now = wEnd
-}
-
-// runWindow executes one shard's slice of a window.
-func (s *Shard) runWindow(wEnd Time, inclusive bool) {
-	if inclusive {
-		s.k.RunUntil(wEnd)
-		return
-	}
-	s.k.RunBefore(wEnd)
 }

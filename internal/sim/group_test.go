@@ -32,6 +32,10 @@ func newPingModel(shards int, seed int64) *pingModel {
 	for i := 0; i < shards; i++ {
 		i := i
 		s := m.g.Shard(i)
+		// Typed events are the cross-shard messages; A carries the tag.
+		s.Kernel().SetHandler(func(k *Kernel, ev Event) {
+			m.traces[i] = append(m.traces[i], traceEntry{at: k.Now(), tag: int(ev.A)})
+		})
 		var loop func(k *Kernel)
 		loop = func(k *Kernel) {
 			m.traces[i] = append(m.traces[i], traceEntry{at: k.Now(), tag: i})
@@ -51,9 +55,7 @@ func newPingModel(shards int, seed int64) *pingModel {
 					to++
 				}
 				at := k.Now() + m.g.Lookahead() + Time(rng.Exp(0.002)*float64(time.Second))
-				s.Send(to, at, func(k *Kernel) {
-					m.traces[to] = append(m.traces[to], traceEntry{at: k.Now(), tag: -1 - i})
-				})
+				s.Send(to, at, Event{A: int32(-1 - i)})
 			}
 			if k.Now() < Time(200*time.Millisecond) {
 				k.After(time.Millisecond, loop)
@@ -133,7 +135,7 @@ func TestGroupLookaheadViolationPanics(t *testing.T) {
 					t.Errorf("lookahead %v: short cross-shard send did not panic", lookahead)
 				}
 			}()
-			s.Send(1, k.Now()+Time(time.Millisecond), func(*Kernel) {})
+			s.Send(1, k.Now()+Time(time.Millisecond), Event{})
 		})
 		g.Run()
 	}
@@ -175,8 +177,9 @@ func TestGroupCrossShardTiming(t *testing.T) {
 	la := Time(4 * time.Millisecond)
 	g := NewGroup(2, la)
 	var landed Time
+	g.Shard(1).Kernel().SetHandler(func(k *Kernel, _ Event) { landed = k.Now() })
 	g.Shard(0).Kernel().At(Time(6*time.Millisecond), func(k *Kernel) {
-		g.Shard(0).Send(1, k.Now()+la, func(k *Kernel) { landed = k.Now() })
+		g.Shard(0).Send(1, k.Now()+la, Event{})
 	})
 	g.RunUntil(Time(10 * time.Millisecond))
 	if landed != Time(10*time.Millisecond) {
@@ -206,13 +209,14 @@ func TestGroupConservativeOrder(t *testing.T) {
 }
 
 // TestGroupSingleShardMatchesKernel: a 1-shard group behaves exactly
-// like a bare kernel (local Send degrades to At), and under the
+// like a bare kernel (local Send degrades to Post), and under the
 // unbounded lookahead a lone shard has, each RunUntil and the draining
 // Run is a single window however many events it covers.
 func TestGroupSingleShardMatchesKernel(t *testing.T) {
 	g := NewGroup(1, MaxTime)
 	var order []int
-	g.Shard(0).Send(0, Time(3*time.Millisecond), func(*Kernel) { order = append(order, 3) })
+	g.Shard(0).Kernel().SetHandler(func(_ *Kernel, ev Event) { order = append(order, int(ev.A)) })
+	g.Shard(0).Send(0, Time(3*time.Millisecond), Event{A: 3})
 	for _, ms := range []int{1, 2, 4, 5} {
 		g.Shard(0).Kernel().At(Time(ms)*Time(time.Millisecond), func(*Kernel) { order = append(order, ms) })
 	}

@@ -13,6 +13,11 @@
 // Events live in a chunked arena recycled through a free list, so the
 // steady-state schedule-fire cycle allocates nothing: a simulation's
 // event-object footprint is its peak pending count, not its event count.
+//
+// An event is a closure (At/After: setup, dynamics, tests) or a typed
+// record (Post: a model's per-event path), plain data handed to the
+// kernel's one Handler when it fires: scheduling it allocates nothing,
+// and it crosses shards by value (Shard.Send).
 package sim
 
 import (
@@ -38,14 +43,26 @@ func (t Time) String() string { return time.Duration(t).String() }
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// event is a scheduled callback slot. Slots are arena-owned and recycled
-// the moment they leave the schedule; gen distinguishes the current
+// Event is a typed event record. Op and the operands are the model's to
+// interpret: typically A indexes an arena of per-call state and the rest
+// carries a call across shards.
+type Event struct {
+	Op, F      uint8
+	A, B, C, D int32
+	X, Y       uint64
+}
+
+// Handler fires a kernel's typed events.
+type Handler func(k *Kernel, ev Event)
+
+// event is a scheduled slot: a closure, or when fn is nil a typed record
+// for the kernel's handler. Slots are arena-owned and recycled the
+// moment they leave the schedule; gen distinguishes the current
 // occupant from any Handle still pointing at a previous one.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO order among events at the same time
 	gen  uint64 // bumped on every recycle; stale Handles can never match
 	fn   func(*Kernel)
+	rec  Event
 	live *int // the owning kernel's pending counter, for O(1) Cancel
 	dead bool
 }
@@ -81,16 +98,20 @@ func (h Handle) Cancel() bool {
 // usable; construct with NewKernel.
 type Kernel struct {
 	now     Time
-	heap    []*event
+	heap    []entry
 	free    []*event
 	seq     uint64
 	live    int // pending (scheduled, not cancelled) events
 	stopped bool
 	nEvents uint64
+	handler Handler
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty schedule.
 func NewKernel() *Kernel { return &Kernel{} }
+
+// SetHandler installs the receiver of typed events (Post, Shard.Send).
+func (k *Kernel) SetHandler(h Handler) { k.handler = h }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -137,24 +158,57 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = append(k.free, ev)
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past panics: it is always a model bug, and silently reordering events
-// would destroy reproducibility.
+// schedule inserts a slot at (at, seq); the caller fills in what fires.
+// Scheduling in the past panics: it is always a model bug, and silently
+// reordering events would destroy reproducibility.
 //
 //slate:hot
-func (k *Kernel) At(at Time, fn func(*Kernel)) Handle {
+func (k *Kernel) schedule(at Time, seq uint64) *event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
 	ev := k.alloc()
-	ev.at = at
-	ev.seq = k.seq
-	ev.fn = fn
 	ev.dead = false
-	k.seq++
 	k.live++
-	k.push(ev)
+	k.push(entry{at, seq, ev})
+	return ev
+}
+
+// At schedules fn to run at absolute virtual time at.
+//
+//slate:hot
+func (k *Kernel) At(at Time, fn func(*Kernel)) Handle {
+	ev := k.schedule(at, k.seq)
+	k.seq++
+	ev.fn = fn
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Post schedules the typed event ev for the kernel's handler at absolute
+// virtual time at, ordered like At among events at the same time.
+//
+//slate:hot
+func (k *Kernel) Post(at Time, ev Event) {
+	k.schedule(at, k.seq).rec = ev
+	k.seq++
+}
+
+// Reserve sets aside the next n tie-break sequence numbers and returns
+// the first. A stream of events known up front can then be fed to the
+// schedule one at a time (PostReserved), each inserted when its
+// predecessor fires, and still fire exactly where scheduling all of them
+// at reservation time would have put them.
+func (k *Kernel) Reserve(n int) uint64 {
+	first := k.seq
+	k.seq += uint64(n)
+	return first
+}
+
+// PostReserved is Post at a sequence number obtained from Reserve.
+//
+//slate:hot
+func (k *Kernel) PostReserved(at Time, seq uint64, ev Event) {
+	k.schedule(at, seq).rec = ev
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -174,17 +228,20 @@ func (k *Kernel) Stop() { k.stopped = true }
 // kernel counts schedules, cancellations, and firings as they happen.
 func (k *Kernel) Pending() int { return k.live }
 
-// less orders the heap by timestamp, then FIFO among equal timestamps.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// entry is one heap element. It holds the ordering key beside the slot,
+// so sifting compares adjacent memory instead of chasing pointers.
+type entry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO order among events at the same time
+	ev  *event
 }
 
-// push inserts ev into the binary heap (sift-up).
-func (k *Kernel) push(ev *event) {
-	k.heap = append(k.heap, ev)
+// less orders the heap by timestamp, then FIFO among equal timestamps.
+func less(a, b entry) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+// push inserts e into the binary heap (sift-up).
+func (k *Kernel) push(e entry) {
+	k.heap = append(k.heap, e)
 	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
@@ -197,32 +254,68 @@ func (k *Kernel) push(ev *event) {
 	}
 }
 
-// popTop removes and returns the heap's minimum (sift-down).
-func (k *Kernel) popTop() *event {
+// popTop removes and returns the heap's minimum, sifting the last entry
+// down from the root. Events are arena-owned, so the vacated tail entry
+// needs no clearing for the GC.
+func (k *Kernel) popTop() entry {
 	h := k.heap
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	k.heap = h[:n]
-	h = k.heap
+	last := h[n]
+	h = h[:n]
+	k.heap = h
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && less(h[r], h[l]) {
+		if r := m + 1; r < n && less(h[r], h[m]) {
 			m = r
 		}
-		if !less(h[m], h[i]) {
+		if !less(h[m], last) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	if n > 0 {
+		h[i] = last
+	}
 	return top
+}
+
+// next fires the earliest live event if it is due — before limit, or at
+// it when inclusive — and reports whether one fired. The slot is recycled
+// first: the callback runs from copies, so the slot is immediately
+// reusable by whatever it schedules, and any Handle to this event is
+// already stale.
+//
+//slate:hot
+func (k *Kernel) next(limit Time, inclusive bool) bool {
+	for len(k.heap) > 0 {
+		if at := k.heap[0].at; at > limit || at == limit && !inclusive {
+			return false
+		}
+		top := k.popTop()
+		ev := top.ev
+		if ev.dead {
+			k.recycle(ev)
+			continue
+		}
+		fn, rec := ev.fn, ev.rec
+		k.now = top.at
+		k.nEvents++
+		k.live--
+		k.recycle(ev)
+		if fn != nil {
+			fn(k)
+		} else {
+			k.handler(k, rec)
+		}
+		return true
+	}
+	return false
 }
 
 // Run executes events until the schedule is empty or Stop is called.
@@ -235,32 +328,7 @@ func (k *Kernel) Run() { k.RunUntil(MaxTime) }
 // It returns early if Stop is called or the schedule drains.
 //
 //slate:hot
-func (k *Kernel) RunUntil(deadline Time) {
-	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
-		if k.heap[0].at > deadline {
-			k.now = deadline
-			return
-		}
-		ev := k.popTop()
-		if ev.dead {
-			k.recycle(ev)
-			continue
-		}
-		// Recycle before firing: the callback runs from copies, so the
-		// slot is immediately reusable by whatever it schedules, and any
-		// Handle to this event is already stale.
-		fn := ev.fn
-		k.now = ev.at
-		k.nEvents++
-		k.live--
-		k.recycle(ev)
-		fn(k)
-	}
-	if !k.stopped && deadline != MaxTime && k.now < deadline {
-		k.now = deadline
-	}
-}
+func (k *Kernel) RunUntil(deadline Time) { k.run(deadline, true) }
 
 // RunBefore executes events with timestamps strictly before deadline,
 // then advances the clock to deadline. It is the half-open variant of
@@ -269,26 +337,18 @@ func (k *Kernel) RunUntil(deadline Time) {
 // that timestamp may still be in flight.
 //
 //slate:hot
-func (k *Kernel) RunBefore(deadline Time) {
+func (k *Kernel) RunBefore(deadline Time) { k.run(deadline, false) }
+
+// run fires due events, then moves the clock to the limit — except to
+// MaxTime, the limit of a draining run, which is no instant to be at.
+//
+//slate:hot
+func (k *Kernel) run(limit Time, inclusive bool) {
 	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
-		if k.heap[0].at >= deadline {
-			break
-		}
-		ev := k.popTop()
-		if ev.dead {
-			k.recycle(ev)
-			continue
-		}
-		fn := ev.fn
-		k.now = ev.at
-		k.nEvents++
-		k.live--
-		k.recycle(ev)
-		fn(k)
+	for !k.stopped && k.next(limit, inclusive) {
 	}
-	if !k.stopped && k.now < deadline {
-		k.now = deadline
+	if !k.stopped && limit != MaxTime && k.now < limit {
+		k.now = limit
 	}
 }
 
@@ -306,20 +366,4 @@ func (k *Kernel) peek() (Time, bool) {
 // reports whether an event fired.
 //
 //slate:hot
-func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		ev := k.popTop()
-		if ev.dead {
-			k.recycle(ev)
-			continue
-		}
-		fn := ev.fn
-		k.now = ev.at
-		k.nEvents++
-		k.live--
-		k.recycle(ev)
-		fn(k)
-		return true
-	}
-	return false
-}
+func (k *Kernel) Step() bool { return k.next(MaxTime, true) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -287,5 +288,66 @@ func TestKernelManyEventsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPostSharesAtsOrder: typed events and closures scheduled for the
+// same instant fire in the order they were scheduled, whichever kind.
+func TestPostSharesAtsOrder(t *testing.T) {
+	k := NewKernel()
+	var got []int32
+	k.SetHandler(func(_ *Kernel, ev Event) { got = append(got, ev.A) })
+	at := Time(time.Millisecond)
+	k.Post(at, Event{A: 0})
+	k.At(at, func(*Kernel) { got = append(got, 1) })
+	k.Post(at, Event{A: 2})
+	k.Post(at-1, Event{A: -1})
+	k.Run()
+	if want := []int32{-1, 0, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestReservedFeedMatchesScheduledUpFront: streams of events fed one at
+// a time under reserved sequence numbers fire exactly where scheduling
+// every one of them up front puts them — ties between streams and with
+// events scheduled during the run included.
+func TestReservedFeedMatchesScheduledUpFront(t *testing.T) {
+	streams := [][]Time{{1, 2, 2, 5}, {2, 2, 3}, {}, {2, 5, 5}}
+	type fired struct {
+		at        Time
+		stream, i int32
+	}
+	run := func(feed bool) []fired {
+		k := NewKernel()
+		var got []fired
+		first := make([]uint64, len(streams))
+		k.SetHandler(func(k *Kernel, ev Event) {
+			got = append(got, fired{k.Now(), ev.A, ev.B})
+			if ev.A < 0 {
+				return
+			}
+			// Work scheduled during the run lands behind every reserved
+			// arrival of the same instant.
+			k.Post(k.Now()+1, Event{A: -1 - ev.A, B: ev.B})
+			if s := streams[ev.A]; feed && int(ev.B)+1 < len(s) {
+				k.PostReserved(s[ev.B+1], first[ev.A]+uint64(ev.B)+1, Event{A: ev.A, B: ev.B + 1})
+			}
+		})
+		for si, s := range streams {
+			if !feed {
+				for i, at := range s {
+					k.Post(at, Event{A: int32(si), B: int32(i)})
+				}
+			} else if first[si] = k.Reserve(len(s)); len(s) > 0 {
+				k.PostReserved(s[0], first[si], Event{A: int32(si)})
+			}
+		}
+		k.Run()
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(want) != 20 || !slices.Equal(got, want) {
+		t.Fatalf("fed one at a time:\n%v\nscheduled up front:\n%v", got, want)
 	}
 }

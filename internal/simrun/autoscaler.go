@@ -94,20 +94,22 @@ type ScaleEvent struct {
 
 // autoscaler drives per-pool scaling inside a run.
 type autoscaler struct {
-	cfg   AutoscalerConfig
-	pools map[core.PoolKey]*pool
-	// keys lists the pools in (service, cluster) order. tick walks it, so
-	// resizes decided in the same tick are scheduled — and, landing at the
-	// same instant, fire and are recorded — in an order that does not
-	// depend on map iteration.
-	keys   []core.PoolKey
-	conc   map[core.PoolKey]int // per-replica concurrency
-	init   map[core.PoolKey]int // initial replicas
-	cur    map[core.PoolKey]int // current replicas (post-delay)
+	cfg AutoscalerConfig
+	sr  *shardRun // owner of the pools: resizing one starts its queued calls
+	// pools lists the shard's pools in (service, cluster) order. tick walks
+	// it, so resizes decided in the same tick are scheduled — and, landing
+	// at the same instant, fire and are recorded — in a fixed order.
+	pools  []*scaled
 	events []ScaleEvent
-	// history holds recent raw desired counts per pool for the
-	// downscale stabilization window.
-	history map[core.PoolKey][]desiredAt
+}
+
+// scaled is one pool's scaling state.
+type scaled struct {
+	po        *pool
+	init, cur int // initial and current (post-delay) replicas
+	// history holds recent raw desired counts for the downscale
+	// stabilization window.
+	history []desiredAt
 }
 
 type desiredAt struct {
@@ -115,22 +117,18 @@ type desiredAt struct {
 	desired int
 }
 
-func newAutoscaler(cfg AutoscalerConfig, pools map[core.PoolKey]*pool, conc map[core.PoolKey]int) *autoscaler {
-	a := &autoscaler{
-		cfg:     cfg,
-		pools:   pools,
-		conc:    conc,
-		init:    map[core.PoolKey]int{},
-		cur:     map[core.PoolKey]int{},
-		history: map[core.PoolKey][]desiredAt{},
+// newAutoscaler scales the pools of the clusters shard sr owns.
+func newAutoscaler(cfg AutoscalerConfig, sr *shardRun) *autoscaler {
+	a := &autoscaler{cfg: cfg, sr: sr}
+	pl := sr.par.pl
+	for i := range pl.pools {
+		po := &pl.pools[i]
+		if pl.shardOf[pl.index[po.key.Cluster]] == sr.id {
+			replicas := po.servers / po.conc
+			a.pools = append(a.pools, &scaled{po: po, init: replicas, cur: replicas})
+		}
 	}
-	for key, p := range pools {
-		replicas := p.servers / conc[key]
-		a.init[key] = replicas
-		a.cur[key] = replicas
-		a.keys = append(a.keys, key)
-	}
-	sort.Slice(a.keys, func(i, j int) bool { return lessPool(a.keys[i], a.keys[j]) })
+	sort.Slice(a.pools, func(i, j int) bool { return lessPool(a.pools[i].po.key, a.pools[j].po.key) })
 	return a
 }
 
@@ -142,44 +140,37 @@ func lessPool(a, b core.PoolKey) bool {
 	return a.Cluster < b.Cluster
 }
 
-func (a *autoscaler) maxFor(key core.PoolKey) int {
-	if a.cfg.MaxReplicas > 0 {
-		return a.cfg.MaxReplicas
-	}
-	return 10 * a.init[key]
-}
-
 // tick evaluates the HPA control law for every pool using utilization
-// accumulated since the previous tick, and schedules effective changes
-// after ReactionDelay.
+// accumulated since the previous tick, schedules effective changes after
+// ReactionDelay, and the next tick while that is before Duration.
 func (a *autoscaler) tick(k *sim.Kernel) {
-	for _, key := range a.keys {
-		p := a.pools[key]
-		servers := p.servers
-		if servers <= 0 {
-			continue
-		}
+	for _, s := range a.pools {
+		p := s.po
 		window := a.cfg.Period.Seconds()
-		util := p.busySeconds / (window * float64(servers))
+		util := p.busySeconds / (window * float64(p.servers))
 		p.busySeconds = 0
-		current := a.cur[key]
+		current := s.cur
 		desired := int(math.Ceil(float64(current) * util / a.cfg.TargetUtilization))
 		if desired < a.cfg.MinReplicas {
 			desired = a.cfg.MinReplicas
 		}
-		if max := a.maxFor(key); desired > max {
-			desired = max
+		maxReplicas := 10 * s.init
+		if a.cfg.MaxReplicas > 0 {
+			maxReplicas = a.cfg.MaxReplicas
+		}
+		if desired > maxReplicas {
+			desired = maxReplicas
 		}
 		// Downscale stabilization: never scale below the max desired
 		// seen within the trailing window.
 		now := k.Now().Duration()
-		hist := append(a.history[key], desiredAt{at: now, desired: desired})
+		hist := append(s.history, desiredAt{at: now, desired: desired})
 		cut := 0
 		for cut < len(hist) && hist[cut].at+a.cfg.DownscaleStabilization < now {
 			cut++
 		}
 		hist = hist[cut:]
-		a.history[key] = hist
+		s.history = hist
 		if desired < current {
 			for _, h := range hist {
 				if h.desired > desired {
@@ -196,16 +187,14 @@ func (a *autoscaler) tick(k *sim.Kernel) {
 		if math.Abs(float64(desired-current))/float64(current) < a.cfg.Tolerance {
 			continue
 		}
-		a.cur[key] = desired
-		target := desired * a.conc[key]
+		s.cur = desired
 		k.After(a.cfg.ReactionDelay, func(k *sim.Kernel) {
-			a.pools[key].resize(k, target)
-			a.events = append(a.events, ScaleEvent{
-				At:       k.Now().Duration(),
-				Pool:     key,
-				Replicas: target / a.conc[key],
-			})
+			a.sr.resize(k, p, desired*p.conc)
+			a.events = append(a.events, ScaleEvent{At: k.Now().Duration(), Pool: p.key, Replicas: desired})
 		})
+	}
+	if k.Now().Duration()+a.cfg.Period < a.sr.par.scn.Duration {
+		k.After(a.cfg.Period, a.tick)
 	}
 }
 

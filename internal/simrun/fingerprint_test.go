@@ -22,8 +22,9 @@ import (
 // fingerprint hashes everything a run reports: every per-class sample,
 // all counters, the timeline, per-cluster local-served rates, scale
 // events and final replicas. dump, when non-nil, is the JSONL span dump
-// of the same run and is hashed byte for byte.
-func fingerprint(r *simrun.Result, dump []byte) uint64 {
+// of the same run and is hashed byte for byte. parallel adds the engine's
+// own counters: events fired, windows run, cross-shard messages sent.
+func fingerprint(r *simrun.Result, dump []byte, parallel bool) uint64 {
 	h := fnv.New64a()
 	bits := math.Float64bits
 	classes := make([]string, 0, len(r.PerClass))
@@ -70,6 +71,9 @@ func fingerprint(r *simrun.Result, dump []byte) uint64 {
 	}
 	fmt.Fprintf(h, "spans %d\n", len(dump))
 	h.Write(dump)
+	if ps := r.Parallel; parallel {
+		fmt.Fprintf(h, "parallel %d %d %d\n", ps.Events, ps.Windows, ps.Messages)
+	}
 	return h.Sum64()
 }
 
@@ -80,6 +84,12 @@ func fingerprint(r *simrun.Result, dump []byte) uint64 {
 // them bit for bit, the span dump included. gen16 was re-recorded at
 // 17d281c when the DES's wire accounting (and its line of the hash) was
 // deleted: the same run, hashed without that line.
+//
+// The legs with shards > 0 hold RunParallel at that shard count the same
+// way, with ParallelStats.{Events, Windows, Messages} added to the hash:
+// cross-shard calls, their responses and the barrier exchange. They were
+// recorded at ee9658c, before the per-event path was rebuilt on typed
+// events and frame arenas.
 func TestRunFingerprintsPinned(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	chain := func() *appgraph.App {
@@ -101,11 +111,50 @@ func TestRunFingerprintsPinned(t *testing.T) {
 		return simrun.SLATE(ctrl, demand != nil)
 	}
 
+	// Global and cluster-controller outages, a partition, rule TTL
+	// degradation and span export (the chaos experiment).
+	chaos := func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+		app := chain()
+		demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
+		return simrun.Scenario{
+			Name: "pin-chaos", Top: top, App: app,
+			Workload: []workload.Spec{
+				workload.Steady("default", topology.West, 900),
+				workload.Steady("default", topology.East, 100),
+			},
+			Duration: 14 * time.Second, Warmup: 2 * time.Second,
+			ControlPeriod: time.Second, Seed: 5,
+			RuleTTL: 2500 * time.Millisecond,
+			Faults: fault.NewSchedule().
+				Outage(fault.Global, 5*time.Second, 5*time.Second).
+				Outage(fault.ClusterTarget(topology.East), 2*time.Second, 2*time.Second).
+				Partition(topology.West, topology.East, 3*time.Second, 3*time.Second),
+			SpanSink: sink,
+		}, slate(app, core.ControllerConfig{Decompose: true}, demand)
+	}
+	// Generated 16-cluster scenario: heavy tails, churn, hotspots, retry
+	// storms on a static locality table.
+	gen16 := func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+		g, err := scenario.Generate(scenario.GenSpec{
+			Seed: 23, Clusters: 16, Regions: 4, Services: 48, Classes: 8,
+			TailAlpha: 1.8, TotalRPS: 1200, RemoteFraction: 0.12,
+			ChurnEvents: 6, HotspotClasses: 2, StormClasses: 2,
+			Duration: 3 * time.Second, Warmup: 500 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scn := g.Scenario("pin-gen16")
+		scn.ControlPeriod = 500 * time.Millisecond
+		return scn, g.Policy()
+	}
+
 	cases := []struct {
-		name  string
-		build func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy)
-		spans bool
-		want  uint64
+		name   string
+		build  func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy)
+		spans  bool
+		shards int // 0: one shard, what Run executes; else that many, stats hashed
+		want   uint64
 	}{
 		{
 			// Weighted SLATE tables refreshed by the control loop
@@ -125,32 +174,7 @@ func TestRunFingerprintsPinned(t *testing.T) {
 			},
 			want: 0x0a3781713de96b11,
 		},
-		{
-			// Global and cluster-controller outages, a partition, rule
-			// TTL degradation and span export (the chaos experiment).
-			name: "chaos",
-			build: func(sink simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
-				app := chain()
-				demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
-				return simrun.Scenario{
-					Name: "pin-chaos", Top: top, App: app,
-					Workload: []workload.Spec{
-						workload.Steady("default", topology.West, 900),
-						workload.Steady("default", topology.East, 100),
-					},
-					Duration: 14 * time.Second, Warmup: 2 * time.Second,
-					ControlPeriod: time.Second, Seed: 5,
-					RuleTTL: 2500 * time.Millisecond,
-					Faults: fault.NewSchedule().
-						Outage(fault.Global, 5*time.Second, 5*time.Second).
-						Outage(fault.ClusterTarget(topology.East), 2*time.Second, 2*time.Second).
-						Partition(topology.West, topology.East, 3*time.Second, 3*time.Second),
-					SpanSink: sink,
-				}, slate(app, core.ControllerConfig{Decompose: true}, demand)
-			},
-			spans: true,
-			want:  0x4946936f1c1676a1,
-		},
+		{name: "chaos", build: chaos, spans: true, want: 0x4946936f1c1676a1},
 		{
 			// HPA scaling of eight pools through a burst, under SLATE.
 			name: "autoscaler",
@@ -173,26 +197,10 @@ func TestRunFingerprintsPinned(t *testing.T) {
 			},
 			want: 0xa57f88728f9673bd,
 		},
-		{
-			// Generated 16-cluster scenario: heavy tails, churn, hotspots,
-			// retry storms on a static locality table.
-			name: "gen16",
-			build: func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
-				g, err := scenario.Generate(scenario.GenSpec{
-					Seed: 23, Clusters: 16, Regions: 4, Services: 48, Classes: 8,
-					TailAlpha: 1.8, TotalRPS: 1200, RemoteFraction: 0.12,
-					ChurnEvents: 6, HotspotClasses: 2, StormClasses: 2,
-					Duration: 3 * time.Second, Warmup: 500 * time.Millisecond,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				scn := g.Scenario("pin-gen16")
-				scn.ControlPeriod = 500 * time.Millisecond
-				return scn, g.Policy()
-			},
-			want: 0x8ca06cdc2c894f2a,
-		},
+		{name: "gen16", build: gen16, want: 0x8ca06cdc2c894f2a},
+		{name: "chaos-2shards", build: chaos, spans: true, shards: 2, want: 0xc49132b1786f09ab},
+		{name: "gen16-2shards", build: gen16, shards: 2, want: 0x500e67f49c48ba95},
+		{name: "gen16-4shards", build: gen16, shards: 4, want: 0x25bcb45c193e20b0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,7 +210,7 @@ func TestRunFingerprintsPinned(t *testing.T) {
 				sink = obs.NewSpanWriter(&buf)
 			}
 			scn, pol := tc.build(sink)
-			res, err := simrun.Run(scn, pol)
+			res, err := simrun.RunParallel(scn, pol, simrun.ParallelOptions{Shards: max(tc.shards, 1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,8 +220,11 @@ func TestRunFingerprintsPinned(t *testing.T) {
 			if tc.spans && buf.Len() == 0 {
 				t.Fatal("no spans exported")
 			}
-			if got := fingerprint(res, buf.Bytes()); got != tc.want {
-				t.Errorf("fingerprint %#x, want %#x: Run no longer reproduces the serial engine's result", got, tc.want)
+			if ps := res.Parallel; tc.shards > 0 && (ps.Shards != tc.shards || ps.Messages == 0) {
+				t.Fatalf("ran on %d shards with %d messages, want %d shards exchanging messages", ps.Shards, ps.Messages, tc.shards)
+			}
+			if got := fingerprint(res, buf.Bytes(), tc.shards > 0); got != tc.want {
+				t.Errorf("fingerprint %#x, want %#x: the engine no longer reproduces the recorded result", got, tc.want)
 			}
 		})
 	}

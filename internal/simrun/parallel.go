@@ -2,10 +2,14 @@
 // scenario's clusters across sim.Group shards and runs them under
 // conservative virtual-time synchronization (see internal/sim/group.go),
 // and Run is its one-shard case — one kernel, no cross-shard messages,
-// one window per control barrier.
+// one window per control barrier. Its per-event path runs on the scenario
+// compiled to dense ids (compile.go) and allocates nothing once warm: a
+// call in flight is a frame in its shard's arena, an event a typed record
+// naming a frame, a pool's queue a list of frame indices (DESIGN.md
+// "Simulation engine"; TestRunSteadyStateAllocs pins it).
 //
 // The partition exploits the model's physics: a cluster's pools,
-// telemetry aggregator, and rule-freshness clock are touched only by
+// telemetry window, and rule-freshness clock are touched only by
 // events executing "in" that cluster, and every call between clusters
 // pays at least the minimum one-way network delay. Assigning whole
 // clusters to shards therefore makes all intra-cluster work shard-local
@@ -35,13 +39,15 @@
 // partition), so runs of the same seed at different shard counts agree
 // statistically but not bitwise — the shard-count table tests pin
 // Generated/Completed exactly and the latency moments to tight
-// tolerances. Exported spans are merged across shards in (End, shard,
+// tolerances, TestRunFingerprintsPinned each of 1, 2 and 4 shards bit
+// for bit. Exported spans are merged across shards in (End, shard,
 // per-shard sequence) order.
 package simrun
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -267,25 +273,24 @@ func buildPartition(scn *Scenario, want int) partition {
 	return p
 }
 
-// shardRun is one shard's slice of the model: pools, aggregators,
-// pick streams, freshness clocks, and counters for the clusters the
-// shard owns. All fields are touched only from the shard's own window
-// goroutine (or from the coordinator at a quiescent barrier).
+// shardRun is one shard's slice of the model, and the sim.Handler of its
+// kernel's typed events: the call frames, arrival streams, result
+// counters and span buffer of the clusters it owns. All fields are
+// touched only from the shard's own window goroutine (or from the
+// coordinator at a quiescent barrier).
 type shardRun struct {
 	id  int
 	sh  *sim.Shard
 	par *parRun
 
-	pools map[core.PoolKey]*pool
-	aggs  map[topology.ClusterID]*telemetry.Aggregator
-	picks map[topology.ClusterID]*sim.RNG
-	// lastFresh records, per cluster, the virtual time rules last
-	// reached that cluster's proxies; see degradedAt.
-	lastFresh map[topology.ClusterID]sim.Time
-	scaler    *autoscaler
+	// frames is the call-frame arena, in fixed-size chunks so a *frame
+	// stays valid while it grows; free heads the list of recycled frames.
+	frames  [][]frame
+	free    int32
+	streams []stream
+	scaler  *autoscaler
 
-	perClass    map[string]*ClassResult
-	localServed map[topology.ClusterID]uint64
+	samples     [][]time.Duration // per class: post-warmup end-to-end latencies
 	remoteCalls uint64
 	totalCalls  uint64
 	degraded    uint64
@@ -302,17 +307,24 @@ type shardRun struct {
 	spanSeq  uint64
 }
 
-// parRun is the coordinator: immutable scenario state shared read-only
-// by all shards during windows, plus barrier-only mutable state.
+// parRun is the coordinator: the compiled scenario shared by all shards
+// during windows — every cluster-indexed entry written only by the shard
+// that owns the cluster — plus barrier-only mutable state.
 type parRun struct {
 	scn    Scenario
 	pol    Policy
 	g      *sim.Group
-	part   partition
+	pl     *plan
 	shards []*shardRun
 	table  *routing.Table // swapped only at barriers
 	res    *Result
 	sink   SpanSink // nil after the first write error
+
+	picks       []*sim.RNG // routing-pick stream per source cluster
+	localServed []uint64   // per arrival cluster
+	// lastFresh records, per cluster, the virtual time rules last
+	// reached that cluster's proxies; past RuleTTL its calls degrade.
+	lastFresh []sim.Time
 
 	// Live observability counters (obs.Default()): the chaos experiment
 	// watches these move.
@@ -349,14 +361,19 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 	part := buildPartition(&scn, want)
 	g := sim.NewGroup(len(part.owned), sim.Time(part.lookahead))
 	root := sim.NewRNG(scn.Seed)
+	pl := compile(&scn, part.shardOf, root)
+	pl.resolve(table)
 
 	p := &parRun{
-		scn:   scn,
-		pol:   pol,
-		g:     g,
-		part:  part,
-		table: table,
-		sink:  scn.SpanSink,
+		scn:         scn,
+		pol:         pol,
+		g:           g,
+		pl:          pl,
+		table:       table,
+		sink:        scn.SpanSink,
+		picks:       make([]*sim.RNG, pl.nC),
+		localServed: make([]uint64, pl.nC),
+		lastFresh:   make([]sim.Time, pl.nC),
 		res: &Result{
 			Scenario:       scn.Name,
 			Policy:         pol.Name(),
@@ -375,105 +392,56 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 	p.mOutage = faults.With("outage")
 	p.mPartition = faults.With("partition")
 
-	var scalerCfg AutoscalerConfig
-	var conc map[core.PoolKey]int
-	if scn.Autoscaler != nil {
-		scalerCfg = scn.Autoscaler.defaults()
-		conc = map[core.PoolKey]int{}
-		for sid, svc := range scn.App.Services {
-			for c, pl := range svc.Placement {
-				if pl.Replicas > 0 {
-					conc[core.PoolKey{Service: sid, Cluster: c}] = pl.Concurrency
-				}
-			}
-		}
-	}
-
-	onePick := root.DeriveNamed("routing-picks")
-	for s := 0; s < len(part.owned); s++ {
-		sr := &shardRun{
-			id:          s,
-			sh:          g.Shard(s),
-			par:         p,
-			pools:       make(map[core.PoolKey]*pool),
-			aggs:        make(map[topology.ClusterID]*telemetry.Aggregator),
-			picks:       make(map[topology.ClusterID]*sim.RNG),
-			lastFresh:   make(map[topology.ClusterID]sim.Time),
-			perClass:    make(map[string]*ClassResult),
-			localServed: make(map[topology.ClusterID]uint64),
-		}
-		for _, c := range part.owned[s] {
-			sr.aggs[c] = telemetry.NewAggregator()
-			// One shard draws every pick from one shared stream; more
-			// shards use per-cluster streams, keyed by cluster name, not
-			// shard index, so draws do not depend on the partition.
-			sr.picks[c] = onePick
-			if len(part.owned) > 1 {
-				sr.picks[c] = root.DeriveNamed("picks@" + string(c))
-			}
-		}
-		for _, cl := range scn.App.Classes {
-			sr.perClass[cl.Name] = &ClassResult{Class: cl.Name}
-		}
+	for s := range part.owned {
+		sr := &shardRun{id: s, sh: g.Shard(s), par: p, free: -1, samples: make([][]time.Duration, len(scn.App.Classes))}
+		sr.sh.Kernel().SetHandler(sr.fire)
 		p.shards = append(p.shards, sr)
 	}
-	for sid, svc := range scn.App.Services {
-		for c, pl := range svc.Placement {
-			if pl.Replicas <= 0 {
-				continue
-			}
-			key := core.PoolKey{Service: sid, Cluster: c}
-			p.shards[part.shardOf[c]].pools[key] = &pool{
-				key:     key,
-				servers: pl.Servers(),
-				rng:     root.DeriveNamed("svc/" + string(sid) + "@" + string(c)),
-			}
+	// One shard draws every pick from one shared stream; more shards use
+	// per-cluster streams, keyed by cluster name, not shard index, so
+	// draws do not depend on the partition.
+	onePick := root.DeriveNamed("routing-picks")
+	for c, id := range pl.ids {
+		p.picks[c] = onePick
+		if len(part.owned) > 1 {
+			p.picks[c] = root.DeriveNamed("picks@" + string(id))
 		}
 	}
 
-	// Arrivals, pre-generated from named streams (so policies see
-	// identical loads) and scheduled on the arrival cluster's shard.
+	// Arrivals are pre-generated from named streams (so policies see
+	// identical loads) but not pre-scheduled: each stream reserves its
+	// arrivals' tie-break sequence numbers, in workload order, and keeps
+	// one arrival in the schedule. They fire exactly where scheduling them
+	// all here would put them — equal-timestamp arrivals of two streams
+	// included, whose order reaches the result through the shared pick
+	// stream — over a heap only as deep as the work in flight.
 	for _, spec := range scn.Workload {
-		spec := spec
-		stream := root.DeriveNamed("arrivals/" + spec.Class + "@" + string(spec.Cluster))
-		class := scn.App.Class(spec.Class)
 		sr := p.shards[part.shardOf[spec.Cluster]]
-		for _, at := range workload.Arrivals(spec, scn.Duration, stream) {
-			at := at
-			sr.sh.Kernel().At(sim.Time(at), func(k *sim.Kernel) {
-				sr.startRequest(k, class, spec.Cluster)
-			})
-			p.res.Generated++
+		at := workload.Arrivals(spec, scn.Duration, root.DeriveNamed("arrivals/"+spec.Class+"@"+string(spec.Cluster)))
+		p.res.Generated += uint64(len(at))
+		if len(at) == 0 {
+			continue
 		}
+		k := sr.sh.Kernel()
+		class := slices.IndexFunc(scn.App.Classes, func(cl *appgraph.Class) bool { return cl.Name == spec.Class })
+		st := stream{at: at, seq: k.Reserve(len(at)), class: int32(class), cluster: pl.index[spec.Cluster]}
+		k.PostReserved(sim.Time(at[0]), st.seq, sim.Event{Op: opArrive, A: int32(len(sr.streams))})
+		sr.streams = append(sr.streams, st)
 	}
 
 	// Pool dynamics on the owning shard.
 	for _, ev := range scn.Dynamics {
-		ev := ev
-		c := scalerConc(scn, core.PoolKey{Service: ev.Service, Cluster: ev.Cluster})
-		if c < 1 {
-			c = 1
-		}
 		sr := p.shards[part.shardOf[ev.Cluster]]
-		sr.sh.Kernel().At(sim.Time(ev.At), func(k *sim.Kernel) {
-			sr.pools[core.PoolKey{Service: ev.Service, Cluster: ev.Cluster}].resize(k, ev.Replicas*c)
-		})
+		po := &pl.pools[pl.pool[int(pl.svcIndex[ev.Service])*pl.nC+int(pl.index[ev.Cluster])]]
+		sr.sh.Kernel().At(sim.Time(ev.At), func(k *sim.Kernel) { sr.resize(k, po, ev.Replicas*po.conc) })
 	}
 
 	// Per-shard autoscalers: each scales only its own pools, on its own
 	// kernel's schedule — no cross-shard state.
 	if scn.Autoscaler != nil {
 		for _, sr := range p.shards {
-			sr := sr
-			sr.scaler = newAutoscaler(scalerCfg, sr.pools, conc)
-			var tick func(*sim.Kernel)
-			tick = func(k *sim.Kernel) {
-				sr.scaler.tick(k)
-				if k.Now().Duration()+scalerCfg.Period < scn.Duration {
-					k.After(scalerCfg.Period, tick)
-				}
-			}
-			sr.sh.Kernel().After(scalerCfg.Period, tick)
+			sr.scaler = newAutoscaler(scn.Autoscaler.defaults(), sr)
+			sr.sh.Kernel().After(sr.scaler.cfg.Period, sr.scaler.tick)
 		}
 	}
 
@@ -500,15 +468,10 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 	return p.res, nil
 }
 
-// controlTick runs one control round at a quiescent barrier: flush
-// every cluster's window (in topology order), merge, tick the policy,
-// refresh rules.
+// controlTick runs one control round at a quiescent barrier: close the
+// telemetry window, tick the policy, refresh rules.
 func (p *parRun) controlTick(now time.Duration) {
-	var groups [][]telemetry.WindowStats
-	for _, c := range p.scn.Top.ClusterIDs() {
-		groups = append(groups, p.shards[p.part.shardOf[c]].aggs[c].Flush(p.scn.ControlPeriod))
-	}
-	merged := telemetry.Merge(groups...)
+	merged := p.pl.flush(p.scn.ControlPeriod)
 	if pt, ok := timelineFrom(now, merged, p.scn.ControlPeriod); ok {
 		p.res.Timeline = append(p.res.Timeline, pt)
 	}
@@ -523,293 +486,400 @@ func (p *parRun) controlTick(now time.Duration) {
 	}
 	if tab, err := p.pol.Tick(merged, p.scn.ControlPeriod); err != nil {
 		p.res.PolicyErrors++
-	} else if tab != nil {
+	} else if tab != nil && tab != p.table {
 		p.table = tab
+		p.pl.resolve(tab)
 	}
 	// Rule pushes reach every cluster whose controller is up.
-	for _, c := range p.scn.Top.ClusterIDs() {
-		if !p.scn.Faults.DownAt(fault.ClusterTarget(c), now) {
-			p.shards[p.part.shardOf[c]].lastFresh[c] = sim.Time(now)
+	for c, id := range p.pl.ids {
+		if !p.scn.Faults.DownAt(fault.ClusterTarget(id), now) {
+			p.lastFresh[c] = sim.Time(now)
 		}
 	}
 }
 
-// nextTrace and nextSpan mint non-zero IDs (zero parent means root),
-// unique across shards and stable for a given (seed, shard count): high
-// bits carry the shard — so shard 0's IDs are the bare sequence — low
-// bits a per-shard sequence driven entirely by the shard's own event
-// order.
-func (sr *shardRun) nextTrace() uint64 {
-	sr.traceSeq++
-	return uint64(sr.id)<<48 | sr.traceSeq
+// The typed events of the per-call path. A is a frame of the firing
+// shard's arena, except as noted.
+const (
+	opArrive = iota // A: arrival stream; its next request enters
+	opServe         // the call reaches its pool after the network delay
+	opServed        // the call's service time is over
+	opReturn        // the response (or a partition's fast failure) reaches the caller; F: fFailed if the remote subtree failed
+	opCall          // a call from another shard reaches its pool: A the caller's frame there, B node, C/D source and destination cluster, F its fMeasure flag, X trace, Y parent of the subtree's spans
+)
+
+// frame is one call in flight: a call-tree node executing for one
+// request. It is allocated when the call is issued, reused for the node's
+// Count repetitions, and recycled when the last one completes — by then
+// every child frame has completed and folded its outcome into it. A call
+// served on another shard has a frame on each side: the caller's keeps its
+// span and place in the tree, the server's (ret >= 0) runs pool and subtree.
+type frame struct {
+	node, src, dst int32
+	// parent is the calling node's frame (-1 at a root); in a serving
+	// shard's half it is the caller's half, in shard ret's arena.
+	parent, ret int32
+	next        int32 // free list, or the pool's FIFO
+	// left counts a parallel node's running children; for a sequential
+	// node it is the index of the running child.
+	left   int32
+	repeat int32 // executions still to issue after this one
+	flags  uint8
+	start  sim.Time // when the call was issued: span start, request start at a root
+	enq    sim.Time // when it reached the pool
+	svc    time.Duration
+	// trace is the exported trace (0: no spans), span this execution's
+	// span (0: none) under parent span up; the children's spans hang
+	// under down, which is span or else up.
+	trace, span, up, down uint64
 }
 
-func (sr *shardRun) nextSpan() uint64 {
-	sr.spanSeq++
-	return uint64(sr.id)<<48 | sr.spanSeq
+const (
+	fMeasure = 1 << iota // the request arrived after warm-up
+	fCrossed             // a hop at or below this call went cross-cluster
+	fFailed              // a hop at or below this call hit a partition
+)
+
+// stream is one workload stream's pre-generated arrivals; at[next] is
+// the one in the schedule, under sequence number seq+next.
+type stream struct {
+	at             []time.Duration
+	next           int
+	seq            uint64
+	class, cluster int32
 }
 
-// degradedAt reports whether cluster c's proxies have passed the rule
-// staleness TTL at now and must degrade to local-biased routing.
-func (sr *shardRun) degradedAt(c topology.ClusterID, now sim.Time) bool {
-	if sr.par.scn.RuleTTL <= 0 {
-		return false
+const frameChunk = 256
+
+func (sr *shardRun) frame(i int32) *frame { return &sr.frames[i/frameChunk][i%frameChunk] }
+
+func (sr *shardRun) newFrame() (int32, *frame) {
+	if sr.free < 0 {
+		sr.growFrames()
 	}
-	return (now - sr.lastFresh[c]).Duration() > sr.par.scn.RuleTTL
+	i := sr.free
+	f := sr.frame(i)
+	sr.free = f.next
+	return i, f
 }
 
-func (sr *shardRun) accountEgress(from, to topology.ClusterID, bytes int64) {
-	if bytes <= 0 {
-		return
+// growFrames adds a chunk to the arena: the peak number of calls in
+// flight on this shard went up.
+//
+//slate:cold
+func (sr *shardRun) growFrames() {
+	sr.free = int32(len(sr.frames) * frameChunk)
+	chunk := make([]frame, frameChunk)
+	for i := range chunk {
+		chunk[i].next = sr.free + int32(i) + 1
 	}
-	sr.egressBytes += bytes
-	sr.egressCost += sr.par.scn.Top.EgressCost(from, to, bytes)
-	sr.aggs[from].Record(telemetry.MetricKey{
-		Service: "__egress__",
-		Class:   routing.AnyClass,
-		Cluster: string(from),
-	}, 0, bytes)
+	chunk[frameChunk-1].next = -1
+	sr.frames = append(sr.frames, chunk)
 }
 
-func (sr *shardRun) fallbackCluster(svc appgraph.ServiceID, src topology.ClusterID) topology.ClusterID {
-	s := sr.par.scn.App.Services[svc]
-	if s.PlacedIn(src) {
-		return src
+// fire dispatches one typed event.
+//
+//slate:hot
+func (sr *shardRun) fire(k *sim.Kernel, ev sim.Event) {
+	switch ev.Op {
+	case opArrive:
+		sr.arrive(k, ev.A)
+	case opServe:
+		sr.serve(k, ev.A, sr.frame(ev.A))
+	case opServed:
+		sr.served(k, ev.A, sr.frame(ev.A))
+	case opReturn:
+		f := sr.frame(ev.A)
+		f.flags |= ev.F
+		sr.complete(k, ev.A, f)
+	case opCall:
+		i, f := sr.newFrame()
+		*f = frame{node: ev.B, src: ev.C, dst: ev.D, parent: ev.A, ret: int32(sr.par.pl.shardOf[ev.C]), flags: ev.F, trace: ev.X, down: ev.Y}
+		sr.serve(k, i, f)
 	}
-	for _, c := range sr.par.scn.Top.Nearest(src) {
-		if s.PlacedIn(c) {
-			return c
+}
+
+// mint returns the sequence's next trace or span ID: non-zero (zero parent
+// means root), unique across shards and stable for a given (seed, shard
+// count). High bits carry the shard — so shard 0's IDs are the bare
+// sequence — low bits a sequence driven by the shard's own event order.
+func (sr *shardRun) mint(seq *uint64) uint64 {
+	*seq++
+	return uint64(sr.id)<<48 | *seq
+}
+
+// arrive feeds the stream's next arrival into the schedule and launches
+// one root request at the arrival cluster.
+//
+//slate:hot
+func (sr *shardRun) arrive(k *sim.Kernel, s int32) {
+	st := &sr.streams[s]
+	if st.next++; st.next < len(st.at) {
+		k.PostReserved(sim.Time(st.at[st.next]), st.seq+uint64(st.next), sim.Event{Op: opArrive, A: s})
+	}
+	i, f := sr.newFrame()
+	*f = frame{node: sr.par.pl.roots[st.class], src: st.cluster, parent: -1, ret: -1}
+	if k.Now().Duration() >= sr.par.scn.Warmup {
+		f.flags = fMeasure
+		if sr.par.sink != nil {
+			f.trace = sr.mint(&sr.traceSeq)
 		}
 	}
-	// Validate() guarantees at least one placement.
-	return s.Clusters(sr.par.scn.Top)[0]
+	sr.issue(k, i, f)
 }
 
-// startRequest launches one root request at the arrival cluster; it
-// runs on — and its completion returns to — the arrival shard.
-func (sr *shardRun) startRequest(k *sim.Kernel, class *appgraph.Class, arrival topology.ClusterID) {
-	start := k.Now()
-	afterWarmup := start.Duration() >= sr.par.scn.Warmup
-	ctx := &reqCtx{}
-	if sr.par.sink != nil && afterWarmup {
-		ctx.trace = sr.nextTrace()
-	}
-	sr.executeNode(k, ctx, class, class.Root, arrival, arrival, afterWarmup, 0, func(k *sim.Kernel) {
-		if !afterWarmup {
-			return
-		}
-		if ctx.failed {
-			sr.failed++
-			return
-		}
-		lat := (k.Now() - start).Duration()
-		cr := sr.perClass[class.Name]
-		cr.Samples = append(cr.Samples, lat)
-		cr.Completed++
-		if !ctx.crossed {
-			sr.localServed[arrival]++
-		}
-		sr.aggs[arrival].Record(telemetry.MetricKey{
-			Service: telemetry.E2EService,
-			Class:   class.Name,
-			Cluster: string(arrival),
-		}, lat, 0)
-	})
-}
-
-// executeNode runs one call node: route to a cluster, pay the network
-// delay, queue for service, then run children (sequentially or in
-// parallel), and finally pay the response network delay. When the
-// destination cluster lives on another shard, the service + subtree
-// executes there (reached by a cross-shard message after the one-way
-// network delay, which is ≥ the group lookahead by construction), and
-// the response returns by a second message. The remote subtree gets its
-// own reqCtx; its failed flag rides back on the response message, so no
-// request state is ever shared between shards.
-func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, pinned topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
-	p := sr.par
-	var dst topology.ClusterID
-	if node == class.Root {
-		dst = pinned // roots execute at the arrival cluster
-	} else {
-		var d routing.Distribution
-		if sr.degradedAt(src, k.Now()) {
+// issue executes the frame's node once: route to a cluster, pay the
+// network delay, then queue for service (serve). When the destination
+// lives on another shard, the service and the subtree execute there,
+// reached by a cross-shard event after the one-way delay (≥ the group
+// lookahead by construction), and the response returns by a second one
+// carrying the subtree's failed flag: shards share no request state.
+//
+//slate:hot
+func (sr *shardRun) issue(k *sim.Kernel, i int32, f *frame) {
+	p, pl := sr.par, sr.par.pl
+	nd := &pl.nodes[f.node]
+	now, src := k.Now(), int(f.src)
+	dst := f.src // roots execute at the arrival cluster
+	if !nd.root {
+		u := p.picks[src].Float64()
+		dst = pl.fallback[int(nd.svc)*pl.nC+src]
+		r := int(f.node)*pl.nC + src
+		if p.scn.RuleTTL > 0 && (now-p.lastFresh[src]).Duration() > p.scn.RuleTTL {
 			// Rules are past the staleness TTL: the hardened proxy stops
 			// trusting them and biases local (DESIGN.md degradation
 			// ladder). The pick draw is still consumed so fault-free
 			// prefixes of hardened/unhardened runs stay aligned.
 			sr.degraded++
 			p.mDegraded.Inc()
-			d = routing.Local(src)
-		} else {
-			d = p.table.Lookup(string(node.Service), class.Name, src)
-		}
-		dst = d.Pick(sr.picks[src].Float64())
-		if dst == "" || !p.scn.App.Services[node.Service].PlacedIn(dst) {
-			// Misconfigured rule (e.g. table routes to a cluster without
-			// replicas): fail over to any placement, nearest first.
-			dst = sr.fallbackCluster(node.Service, src)
+		} else if lo, hi := pl.routeOff[r], pl.routeOff[r+1]; lo < hi {
+			// Distribution.Pick over the resolved rule.
+			dst = pl.routeDst[hi-1]
+			var cum float64
+			for j := lo; j < hi; j++ {
+				if cum += pl.routeW[j]; u < cum {
+					dst = pl.routeDst[j]
+					break
+				}
+			}
 		}
 	}
+	f.dst, f.start = dst, now
 	sr.totalCalls++
-	remote := dst != src
-	if remote {
-		sr.remoteCalls++
-		ctx.crossed = true
+	// Span export: one span per execution, closed when the node (and its
+	// subtree, and the response hop) completes. Its ID is the children's
+	// parent ID so the dump reconstructs the call tree.
+	f.span, f.down = 0, f.up
+	if p.sink != nil && f.trace != 0 {
+		f.span = sr.mint(&sr.spanSeq)
+		f.down = f.span
 	}
-
-	// Span export: one span per call node, closed when the node (and its
-	// subtree, and the response hop) completes. selfID doubles as the
-	// children's parent ID so the dump reconstructs the call tree.
-	selfID := parent
-	if p.sink != nil && ctx.trace != 0 {
-		selfID = sr.nextSpan()
-		span := telemetry.Span{
-			Trace:     telemetry.TraceID(ctx.trace),
-			ID:        telemetry.SpanID(selfID),
-			Parent:    telemetry.SpanID(parent),
-			Service:   string(node.Service),
-			Cluster:   string(dst),
-			Class:     class.Name,
-			Start:     k.Now().Duration(),
-			ReqBytes:  node.Work.RequestBytes,
-			RespBytes: node.Work.ResponseBytes,
-			Remote:    remote,
-		}
-		inner := done
-		done = func(k *sim.Kernel) {
-			span.End = k.Now().Duration()
-			sr.spans = append(sr.spans, span)
-			inner(k)
-		}
+	if dst == f.src {
+		sr.serve(k, i, f)
+		return
 	}
-
-	if remote && p.scn.Faults.PartitionedAt(src, dst, k.Now().Duration()) {
+	sr.remoteCalls++
+	f.flags |= fCrossed
+	at := now + sim.Time(pl.oneWay[src*pl.nC+int(dst)])
+	if p.scn.Faults.PartitionedAt(pl.ids[src], pl.ids[dst], now.Duration()) {
 		// The inter-cluster link is cut: the call fast-fails after the
 		// one-way probe and the whole request counts as failed. The
 		// subtree never executes — exactly what a connection error does —
 		// so no cross-shard traffic is needed even for a remote target.
-		ctx.failed = true
+		f.flags |= fFailed
 		p.mPartition.Inc()
-		k.After(p.scn.Top.OneWay(src, dst), done)
+		k.Post(at, sim.Event{Op: opReturn, A: i})
 		return
 	}
+	sr.egress(f, f.src, dst, nd.cn.Work.RequestBytes)
+	switch to := pl.shardOf[dst]; {
+	case to != sr.id:
+		sr.sh.Send(to, at, sim.Event{Op: opCall, A: i, B: f.node, C: f.src, D: dst,
+			F: f.flags & fMeasure, X: f.trace, Y: f.down})
+	case at > now:
+		k.Post(at, sim.Event{Op: opServe, A: i})
+	default:
+		sr.serve(k, i, f)
+	}
+}
 
-	netOut := time.Duration(0)
-	if remote {
-		netOut = p.scn.Top.OneWay(src, dst)
-		if measure {
-			sr.accountEgress(src, dst, node.Work.RequestBytes)
+func (sr *shardRun) poolOf(f *frame) *pool {
+	pl := sr.par.pl
+	return &pl.pools[pl.pool[int(pl.nodes[f.node].svc)*pl.nC+int(f.dst)]]
+}
+
+// serve queues the call at its destination pool, drawing its service
+// time on arrival. Always executes on the shard owning f.dst.
+//
+//slate:hot
+func (sr *shardRun) serve(k *sim.Kernel, i int32, f *frame) {
+	po := sr.poolOf(f)
+	f.svc = drawServiceTime(po.rng, sr.par.pl.nodes[f.node].cn.Work)
+	f.enq, f.next = k.Now(), -1
+	if po.tail < 0 {
+		po.head = i
+	} else {
+		sr.frame(po.tail).next = i
+	}
+	po.tail = i
+	sr.admit(k, po)
+}
+
+// admit starts queued calls while the pool has a free server.
+func (sr *shardRun) admit(k *sim.Kernel, po *pool) {
+	for po.busy < po.servers && po.head >= 0 {
+		i := po.head
+		f := sr.frame(i)
+		if po.head = f.next; po.head < 0 {
+			po.tail = -1
 		}
+		po.busy++
+		k.Post(k.Now()+sim.Time(f.svc), sim.Event{Op: opServed, A: i})
 	}
+}
 
-	if dstShard := p.part.shardOf[dst]; dstShard != sr.id {
-		dsr := p.shards[dstShard]
-		trace := ctx.trace
-		sr.sh.Send(dstShard, k.Now()+sim.Time(netOut), func(k *sim.Kernel) {
-			rctx := &reqCtx{crossed: true, trace: trace}
-			dsr.servePool(k, rctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
-				if measure {
-					dsr.accountEgress(dst, src, node.Work.ResponseBytes)
-				}
-				failed := rctx.failed
-				dsr.sh.Send(sr.id, k.Now()+sim.Time(p.scn.Top.OneWay(dst, src)), func(k *sim.Kernel) {
-					if failed {
-						ctx.failed = true
-					}
-					done(k)
-				})
-			})
-		})
+// resize changes the pool's server count. Growth starts queued calls into
+// the new slots at once; shrinkage lets running calls finish.
+func (sr *shardRun) resize(k *sim.Kernel, po *pool, servers int) {
+	po.servers = max(servers, 1)
+	sr.admit(k, po)
+}
+
+// served ends the call's service: the server takes the next queued call,
+// the sojourn is recorded, and the node's children run from the
+// destination cluster, together or one after another per its Parallel
+// flag (a child's Count repetitions always in sequence).
+//
+//slate:hot
+func (sr *shardRun) served(k *sim.Kernel, i int32, f *frame) {
+	pl := sr.par.pl
+	po := sr.poolOf(f)
+	po.busy--
+	po.busySeconds += f.svc.Seconds()
+	sr.admit(k, po)
+	nd := &pl.nodes[f.node]
+	if f.flags&fMeasure != 0 {
+		sr.record(nd.row, f.dst, (k.Now() - f.enq).Duration(), 0)
+	}
+	switch {
+	case nd.nKids == 0:
+		sr.respond(k, i, f)
+	case nd.cn.Parallel:
+		f.left = nd.nKids
+		for _, kid := range pl.kids[nd.kid0 : nd.kid0+nd.nKids] {
+			sr.call(k, i, f, kid)
+		}
+	default:
+		f.left = 0
+		sr.call(k, i, f, pl.kids[nd.kid0])
+	}
+}
+
+// call issues child node n of frame f from f's destination cluster.
+func (sr *shardRun) call(k *sim.Kernel, i int32, f *frame, n int32) {
+	ci, c := sr.newFrame()
+	*c = frame{node: n, src: f.dst, parent: i, ret: -1, flags: f.flags & fMeasure, trace: f.trace, up: f.down,
+		repeat: int32(sr.par.pl.nodes[n].cn.Count) - 1}
+	sr.issue(k, ci, c)
+}
+
+// respond runs when the node and its subtree are done: a remote call
+// pays the response's egress and network delay before it completes.
+//
+//slate:hot
+func (sr *shardRun) respond(k *sim.Kernel, i int32, f *frame) {
+	if f.dst == f.src {
+		sr.complete(k, i, f)
 		return
 	}
+	pl := sr.par.pl
+	sr.egress(f, f.dst, f.src, pl.nodes[f.node].cn.Work.ResponseBytes)
+	at := k.Now() + sim.Time(pl.oneWay[int(f.dst)*pl.nC+int(f.src)])
+	if f.ret < 0 {
+		k.Post(at, sim.Event{Op: opReturn, A: i})
+		return
+	}
+	sr.sh.Send(int(f.ret), at, sim.Event{Op: opReturn, A: f.parent, F: f.flags & fFailed})
+	f.next, sr.free = sr.free, i // recycle the serving half
+}
 
-	proceed := func(k *sim.Kernel) {
-		sr.servePool(k, ctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
-			if remote {
-				if measure {
-					sr.accountEgress(dst, src, node.Work.ResponseBytes)
-				}
-				k.After(p.scn.Top.OneWay(dst, src), done)
+// complete ends one execution of the frame's node at its caller: close
+// the span, then repeat the call, or fold the outcome into the parent and
+// let it proceed — to its next sequential child, or to its own response
+// once the last child is back. A root accounts the finished request.
+//
+//slate:hot
+func (sr *shardRun) complete(k *sim.Kernel, i int32, f *frame) {
+	pl := sr.par.pl
+	nd := &pl.nodes[f.node]
+	if f.span != 0 {
+		sr.spans = append(sr.spans, telemetry.Span{
+			Trace:     telemetry.TraceID(f.trace),
+			ID:        telemetry.SpanID(f.span),
+			Parent:    telemetry.SpanID(f.up),
+			Service:   string(nd.cn.Service),
+			Cluster:   string(pl.ids[f.dst]),
+			Class:     pl.classes[nd.class].Name,
+			Start:     f.start.Duration(),
+			End:       k.Now().Duration(),
+			ReqBytes:  nd.cn.Work.RequestBytes,
+			RespBytes: nd.cn.Work.ResponseBytes,
+			Remote:    f.dst != f.src,
+		})
+	}
+	if f.repeat > 0 {
+		f.repeat--
+		sr.issue(k, i, f)
+		return
+	}
+	pi, flags := f.parent, f.flags
+	f.next, sr.free = sr.free, i // recycle
+	switch {
+	case pi >= 0:
+		pf := sr.frame(pi)
+		pf.flags |= flags & (fCrossed | fFailed)
+		pn := &pl.nodes[pf.node]
+		if pn.cn.Parallel {
+			if pf.left--; pf.left > 0 {
 				return
 			}
-			done(k)
-		})
-	}
-	if netOut > 0 {
-		k.After(netOut, proceed)
-	} else {
-		proceed(k)
-	}
-}
-
-// servePool queues the call at its destination pool, records the
-// sojourn, and runs the node's children from the destination cluster.
-// Always executes on the shard owning `at`.
-func (sr *shardRun) servePool(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, at topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
-	pl := sr.pools[core.PoolKey{Service: node.Service, Cluster: at}]
-	job := &poolJob{
-		serviceTime: drawServiceTime(pl.rng, node.Work),
-		done: func(k *sim.Kernel, sojourn time.Duration) {
-			if measure {
-				sr.aggs[at].Record(telemetry.MetricKey{
-					Service: string(node.Service),
-					Class:   class.Name,
-					Cluster: string(at),
-				}, sojourn, 0)
-			}
-			sr.runChildren(k, ctx, class, node, at, measure, parent, done)
-		},
-	}
-	pl.submit(k, job)
-}
-
-// runChildren executes a node's children per its Parallel flag, on the
-// shard owning `at`, then calls done. Each child call with Count > 1
-// repeats sequentially within its own slot (parallel fan-out applies
-// across children, not within one child's repetitions).
-func (sr *shardRun) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, at topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
-	children := node.Children
-	if len(children) == 0 {
-		done(k)
-		return
-	}
-	if node.Parallel {
-		remaining := len(children)
-		for _, ch := range children {
-			ch := ch
-			sr.repeatCall(k, ctx, class, ch, at, measure, parent, ch.Count, func(k *sim.Kernel) {
-				remaining--
-				if remaining == 0 {
-					done(k)
-				}
-			})
-		}
-		return
-	}
-	var next func(k *sim.Kernel, idx int)
-	next = func(k *sim.Kernel, idx int) {
-		if idx >= len(children) {
-			done(k)
+		} else if pf.left++; pf.left < pn.nKids {
+			sr.call(k, pi, pf, pl.kids[pn.kid0+pf.left])
 			return
 		}
-		ch := children[idx]
-		sr.repeatCall(k, ctx, class, ch, at, measure, parent, ch.Count, func(k *sim.Kernel) {
-			next(k, idx+1)
-		})
+		sr.respond(k, pi, pf)
+	case flags&fMeasure == 0:
+	case flags&fFailed != 0:
+		sr.failed++
+	default:
+		lat := (k.Now() - f.start).Duration()
+		sr.samples[nd.class] = append(sr.samples[nd.class], lat)
+		if flags&fCrossed == 0 {
+			sr.par.localServed[f.src]++
+		}
+		sr.record(pl.e2eRow[nd.class], f.src, lat, 0)
 	}
-	next(k, 0)
 }
 
-// repeatCall issues `count` sequential executions of a child node.
-func (sr *shardRun) repeatCall(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, measure bool, parent uint64, count int, done func(*sim.Kernel)) {
-	if count <= 0 {
-		done(k)
+// record adds one observation to telemetry key (row, cluster).
+func (sr *shardRun) record(row, cluster int32, latency time.Duration, egress int64) {
+	st := &sr.par.pl.stats[int(row)*sr.par.pl.nC+int(cluster)]
+	if st.hist == nil {
+		st.grow()
+	}
+	st.hist.Record(latency)
+	st.egress += egress
+}
+
+// egress accounts the bytes call f sends between clusters, if measured.
+func (sr *shardRun) egress(f *frame, from, to int32, bytes int64) {
+	if bytes <= 0 || f.flags&fMeasure == 0 {
 		return
 	}
-	sr.executeNode(k, ctx, class, node, src, src, measure, parent, func(k *sim.Kernel) {
-		sr.repeatCall(k, ctx, class, node, src, measure, parent, count-1, done)
-	})
+	pl := sr.par.pl
+	sr.egressBytes += bytes
+	sr.egressCost += pl.perGB[int(from)*pl.nC+int(to)] * float64(bytes) / (1 << 30)
+	sr.record(pl.egressRow, from, 0, bytes)
 }
 
 // exportSpans drains every shard's span buffer into the sink in (End,
@@ -850,14 +920,13 @@ func (p *parRun) finalize() {
 	res := p.res
 	res.MeasuredWindow = p.scn.Duration - p.scn.Warmup
 	var all []time.Duration
-	for _, cl := range p.scn.App.Classes {
+	for ci, cl := range p.scn.App.Classes {
 		cr := &ClassResult{Class: cl.Name}
 		res.PerClass[cl.Name] = cr
 		for _, sr := range p.shards {
-			src := sr.perClass[cl.Name]
-			cr.Samples = append(cr.Samples, src.Samples...)
-			cr.Completed += src.Completed
+			cr.Samples = append(cr.Samples, sr.samples[ci]...)
 		}
+		cr.Completed = uint64(len(cr.Samples))
 		if len(cr.Samples) > 0 {
 			cr.Mean = telemetry.MeanOf(cr.Samples)
 			cr.P50 = telemetry.QuantileOf(cr.Samples, 0.50)
@@ -874,10 +943,10 @@ func (p *parRun) finalize() {
 		res.EgressCost += sr.egressCost
 		totalCalls += sr.totalCalls
 		remoteCalls += sr.remoteCalls
-		for c, n := range sr.localServed {
-			if res.MeasuredWindow > 0 {
-				res.LocalServedRPS[c] = float64(n) / res.MeasuredWindow.Seconds()
-			}
+	}
+	for c, n := range p.localServed {
+		if n > 0 && res.MeasuredWindow > 0 {
+			res.LocalServedRPS[p.pl.ids[c]] = float64(n) / res.MeasuredWindow.Seconds()
 		}
 	}
 	if len(all) > 0 {
@@ -899,13 +968,10 @@ func (p *parRun) finalize() {
 		res.FinalReplicas = map[core.PoolKey]int{}
 		for _, sr := range p.shards {
 			res.ScaleEvents = append(res.ScaleEvents, sr.scaler.events...)
-			for key, pl := range sr.pools {
-				c := 1
-				if v := scalerConc(p.scn, key); v > 0 {
-					c = v
-				}
-				res.FinalReplicas[key] = pl.servers / c
-			}
+		}
+		for i := range p.pl.pools {
+			po := &p.pl.pools[i]
+			res.FinalReplicas[po.key] = po.servers / po.conc
 		}
 		sort.Slice(res.ScaleEvents, func(i, j int) bool {
 			a, b := res.ScaleEvents[i], res.ScaleEvents[j]

@@ -12,7 +12,8 @@
 // time makes parameter sweeps deterministic and fast on a single core.
 //
 // This file holds the scenario and result types and the model's parts
-// (replica pools); the executor is in parallel.go.
+// (replica pools); the executor is in parallel.go, the scenario compiled
+// to the dense ids it runs on in compile.go.
 package simrun
 
 import (
@@ -235,64 +236,23 @@ func (r *Result) CDF() []telemetry.CDFPoint {
 // `servers` parallel workers. Workers are held only for a request's own
 // busy time; time spent waiting on child calls does not occupy a worker
 // (async server model, matching the M/M/c abstraction the controller
-// fits).
+// fits). The queue links the owning shard's call frames by index, head
+// to tail, -1 when empty (see shardRun.serve, admit and resize).
 type pool struct {
-	key     core.PoolKey
-	servers int
-	busy    int
-	queue   []*poolJob
-	rng     *sim.RNG
+	key        core.PoolKey
+	servers    int
+	conc       int // servers per replica
+	busy       int
+	head, tail int32
+	rng        *sim.RNG
 	// busySeconds accumulates server busy time for the autoscaler's
 	// utilization measurement; the autoscaler resets it each period.
 	busySeconds float64
 }
 
-// resize changes the pool's parallel server count. Growth immediately
-// starts queued jobs into the new slots; shrinkage lets running jobs
-// finish and simply stops admitting new ones beyond the target.
-func (p *pool) resize(k *sim.Kernel, servers int) {
-	if servers < 1 {
-		servers = 1
-	}
-	p.servers = servers
-	for p.busy < p.servers && len(p.queue) > 0 {
-		next := p.queue[0]
-		p.queue = p.queue[1:]
-		p.start(k, next)
-	}
-}
-
-type poolJob struct {
-	serviceTime time.Duration
-	enqueued    sim.Time
-	done        func(k *sim.Kernel, sojourn time.Duration)
-}
-
-func (p *pool) submit(k *sim.Kernel, j *poolJob) {
-	j.enqueued = k.Now()
-	if p.busy < p.servers {
-		p.start(k, j)
-		return
-	}
-	p.queue = append(p.queue, j)
-}
-
-func (p *pool) start(k *sim.Kernel, j *poolJob) {
-	p.busy++
-	k.After(j.serviceTime, func(k *sim.Kernel) {
-		p.busy--
-		p.busySeconds += j.serviceTime.Seconds()
-		sojourn := (k.Now() - j.enqueued).Duration()
-		if p.busy < p.servers && len(p.queue) > 0 {
-			next := p.queue[0]
-			p.queue = p.queue[1:]
-			p.start(k, next)
-		}
-		j.done(k, sojourn)
-	})
-}
-
 // drawServiceTime samples a service time for a call node.
+//
+//slate:hot
 func drawServiceTime(rng *sim.RNG, w appgraph.Work) time.Duration {
 	if w.MeanServiceTime <= 0 {
 		return 0
@@ -305,20 +265,6 @@ func drawServiceTime(rng *sim.RNG, w appgraph.Work) time.Duration {
 	default:
 		return time.Duration(rng.Exp(w.MeanServiceTime.Seconds()) * float64(time.Second))
 	}
-}
-
-func scalerConc(scn Scenario, key core.PoolKey) int {
-	if svc, ok := scn.App.Services[key.Service]; ok {
-		return svc.Placement[key.Cluster].Concurrency
-	}
-	return 0
-}
-
-// reqCtx carries per-request state through the call tree.
-type reqCtx struct {
-	crossed bool   // any hop of this request went cross-cluster
-	failed  bool   // a hop hit a partitioned cluster pair
-	trace   uint64 // exported trace ID (0 when span export is off)
 }
 
 // timelineFrom summarizes one control window's end-to-end stats into a

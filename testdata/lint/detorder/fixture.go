@@ -91,6 +91,15 @@ func schedule(k *sim.Kernel, delays map[string]time.Duration) {
 	}
 }
 
+// post does the same with typed events, and with the sequence numbers
+// it reserves for later ones.
+func post(k *sim.Kernel, delays map[string]time.Duration) {
+	for _, d := range delays {
+		k.Post(sim.Time(d), sim.Event{})                       // want `sim\.Kernel\.Post inside range over map delays schedules events in random order`
+		k.PostReserved(sim.Time(d), k.Reserve(1), sim.Event{}) // want `sim\.Kernel\.PostReserved inside range over map delays schedules events in random order` `sim\.Kernel\.Reserve inside range over map delays schedules events in random order`
+	}
+}
+
 // scheduleSorted walks sorted keys instead: no finding.
 func scheduleSorted(k *sim.Kernel, delays map[string]time.Duration) {
 	var names []string
