@@ -93,6 +93,30 @@ func TestDriverSmoke(t *testing.T) {
 	}
 }
 
+// TestLoaderExternalTestPackage: an external _test package is checked,
+// as `go test` compiles it, against the package with its in-package test
+// files — so export_test.go symbols resolve — and the packages between
+// the two are re-checked on that variant, so a type reached directly and
+// through a dependency is one type.
+func TestLoaderExternalTestPackage(t *testing.T) {
+	loader, err := NewLoader(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := loader.Load(filepath.Join(repoRoot(t), "testdata/lint/xtest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 {
+		t.Fatalf("loaded %d units, want the package and its external tests", len(units))
+	}
+	for _, u := range units {
+		if len(u.TypeErrors) > 0 {
+			t.Errorf("%s: %v", u.ImportPath, u.TypeErrors)
+		}
+	}
+}
+
 // TestExpandPatterns checks ./... walking skips testdata and picks up
 // real packages.
 func TestExpandPatterns(t *testing.T) {

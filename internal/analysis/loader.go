@@ -110,13 +110,49 @@ func (l *Loader) Load(dir string) ([]*Unit, error) {
 		units = append(units, u)
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		u, err := l.check(importPath+"_test", dir, bp.XTestGoFiles)
+		imp := l
+		if len(bp.TestGoFiles) > 0 {
+			imp = l.testVariant(importPath, units[0].Pkg)
+		}
+		u, err := imp.check(importPath+"_test", dir, bp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
 	}
 	return units, nil
+}
+
+// testVariant returns a loader for an external _test package whose
+// package under test has in-package test files too. As `go test` does,
+// it resolves path to pkg — the package checked with those files, so
+// what they export for the external tests (the export_test.go idiom) is
+// visible — and re-checks on top of it every package that imports path,
+// so that the external package sees one identity of pkg's types however
+// it reaches them. Everything else is shared with l.
+func (l *Loader) testVariant(path string, pkg *types.Package) *Loader {
+	v := *l
+	v.deps = map[string]*types.Package{path: pkg}
+	reaches := map[*types.Package]bool{}
+	var imports func(p *types.Package) bool
+	imports = func(p *types.Package) bool {
+		if r, ok := reaches[p]; ok {
+			return r
+		}
+		reaches[p] = false // imports are acyclic; this only seeds the memo
+		r := p.Path() == path
+		for _, imp := range p.Imports() {
+			r = imports(imp) || r
+		}
+		reaches[p] = r
+		return r
+	}
+	for p, dep := range l.deps {
+		if !imports(dep) {
+			v.deps[p] = dep
+		}
+	}
+	return &v
 }
 
 func (l *Loader) importPathFor(dir string) string {

@@ -489,6 +489,9 @@ func (c *Cluster) Collect(window time.Duration) []telemetry.WindowStats {
 	for i := range merged {
 		merged[i].Key.Cluster = string(c.id)
 	}
+	if !telemetry.Sorted(merged) { // proxies tagged two clusters: restamped keys collide
+		merged = telemetry.Merge(merged)
+	}
 	c.mu.Lock()
 	c.last = merged
 	c.mu.Unlock()

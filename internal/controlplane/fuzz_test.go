@@ -11,6 +11,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -30,14 +31,17 @@ func fuzzGlobal(f *testing.F) (*Global, http.Handler) {
 
 // FuzzHandleMetrics feeds arbitrary bodies to the global controller's
 // telemetry ingest endpoint: it must never panic, and must answer only
-// 202 (decoded), 400 (malformed), or 409 (delta with an epoch gap).
+// 202 (decoded), 400 (malformed or out of range), or 409 (delta with an
+// epoch gap). Every execution first posts a fixed full report for the
+// seed cluster, so a delta body finds a base at epoch 7 and the delta
+// fold is reachable; after every 202 the reported cluster's
+// reconstructed window must have unique keys in lessMetricKey order and
+// equal the map-based reference fold of the same two reports.
 func FuzzHandleMetrics(f *testing.F) {
 	g, h := fuzzGlobal(f)
-	valid, err := json.Marshal(MetricsReport{
-		Cluster:  topology.West,
-		WindowMS: 1000,
-		Stats:    feStats(900, 100),
-	})
+	base := MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 7, Stats: append(feStats(900, 100),
+		telemetry.WindowStats{Key: telemetry.MetricKey{Service: "svc-1", Class: "default", Cluster: "west"}, RPS: 450})}
+	valid, err := json.Marshal(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,19 +50,46 @@ func FuzzHandleMetrics(f *testing.F) {
 	f.Add([]byte(`{"cluster":"west","window_ms":-5,"stats":null}`))
 	f.Add([]byte(`{"stats":[{"key":{"service":"","class":"","cluster":""}}]}`))
 	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":7,"stats":[]}`))
+	// Deltas on the base: keys out of order, duplicated (last wins), new, removed.
+	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[` +
+		`{"Key":{"Service":"svc-1","Class":"default","Cluster":"west"},"RPS":3},` +
+		`{"Key":{"Service":"gateway","Class":"default","Cluster":"east"},"RPS":2},` +
+		`{"Key":{"Service":"svc-1","Class":"default","Cluster":"west"},"RPS":4}]}`))
+	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[` +
+		`{"Key":{"Service":"zz","Class":"c","Cluster":"west"},"RPS":1},` +
+		`{"Key":{"Service":"aa","Class":"c","Cluster":"west"},"RPS":1},` +
+		`{"Key":{"Service":"aa","Class":"c","Cluster":"west"},"RPS":9}],` +
+		`"removed":[{"Service":"gateway","Class":"default","Cluster":"west"},{"Service":"zz","Class":"c","Cluster":"west"},{"Service":"nope"}]}`))
+	// The two rejects: a negative rate, no cluster.
+	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[{"Key":{"Service":"gateway","Class":"default","Cluster":"west"},"RPS":-1}]}`))
+	f.Add([]byte(`{"cluster":"","epoch":1,"stats":[{"Key":{"Service":"gateway"},"RPS":1}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/metrics", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusAccepted && rec.Code != http.StatusBadRequest && rec.Code != http.StatusConflict {
-			t.Fatalf("POST /v1/metrics(%q) = %d, want 202, 400, or 409", body, rec.Code)
+		if code := postMetrics(h, valid); code != http.StatusAccepted {
+			t.Fatalf("base report = %d, want 202", code)
+		}
+		code := postMetrics(h, body)
+		if code != http.StatusAccepted && code != http.StatusBadRequest && code != http.StatusConflict {
+			t.Fatalf("POST /v1/metrics(%q) = %d, want 202, 400, or 409", body, code)
+		}
+		if code == http.StatusAccepted {
+			var rep MetricsReport
+			if err := json.Unmarshal(body, &rep); err != nil {
+				t.Fatalf("POST /v1/metrics(%q) = 202 but the body does not decode: %v", body, err)
+			}
+			ref := newRefGlobal()
+			ref.handle(stripeIndex(g, base.Cluster), base)
+			if want := ref.handle(stripeIndex(g, rep.Cluster), rep); want != code {
+				t.Fatalf("POST /v1/metrics(%q) = 202, reference %d", body, want)
+			}
+			checkWindow(t, g, ref, rep.Cluster)
 		}
 		for i := range g.ingest {
 			st := &g.ingest[i]
 			st.mu.Lock()
 			clear(st.clusters)
+			st.ids = nil
 			st.mu.Unlock()
 		}
 		g.pendingClusters.Store(0)

@@ -29,11 +29,14 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,22 +95,32 @@ const ingestStripes = 16
 const pushParallelism = 8
 
 // clusterIngest is the global controller's telemetry state for one
-// cluster: the reconstructed full window (deltas folded in) and the
-// epoch of the last applied report.
+// cluster: the reconstructed full window (deltas folded in), kept
+// telemetry.Sorted, and the epoch of the last applied report.
 type clusterIngest struct {
 	epoch    uint64
-	stats    map[telemetry.MetricKey]telemetry.WindowStats
+	stats    []telemetry.WindowStats
 	reported bool // reported since the last tick merged this cluster
 	// lastRPS is the reconstructed window's total RPS after the previous
 	// report, the baseline for event-driven breach detection.
 	lastRPS float64
 }
 
+// shadow is what one cluster last acknowledged: its slice of the rules
+// and the published table that slice was cut from.
+type shadow struct{ slice, from *routing.Table }
+
 // ingestStripe is one lock stripe of the sharded ingest map.
 type ingestStripe struct {
 	mu       sync.Mutex
 	clusters map[topology.ClusterID]*clusterIngest
+	ids      []topology.ClusterID // the keys of clusters, sorted
 }
+
+// reportBodies recycles the buffers report bodies are read into. Not a
+// Global field: the runtime lists every used sync.Pool until its second
+// idle GC, so a pool inside a discarded Global would pin all it points to.
+var reportBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Global is the Global Controller daemon: an HTTP API around
 // core.Controller plus incremental rule push-down to registered cluster
@@ -144,7 +157,7 @@ type Global struct {
 	// acknowledged table slice within a round.
 	pushSem chan struct{}
 	sentMu  sync.Mutex
-	sent    map[topology.ClusterID]*routing.Table
+	sent    map[topology.ClusterID]shadow
 
 	metricsH       http.Handler
 	mTicks         *obs.Counter
@@ -187,7 +200,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		ctrl:     ctrl,
 		clusters: make(map[topology.ClusterID]string),
 		pushSem:  make(chan struct{}, 1),
-		sent:     make(map[topology.ClusterID]*routing.Table),
+		sent:     make(map[topology.ClusterID]shadow),
 		client:   &http.Client{Timeout: 10 * time.Second},
 		eventCh:  make(chan struct{}, 1),
 		now:      time.Now,
@@ -303,13 +316,30 @@ func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics ingests one telemetry report into the cluster's striped
-// state map. Full reports replace the cluster's window outright; delta
+// state. Full reports replace the cluster's window outright; delta
 // reports fold changed stats in and delete removed keys, but only when
 // their epoch is the exact successor of the last applied one — any gap
-// (lost report, global restart) gets 409 so the cluster resyncs.
+// (lost report, global restart) gets 409 so the cluster resyncs. A report
+// naming no cluster or carrying a negative rate gets 400 and leaves the
+// window as it was: negative demand would fail every tick until re-reported.
 func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	body := reportBodies.Get().(*bytes.Buffer)
+	defer reportBodies.Put(body)
+	body.Reset()
 	var rep MetricsReport
-	if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+	_, err := body.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &rep)
+	}
+	if err == nil && rep.Cluster == "" {
+		err = errors.New("report names no cluster")
+	}
+	for i := 0; err == nil && i < len(rep.Stats); i++ {
+		if rep.Stats[i].RPS < 0 {
+			err = fmt.Errorf("negative rps for %v", rep.Stats[i].Key)
+		}
+	}
+	if err != nil {
 		g.mReportErrs.Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -329,45 +359,28 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "epoch gap: full report required", http.StatusConflict)
 			return
 		}
-		for _, ws := range rep.Stats {
-			ci.stats[ws.Key] = ws
-		}
-		for _, k := range rep.Removed {
-			delete(ci.stats, k)
-		}
-		ci.epoch = rep.Epoch
+		ci.stats = foldDelta(ci.stats, rep.Stats, rep.Removed)
 	} else {
-		next := &clusterIngest{
-			epoch: rep.Epoch,
-			stats: make(map[telemetry.MetricKey]telemetry.WindowStats, len(rep.Stats)),
+		if ci == nil {
+			ci = &clusterIngest{}
+			st.clusters[rep.Cluster] = ci
+			at, _ := slices.BinarySearch(st.ids, rep.Cluster)
+			st.ids = slices.Insert(st.ids, at, rep.Cluster)
 		}
-		for _, ws := range rep.Stats {
-			next.stats[ws.Key] = ws
-		}
-		if ci != nil {
-			next.reported = ci.reported
-			next.lastRPS = ci.lastRPS
-		}
-		st.clusters[rep.Cluster] = next
-		ci = next
+		ci.stats = sortWindow(rep.Stats)
 	}
+	ci.epoch = rep.Epoch
 	if !ci.reported {
 		ci.reported = true
 		g.mStaleGroups.Set(float64(g.pendingClusters.Add(1)))
 	}
 	// Event-driven re-solve trigger: compare the reconstructed window's
-	// total load against the previous report's. Summed in sorted key
-	// order so the total (and hence the breach decision near the
-	// threshold) never depends on map iteration order.
+	// total load against the previous report's. The window is in key order,
+	// so the total (and a near-threshold breach) never depends on arrival order.
 	lastRPS := ci.lastRPS
-	keys := make([]telemetry.MetricKey, 0, len(ci.stats))
-	for k := range ci.stats {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessMetricKey(keys[i], keys[j]) })
 	var curRPS float64
-	for _, k := range keys {
-		curRPS += ci.stats[k].RPS
+	for i := range ci.stats {
+		curRPS += ci.stats[i].RPS
 	}
 	ci.lastRPS = curRPS
 	st.mu.Unlock()
@@ -376,56 +389,67 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
+// sortWindow puts reported stats into telemetry.Sorted shape in place:
+// key order, one stat per key, the last reported winning.
+func sortWindow(ws []telemetry.WindowStats) []telemetry.WindowStats {
+	if telemetry.Sorted(ws) {
+		return ws
+	}
+	slices.Reverse(ws) // the stable sort then puts each key's last report first
+	slices.SortStableFunc(ws, func(a, b telemetry.WindowStats) int { return a.Key.Compare(b.Key) })
+	return slices.CompactFunc(ws, func(a, b telemetry.WindowStats) bool { return a.Key == b.Key })
+}
+
+// statVsKey orders a window's stat against a key, for binary search.
+func statVsKey(s telemetry.WindowStats, k telemetry.MetricKey) int { return s.Key.Compare(k) }
+
+// foldDelta applies a delta report to a cluster's window: changed stats
+// overwrite their entry or join (only that re-sorts), then removed keys leave.
+func foldDelta(window, changed []telemetry.WindowStats, removed []telemetry.MetricKey) []telemetry.WindowStats {
+	known := window // new keys are appended behind it, out of order
+	for _, ws := range changed {
+		if i, ok := slices.BinarySearchFunc(known, ws.Key, statVsKey); ok {
+			window[i] = ws
+		} else {
+			window = append(window, ws)
+		}
+	}
+	window = sortWindow(window)
+	for _, k := range removed {
+		if i, ok := slices.BinarySearchFunc(window, k, statVsKey); ok {
+			window = slices.Delete(window, i, i+1)
+		}
+	}
+	return window
+}
+
 // snapshotIngest collects the reconstructed windows of every cluster
 // that reported since the last tick and clears the reported marks.
-// State maps are retained so the next delta has a base; clusters that
+// Windows are retained so the next delta has a base; clusters that
 // stay silent simply contribute nothing, which lets the controller's
 // demand estimate decay exactly as it did with full fan-in.
+//
+// Clusters are visited in sorted order within each stripe and windows
+// are in key order: they feed float-averaging demand estimation, so both
+// orders are visible in the optimizer input. The groups are copies: the
+// next delta overwrites a window in place.
 func (g *Global) snapshotIngest() [][]telemetry.WindowStats {
 	var groups [][]telemetry.WindowStats
 	for i := range g.ingest {
 		st := &g.ingest[i]
 		st.mu.Lock()
-		// Visit clusters and their stat keys in sorted order: the merged
-		// windows feed float-averaging demand estimation, so group and
-		// window order is visible in the optimizer input and must not
-		// depend on map iteration.
-		ids := make([]topology.ClusterID, 0, len(st.clusters))
-		for id := range st.clusters {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
+		for _, id := range st.ids {
 			ci := st.clusters[id]
 			if !ci.reported {
 				continue
 			}
 			ci.reported = false
-			keys := make([]telemetry.MetricKey, 0, len(ci.stats))
-			for k := range ci.stats {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return lessMetricKey(keys[a], keys[b]) })
-			group := make([]telemetry.WindowStats, 0, len(keys))
-			for _, k := range keys {
-				group = append(group, ci.stats[k])
-			}
-			groups = append(groups, group)
+			groups = append(groups, slices.Clone(ci.stats))
 		}
 		st.mu.Unlock()
 	}
 	g.pendingClusters.Store(0)
 	return groups
-}
-
-func lessMetricKey(a, b telemetry.MetricKey) bool {
-	if a.Service != b.Service {
-		return a.Service < b.Service
-	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	return a.Cluster < b.Cluster
 }
 
 func (g *Global) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -568,12 +592,18 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 		g.mPushDur.With(string(c)).Observe(time.Since(start).Seconds())
 	}()
 
-	desired := table.Restrict(c)
 	g.sentMu.Lock()
 	prev := g.sent[c]
 	g.sentMu.Unlock()
 
-	patch := routing.MakePatch(prev, desired)
+	// A shadow cut from this very table object (tables are immutable)
+	// needs no restrict-and-diff: the patch is the empty keep-alive.
+	desired := prev.slice
+	patch := &routing.Patch{FromVersion: table.Version, Version: table.Version}
+	if prev.from != table {
+		desired = table.Restrict(c)
+		patch = routing.MakePatch(prev.slice, desired)
+	}
 	if err := g.postPatch(ctx, c, u, patch); err != nil {
 		code, ok := statusCode(err)
 		switch {
@@ -596,7 +626,7 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 		}
 	}
 	g.sentMu.Lock()
-	g.sent[c] = desired
+	g.sent[c] = shadow{slice: desired, from: table}
 	g.sentMu.Unlock()
 	return nil
 }

@@ -79,7 +79,8 @@ type Controller struct {
 	profs   Profiles
 	history *SampleHistory
 	demand  Demand
-	fc      *forecast.Forecaster // nil when cfg.Forecast is zero
+	seen    map[forecast.Key]struct{} // updateDemand's scratch: keys this window reported
+	fc      *forecast.Forecaster      // nil when cfg.Forecast is zero
 	opt     *ShardedOptimizer
 
 	cur     *routing.Table
@@ -117,6 +118,7 @@ func NewController(top *topology.Topology, app *appgraph.App, cfg ControllerConf
 		profs:   DefaultProfiles(app, top, Demand{}),
 		history: NewSampleHistory(0),
 		demand:  Demand{},
+		seen:    make(map[forecast.Key]struct{}),
 		fc:      fc,
 		opt:     opt,
 		cur:     routing.EmptyTable(),
@@ -229,7 +231,7 @@ func (c *Controller) Tick(stats []telemetry.WindowStats, window time.Duration) (
 		return c.cur, err
 	}
 	next := routing.Step(c.cur, plan.Table, c.cfg.MaxStep)
-	if len(routing.Diff(c.cur, next)) > 0 {
+	if !routing.Equal(c.cur, next) {
 		c.prev = c.cur
 		c.cur = next
 	}
@@ -310,7 +312,7 @@ func (c *Controller) planDemand() Demand {
 // arrival cluster).
 func (c *Controller) updateDemand(stats []telemetry.WindowStats) {
 	frontend := string(c.app.FrontendService())
-	seen := make(map[string]map[topology.ClusterID]bool)
+	clear(c.seen)
 	alpha := c.cfg.DemandSmoothing
 	for _, ws := range stats {
 		if ws.Key.Service != frontend {
@@ -330,15 +332,12 @@ func (c *Controller) updateDemand(stats []telemetry.WindowStats) {
 		} else {
 			c.demand[class][cl] = ws.RPS
 		}
-		if seen[class] == nil {
-			seen[class] = make(map[topology.ClusterID]bool)
-		}
-		seen[class][cl] = true
+		c.seen[forecast.Key{Class: class, Cluster: ws.Key.Cluster}] = struct{}{}
 	}
 	// Decay demand for keys that reported nothing this window.
 	for class, per := range c.demand {
 		for cl, v := range per {
-			if seen[class] == nil || !seen[class][cl] {
+			if _, ok := c.seen[forecast.Key{Class: class, Cluster: string(cl)}]; !ok {
 				per[cl] = (1 - alpha) * v
 				if per[cl] < 1e-6 {
 					delete(per, cl)

@@ -52,7 +52,8 @@ type PoolProfile struct {
 	// classes at this service; a class whose requests take k× longer
 	// consumes k standard requests of pool capacity.
 	RefServiceTime time.Duration
-	Model          queuemodel.Model
+	// Model must be a comparable value: caches are keyed on the profile.
+	Model queuemodel.Model
 }
 
 // Profiles maps every placed (service, cluster) pool to its profile.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,6 +48,35 @@ type ShardedOptimizer struct {
 	shards []*shard
 	race   *RaceConfig
 	stats  OptimizerStats
+
+	// Input layout, compiled once (placement is fixed at build): topology
+	// cluster order, every placed pool in (service, cluster) order and the
+	// frontend's among them; fpBuf holds the last fingerprint taken.
+	clusters []topology.ClusterID
+	probes   []poolProbe
+	frontend []*poolProbe
+	fpBuf    []float64
+
+	// The last merged plan and the sub-plans it was merged from (plans
+	// is this tick's): merge re-stamps it while those are the tick's.
+	plans, mergedFrom []*Plan
+	merged            *Plan
+}
+
+// noProfile is the fingerprint of a pool without a profile: never equal.
+var noProfile = [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+
+// poolProbe is what the optimizer derives from one pool's profile alone,
+// cached beside the PoolProfile value it was computed from. FitProfiles
+// mutates Profiles in place, so each tick compares every pool by value.
+type poolProbe struct {
+	key  PoolKey
+	prof PoolProfile
+	ok   bool       // the pool has a profile
+	fp   [4]float64 // its fingerprint entries
+	// Frontend pools only: PWL capacity and the linearization's error.
+	width    float64
+	widthErr error
 }
 
 // shard is one independent subproblem: a subset of classes, the
@@ -59,6 +89,7 @@ type shard struct {
 	search  *search.Optimizer // lazily built when the race is armed
 	fp      []float64         // inputs of the last successful solve
 	plan    *Plan             // result of the last successful solve
+	pools   []*poolProbe      // the shard's pools, in probes order
 }
 
 // DefaultSkipEpsilon is the relative input-change threshold below which
@@ -81,7 +112,36 @@ func newShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, 
 	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps, solver: lp.NewSolver()}
 	s.partition(decompose)
 	s.stats.Shards = uint64(len(s.shards))
+	s.compileLayout()
 	return s
+}
+
+// compileLayout fixes the order fingerprints are written in: per class
+// the topology's clusters, then pools by service id and topology cluster.
+func (s *ShardedOptimizer) compileLayout() {
+	s.clusters = s.top.ClusterIDs()
+	sids := make([]string, 0, len(s.app.Services))
+	for sid := range s.app.Services {
+		sids = append(sids, string(sid))
+	}
+	sort.Strings(sids)
+	for _, sid := range sids {
+		for _, c := range s.app.Services[appgraph.ServiceID(sid)].Clusters(s.top) {
+			s.probes = append(s.probes, poolProbe{key: PoolKey{Service: appgraph.ServiceID(sid), Cluster: c}, fp: noProfile})
+		}
+	}
+	for i := range s.probes {
+		p := &s.probes[i]
+		if p.key.Service == s.app.FrontendService() {
+			s.frontend = append(s.frontend, p)
+		}
+		for _, sh := range s.shards {
+			if _, ok := sh.app.Services[p.key.Service]; ok {
+				sh.pools = append(sh.pools, p)
+			}
+		}
+	}
+	s.plans = make([]*Plan, len(s.shards))
 }
 
 // varServices returns the services a class touches at non-root call
@@ -197,17 +257,17 @@ func (s *ShardedOptimizer) Shards() int { return len(s.shards) }
 // one versioned plan. Subproblems whose inputs are unchanged within
 // epsilon reuse their cached sub-plan without solving.
 func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+	s.refreshProbes(profiles)
 	if len(s.shards) > 1 {
-		if err := s.checkFrontendCapacity(demand, profiles); err != nil {
+		if err := s.checkFrontendCapacity(demand); err != nil {
 			return nil, err
 		}
 	}
-	plans := make([]*Plan, len(s.shards))
 	for i, sh := range s.shards {
-		fp := s.fingerprint(sh, demand, profiles)
+		fp := s.fingerprint(sh, demand)
 		if sh.plan != nil && fingerprintsEqual(sh.fp, fp, s.skipEps) {
 			s.stats.SkippedSolves++
-			plans[i] = sh.plan
+			s.plans[i] = sh.plan
 			continue
 		}
 		plan, err := s.solveShard(sh, demand, profiles, version)
@@ -215,49 +275,56 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 			return nil, err
 		}
 		s.stats.SubSolves++
-		sh.fp = fp
+		sh.fp = append(sh.fp[:0], fp...)
 		sh.plan = plan
-		plans[i] = plan
+		s.plans[i] = plan
 	}
-	return s.merge(plans, profiles, version), nil
+	return s.merge(profiles, version), nil
+}
+
+// refreshProbes brings the pools' cached numbers up to date with this
+// tick's profiles. The queueing model is an interface, so the
+// fingerprint probes it numerically (capacity and mid-load sojourn
+// characterize every model in queuemodel within the skip epsilon).
+func (s *ShardedOptimizer) refreshProbes(profiles Profiles) {
+	for i := range s.probes {
+		p := &s.probes[i]
+		prof, ok := profiles.Get(p.key.Service, p.key.Cluster)
+		if ok == p.ok && prof == p.prof {
+			continue
+		}
+		s.merged = nil // its loads were priced at the old profile
+		*p = poolProbe{key: p.key, prof: prof, ok: ok, fp: noProfile}
+		if !ok {
+			continue
+		}
+		capacity := prof.Model.Capacity()
+		p.fp = [4]float64{float64(prof.Servers), prof.RefServiceTime.Seconds(), capacity, prof.Model.SojournSeconds(0.5 * capacity)}
+		if p.key.Service == s.app.FrontendService() {
+			var segs []queuemodel.Segment
+			segs, p.widthErr = queuemodel.Linearize(prof.Model, s.cfg.BreakFracs)
+			p.width = queuemodel.TotalWidth(segs)
+		}
+	}
 }
 
 // fingerprint captures a shard's solve inputs as a flat float vector in
-// deterministic order: per-class demand by cluster, then per-pool
-// profile parameters. The queueing model is an interface, so it is
-// probed numerically (capacity and mid-load sojourn characterize every
-// model in queuemodel within the skip epsilon's resolution).
-func (s *ShardedOptimizer) fingerprint(sh *shard, demand Demand, profiles Profiles) []float64 {
-	clusters := s.top.ClusterIDs()
-	fp := make([]float64, 0, len(sh.classes)*len(clusters)+4*len(sh.app.Services)*len(clusters))
+// the compiled order: per-class demand by cluster, then per-pool profile
+// probes. The vector lives in a buffer the next call overwrites.
+//
+//slate:hot
+func (s *ShardedOptimizer) fingerprint(sh *shard, demand Demand) []float64 {
+	s.fpBuf = s.fpBuf[:0]
 	for _, cl := range sh.classes {
-		for _, c := range clusters {
-			fp = append(fp, demand[cl.Name][c])
+		per := demand[cl.Name]
+		for _, c := range s.clusters {
+			s.fpBuf = append(s.fpBuf, per[c])
 		}
 	}
-	sids := make([]string, 0, len(sh.app.Services))
-	for sid := range sh.app.Services {
-		sids = append(sids, string(sid))
+	for _, p := range sh.pools {
+		s.fpBuf = append(s.fpBuf, p.fp[:]...)
 	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		svc := sh.app.Services[appgraph.ServiceID(sid)]
-		for _, c := range svc.Clusters(s.top) {
-			prof, ok := profiles.Get(appgraph.ServiceID(sid), c)
-			if !ok {
-				fp = append(fp, math.NaN(), math.NaN(), math.NaN(), math.NaN())
-				continue
-			}
-			capacity := prof.Model.Capacity()
-			fp = append(fp,
-				float64(prof.Servers),
-				prof.RefServiceTime.Seconds(),
-				capacity,
-				prof.Model.SojournSeconds(0.5*capacity),
-			)
-		}
-	}
-	return fp
+	return s.fpBuf
 }
 
 // fingerprintsEqual compares input vectors with a purely relative
@@ -266,6 +333,8 @@ func (s *ShardedOptimizer) fingerprint(sh *shard, demand Demand, profiles Profil
 // a 0 → small swing — exactly what the forecaster injects when a quiet
 // stream first stirs — compared "equal" and wrongly skipped the
 // shard's re-solve (pinned by TestShardDirtyOnZeroToSmallSwing).
+//
+//slate:hot
 func fingerprintsEqual(a, b []float64, eps float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -292,17 +361,14 @@ func fingerprintsEqual(a, b []float64, eps float64) bool {
 // only its own classes' constant root load on the frontend pools, so
 // the aggregate across shards must be pre-checked against each pool's
 // PWL capacity.
-func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand, profiles Profiles) error {
-	frontend := s.app.FrontendService()
-	svc := s.app.Services[frontend]
-	for _, c := range svc.Clusters(s.top) {
-		prof, ok := profiles.Get(frontend, c)
-		if !ok {
-			return fmt.Errorf("core: no latency profile for pool %s", PoolKey{Service: frontend, Cluster: c})
+func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand) error {
+	for _, p := range s.frontend {
+		prof, c := p.prof, p.key.Cluster
+		if !p.ok {
+			return fmt.Errorf("core: no latency profile for pool %s", p.key)
 		}
-		segs, err := queuemodel.Linearize(prof.Model, s.cfg.BreakFracs)
-		if err != nil {
-			return fmt.Errorf("core: linearizing pool %s: %w", PoolKey{Service: frontend, Cluster: c}, err)
+		if p.widthErr != nil {
+			return fmt.Errorf("core: linearizing pool %s: %w", p.key, p.widthErr)
 		}
 		var load float64
 		for _, cl := range s.app.Classes {
@@ -338,7 +404,7 @@ func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand, profiles Profile
 				}
 			}
 		}
-		if load > queuemodel.TotalWidth(segs)+1e-9 {
+		if load > p.width+1e-9 {
 			return fmt.Errorf("core: routing LP infeasible: offered demand exceeds modeled capacity (utilization cap %.0f%%)",
 				lastFrac(s.cfg.BreakFracs)*100)
 		}
@@ -350,11 +416,22 @@ func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand, profiles Profile
 // shards (they carry the class), so rules merge by union. Pool loads
 // overlap only on the frontend pools; overlapping loads sum their
 // standard RPS and re-derive utilization and sojourn from the profile.
-func (s *ShardedOptimizer) merge(plans []*Plan, profiles Profiles, version uint64) *Plan {
+//
+// The result is a function of the sub-plans (immutable once solved) and
+// of the profiles its loads were priced at: while every sub-plan pointer
+// is the last merge's and no profile has changed since, the last result
+// is returned again, re-stamped with this version over the shared rules.
+func (s *ShardedOptimizer) merge(profiles Profiles, version uint64) *Plan {
+	if s.merged != nil && slices.Equal(s.plans, s.mergedFrom) {
+		out := *s.merged
+		out.Table = out.Table.WithVersion(version)
+		s.merged = &out
+		return s.merged
+	}
 	rules := make(map[routing.Key]routing.Distribution)
 	out := &Plan{PredictedMeanLatency: make(map[string]time.Duration)}
 	loads := make(map[PoolKey]float64)
-	for _, p := range plans {
+	for _, p := range s.plans {
 		for _, k := range p.Table.Keys() {
 			d, _ := p.Table.Get(k)
 			rules[k] = d
@@ -381,5 +458,6 @@ func (s *ShardedOptimizer) merge(plans []*Plan, profiles Profiles, version uint6
 		out.Loads = append(out.Loads, pl)
 	}
 	sortLoads(out.Loads)
+	s.merged, s.mergedFrom = out, append(s.mergedFrom[:0], s.plans...)
 	return out
 }

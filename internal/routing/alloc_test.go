@@ -39,3 +39,27 @@ func TestLookupAndPickAllocationFree(t *testing.T) {
 		t.Fatalf("local-fallback Lookup+Pick allocates %v per run, want 0", n)
 	}
 }
+
+// TestEqualAllocationFree pins the controller's per-tick "did the table
+// change" test at zero heap allocations, whatever the rule count.
+func TestEqualAllocationFree(t *testing.T) {
+	rules := map[Key]Distribution{}
+	for _, c := range []topology.ClusterID{"or", "ut", "iow", "sc"} {
+		d, err := NewDistribution(map[topology.ClusterID]float64{c: 0.6, "or": 0.2, "sc": 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules[Key{Service: "svc", Class: "H", Cluster: c}] = d
+		rules[Key{Service: "svc", Class: AnyClass, Cluster: c}] = Local(c)
+	}
+	b := NewTable(2, rules)
+	delete(rules, Key{Service: "svc", Class: AnyClass, Cluster: "ut"}) // b's rule equals a's implicit local one
+	a := NewTable(1, rules)
+	if n := testing.AllocsPerRun(100, func() {
+		if !Equal(a, b) || !Equal(b, a) {
+			t.Fatal("tables must compare equal")
+		}
+	}); n != 0 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
+		t.Fatalf("Equal allocates %v per run, want 0", n)
+	}
+}

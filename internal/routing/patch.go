@@ -106,6 +106,9 @@ func (t *Table) Apply(p *Patch) (*Table, error) {
 	if !p.Full && t.Version != p.FromVersion {
 		return nil, fmt.Errorf("%w: table at v%d, patch from v%d", ErrVersionGap, t.Version, p.FromVersion)
 	}
+	if p.Empty() && p.Version == t.Version {
+		return t, nil // a keep-alive push: the result would equal t, and tables are immutable
+	}
 	rules := make(map[Key]Distribution)
 	if !p.Full {
 		for k, d := range t.rules {

@@ -199,3 +199,39 @@ func TestApplyRejectsBadPatchRule(t *testing.T) {
 		t.Fatal("negative weight accepted")
 	}
 }
+
+// TestApplyKeepAliveReturnsReceiver: the empty same-version patch the
+// global controller sends when nothing changed yields the receiver
+// itself (tables are immutable, the result would be equal), while an
+// empty patch that bumps the version still yields a new table.
+func TestApplyKeepAliveReturnsReceiver(t *testing.T) {
+	base := NewTable(7, map[Key]Distribution{{Service: "s", Class: "c", Cluster: "west"}: Local("east")})
+	same, err := base.Apply(&Patch{FromVersion: 7, Version: 7})
+	if err != nil || same != base {
+		t.Fatalf("Apply(keep-alive) = %p, %v; want the receiver %p", same, err, base)
+	}
+	bumped, err := base.Apply(&Patch{FromVersion: 7, Version: 8})
+	if err != nil || bumped == base || bumped.Version != 8 || !Equal(base, bumped) {
+		t.Fatalf("Apply(empty version bump) = %v, %v; want a new table at v8 with the same rules", bumped, err)
+	}
+	if _, err := base.Apply(&Patch{FromVersion: 6, Version: 6}); !errors.Is(err, ErrVersionGap) {
+		t.Fatalf("Apply(keep-alive from v6) err = %v, want ErrVersionGap", err)
+	}
+	full, err := base.Apply(&Patch{Version: 7, Full: true})
+	if err != nil || full == base || full.Len() != 0 {
+		t.Fatalf("Apply(empty full patch) = %v, %v; want a new empty table", full, err)
+	}
+}
+
+// TestWithVersionSharesRules: the re-stamped table answers every lookup
+// like the original under its own version.
+func TestWithVersionSharesRules(t *testing.T) {
+	base := NewTable(3, map[Key]Distribution{{Service: "s", Class: "c", Cluster: "west"}: Local("east")})
+	next := base.WithVersion(9)
+	if next.Version != 9 || base.Version != 3 || next.Len() != 1 || !Equal(base, next) {
+		t.Fatalf("WithVersion(9) = %v from %v", next, base)
+	}
+	if p := MakePatch(base, next); !p.Empty() || p.FromVersion != 3 || p.Version != 9 {
+		t.Fatalf("MakePatch(base, restamped) = %+v, want an empty version bump", p)
+	}
+}

@@ -143,3 +143,71 @@ func TestLocalInterningProperties(t *testing.T) {
 		t.Fatalf("warm Local allocates %v per run, want 0", n)
 	}
 }
+
+// distWithWeights builds a distribution with exactly these weights — no
+// normalization — so that differences can sit on Diff's 1e-12 threshold.
+func distWithWeights(w ...float64) Distribution {
+	var d Distribution
+	for i, x := range w {
+		if x > 0 {
+			d.clusters = append(d.clusters, topology.ClusterID(fmt.Sprintf("c%d", i)))
+			d.weights = append(d.weights, x)
+		}
+	}
+	return d
+}
+
+// TestEqualMatchesDiff checks Equal(a, b) == (len(Diff(a, b)) == 0) over
+// seeded random table pairs built to stress every branch of Diff: keys
+// in one table only (compared against the other's AnyClass rule or the
+// implicit local rule), clusters in one distribution only, and weight
+// differences just under, on and just over the 1e-12 threshold.
+func TestEqualMatchesDiff(t *testing.T) {
+	rng := sim.NewRNG(19)
+	nudges := []float64{0, 5e-13, 1e-12, math.Nextafter(1e-12, 0), math.Nextafter(1e-12, 1), 2e-12, 1e-3}
+	equal, differ := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		a, b := map[Key]Distribution{}, map[Key]Distribution{}
+		for n := rng.Intn(5); n > 0; n-- {
+			k := Key{
+				Service: fmt.Sprintf("s%d", rng.Intn(2)),
+				Class:   []string{"x", "y", AnyClass}[rng.Intn(3)],
+				Cluster: topology.ClusterID(fmt.Sprintf("c%d", rng.Intn(3))),
+			}
+			w := []float64{rng.Float64(), rng.Float64(), 0}
+			switch rng.Intn(4) {
+			case 0: // all local: equals the implicit rule of a table without the key
+				w = []float64{0, 0, 0}
+				w[int(k.Cluster[1]-'0')] = 1
+			case 1: // a cluster with a weight below the threshold
+				w[2] = 4e-13
+			}
+			da := distWithWeights(w...)
+			w[rng.Intn(2)] += nudges[rng.Intn(len(nudges))]
+			db := distWithWeights(w...)
+			switch rng.Intn(6) {
+			case 0:
+				a[k] = da
+			case 1:
+				b[k] = db
+			default:
+				a[k], b[k] = da, db
+			}
+		}
+		ta, tb := NewTable(1, a), NewTable(2, b)
+		for _, pair := range [][2]*Table{{ta, tb}, {tb, ta}, {ta, ta}} {
+			want := len(Diff(pair[0], pair[1])) == 0
+			if got := Equal(pair[0], pair[1]); got != want {
+				t.Fatalf("trial %d: Equal = %v but Diff = %v\nold %v\nnew %v", trial, got, Diff(pair[0], pair[1]), pair[0], pair[1])
+			}
+			if want {
+				equal++
+			} else {
+				differ++
+			}
+		}
+	}
+	if equal < 1000 || differ < 1000 {
+		t.Fatalf("unbalanced trial mix: %d equal pairs, %d differing", equal, differ)
+	}
+}

@@ -189,6 +189,12 @@ func NewTable(version uint64, rules map[Key]Distribution) *Table {
 // EmptyTable returns a table with no rules (everything routes local).
 func EmptyTable() *Table { return NewTable(0, nil) }
 
+// WithVersion returns the same rules under another version. Tables are
+// immutable, so the two share one rule set instead of NewTable's copy.
+func (t *Table) WithVersion(version uint64) *Table {
+	return &Table{Version: version, rules: t.rules}
+}
+
 // Lookup resolves the distribution for a request of the given class for
 // service svc arriving in cluster c: exact class rule, else AnyClass
 // rule, else 100% local.
@@ -219,16 +225,7 @@ func (t *Table) Keys() []Key {
 	for k := range t.rules {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Service != b.Service {
-			return a.Service < b.Service
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.Cluster < b.Cluster
-	})
+	sort.Slice(out, func(i, j int) bool { return lessKeyD(out[i], out[j]) })
 	return out
 }
 

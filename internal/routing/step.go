@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -80,6 +81,39 @@ func Diff(old, new *Table) []Delta {
 	}
 	// out is already sorted: it was built by iterating ordered keys.
 	return out
+}
+
+// Equal reports whether two tables route identically: exactly
+// len(Diff(a, b)) == 0 — the same Lookup fallbacks for keys only one
+// table holds, the same 1e-12 threshold — without building the deltas.
+//
+//slate:hot
+func Equal(a, b *Table) bool { return a.answers(b) && b.answers(a) }
+
+// answers reports whether t's lookup agrees with every rule of u.
+func (t *Table) answers(u *Table) bool {
+	for k, d := range u.rules {
+		if moved(d, t.Lookup(k.Service, k.Class, k.Cluster)) {
+			return false
+		}
+	}
+	return true
+}
+
+// moved is Diff's per-rule test: some cluster's weight differs by 1e-12
+// or more, a cluster absent from one side weighing zero there.
+func moved(od, nd Distribution) bool {
+	for i, c := range nd.clusters {
+		if !(math.Abs(nd.weights[i]-od.Weight(c)) < 1e-12) {
+			return true
+		}
+	}
+	for i, c := range od.clusters {
+		if !(od.weights[i] < 1e-12) && !slices.Contains(nd.clusters, c) {
+			return true
+		}
+	}
+	return false
 }
 
 func lessKeyD(a, b Key) bool {

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -101,14 +103,33 @@ func (a *Aggregator) Flush(window time.Duration) []WindowStats {
 	return out
 }
 
-func lessKey(a, b MetricKey) bool {
-	if a.Service != b.Service {
-		return a.Service < b.Service
+func lessKey(a, b MetricKey) bool { return a.Compare(b) < 0 }
+
+// Compare orders keys by service, then class, then cluster.
+//
+//slate:hot
+func (k MetricKey) Compare(o MetricKey) int {
+	if c := strings.Compare(k.Service, o.Service); c != 0 {
+		return c
 	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
+	if c := strings.Compare(k.Class, o.Class); c != 0 {
+		return c
 	}
-	return a.Cluster < b.Cluster
+	return strings.Compare(k.Cluster, o.Cluster)
+}
+
+// Sorted reports whether ws is in strictly ascending key order: sorted,
+// one stat per key. Flush, Merge and the cluster controller's Collect
+// return windows of this shape, and DeltaReport requires it.
+//
+//slate:hot
+func Sorted(ws []WindowStats) bool {
+	for i := 1; i < len(ws); i++ {
+		if ws[i-1].Key.Compare(ws[i].Key) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Merge combines window stats from multiple aggregators (e.g. one per
@@ -117,40 +138,68 @@ func lessKey(a, b MetricKey) bool {
 // max (a conservative upper summary, since exact cross-node quantile
 // merging needs the histograms — the cluster controller ships
 // WindowStats, not raw histograms, to bound fan-in bandwidth).
+//
+// The concatenated groups are sorted by key, ties by input position, and
+// runs of equal keys folded in that order, so a key's stats combine as
+// given. Input already Sorted (one batch) comes back as a copy.
 func Merge(groups ...[]WindowStats) []WindowStats {
-	acc := make(map[MetricKey]*WindowStats)
+	n := 0
 	for _, g := range groups {
-		for _, ws := range g {
-			cur, ok := acc[ws.Key]
-			if !ok {
-				copyWS := ws
-				acc[ws.Key] = &copyWS
-				continue
-			}
-			total := cur.Requests + ws.Requests
-			if total > 0 {
-				cur.MeanLatency = time.Duration(
-					(float64(cur.MeanLatency)*float64(cur.Requests) +
-						float64(ws.MeanLatency)*float64(ws.Requests)) / float64(total))
-			}
-			if ws.P50 > cur.P50 {
-				cur.P50 = ws.P50
-			}
-			if ws.P99 > cur.P99 {
-				cur.P99 = ws.P99
-			}
-			cur.Requests = total
-			cur.RPS += ws.RPS
-			cur.EgressBytes += ws.EgressBytes
-			if ws.Window > cur.Window {
-				cur.Window = ws.Window
-			}
+		n += len(g)
+	}
+	all := make([]WindowStats, 0, n)
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	if Sorted(all) {
+		return all
+	}
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := all[a].Key.Compare(all[b].Key); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	out := make([]WindowStats, n)
+	return out[:foldRuns(out, all, idx)]
+}
+
+// foldRuns copies all, in idx order, into out with every run of equal
+// keys folded into one stat, and returns how many it wrote.
+//
+//slate:hot
+func foldRuns(out, all []WindowStats, idx []int32) int {
+	w := 0
+	for _, i := range idx {
+		ws := &all[i]
+		if w == 0 || out[w-1].Key != ws.Key {
+			out[w] = *ws
+			w++
+			continue
+		}
+		cur := &out[w-1]
+		total := cur.Requests + ws.Requests
+		if total > 0 {
+			cur.MeanLatency = time.Duration(
+				(float64(cur.MeanLatency)*float64(cur.Requests) +
+					float64(ws.MeanLatency)*float64(ws.Requests)) / float64(total))
+		}
+		if ws.P50 > cur.P50 {
+			cur.P50 = ws.P50
+		}
+		if ws.P99 > cur.P99 {
+			cur.P99 = ws.P99
+		}
+		cur.Requests = total
+		cur.RPS += ws.RPS
+		cur.EgressBytes += ws.EgressBytes
+		if ws.Window > cur.Window {
+			cur.Window = ws.Window
 		}
 	}
-	out := make([]WindowStats, 0, len(acc))
-	for _, ws := range acc {
-		out = append(out, *ws)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessKey(out[i].Key, out[j].Key) })
-	return out
+	return w
 }

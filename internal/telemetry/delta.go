@@ -6,24 +6,30 @@ import "math"
 // window snapshots: changed holds every stat of cur that is new or
 // differs from prev beyond the relative epsilon, removed lists keys
 // present in prev but absent from cur. The receiver folds changed into
-// its per-cluster state map and deletes removed, reconstructing the
-// full window without the unchanged keys ever crossing the wire.
+// its per-cluster window and deletes removed, reconstructing the full
+// window without the unchanged keys ever crossing the wire.
+//
+// Both windows must be Sorted (what Collect returns): the two are walked
+// side by side, so a key out of order would read as removed and re-added.
 func DeltaReport(prev, cur []WindowStats, eps float64) (changed []WindowStats, removed []MetricKey) {
-	prevBy := make(map[MetricKey]WindowStats, len(prev))
-	for _, ws := range prev {
-		prevBy[ws.Key] = ws
-	}
-	for _, ws := range cur {
-		old, ok := prevBy[ws.Key]
-		if !ok || !statsWithin(old, ws, eps) {
-			changed = append(changed, ws)
+	i := 0
+	for j, ws := range cur {
+		for ; i < len(prev) && prev[i].Key.Compare(ws.Key) < 0; i++ {
+			removed = append(removed, prev[i].Key)
 		}
-		delete(prevBy, ws.Key)
-	}
-	for _, ws := range prev {
-		if _, gone := prevBy[ws.Key]; gone {
-			removed = append(removed, ws.Key)
+		if i < len(prev) && prev[i].Key == ws.Key {
+			i++
+			if statsWithin(prev[i-1], ws, eps) {
+				continue
+			}
 		}
+		if changed == nil {
+			changed = make([]WindowStats, 0, len(cur)-j)
+		}
+		changed = append(changed, ws)
+	}
+	for ; i < len(prev); i++ {
+		removed = append(removed, prev[i].Key)
 	}
 	return changed, removed
 }

@@ -15,15 +15,19 @@
 #                          TestFiguresPinned, which holds the paper's
 #                          figure values to FIGURES.json bit for bit)
 #   6. coverage gate      (total statement coverage >= COVER_THRESHOLD)
-#   7. benchmark module   (go vet + go test in benchmark/, its own Go
-#                          module: `./...` above does not descend into
-#                          it, so an API prune that breaks
+#   7. benchmark module   (go vet + go test -race in benchmark/, its
+#                          own Go module: `./...` above does not descend
+#                          into it, so an API prune that breaks
 #                          benchmark/adapter.go would otherwise surface
-#                          only at the benchmark gate)
+#                          only at the benchmark gate; its smoke tests
+#                          drive the live control plane over sockets with
+#                          concurrent reports and pushes, which is where
+#                          the ingest's reused buffers meet the race
+#                          detector)
 #
 # Usage:
 #   ./scripts/check.sh                 # everything, from the repo root
-#   SKIP_RACE=1 ./scripts/check.sh     # quick mode: plain `go test`
+#   SKIP_RACE=1 ./scripts/check.sh     # quick mode: plain `go test`, in both modules
 #   FAIL_FAST=1 ./scripts/check.sh     # abort at the first failing step
 #   COVER_THRESHOLD=75 ./scripts/check.sh
 #
@@ -125,9 +129,15 @@ else
     finish 1
 fi
 
-begin "benchmark module: go vet + go test"
-go -C benchmark vet ./... && go -C benchmark test ./...
-finish $?
+if [ "${SKIP_RACE:-}" = "1" ]; then
+    begin "benchmark module: go vet + go test (SKIP_RACE=1)"
+    go -C benchmark vet ./... && go -C benchmark test ./...
+    finish $?
+else
+    begin "benchmark module: go vet + go test -race"
+    go -C benchmark vet ./... && go -C benchmark test -race ./...
+    finish $?
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check.sh: FAILED" >&2
