@@ -96,8 +96,17 @@ var figures = []figureSpec{
 		wallClock: []string{"speedup_*", "*wall_ms*"}},
 	{id: "pardes-1m", run: experiments.ParallelDES1M,
 		skip: "minutes of wall time; the CI determinism matrix runs it once"},
-	{id: "gapcurve", run: experiments.GapCurve,
-		skip: "half a minute of cold 64-cluster simplex solves; TestSearchRaceMatchesSimplex holds the same race"},
+	{id: "gapcurve", run: experiments.GapCurve, pinned: gapCurveKeys()},
+}
+
+// gapCurveKeys is gapcurve's Summary: the reference objective, then the
+// achieved gap and the search's share of shards at each move budget.
+func gapCurveKeys() []string {
+	keys := []string{"simplex_objective", "gap_at_max_budget"}
+	for _, budget := range []int{32, 64, 128, 256, 512, 1024, 2048, 4096} {
+		keys = append(keys, fmt.Sprintf("gap_budget_%d", budget), fmt.Sprintf("search_share_budget_%d", budget))
+	}
+	return keys
 }
 
 // regretKeys is regret's Summary: one oracle mean per stress scenario

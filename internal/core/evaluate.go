@@ -23,20 +23,26 @@ func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, er
 	exec := make([]float64, len(f.nodes)*C)
 	for ni, nr := range f.nodes {
 		row := exec[ni*C : (ni+1)*C]
+		// flows is the rest of the node's (i, j)-ordered variables: each
+		// cluster i below takes its own run off the front.
+		flows := f.flow[ni]
 		if nr.parent == -1 {
 			for i, ci := range f.clusters {
+				placed := len(flows) > 0 && flows[0].i == i
 				d := demand[nr.class.Name][ci]
 				if d < 0 {
 					return nil, fmt.Errorf("core: negative demand for class %q in %s", nr.class.Name, ci)
 				}
 				if d > 0 {
-					v, ok := f.flow[ni][srcDst{i, i}]
-					if !ok {
+					if !placed {
 						return nil, fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",
 							nr.class.Name, ci, nr.node.Service)
 					}
-					x[v] = d
+					x[flows[0].v] = d
 					row[i] = d
+				}
+				if placed {
+					flows = flows[1:]
 				}
 			}
 			continue
@@ -44,30 +50,30 @@ func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, er
 		parentRow := exec[nr.parent*C : (nr.parent+1)*C]
 		count := float64(nr.node.Count)
 		for i := range f.clusters {
+			n := 0
+			for n < len(flows) && flows[n].i == i {
+				n++
+			}
+			from := flows[:n]
+			flows = flows[n:]
 			rate := count * parentRow[i]
 			if rate <= 0 {
 				continue
 			}
 			dist := table.Lookup(string(nr.node.Service), nr.class.Name, f.clusters[i])
 			var sumW float64
-			for j := range f.clusters {
-				if _, ok := f.flow[ni][srcDst{i, j}]; ok {
-					sumW += dist.Weight(f.clusters[j])
-				}
+			for _, fl := range from {
+				sumW += dist.Weight(f.clusters[fl.j])
 			}
 			if sumW < 1-1e-6 {
 				return nil, fmt.Errorf("core: table loses flow for %s class %q from %s: only %.6f of its weight lands on placed clusters",
 					nr.node.Service, nr.class.Name, f.clusters[i], sumW)
 			}
-			for j := range f.clusters {
-				v, ok := f.flow[ni][srcDst{i, j}]
-				if !ok {
-					continue
-				}
-				if w := dist.Weight(f.clusters[j]); w > 0 {
+			for _, fl := range from {
+				if w := dist.Weight(f.clusters[fl.j]); w > 0 {
 					amt := rate * w / sumW
-					x[v] += amt
-					row[j] += amt
+					x[fl.v] += amt
+					row[fl.j] += amt
 				}
 			}
 		}

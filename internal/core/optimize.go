@@ -100,8 +100,13 @@ type nodeRef struct {
 	parent int
 }
 
-// srcDst indexes a flow variable by (caller cluster, executing cluster).
-type srcDst struct{ i, j int }
+// flowVar is one flow variable of a call node: the rate of its calls
+// whose caller ran in cluster i and that execute in cluster j (indices
+// into formulation.clusters).
+type flowVar struct {
+	i, j int
+	v    lp.Var
+}
 
 // linkTerm remembers one flow variable's contribution to a pool's
 // loadlink constraint: the coefficient is the node's mean service time
@@ -170,11 +175,13 @@ type formulation struct {
 	cfg      Config // normalized
 	clusters []topology.ClusterID
 	nodes    []nodeRef
-	flow     []map[srcDst]lp.Var
-	model    *lp.Model
-	pools    []*poolRef
-	poolIdx  map[PoolKey]*poolRef
-	demands  []demandRef
+	// flow[n] is node n's flow variables in (i, j) order. Its consumers
+	// build LP rows and accumulate floats — both order-sensitive.
+	flow    [][]flowVar
+	model   *lp.Model
+	pools   []*poolRef
+	poolIdx map[PoolKey]*poolRef
+	demands []demandRef
 }
 
 // Optimize builds and solves the routing LP from scratch and extracts
@@ -218,12 +225,11 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	// cluster i, executed in cluster j. Only for j where the service is
 	// placed. Root nodes are pinned to the arrival cluster (the user hits
 	// the local ingress; routing starts at the first internal hop).
-	f.flow = make([]map[srcDst]lp.Var, len(f.nodes))
+	f.flow = make([][]flowVar, len(f.nodes))
 	placedIn := func(s appgraph.ServiceID, c topology.ClusterID) bool {
 		return app.Services[s].PlacedIn(c)
 	}
 	for ni, nr := range f.nodes {
-		f.flow[ni] = make(map[srcDst]lp.Var)
 		for i, ci := range clusters {
 			if nr.parent == -1 {
 				// Root: executes where demand arrives; a single variable
@@ -231,7 +237,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				// without the frontend; validated below.
 				if placedIn(nr.node.Service, ci) {
 					v := model.AddVar(fmt.Sprintf("x[%s#%d][%s->%s]", nr.class.Name, ni, ci, ci), 0)
-					f.flow[ni][srcDst{i, i}] = v
+					f.flow[ni] = append(f.flow[ni], flowVar{i, i, v})
 				}
 				continue
 			}
@@ -240,7 +246,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 					continue
 				}
 				v := model.AddVar(fmt.Sprintf("x[%s#%d][%s->%s]", nr.class.Name, ni, ci, cj), 0)
-				f.flow[ni][srcDst{i, j}] = v
+				f.flow[ni] = append(f.flow[ni], flowVar{i, j, v})
 			}
 		}
 	}
@@ -250,13 +256,13 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		if nr.parent != -1 {
 			continue
 		}
+		placed := f.flow[ni] // one variable per cluster holding the frontend
 		for i, ci := range clusters {
 			d := demand[nr.class.Name][ci]
 			if d < 0 {
 				return nil, fmt.Errorf("core: negative demand for class %q in %s", nr.class.Name, ci)
 			}
-			v, ok := f.flow[ni][srcDst{i, i}]
-			if !ok {
+			if len(placed) == 0 || placed[0].i != i {
 				if d > 0 {
 					return nil, fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",
 						nr.class.Name, ci, nr.node.Service)
@@ -267,7 +273,8 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 			f.demands = append(f.demands, demandRef{class: nr.class.Name, svc: nr.node.Service, ci: ci, con: model.NumConstraints()})
 			model.MustConstraint(
 				fmt.Sprintf("demand[%s][%s]", nr.class.Name, ci),
-				[]lp.Term{{Var: v, Coef: 1}}, lp.EQ, d)
+				[]lp.Term{{Var: placed[0].v, Coef: 1}}, lp.EQ, d)
+			placed = placed[1:]
 		}
 	}
 
@@ -279,16 +286,16 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		}
 		for j := range clusters {
 			var terms []lp.Term
-			f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-				if sd.i == j {
-					terms = append(terms, lp.Term{Var: v, Coef: 1})
+			for _, fl := range f.flow[ni] {
+				if fl.i == j {
+					terms = append(terms, lp.Term{Var: fl.v, Coef: 1})
 				}
-			})
-			f.forEachFlow(nr.parent, func(sd srcDst, v lp.Var) {
-				if sd.j == j {
-					terms = append(terms, lp.Term{Var: v, Coef: -float64(nr.node.Count)})
+			}
+			for _, fl := range f.flow[nr.parent] {
+				if fl.j == j {
+					terms = append(terms, lp.Term{Var: fl.v, Coef: -float64(nr.node.Count)})
 				}
-			})
+			}
 			if len(terms) == 0 {
 				continue
 			}
@@ -338,16 +345,16 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	loadTerms := make(map[PoolKey][]lp.Term)
 	for ni, nr := range f.nodes {
 		mst := nr.node.Work.MeanServiceTime.Seconds()
-		f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-			key := PoolKey{Service: nr.node.Service, Cluster: clusters[sd.j]}
+		for _, fl := range f.flow[ni] {
+			key := PoolKey{Service: nr.node.Service, Cluster: clusters[fl.j]}
 			pr := f.poolIdx[key]
 			scale := 1.0
 			if pr.profile.RefServiceTime > 0 {
 				scale = mst / pr.profile.RefServiceTime.Seconds()
 			}
-			loadTerms[key] = append(loadTerms[key], lp.Term{Var: v, Coef: scale})
-			pr.linkTerms = append(pr.linkTerms, linkTerm{v: v, mst: mst, class: nr.class.Name})
-		})
+			loadTerms[key] = append(loadTerms[key], lp.Term{Var: fl.v, Coef: scale})
+			pr.linkTerms = append(pr.linkTerms, linkTerm{v: fl.v, mst: mst, class: nr.class.Name})
+		}
 	}
 
 	// Robust counterpart (Kulfi-style semi-oblivious routing with a
@@ -433,8 +440,8 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	// PWL delay prices all requests at the pool's reference service
 	// time; a class whose service time differs by Δτ adds Δτ per call).
 	for ni, nr := range f.nodes {
-		f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-			ci, cj := clusters[sd.i], clusters[sd.j]
+		for _, fl := range f.flow[ni] {
+			ci, cj := clusters[fl.i], clusters[fl.j]
 			var obj float64
 			if ci != cj {
 				rtt := top.RTT(ci, cj).Seconds()
@@ -443,30 +450,15 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				obj += cfg.CostWeight * top.EgressCost(ci, cj, bytes)
 			}
 			if obj != 0 { //slate:nolint floatcmp -- sparsity: only exactly-zero coefficients are skippable
-				model.SetObj(v, obj)
+				model.SetObj(fl.v, obj)
 			}
-		})
+		}
 	}
 	// No per-class service-time term is added: scaling pool load by
 	// τ/τ̄ already makes heavy classes consume proportionally more PWL
 	// capacity and pay proportionally more aggregate delay, which prices
 	// their longer service time; adding Δτ again would double-count it.
 	return f, nil
-}
-
-// forEachFlow visits node ni's flow variables in (src, dst) index
-// order. f.flow is a map for sparse lookup, but its consumers build LP
-// rows and accumulate floats — both order-sensitive — so nothing may
-// observe map iteration order. All iteration over f.flow goes through
-// this helper.
-func (f *formulation) forEachFlow(ni int, fn func(sd srcDst, v lp.Var)) {
-	for i := range f.clusters {
-		for j := range f.clusters {
-			if v, ok := f.flow[ni][srcDst{i, j}]; ok {
-				fn(srcDst{i, j}, v)
-			}
-		}
-	}
 }
 
 // statusErr maps a non-optimal solve status to the caller-facing error.
@@ -495,21 +487,21 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 		if nr.parent == -1 {
 			continue
 		}
-		f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-			x := sol.Value(v)
+		for _, fl := range f.flow[ni] {
+			x := sol.Value(fl.v)
 			if x <= 1e-9 {
-				return
+				continue
 			}
 			k := routing.Key{
 				Service: string(nr.node.Service),
 				Class:   nr.class.Name,
-				Cluster: clusters[sd.i],
+				Cluster: clusters[fl.i],
 			}
 			if ruleFlows[k] == nil {
 				ruleFlows[k] = make(ruleAgg)
 			}
-			ruleFlows[k][clusters[sd.j]] += x
-		})
+			ruleFlows[k][clusters[fl.j]] += x
+		}
 	}
 	rules := make(map[routing.Key]routing.Distribution, len(ruleFlows))
 	for k, agg := range ruleFlows {
@@ -558,12 +550,12 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 			if nr.class != cl {
 				continue
 			}
-			f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-				x := sol.Value(v)
+			for _, fl := range f.flow[ni] {
+				x := sol.Value(fl.v)
 				if x <= 0 {
-					return
+					continue
 				}
-				key := PoolKey{Service: nr.node.Service, Cluster: clusters[sd.j]}
+				key := PoolKey{Service: nr.node.Service, Cluster: clusters[fl.j]}
 				pr := f.poolIdx[key]
 				soj := pr.profile.Model.SojournSeconds(poolStd[key])
 				if math.IsInf(soj, 1) {
@@ -575,27 +567,27 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 					soj += nr.node.Work.MeanServiceTime.Seconds() - pr.profile.RefServiceTime.Seconds()
 				}
 				lat := soj
-				if clusters[sd.i] != clusters[sd.j] {
-					lat += f.top.RTT(clusters[sd.i], clusters[sd.j]).Seconds()
+				if fl.i != fl.j {
+					lat += f.top.RTT(clusters[fl.i], clusters[fl.j]).Seconds()
 				}
 				agg += x * lat
-			})
+			}
 		}
 		plan.PredictedMeanLatency[cl.Name] = time.Duration(agg / total * float64(time.Second))
 	}
 	for ni, nr := range f.nodes {
-		f.forEachFlow(ni, func(sd srcDst, v lp.Var) {
-			if sd.i == sd.j {
-				return
+		for _, fl := range f.flow[ni] {
+			if fl.i == fl.j {
+				continue
 			}
-			x := sol.Value(v)
+			x := sol.Value(fl.v)
 			if x <= 0 {
-				return
+				continue
 			}
 			bytes := float64(nr.node.Work.RequestBytes + nr.node.Work.ResponseBytes)
 			plan.EgressBytesPerSecond += x * bytes
-			plan.EgressPerSecond += x * f.top.EgressCost(clusters[sd.i], clusters[sd.j], int64(bytes))
-		})
+			plan.EgressPerSecond += x * f.top.EgressCost(clusters[fl.i], clusters[fl.j], int64(bytes))
+		}
 	}
 	return plan
 }

@@ -152,8 +152,10 @@ func (o *Optimizer) build(demand Demand, profiles Profiles) error {
 var errStructureChanged = errors.New("core: formulation structure changed")
 
 // update mutates the cached model for a new tick: demand right-hand
-// sides, PWL segment slopes/widths (profiles may have been refit), and
-// loadlink scale coefficients (reference service times may have moved).
+// sides, and for each pool whose profile changed in value (FitProfiles
+// refits in place) its PWL segment slopes/widths and, where the reference
+// service time moved, its loadlink scale coefficients. A pool is
+// linearized once per profile value, not once per tick.
 func (f *formulation) update(demand Demand, profiles Profiles) error {
 	for _, dr := range f.demands {
 		d := demand[dr.class][dr.ci]
@@ -175,6 +177,9 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 		prof, ok := profiles.Get(pr.key.Service, pr.key.Cluster)
 		if !ok {
 			return fmt.Errorf("core: no latency profile for pool %s", pr.key)
+		}
+		if prof == pr.profile {
+			continue
 		}
 		refChanged := prof.RefServiceTime != pr.profile.RefServiceTime
 		segs, err := queuemodel.Linearize(prof.Model, f.cfg.BreakFracs)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/lp"
-	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/search"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -128,16 +127,19 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 			CostWeight:    s.cfg.CostWeight,
 		})
 	}
+	// Bring the shard's exact LP up to this tick first: the search prices
+	// pools on the segments it holds (one linearization per profile value),
+	// and the candidate is scored against it below.
+	if err := sh.opt.ensure(demand, profiles); err != nil {
+		s.stats.GapAbandoned++
+		return nil, false
+	}
 	poolFn := func(svc appgraph.ServiceID, c topology.ClusterID) (search.PoolParams, bool) {
-		prof, ok := profiles.Get(svc, c)
+		pr, ok := sh.opt.f.poolIdx[PoolKey{Service: svc, Cluster: c}]
 		if !ok {
 			return search.PoolParams{}, false
 		}
-		segs, err := queuemodel.Linearize(prof.Model, s.cfg.BreakFracs)
-		if err != nil {
-			return search.PoolParams{}, false
-		}
-		return search.PoolParams{Ref: prof.RefServiceTime.Seconds(), Segs: segs}, true
+		return search.PoolParams{Ref: pr.profile.RefServiceTime.Seconds(), Segs: pr.segs}, true
 	}
 	if err := sh.search.Reset(demand, poolFn, sh.plan.Table); err != nil {
 		s.stats.GapAbandoned++
@@ -154,10 +156,6 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 	// and re-check feasibility and the certified gap there. The search's
 	// internal objective mirrors the LP, but the LP is the contract —
 	// defense in depth against any drift between the two models.
-	if err := sh.opt.ensure(demand, profiles); err != nil {
-		s.stats.GapAbandoned++
-		return nil, false
-	}
 	x, err := sh.opt.f.assign(table, demand)
 	if err != nil {
 		s.stats.GapAbandoned++

@@ -1,15 +1,17 @@
 // Package lp implements a self-contained linear programming solver — a
-// dense two-phase primal simplex.
+// two-phase primal simplex on a sparse tableau.
 //
 // SLATE's global controller formulates request routing as an
 // optimization (paper §3.3: "formulated as a Mixed Integer Linear
 // Program"). With convex piecewise-linear latency costs the continuous
 // relaxation is exact, so the routing problem is a pure LP. The solver
-// stays a simple tableau simplex — SLATE's per-application models have
-// hundreds of variables, far below the scale where revised simplex or
-// interior point methods pay off — but its pivots are sparsity-aware and
-// a reusable Solver supports scratch reuse and warm starts from the
-// previous tick's basis (see Solver.SolveFrom).
+// stays a tableau simplex with textbook pivoting rules, but stores the
+// tableau by its nonzeros: a shard of a generated 48-cluster deployment
+// is some 700 rows by 1 800 columns of which under 1 % are nonzero, and
+// pivoting keeps it so (a pivot row holds a dozen entries); the rows that
+// do fill in, most of them in a monolithic LP, switch to dense arrays. A
+// reusable Solver keeps its storage across solves and warm-starts from
+// the previous tick's basis (see Solver.SolveFrom).
 package lp
 
 import (

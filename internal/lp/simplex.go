@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Numerical tolerances for the simplex. eps classifies reduced costs and
@@ -33,32 +34,94 @@ func (m *Model) Solve() (*Solution, error) {
 	return NewSolver().Solve(m)
 }
 
-// tableau is the standard-form simplex tableau:
+// entry is one stored coefficient of a constraint row.
+type entry struct {
+	col int32
+	val float64
+}
+
+// holder is one nonzero coefficient of a column.
+type holder struct {
+	row int32
+	val float64
+}
+
+// tableau is the standard-form simplex tableau
 //
 //	rows 0..m-1:  A | b   (b ≥ 0)
-//	row  m:       phase-2 objective (original costs)
-//	row  m+1:     phase-1 objective (artificial costs), dropped after phase 1
+//	obj2:         phase-2 objective (original costs)
+//	obj1:         phase-1 objective (artificial costs), unread after phase 1
 //
-// Columns: n structural vars, then slack/surplus, then artificials, then
-// the rhs column. Rows are stored densely (slices into the Solver's flat
-// scratch) but pivots are sparsity-aware: the pivot row's nonzero column
-// indices are collected once per pivot and eliminations touch only those
-// columns, so a pivot costs O(cols + rows·nnz(pivot row)) instead of
-// O(rows·cols). SLATE's flow LPs have ~4 nonzeros per constraint row, so
-// this is the difference between quadratic and near-linear pivots until
-// fill-in accumulates (and degrades gracefully to dense cost when it
-// does).
+// over n structural columns, then slack/surplus, then artificials, stored
+// by its nonzeros: SLATE's flow LPs are > 99 % zeros and a decomposed
+// shard stays so under pivoting. A constraint row is its nonzero
+// coefficients in ascending column order, its right-hand side beside it
+// in rhs; colRows indexes the rows by column. A row that fills in past
+// cols/wideFrac entries — a few load-link rows of a shard, nearly every
+// row of a monolithic LP whose classes share their pools — moves to a
+// dense array for the rest of the solve: merging into a long row costs
+// its length, indexing into it costs the pivot row's. The two objective
+// rows are dense (chooseEntering scans every column), the right-hand
+// side in their last slot.
+//
+// The arithmetic is the dense tableau's (dense_ref_test.go), operation
+// for operation: a pivot subtracts c·p from exactly the entries where the
+// dense one would have subtracted a nonzero product, an entry absent here
+// is a 0 there, and every order-dependent choice (leaving-row ties, the
+// warm start's pivot search) visits rows in ascending order as a dense
+// scan does. TestSparseMatchesDense holds the two to the same pivots and
+// bit-equal Solutions.
 type tableau struct {
-	a       [][]float64
 	rows    int // constraint rows
 	cols    int // total columns excluding rhs
 	n       int // structural variables
+	artBase int // first artificial column; artificials are [artBase, cols)
+	row     [][]entry
+	rhs     []float64
+	obj2    []float64
+	obj1    []float64
 	basis   []int
-	artBase int     // first artificial column; artificials are [artBase, cols)
-	s       *Solver // owner of the scratch buffers
+	// colRows[j] lists the narrow rows that may hold column j: a superset
+	// of those that do, unordered and possibly repeating. Fill-in appends;
+	// cancellation and widening leave their row behind for holders to drop.
+	colRows [][]int32
+	// wide[i] ≥ 0 says row i is stored densely, at flat[wide[i]:][:cols]
+	// (row[i] is then empty); wideRows lists those rows in ascending order.
+	wide     []int
+	wideRows []int32
+	flat     []float64
+
+	merged []entry  // eliminate's scratch: one narrow row under construction
+	prow   []entry  // pivot's scratch: a wide pivot row's nonzeros
+	held   []holder // holders' result
+	seen   []bool   // warm-start basis validation scratch (per column)
+	done   []bool   // warm-start row-installed scratch (per row)
+
+	trace func(row, col int) // tests record the pivot sequence; nil otherwise
 }
 
-func (s *Solver) newTableau(m *Model) (*tableau, error) {
+// wideFrac sets where a row goes wide: past cols/wideFrac nonzeros. Wide,
+// a row costs cols floats, a visit in every column scan and an end-to-end
+// scan whenever it is the pivot row; narrow, its whole length in every
+// elimination. Measured on ctrl-churn shards (1 764 columns) and on the
+// scalability figure's monolithic LPs, 32 beat 8, 16 and 64 on both. Tests
+// move it to force either storage.
+var wideFrac = 32
+
+// resize returns s with length n, keeping its elements — and the buffers
+// they own — up to its old capacity. New elements are zero; kept ones are
+// whatever the last solve left.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// load builds the initial tableau for m straight from the model's terms,
+// in storage kept from earlier solves: nothing of size rows × cols is
+// allocated or cleared.
+func (t *tableau) load(m *Model) error {
 	n := len(m.vars)
 	// Count rows and extra columns: explicit constraints, then upper
 	// bounds expanded into LE rows (their rhs is validated ≥ 0, so they
@@ -83,39 +146,51 @@ func (s *Solver) newTableau(m *Model) (*tableau, error) {
 	for _, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
 			if v.upper < 0 {
-				return nil, fmt.Errorf("lp: variable %s has negative upper bound %v", v.name, v.upper)
+				return fmt.Errorf("lp: variable %s has negative upper bound %v", v.name, v.upper)
 			}
 			nRows++
 			nSlack++
 		}
 	}
 	cols := n + nSlack + nArt
-	t := &tableau{
-		rows:    nRows,
-		n:       n,
-		cols:    cols,
-		artBase: n + nSlack,
-		s:       s,
+	t.rows, t.cols, t.n, t.artBase = nRows, cols, n, n+nSlack
+	t.row = resize(t.row, nRows)
+	t.rhs = resize(t.rhs, nRows)
+	t.basis = resize(t.basis, nRows)
+	t.colRows = resize(t.colRows, cols)
+	for j := range t.colRows {
+		t.colRows[j] = t.colRows[j][:0]
 	}
-	t.a = s.growTableau(nRows+2, cols+1)
-	t.basis = s.growBasis(nRows)
+	t.wide = resize(t.wide, nRows)
+	for i := range t.wide {
+		t.wide[i] = -1
+	}
+	t.wideRows = t.wideRows[:0]
+	t.flat = t.flat[:0]
+	t.prow = resize(t.prow, cols)
+	t.obj2 = resize(t.obj2, cols+1)
+	t.obj1 = resize(t.obj1, cols+1)
+	clear(t.obj2)
+	clear(t.obj1)
 
 	slackCol, artCol := n, t.artBase
 	row := 0
+	// place closes row with its slack and artificial columns, which lie
+	// above every structural one: the row stays in column order.
 	place := func(rel Rel) {
 		switch rel {
 		case LE:
-			t.a[row][slackCol] = 1
+			t.put(row, slackCol, 1)
 			t.basis[row] = slackCol
 			slackCol++
 		case GE:
-			t.a[row][slackCol] = -1
+			t.put(row, slackCol, -1)
 			slackCol++
-			t.a[row][artCol] = 1
+			t.put(row, artCol, 1)
 			t.basis[row] = artCol
 			artCol++
 		case EQ:
-			t.a[row][artCol] = 1
+			t.put(row, artCol, 1)
 			t.basis[row] = artCol
 			artCol++
 		}
@@ -128,28 +203,39 @@ func (s *Solver) newTableau(m *Model) (*tableau, error) {
 			sign = -1
 			rel = flip(rel)
 		}
-		for _, term := range c.terms {
-			t.a[row][term.Var] = sign * term.Coef
+		t.row[row] = t.row[row][:0]
+		for _, term := range c.terms { // ascending Var, one term per Var
+			// SetCoef(…, 0) leaves an explicit zero term behind.
+			if v := sign * term.Coef; v != 0 { //slate:nolint floatcmp -- sparsity: only nonzero coefficients are stored
+				t.put(row, int(term.Var), v)
+			}
 		}
-		t.a[row][cols] = sign * c.rhs
+		t.rhs[row] = sign * c.rhs
 		place(rel)
 	}
 	for j, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
-			t.a[row][j] = 1
-			t.a[row][cols] = v.upper
+			t.row[row] = t.row[row][:0]
+			t.put(row, j, 1)
+			t.rhs[row] = v.upper
 			place(LE)
 		}
 	}
 	// Phase-2 objective row: original costs (minimization).
 	for j, v := range m.vars {
-		t.a[nRows][j] = v.obj
+		t.obj2[j] = v.obj
 	}
 	// Phase-1 objective row: sum of artificials.
 	for j := t.artBase; j < cols; j++ {
-		t.a[nRows+1][j] = 1
+		t.obj1[j] = 1
 	}
-	return t, nil
+	return nil
+}
+
+// put appends a coefficient to a row under construction.
+func (t *tableau) put(row, col int, v float64) {
+	t.row[row] = append(t.row[row], entry{int32(col), v})
+	t.colRows[col] = append(t.colRows[col], int32(row))
 }
 
 func flip(r Rel) Rel {
@@ -163,22 +249,80 @@ func flip(r Rel) Rel {
 	}
 }
 
+// coef returns row i's coefficient in column col, 0 where it stores none.
+func (t *tableau) coef(i, col int) float64 {
+	if off := t.wide[i]; off >= 0 {
+		return t.flat[off+col]
+	}
+	r := t.row[i]
+	lo, hi := 0, len(r)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(r[mid].col) < col {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(r) && int(r[lo].col) == col {
+		return r[lo].val
+	}
+	return 0
+}
+
+// holders lists column col's nonzeros in ascending row order, each row
+// once: the narrow rows that colRows[col] names — sorted on the way, and
+// rid of what went stale — merged with the wide rows. The result is
+// scratch the next call overwrites.
+func (t *tableau) holders(col int) []holder {
+	t.held = t.held[:0]
+	list := t.colRows[col]
+	slices.Sort(list)
+	wide := t.wideRows
+	live := 0
+	for _, r := range list {
+		if t.wide[r] >= 0 || (live > 0 && list[live-1] == r) {
+			continue
+		}
+		v := t.coef(int(r), col)
+		if v == 0 { //slate:nolint floatcmp -- an exact zero is an absent entry
+			continue
+		}
+		list[live] = r
+		live++
+		for ; len(wide) > 0 && wide[0] < r; wide = wide[1:] {
+			t.hold(wide[0], col)
+		}
+		t.held = append(t.held, holder{r, v})
+	}
+	for _, r := range wide {
+		t.hold(r, col)
+	}
+	t.colRows[col] = list[:live]
+	return t.held
+}
+
+// hold adds wide row r to holders' result if it holds column col.
+func (t *tableau) hold(r int32, col int) {
+	if v := t.flat[t.wide[r]+col]; v != 0 { //slate:nolint floatcmp -- an exact zero is an absent entry
+		t.held = append(t.held, holder{r, v})
+	}
+}
+
 // solve runs both phases from the all-slack/artificial start.
 func (t *tableau) solve(m *Model) (*Solution, error) {
-	objRow1 := t.rows + 1 // phase-1 row
-
 	// Price out the initial basis from the phase-1 row (artificials have
 	// cost 1 and are basic).
 	for i := 0; i < t.rows; i++ {
 		if t.basis[i] >= t.artBase {
-			addRow(t.a[objRow1], t.a[i], -1)
+			t.addRow(t.obj1, i, -1)
 		}
 	}
 	if t.hasArtificials() {
-		if err := t.iterate(objRow1, true); err != nil {
+		if err := t.iterate(true); err != nil {
 			return nil, err
 		}
-		if t.a[objRow1][t.cols] < -eps {
+		if t.obj1[t.cols] < -eps {
 			// Phase-1 optimum > 0 (the row stores the negated objective).
 			return &Solution{Status: Infeasible}, nil
 		}
@@ -190,14 +334,12 @@ func (t *tableau) solve(m *Model) (*Solution, error) {
 // finishPhase2 prices out the phase-2 row for the current (feasible)
 // basis, runs phase-2 pivots, and extracts the solution.
 func (t *tableau) finishPhase2(m *Model) (*Solution, error) {
-	objRow2 := t.rows
 	for i := 0; i < t.rows; i++ {
-		b := t.basis[i]
-		if c := t.a[objRow2][b]; c != 0 { //slate:nolint floatcmp -- pivot elimination skips exact zeros only
-			addRow(t.a[objRow2], t.a[i], -c)
+		if c := t.obj2[t.basis[i]]; c != 0 { //slate:nolint floatcmp -- pivot elimination skips exact zeros only
+			t.addRow(t.obj2, i, -c)
 		}
 	}
-	if err := t.iterate(objRow2, false); err != nil {
+	if err := t.iterate(false); err != nil {
 		if err == errUnbounded {
 			return &Solution{Status: Unbounded}, nil
 		}
@@ -210,7 +352,7 @@ func (t *tableau) finishPhase2(m *Model) (*Solution, error) {
 	}
 	for i, b := range t.basis {
 		if b < t.n {
-			sol.X[b] = t.a[i][t.cols]
+			sol.X[b] = t.rhs[i]
 		}
 	}
 	var obj float64
@@ -231,7 +373,9 @@ func (t *tableau) warmStart(basis []int) bool {
 	if len(basis) != t.rows {
 		return false
 	}
-	seen := t.s.growSeen(t.cols)
+	t.seen = resize(t.seen, t.cols)
+	clear(t.seen)
+	seen := t.seen
 	for _, b := range basis {
 		if b < 0 || b >= t.cols || seen[b] {
 			return false
@@ -254,7 +398,9 @@ func (t *tableau) warmStart(basis []int) bool {
 	// a (near-)singular basis fails the warmPivotEps cutoff and falls
 	// back to a cold solve. seen[col] doubles as "column still to
 	// install": consumed columns are cleared.
-	done := t.s.growDone(t.rows)
+	t.done = resize(t.done, t.rows)
+	clear(t.done)
+	done := t.done
 	for i := 0; i < t.rows; i++ {
 		if seen[t.basis[i]] {
 			seen[t.basis[i]] = false
@@ -268,12 +414,12 @@ func (t *tableau) warmStart(basis []int) bool {
 		seen[col] = false
 		best := -1
 		bestAbs := warmPivotEps
-		for i := 0; i < t.rows; i++ {
-			if done[i] {
+		for _, h := range t.holders(col) {
+			if done[h.row] {
 				continue
 			}
-			if v := math.Abs(t.a[i][col]); v > bestAbs {
-				best = i
+			if v := math.Abs(h.val); v > bestAbs {
+				best = int(h.row)
 				bestAbs = v
 			}
 		}
@@ -284,12 +430,12 @@ func (t *tableau) warmStart(basis []int) bool {
 		done[best] = true
 	}
 	for i := 0; i < t.rows; i++ {
-		rhs := t.a[i][t.cols]
+		rhs := t.rhs[i]
 		if rhs < -eps {
 			return false // new rhs left the old basis infeasible
 		}
 		if rhs < 0 {
-			t.a[i][t.cols] = 0 // clamp roundoff negatives
+			t.rhs[i] = 0 // clamp roundoff negatives
 		}
 	}
 	return true
@@ -299,10 +445,6 @@ var errUnbounded = fmt.Errorf("lp: unbounded")
 
 func (t *tableau) hasArtificials() bool { return t.artBase < t.cols }
 
-// iterate runs primal simplex pivots until the objective row objRow has
-// no negative reduced costs. phase1 restricts nothing extra here (the
-// artificial columns participate); in phase 2, artificial columns are
-// barred from entering.
 // maxIterScale sizes the pivot budget relative to the tableau; tests
 // shrink it to exercise the ErrIterLimit path.
 var maxIterScale = 200
@@ -317,15 +459,24 @@ func SetIterBudgetScale(n int) (restore func()) {
 	return func() { maxIterScale = old }
 }
 
-func (t *tableau) iterate(objRow int, phase1 bool) error {
+// iterate runs primal simplex pivots until the phase's objective row has
+// no negative reduced costs. In phase 1 the artificial columns
+// participate; in phase 2 they are barred from entering.
+//
+//slate:hot
+func (t *tableau) iterate(phase1 bool) error {
+	obj := t.obj2
+	if phase1 {
+		obj = t.obj1
+	}
 	maxIter := maxIterScale * (t.rows + t.cols + 10)
 	degenerate := 0
 	bland := false
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
-			return fmt.Errorf("%w after %d pivots (%d rows, %d cols)", ErrIterLimit, maxIter, t.rows, t.cols)
+			return t.iterLimit(maxIter)
 		}
-		enter := t.chooseEntering(objRow, phase1, bland)
+		enter := t.chooseEntering(obj, phase1, bland)
 		if enter < 0 {
 			return nil // optimal for this phase
 		}
@@ -333,7 +484,7 @@ func (t *tableau) iterate(objRow int, phase1 bool) error {
 		if leave < 0 {
 			return errUnbounded
 		}
-		if t.a[leave][t.cols] < eps {
+		if t.rhs[leave] < eps {
 			degenerate++
 			if degenerate > 2*(t.rows+1) {
 				bland = true // anti-cycling
@@ -346,14 +497,18 @@ func (t *tableau) iterate(objRow int, phase1 bool) error {
 	}
 }
 
-func (t *tableau) chooseEntering(objRow int, phase1, bland bool) int {
+//slate:cold
+func (t *tableau) iterLimit(maxIter int) error {
+	return fmt.Errorf("%w after %d pivots (%d rows, %d cols)", ErrIterLimit, maxIter, t.rows, t.cols)
+}
+
+func (t *tableau) chooseEntering(obj []float64, phase1, bland bool) int {
 	best, bestVal := -1, -eps
-	row := t.a[objRow]
-	for j := 0; j < t.cols; j++ {
-		if !phase1 && j >= t.artBase {
-			continue // artificials may not re-enter in phase 2
-		}
-		c := row[j]
+	end := t.cols
+	if !phase1 {
+		end = t.artBase // artificials may not re-enter in phase 2
+	}
+	for j, c := range obj[:end] {
 		if c < -eps {
 			if bland {
 				return j // first improving column (Bland's rule)
@@ -367,15 +522,17 @@ func (t *tableau) chooseEntering(objRow int, phase1, bland bool) int {
 	return best
 }
 
+// chooseLeaving runs the ratio test over the rows holding column enter,
+// in ascending order: its eps tie-break depends on the order they are met.
 func (t *tableau) chooseLeaving(enter int, bland bool) int {
 	best := -1
 	bestRatio := math.Inf(1)
-	for i := 0; i < t.rows; i++ {
-		pivot := t.a[i][enter]
-		if pivot <= pivotEps {
+	for _, h := range t.holders(enter) {
+		i := int(h.row)
+		if h.val <= pivotEps {
 			continue
 		}
-		ratio := t.a[i][t.cols] / pivot
+		ratio := t.rhs[i] / h.val
 		if ratio < bestRatio-eps ||
 			(math.Abs(ratio-bestRatio) <= eps && best >= 0 && tieBreak(t.basis[i], t.basis[best], bland)) {
 			bestRatio = ratio
@@ -395,37 +552,174 @@ func tieBreak(candidate, incumbent int, bland bool) bool {
 	return candidate > incumbent
 }
 
-// pivot makes column col basic in row. The pivot row's nonzero columns
-// are collected once; each elimination then touches only those columns.
-// Arithmetic is identical to the dense version (skipped entries would
-// only ever add f·0), so solves are bit-for-bit reproducible regardless
-// of sparsity.
+// pivot makes column col basic in row: the row is scaled by 1/pivot and
+// c·row is subtracted from every other row holding a c in the column.
 func (t *tableau) pivot(row, col int) {
-	pr := t.a[row]
-	inv := 1 / pr[col]
-	nz := t.s.nz[:0]
-	for j, v := range pr {
-		if v != 0 { //slate:nolint floatcmp -- sparsity: exact zeros carry no pivot contribution
-			pr[j] = v * inv
-			nz = append(nz, j)
-		}
+	if t.trace != nil {
+		t.trace(row, col)
 	}
-	t.s.nz = nz
-	for i := range t.a {
+	inv := 1 / t.coef(row, col)
+	pr := t.scale(row, inv)
+	// As in the dense pivot, the right-hand side takes part iff it was
+	// nonzero before scaling.
+	prRHS, withRHS := 0.0, t.rhs[row] != 0 //slate:nolint floatcmp -- exact zeros carry no pivot contribution
+	if withRHS {
+		prRHS = t.rhs[row] * inv
+		t.rhs[row] = prRHS
+	}
+	for _, h := range t.holders(col) {
+		i := int(h.row)
 		if i == row {
 			continue
 		}
-		ri := t.a[i]
-		c := ri[col]
-		if c == 0 { //slate:nolint floatcmp -- pivot elimination skips exact zeros only
-			continue
+		t.eliminate(i, pr, h.val, col)
+		if withRHS {
+			t.rhs[i] -= h.val * prRHS
 		}
-		for _, j := range nz {
-			ri[j] -= c * pr[j]
-		}
-		ri[col] = 0 // cancel roundoff exactly
 	}
+	t.eliminateObj(t.obj2, pr, col, prRHS, withRHS)
+	t.eliminateObj(t.obj1, pr, col, prRHS, withRHS)
+	// Column col now holds row alone, which colRows names iff it is narrow
+	// (and then named before, so there is room).
+	list := t.colRows[col][:0]
+	if t.wide[row] < 0 {
+		list = list[:1]
+		list[0] = int32(row)
+	}
+	t.colRows[col] = list
 	t.basis[row] = col
+}
+
+// scale multiplies row i by inv and returns its nonzeros in ascending
+// column order: the row itself, or scratch filled from a wide row.
+func (t *tableau) scale(i int, inv float64) []entry {
+	k := 0
+	if off := t.wide[i]; off >= 0 {
+		w := t.flat[off : off+t.cols]
+		for j, v := range w {
+			if v == 0 { //slate:nolint floatcmp -- sparsity: exact zeros carry no pivot contribution
+				continue
+			}
+			v *= inv
+			w[j] = v
+			if v != 0 { //slate:nolint floatcmp -- a product that underflowed contributes nothing
+				t.prow[k] = entry{int32(j), v}
+				k++
+			}
+		}
+		return t.prow[:k]
+	}
+	pr := t.row[i]
+	for _, e := range pr {
+		if v := e.val * inv; v != 0 { //slate:nolint floatcmp -- sparsity: a product that underflowed is not stored
+			pr[k] = entry{e.col, v}
+			k++
+		}
+	}
+	t.row[i] = pr[:k]
+	return pr[:k]
+}
+
+// eliminate replaces row i by row i − c·pr, where c is row i's entry in
+// column col. In a wide row that is the dense tableau's own loop. In a
+// narrow one it is a merge of two ascending runs: the entry in col is
+// dropped (the dense pivot writes an exact 0 there), so is any that
+// cancels to exactly 0, and a product landing on an absent entry fills in
+// as 0 − c·p.
+func (t *tableau) eliminate(i int, pr []entry, c float64, col int) {
+	if off := t.wide[i]; off >= 0 {
+		w := t.flat[off : off+t.cols]
+		for _, p := range pr {
+			w[p.col] -= c * p.val
+		}
+		w[col] = 0 // cancel roundoff exactly
+		return
+	}
+	ri := t.row[i]
+	if need := len(ri) + len(pr); cap(t.merged) < need {
+		t.growMerged(need)
+	}
+	out := t.merged[:cap(t.merged)]
+	k, a := 0, 0
+	for _, p := range pr {
+		for a < len(ri) && ri[a].col < p.col {
+			out[k] = ri[a]
+			k++
+			a++
+		}
+		var v float64
+		if a < len(ri) && ri[a].col == p.col {
+			v = ri[a].val - c*p.val
+			a++
+			if int(p.col) == col {
+				continue
+			}
+		} else {
+			v = 0 - c*p.val
+			if v != 0 { //slate:nolint floatcmp -- sparsity: a product that underflowed fills nothing in
+				t.colRows[p.col] = append(t.colRows[p.col], int32(i))
+			}
+		}
+		if v != 0 { //slate:nolint floatcmp -- sparsity: exact cancellation leaves no entry
+			out[k] = entry{p.col, v}
+			k++
+		}
+	}
+	k += copy(out[k:], ri[a:])
+	if k > t.cols/wideFrac {
+		t.widen(i, out[:k])
+		return
+	}
+	t.row[i] = t.row[i][:0]
+	t.row[i] = append(t.row[i], out[:k]...)
+}
+
+// widen moves row i, whose nonzeros are in, to dense storage.
+func (t *tableau) widen(i int, in []entry) {
+	off := len(t.flat)
+	if cap(t.flat) < off+t.cols {
+		t.growFlat(off + t.cols)
+	}
+	t.flat = t.flat[:off+t.cols]
+	w := t.flat[off:]
+	clear(w)
+	for _, e := range in {
+		w[e.col] = e.val
+	}
+	t.row[i] = t.row[i][:0]
+	t.wide[i] = off
+	// Keep wideRows ascending.
+	t.wideRows = append(t.wideRows, int32(i))
+	for k := len(t.wideRows) - 1; k > 0 && t.wideRows[k-1] > int32(i); k-- {
+		t.wideRows[k-1], t.wideRows[k] = t.wideRows[k], t.wideRows[k-1]
+	}
+}
+
+//slate:cold
+func (t *tableau) growFlat(need int) {
+	grown := make([]float64, len(t.flat), 2*need)
+	copy(grown, t.flat)
+	t.flat = grown
+}
+
+// eliminateObj is eliminate for a dense objective row.
+func (t *tableau) eliminateObj(obj []float64, pr []entry, col int, prRHS float64, withRHS bool) {
+	c := obj[col]
+	if c == 0 { //slate:nolint floatcmp -- pivot elimination skips exact zeros only
+		return
+	}
+	for _, p := range pr {
+		obj[p.col] -= c * p.val
+	}
+	if withRHS {
+		obj[t.cols] -= c * prRHS
+	}
+	obj[col] = 0 // cancel roundoff exactly
+}
+
+//slate:cold
+func (t *tableau) growMerged(need int) {
+	t.merged = make([]entry, 2*need)
 }
 
 // driveOutArtificials pivots any artificial still basic at value ~0 out
@@ -436,19 +730,49 @@ func (t *tableau) driveOutArtificials() {
 		if t.basis[i] < t.artBase {
 			continue
 		}
-		for j := 0; j < t.artBase; j++ {
-			if math.Abs(t.a[i][j]) > pivotEps {
-				t.pivot(i, j)
-				break
-			}
+		if col := t.firstStructural(i); col >= 0 {
+			t.pivot(i, col)
 		}
 	}
 }
 
-func addRow(dst, src []float64, f float64) {
-	for j, v := range src {
-		if v != 0 { //slate:nolint floatcmp -- exact zeros contribute nothing
-			dst[j] += f * v
+// firstStructural returns the lowest non-artificial column in which row i
+// holds an entry a pivot may divide by, or -1.
+func (t *tableau) firstStructural(i int) int {
+	if off := t.wide[i]; off >= 0 {
+		for j, v := range t.flat[off : off+t.artBase] {
+			if math.Abs(v) > pivotEps {
+				return j
+			}
 		}
+		return -1
+	}
+	for _, e := range t.row[i] {
+		if int(e.col) >= t.artBase {
+			break
+		}
+		if math.Abs(e.val) > pivotEps {
+			return int(e.col)
+		}
+	}
+	return -1
+}
+
+// addRow adds f times constraint row i, right-hand side included, to an
+// objective row.
+func (t *tableau) addRow(obj []float64, i int, f float64) {
+	if off := t.wide[i]; off >= 0 {
+		for j, v := range t.flat[off : off+t.cols] {
+			if v != 0 { //slate:nolint floatcmp -- exact zeros contribute nothing
+				obj[j] += f * v
+			}
+		}
+	} else {
+		for _, e := range t.row[i] {
+			obj[e.col] += f * e.val
+		}
+	}
+	if rhs := t.rhs[i]; rhs != 0 { //slate:nolint floatcmp -- exact zeros contribute nothing
+		obj[t.cols] += f * rhs
 	}
 }

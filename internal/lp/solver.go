@@ -7,20 +7,15 @@ import (
 	"sort"
 )
 
-// Solver runs the simplex with reusable scratch buffers: the tableau is
-// carved out of one flat backing array that persists across solves, so a
-// control loop re-solving every tick performs no per-solve tableau
-// allocation once the scratch has grown to the problem's size. A Solver
-// may be reused across models of different shapes (scratch tracks the
-// high-water mark) but is not safe for concurrent use; create one Solver
-// per goroutine.
+// Solver runs the simplex in storage that persists across solves: the
+// sparse tableau's rows, column lists and objective rows keep their
+// buffers, so a control loop re-solving every tick allocates nothing per
+// solve but its Solution once they have grown to the problem's size. A
+// Solver may be reused across models of different shapes (each buffer
+// tracks its high-water mark) but is not safe for concurrent use; create
+// one Solver per goroutine.
 type Solver struct {
-	flat  []float64   // tableau backing array
-	rowp  [][]float64 // row views into flat
-	basis []int
-	seen  []bool // warm-start basis validation scratch (per column)
-	done  []bool // warm-start row-installed scratch (per row)
-	nz    []int  // pivot-row nonzero column indices scratch
+	t tableau
 }
 
 // NewSolver returns a Solver with empty scratch.
@@ -31,11 +26,10 @@ func NewSolver() *Solver { return &Solver{} }
 // optimal basis, which a later call can hand to SolveFrom to warm-start
 // a nearby problem.
 func (s *Solver) Solve(m *Model) (*Solution, error) {
-	t, err := s.newTableau(m)
-	if err != nil {
+	if err := s.t.load(m); err != nil {
 		return nil, err
 	}
-	return t.solve(m)
+	return s.t.solve(m)
 }
 
 // SolveFrom minimizes the model starting from a previously optimal
@@ -53,12 +47,11 @@ func (s *Solver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 	if len(basis) == 0 {
 		return s.Solve(m)
 	}
-	t, err := s.newTableau(m)
-	if err != nil {
+	if err := s.t.load(m); err != nil {
 		return nil, err
 	}
-	if t.warmStart(basis) {
-		sol, err := t.finishPhase2(m)
+	if s.t.warmStart(basis) {
+		sol, err := s.t.finishPhase2(m)
 		if err == nil {
 			sol.Warm = true
 			return sol, nil
@@ -69,66 +62,7 @@ func (s *Solver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 		// Warm pivots exhausted the budget (cycling from a bad start);
 		// the cold path may still converge.
 	}
-	t, err = s.newTableau(m)
-	if err != nil {
-		return nil, err
-	}
-	return t.solve(m)
-}
-
-// growTableau returns rows zeroed row views of width elements each,
-// backed by the solver's flat scratch.
-func (s *Solver) growTableau(rows, width int) [][]float64 {
-	need := rows * width
-	if cap(s.flat) < need {
-		s.flat = make([]float64, need)
-	} else {
-		s.flat = s.flat[:need]
-		clear(s.flat)
-	}
-	if cap(s.rowp) < rows {
-		s.rowp = make([][]float64, rows)
-	}
-	s.rowp = s.rowp[:rows]
-	for i := range s.rowp {
-		s.rowp[i] = s.flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	if cap(s.nz) < width {
-		s.nz = make([]int, 0, width)
-	}
-	return s.rowp
-}
-
-// growBasis returns a basis slice of length rows; every entry is
-// assigned during tableau construction, so no clearing is needed.
-func (s *Solver) growBasis(rows int) []int {
-	if cap(s.basis) < rows {
-		s.basis = make([]int, rows)
-	}
-	s.basis = s.basis[:rows]
-	return s.basis
-}
-
-// growSeen returns a zeroed bool slice of length cols.
-func (s *Solver) growSeen(cols int) []bool {
-	if cap(s.seen) < cols {
-		s.seen = make([]bool, cols)
-	} else {
-		s.seen = s.seen[:cols]
-		clear(s.seen)
-	}
-	return s.seen
-}
-
-// growDone returns a zeroed bool slice of length rows.
-func (s *Solver) growDone(rows int) []bool {
-	if cap(s.done) < rows {
-		s.done = make([]bool, rows)
-	} else {
-		s.done = s.done[:rows]
-		clear(s.done)
-	}
-	return s.done
+	return s.Solve(m)
 }
 
 // SetRHS replaces the right-hand side of constraint i (in AddConstraint
