@@ -93,11 +93,7 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	if *replica != "" {
-		go g.RunHA(ctx, *period)
-	} else {
-		go g.Run(ctx, *period)
-	}
+	go g.Run(ctx, *period)
 
 	h := g.Handler()
 	if *pprofOn {

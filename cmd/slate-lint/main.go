@@ -5,14 +5,12 @@
 //
 // Usage:
 //
-//	slate-lint [-C dir] [-run name,name] [-json] [-cache dir] [-list] [patterns...]
-//	slate-lint -audit [-C dir] [-json] [patterns...]
+//	slate-lint [-C dir] [-run name,name] [-list] [patterns...]
+//	slate-lint -audit [-C dir] [patterns...]
 //
 //	slate-lint ./...                 # everything (the CI gate)
 //	slate-lint ./internal/...        # one subtree
 //	slate-lint -run lockguard ./...  # a single analyzer
-//	slate-lint -json ./...           # machine-readable findings
-//	slate-lint -cache .slatecache ./...  # warm runs skip unchanged packages
 //	slate-lint -audit ./...          # inventory //slate:nolint directives
 //
 // Diagnostics print as "file:line:col: [analyzer] message"; the exit
@@ -23,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,12 +31,10 @@ import (
 
 func main() {
 	var (
-		dir      = flag.String("C", ".", "module root to lint from")
-		run      = flag.String("run", "", "comma-separated analyzer names (default: all)")
-		list     = flag.Bool("list", false, "list registered analyzers and exit")
-		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		cacheDir = flag.String("cache", "", "content-hash result cache directory (e.g. .slatecache); empty disables caching")
-		audit    = flag.Bool("audit", false, "list every //slate:nolint directive; exit 1 if any lacks a -- reason")
+		dir   = flag.String("C", ".", "module root to lint from")
+		run   = flag.String("run", "", "comma-separated analyzer names (default: all)")
+		list  = flag.Bool("list", false, "list registered analyzers and exit")
+		audit = flag.Bool("audit", false, "list every //slate:nolint directive; exit 1 if any lacks a -- reason")
 	)
 	flag.Parse()
 
@@ -51,7 +46,7 @@ func main() {
 	}
 
 	if *audit {
-		runAudit(*dir, flag.Args(), *jsonOut)
+		runAudit(*dir, flag.Args())
 		return
 	}
 
@@ -65,40 +60,11 @@ func main() {
 		analyzers = found
 	}
 
-	opts := analysis.Options{
+	findings, err := analysis.Run(analysis.Options{
 		Dir:       *dir,
 		Patterns:  flag.Args(),
 		Analyzers: analyzers,
-		CacheDir:  *cacheDir,
-	}
-
-	if *jsonOut {
-		res, err := analysis.RunFindings(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slate-lint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, te := range res.TypeErrors {
-			fmt.Fprintln(os.Stderr, te)
-		}
-		findings := res.Findings
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "slate-lint: %v\n", err)
-			os.Exit(2)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "slate-lint: %d finding(s)\n", len(findings))
-			os.Exit(1)
-		}
-		return
-	}
-
-	findings, err := analysis.Run(opts, os.Stdout)
+	}, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slate-lint: %v\n", err)
 		os.Exit(2)
@@ -112,43 +78,26 @@ func main() {
 // runAudit inventories //slate:nolint directives. Suppressions without
 // a recorded reason fail the audit: an exception nobody can triage is
 // a future bug.
-func runAudit(dir string, patterns []string, jsonOut bool) {
+func runAudit(dir string, patterns []string) {
 	entries, err := analysis.Audit(analysis.Options{Dir: dir, Patterns: patterns})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slate-lint: %v\n", err)
 		os.Exit(2)
 	}
 	missing := 0
-	if jsonOut {
-		if entries == nil {
-			entries = []analysis.NolintEntry{}
+	for _, e := range entries {
+		scope := strings.Join(e.Analyzers, ",")
+		if scope == "" {
+			scope = "(all)"
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(entries); err != nil {
-			fmt.Fprintf(os.Stderr, "slate-lint: %v\n", err)
-			os.Exit(2)
+		reason := e.Reason
+		if reason == "" {
+			reason = "<<MISSING REASON>>"
+			missing++
 		}
-		for _, e := range entries {
-			if e.Reason == "" {
-				missing++
-			}
-		}
-	} else {
-		for _, e := range entries {
-			scope := strings.Join(e.Analyzers, ",")
-			if scope == "" {
-				scope = "(all)"
-			}
-			reason := e.Reason
-			if reason == "" {
-				reason = "<<MISSING REASON>>"
-				missing++
-			}
-			fmt.Printf("%s:%d: %s -- %s\n", e.File, e.Line, scope, reason)
-		}
-		fmt.Printf("%d suppression(s), %d missing a reason\n", len(entries), missing)
+		fmt.Printf("%s:%d: %s -- %s\n", e.File, e.Line, scope, reason)
 	}
+	fmt.Printf("%d suppression(s), %d missing a reason\n", len(entries), missing)
 	if missing > 0 {
 		fmt.Fprintf(os.Stderr, "slate-lint: %d //slate:nolint directive(s) missing the '-- reason' tail\n", missing)
 		os.Exit(1)

@@ -44,8 +44,7 @@ type expectation struct {
 // diagnostic must be wanted on its line, and every want must be matched
 // by a diagnostic. //slate:nolint filtering applies, so fixtures can
 // also assert that suppression works (a nolint'd violation with no
-// want). Per-unit analyzers run over each unit; whole-program
-// analyzers run once over a Program built from the fixture's units.
+// want), through the driver's own analyze step.
 // It returns a list of complaints, empty on success.
 func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	fixtureMu.Lock()
@@ -75,9 +74,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 
 	// Gather wants across all units: filename -> line -> expectations.
 	wants := make(map[string]map[int][]*expectation)
-	nolint := &nolintIndex{byLine: make(map[string]map[int][]string)}
 	for _, u := range okUnits {
-		mergeNolint(nolint, collectNolint(loader, u))
 		for _, f := range u.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -110,29 +107,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	}
 
 	var diags []Diagnostic
-	report := func(d Diagnostic) {
-		if !nolint.suppressed(d) {
-			diags = append(diags, d)
-		}
-	}
-	if a.RunProgram != nil {
-		prog := NewProgram(loader, okUnits)
-		a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, report: report})
-	}
-	if a.Run != nil {
-		for _, u := range okUnits {
-			a.Run(&Pass{
-				Analyzer:   a,
-				Fset:       loader.Fset,
-				Files:      u.Files,
-				Pkg:        u.Pkg,
-				Info:       u.Info,
-				ImportPath: u.ImportPath,
-				ModulePath: loader.ModulePath,
-				report:     report,
-			})
-		}
-	}
+	analyze(loader, okUnits, []*Analyzer{a}, func(d Diagnostic) { diags = append(diags, d) })
 
 	for _, d := range diags {
 		found := false

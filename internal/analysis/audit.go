@@ -11,10 +11,10 @@ import (
 
 // NolintEntry is one //slate:nolint directive found in the tree.
 type NolintEntry struct {
-	File      string   `json:"file"` // module-relative
-	Line      int      `json:"line"`
-	Analyzers []string `json:"analyzers"` // empty = all analyzers
-	Reason    string   `json:"reason"`    // text after "--", "" if missing
+	File      string // module-relative
+	Line      int
+	Analyzers []string // empty = all analyzers
+	Reason    string   // text after "--", "" if missing
 }
 
 // Audit scans the requested packages (syntax only — no type checking)

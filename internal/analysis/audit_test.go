@@ -10,7 +10,7 @@ import (
 // their analyzer lists and reasons, and a missing `-- reason` tail is
 // surfaced as an empty Reason.
 func TestAudit(t *testing.T) {
-	root := writeTempModule(t)
+	root := t.TempDir()
 	src := `package pkg
 
 // Eq compares floats deliberately.
@@ -20,8 +20,13 @@ func Eq(x, y float64) bool {
 	return a || b
 }
 `
-	if err := os.WriteFile(filepath.Join(root, "pkg", "pkg.go"), []byte(src), 0o644); err != nil {
+	if err := os.Mkdir(filepath.Join(root, "pkg"), 0o755); err != nil {
 		t.Fatal(err)
+	}
+	for name, content := range map[string]string{"go.mod": "module example.com/tmpmod\n\ngo 1.24\n", "pkg/pkg.go": src} {
+		if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(name)), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	entries, err := Audit(Options{Dir: root})

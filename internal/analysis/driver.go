@@ -20,20 +20,15 @@ type Options struct {
 	Patterns []string
 	// Analyzers to run. Empty means All().
 	Analyzers []*Analyzer
-	// CacheDir enables the content-hash result cache when non-empty
-	// (resolved relative to Dir). Warm runs skip re-analyzing packages
-	// whose sources and module-internal dependencies are unchanged.
-	CacheDir string
 }
 
-// Finding is one diagnostic in machine-readable form. File is
-// module-relative.
+// Finding is one diagnostic. File is module-relative.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -68,15 +63,9 @@ func Run(opts Options, out io.Writer) (int, error) {
 	return len(res.Findings), nil
 }
 
-// RunFindings lints the requested packages and returns structured
-// findings, module-relative and deterministically sorted.
-//
-// The run has two phases. Per-unit analyzers see one package at a
-// time and their results are cacheable per package directory.
-// Whole-program analyzers (RunProgram) see every requested unit plus
-// the call graph; their results are cached under a hash of the entire
-// requested set, so a fully warm run loads nothing at all, while any
-// single change re-runs the program phase over fresh units.
+// RunFindings lints the requested packages in one pass — every unit
+// loaded once, then analyze — and returns structured findings,
+// module-relative and deterministically sorted.
 func RunFindings(opts Options) (*Result, error) {
 	dir := opts.Dir
 	if dir == "" {
@@ -90,15 +79,6 @@ func RunFindings(opts Options) (*Result, error) {
 	if len(analyzers) == 0 {
 		analyzers = All()
 	}
-	var unitAs, progAs []*Analyzer
-	for _, a := range analyzers {
-		if a.Run != nil {
-			unitAs = append(unitAs, a)
-		}
-		if a.RunProgram != nil {
-			progAs = append(progAs, a)
-		}
-	}
 	patterns := opts.Patterns
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -108,74 +88,54 @@ func RunFindings(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	var cache *lintCache
-	if opts.CacheDir != "" {
-		cacheDir := opts.CacheDir
-		if !filepath.IsAbs(cacheDir) {
-			cacheDir = filepath.Join(loader.ModuleDir, cacheDir)
-		}
-		cache = newLintCache(cacheDir, loader, analyzers)
-	}
-
 	res := &Result{}
-	perDir := make(map[string][]Finding, len(dirs))
-	var missed []string
+	var units []*Unit
 	for _, pkgDir := range dirs {
-		if cache != nil {
-			if cached, ok := cache.getUnit(pkgDir); ok {
-				perDir[pkgDir] = cached
-				continue
-			}
-		}
-		missed = append(missed, pkgDir)
-	}
-
-	var progFindings []Finding
-	progHit := false
-	if len(progAs) > 0 && cache != nil && len(missed) == 0 {
-		progFindings, progHit = cache.getProgram(dirs)
-	}
-
-	needProgRun := len(progAs) > 0 && !progHit
-	var toLoad []string
-	if needProgRun {
-		toLoad = dirs // program analyzers need every unit
-	} else {
-		toLoad = missed
-	}
-
-	missedSet := make(map[string]bool, len(missed))
-	for _, d := range missed {
-		missedSet[d] = true
-	}
-
-	var allUnits []*Unit
-	nolintAll := &nolintIndex{byLine: make(map[string]map[int][]string)}
-	badDirs := make(map[string]bool)
-	for _, pkgDir := range toLoad {
-		units, err := loader.Load(pkgDir)
+		loaded, err := loader.Load(pkgDir)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pkgDir, err)
 		}
-		for _, u := range units {
-			allUnits = append(allUnits, u)
+		for _, u := range loaded {
+			if len(u.TypeErrors) == 0 {
+				units = append(units, u)
+				continue
+			}
 			for _, terr := range u.TypeErrors {
 				res.TypeErrors = append(res.TypeErrors, fmt.Sprintf("%s: [typecheck] %v", u.ImportPath, terr))
 			}
-			if len(u.TypeErrors) > 0 {
-				badDirs[pkgDir] = true
-				perDir[pkgDir] = append(perDir[pkgDir], Finding{
-					Analyzer: "typecheck",
-					Message:  fmt.Sprintf("%s: %d type error(s), analyzers skipped", u.ImportPath, len(u.TypeErrors)),
-				})
-				continue
-			}
-			mergeNolint(nolintAll, collectNolint(loader, u))
-			if !missedSet[pkgDir] {
-				continue // loaded only for the program phase
-			}
-			for _, a := range unitAs {
-				pass := &Pass{
+			res.Findings = append(res.Findings, Finding{
+				Analyzer: "typecheck",
+				Message:  fmt.Sprintf("%s: %d type error(s), analyzers skipped", u.ImportPath, len(u.TypeErrors)),
+			})
+		}
+	}
+	analyze(loader, units, analyzers, func(d Diagnostic) {
+		res.Findings = append(res.Findings, toFinding(loader, d))
+	})
+	sortFindings(res.Findings)
+	sort.Strings(res.TypeErrors)
+	return res, nil
+}
+
+// analyze runs the analyzers over units that type-checked — per-unit
+// analyzers one package at a time, whole-program analyzers over the one
+// Program built from all of them — and hands report every diagnostic
+// that no //slate:nolint directive covers.
+func analyze(loader *Loader, units []*Unit, analyzers []*Analyzer, report func(Diagnostic)) {
+	nolint := &nolintIndex{byLine: make(map[string]map[int][]string)}
+	for _, u := range units {
+		collectNolint(loader, u, nolint)
+	}
+	filtered := func(d Diagnostic) {
+		if !nolint.suppressed(d) {
+			report(d)
+		}
+	}
+	var prog *Program
+	for _, a := range analyzers {
+		if a.Run != nil {
+			for _, u := range units {
+				a.Run(&Pass{
 					Analyzer:   a,
 					Fset:       loader.Fset,
 					Files:      u.Files,
@@ -183,46 +143,17 @@ func RunFindings(opts Options) (*Result, error) {
 					Info:       u.Info,
 					ImportPath: u.ImportPath,
 					ModulePath: loader.ModulePath,
-					report: func(d Diagnostic) {
-						if !nolintAll.suppressed(d) {
-							perDir[pkgDir] = append(perDir[pkgDir], toFinding(loader, d))
-						}
-					},
-				}
-				a.Run(pass)
+					report:     filtered,
+				})
 			}
 		}
-		if cache != nil && missedSet[pkgDir] && !badDirs[pkgDir] {
-			cache.putUnit(pkgDir, perDir[pkgDir])
-		}
-	}
-
-	if needProgRun {
-		prog := NewProgram(loader, allUnits)
-		for _, a := range progAs {
-			pp := &ProgramPass{
-				Analyzer: a,
-				Prog:     prog,
-				report: func(d Diagnostic) {
-					if !nolintAll.suppressed(d) {
-						progFindings = append(progFindings, toFinding(loader, d))
-					}
-				},
+		if a.RunProgram != nil {
+			if prog == nil {
+				prog = NewProgram(loader, units)
 			}
-			a.RunProgram(pp)
-		}
-		if cache != nil && len(badDirs) == 0 {
-			cache.putProgram(dirs, progFindings)
+			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, report: filtered})
 		}
 	}
-
-	for _, pkgDir := range dirs {
-		res.Findings = append(res.Findings, perDir[pkgDir]...)
-	}
-	res.Findings = append(res.Findings, progFindings...)
-	sortFindings(res.Findings)
-	sort.Strings(res.TypeErrors)
-	return res, nil
 }
 
 func toFinding(loader *Loader, d Diagnostic) Finding {
@@ -250,19 +181,6 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-func mergeNolint(dst, src *nolintIndex) {
-	for file, lines := range src.byLine {
-		m := dst.byLine[file]
-		if m == nil {
-			m = make(map[int][]string)
-			dst.byLine[file] = m
-		}
-		for line, names := range lines {
-			m[line] = append(m[line], names...)
-		}
-	}
 }
 
 // expandPatterns turns package patterns into a sorted list of package
@@ -344,11 +262,10 @@ type nolintIndex struct {
 	byLine map[string]map[int][]string
 }
 
-// collectNolint scans a unit's comments for suppression directives. A
+// collectNolint adds a unit's suppression directives to idx. A
 // directive covers its own line and the next line, so it can trail the
 // finding or sit on its own line above it.
-func collectNolint(l *Loader, u *Unit) *nolintIndex {
-	idx := &nolintIndex{byLine: make(map[string]map[int][]string)}
+func collectNolint(l *Loader, u *Unit, idx *nolintIndex) {
 	for _, f := range u.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -376,7 +293,6 @@ func collectNolint(l *Loader, u *Unit) *nolintIndex {
 			}
 		}
 	}
-	return idx
 }
 
 func (idx *nolintIndex) suppressed(d Diagnostic) bool {

@@ -20,6 +20,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/forecast"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -362,6 +363,7 @@ type Controller struct {
 	app     *appgraph.App
 	caps    Capacities
 	demand  core.Demand
+	seen    map[forecast.Key]struct{} // core.FoldDemand's scratch
 	cur     *routing.Table
 	version uint64
 	alpha   float64
@@ -376,6 +378,7 @@ func NewController(top *topology.Topology, app *appgraph.App, caps Capacities) (
 	return &Controller{
 		top: top, app: app, caps: caps,
 		demand: core.Demand{},
+		seen:   make(map[forecast.Key]struct{}),
 		cur:    routing.EmptyTable(),
 		alpha:  0.5,
 	}, nil
@@ -405,42 +408,6 @@ func (c *Controller) Prime() (*routing.Table, error) {
 // kept for signature parity with core.Controller.
 func (c *Controller) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
 	_ = window
-	frontend := string(c.app.FrontendService())
-	seen := map[string]map[topology.ClusterID]bool{}
-	for _, ws := range stats {
-		if ws.Key.Service != frontend || c.app.Class(ws.Key.Class) == nil {
-			continue
-		}
-		class := ws.Key.Class
-		cl := topology.ClusterID(ws.Key.Cluster)
-		if c.demand[class] == nil {
-			c.demand[class] = map[topology.ClusterID]float64{}
-		}
-		if old, ok := c.demand[class][cl]; ok {
-			c.demand[class][cl] = (1-c.alpha)*old + c.alpha*ws.RPS
-		} else {
-			c.demand[class][cl] = ws.RPS
-		}
-		if seen[class] == nil {
-			seen[class] = map[topology.ClusterID]bool{}
-		}
-		seen[class][cl] = true
-	}
-	for class, per := range c.demand {
-		for cl, v := range per {
-			if seen[class] == nil || !seen[class][cl] {
-				per[cl] = (1 - c.alpha) * v
-				if per[cl] < 1e-6 {
-					delete(per, cl)
-				}
-			}
-		}
-	}
-	c.version++
-	tab, err := Waterfall(c.top, c.app, c.demand, c.caps, c.version)
-	if err != nil {
-		return c.cur, err
-	}
-	c.cur = tab
-	return c.cur, nil
+	core.FoldDemand(c.demand, c.app, stats, c.alpha, c.seen)
+	return c.Prime()
 }

@@ -643,14 +643,18 @@ func (g *Global) postPatch(ctx context.Context, c topology.ClusterID, u string, 
 	return postJSONHeaders(ctx, g.client, u+"/v1/patch", body, g.publisherHeaders())
 }
 
-// Run ticks the controller every period until the context is cancelled.
+// Run steps the controller until the context is cancelled: a scheduled
+// HAStep every period — a plain Tick without EnableHA — plus, when
+// replicated, immediate event-driven re-solves between steps.
 func (g *Global) Run(ctx context.Context, period time.Duration) {
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			g.Tick(ctx) // errors surface via /v1/status
+			g.HAStep(ctx) // errors surface via /v1/status
+		case <-g.eventCh:
+			g.TryEventSolve(ctx)
 		case <-ctx.Done():
 			return
 		}

@@ -33,7 +33,7 @@ import (
 //     shard fingerprints already confine the work to dirty shards.
 //
 // Everything steps through HAStep, which is synchronous and
-// deterministic given the acceptors' responses — the wall-clock RunHA
+// deterministic given the acceptors' responses — the wall-clock Run
 // loop and the virtual-time chaos harness drive the same code.
 
 // HAConfig tunes one replica. Zero values get defaults.
@@ -66,7 +66,7 @@ func (c HAConfig) withDefaults() HAConfig {
 // EnableHA makes this Global one replica of a replicated control
 // plane. replica is its advertised base URL (doubling as its identity
 // in lease requests, so rivals and operators can find the leader).
-// Call before Handler/Run/RunHA.
+// Call before Handler/Run.
 func (g *Global) EnableHA(replica string, cfg HAConfig) {
 	cfg = cfg.withDefaults()
 	g.mu.Lock()
@@ -321,7 +321,7 @@ func (g *Global) publisherHeaders() map[string]string {
 
 // TryEventSolve runs an immediate re-solve if one is armed and a token
 // is available (leader only). It reports whether a solve ran. The
-// wall-clock RunHA loop calls it when the event channel fires; the
+// wall-clock Run loop calls it when the event channel fires; the
 // deterministic harness calls it directly between windows.
 func (g *Global) TryEventSolve(ctx context.Context) bool {
 	g.mu.Lock()
@@ -337,27 +337,10 @@ func (g *Global) TryEventSolve(ctx context.Context) bool {
 	return true
 }
 
-// RunHA is the replicated counterpart of Run: a scheduled HAStep every
-// period, plus immediate event-driven re-solves between steps.
-func (g *Global) RunHA(ctx context.Context, period time.Duration) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			g.HAStep(ctx) // errors surface via /v1/status
-		case <-g.eventCh:
-			g.TryEventSolve(ctx)
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
 // noteClusterLoad feeds breach detection with one cluster's
 // reconstructed total RPS. On a relative swing beyond EventThreshold
 // (or a silent cluster stirring) it arms an event re-solve and nudges
-// the RunHA loop.
+// the Run loop.
 func (g *Global) noteClusterLoad(last, cur float64) {
 	g.mu.Lock()
 	th := g.haCfg.EventThreshold

@@ -79,7 +79,7 @@ type Controller struct {
 	profs   Profiles
 	history *SampleHistory
 	demand  Demand
-	seen    map[forecast.Key]struct{} // updateDemand's scratch: keys this window reported
+	seen    map[forecast.Key]struct{} // FoldDemand's scratch: keys this window reported
 	fc      *forecast.Forecaster      // nil when cfg.Forecast is zero
 	opt     *ShardedOptimizer
 
@@ -177,7 +177,7 @@ func (c *Controller) Prime() (*routing.Table, error) {
 // stats is the merged cluster-controller telemetry for the window;
 // window is the collection window length.
 func (c *Controller) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
-	c.updateDemand(stats)
+	FoldDemand(c.demand, c.app, stats, c.cfg.DemandSmoothing, c.seen)
 	c.observeForecast(stats)
 	if c.cfg.LearnProfiles {
 		c.history.Observe(stats)
@@ -306,38 +306,41 @@ func (c *Controller) planDemand() Demand {
 	return d
 }
 
-// updateDemand folds frontend arrival rates into the EWMA demand
-// estimate. Demand for class k in cluster i is the RPS observed at the
-// frontend service in cluster i for class k (roots are pinned to the
-// arrival cluster).
-func (c *Controller) updateDemand(stats []telemetry.WindowStats) {
-	frontend := string(c.app.FrontendService())
-	clear(c.seen)
-	alpha := c.cfg.DemandSmoothing
+// FoldDemand folds one window's frontend arrival rates into the EWMA
+// demand estimate d. Demand for class k in cluster i is the RPS observed
+// at the frontend service in cluster i for class k (roots are pinned to
+// the arrival cluster): the first observation of a key seeds it, later
+// ones move it by alpha, and a key that reported nothing this window
+// decays by (1-alpha) until it falls under 1e-6 and is deleted. seen is
+// the caller's scratch set, cleared here, so a steady tick allocates
+// nothing.
+func FoldDemand(d Demand, app *appgraph.App, stats []telemetry.WindowStats, alpha float64, seen map[forecast.Key]struct{}) {
+	frontend := string(app.FrontendService())
+	clear(seen)
 	for _, ws := range stats {
 		if ws.Key.Service != frontend {
 			continue
 		}
 		class := ws.Key.Class
-		if c.app.Class(class) == nil {
+		if app.Class(class) == nil {
 			continue // not a class the optimizer knows (e.g. fallback)
 		}
 		cl := topology.ClusterID(ws.Key.Cluster)
-		if c.demand[class] == nil {
-			c.demand[class] = make(map[topology.ClusterID]float64)
+		if d[class] == nil {
+			d[class] = make(map[topology.ClusterID]float64)
 		}
-		old, had := c.demand[class][cl]
+		old, had := d[class][cl]
 		if had {
-			c.demand[class][cl] = (1-alpha)*old + alpha*ws.RPS
+			d[class][cl] = (1-alpha)*old + alpha*ws.RPS
 		} else {
-			c.demand[class][cl] = ws.RPS
+			d[class][cl] = ws.RPS
 		}
-		c.seen[forecast.Key{Class: class, Cluster: ws.Key.Cluster}] = struct{}{}
+		seen[forecast.Key{Class: class, Cluster: ws.Key.Cluster}] = struct{}{}
 	}
 	// Decay demand for keys that reported nothing this window.
-	for class, per := range c.demand {
+	for class, per := range d {
 		for cl, v := range per {
-			if _, ok := c.seen[forecast.Key{Class: class, Cluster: string(cl)}]; !ok {
+			if _, ok := seen[forecast.Key{Class: class, Cluster: string(cl)}]; !ok {
 				per[cl] = (1 - alpha) * v
 				if per[cl] < 1e-6 {
 					delete(per, cl)

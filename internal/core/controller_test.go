@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
+	"github.com/servicelayernetworking/slate/internal/forecast"
 	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -64,6 +67,87 @@ func TestControllerNoDemandNoRules(t *testing.T) {
 	}
 }
 
+// TestFoldDemand pins the demand estimator both controllers share
+// (core.Controller and baseline.Controller call FoldDemand once per
+// window): each case folds its windows in order and compares the whole
+// estimate, so a key that should be absent must be absent.
+func TestFoldDemand(t *testing.T) {
+	_, app := newChainController(t, ControllerConfig{})
+	fe := string(app.FrontendService())
+	type obs struct {
+		service, class string
+		cluster        topology.ClusterID
+		rps            float64
+	}
+	w, e := topology.West, topology.East
+	for _, tc := range []struct {
+		name    string
+		alpha   float64
+		windows [][]obs
+		want    Demand
+	}{
+		{"first observation seeds", 0.5,
+			[][]obs{{{fe, "default", w, 400}}},
+			Demand{"default": {w: 400}}},
+		{"ewma alpha 0.5", 0.5,
+			[][]obs{{{fe, "default", w, 400}}, {{fe, "default", w, 600}}},
+			Demand{"default": {w: 500}}},
+		{"ewma alpha 1 tracks the last window", 1,
+			[][]obs{{{fe, "default", w, 400}}, {{fe, "default", w, 600}}},
+			Demand{"default": {w: 600}}},
+		{"unseen key decays", 0.5,
+			[][]obs{{{fe, "default", w, 400}, {fe, "default", e, 100}}, {{fe, "default", e, 100}}},
+			Demand{"default": {w: 200, e: 100}}},
+		{"decayed under 1e-6 is deleted", 0.5,
+			[][]obs{{{fe, "default", w, 1.5e-6}, {fe, "default", e, 100}}, {{fe, "default", e, 100}}},
+			Demand{"default": {e: 100}}},
+		{"deleted key that reappears is seeded, not smoothed", 0.5,
+			[][]obs{{{fe, "default", w, 1.5e-6}}, {}, {{fe, "default", w, 800}}},
+			Demand{"default": {w: 800}}},
+		{"unknown class and non-frontend service ignored", 0.5,
+			[][]obs{{{fe, "no-such-class", w, 500}, {"svc-1", "default", w, 500}}},
+			Demand{}},
+		{"order of a window's stats does not matter", 0.5,
+			[][]obs{{{fe, "default", e, 100}, {fe, "default", w, 400}}, {{fe, "default", w, 600}, {fe, "default", e, 300}}},
+			Demand{"default": {w: 500, e: 200}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, reversed := range []bool{false, true} {
+				got := Demand{}
+				seen := map[forecast.Key]struct{}{{Class: "stale", Cluster: "scratch"}: {}}
+				for _, win := range tc.windows {
+					stats := make([]telemetry.WindowStats, len(win))
+					for i, o := range win {
+						stats[i] = telemetry.WindowStats{
+							Key: telemetry.MetricKey{Service: o.service, Class: o.class, Cluster: string(o.cluster)},
+							RPS: o.rps,
+						}
+					}
+					if reversed {
+						slices.Reverse(stats)
+					}
+					FoldDemand(got, app, stats, tc.alpha, seen)
+				}
+				if g, w := flatDemand(got), flatDemand(tc.want); !reflect.DeepEqual(g, w) {
+					t.Errorf("reversed=%v: demand %v, want %v", reversed, g, w)
+				}
+			}
+		})
+	}
+}
+
+// flatDemand drops empty per-class maps, so two estimates compare by
+// the keys they hold. The table's values are exact in binary.
+func flatDemand(d Demand) map[forecast.Key]float64 {
+	flat := map[forecast.Key]float64{}
+	for class, per := range d {
+		for cl, v := range per {
+			flat[forecast.Key{Class: class, Cluster: string(cl)}] = v
+		}
+	}
+	return flat
+}
+
 func TestControllerEWMASmoothing(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 0.5})
 	c.Tick(frontendStats(app, "default", 400, 100, 20*time.Millisecond), time.Second)
@@ -78,11 +162,7 @@ func TestControllerDemandDecay(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 0.5})
 	c.Tick(frontendStats(app, "default", 400, 0, 20*time.Millisecond), time.Second)
 	// Next window: west reports nothing.
-	fe := string(app.FrontendService())
-	c.Tick([]telemetry.WindowStats{
-		{Key: telemetry.MetricKey{Service: fe, Class: "default", Cluster: string(topology.East)},
-			RPS: 100, Requests: 100, MeanLatency: 20 * time.Millisecond},
-	}, time.Second)
+	c.Tick(frontendStats(app, "default", 0, 100, 20*time.Millisecond)[1:], time.Second)
 	got := c.Demand()["default"][topology.West]
 	if !almostEqual(got, 200) {
 		t.Errorf("decayed demand = %v, want 200", got)

@@ -57,42 +57,15 @@ type Handler func(k *Kernel, ev Event)
 
 // event is a scheduled slot: a closure, or when fn is nil a typed record
 // for the kernel's handler. Slots are arena-owned and recycled the
-// moment they leave the schedule; gen distinguishes the current
-// occupant from any Handle still pointing at a previous one.
+// moment they leave the schedule.
 type event struct {
-	gen  uint64 // bumped on every recycle; stale Handles can never match
-	fn   func(*Kernel)
-	rec  Event
-	live *int // the owning kernel's pending counter, for O(1) Cancel
-	dead bool
+	fn  func(*Kernel)
+	rec Event
 }
 
 // chunkSize is how many event slots each arena chunk holds. Chunks are
 // never freed, so addresses stay stable for the kernel's lifetime.
 const chunkSize = 256
-
-// Handle identifies a scheduled event and allows cancelling it.
-type Handle struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel removes the event from the schedule. Cancelling an event that
-// already fired (or was already cancelled) is a no-op: the slot's
-// generation counter has moved on, so a stale Handle cannot touch the
-// slot's next occupant. Cancel reports whether the event was still
-// pending. Cancellation is lazy — the slot stays in the heap until its
-// timestamp surfaces — so Cancel is O(1).
-//
-//slate:hot
-func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.dead {
-		return false
-	}
-	h.ev.dead = true
-	(*h.ev.live)--
-	return true
-}
 
 // Kernel is the discrete-event simulation engine. The zero value is not
 // usable; construct with NewKernel.
@@ -101,7 +74,6 @@ type Kernel struct {
 	heap    []entry
 	free    []*event
 	seq     uint64
-	live    int // pending (scheduled, not cancelled) events
 	stopped bool
 	nEvents uint64
 	handler Handler
@@ -140,20 +112,15 @@ func (k *Kernel) alloc() *event {
 //slate:cold
 func (k *Kernel) mintChunk() *event {
 	chunk := make([]event, chunkSize)
-	for i := range chunk {
-		chunk[i].live = &k.live
-	}
 	for i := chunkSize - 1; i > 0; i-- {
 		k.free = append(k.free, &chunk[i])
 	}
 	return &chunk[0]
 }
 
-// recycle bumps the slot's generation (invalidating outstanding Handles),
-// releases the callback closure to the GC, and returns the slot to the
-// free list.
+// recycle releases the callback closure to the GC and returns the slot
+// to the free list.
 func (k *Kernel) recycle(ev *event) {
-	ev.gen++
 	ev.fn = nil
 	k.free = append(k.free, ev)
 }
@@ -168,8 +135,6 @@ func (k *Kernel) schedule(at Time, seq uint64) *event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
 	ev := k.alloc()
-	ev.dead = false
-	k.live++
 	k.push(entry{at, seq, ev})
 	return ev
 }
@@ -177,11 +142,9 @@ func (k *Kernel) schedule(at Time, seq uint64) *event {
 // At schedules fn to run at absolute virtual time at.
 //
 //slate:hot
-func (k *Kernel) At(at Time, fn func(*Kernel)) Handle {
-	ev := k.schedule(at, k.seq)
+func (k *Kernel) At(at Time, fn func(*Kernel)) {
+	k.schedule(at, k.seq).fn = fn
 	k.seq++
-	ev.fn = fn
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // Post schedules the typed event ev for the kernel's handler at absolute
@@ -214,19 +177,18 @@ func (k *Kernel) PostReserved(at Time, seq uint64, ev Event) {
 // After schedules fn to run d after the current virtual time.
 //
 //slate:hot
-func (k *Kernel) After(d time.Duration, fn func(*Kernel)) Handle {
+func (k *Kernel) After(d time.Duration, fn func(*Kernel)) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now+Time(d), fn)
+	k.At(k.now+Time(d), fn)
 }
 
 // Stop makes Run/RunUntil return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Pending reports the number of events still scheduled. It is O(1): the
-// kernel counts schedules, cancellations, and firings as they happen.
-func (k *Kernel) Pending() int { return k.live }
+// Pending reports the number of events still scheduled.
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // entry is one heap element. It holds the ordering key beside the slot,
 // so sifting compares adjacent memory instead of chasing pointers.
@@ -285,37 +247,30 @@ func (k *Kernel) popTop() entry {
 	return top
 }
 
-// next fires the earliest live event if it is due — before limit, or at
-// it when inclusive — and reports whether one fired. The slot is recycled
+// next fires the earliest event if it is due — before limit, or at it
+// when inclusive — and reports whether one fired. The slot is recycled
 // first: the callback runs from copies, so the slot is immediately
-// reusable by whatever it schedules, and any Handle to this event is
-// already stale.
+// reusable by whatever it schedules.
 //
 //slate:hot
 func (k *Kernel) next(limit Time, inclusive bool) bool {
-	for len(k.heap) > 0 {
-		if at := k.heap[0].at; at > limit || at == limit && !inclusive {
-			return false
-		}
-		top := k.popTop()
-		ev := top.ev
-		if ev.dead {
-			k.recycle(ev)
-			continue
-		}
-		fn, rec := ev.fn, ev.rec
-		k.now = top.at
-		k.nEvents++
-		k.live--
-		k.recycle(ev)
-		if fn != nil {
-			fn(k)
-		} else {
-			k.handler(k, rec)
-		}
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	if at := k.heap[0].at; at > limit || at == limit && !inclusive {
+		return false
+	}
+	top := k.popTop()
+	fn, rec := top.ev.fn, top.ev.rec
+	k.now = top.at
+	k.nEvents++
+	k.recycle(top.ev)
+	if fn != nil {
+		fn(k)
+	} else {
+		k.handler(k, rec)
+	}
+	return true
 }
 
 // Run executes events until the schedule is empty or Stop is called.
@@ -352,9 +307,7 @@ func (k *Kernel) run(limit Time, inclusive bool) {
 	}
 }
 
-// peek reports the timestamp of the earliest scheduled slot (which may
-// be a lazily-cancelled event — callers use peek only as a conservative
-// lower bound on the next firing).
+// peek reports the timestamp of the earliest scheduled event.
 func (k *Kernel) peek() (Time, bool) {
 	if len(k.heap) == 0 {
 		return 0, false
@@ -362,8 +315,8 @@ func (k *Kernel) peek() (Time, bool) {
 	return k.heap[0].at, true
 }
 
-// Step executes exactly one pending event (skipping cancelled ones) and
-// reports whether an event fired.
+// Step executes exactly one pending event and reports whether an event
+// fired.
 //
 //slate:hot
 func (k *Kernel) Step() bool { return k.next(MaxTime, true) }

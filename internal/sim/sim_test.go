@@ -93,31 +93,6 @@ func TestKernelNegativeAfterClampsToNow(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	h := k.At(Time(time.Millisecond), func(*Kernel) { fired = true })
-	if !h.Cancel() {
-		t.Error("first Cancel returned false")
-	}
-	if h.Cancel() {
-		t.Error("second Cancel returned true")
-	}
-	k.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestKernelCancelAfterFireIsNoop(t *testing.T) {
-	k := NewKernel()
-	h := k.At(0, func(*Kernel) {})
-	k.Run()
-	if h.Cancel() {
-		t.Error("Cancel after firing returned true")
-	}
-}
-
 func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	n := 0
@@ -135,6 +110,9 @@ func TestKernelStop(t *testing.T) {
 	}
 	if k.Pending() != 7 {
 		t.Errorf("Pending() = %d, want 7", k.Pending())
+	}
+	if k.EventsProcessed() != 3 {
+		t.Errorf("EventsProcessed() = %d, want 3", k.EventsProcessed())
 	}
 }
 
@@ -174,17 +152,6 @@ func TestKernelStep(t *testing.T) {
 	}
 	if k.Step() {
 		t.Fatal("Step returned true with empty schedule")
-	}
-}
-
-func TestKernelEventsProcessedSkipsCancelled(t *testing.T) {
-	k := NewKernel()
-	h := k.At(0, func(*Kernel) {})
-	k.At(Time(time.Millisecond), func(*Kernel) {})
-	h.Cancel()
-	k.Run()
-	if k.EventsProcessed() != 1 {
-		t.Errorf("EventsProcessed() = %d, want 1", k.EventsProcessed())
 	}
 }
 

@@ -32,24 +32,37 @@ func (p *staticPolicy) Tick([]telemetry.WindowStats, time.Duration) (*routing.Ta
 // starts (steady-state experiments); otherwise it starts all-local and
 // converges through telemetry ticks (adaptation experiments).
 func SLATE(ctrl *core.Controller, primeOnInit bool) Policy {
-	return &slatePolicy{ctrl: ctrl, prime: primeOnInit}
+	return &primedPolicy{name: "slate", ctrl: ctrl, prime: primeOnInit}
 }
 
-type slatePolicy struct {
-	ctrl  *core.Controller
+// Waterfall wraps a baseline.Controller as a Policy, with the same
+// priming semantics as SLATE.
+func Waterfall(ctrl *baseline.Controller, primeOnInit bool) Policy {
+	return &primedPolicy{name: "waterfall", ctrl: ctrl, prime: primeOnInit}
+}
+
+// primedPolicy is the Policy over a telemetry-driven controller: the
+// three methods core.Controller and baseline.Controller share.
+type primedPolicy struct {
+	name string
+	ctrl interface {
+		Prime() (*routing.Table, error)
+		Table() *routing.Table
+		Tick([]telemetry.WindowStats, time.Duration) (*routing.Table, error)
+	}
 	prime bool
 }
 
-func (p *slatePolicy) Name() string { return "slate" }
+func (p *primedPolicy) Name() string { return p.name }
 
-func (p *slatePolicy) Init() (*routing.Table, error) {
+func (p *primedPolicy) Init() (*routing.Table, error) {
 	if p.prime {
 		return p.ctrl.Prime()
 	}
 	return p.ctrl.Table(), nil
 }
 
-func (p *slatePolicy) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
+func (p *primedPolicy) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
 	return p.ctrl.Tick(stats, window)
 }
 
@@ -115,28 +128,4 @@ func (p *clairvoyantPolicy) solve() (*routing.Table, error) {
 	}
 	p.cur = plan.Table
 	return p.cur, nil
-}
-
-// Waterfall wraps a baseline.Controller as a Policy, with the same
-// priming semantics as SLATE.
-func Waterfall(ctrl *baseline.Controller, primeOnInit bool) Policy {
-	return &waterfallPolicy{ctrl: ctrl, prime: primeOnInit}
-}
-
-type waterfallPolicy struct {
-	ctrl  *baseline.Controller
-	prime bool
-}
-
-func (p *waterfallPolicy) Name() string { return "waterfall" }
-
-func (p *waterfallPolicy) Init() (*routing.Table, error) {
-	if p.prime {
-		return p.ctrl.Prime()
-	}
-	return p.ctrl.Table(), nil
-}
-
-func (p *waterfallPolicy) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
-	return p.ctrl.Tick(stats, window)
 }

@@ -6,16 +6,15 @@
 #   2. go vet ./...       (stdlib static checks)
 #   3. slate-lint ./...   (SLATE-specific analyzers: lockguard, floatcmp,
 #                          detrand, ctxprop, hotalloc, detorder, lockorder
-#                          — see internal/analysis), run through the
-#                          .slatecache content-hash cache; a second timed
-#                          run records the warm-cache wall time
-#   4. slate-lint -audit  (every //slate:nolint must carry a -- reason)
-#   5. go test -race -coverprofile ./...  (full suite under the race
+#                          — see internal/analysis)
+#   4. go test -race -coverprofile ./...  (full suite under the race
 #                          detector, with per-package coverage; includes
 #                          TestFiguresPinned, which holds the paper's
-#                          figure values to FIGURES.json bit for bit)
-#   6. coverage gate      (total statement coverage >= COVER_THRESHOLD)
-#   7. benchmark module   (go vet + go test -race in benchmark/, its
+#                          figure values to FIGURES.json bit for bit,
+#                          and TestAuditRepoClean: every //slate:nolint
+#                          must carry a -- reason)
+#   5. coverage gate      (total statement coverage >= COVER_THRESHOLD)
+#   6. benchmark module   (go vet + go test -race in benchmark/, its
 #                          own Go module: `./...` above does not descend
 #                          into it, so an API prune that breaks
 #                          benchmark/adapter.go would otherwise surface
@@ -89,19 +88,8 @@ begin "go vet ./..."
 go vet ./...
 finish $?
 
-# The first run is cold on a fresh runner and warm locally; the second
-# is always warm. Both are timed by begin/finish, so the lint wall time
-# — and what the cache buys — is visible in every check.sh log.
 begin "slate-lint ./..."
-go run ./cmd/slate-lint -cache .slatecache ./...
-finish $?
-
-begin "slate-lint ./... (warm cache)"
-go run ./cmd/slate-lint -cache .slatecache ./...
-finish $?
-
-begin "slate-lint -audit"
-go run ./cmd/slate-lint -audit ./...
+go run ./cmd/slate-lint ./...
 finish $?
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
