@@ -77,83 +77,19 @@ func runFigure(b *testing.B, spec figureSpec) {
 	}
 }
 
-// BenchmarkFig3 regenerates Fig. 3: the latency penalty of static
-// conservative/aggressive thresholds vs SLATE's load-dependent optimum.
-func BenchmarkFig3(b *testing.B) { runFigure(b, figureByID("fig3")) }
-
-// BenchmarkFig4 regenerates Fig. 4: the empirical routing threshold vs
-// west load at 5/25/50 ms RTT.
-func BenchmarkFig4(b *testing.B) { runFigure(b, figureByID("fig4")) }
-
-// BenchmarkFig6a regenerates Fig. 6a: latency CDF, west overloaded
-// ("how much to route").
-func BenchmarkFig6a(b *testing.B) { runFigure(b, figureByID("fig6a")) }
-
-// BenchmarkFig6b regenerates Fig. 6b: latency CDF on the GCP topology
-// with OR and IOW overloaded ("which cluster").
-func BenchmarkFig6b(b *testing.B) { runFigure(b, figureByID("fig6b")) }
-
-// BenchmarkFig6c regenerates Fig. 6c: the anomaly-detection multi-hop
-// scenario ("where in the topology"), including the egress-cost ratio.
-func BenchmarkFig6c(b *testing.B) { runFigure(b, figureByID("fig6c")) }
-
-// BenchmarkFig6d regenerates Fig. 6d: the two-class scenario ("which
-// subset of requests").
-func BenchmarkFig6d(b *testing.B) { runFigure(b, figureByID("fig6d")) }
-
-// BenchmarkHeadline regenerates the abstract's claims: max average
-// latency ratio and egress cost ratio vs Waterfall.
-func BenchmarkHeadline(b *testing.B) { runFigure(b, figureByID("headline")) }
-
-// BenchmarkAblationThreshold sweeps Waterfall's static threshold
-// (DESIGN.md ablation: threshold sensitivity).
-func BenchmarkAblationThreshold(b *testing.B) { runFigure(b, figureByID("ablation-threshold")) }
-
-// BenchmarkAblationClasses compares per-class vs class-blind SLATE
-// (DESIGN.md ablation: traffic-class granularity).
-func BenchmarkAblationClasses(b *testing.B) { runFigure(b, figureByID("ablation-classes")) }
-
-// BenchmarkAblationStepSize sweeps the rollout step bound (DESIGN.md
-// ablation: incremental rollout).
-func BenchmarkAblationStepSize(b *testing.B) { runFigure(b, figureByID("ablation-step")) }
-
-// BenchmarkBurstReaction regenerates the burst-reaction timeline (the
-// paper's §2 motivation: request routing reacts far faster than
-// autoscaling).
-func BenchmarkBurstReaction(b *testing.B) { runFigure(b, figureByID("burst")) }
-
-// BenchmarkScalability regenerates the optimizer solve-time scaling
-// table (paper §5 "scalability & fast reaction") plus the one-shard-
-// vs-decomposed control-loop comparison: steady-state tick latency and
-// control-plane bytes per tick at n clusters × n classes.
-func BenchmarkScalability(b *testing.B) { runFigure(b, figureByID("scalability")) }
-
-// BenchmarkAutoscalerInteraction regenerates the routing×autoscaling
-// co-design experiment (paper §5).
-func BenchmarkAutoscalerInteraction(b *testing.B) { runFigure(b, figureByID("autoscaler")) }
-
-// BenchmarkChaos regenerates the fault-injection experiment: hardened
-// (rule-staleness TTL) vs stale-forever dataplane through a
-// global-controller outage overlapping a cluster partition (paper §5
-// "do no harm when the controller is blind").
-func BenchmarkChaos(b *testing.B) { runFigure(b, figureByID("chaos")) }
-
-// BenchmarkHAChaos regenerates the leader-failover chaos experiment:
-// three global replicas vs the single ticker through a leader kill that
-// coincides with a regional demand flip, scored as availability and
-// time-to-fresh-table in sync periods.
-func BenchmarkHAChaos(b *testing.B) { runFigure(b, figureByID("hachaos")) }
-
-// BenchmarkParallelDES regenerates the parallel-simulator scaling
-// figure: 1/2/4/8-shard wall time on a generated 16-cluster
-// scenario, plus the GOMAXPROCS-independence fingerprint check.
-func BenchmarkParallelDES(b *testing.B) { runFigure(b, figureByID("pardes")) }
-
-// BenchmarkRegret regenerates the demand-uncertainty evaluation: the
-// reactive / robust / predictive / robust+predictive controllers over
-// the stress suite (flash crowd, adversarial walk, diurnal swing,
-// correlated surge), scored as latency regret vs a clairvoyant oracle.
-func BenchmarkRegret(b *testing.B) { runFigure(b, figureByID("regret")) }
+// BenchmarkFigure regenerates every experiment of the figure list
+// (figures_test.go; DESIGN.md's experiment index says what each one
+// shows), one sub-benchmark per id: -bench 'Figure/fig6a$' runs one.
+func BenchmarkFigure(b *testing.B) {
+	for _, spec := range figures {
+		b.Run(spec.id, func(b *testing.B) {
+			if spec.skip != "" {
+				b.Skip(spec.skip)
+			}
+			runFigure(b, spec)
+		})
+	}
+}
 
 // --- Micro-benchmarks of the hot paths -------------------------------
 

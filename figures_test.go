@@ -36,7 +36,7 @@ type figureSpec struct {
 }
 
 // figures is the one figure list, an entry per id of experiments.All():
-// TestFiguresPinned and the Benchmark<Fig> functions both read it.
+// TestFiguresPinned and BenchmarkFigure both read it.
 var figures = []figureSpec{
 	{id: "fig3", run: experiments.Fig3, pinned: []string{
 		"conservative_penalty_at_600rps_ms", "aggressive_penalty_at_740rps_ms"}},
@@ -120,15 +120,6 @@ func regretKeys() []string {
 		}
 	}
 	return keys
-}
-
-func figureByID(id string) figureSpec {
-	for _, s := range figures {
-		if s.id == id {
-			return s
-		}
-	}
-	panic("no figure " + id)
 }
 
 func (s figureSpec) isWallClock(key string) bool {

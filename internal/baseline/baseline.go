@@ -15,6 +15,7 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -387,8 +388,15 @@ func NewController(top *topology.Topology, app *appgraph.App, caps Capacities) (
 // Table returns the current routing table.
 func (c *Controller) Table() *routing.Table { return c.cur }
 
-// SetDemand seeds the demand estimate.
-func (c *Controller) SetDemand(d core.Demand) { c.demand = d }
+// SetDemand seeds the demand estimate with a copy of d: Tick folds
+// telemetry into the estimate in place, and the caller's map must not
+// move with it.
+func (c *Controller) SetDemand(d core.Demand) {
+	c.demand = make(core.Demand, len(d))
+	for class, per := range d {
+		c.demand[class] = maps.Clone(per)
+	}
+}
 
 // Prime computes the waterfall table from the current (seeded) demand
 // estimate and publishes it, for experiments starting from a known

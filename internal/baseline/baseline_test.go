@@ -281,6 +281,36 @@ func TestWaterfallControllerTick(t *testing.T) {
 	}
 }
 
+// TestSetDemandCopies: as in core, the seeded estimate and the caller's
+// map are independent in both directions.
+func TestSetDemandCopies(t *testing.T) {
+	top := topology.TwoClusters(40 * time.Millisecond)
+	app := chainApp()
+	seed := core.Demand{"default": {topology.West: 400, topology.East: 100}}
+	c, err := NewController(top, app, DefaultCapacities(app, top, seed, 0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDemand(seed)
+	seed["default"][topology.West] = 1
+	if got := c.demand["default"][topology.West]; !almostEqual(got, 400) {
+		t.Errorf("controller demand = %v after the caller wrote its own map, want 400", got)
+	}
+	stats := []telemetry.WindowStats{
+		{Key: telemetry.MetricKey{Service: "gateway", Class: "default", Cluster: string(topology.West)}, RPS: 600},
+		{Key: telemetry.MetricKey{Service: "gateway", Class: "default", Cluster: string(topology.East)}, RPS: 100},
+	}
+	if _, err := c.Tick(stats, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.demand["default"][topology.West]; !almostEqual(got, 500) { // alpha 0.5
+		t.Errorf("smoothed demand = %v, want 500", got)
+	}
+	if got := seed["default"][topology.West]; !almostEqual(got, 1) {
+		t.Errorf("caller's map = %v after Tick, want it untouched at 1", got)
+	}
+}
+
 func TestWaterfallErrors(t *testing.T) {
 	top := topology.TwoClusters(time.Millisecond)
 	app := chainApp()

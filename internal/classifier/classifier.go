@@ -42,10 +42,6 @@ type Options struct {
 	// observations to accurately characterize average behavior".
 	// Zero means 1 (every observed class is immediately eligible).
 	MinSamples int
-	// MaxClasses caps the number of distinct non-fallback classes per
-	// service; the least-observed classes beyond the cap report
-	// Fallback. Zero means unlimited.
-	MaxClasses int
 	// TemplatePaths enables ID templating of path segments.
 	TemplatePaths bool
 }
@@ -79,54 +75,20 @@ func (c *Classifier) Observe(service, method, path string) Key {
 }
 
 // Classify returns the class name for a request: the key's string form
-// once the class is eligible (enough samples, within the per-service
-// cap), otherwise Fallback. Classify does not record an observation.
+// once the class has enough samples, otherwise Fallback. Classify does
+// not record an observation.
 func (c *Classifier) Classify(service, method, path string) string {
 	k := c.key(service, method, path)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := c.counts[k]
-	if n < uint64(c.opt.MinSamples) {
-		return Fallback
-	}
-	if c.opt.MaxClasses > 0 && !c.inTopLocked(k) {
+	if c.counts[k] < uint64(c.opt.MinSamples) {
 		return Fallback
 	}
 	return k.String()
 }
 
-// inTopLocked reports whether k is among the MaxClasses most-observed
-// classes of its service. Caller holds at least a read lock.
-func (c *Classifier) inTopLocked(k Key) bool {
-	type kc struct {
-		k Key
-		n uint64
-	}
-	var all []kc
-	for key, n := range c.counts {
-		if key.Service == k.Service {
-			all = append(all, kc{key, n})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].k.String() < all[j].k.String()
-	})
-	for i, e := range all {
-		if i >= c.opt.MaxClasses {
-			return false
-		}
-		if e.k == k {
-			return true
-		}
-	}
-	return false
-}
-
 // Classes returns the eligible classes for a service, most-observed
-// first, respecting MinSamples and MaxClasses.
+// first, respecting MinSamples.
 func (c *Classifier) Classes(service string) []Key {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -146,9 +108,6 @@ func (c *Classifier) Classes(service string) []Key {
 		}
 		return all[i].k.String() < all[j].k.String()
 	})
-	if c.opt.MaxClasses > 0 && len(all) > c.opt.MaxClasses {
-		all = all[:c.opt.MaxClasses]
-	}
 	out := make([]Key, len(all))
 	for i, e := range all {
 		out[i] = e.k

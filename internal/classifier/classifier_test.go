@@ -71,36 +71,8 @@ func TestClassifyMethodCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestMaxClassesCap(t *testing.T) {
-	c := New(Options{MinSamples: 1, MaxClasses: 2})
-	// Three classes with different observation volumes.
-	for i := 0; i < 10; i++ {
-		c.Observe("svc", "GET", "/hot")
-	}
-	for i := 0; i < 5; i++ {
-		c.Observe("svc", "GET", "/warm")
-	}
-	c.Observe("svc", "GET", "/cold")
-	if got := c.Classify("svc", "GET", "/hot"); got == Fallback {
-		t.Error("hot class should be eligible")
-	}
-	if got := c.Classify("svc", "GET", "/warm"); got == Fallback {
-		t.Error("warm class should be eligible")
-	}
-	if got := c.Classify("svc", "GET", "/cold"); got != Fallback {
-		t.Errorf("cold class = %q, want fallback (beyond cap)", got)
-	}
-	classes := c.Classes("svc")
-	if len(classes) != 2 {
-		t.Fatalf("Classes = %d entries, want 2", len(classes))
-	}
-	if classes[0].Path != "/hot" || classes[1].Path != "/warm" {
-		t.Errorf("Classes order = %v", classes)
-	}
-}
-
 func TestClassesPerServiceIsolation(t *testing.T) {
-	c := New(Options{MinSamples: 1, MaxClasses: 1})
+	c := New(Options{MinSamples: 1})
 	c.Observe("a", "GET", "/x")
 	c.Observe("b", "GET", "/y")
 	if got := c.Classify("a", "GET", "/x"); got == Fallback {
@@ -144,7 +116,7 @@ func TestKeyString(t *testing.T) {
 }
 
 func TestConcurrentObserveClassify(t *testing.T) {
-	c := New(Options{MinSamples: 1, MaxClasses: 4, TemplatePaths: true})
+	c := New(Options{MinSamples: 1, TemplatePaths: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -40,7 +40,7 @@ func FuzzTemplatePath(f *testing.F) {
 
 		// The full classifier built on top of it must agree with itself:
 		// immediately after Observe, Classify returns the observed key.
-		c := New(Options{MinSamples: 1, MaxClasses: 4, TemplatePaths: true})
+		c := New(Options{MinSamples: 1, TemplatePaths: true})
 		k := c.Observe("svc", "get", path)
 		if got := c.Classify("svc", "get", path); got != k.String() {
 			t.Fatalf("Classify(%q) = %q after Observe, want %q", path, got, k.String())

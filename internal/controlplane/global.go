@@ -537,9 +537,8 @@ func (g *Global) Tick(ctx context.Context) error {
 	pushErr := g.push(ctx, table, targets)
 	if pushErr != nil {
 		// Every errored tick counts as a tick error, whichever phase
-		// failed — the push path used to skip this counter, so a wedged
-		// cluster controller left slate_global_tick_errors_total flat
-		// while ticks were in fact failing.
+		// failed: a wedged cluster controller must move
+		// slate_global_tick_errors_total, not only the push counter.
 		g.mPushErrs.Inc()
 		g.mTickErrs.Inc()
 	}

@@ -152,8 +152,10 @@ func (c *Controller) IterLimitHolds() uint64 { return c.iterLimitHolds }
 func (c *Controller) OptimizerStats() OptimizerStats { return c.opt.Stats() }
 
 // SetDemand seeds or overrides the demand estimate (useful for one-shot
-// optimization runs where telemetry has not accumulated yet).
-func (c *Controller) SetDemand(d Demand) { c.demand = d }
+// optimization runs where telemetry has not accumulated yet). It copies
+// d: Tick folds telemetry into the estimate in place, and the caller's
+// map must not move with it.
+func (c *Controller) SetDemand(d Demand) { c.demand = copyDemand(d) }
 
 // Prime runs one optimization with the current (seeded) demand estimate
 // and publishes the result in full, bypassing the MaxStep rollout. Use

@@ -158,6 +158,27 @@ func TestControllerEWMASmoothing(t *testing.T) {
 	}
 }
 
+// TestSetDemandCopies: the controller's estimate and the map it was
+// seeded from are independent in both directions — a caller's later
+// write does not reach the controller, and Tick's in-place fold does
+// not reach the caller (who may be seeding a second controller).
+func TestSetDemandCopies(t *testing.T) {
+	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 0.5})
+	seed := Demand{"default": {topology.West: 400, topology.East: 100}}
+	c.SetDemand(seed)
+	seed["default"][topology.West] = 1
+	if got := c.Demand()["default"][topology.West]; !almostEqual(got, 400) {
+		t.Errorf("controller demand = %v after the caller wrote its own map, want 400", got)
+	}
+	c.Tick(frontendStats(app, "default", 600, 100, 20*time.Millisecond), time.Second)
+	if got := c.Demand()["default"][topology.West]; !almostEqual(got, 500) { // 400*0.5 + 600*0.5
+		t.Errorf("smoothed demand = %v, want 500", got)
+	}
+	if got := seed["default"][topology.West]; !almostEqual(got, 1) {
+		t.Errorf("caller's map = %v after Tick, want it untouched at 1", got)
+	}
+}
+
 func TestControllerDemandDecay(t *testing.T) {
 	c, app := newChainController(t, ControllerConfig{DemandSmoothing: 0.5})
 	c.Tick(frontendStats(app, "default", 400, 0, 20*time.Millisecond), time.Second)

@@ -328,11 +328,11 @@ func (s *ShardedOptimizer) fingerprint(sh *shard, demand Demand) []float64 {
 }
 
 // fingerprintsEqual compares input vectors with a purely relative
-// epsilon. A zero entry only ever matches another zero: the comparison
-// used to mix in an absolute floor (eps·max(1, |a|, |b|)), under which
-// a 0 → small swing — exactly what the forecaster injects when a quiet
-// stream first stirs — compared "equal" and wrongly skipped the
-// shard's re-solve (pinned by TestShardDirtyOnZeroToSmallSwing).
+// epsilon. A zero entry only ever matches another zero: under an
+// absolute floor (eps·max(1, |a|, |b|)) a 0 → small swing — exactly
+// what the forecaster injects when a quiet stream first stirs — would
+// compare "equal" and wrongly skip the shard's re-solve (pinned by
+// TestShardDirtyOnZeroToSmallSwing).
 //
 //slate:hot
 func fingerprintsEqual(a, b []float64, eps float64) bool {

@@ -58,10 +58,9 @@ type AgentOptions struct {
 	// beyond the first try (default 2; negative disables retries).
 	MaxRetries int
 	// BackoffBase is the first retry's backoff (default 100ms); each
-	// further retry doubles it, capped at BackoffMax (default 2s). The
-	// actual wait is jittered uniformly in [0.5, 1.5)x from RNG.
+	// further retry doubles it, capped at backoffMax. The actual wait
+	// is jittered uniformly in [0.5, 1.5)x from RNG.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// RNG seeds the backoff jitter stream (nil derives from Seed).
 	RNG *sim.RNG
 	// Seed seeds the jitter stream when RNG is nil.
@@ -77,6 +76,9 @@ type AgentOptions struct {
 	Metrics *obs.Registry
 }
 
+// backoffMax caps the doubling retry backoff within one sync round.
+const backoffMax = 2 * time.Second
+
 func (o AgentOptions) withDefaults() AgentOptions {
 	if o.Period <= 0 {
 		o.Period = 5 * time.Second
@@ -89,9 +91,6 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
 	}
 	if o.RNG == nil {
 		o.RNG = sim.NewRNG(o.Seed).DeriveNamed("agent-backoff")
@@ -385,8 +384,8 @@ func (a *Agent) withRetries(ctx context.Context, op func(context.Context) error)
 			return errors.Join(lastErr, err)
 		}
 		backoff *= 2
-		if backoff > a.opts.BackoffMax {
-			backoff = a.opts.BackoffMax
+		if backoff > backoffMax {
+			backoff = backoffMax
 		}
 	}
 }

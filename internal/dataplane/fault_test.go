@@ -248,7 +248,7 @@ func TestAgentRetriesWithSeededBackoff(t *testing.T) {
 
 		agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{
 			Period: time.Second, MaxRetries: 2, Seed: 7,
-			BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second,
+			BackoffBase: 100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

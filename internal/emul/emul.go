@@ -86,10 +86,7 @@ type Mesh struct {
 	lns      []net.Listener
 	proxies  map[poolID]*dataplane.Proxy
 	ccs      map[topology.ClusterID]*controlplane.Cluster
-	global   *controlplane.Global // replica 0
-	globals  []*controlplane.Global
-	gsrv     *http.Server
-	gURL     string // replica 0's URL
+	globals  []*controlplane.Global // one per replica; a single element without Options.Replicas
 	gURLs    []string
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -160,37 +157,28 @@ func Start(opts Options) (*Mesh, error) {
 
 	// Global controller(s). With Replicas > 1 each replica is its own
 	// fault target and advertises its URL as its lease identity.
-	replicas := opts.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	for i := 0; i < replicas; i++ {
+	m.globals = make([]*controlplane.Global, max(opts.Replicas, 1))
+	for i := range m.globals {
 		ctrl, err := core.NewController(opts.Top, opts.App, opts.Controller)
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
 		g := controlplane.NewGlobal(ctrl)
-		target := fault.Global
-		if replicas > 1 {
-			target = fault.GlobalReplica(i)
-		}
-		gURL, gsrv, err := m.serveTarget(g.Handler(), target)
+		m.globals[i] = g
+		target := m.globalTarget(i)
+		gURL, err := m.serveTarget(g.Handler(), target)
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
-		if replicas > 1 {
+		if len(m.globals) > 1 {
 			g.EnableHA(gURL, opts.HA)
 		}
 		if opts.Fault != nil {
 			g.SetTransport(fault.NewTransport(nil, opts.Fault, target, m.hosts))
 		}
-		m.globals = append(m.globals, g)
 		m.gURLs = append(m.gURLs, gURL)
-		if i == 0 {
-			m.global, m.gURL, m.gsrv = g, gURL, gsrv
-		}
 	}
 
 	// Cluster controllers, reporting to (and voting for) every replica.
@@ -205,7 +193,7 @@ func Start(opts Options) (*Mesh, error) {
 		if opts.Fault != nil {
 			cc.SetTransport(fault.NewTransport(nil, opts.Fault, fault.ClusterTarget(cl), m.hosts))
 		}
-		ccURL, _, err := m.serveTarget(cc.Handler(), fault.ClusterTarget(cl))
+		ccURL, err := m.serveTarget(cc.Handler(), fault.ClusterTarget(cl))
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -225,7 +213,7 @@ func Start(opts Options) (*Mesh, error) {
 			}
 			id := poolID{sid, cl}
 			app := newAppServer(opts.App, sid, cl, pool.Servers(), opts.TimeScale, m.registry)
-			appURL, _, err := m.serve(app)
+			appURL, err := m.serve(app)
 			if err != nil {
 				m.Close()
 				return nil, err
@@ -244,7 +232,7 @@ func Start(opts Options) (*Mesh, error) {
 				m.Close()
 				return nil, err
 			}
-			proxyURL, _, err := m.serveTarget(proxy, fault.ProxyTarget(string(sid), cl))
+			proxyURL, err := m.serveTarget(proxy, fault.ProxyTarget(string(sid), cl))
 			if err != nil {
 				m.Close()
 				return nil, err
@@ -277,11 +265,12 @@ func Start(opts Options) (*Mesh, error) {
 }
 
 // TickControl runs one control-plane round synchronously: every cluster
-// controller reports its window, then the global controller optimizes
-// and pushes rules. One cluster's failure does not stop the others —
+// controller reports its window, then every live global replica steps
+// (campaign, then tick or snapshot-fetch; a plain optimize-and-push tick
+// when unreplicated). One cluster's failure does not stop the others —
 // during faults the surviving controllers must keep reporting — and a
-// crashed global controller skips the optimization entirely (errors
-// from all of it are joined).
+// crashed replica misses its step, exactly like a dead process misses
+// its timer (errors from all of it are joined).
 func (m *Mesh) TickControl(window time.Duration) error {
 	var errs []error
 	for _, cc := range m.ccs {
@@ -289,47 +278,48 @@ func (m *Mesh) TickControl(window time.Duration) error {
 			errs = append(errs, err)
 		}
 	}
-	if len(m.globals) > 1 {
-		// Replicated control plane: every live replica steps (campaign,
-		// then tick or snapshot-fetch); crashed replicas simply miss their
-		// step, exactly like a dead process misses its timer.
-		live := 0
-		for i, g := range m.globals {
-			if f := m.opts.Fault; f != nil && f.IsDown(fault.GlobalReplica(i)) {
-				continue
-			}
-			live++
-			if err := g.HAStep(m.ctx); err != nil {
-				errs = append(errs, err)
-			}
+	live := 0
+	for i, g := range m.globals {
+		if m.globalDown(i) {
+			continue
 		}
-		if live == 0 {
-			errs = append(errs, fmt.Errorf("emul: all global replicas down, optimization skipped"))
+		live++
+		if err := g.HAStep(m.ctx); err != nil {
+			errs = append(errs, err)
 		}
-		return errors.Join(errs...)
 	}
-	if f := m.opts.Fault; f != nil && f.IsDown(fault.Global) {
-		errs = append(errs, fmt.Errorf("emul: global controller down, optimization skipped"))
-		return errors.Join(errs...)
-	}
-	if err := m.global.Tick(m.ctx); err != nil {
-		errs = append(errs, err)
+	if live == 0 {
+		errs = append(errs, fmt.Errorf("emul: every global controller down, optimization skipped"))
 	}
 	return errors.Join(errs...)
 }
 
-// CrashGlobal / RestartGlobal / CrashCluster / RestartCluster drive the
-// fault injector by component name; no-ops without Options.Fault.
-func (m *Mesh) CrashGlobal() {
-	if m.opts.Fault != nil {
-		m.opts.Fault.Crash(fault.Global)
+// globalTarget names replica i for the fault injector: the single
+// controller is "global", replicas are "global:0" … "global:N-1".
+func (m *Mesh) globalTarget(i int) fault.Target {
+	if len(m.globals) == 1 {
+		return fault.Global
+	}
+	return fault.GlobalReplica(i)
+}
+
+func (m *Mesh) globalDown(i int) bool {
+	return m.opts.Fault != nil && m.opts.Fault.IsDown(m.globalTarget(i))
+}
+
+// CrashGlobalReplica / RestartGlobalReplica / CrashCluster /
+// RestartCluster drive the fault injector by component; no-ops without
+// Options.Fault. The unreplicated controller is replica 0.
+func (m *Mesh) CrashGlobalReplica(i int) {
+	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
+		m.opts.Fault.Crash(m.globalTarget(i))
 	}
 }
 
-// RestartGlobal brings a crashed global controller back.
-func (m *Mesh) RestartGlobal() {
-	if m.opts.Fault != nil {
-		m.opts.Fault.Restart(fault.Global)
+// RestartGlobalReplica brings a crashed global replica back.
+func (m *Mesh) RestartGlobalReplica(i int) {
+	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
+		m.opts.Fault.Restart(m.globalTarget(i))
 	}
 }
 
@@ -400,7 +390,7 @@ func (m *Mesh) DrainSpans() []telemetry.Span {
 
 // GlobalURL returns the global controller's API base URL (replica 0
 // when replicated).
-func (m *Mesh) GlobalURL() string { return m.gURL }
+func (m *Mesh) GlobalURL() string { return m.gURLs[0] }
 
 // Globals returns every global-controller replica (one element without
 // Options.Replicas).
@@ -410,29 +400,11 @@ func (m *Mesh) Globals() []*controlplane.Global { return m.globals }
 // or nil when no replica leads (mid-failover, or all crashed).
 func (m *Mesh) GlobalLeader() *controlplane.Global {
 	for i, g := range m.globals {
-		if f := m.opts.Fault; f != nil && len(m.globals) > 1 && f.IsDown(fault.GlobalReplica(i)) {
-			continue
-		}
-		if g.IsLeader() {
+		if !m.globalDown(i) && g.IsLeader() {
 			return g
 		}
 	}
 	return nil
-}
-
-// CrashGlobalReplica takes one global replica down (no-op without
-// Options.Fault or outside replicated mode).
-func (m *Mesh) CrashGlobalReplica(i int) {
-	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
-		m.opts.Fault.Crash(fault.GlobalReplica(i))
-	}
-}
-
-// RestartGlobalReplica brings a crashed global replica back.
-func (m *Mesh) RestartGlobalReplica(i int) {
-	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
-		m.opts.Fault.Restart(fault.GlobalReplica(i))
-	}
 }
 
 // ClusterStats returns the last telemetry window the cluster controller
@@ -449,7 +421,7 @@ func (m *Mesh) ClusterStats(cluster topology.ClusterID) []telemetry.WindowStats 
 // the target down its API answers 503 (the crashed process), and the
 // listener's host is registered so fault transports can resolve
 // requests to this component. Without Options.Fault it is plain serve.
-func (m *Mesh) serveTarget(h http.Handler, t fault.Target) (string, *http.Server, error) {
+func (m *Mesh) serveTarget(h http.Handler, t fault.Target) (string, error) {
 	if m.opts.Fault != nil {
 		inner := h
 		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -460,18 +432,18 @@ func (m *Mesh) serveTarget(h http.Handler, t fault.Target) (string, *http.Server
 			inner.ServeHTTP(w, r)
 		})
 	}
-	url, srv, err := m.serve(h)
+	url, err := m.serve(h)
 	if err == nil && m.hosts != nil {
 		m.hosts.Register(url, t)
 	}
-	return url, srv, err
+	return url, err
 }
 
 // serve starts an HTTP server on a fresh loopback listener.
-func (m *Mesh) serve(h http.Handler) (string, *http.Server, error) {
+func (m *Mesh) serve(h http.Handler) (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	srv := &http.Server{Handler: h}
 	m.mu.Lock()
@@ -483,7 +455,7 @@ func (m *Mesh) serve(h http.Handler) (string, *http.Server, error) {
 		defer m.wg.Done()
 		srv.Serve(ln)
 	}()
-	return "http://" + ln.Addr().String(), srv, nil
+	return "http://" + ln.Addr().String(), nil
 }
 
 // Close shuts every server down.

@@ -33,7 +33,7 @@ func TestMeshServesThroughGlobalOutage(t *testing.T) {
 		t.Fatalf("healthy tick: %v", err)
 	}
 
-	m.CrashGlobal()
+	m.CrashGlobalReplica(0)
 	// The control plane is down: ticking reports it but must not wedge.
 	if err := m.TickControl(time.Second); err == nil {
 		t.Error("tick during global outage reported no error")
@@ -60,7 +60,7 @@ func TestMeshServesThroughGlobalOutage(t *testing.T) {
 		t.Fatalf("dataplane suffered during control outage: %d errors, %d ok", res.Errors, len(res.Latencies))
 	}
 
-	m.RestartGlobal()
+	m.RestartGlobalReplica(0)
 	if err := m.TickControl(time.Second); err != nil {
 		t.Errorf("tick after restart: %v", err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
@@ -18,62 +19,36 @@ import (
 // melt down (unbounded queueing) — while SLATE's load-dependent optimum
 // is a single fixed policy across the sweep.
 func AblationWaterfallThreshold(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp(topology.West, topology.East)
-	demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
-	scn := simrun.Scenario{
-		Name:     "ablation-threshold",
-		Top:      top,
-		App:      app,
-		Workload: steady("default", demand["default"]),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
-	fig := &Figure{
-		ID:      "ablation-threshold",
-		Title:   "Waterfall threshold sensitivity (Fig. 6a scenario)",
-		Notes:   []string{"x = threshold fraction of rated capacity; y = mean latency (ms)"},
-		Summary: map[string]float64{},
-	}
-	s := Series{Name: "waterfall", XLabel: "threshold fraction", YLabel: "mean latency (ms)"}
+	scn, demand := westOverloadScenario("ablation-threshold", opt.defaults())
+	// One SLATE leg — its policy does not depend on the swept fraction —
+	// then one Waterfall leg per fraction.
 	fracs := []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
-	cmps := make([]Comparison, len(fracs))
-	err := runConcurrently(len(fracs), func(i int) error {
-		cmp, err := runPair(scn, demand, core.ControllerConfig{}, fracs[i])
-		if err != nil {
-			return fmt.Errorf("ablation frac=%v: %w", fracs[i], err)
-		}
-		cmps[i] = cmp
-		return nil
-	})
+	legs := []leg{{"slate", scn, slateLeg(core.ControllerConfig{}, demand)}}
+	for _, frac := range fracs {
+		legs = append(legs, leg{fmt.Sprintf("waterfall-%v", frac), scn, waterfallLeg(demand, frac, true)})
+	}
+	res, err := runLegs(legs)
 	if err != nil {
 		return nil, err
 	}
-	var slateMean float64
-	for i, frac := range fracs {
-		s.X = append(s.X, frac)
-		s.Y = append(s.Y, float64(cmps[i].Baseline.Mean)/1e6)
-		slateMean = float64(cmps[i].SLATE.Mean) / 1e6
+	slateMean := ms(res[0].Mean)
+	s := Series{Name: "waterfall", XLabel: "threshold fraction", YLabel: "mean latency (ms)", X: fracs}
+	for _, r := range res[1:] {
+		s.Y = append(s.Y, ms(r.Mean))
 	}
-	fig.Series = append(fig.Series, s,
-		Series{Name: "slate", XLabel: s.XLabel, YLabel: s.YLabel,
-			X: []float64{s.X[0], s.X[len(s.X)-1]}, Y: []float64{slateMean, slateMean}})
-	fig.Summary["slate_mean_ms"] = slateMean
-	best := s.Y[0]
-	worst := s.Y[0]
-	for _, y := range s.Y {
-		if y < best {
-			best = y
-		}
-		if y > worst {
-			worst = y
-		}
-	}
-	fig.Summary["waterfall_best_mean_ms"] = best
-	fig.Summary["waterfall_worst_mean_ms"] = worst
-	return fig, nil
+	return &Figure{
+		ID:    "ablation-threshold",
+		Title: "Waterfall threshold sensitivity (Fig. 6a scenario)",
+		Notes: []string{"x = threshold fraction of rated capacity; y = mean latency (ms)"},
+		Series: []Series{s,
+			{Name: "slate", XLabel: s.XLabel, YLabel: s.YLabel,
+				X: []float64{fracs[0], fracs[len(fracs)-1]}, Y: []float64{slateMean, slateMean}}},
+		Summary: map[string]float64{
+			"slate_mean_ms":           slateMean,
+			"waterfall_best_mean_ms":  slices.Min(s.Y),
+			"waterfall_worst_mean_ms": slices.Max(s.Y),
+		},
+	}, nil
 }
 
 // AblationClassGranularity compares SLATE run with its true per-class
@@ -82,71 +57,49 @@ func AblationWaterfallThreshold(opt Options) (*Figure, error) {
 // choice (paper §5): a single class misses the chance to offload only
 // the heavy requests.
 func AblationClassGranularity(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(30 * time.Millisecond)
-	appTwo := twoClassExperimentApp()
-	demand := core.Demand{
-		"L": {topology.West: 400, topology.East: 50},
-		"H": {topology.West: 330, topology.East: 50},
-	}
-	scn := simrun.Scenario{
-		Name: "ablation-classes",
-		Top:  top,
-		App:  appTwo,
-		Workload: append(steady("L", demand["L"]),
-			steady("H", demand["H"])...),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
-	// Per-class SLATE.
-	perClass, err := core.NewController(top, appTwo, core.ControllerConfig{})
+	scn, demand := twoClassScenario("ablation-classes", opt.defaults())
+	res, err := runLegs([]leg{
+		{"perclass", scn, slateLeg(core.ControllerConfig{}, demand)},
+		{"classblind", scn, classBlindLeg(demand)},
+	})
 	if err != nil {
 		return nil, err
 	}
-	perClass.SetDemand(demand)
-	perClassRes, err := simrun.Run(scn, simrun.SLATE(perClass, true))
-	if err != nil {
-		return nil, err
-	}
-	// Class-blind SLATE: same optimizer, but the app model merges L and
-	// H into a single class with blended service time; its (single) rule
-	// then applies to both real classes via the wildcard.
-	blind, err := core.NewController(top, mergedClassApp(), core.ControllerConfig{})
-	if err != nil {
-		return nil, err
-	}
-	blindDemand := core.Demand{"all": {
-		topology.West: demand["L"][topology.West] + demand["H"][topology.West],
-		topology.East: demand["L"][topology.East] + demand["H"][topology.East],
-	}}
-	blind.SetDemand(blindDemand)
-	blindTable, err := blind.Prime()
-	if err != nil {
-		return nil, err
-	}
-	// Rewrite the merged-class rules as wildcard rules for the real app.
-	blindRes, err := simrun.Run(scn, simrun.Static("slate-classblind", wildcardize(blindTable)))
-	if err != nil {
-		return nil, err
-	}
+	perClass, blind := res[0], res[1]
 	fig := &Figure{
 		ID:    "ablation-classes",
 		Title: "Traffic-class granularity: per-class vs class-blind optimization",
 		Summary: map[string]float64{
-			"perclass_mean_ms":   float64(perClassRes.Mean) / 1e6,
-			"classblind_mean_ms": float64(blindRes.Mean) / 1e6,
-			"classblind_over_perclass": float64(blindRes.Mean) /
-				float64(perClassRes.Mean),
+			"perclass_mean_ms":         ms(perClass.Mean),
+			"classblind_mean_ms":       ms(blind.Mean),
+			"classblind_over_perclass": float64(blind.Mean) / float64(perClass.Mean),
 		},
 	}
-	for name, cr := range perClassRes.PerClass {
-		fig.Summary["perclass_mean_ms_"+name] = float64(cr.Mean) / 1e6
-	}
-	for name, cr := range blindRes.PerClass {
-		fig.Summary["classblind_mean_ms_"+name] = float64(cr.Mean) / 1e6
-	}
+	addClassMeans(fig, "perclass_mean_ms_", perClass)
+	addClassMeans(fig, "classblind_mean_ms_", blind)
 	return fig, nil
+}
+
+// classBlindLeg is SLATE without traffic classes: the same optimizer,
+// but its app model merges L and H into a single class with blended
+// service time; the plan it primes for the summed demand then serves
+// both real classes as wildcard rules.
+func classBlindLeg(demand core.Demand) policyFunc {
+	return func(scn *simrun.Scenario) (simrun.Policy, error) {
+		blind, err := core.NewController(scn.Top, mergedClassApp(), core.ControllerConfig{})
+		if err != nil {
+			return nil, err
+		}
+		blind.SetDemand(core.Demand{"all": {
+			topology.West: demand["L"][topology.West] + demand["H"][topology.West],
+			topology.East: demand["L"][topology.East] + demand["H"][topology.East],
+		}})
+		table, err := blind.Prime()
+		if err != nil {
+			return nil, err
+		}
+		return simrun.Static("slate-classblind", wildcardize(table)), nil
+	}
 }
 
 // AblationStepSize sweeps the controller's MaxStep rollout bound on an
@@ -154,46 +107,28 @@ func AblationClassGranularity(opt Options) (*Figure, error) {
 // against misprediction; full steps converge in one period. This is
 // the design choice behind §5's "resilience to prediction error".
 func AblationStepSize(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp(topology.West, topology.East)
-	scn := simrun.Scenario{
-		Name:          "ablation-step",
-		Top:           top,
-		App:           app,
-		Workload:      steady("default", map[topology.ClusterID]float64{topology.West: 900, topology.East: 100}),
-		Duration:      opt.Duration,
-		Warmup:        opt.Warmup,
-		ControlPeriod: 2 * time.Second,
-		Seed:          opt.Seed,
-	}
-	fig := &Figure{
-		ID:      "ablation-step",
-		Title:   "Rollout step-size sensitivity (adaptive run, west overloaded)",
-		Summary: map[string]float64{},
-	}
-	s := Series{Name: "mean-latency", XLabel: "MaxStep", YLabel: "mean latency (ms)"}
+	scn, _ := westOverloadScenario("ablation-step", opt.defaults())
+	scn.ControlPeriod = 2 * time.Second
 	steps := []float64{0.05, 0.1, 0.25, 0.5, 1.0}
-	means := make([]float64, len(steps))
-	err := runConcurrently(len(steps), func(i int) error {
-		ctrl, err := core.NewController(top, app, core.ControllerConfig{MaxStep: steps[i], DemandSmoothing: 0.7})
-		if err != nil {
-			return err
-		}
-		res, err := simrun.Run(scn, simrun.SLATE(ctrl, false))
-		if err != nil {
-			return err
-		}
-		means[i] = float64(res.Mean) / 1e6
-		return nil
-	})
+	var legs []leg
+	for _, step := range steps {
+		legs = append(legs, leg{fmt.Sprintf("step-%v", step), scn,
+			slateLeg(core.ControllerConfig{MaxStep: step, DemandSmoothing: 0.7}, nil)})
+	}
+	res, err := runLegs(legs)
 	if err != nil {
 		return nil, err
 	}
-	s.X = append(s.X, steps...)
-	s.Y = append(s.Y, means...)
-	fig.Series = append(fig.Series, s)
-	return fig, nil
+	s := Series{Name: "mean-latency", XLabel: "MaxStep", YLabel: "mean latency (ms)", X: steps}
+	for _, r := range res {
+		s.Y = append(s.Y, ms(r.Mean))
+	}
+	return &Figure{
+		ID:      "ablation-step",
+		Title:   "Rollout step-size sensitivity (adaptive run, west overloaded)",
+		Series:  []Series{s},
+		Summary: map[string]float64{},
+	}, nil
 }
 
 // twoClassExperimentApp returns the Fig. 6d application.

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/baseline"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/simrun"
 	"github.com/servicelayernetworking/slate/internal/topology"
-	"github.com/servicelayernetworking/slate/internal/workload"
 )
 
 // AutoscalerInteraction studies the paper's §5 open question —
@@ -28,38 +26,28 @@ import (
 // which is exactly the interaction the paper flags for co-design.
 func AutoscalerInteraction(opt Options) (*Figure, error) {
 	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	const (
-		base  = 300.0
-		burst = 850.0
-		warm  = 20 * time.Second
-		hold  = 40 * time.Second
-	)
-	mkScenario := func(withScaler bool) simrun.Scenario {
-		scn := simrun.Scenario{
-			Name: "autoscale",
-			Top:  top,
-			App:  chainApp(topology.West, topology.East),
-			Workload: []workload.Spec{
-				workload.Burst("default", topology.West, base, burst, warm, hold),
-				workload.Steady("default", topology.East, 100),
-			},
-			Duration:      100 * time.Second,
-			Warmup:        2 * time.Second,
-			ControlPeriod: 2 * time.Second,
-			Seed:          opt.Seed,
-		}
-		if withScaler {
-			scn.Autoscaler = &simrun.AutoscalerConfig{
-				Period:            15 * time.Second,
-				TargetUtilization: 0.7,
-				ReactionDelay:     30 * time.Second,
-				MaxReplicas:       12,
-			}
-		}
-		return scn
+	const hold = 40 * time.Second
+	fixed := burstScenario("autoscale", hold, 100*time.Second, opt.Seed)
+	scaled := fixed
+	scaled.Autoscaler = &simrun.AutoscalerConfig{
+		Period:            15 * time.Second,
+		TargetUtilization: 0.7,
+		ReactionDelay:     30 * time.Second,
+		MaxReplicas:       12,
 	}
-
+	// SLATE's latency profiles assume fixed capacity; the autoscaler
+	// changing pool sizes under it is precisely the modeling gap §5
+	// describes, so the combined leg lets the controller re-fit its
+	// profiles as capacity moves.
+	legs := []leg{
+		{"autoscaler-only", scaled, staticLeg("local", baseline.LocalOnly())},
+		{"slate-only", fixed, slateLeg(core.ControllerConfig{DemandSmoothing: 0.7}, nil)},
+		{"combined", scaled, slateLeg(core.ControllerConfig{DemandSmoothing: 0.7, LearnProfiles: true}, nil)},
+	}
+	results, err := runLegs(legs)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:    "autoscaler",
 		Title: "Request routing × autoscaling on a burst (west 300→850→300 RPS)",
@@ -69,81 +57,19 @@ func AutoscalerInteraction(opt Options) (*Figure, error) {
 		},
 		Summary: map[string]float64{},
 	}
-
-	// The three systems are independent runs (each owns its scenario
-	// value, controller, and simulation kernel); sweep them concurrently
-	// and assemble series/summaries in deterministic order.
-	//
-	// "Combined" note: SLATE's latency profiles assume fixed capacity;
-	// the autoscaler changing pool sizes under it is precisely the
-	// modeling gap §5 describes. LearnProfiles lets the controller
-	// re-fit as capacity moves.
-	names := []string{"autoscaler-only", "slate-only", "combined"}
-	results := make([]*simrun.Result, len(names))
-	err := runConcurrently(len(names), func(i int) error {
-		var scn simrun.Scenario
-		var pol simrun.Policy
-		switch names[i] {
-		case "autoscaler-only":
-			scn = mkScenario(true)
-			pol = simrun.Static("local", baseline.LocalOnly())
-		case "slate-only":
-			ctrl, err := core.NewController(top, chainApp(topology.West, topology.East),
-				core.ControllerConfig{DemandSmoothing: 0.7})
-			if err != nil {
-				return err
-			}
-			scn = mkScenario(false)
-			pol = simrun.SLATE(ctrl, false)
-		default:
-			ctrl, err := core.NewController(top, chainApp(topology.West, topology.East),
-				core.ControllerConfig{DemandSmoothing: 0.7, LearnProfiles: true})
-			if err != nil {
-				return err
-			}
-			scn = mkScenario(true)
-			pol = simrun.SLATE(ctrl, false)
+	addBurstTimelines(fig, legs, results, hold)
+	for i, l := range legs {
+		if results[i].FinalReplicas == nil {
+			continue
 		}
-		res, err := simrun.Run(scn, pol)
-		if err != nil {
-			return fmt.Errorf("autoscaler %s: %w", names[i], err)
+		var westReplicas int
+		for key, r := range results[i].FinalReplicas {
+			if key.Cluster == topology.West && key.Service != "gateway" {
+				westReplicas += r
+			}
 		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		fig.Summary[l.name+"_final_west_replicas"] = float64(westReplicas)
 	}
-	for i, name := range names {
-		res := results[i]
-		s := Series{Name: name, XLabel: "time (s)", YLabel: "mean latency (ms)"}
-		for _, p := range res.Timeline {
-			s.X = append(s.X, p.At.Seconds())
-			s.Y = append(s.Y, float64(p.Mean)/1e6)
-		}
-		fig.Series = append(fig.Series, s)
-		var sum float64
-		var n int
-		for _, p := range res.Timeline {
-			if p.At > warm && p.At <= warm+hold {
-				sum += float64(p.Mean) / 1e6
-				n++
-			}
-		}
-		if n > 0 {
-			fig.Summary[name+"_burst_mean_ms"] = sum / float64(n)
-		}
-		if res.FinalReplicas != nil {
-			var westReplicas int
-			for key, r := range res.FinalReplicas {
-				if key.Cluster == topology.West && key.Service != "gateway" {
-					westReplicas += r
-				}
-			}
-			fig.Summary[name+"_final_west_replicas"] = float64(westReplicas)
-		}
-	}
-
 	if a, c := fig.Summary["autoscaler-only_final_west_replicas"], fig.Summary["combined_final_west_replicas"]; a > 0 && c > 0 {
 		fig.Summary["scaling_suppression_ratio"] = a / c
 	}

@@ -12,38 +12,69 @@ import (
 	"github.com/servicelayernetworking/slate/internal/workload"
 )
 
+// The burst every adaptation experiment faces: west jumps from burstBase
+// to burstPeak RPS at burstAt and holds it; east stays at 100 RPS;
+// controllers re-plan every 2 s.
+const (
+	burstBase = 300.0
+	burstPeak = 850.0
+	burstAt   = 20 * time.Second
+	burstHold = 30 * time.Second // BurstReaction's; AutoscalerInteraction holds 40 s
+)
+
+// burstScenario is the two-cluster chain under that burst, held for hold.
+func burstScenario(name string, hold, duration time.Duration, seed int64) simrun.Scenario {
+	return simrun.Scenario{
+		Name: name,
+		Top:  topology.TwoClusters(40 * time.Millisecond),
+		App:  chainApp(topology.West, topology.East),
+		Workload: []workload.Spec{
+			workload.Burst("default", topology.West, burstBase, burstPeak, burstAt, hold),
+			workload.Steady("default", topology.East, 100),
+		},
+		Duration:      duration,
+		Warmup:        2 * time.Second,
+		ControlPeriod: 2 * time.Second,
+		Seed:          seed,
+	}
+}
+
+// addBurstTimelines publishes, per leg, the per-window latency timeline
+// and its mean over the windows of the burst, (burstAt, burstAt+hold].
+func addBurstTimelines(fig *Figure, legs []leg, results []*simrun.Result, hold time.Duration) {
+	for i, l := range legs {
+		fig.Series = append(fig.Series, timelineSeries(l.name, "mean latency (ms)", results[i], windowMeanMs))
+		if mean, ok := meanLatencyOver(results[i], burstAt, burstAt+hold); ok {
+			fig.Summary[l.name+"_burst_mean_ms"] = mean
+		}
+	}
+}
+
+// burstLegs is BurstReaction's table: SLATE, Waterfall (thresholds sized
+// for the pre-burst load), and a no-op local-only policy — the
+// autoscaler stand-in that hasn't scaled yet. No controller is primed.
+func burstLegs(opt Options) []leg {
+	scn := burstScenario("burst", burstHold, 80*time.Second, opt.Seed)
+	baseDemand := core.Demand{"default": {topology.West: burstBase, topology.East: 100}}
+	return []leg{
+		{"slate", scn, slateLeg(core.ControllerConfig{DemandSmoothing: 0.7}, nil)},
+		{"waterfall", scn, waterfallLeg(baseDemand, waterfallFrac, false)},
+		{"local-only", scn, staticLeg("local-only", baseline.LocalOnly())},
+	}
+}
+
 // BurstReaction measures how quickly adaptive request routing absorbs a
 // sudden load burst — the paper's §2 motivation that request routing
 // reacts orders of magnitude faster than autoscaling (which needs
 // "seconds to minutes" for monitoring, scaling decisions, image pull
-// and warm-up). West jumps from 300 to 850 RPS for 30 s; neither
-// controller is primed, the control period is 2 s, and the timeline
-// shows per-window mean latency for SLATE, Waterfall, and a no-op
-// local-only policy (the autoscaler stand-in that hasn't scaled yet).
+// and warm-up). West jumps from 300 to 850 RPS for 30 s, and the
+// timeline shows per-window mean latency for each leg of burstLegs.
 func BurstReaction(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp(topology.West, topology.East)
-	const (
-		base  = 300.0
-		burst = 850.0
-		warm  = 20 * time.Second
-		hold  = 30 * time.Second
-	)
-	scn := simrun.Scenario{
-		Name: "burst",
-		Top:  top,
-		App:  app,
-		Workload: []workload.Spec{
-			workload.Burst("default", topology.West, base, burst, warm, hold),
-			workload.Steady("default", topology.East, 100),
-		},
-		Duration:      80 * time.Second,
-		Warmup:        2 * time.Second,
-		ControlPeriod: 2 * time.Second,
-		Seed:          opt.Seed,
+	legs := burstLegs(opt.defaults())
+	results, err := runLegs(legs)
+	if err != nil {
+		return nil, err
 	}
-
 	fig := &Figure{
 		ID:    "burst",
 		Title: "Reaction to a load burst (west 300→850→300 RPS, adaptive controllers)",
@@ -53,64 +84,7 @@ func BurstReaction(opt Options) (*Figure, error) {
 		},
 		Summary: map[string]float64{},
 	}
-
-	// The three adaptive runs are independent (each controller starts
-	// from empty demand and owns its state); run them concurrently and
-	// assemble series/summaries in deterministic order.
-	names := []string{"slate", "waterfall", "local-only"}
-	results := make([]*simrun.Result, len(names))
-	err := runConcurrently(len(names), func(i int) error {
-		var pol simrun.Policy
-		switch names[i] {
-		case "slate":
-			ctrl, err := core.NewController(top, app, core.ControllerConfig{DemandSmoothing: 0.7})
-			if err != nil {
-				return err
-			}
-			pol = simrun.SLATE(ctrl, false)
-		case "waterfall":
-			caps := baseline.DefaultCapacities(app, top,
-				core.Demand{"default": {topology.West: base, topology.East: 100}}, waterfallFrac)
-			ctrl, err := baseline.NewController(top, app, caps)
-			if err != nil {
-				return err
-			}
-			pol = simrun.Waterfall(ctrl, false)
-		default:
-			pol = simrun.Static("local-only", baseline.LocalOnly())
-		}
-		res, err := simrun.Run(scn, pol)
-		if err != nil {
-			return fmt.Errorf("burst %s: %w", names[i], err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		res := results[i]
-		s := Series{Name: name, XLabel: "time (s)", YLabel: "mean latency (ms)"}
-		for _, p := range res.Timeline {
-			s.X = append(s.X, p.At.Seconds())
-			s.Y = append(s.Y, float64(p.Mean)/1e6)
-		}
-		fig.Series = append(fig.Series, s)
-		// Mean latency during the burst interval.
-		var sum float64
-		var n int
-		for _, p := range res.Timeline {
-			if p.At > warm && p.At <= warm+hold {
-				sum += float64(p.Mean) / 1e6
-				n++
-			}
-		}
-		if n > 0 {
-			fig.Summary[name+"_burst_mean_ms"] = sum / float64(n)
-		}
-	}
-
+	addBurstTimelines(fig, legs, results, burstHold)
 	fig.Summary["localonly_over_slate_burst"] =
 		fig.Summary["local-only_burst_mean_ms"] / fig.Summary["slate_burst_mean_ms"]
 	return fig, nil

@@ -32,24 +32,19 @@ const (
 	chaosEastDemand = 100.0
 )
 
-// Chaos measures graceful degradation under control-plane failures: the
-// same seeded scenario — west near local capacity so SLATE offloads
-// cross-cluster, then a global-controller outage overlapping a
-// west-east partition, then a flapping global controller — run twice
-// under the SLATE policy. The hardened run gives proxies a rule-staleness TTL
-// (degrade to local-biased routing once the control plane has been
-// silent past it); the unhardened baseline holds stale rules forever
-// and keeps routing into the cut link. Reported: availability, p50/p99
-// latency, degraded/missed/failed counts, and per-window timelines.
-func Chaos(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp(topology.West, topology.East)
+// chaosLegs is the Chaos table: the same seeded scenario — west near
+// local capacity so SLATE offloads cross-cluster, then a
+// global-controller outage overlapping a west-east partition, then a
+// flapping global controller — twice under the primed SLATE policy. The
+// hardened leg gives proxies a rule-staleness TTL (degrade to
+// local-biased routing once the control plane has been silent past it);
+// the unhardened leg holds stale rules forever and keeps routing into
+// the cut link.
+func chaosLegs(opt Options) []leg {
 	demand := core.Demand{"default": {
 		topology.West: chaosWestDemand,
 		topology.East: chaosEastDemand,
 	}}
-
 	sched := fault.NewSchedule()
 	sched.Outage(fault.Global, chaosOutageAt, chaosOutageDur)
 	sched.Partition(topology.West, topology.East, chaosCutAt, chaosCutDur)
@@ -58,10 +53,10 @@ func Chaos(opt Options) (*Figure, error) {
 	// rung absorbs a crash-looping controller without degrading.
 	sched.Flap(fault.Global, chaosFlapAt, chaosFlaps, chaosFlapDown, chaosFlapUp)
 
-	scn := simrun.Scenario{
+	unhardened := simrun.Scenario{
 		Name:          "chaos",
-		Top:           top,
-		App:           app,
+		Top:           topology.TwoClusters(40 * time.Millisecond),
+		App:           chainApp(topology.West, topology.East),
 		Workload:      steady("default", demand["default"]),
 		Duration:      chaosDuration,
 		Warmup:        chaosWarmup,
@@ -69,7 +64,26 @@ func Chaos(opt Options) (*Figure, error) {
 		Seed:          opt.Seed,
 		Faults:        sched,
 	}
+	hardened := unhardened
+	hardened.RuleTTL = chaosRuleTTL
+	// Only the hardened leg exports spans: both legs share the
+	// deterministic per-run trace-ID sequence, so exporting both into
+	// one sink would collide trace IDs across legs.
+	hardened.SpanSink = opt.SpanSink
+	policy := slateLeg(core.ControllerConfig{Decompose: true}, demand)
+	return []leg{{"hardened", hardened, policy}, {"unhardened", unhardened, policy}}
+}
 
+// Chaos measures graceful degradation under control-plane failures over
+// chaosLegs. Reported: availability, p50/p99 latency,
+// degraded/missed/failed counts, and per-window timelines.
+func Chaos(opt Options) (*Figure, error) {
+	opt = opt.defaults()
+	legs := chaosLegs(opt)
+	results, err := runLegs(legs)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		ID:    "chaos",
 		Title: "Graceful degradation under control-plane faults (hardened TTL vs stale-forever)",
@@ -82,56 +96,19 @@ func Chaos(opt Options) (*Figure, error) {
 		},
 		Summary: map[string]float64{},
 	}
-
-	run := func(name string, ttl time.Duration) (*simrun.Result, error) {
-		s := scn
-		s.RuleTTL = ttl
-		if name == "hardened" {
-			// Only the hardened leg exports spans: both legs share the
-			// deterministic per-run trace-ID sequence, so exporting both
-			// into one sink would collide trace IDs across legs.
-			s.SpanSink = opt.SpanSink
-		}
-		ctrl, err := core.NewController(top, app, core.ControllerConfig{Decompose: true})
-		if err != nil {
-			return nil, err
-		}
-		ctrl.SetDemand(demand)
-		res, err := simrun.Run(s, simrun.SLATE(ctrl, true))
-		if err != nil {
-			return nil, fmt.Errorf("chaos %s: %w", name, err)
-		}
-		lat := Series{Name: name + "-latency", XLabel: "time (s)", YLabel: "mean latency (ms)"}
-		rps := Series{Name: name + "-rps", XLabel: "time (s)", YLabel: "completed RPS"}
-		for _, p := range res.Timeline {
-			lat.X = append(lat.X, p.At.Seconds())
-			lat.Y = append(lat.Y, float64(p.Mean)/1e6)
-			rps.X = append(rps.X, p.At.Seconds())
-			rps.Y = append(rps.Y, p.RPS)
-		}
-		fig.Series = append(fig.Series, lat, rps)
-		fig.Summary[name+"_availability"] = res.Availability
-		fig.Summary[name+"_p50_ms"] = float64(res.P50) / 1e6
-		fig.Summary[name+"_p99_ms"] = float64(res.P99) / 1e6
-		fig.Summary[name+"_failed"] = float64(res.Failed)
-		fig.Summary[name+"_degraded_calls"] = float64(res.DegradedCalls)
-		fig.Summary[name+"_missed_ticks"] = float64(res.MissedTicks)
-		return res, nil
+	for i, l := range legs {
+		res := results[i]
+		fig.Series = append(fig.Series,
+			timelineSeries(l.name+"-latency", "mean latency (ms)", res, windowMeanMs),
+			timelineSeries(l.name+"-rps", "completed RPS", res, func(p simrun.TimelinePoint) float64 { return p.RPS }))
+		fig.Summary[l.name+"_availability"] = res.Availability
+		fig.Summary[l.name+"_p50_ms"] = ms(res.P50)
+		fig.Summary[l.name+"_p99_ms"] = ms(res.P99)
+		fig.Summary[l.name+"_failed"] = float64(res.Failed)
+		fig.Summary[l.name+"_degraded_calls"] = float64(res.DegradedCalls)
+		fig.Summary[l.name+"_missed_ticks"] = float64(res.MissedTicks)
 	}
-
-	// The two runs stay serial on purpose: both controllers fold
-	// telemetry into the same shared demand map (ControlPeriod > 0), so
-	// the second run's starting estimate depends on the first having
-	// finished — reordering would change the published metrics.
-	hard, err := run("hardened", chaosRuleTTL)
-	if err != nil {
-		return nil, err
-	}
-	unhard, err := run("unhardened", 0)
-	if err != nil {
-		return nil, err
-	}
-
+	hard, unhard := results[0], results[1]
 	fig.Summary["availability_gain"] = hard.Availability - unhard.Availability
 	// Recovery: the first post-incident control window whose mean
 	// latency is back within 1.5x the pre-fault steady state.
@@ -144,20 +121,12 @@ func Chaos(opt Options) (*Figure, error) {
 // 1.5x the pre-fault baseline (mean over the windows before the first
 // fault), or -1 if the run never recovers.
 func recoveryTime(res *simrun.Result, after time.Duration) float64 {
-	var base float64
-	var n int
-	for _, p := range res.Timeline {
-		if p.At <= chaosOutageAt {
-			base += float64(p.Mean)
-			n++
-		}
-	}
-	if n == 0 {
+	base, ok := meanLatencyOver(res, 0, chaosOutageAt)
+	if !ok {
 		return -1
 	}
-	base /= float64(n)
 	for _, p := range res.Timeline {
-		if p.At >= after && float64(p.Mean) <= 1.5*base {
+		if p.At >= after && windowMeanMs(p) <= 1.5*base {
 			return p.At.Seconds()
 		}
 	}

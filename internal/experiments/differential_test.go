@@ -217,7 +217,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctrl.SetDemand(copyDemand(demand))
+				ctrl.SetDemand(demand)
 				return ctrl
 			}
 			tee := &teePolicy{t: t, mono: newCtrl(false), shadow: newCtrl(true)}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
-	"github.com/servicelayernetworking/slate/internal/baseline"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/simrun"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -74,7 +73,7 @@ func cdfSeries(name string, r *simrun.Result) Series {
 	cdf := r.CDF()
 	s := Series{Name: name, XLabel: "latency (ms)", YLabel: "P(X<=x)"}
 	for _, p := range cdf {
-		s.X = append(s.X, float64(p.Latency)/float64(time.Millisecond))
+		s.X = append(s.X, ms(p.Latency))
 		s.Y = append(s.Y, p.Fraction)
 	}
 	return s
@@ -118,44 +117,86 @@ func chainApp(clusters ...topology.ClusterID) *appgraph.App {
 	})
 }
 
+// scenario is the steady-state run the Fig. 6 experiments and the
+// ablations measure: wl for opt.Duration under a fixed policy, no
+// control loop unless the caller sets a ControlPeriod.
+func (o Options) scenario(name string, top *topology.Topology, app *appgraph.App, wl []workload.Spec) simrun.Scenario {
+	return simrun.Scenario{
+		Name: name, Top: top, App: app, Workload: wl,
+		Duration: o.Duration, Warmup: o.Warmup, Seed: o.Seed,
+	}
+}
+
 // runPair runs the scenario under primed SLATE and primed Waterfall
-// controllers — concurrently when GOMAXPROCS allows — and returns the
-// comparison. Each leg owns its controller and a private copy of the
-// demand map, so neither can observe the other's state.
+// controllers and returns the comparison.
 func runPair(scn simrun.Scenario, demand core.Demand, slateCfg core.ControllerConfig, thresholdFrac float64) (Comparison, error) {
-	var slateRes, wfRes *simrun.Result
-	err := runConcurrently(2, func(i int) error {
-		if i == 0 {
-			sc, err := core.NewController(scn.Top, scn.App, slateCfg)
-			if err != nil {
-				return err
-			}
-			sc.SetDemand(copyDemand(demand))
-			res, err := simrun.Run(scn, simrun.SLATE(sc, true))
-			if err != nil {
-				return fmt.Errorf("slate run: %w", err)
-			}
-			slateRes = res
-			return nil
-		}
-		d := copyDemand(demand)
-		caps := baseline.DefaultCapacities(scn.App, scn.Top, d, thresholdFrac)
-		wc, err := baseline.NewController(scn.Top, scn.App, caps)
-		if err != nil {
-			return err
-		}
-		wc.SetDemand(d)
-		res, err := simrun.Run(scn, simrun.Waterfall(wc, true))
-		if err != nil {
-			return fmt.Errorf("waterfall run: %w", err)
-		}
-		wfRes = res
-		return nil
+	res, err := runLegs([]leg{
+		{"slate", scn, slateLeg(slateCfg, demand)},
+		{"waterfall", scn, waterfallLeg(demand, thresholdFrac, true)},
 	})
 	if err != nil {
 		return Comparison{}, err
 	}
-	return compare(slateRes, wfRes), nil
+	return compare(res[0], res[1]), nil
+}
+
+// pairFigure starts a Fig. 6 figure from its paired run: the two latency
+// CDFs and the mean-latency summary every sub-figure reports.
+func pairFigure(id, title string, cmp Comparison, notes ...string) *Figure {
+	return &Figure{
+		ID: id, Title: title, Notes: notes,
+		Series: []Series{
+			downsampleCDF(cdfSeries("SLATE", cmp.SLATE), 48),
+			downsampleCDF(cdfSeries("WATERFALL", cmp.Baseline), 48),
+		},
+		Summary: map[string]float64{
+			"mean_latency_ratio_waterfall_over_slate": cmp.MeanRatio,
+			"slate_mean_ms":     ms(cmp.SLATE.Mean),
+			"waterfall_mean_ms": ms(cmp.Baseline.Mean),
+		},
+	}
+}
+
+// ms converts a latency to the milliseconds figures report.
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// addClassMeans records a run's per-class mean latency under prefix.
+func addClassMeans(fig *Figure, prefix string, res *simrun.Result) {
+	for name, cr := range res.PerClass {
+		fig.Summary[prefix+name] = ms(cr.Mean)
+	}
+}
+
+// windowMeanMs is a control window's mean latency in ms, the value most
+// timelines plot.
+func windowMeanMs(p simrun.TimelinePoint) float64 { return ms(p.Mean) }
+
+// timelineSeries plots one value per control window of a run against
+// the window's end time.
+func timelineSeries(name, yLabel string, res *simrun.Result, y func(simrun.TimelinePoint) float64) Series {
+	s := Series{Name: name, XLabel: "time (s)", YLabel: yLabel}
+	for _, p := range res.Timeline {
+		s.X = append(s.X, p.At.Seconds())
+		s.Y = append(s.Y, y(p))
+	}
+	return s
+}
+
+// meanLatencyOver averages the per-window mean latency (ms) over the
+// control windows ending in (from, to]; ok is false when none does.
+func meanLatencyOver(res *simrun.Result, from, to time.Duration) (mean float64, ok bool) {
+	var sum float64
+	var n int
+	for _, p := range res.Timeline {
+		if p.At > from && p.At <= to {
+			sum += ms(p.Mean)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }
 
 // Render writes a figure as aligned text tables.

@@ -173,46 +173,30 @@ func Fig4(opt Options) (*Figure, error) {
 	return fig, nil
 }
 
+// westOverloadScenario is the Fig. 6a setting, shared with the threshold
+// and step-size ablations: the 3-service chain on two clusters 40 ms
+// apart, west offered 900 RPS against a capacity of 800, east 100.
+func westOverloadScenario(name string, opt Options) (simrun.Scenario, core.Demand) {
+	demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
+	return opt.scenario(name, topology.TwoClusters(40*time.Millisecond), chainApp(topology.West, topology.East),
+		steady("default", demand["default"])), demand
+}
+
 // Fig6a regenerates the paper's Fig. 6a ("how much to route"): latency
 // CDF of SLATE vs Waterfall when the west cluster is overloaded, on the
 // two-cluster chain microbenchmark.
 func Fig6a(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp(topology.West, topology.East)
-	demand := core.Demand{"default": {topology.West: 900, topology.East: 100}}
-	scn := simrun.Scenario{
-		Name:     "fig6a",
-		Top:      top,
-		App:      app,
-		Workload: steady("default", demand["default"]),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
+	scn, demand := westOverloadScenario("fig6a", opt.defaults())
 	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure{
-		ID:    "fig6a",
-		Title: "How much to route: latency CDF, west overloaded (900 vs cap 760)",
-		Notes: []string{
-			"2 clusters, RTT 40ms, 3-service chain at 10ms, west 900 RPS / east 100 RPS",
-			fmt.Sprintf("SLATE mean %v p99 %v; Waterfall mean %v p99 %v",
-				cmp.SLATE.Mean, cmp.SLATE.P99, cmp.Baseline.Mean, cmp.Baseline.P99),
-		},
-		Series: []Series{
-			downsampleCDF(cdfSeries("SLATE", cmp.SLATE), 48),
-			downsampleCDF(cdfSeries("WATERFALL", cmp.Baseline), 48),
-		},
-		Summary: map[string]float64{
-			"mean_latency_ratio_waterfall_over_slate": cmp.MeanRatio,
-			"p99_latency_ratio_waterfall_over_slate":  cmp.P99Ratio,
-			"slate_mean_ms":                           float64(cmp.SLATE.Mean) / 1e6,
-			"waterfall_mean_ms":                       float64(cmp.Baseline.Mean) / 1e6,
-		},
-	}, nil
+	fig := pairFigure("fig6a", "How much to route: latency CDF, west overloaded (900 vs cap 760)", cmp,
+		"2 clusters, RTT 40ms, 3-service chain at 10ms, west 900 RPS / east 100 RPS",
+		fmt.Sprintf("SLATE mean %v p99 %v; Waterfall mean %v p99 %v",
+			cmp.SLATE.Mean, cmp.SLATE.P99, cmp.Baseline.Mean, cmp.Baseline.P99))
+	fig.Summary["p99_latency_ratio_waterfall_over_slate"] = cmp.P99Ratio
+	return fig, nil
 }
 
 // Fig6b regenerates the paper's Fig. 6b ("which cluster"): the real GCP
@@ -229,39 +213,18 @@ func Fig6b(opt Options) (*Figure, error) {
 	demand := core.Demand{"default": {
 		topology.OR: 1090, topology.UT: 100, topology.IOW: 1090, topology.SC: 100,
 	}}
-	scn := simrun.Scenario{
-		Name:     "fig6b",
-		Top:      top,
-		App:      app,
-		Workload: steady("default", demand["default"]),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
+	scn := opt.scenario("fig6b", top, app, steady("default", demand["default"]))
 	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure{
-		ID:    "fig6b",
-		Title: "Which cluster: latency CDF, OR and IOW overloaded on the GCP topology",
-		Notes: []string{
-			"GCP RTTs: OR-UT 30, UT-IOW 20, IOW-SC 35, OR-SC 66, OR-IOW 37 (ms)",
-			"demand: OR 1090, IOW 1090, UT 100, SC 100 RPS; per-cluster chain cap 800",
-			fmt.Sprintf("SLATE mean %v p99 %v; Waterfall mean %v p99 %v",
-				cmp.SLATE.Mean, cmp.SLATE.P99, cmp.Baseline.Mean, cmp.Baseline.P99),
-		},
-		Series: []Series{
-			downsampleCDF(cdfSeries("SLATE", cmp.SLATE), 48),
-			downsampleCDF(cdfSeries("WATERFALL", cmp.Baseline), 48),
-		},
-		Summary: map[string]float64{
-			"mean_latency_ratio_waterfall_over_slate": cmp.MeanRatio,
-			"p99_latency_ratio_waterfall_over_slate":  cmp.P99Ratio,
-			"slate_mean_ms":                           float64(cmp.SLATE.Mean) / 1e6,
-			"waterfall_mean_ms":                       float64(cmp.Baseline.Mean) / 1e6,
-		},
-	}, nil
+	fig := pairFigure("fig6b", "Which cluster: latency CDF, OR and IOW overloaded on the GCP topology", cmp,
+		"GCP RTTs: OR-UT 30, UT-IOW 20, IOW-SC 35, OR-SC 66, OR-IOW 37 (ms)",
+		"demand: OR 1090, IOW 1090, UT 100, SC 100 RPS; per-cluster chain cap 800",
+		fmt.Sprintf("SLATE mean %v p99 %v; Waterfall mean %v p99 %v",
+			cmp.SLATE.Mean, cmp.SLATE.P99, cmp.Baseline.Mean, cmp.Baseline.P99))
+	fig.Summary["p99_latency_ratio_waterfall_over_slate"] = cmp.P99Ratio
+	return fig, nil
 }
 
 // Fig6c regenerates the paper's Fig. 6c ("where in the topology"): the
@@ -286,15 +249,7 @@ func Fig6c(opt Options) (*Figure, error) {
 	// Degrade west's MP (the paper's degraded cluster): 1/3 the replicas.
 	app.Services[appgraph.AnomalyMP].Placement[topology.West] = appgraph.ReplicaPool{Replicas: 1, Concurrency: 4}
 	demand := core.Demand{"detect": {topology.West: 600, topology.East: 100}}
-	scn := simrun.Scenario{
-		Name:     "fig6c",
-		Top:      top,
-		App:      app,
-		Workload: steady("detect", demand["detect"]),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
+	scn := opt.scenario("fig6c", top, app, steady("detect", demand["detect"]))
 	// SLATE jointly optimizes latency and egress cost. The cost weight
 	// makes $1/s of egress equal 10^4 request-seconds/s of latency —
 	// an administrator that values bandwidth cost (paper §4.1).
@@ -303,85 +258,45 @@ func Fig6c(opt Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Figure{
-		ID:    "fig6c",
-		Title: "Where to route: anomaly detection, DB absent in west (multi-hop)",
-		Notes: []string{
-			"FR→MP→DB; DB response 1MB ≈ 10× MP response; west MP degraded to 1 replica",
-			"west 600 RPS / east 100 RPS, RTT 40ms; SLATE cost-aware (CostWeight 1e4)",
-			fmt.Sprintf("egress: SLATE %.1f MB/s vs Waterfall %.1f MB/s",
-				float64(cmp.SLATE.EgressBytes)/cmp.SLATE.MeasuredWindow.Seconds()/1e6,
-				float64(cmp.Baseline.EgressBytes)/cmp.Baseline.MeasuredWindow.Seconds()/1e6),
-		},
-		Series: []Series{
-			downsampleCDF(cdfSeries("SLATE", cmp.SLATE), 48),
-			downsampleCDF(cdfSeries("WATERFALL", cmp.Baseline), 48),
-		},
-		Summary: map[string]float64{
-			"egress_ratio_waterfall_over_slate":       cmp.EgressRatio,
-			"egress_cost_ratio":                       cmp.Baseline.EgressCost / math.Max(cmp.SLATE.EgressCost, 1e-12),
-			"mean_latency_ratio_waterfall_over_slate": cmp.MeanRatio,
-			"slate_mean_ms":                           float64(cmp.SLATE.Mean) / 1e6,
-			"waterfall_mean_ms":                       float64(cmp.Baseline.Mean) / 1e6,
-		},
-	}, nil
+	fig := pairFigure("fig6c", "Where to route: anomaly detection, DB absent in west (multi-hop)", cmp,
+		"FR→MP→DB; DB response 1MB ≈ 10× MP response; west MP degraded to 1 replica",
+		"west 600 RPS / east 100 RPS, RTT 40ms; SLATE cost-aware (CostWeight 1e4)",
+		fmt.Sprintf("egress: SLATE %.1f MB/s vs Waterfall %.1f MB/s",
+			float64(cmp.SLATE.EgressBytes)/cmp.SLATE.MeasuredWindow.Seconds()/1e6,
+			float64(cmp.Baseline.EgressBytes)/cmp.Baseline.MeasuredWindow.Seconds()/1e6))
+	fig.Summary["egress_ratio_waterfall_over_slate"] = cmp.EgressRatio
+	fig.Summary["egress_cost_ratio"] = cmp.Baseline.EgressCost / math.Max(cmp.SLATE.EgressCost, 1e-12)
+	return fig, nil
 }
 
-// Fig6d regenerates the paper's Fig. 6d ("which subset of requests"):
-// one worker service with light (L) and heavy (H) classes, overload
-// driven by H volume. Waterfall offloads the same fraction of both
-// classes; SLATE offloads a smaller number of only-H requests.
-func Fig6d(opt Options) (*Figure, error) {
-	opt = opt.defaults()
-	top := topology.TwoClusters(30 * time.Millisecond)
-	app := appgraph.TwoClassApp(appgraph.TwoClassOptions{
-		LightTime: 2 * time.Millisecond,
-		HeavyTime: 20 * time.Millisecond,
-		Pool:      appgraph.ReplicaPool{Replicas: 2, Concurrency: 4},
-	})
+// twoClassScenario is the Fig. 6d setting, shared with the class
+// granularity ablation: one worker service with light (L) and heavy (H)
+// classes on two clusters, west overloaded by H volume.
+func twoClassScenario(name string, opt Options) (simrun.Scenario, core.Demand) {
 	demand := core.Demand{
 		"L": {topology.West: 400, topology.East: 50},
 		"H": {topology.West: 330, topology.East: 50},
 	}
-	scn := simrun.Scenario{
-		Name: "fig6d",
-		Top:  top,
-		App:  app,
-		Workload: append(steady("L", demand["L"]),
-			steady("H", demand["H"])...),
-		Duration: opt.Duration,
-		Warmup:   opt.Warmup,
-		Seed:     opt.Seed,
-	}
+	return opt.scenario(name, topology.TwoClusters(30*time.Millisecond), twoClassExperimentApp(),
+		append(steady("L", demand["L"]), steady("H", demand["H"])...)), demand
+}
+
+// Fig6d regenerates the paper's Fig. 6d ("which subset of requests"):
+// overload driven by H volume. Waterfall offloads the same fraction of
+// both classes; SLATE offloads a smaller number of only-H requests.
+func Fig6d(opt Options) (*Figure, error) {
+	scn, demand := twoClassScenario("fig6d", opt.defaults())
 	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}
-	fig := &Figure{
-		ID:    "fig6d",
-		Title: "Which subset: two traffic classes (H ≈ 10× L compute), H-driven overload",
-		Notes: []string{
-			"worker pool M/M/8; west L 400 + H 330 RPS ⇒ 92% utilization; RTT 30ms",
-			fmt.Sprintf("SLATE mean %v; Waterfall mean %v", cmp.SLATE.Mean, cmp.Baseline.Mean),
-		},
-		Series: []Series{
-			downsampleCDF(cdfSeries("SLATE", cmp.SLATE), 48),
-			downsampleCDF(cdfSeries("WATERFALL", cmp.Baseline), 48),
-		},
-		Summary: map[string]float64{
-			"mean_latency_ratio_waterfall_over_slate": cmp.MeanRatio,
-			"slate_mean_ms":     float64(cmp.SLATE.Mean) / 1e6,
-			"waterfall_mean_ms": float64(cmp.Baseline.Mean) / 1e6,
-		},
-	}
+	fig := pairFigure("fig6d", "Which subset: two traffic classes (H ≈ 10× L compute), H-driven overload", cmp,
+		"worker pool M/M/8; west L 400 + H 330 RPS ⇒ 92% utilization; RTT 30ms",
+		fmt.Sprintf("SLATE mean %v; Waterfall mean %v", cmp.SLATE.Mean, cmp.Baseline.Mean))
 	// Per-class means document the mechanism: L should stay fast under
 	// SLATE while Waterfall taxes it with offloads.
-	for name, cr := range cmp.SLATE.PerClass {
-		fig.Summary["slate_mean_ms_class_"+name] = float64(cr.Mean) / 1e6
-	}
-	for name, cr := range cmp.Baseline.PerClass {
-		fig.Summary["waterfall_mean_ms_class_"+name] = float64(cr.Mean) / 1e6
-	}
+	addClassMeans(fig, "slate_mean_ms_class_", cmp.SLATE)
+	addClassMeans(fig, "waterfall_mean_ms_class_", cmp.Baseline)
 	return fig, nil
 }
 

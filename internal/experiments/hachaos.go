@@ -167,32 +167,24 @@ func runHAChaosLeg(opt Options, n, kill int, demandAt func(int) haChaosDemand, r
 	leg := &haChaosLeg{ttfPeriods: -1}
 	var offeredSum, servedSum float64
 	var vKill uint64
+	leader := -1
 	for w := 0; w < n; w++ {
 		if w == kill {
 			vKill = m.ClusterController(topology.East).Table().Version
-			if replicated {
-				idx := -1
-				for i, g := range m.Globals() {
-					if g.IsLeader() {
-						idx = i
-					}
+			for i, g := range m.Globals() {
+				if g.IsLeader() {
+					leader = i
 				}
-				if idx < 0 {
-					return nil, fmt.Errorf("no leader elected by kill window %d", kill)
-				}
-				m.CrashGlobalReplica(idx)
-			} else {
-				m.CrashGlobal()
 			}
+			if leader < 0 {
+				return nil, fmt.Errorf("no leader elected by kill window %d", kill)
+			}
+			m.CrashGlobalReplica(leader)
 		}
 		if w == kill+haChaosMTTR {
 			// The operator restarts the single controller; the replicated
 			// leg's replaced pod rejoins as a follower at the same moment.
-			if replicated {
-				m.RestartGlobalReplica(0)
-			} else {
-				m.RestartGlobal()
-			}
+			m.RestartGlobalReplica(leader)
 		}
 		clk.Advance(haChaosPeriod)
 		d := demandAt(w)

@@ -3,10 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"github.com/servicelayernetworking/slate/internal/topology"
+	"github.com/servicelayernetworking/slate/internal/simrun"
 )
 
 // TestForEachConcurrentIndexedSlots forces multiple workers (the public
@@ -63,37 +66,42 @@ func TestForEachConcurrentSerialFallback(t *testing.T) {
 	}
 }
 
-// TestRunPairConcurrentMatchesSerial runs the same paired scenario with
-// the harness's concurrency helper and with a forced-parallel variant;
-// the per-run kernels and seeded RNG streams must make the comparison
-// bit-identical either way.
-func TestRunPairConcurrentMatchesSerial(t *testing.T) {
+// TestRunLegsOrderIndependent is the leg runner's contract: a table's
+// per-leg results are bit-identical on one worker, on several, and with
+// the legs reversed, because no leg can reach another's controller,
+// demand map or scenario. chaos primes both legs from one demand map
+// and ticks; burst mixes all three leg constructors.
+func TestRunLegsOrderIndependent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paired simulation runs")
+		t.Skip("runs each table three times")
 	}
-	opt := Options{Duration: 8 * time.Second, Warmup: 2 * time.Second, Seed: 7}
-	a, err := Fig6a(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig6a(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range a.Summary {
-		if b.Summary[k] != v { //slate:nolint floatcmp -- bit-exact reproducibility is the property under test
-			t.Fatalf("summary %q: %v vs %v across repeated runs", k, v, b.Summary[k])
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	run := func(workers int, legs []leg) []*simrun.Result {
+		t.Helper()
+		runtime.GOMAXPROCS(workers)
+		res, err := runLegs(legs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-}
-
-func TestCopyDemandIsDeep(t *testing.T) {
-	orig := map[string]map[topology.ClusterID]float64{
-		"default": {topology.West: 100, topology.East: 50},
-	}
-	cp := copyDemand(orig)
-	cp["default"][topology.West] = 999
-	if orig["default"][topology.West] != 100 { //slate:nolint floatcmp -- value assigned literally, never computed
-		t.Fatal("copyDemand shares inner maps")
+	opt := Options{Seed: 42}.defaults()
+	for name, table := range map[string]func(Options) []leg{"chaos": chaosLegs, "burst": burstLegs} {
+		legs := table(opt)
+		serial := run(1, legs)
+		parallel := run(max(procs, 2), legs)
+		backwards := slices.Clone(legs)
+		slices.Reverse(backwards)
+		reversed := run(max(procs, 2), backwards)
+		slices.Reverse(reversed)
+		for i, l := range legs {
+			if !reflect.DeepEqual(serial[i], parallel[i]) {
+				t.Errorf("%s/%s: result on several workers differs from one worker", name, l.name)
+			}
+			if !reflect.DeepEqual(serial[i], reversed[i]) {
+				t.Errorf("%s/%s: result depends on leg order", name, l.name)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/forecast"
@@ -13,8 +12,18 @@ import (
 )
 
 // regretLegs are the controller variants regret-scored against the
-// clairvoyant oracle, in presentation order.
-var regretLegs = []string{"reactive", "robust", "predictive", "robust+predictive"}
+// clairvoyant oracle, in presentation order: reactive is plain SLATE,
+// robust plans for a box uncertainty set of regretMargin, predictive
+// for a Holt-Winters forecast.
+var regretLegs = []struct {
+	name               string
+	robust, predictive bool
+}{
+	{name: "reactive"},
+	{name: "robust", robust: true},
+	{name: "predictive", predictive: true},
+	{name: "robust+predictive", robust: true, predictive: true},
+}
 
 // regretMargin is the uncertainty half-width the robust legs (and the
 // adversarial walk's box corners) use.
@@ -22,14 +31,11 @@ const regretMargin = 0.25
 
 // Regret runs the stress suite (flash crowd, adversarial demand walk,
 // diurnal swing, correlated multi-cluster surge — see internal/scenario)
-// under four controllers — reactive (plain SLATE), robust (box
-// uncertainty set, margin 25%), predictive (Holt-Winters forecast,
-// season = one diurnal cycle), and robust+predictive — plus the
-// clairvoyant oracle that re-optimizes each window for the true
-// upcoming demand. For every controller it reports worst-case and mean
-// per-window latency regret (window mean latency minus the oracle's, in
-// ms). Scenario durations are fixed by the stress suite; Options only
-// contributes the seed.
+// under the four controllers of regretLegs plus the clairvoyant oracle
+// that re-optimizes each window for the true upcoming demand. For every
+// controller it reports worst-case and mean per-window latency regret
+// (window mean latency minus the oracle's, in ms). Scenario durations
+// are fixed by the stress suite; Options only contributes the seed.
 func Regret(opt Options) (*Figure, error) {
 	opt = opt.defaults()
 	scns := scenario.StressScenarios(opt.Seed, regretMargin)
@@ -45,90 +51,49 @@ func Regret(opt Options) (*Figure, error) {
 		Summary: map[string]float64{},
 	}
 
-	// All (scenario × leg) runs plus one clairvoyant run per scenario are
-	// independent; flatten them into one concurrent batch. Arrival
-	// processes are seed-paired, so every leg of a scenario faces the
-	// identical workload realization.
-	type job struct {
-		scn int
-		leg string // "" = clairvoyant
+	// One table for the whole suite: per scenario the clairvoyant, then
+	// every controller. Arrival processes are seed-paired, so every leg
+	// of a scenario faces the identical workload realization.
+	clairvoyant := func(scn *simrun.Scenario) (simrun.Policy, error) {
+		return simrun.Clairvoyant(scn, core.Config{}), nil
 	}
-	var jobs []job
-	for si := range scns {
-		jobs = append(jobs, job{si, ""})
-		for _, leg := range regretLegs {
-			jobs = append(jobs, job{si, leg})
+	var legs []leg
+	for _, scn := range scns {
+		legs = append(legs, leg{"clairvoyant", scn, clairvoyant})
+		for _, rl := range regretLegs {
+			cfg := core.ControllerConfig{DemandSmoothing: 0.7}
+			if rl.robust {
+				cfg.Optimizer.DemandMargin = regretMargin
+			}
+			if rl.predictive {
+				cfg.Forecast = regretForecast()
+			}
+			// Prime every leg from the schedule's t=0 rates so regret measures
+			// steady-state response to surprises, not cold-start convergence.
+			legs = append(legs, leg{rl.name, scn, slateLeg(cfg, initialDemand(scn.Workload))})
 		}
 	}
-	results := make([]*simrun.Result, len(jobs))
-	err := runConcurrently(len(jobs), func(i int) error {
-		scn := scns[jobs[i].scn]
-		pol, err := regretPolicy(&scn, jobs[i].leg)
-		if err != nil {
-			return err
-		}
-		res, err := simrun.Run(scn, pol)
-		if err != nil {
-			return fmt.Errorf("regret %s/%s: %w", scn.Name, pol.Name(), err)
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := runLegs(legs)
 	if err != nil {
 		return nil, err
 	}
-	byKey := make(map[string]*simrun.Result, len(jobs))
-	for i, j := range jobs {
-		leg := j.leg
-		if leg == "" {
-			leg = "clairvoyant"
-		}
-		byKey[scns[j.scn].Name+"/"+leg] = results[i]
-	}
 
-	for _, scn := range scns {
-		oracle := byKey[scn.Name+"/clairvoyant"]
-		for _, leg := range regretLegs {
-			res := byKey[scn.Name+"/"+leg]
-			series, worst, mean := regretSeries(scn, res, oracle)
-			fig.Summary[scn.Name+"/"+leg+"_worst_regret_ms"] = worst
-			fig.Summary[scn.Name+"/"+leg+"_mean_regret_ms"] = mean
+	for si, scn := range scns {
+		// The scenario's stretch of the table: its oracle, then its legs.
+		res := results[si*(1+len(regretLegs)):]
+		oracle := res[0]
+		for li, rl := range regretLegs {
+			series, worst, mean := regretSeries(scn, res[1+li], oracle)
+			fig.Summary[scn.Name+"/"+rl.name+"_worst_regret_ms"] = worst
+			fig.Summary[scn.Name+"/"+rl.name+"_mean_regret_ms"] = mean
 			if scn.Name == "flash-crowd" || scn.Name == "adversarial-walk" {
-				series.Name = scn.Name + "/" + leg
+				series.Name = scn.Name + "/" + rl.name
 				fig.Series = append(fig.Series, series)
 			}
 		}
-		fig.Summary[scn.Name+"/clairvoyant_mean_ms"] = float64(oracle.Mean) / 1e6
+		fig.Summary[scn.Name+"/clairvoyant_mean_ms"] = ms(oracle.Mean)
 	}
 	return fig, nil
-}
-
-// regretPolicy builds the controller for one leg ("" = clairvoyant).
-func regretPolicy(scn *simrun.Scenario, leg string) (simrun.Policy, error) {
-	if leg == "" {
-		return simrun.Clairvoyant(scn, core.Config{}), nil
-	}
-	cfg := core.ControllerConfig{DemandSmoothing: 0.7}
-	switch leg {
-	case "reactive":
-	case "robust":
-		cfg.Optimizer.DemandMargin = regretMargin
-	case "predictive":
-		cfg.Forecast = regretForecast()
-	case "robust+predictive":
-		cfg.Optimizer.DemandMargin = regretMargin
-		cfg.Forecast = regretForecast()
-	default:
-		return nil, fmt.Errorf("regret: unknown leg %q", leg)
-	}
-	ctrl, err := core.NewController(scn.Top, scn.App, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Prime every leg from the schedule's t=0 rates so regret measures
-	// steady-state response to surprises, not cold-start convergence.
-	ctrl.SetDemand(initialDemand(scn.Workload))
-	return simrun.SLATE(ctrl, true), nil
 }
 
 // regretForecast tunes the predictive legs: Holt-Winters with a season
@@ -174,7 +139,7 @@ func regretSeries(scn simrun.Scenario, res, oracle *simrun.Result) (Series, floa
 		if p.At <= scn.Warmup {
 			continue
 		}
-		regret := float64(p.Mean-q.Mean) / float64(time.Millisecond)
+		regret := ms(p.Mean - q.Mean)
 		s.X = append(s.X, p.At.Seconds())
 		s.Y = append(s.Y, regret)
 		if regret > worst || count == 0 {

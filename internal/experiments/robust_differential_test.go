@@ -75,7 +75,7 @@ func TestRobustMarginZeroMatchesNominal(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctrl.SetDemand(copyDemand(demand))
+				ctrl.SetDemand(demand)
 				return ctrl
 			}
 			tee := &robustTeePolicy{t: t, mono: newCtrl(false), shadow: newCtrl(true)}

@@ -111,7 +111,7 @@ func TestSearchRaceMatchesSimplex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctrl.SetDemand(copyDemand(demand))
+				ctrl.SetDemand(demand)
 				return ctrl
 			}
 			tee := &searchTeePolicy{t: t, scn: tc.scn, mono: newCtrl(false), shadow: newCtrl(true)}

@@ -41,8 +41,8 @@ type Target string
 const Global Target = "global"
 
 // GlobalReplica names one replica of a replicated global controller
-// (replica 0 is "global:0", and so on). The unreplicated Global target
-// remains its own name for backward compatibility.
+// (replica 0 is "global:0", and so on); an unreplicated controller is
+// Global.
 func GlobalReplica(i int) Target {
 	return Target("global:" + strconv.Itoa(i))
 }

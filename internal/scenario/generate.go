@@ -26,6 +26,14 @@ import (
 	"github.com/servicelayernetworking/slate/internal/workload"
 )
 
+// Link latencies of a generated topology: the base RTT inside and
+// between regions, and the fraction each link is jittered by.
+const (
+	genIntraRTT  = 8 * time.Millisecond
+	genInterRTT  = 80 * time.Millisecond
+	genRTTJitter = 0.25
+)
+
 // GenSpec parameterizes the generator. The zero value of every field
 // has a sensible default (see withDefaults); a zero spec generates a
 // small smoke-scale scenario.
@@ -33,13 +41,10 @@ type GenSpec struct {
 	Seed int64
 
 	// Topology: Clusters spread round-robin over Regions. Intra-region
-	// links get IntraRTT, inter-region links InterRTT, both jittered
-	// ±RTTJitter (fraction).
-	Clusters  int
-	Regions   int
-	IntraRTT  time.Duration
-	InterRTT  time.Duration
-	RTTJitter float64
+	// links get genIntraRTT, inter-region links genInterRTT, both
+	// jittered ±genRTTJitter.
+	Clusters int
+	Regions  int
 
 	// Application: Services microservices partitioned across Classes
 	// call trees (every service appears in exactly one class, so each
@@ -98,15 +103,6 @@ func (s GenSpec) withDefaults() GenSpec {
 	def(&s.Regions, 4)
 	if s.Regions > s.Clusters {
 		s.Regions = s.Clusters
-	}
-	if s.IntraRTT <= 0 {
-		s.IntraRTT = 8 * time.Millisecond
-	}
-	if s.InterRTT <= 0 {
-		s.InterRTT = 80 * time.Millisecond
-	}
-	if s.RTTJitter <= 0 {
-		s.RTTJitter = 0.25
 	}
 	def(&s.Services, 40)
 	def(&s.Classes, 8)
@@ -229,12 +225,12 @@ func Generate(spec GenSpec) (*Generated, error) {
 	}
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
-			base := s.InterRTT
+			base := genInterRTT
 			if region[i] == region[j] {
-				base = s.IntraRTT
+				base = genIntraRTT
 			}
 			jit := root.DeriveNamed(fmt.Sprintf("rtt/%s/%s", ids[i], ids[j]))
-			f := 1 + s.RTTJitter*(2*jit.Float64()-1)
+			f := 1 + genRTTJitter*(2*jit.Float64()-1)
 			b.SetRTT(ids[i], ids[j], time.Duration(f*float64(base)))
 		}
 	}

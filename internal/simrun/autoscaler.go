@@ -34,12 +34,9 @@ type AutoscalerConfig struct {
 	// initialization (paper §2: "including container image pull and
 	// application initialization"). Default 30s.
 	ReactionDelay time.Duration
-	// MinReplicas/MaxReplicas bound every pool (defaults 1 / 10× the
-	// initial replica count).
-	MinReplicas, MaxReplicas int
-	// Tolerance suppresses scaling when |desired-current|/current is
-	// below it (HPA default 0.1).
-	Tolerance float64
+	// MaxReplicas bounds every pool from above (default 10× the initial
+	// replica count); hpaMinReplicas bounds it from below.
+	MaxReplicas int
 	// DownscaleStabilization makes scale-downs conservative: the
 	// effective desired count is the maximum of the desired counts
 	// computed over this trailing window (HPA's
@@ -49,13 +46,19 @@ type AutoscalerConfig struct {
 	DownscaleStabilization time.Duration
 }
 
+// HPA defaults no scenario overrides: the replica floor of every pool,
+// and the relative change |desired-current|/current below which the
+// scaler leaves a pool alone.
+const (
+	hpaMinReplicas = 1
+	hpaTolerance   = 0.1
+)
+
 func (a *AutoscalerConfig) defaults() AutoscalerConfig {
 	out := AutoscalerConfig{
 		Period:                 15 * time.Second,
 		TargetUtilization:      0.7,
 		ReactionDelay:          30 * time.Second,
-		MinReplicas:            1,
-		Tolerance:              0.1,
 		DownscaleStabilization: 30 * time.Second,
 	}
 	if a == nil {
@@ -70,14 +73,8 @@ func (a *AutoscalerConfig) defaults() AutoscalerConfig {
 	if a.ReactionDelay > 0 {
 		out.ReactionDelay = a.ReactionDelay
 	}
-	if a.MinReplicas > 0 {
-		out.MinReplicas = a.MinReplicas
-	}
 	if a.MaxReplicas > 0 {
 		out.MaxReplicas = a.MaxReplicas
-	}
-	if a.Tolerance > 0 {
-		out.Tolerance = a.Tolerance
 	}
 	if a.DownscaleStabilization > 0 {
 		out.DownscaleStabilization = a.DownscaleStabilization
@@ -151,8 +148,8 @@ func (a *autoscaler) tick(k *sim.Kernel) {
 		p.busySeconds = 0
 		current := s.cur
 		desired := int(math.Ceil(float64(current) * util / a.cfg.TargetUtilization))
-		if desired < a.cfg.MinReplicas {
-			desired = a.cfg.MinReplicas
+		if desired < hpaMinReplicas {
+			desired = hpaMinReplicas
 		}
 		maxReplicas := 10 * s.init
 		if a.cfg.MaxReplicas > 0 {
@@ -184,7 +181,7 @@ func (a *autoscaler) tick(k *sim.Kernel) {
 		if desired == current {
 			continue
 		}
-		if math.Abs(float64(desired-current))/float64(current) < a.cfg.Tolerance {
+		if math.Abs(float64(desired-current))/float64(current) < hpaTolerance {
 			continue
 		}
 		s.cur = desired
@@ -206,9 +203,6 @@ func validateAutoscaler(cfg *AutoscalerConfig) error {
 	c := cfg.defaults()
 	if c.TargetUtilization >= 1 {
 		return fmt.Errorf("simrun: autoscaler target utilization %v must be < 1", c.TargetUtilization)
-	}
-	if c.MaxReplicas > 0 && c.MaxReplicas < c.MinReplicas {
-		return fmt.Errorf("simrun: autoscaler max replicas %d < min %d", c.MaxReplicas, c.MinReplicas)
 	}
 	return nil
 }

@@ -494,7 +494,6 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 			Period:            5 * time.Second,
 			TargetUtilization: 0.7,
 			ReactionDelay:     10 * time.Second,
-			MinReplicas:       1,
 		},
 	}
 	res, err := Run(scn, Static("local", routing.EmptyTable()))
@@ -502,8 +501,8 @@ func TestAutoscalerScalesDownWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := core.PoolKey{Service: "solo", Cluster: topology.West}
-	if final := res.FinalReplicas[key]; final > 2 {
-		t.Errorf("final replicas = %d, want scaled down to <= 2", final)
+	if final := res.FinalReplicas[key]; final < 1 || final > 2 {
+		t.Errorf("final replicas = %d, want scaled down to 1 or 2 (the floor is one replica)", final)
 	}
 	// Requests kept completing throughout.
 	if res.Completed < res.Generated*9/10 {
@@ -587,9 +586,5 @@ func TestAutoscalerValidation(t *testing.T) {
 	}
 	if err := scn.Validate(); err == nil {
 		t.Error("target utilization > 1 accepted")
-	}
-	scn.Autoscaler = &AutoscalerConfig{MinReplicas: 5, MaxReplicas: 2}
-	if err := scn.Validate(); err == nil {
-		t.Error("max < min accepted")
 	}
 }
