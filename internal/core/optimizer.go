@@ -78,6 +78,12 @@ func (o *Optimizer) Stats() OptimizerStats { return o.stats }
 // profiles, reusing the cached formulation and the previous optimal
 // basis when possible. version is stamped onto the produced table.
 func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+	return o.solve(o.solver, demand, profiles, version)
+}
+
+// solve is Optimize in the given simplex scratch. A ShardedOptimizer's
+// shards own none: each solves in its worker's.
+func (o *Optimizer) solve(solver *lp.Solver, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err
 	}
@@ -90,7 +96,7 @@ func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (
 		o.basis = o.restored
 	}
 	o.restored = nil
-	sol, err := o.solver.SolveFrom(o.f.model, o.basis)
+	sol, err := solver.SolveFrom(o.f.model, o.basis)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving routing LP: %w", err)
 	}

@@ -102,24 +102,47 @@ func (s *ShardedOptimizer) EnableSearch(rc RaceConfig) {
 	s.race = &rc
 }
 
-// solveShard serves one dirty shard: race the anytime search against
-// the warm simplex when armed, else (or when search loses) run the
-// simplex alone.
-func (s *ShardedOptimizer) solveShard(sh *shard, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+// raceOutcome is how the race served one dirty shard. Solves return it
+// instead of counting it, so that shards solve concurrently without
+// sharing a counter; Optimize counts it in shard order.
+type raceOutcome uint8
+
+const (
+	unraced    raceOutcome = iota // race not armed, or no incumbent yet
+	searchWon                     // search certified its table within the gap
+	simplexWon                    // search abandoned its candidate; the simplex ran
+)
+
+// count adds the outcome to the race counters.
+func (r raceOutcome) count(st *OptimizerStats) {
+	switch r {
+	case searchWon:
+		st.SearchSolves++
+	case simplexWon:
+		st.SimplexWins++
+		st.GapAbandoned++
+	}
+}
+
+// solveShard serves one dirty shard in the given simplex scratch: race
+// the anytime search against the warm simplex when armed, else (or when
+// search loses) run the simplex alone. It writes only the shard's state.
+func (s *ShardedOptimizer) solveShard(sh *shard, solver *lp.Solver, demand Demand, profiles Profiles, version uint64) (*Plan, raceOutcome, error) {
+	race := unraced
 	if s.race != nil && sh.plan != nil {
 		if plan, ok := s.trySearch(sh, demand, profiles, version); ok {
-			s.stats.SearchSolves++
-			return plan, nil
+			return plan, searchWon, nil
 		}
-		s.stats.SimplexWins++
+		race = simplexWon
 	}
-	return sh.opt.Optimize(demand, profiles, version)
+	plan, err := sh.opt.solve(solver, demand, profiles, version)
+	return plan, race, err
 }
 
 // trySearch runs the search leg of the race for one shard and returns
 // its plan iff the result certifies within the gap. Every rejection —
-// infeasible table, lost flow, or gap too wide — bumps GapAbandoned and
-// sends the shard to the simplex.
+// infeasible table, lost flow, or gap too wide — abandons the candidate
+// and sends the shard to the simplex.
 func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles, version uint64) (*Plan, bool) {
 	if sh.search == nil {
 		sh.search = search.New(s.top, sh.app, search.Params{
@@ -131,7 +154,6 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 	// pools on the segments it holds (one linearization per profile value),
 	// and the candidate is scored against it below.
 	if err := sh.opt.ensure(demand, profiles); err != nil {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	poolFn := func(svc appgraph.ServiceID, c topology.ClusterID) (search.PoolParams, bool) {
@@ -142,12 +164,10 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 		return search.PoolParams{Ref: pr.profile.RefServiceTime.Seconds(), Segs: pr.segs}, true
 	}
 	if err := sh.search.Reset(demand, poolFn, sh.plan.Table); err != nil {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	res := sh.search.Run(s.race.budget())
 	if !res.Feasible || res.Gap > s.race.gap() {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	table := sh.search.Table(version)
@@ -158,11 +178,9 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 	// defense in depth against any drift between the two models.
 	x, err := sh.opt.f.assign(table, demand)
 	if err != nil {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	if err := sh.opt.f.model.CheckFeasible(x, 1e-6); err != nil {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	obj := sh.opt.f.model.EvalObjective(x)
@@ -171,7 +189,6 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 		gap = (obj - res.LowerBound) / obj
 	}
 	if gap > s.race.gap() {
-		s.stats.GapAbandoned++
 		return nil, false
 	}
 	sol := &lp.Solution{Status: lp.Optimal, Objective: obj, X: x}

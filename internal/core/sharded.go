@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
@@ -35,19 +38,24 @@ import (
 // the last solved one within epsilon, the shard's cached sub-plan is
 // reused and the solve is skipped entirely.
 //
-// Not safe for concurrent use.
+// Dirty shards solve concurrently, on up to GOMAXPROCS workers, and
+// their results are committed in shard order; a shard's solve reads and
+// writes that shard alone, so the plan is the same at any worker count.
+// Optimize itself is not safe for concurrent use: callers serialize it.
 type ShardedOptimizer struct {
 	top     *topology.Topology
 	app     *appgraph.App
 	cfg     Config // normalized
 	skipEps float64
-	// solver is the one simplex scratch every shard's Optimizer solves
-	// in: shards are solved one after another, so one sparse tableau's
-	// storage (under 2 MB at 48 clusters) serves them all.
-	solver *lp.Solver
-	shards []*shard
-	race   *RaceConfig
-	stats  OptimizerStats
+	// solvers are the simplex scratch the dirty shards solve in, one per
+	// worker, grown to min(GOMAXPROCS, dirty shards) and kept across
+	// ticks: a sparse tableau is under 2 MB at 48 clusters, a scratch per
+	// shard would be 24 of them. A shard's Optimizer owns none.
+	solvers []*lp.Solver
+	shards  []*shard
+	dirty   []*shard // this tick's dirty shards, in shard order
+	race    *RaceConfig
+	stats   OptimizerStats
 
 	// Input layout, compiled once (placement is fixed at build): topology
 	// cluster order, every placed pool in (service, cluster) order and the
@@ -90,6 +98,16 @@ type shard struct {
 	fp      []float64         // inputs of the last successful solve
 	plan    *Plan             // result of the last successful solve
 	pools   []*poolProbe      // the shard's pools, in probes order
+
+	// This tick's solve while the shard is dirty: the inputs it answers,
+	// what the worker that ran it returned, and the optimizer as it stood
+	// before — put back when an earlier shard's error leaves this one
+	// uncommitted, as if the serial loop had never reached it.
+	pending []float64
+	next    *Plan
+	race    raceOutcome
+	err     error
+	before  Optimizer
 }
 
 // DefaultSkipEpsilon is the relative input-change threshold below which
@@ -109,7 +127,7 @@ func newShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, 
 	if skipEps <= 0 {
 		skipEps = DefaultSkipEpsilon
 	}
-	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps, solver: lp.NewSolver()}
+	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps}
 	s.partition(decompose)
 	s.stats.Shards = uint64(len(s.shards))
 	s.compileLayout()
@@ -230,11 +248,10 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub)}
 }
 
-// newOptimizer returns a shard's Optimizer solving in the shared scratch.
+// newOptimizer returns a shard's Optimizer, which owns no simplex
+// scratch: it solves in its worker's.
 func (s *ShardedOptimizer) newOptimizer(app *appgraph.App) *Optimizer {
-	opt := NewOptimizer(s.top, app, s.cfg)
-	opt.solver = s.solver
-	return opt
+	return &Optimizer{top: s.top, app: app, cfg: s.cfg}
 }
 
 // Stats reports cumulative solve counters, aggregated over shards.
@@ -256,6 +273,11 @@ func (s *ShardedOptimizer) Shards() int { return len(s.shards) }
 // Optimize solves every dirty subproblem and merges the sub-plans into
 // one versioned plan. Subproblems whose inputs are unchanged within
 // epsilon reuse their cached sub-plan without solving.
+//
+// It fingerprints every shard, solves the dirty ones concurrently, then
+// commits in shard order exactly what solving them one after another
+// would have: the counters, and on an error the first failing shard's,
+// with every later shard left as it was.
 func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
 	s.refreshProbes(profiles)
 	if len(s.shards) > 1 {
@@ -263,23 +285,69 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 			return nil, err
 		}
 	}
-	for i, sh := range s.shards {
+	s.dirty = s.dirty[:0]
+	for _, sh := range s.shards {
 		fp := s.fingerprint(sh, demand)
 		if sh.plan != nil && fingerprintsEqual(sh.fp, fp, s.skipEps) {
+			continue
+		}
+		sh.pending = append(sh.pending[:0], fp...)
+		sh.before = *sh.opt
+		s.dirty = append(s.dirty, sh)
+	}
+	s.solveDirty(demand, profiles, version)
+	dirty := s.dirty
+	for i, sh := range s.shards {
+		if len(dirty) == 0 || dirty[0] != sh {
 			s.stats.SkippedSolves++
 			s.plans[i] = sh.plan
 			continue
 		}
-		plan, err := s.solveShard(sh, demand, profiles, version)
-		if err != nil {
-			return nil, err
+		dirty = dirty[1:]
+		sh.race.count(&s.stats)
+		if sh.err != nil {
+			for _, later := range dirty {
+				*later.opt = later.before
+			}
+			return nil, sh.err
 		}
 		s.stats.SubSolves++
-		sh.fp = append(sh.fp[:0], fp...)
-		sh.plan = plan
-		s.plans[i] = plan
+		sh.fp, sh.pending = sh.pending, sh.fp
+		sh.plan = sh.next
+		s.plans[i] = sh.plan
 	}
 	return s.merge(profiles, version), nil
+}
+
+// solveDirty solves this tick's dirty shards on min(GOMAXPROCS, dirty)
+// workers, each in its own Solver; a shard's results land in its own
+// fields. The calling goroutine is one of the workers, so one dirty
+// shard starts no goroutine.
+func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version uint64) {
+	if len(s.dirty) == 0 {
+		return // an all-skip tick allocates nothing here
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(s.dirty))
+	for len(s.solvers) < workers {
+		s.solvers = append(s.solvers, lp.NewSolver())
+	}
+	var next atomic.Int64
+	work := func(solver *lp.Solver) {
+		for k := next.Add(1) - 1; k < int64(len(s.dirty)); k = next.Add(1) - 1 {
+			sh := s.dirty[k]
+			sh.next, sh.race, sh.err = s.solveShard(sh, solver, demand, profiles, version)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, solver := range s.solvers[1:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(solver)
+		}()
+	}
+	work(s.solvers[0])
+	wg.Wait()
 }
 
 // refreshProbes brings the pools' cached numbers up to date with this

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -86,11 +89,12 @@ func TestShardedPartition(t *testing.T) {
 	if s.Shards() != 4 {
 		t.Errorf("star app shards = %d, want 4", s.Shards())
 	}
-	// Shards are solved one after another in one tableau scratch; a
-	// scratch per shard held hundreds of MB at 48 clusters × 24 shards.
+	// A shard owns no simplex scratch — dirty shards solve in the
+	// optimizer's per-worker Solvers; a scratch per shard held hundreds of
+	// MB at 48 clusters × 24 shards.
 	for i, sh := range s.shards {
-		if sh.opt.solver != s.solver {
-			t.Errorf("shard %d solves in its own lp.Solver, want the shared one", i)
+		if sh.opt.solver != nil {
+			t.Errorf("shard %d solves in its own lp.Solver, want its worker's", i)
 		}
 	}
 
@@ -294,6 +298,73 @@ func TestShardedAggregateInfeasibility(t *testing.T) {
 	}
 	if _, err := NewShardedOptimizer(top, app, Config{}, 0).Optimize(small, profs, 1); err != nil {
 		t.Fatalf("single class decomposed: %v", err)
+	}
+}
+
+// TestShardErrorTickMatchesSerial: dirty shards solve concurrently, and
+// on a tick where a middle shard's LP fails the controller must still be
+// the serial loop's — that shard's error returned, the shards before it
+// committed, the ones after it (solved all the same) left as if never
+// reached. Every shard is dirty on every tick, the failing one is
+// infeasible for one tick only, and the serial reference of
+// steady_ref_test.go shadows every tick, at GOMAXPROCS 1, 2 and 8, with
+// the race armed (its tallies counted) and without (every solve moves a
+// warm basis, which the shards after the failing one must get back).
+func TestShardErrorTickMatchesSerial(t *testing.T) {
+	top := topology.TwoClusters(40 * time.Millisecond)
+	app := starTestApp(5, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
+		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
+	const failing, errorTick = "cc", 3 // the third of five shards
+	window := func(tick int) []telemetry.WindowStats {
+		var out []telemetry.WindowStats
+		for k, cl := range app.Classes {
+			west := 300 + 40*float64((k+tick)%4)
+			if cl.Name == failing && tick == errorTick {
+				west = 5000 // past its pools' capacity, not the frontend's
+			}
+			for _, c := range []topology.ClusterID{topology.East, topology.West} {
+				rps := 80.0
+				if c == topology.West {
+					rps = west
+				}
+				out = append(out, telemetry.WindowStats{
+					Key: telemetry.MetricKey{Service: string(app.FrontendService()), Class: cl.Name, Cluster: string(c)},
+					RPS: rps, Requests: uint64(rps), Window: time.Second,
+				})
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, search := range []bool{false, true} {
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			at := fmt.Sprintf("search %v, GOMAXPROCS %d", search, procs)
+			tee, err := NewSteadyTee(top, app, ControllerConfig{DemandSmoothing: 1, Decompose: true, Search: search})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(tee.Live.opt.shards); n != 5 || tee.Live.opt.shards[2].classes[0].Name != failing {
+				t.Fatalf("the app decomposes into %d shards; the test needs five with %s third", n, failing)
+			}
+			for tick := 0; tick < 8; tick++ {
+				_, err := tee.Tick(window(tick), time.Second)
+				if (err != nil) != (tick == errorTick) {
+					t.Fatalf("%s, tick %d: err = %v", at, tick, err)
+				}
+			}
+			for _, m := range tee.Mismatches {
+				t.Errorf("%s: %s", at, m)
+			}
+			// Every shard commits a new plan on every tick but the error
+			// tick, where the two before the failing one do and three do not.
+			if tee.Solves != 5*8-3 || tee.Skips != 3 {
+				t.Fatalf("%s: %d new sub-plans, %d kept; want %d and 3", at, tee.Solves, tee.Skips, 5*8-3)
+			}
+			if st := tee.Live.OptimizerStats(); search != (st.SearchSolves > 0 && st.SimplexWins > 0) {
+				t.Fatalf("%s: %+v; an armed race must take both legs", at, st)
+			}
+		}
 	}
 }
 

@@ -146,6 +146,9 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 		}
 	}
 	plans := make([]*Plan, len(s.shards))
+	if len(s.solvers) == 0 {
+		s.solvers = append(s.solvers, lp.NewSolver())
+	}
 	for i, sh := range s.shards {
 		fp := refFingerprint(s, sh, demand, profiles)
 		if sh.plan != nil && fingerprintsEqual(sh.fp, fp, s.skipEps) {
@@ -153,7 +156,8 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 			plans[i] = sh.plan
 			continue
 		}
-		plan, err := s.solveShard(sh, demand, profiles, version)
+		plan, race, err := s.solveShard(sh, s.solvers[0], demand, profiles, version)
+		race.count(&s.stats)
 		if err != nil {
 			return nil, err
 		}

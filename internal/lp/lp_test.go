@@ -107,17 +107,25 @@ func TestSimplexUpperBounds(t *testing.T) {
 	}
 }
 
-func TestSimplexDegenerate(t *testing.T) {
-	// Beale's classic cycling example; must terminate with optimum -0.05.
+// bealeLP is Beale's classic cycling example, its variables and its two
+// degenerate rows in the order that makes Dantzig's rule cycle under this
+// solver's ratio-test tie-break (in the textbook order it does not): the
+// solve leaves the cycle only through Bland's rule.
+func bealeLP() *Model {
 	m := NewModel()
-	x1 := m.AddVar("x1", -0.75)
-	x2 := m.AddVar("x2", 150)
-	x3 := m.AddVar("x3", -0.02)
 	x4 := m.AddVar("x4", 6)
-	m.MustConstraint("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
+	x3 := m.AddVar("x3", -0.02)
+	x2 := m.AddVar("x2", 150)
+	x1 := m.AddVar("x1", -0.75)
 	m.MustConstraint("c2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
+	m.MustConstraint("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.MustConstraint("c3", []Term{{x3, 1}}, LE, 1)
-	sol := solveOK(t, m)
+	return m
+}
+
+func TestSimplexDegenerate(t *testing.T) {
+	// Beale's cycling example must terminate with optimum -0.05.
+	sol := solveOK(t, bealeLP())
 	if !almost(sol.Objective, -0.05) {
 		t.Errorf("objective = %v, want -0.05", sol.Objective)
 	}

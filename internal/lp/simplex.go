@@ -61,16 +61,18 @@ type holder struct {
 // row of a monolithic LP whose classes share their pools — moves to a
 // dense array for the rest of the solve: merging into a long row costs
 // its length, indexing into it costs the pivot row's. The two objective
-// rows are dense (chooseEntering scans every column), the right-hand
-// side in their last slot.
+// rows are dense, indexed by column, the right-hand side in their last
+// slot; the entering column is read off a tournament over the active one
+// (price), which a pivot updates in the pivot row's columns only.
 //
 // The arithmetic is the dense tableau's (dense_ref_test.go), operation
 // for operation: a pivot subtracts c·p from exactly the entries where the
 // dense one would have subtracted a nonzero product, an entry absent here
 // is a 0 there, and every order-dependent choice (leaving-row ties, the
 // warm start's pivot search) visits rows in ascending order as a dense
-// scan does. TestSparseMatchesDense holds the two to the same pivots and
-// bit-equal Solutions.
+// scan does, and the tournament picks the column the dense scan of the
+// reduced costs picks. TestSparseMatchesDense holds the two to the same
+// pivots and bit-equal Solutions.
 type tableau struct {
 	rows    int // constraint rows
 	cols    int // total columns excluding rhs
@@ -97,15 +99,54 @@ type tableau struct {
 	seen   []bool   // warm-start basis validation scratch (per column)
 	done   []bool   // warm-start row-installed scratch (per row)
 
+	// price is the pricing tournament over the active objective row's
+	// columns [0, end): a complete binary tree whose leaves, from
+	// price[leaves], are the columns in order (padded with ineligible
+	// slots to a power of two) and whose every inner node holds the better
+	// of its two children. iterate builds it once per phase.
+	price  []slot
+	leaves int
+
 	trace func(row, col int) // tests record the pivot sequence; nil otherwise
+}
+
+// slot is one node of the pricing tournament: the column winning its
+// subtree and that column's key — its reduced cost when the column may
+// enter (cost < −eps), else 0. A key is never NaN or −0.
+type slot struct {
+	key float64
+	col int32
+}
+
+// priceKey is a reduced cost's key in the tournament.
+func priceKey(c float64) float64 {
+	if c < -eps {
+		return c
+	}
+	return 0
+}
+
+// better returns the winner of two subtrees, a holding the lower
+// columns: the smaller key, a on a tie. Over keys that is the dense
+// scan's choice — the most negative reduced cost, the first column
+// among equals — and an ineligible column (key 0) never beats an
+// eligible one.
+func better(a, b slot) slot {
+	if b.key < a.key {
+		return b
+	}
+	return a
 }
 
 // wideFrac sets where a row goes wide: past cols/wideFrac nonzeros. Wide,
 // a row costs cols floats, a visit in every column scan and an end-to-end
 // scan whenever it is the pivot row; narrow, its whole length in every
-// elimination. Measured on ctrl-churn shards (1 764 columns) and on the
-// scalability figure's monolithic LPs, 32 beat 8, 16 and 64 on both. Tests
-// move it to force either storage.
+// elimination. The choice moves no pivot. Timed under tournament pricing
+// at GOMAXPROCS 1, as median ratios to 32 over 12–20 interleaved rounds:
+// 16 costs +16 % CPU per ctrl-churn tick (1 764-column shards) and
+// +4 / −8 / +53 % on the scalability figure's 12-cluster / 16-class /
+// 16-service monolithic solves; 64 costs −1 % and +11 / −3 / −10 %. 32
+// stays. Tests move it to force either storage.
 var wideFrac = 32
 
 // resize returns s with length n, keeping its elements — and the buffers
@@ -465,10 +506,11 @@ func SetIterBudgetScale(n int) (restore func()) {
 //
 //slate:hot
 func (t *tableau) iterate(phase1 bool) error {
-	obj := t.obj2
+	obj, end := t.obj2, t.artBase // artificials may not re-enter in phase 2
 	if phase1 {
-		obj = t.obj1
+		obj, end = t.obj1, t.cols
 	}
+	t.buildPrice(obj, end)
 	maxIter := maxIterScale * (t.rows + t.cols + 10)
 	degenerate := 0
 	bland := false
@@ -476,7 +518,7 @@ func (t *tableau) iterate(phase1 bool) error {
 		if iter > maxIter {
 			return t.iterLimit(maxIter)
 		}
-		enter := t.chooseEntering(obj, phase1, bland)
+		enter := t.entering(bland)
 		if enter < 0 {
 			return nil // optimal for this phase
 		}
@@ -493,7 +535,7 @@ func (t *tableau) iterate(phase1 bool) error {
 			degenerate = 0
 			bland = false
 		}
-		t.pivot(leave, enter)
+		t.reprice(obj, t.pivot(leave, enter), enter, end)
 	}
 }
 
@@ -502,24 +544,82 @@ func (t *tableau) iterLimit(maxIter int) error {
 	return fmt.Errorf("%w after %d pivots (%d rows, %d cols)", ErrIterLimit, maxIter, t.rows, t.cols)
 }
 
-func (t *tableau) chooseEntering(obj []float64, phase1, bland bool) int {
-	best, bestVal := -1, -eps
-	end := t.cols
-	if !phase1 {
-		end = t.artBase // artificials may not re-enter in phase 2
+// buildPrice builds the pricing tournament over obj[:end].
+func (t *tableau) buildPrice(obj []float64, end int) {
+	leaves := 1
+	for leaves < end {
+		leaves <<= 1
 	}
+	if cap(t.price) < 2*leaves {
+		t.growPrice(2 * leaves)
+	}
+	t.price = t.price[:2*leaves]
+	t.leaves = leaves
 	for j, c := range obj[:end] {
-		if c < -eps {
-			if bland {
-				return j // first improving column (Bland's rule)
-			}
-			if c < bestVal {
-				bestVal = c
-				best = j
+		t.price[leaves+j] = slot{priceKey(c), int32(j)}
+	}
+	for j := end; j < leaves; j++ {
+		t.price[leaves+j] = slot{0, int32(j)}
+	}
+	for i := leaves - 1; i > 0; i-- {
+		t.price[i] = better(t.price[2*i], t.price[2*i+1])
+	}
+}
+
+//slate:cold
+func (t *tableau) growPrice(need int) {
+	t.price = make([]slot, need)
+}
+
+// reprice brings the tournament up to date with obj after a pivot in
+// column col, which changed obj only in the columns of pr — the pivot
+// row's nonzeros — and in col.
+func (t *tableau) reprice(obj []float64, pr []entry, col, end int) {
+	for _, e := range pr {
+		if int(e.col) >= end {
+			break
+		}
+		t.repriceCol(obj, int(e.col))
+	}
+	t.repriceCol(obj, col)
+}
+
+// repriceCol replays the matches above column j's leaf, stopping at the
+// first node whose winner does not change: nothing above it can.
+func (t *tableau) repriceCol(obj []float64, j int) {
+	i := t.leaves + j
+	s := slot{priceKey(obj[j]), int32(j)}
+	if s == t.price[i] {
+		return
+	}
+	t.price[i] = s
+	for i >>= 1; i > 0; i >>= 1 {
+		w := better(t.price[2*i], t.price[2*i+1])
+		if w == t.price[i] {
+			return
+		}
+		t.price[i] = w
+	}
+}
+
+// entering returns the column to enter, or -1 when no reduced cost is
+// below −eps: under Dantzig's rule the most negative (the first among
+// equals), under Bland's the first. A subtree holds an eligible column
+// iff its winner is one, so Bland's descends to the leftmost.
+func (t *tableau) entering(bland bool) int {
+	if t.price[1].key >= -eps {
+		return -1
+	}
+	i := 1
+	if bland {
+		for i < t.leaves {
+			i *= 2
+			if t.price[i].key >= -eps {
+				i++
 			}
 		}
 	}
-	return best
+	return int(t.price[i].col)
 }
 
 // chooseLeaving runs the ratio test over the rows holding column enter,
@@ -554,7 +654,8 @@ func tieBreak(candidate, incumbent int, bland bool) bool {
 
 // pivot makes column col basic in row: the row is scaled by 1/pivot and
 // c·row is subtracted from every other row holding a c in the column.
-func (t *tableau) pivot(row, col int) {
+// It returns the scaled row's nonzeros, valid until the next pivot.
+func (t *tableau) pivot(row, col int) []entry {
 	if t.trace != nil {
 		t.trace(row, col)
 	}
@@ -588,6 +689,7 @@ func (t *tableau) pivot(row, col int) {
 	}
 	t.colRows[col] = list
 	t.basis[row] = col
+	return pr
 }
 
 // scale multiplies row i by inv and returns its nonzeros in ascending

@@ -357,6 +357,22 @@ func sparseMatchesDense(t *testing.T) {
 		}
 	})
 
+	// Dantzig's rule cycles on Beale's LP until the degenerate stretch
+	// outlasts 2·(rows+1) pivots and hands the entering choice to Bland's
+	// rule: the tournament's descent to its leftmost eligible column. No
+	// other case here stays degenerate that long.
+	t.Run("Beale's cycling LP", func(t *testing.T) {
+		w.t = t
+		m := bealeLP()
+		pivots := w.pivots
+		if sol := w.solveFrom("beale", m, nil); sol.Status != Optimal {
+			t.Fatalf("status %v, want optimal", sol.Status)
+		}
+		if n, stretch := w.pivots-pivots, 2*(m.NumConstraints()+1); n <= stretch+1 {
+			t.Fatalf("%d pivots: the solve never outlasted a %d-pivot degenerate stretch", n, stretch)
+		}
+	})
+
 	t.Run("bases that cannot install", func(t *testing.T) {
 		w.t = t
 		m := randomFeasibleLP(rand.New(rand.NewSource(41)))
@@ -437,6 +453,101 @@ func sparseMatchesDense(t *testing.T) {
 			}
 		}
 	})
+}
+
+// chooseEntering is the dense scan of the reduced costs that iterate made
+// on every pivot before the pricing tournament, kept verbatim as the
+// tournament's reference.
+func (t *tableau) chooseEntering(obj []float64, phase1, bland bool) int {
+	best, bestVal := -1, -eps
+	end := t.cols
+	if !phase1 {
+		end = t.artBase // artificials may not re-enter in phase 2
+	}
+	for j, c := range obj[:end] {
+		if c < -eps {
+			if bland {
+				return j // first improving column (Bland's rule)
+			}
+			if c < bestVal {
+				bestVal = c
+				best = j
+			}
+		}
+	}
+	return best
+}
+
+// TestPricingMatchesScan holds the pricing tournament to the scan it
+// replaced. The objective row moves as pivots move it: new values in the
+// columns of an ascending pivot row — a dozen of them as in a narrow row,
+// or half the row as in a wide one, some of them artificials, which
+// phase 2 must ignore — and in the entering column. After every move
+// both rules in both phases must pick the scan's column. The values
+// include exact ties, both zeros and the neighbourhood of −eps; each
+// phase builds its tree in storage left by another shape.
+func TestPricingMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	special := []float64{-1, -1, -2, -0.5, math.Copysign(0, -1), 0, -eps, eps,
+		math.Nextafter(-eps, -1), math.Nextafter(-eps, 0), 1, 3}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return rng.NormFloat64()
+		}
+		return special[rng.Intn(len(special))]
+	}
+	var tab tableau
+	var pr []entry
+	var picks, none, wide int
+	for trial := 0; trial < 400; trial++ {
+		tab.cols = 1 + rng.Intn(80)
+		tab.artBase = 1 + rng.Intn(tab.cols)
+		obj := make([]float64, tab.cols+1)
+		for j := range obj {
+			obj[j] = draw()
+		}
+		for _, phase1 := range []bool{false, true} {
+			end := tab.artBase
+			if phase1 {
+				end = tab.cols
+			}
+			tab.buildPrice(obj, end)
+			for step := 0; step < 30; step++ {
+				for _, bland := range []bool{false, true} {
+					got, want := tab.entering(bland), tab.chooseEntering(obj, phase1, bland)
+					if got != want {
+						t.Fatalf("trial %d phase1 %v step %d bland %v: tournament picks %d, scan %d (end %d, row %v)",
+							trial, phase1, step, bland, got, want, end, obj[:tab.cols])
+					}
+					if want < 0 {
+						none++
+					} else {
+						picks++
+					}
+				}
+				enter := rng.Intn(end)
+				density := 6
+				if rng.Intn(5) == 0 {
+					density = 2
+					wide++
+				}
+				// The entering column is usually in the row, as in a pivot;
+				// reprice must not depend on it.
+				pr = pr[:0]
+				for j := 0; j < tab.cols; j++ {
+					if (j == enter && rng.Intn(4) > 0) || rng.Intn(density) == 0 {
+						obj[j] = draw()
+						pr = append(pr, entry{int32(j), 1})
+					}
+				}
+				obj[enter] = 0
+				tab.reprice(obj, pr, enter, end)
+			}
+		}
+	}
+	if picks == 0 || none == 0 || wide == 0 {
+		t.Fatalf("%d picks, %d optimal rows, %d wide rows: the moves must reach all three", picks, none, wide)
+	}
 }
 
 // TestWarmSolveAllocatesOnlySolution pins the steady state: once a Solver
