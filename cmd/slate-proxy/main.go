@@ -80,7 +80,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *ccURL != "" {
-		agent, err := dataplane.NewAgentOpts(proxy, *ccURL, dataplane.AgentOptions{
+		agent, err := dataplane.NewAgent(proxy, *ccURL, dataplane.AgentOptions{
 			Period:            *period,
 			MaxRetries:        *retries,
 			BackoffBase:       *backoff,

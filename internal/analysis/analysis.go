@@ -100,11 +100,12 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// CalleeFunc resolves the static callee of a call expression, or nil
+// calleeFunc resolves the static callee of a call expression, or nil
 // for calls through function values, conversions and builtins. For
 // methods the result's FullName() is of the form
 // "(*net/http.Client).Post"; for package functions "net/http.Get".
-func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
+// Every analyzer, per-package or whole-program, resolves calls here.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -114,8 +115,27 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
+	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// namedTypeName renders a named type (or a pointer to one) as
+// "pkg.Type", and anything else as "".
+func namedTypeName(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	if n.Obj().Pkg() != nil {
+		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
+	}
+	return n.Obj().Name()
 }
 
 // ExprString renders a (small) expression for diagnostics, e.g. the

@@ -45,7 +45,7 @@ func runCtxprop(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn := pass.CalleeFunc(call)
+			fn := calleeFunc(pass.Info, call)
 			if fn == nil {
 				return true
 			}

@@ -102,7 +102,7 @@ func collectSortCalls(pass *Pass, body *ast.BlockStmt) []sortCall {
 		if !ok {
 			return true
 		}
-		fn := pass.CalleeFunc(call)
+		fn := calleeFunc(pass.Info, call)
 		isSort := false
 		if fn != nil && fn.Pkg() != nil {
 			p := fn.Pkg().Path()
@@ -221,7 +221,7 @@ func outlivesLoop(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) bool {
 // scheduled there get their same-instant tie-break sequence in random
 // order (the autoscaler's ScaleEvents bug).
 func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
-	fn := pass.CalleeFunc(call)
+	fn := calleeFunc(pass.Info, call)
 	if fn == nil {
 		return
 	}
@@ -231,33 +231,23 @@ func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
 		return
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		recv := namedTypeName(sig.Recv().Type())
+		if recv == "" {
+			recv = types.TypeString(sig.Recv().Type(), nil) // an unnamed interface's method
+		}
 		switch fn.Name() {
 		case "Write", "WriteString", "WriteByte", "WriteRune":
 			pass.Reportf(call.Pos(),
 				"%s.%s inside range over map %s writes in random order; sort the keys first",
-				recvTypeName(sig), fn.Name(), mapStr)
+				recv, fn.Name(), mapStr)
 		case "At", "After", "Send", "Post", "Reserve", "PostReserved":
-			if recv := recvTypeName(sig); recv == "sim.Kernel" || recv == "sim.Shard" {
+			if recv == "sim.Kernel" || recv == "sim.Shard" {
 				pass.Reportf(call.Pos(),
 					"%s.%s inside range over map %s schedules events in random order, and same-instant events fire in schedule order; iterate sorted keys",
 					recv, fn.Name(), mapStr)
 			}
 		}
 	}
-}
-
-func recvTypeName(sig *types.Signature) string {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		if n.Obj().Pkg() != nil {
-			return n.Obj().Pkg().Name() + "." + n.Obj().Name()
-		}
-		return n.Obj().Name()
-	}
-	return types.TypeString(t, nil)
 }
 
 func isMapType(t types.Type) bool {

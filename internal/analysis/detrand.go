@@ -54,7 +54,7 @@ func runDetrand(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn := pass.CalleeFunc(call)
+			fn := calleeFunc(pass.Info, call)
 			if fn == nil || fn.Pkg() == nil || !isMathRand(fn.Pkg().Path()) {
 				return true
 			}

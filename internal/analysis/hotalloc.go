@@ -160,7 +160,7 @@ func checkCall(pp *ProgramPass, info *types.Info, call *ast.CallExpr, ctx string
 			}
 		}
 	}
-	fn := calleeOf(info, call)
+	fn := calleeFunc(info, call)
 	if fn != nil && fn.Pkg() != nil {
 		full := fn.FullName()
 		if fn.Pkg().Path() == "fmt" {
@@ -190,7 +190,7 @@ func collectExemptLits(info *types.Info, body *ast.BlockStmt) map[*ast.FuncLit]b
 		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 			exempt[lit] = true
 		}
-		fn := calleeOf(info, call)
+		fn := calleeFunc(info, call)
 		if fn != nil && fn.Pkg() != nil && !strings.Contains(fn.Pkg().Path(), ".") {
 			for _, arg := range call.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -313,20 +313,6 @@ func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "panic"
-}
-
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 func isString(info *types.Info, e ast.Expr) bool {

@@ -124,7 +124,7 @@ func (t *lockTracker) stmt(s ast.Stmt) {
 		// the rest of the body, which is exactly the current state — no
 		// transition. A deferred blocking call runs outside the walked
 		// order; only its arguments evaluate here.
-		if fn := t.pass.CalleeFunc(s.Call); fn == nil || !unlockMethods[fn.FullName()] {
+		if fn := calleeFunc(t.pass.Info, s.Call); fn == nil || !unlockMethods[fn.FullName()] {
 			for _, a := range s.Call.Args {
 				t.expr(a)
 			}
@@ -216,7 +216,7 @@ func (t *lockTracker) expr(e ast.Expr) {
 }
 
 func (t *lockTracker) call(c *ast.CallExpr) {
-	fn := t.pass.CalleeFunc(c)
+	fn := calleeFunc(t.pass.Info, c)
 	if fn == nil {
 		return
 	}

@@ -391,7 +391,7 @@ func (t *lockOrderTracker) stmt(s ast.Stmt) {
 		// transition. Other deferred calls run at return; their lock
 		// behavior is attributed here conservatively via the call graph
 		// (the held set at return is unknowable in a linear walk).
-		if fn := staticCallee(t.info(), s.Call); fn == nil || !unlockMethods[fn.FullName()] {
+		if fn := calleeFunc(t.info(), s.Call); fn == nil || !unlockMethods[fn.FullName()] {
 			for _, a := range s.Call.Args {
 				t.expr(a)
 			}
@@ -464,7 +464,7 @@ func (t *lockOrderTracker) expr(e ast.Expr) {
 }
 
 func (t *lockOrderTracker) call(c *ast.CallExpr) {
-	fn := staticCallee(t.info(), c)
+	fn := calleeFunc(t.info(), c)
 	if fn != nil {
 		full := fn.FullName()
 		switch {
@@ -534,37 +534,4 @@ func (t *lockOrderTracker) classOf(c *ast.CallExpr) lockClass {
 		return lockClass(shortFunc(string(t.node.ID)) + "." + id.Name)
 	}
 	return lockClass(ExprString(lockExpr))
-}
-
-// namedTypeName renders the named type owning a lock field as
-// "pkg.Type", dereferencing pointers.
-func namedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	if n.Obj().Pkg() != nil {
-		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
-	}
-	return n.Obj().Name()
-}
-
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }

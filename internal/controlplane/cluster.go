@@ -343,33 +343,38 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // handlePatch applies an incremental rule push from the global
 // controller. A version gap (this controller restarted, or a push went
-// missing) answers 409, which makes the global resend a full patch.
+// missing) answers 409, which makes the global resend a full patch. The
+// body is read first; the fence, the CAS and the table swap are then
+// decided under one c.mu hold, so no lease grant can slip between them.
 func (c *Cluster) handlePatch(w http.ResponseWriter, r *http.Request) {
-	fenced, ok := c.admitPush(w, r)
-	if !ok {
-		return
-	}
 	var p routing.Patch
 	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if fenced && p.Full && p.Version < c.Table().Version {
-		// CAS: a full (resync) patch applies unconditionally downstream,
-		// so a version regression must be stopped here.
-		c.rejectPush(w, dataplane.RejectCAS, "table version regression")
-		return
+	c.mu.Lock()
+	reason, msg := c.admitLocked(r.Header.Get(dataplane.HeaderLeaderEpoch), &p)
+	var (
+		next    *routing.Table
+		proxies []*dataplane.Proxy
+		err     error
+	)
+	if reason == "" {
+		next, proxies, err = c.applyPatchLocked(&p)
 	}
-	if err := c.ApplyPatch(&p); err != nil {
-		if errors.Is(err, routing.ErrVersionGap) {
-			c.mPatchGaps.Inc()
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
+	c.mu.Unlock()
+	switch {
+	case reason != "":
+		c.rejectPush(w, reason, msg)
+	case errors.Is(err, routing.ErrVersionGap):
+		c.mPatchGaps.Inc()
+		http.Error(w, err.Error(), http.StatusConflict)
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	default:
+		c.fanOutPatch(next, proxies)
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Cluster) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -399,21 +404,35 @@ func (c *Cluster) ApplyTable(t *routing.Table) {
 // confirms the table version and renews the proxies' staleness TTL.
 func (c *Cluster) ApplyPatch(p *routing.Patch) error {
 	c.mu.Lock()
+	next, proxies, err := c.applyPatchLocked(p)
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	c.fanOutPatch(next, proxies)
+	return nil
+}
+
+// applyPatchLocked builds the patched table and, only if that succeeds,
+// swaps it in, returning it with the proxies to fan it out to once c.mu
+// is released. Caller holds c.mu.
+func (c *Cluster) applyPatchLocked(p *routing.Patch) (*routing.Table, []*dataplane.Proxy, error) {
 	next, err := c.table.Apply(p)
 	if err != nil {
-		c.mu.Unlock()
-		return err
+		return nil, nil, err
 	}
 	c.recordHistory(c.table)
 	c.table = next
-	proxies := append([]*dataplane.Proxy(nil), c.proxies...)
-	c.mu.Unlock()
+	return next, append([]*dataplane.Proxy(nil), c.proxies...), nil
+}
+
+// fanOutPatch counts an applied patch and hands its table to proxies.
+func (c *Cluster) fanOutPatch(next *routing.Table, proxies []*dataplane.Proxy) {
 	c.mPatches.Inc()
 	c.mTableVer.Set(float64(next.Version))
 	for _, pr := range proxies {
 		pr.SetTable(next)
 	}
-	return nil
 }
 
 // recordHistory remembers a superseded table (bounded ring) so

@@ -67,7 +67,7 @@ func TestFullyDistributedDeployment(t *testing.T) {
 		psrv := httptest.NewServer(p)
 		t.Cleanup(psrv.Close)
 		resolver.add("gateway", cl, psrv.URL)
-		agent, err := dataplane.NewAgent(p, ccURL, time.Second)
+		agent, err := dataplane.NewAgent(p, ccURL, dataplane.AgentOptions{Period: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,5 +291,107 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 
 	if got := cc.Table().Version; got != newVersion {
 		t.Fatalf("stale pushes moved the table: %d -> %d", newVersion, got)
+	}
+}
+
+// pushMidBody serves leader a's (epoch 1) full push at version 5 to a
+// fresh west Cluster holding version 3, its body held in a pipe: the
+// first half is read, then mid runs (with the virtual clock and a lease
+// call against the same handler), then the rest arrives. It returns the
+// cluster, its table before the push, and the push's response.
+func pushMidBody(t *testing.T, mid func(clk *vclock, lease func(candidate string, epoch uint64))) (*Cluster, *routing.Table, *httptest.ResponseRecorder) {
+	t.Helper()
+	clk := newVclock()
+	const ttl = 10 * time.Second
+	cc := NewCluster(topology.West, "")
+	cc.SetNow(clk.Now)
+	h := cc.Handler()
+	cc.ApplyTable(routing.NewTable(3, map[routing.Key]routing.Distribution{
+		{Service: "gateway", Class: "default", Cluster: topology.West}: routing.Local(topology.West),
+	}))
+	before := cc.Table()
+
+	lease := func(candidate string, epoch uint64) {
+		t.Helper()
+		body, err := json.Marshal(LeaseRequest{Candidate: candidate, Epoch: epoch, TTLMS: ttl.Milliseconds()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lease", bytes.NewReader(body)))
+		var resp LeaseResponse
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || !resp.Granted {
+			t.Fatalf("lease %s@%d: granted=%v err=%v", candidate, epoch, resp.Granted, err)
+		}
+	}
+	lease("a", 1)
+
+	// Leader a's full push at a higher version, its body held in a pipe.
+	push, err := json.Marshal(routing.FullPatch(routing.NewTable(5, map[routing.Key]routing.Distribution{
+		{Service: "gateway", Class: "default", Cluster: topology.West}: routing.Local(topology.East),
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failed assertion must not strand the handler mid-body
+	req := httptest.NewRequest(http.MethodPost, "/v1/patch", pr)
+	req.Header.Set(dataplane.HeaderLeaderEpoch, "1")
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, req)
+	}()
+	half := len(push) / 2
+	if _, err := pw.Write(push[:half]); err != nil { // returns once the handler has read it
+		t.Fatal(err)
+	}
+
+	mid(clk, lease)
+
+	if _, err := pw.Write(push[half:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+	return cc, before, rec
+}
+
+// TestFencedPushRechecksAfterBody: a push admitted at the fence while
+// its body is still arriving must not land if a newer leader is granted
+// the lease before the body completes. The fence, the CAS and the table
+// swap are one decision, taken after the whole body has been read.
+func TestFencedPushRechecksAfterBody(t *testing.T) {
+	cc, before, rec := pushMidBody(t, func(clk *vclock, lease func(string, uint64)) {
+		// Mid-body, a's lease lapses and b is granted epoch 2.
+		clk.Advance(10*time.Second + time.Second)
+		lease("b", 2)
+	})
+	if rec.Code != http.StatusConflict || rec.Header().Get(dataplane.HeaderReject) != dataplane.RejectStaleLeader {
+		t.Fatalf("deposed push: status %d reject %q, want 409 %q",
+			rec.Code, rec.Header().Get(dataplane.HeaderReject), dataplane.RejectStaleLeader)
+	}
+	if cc.Table() != before {
+		t.Fatalf("deposed push moved the table: v%d -> v%d", before.Version, cc.Table().Version)
+	}
+}
+
+// TestFencedPushLandsWhenLeaderRenews: the decision after the body reads
+// the live lease, not the one seen at admission. A leader that renews
+// mid-body still holds the fence when the body completes — even past
+// its original expiry — so its push lands.
+func TestFencedPushLandsWhenLeaderRenews(t *testing.T) {
+	cc, _, rec := pushMidBody(t, func(clk *vclock, lease func(string, uint64)) {
+		clk.Advance(5 * time.Second)
+		lease("a", 1)
+		clk.Advance(6 * time.Second) // past a's first lease, inside the renewal
+	})
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("renewed leader's push: status %d reject %q, want 204",
+			rec.Code, rec.Header().Get(dataplane.HeaderReject))
+	}
+	if got := cc.Table().Version; got != 5 {
+		t.Fatalf("table version = %d, want the pushed 5", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
-	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -323,11 +322,12 @@ func TestTickErrorMetricAcrossFaultSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Outage windows 2..4 of a 7-window run, driven through the fault
+	// Outage windows 2..4 of a 7-window run: the schedule is the oracle,
+	// and each window crashes or restarts the cluster through the fault
 	// injector so the failure is a real transport error on the push path.
 	target := fault.ClusterTarget(topology.West)
 	sched := fault.NewSchedule().Outage(target, 2*time.Second, 3*time.Second)
-	inj := fault.NewInjector(sim.NewRNG(1))
+	inj := fault.NewInjector()
 	hosts := fault.NewHostMap()
 	hosts.Register(strings.TrimPrefix(ccsrv.URL, "http://"), target)
 	g.SetTransport(fault.NewTransport(http.DefaultTransport, inj, fault.Global, hosts))
@@ -338,9 +338,14 @@ func TestTickErrorMetricAcrossFaultSchedule(t *testing.T) {
 	var wantErrs uint64
 	for w := 0; w < 7; w++ {
 		now := time.Duration(w) * time.Second
-		inj.Sync(sched, now)
+		down := sched.DownAt(target, now)
+		if down {
+			inj.Crash(target)
+		} else {
+			inj.Restart(target)
+		}
 		err := g.Tick(t.Context())
-		if down := sched.DownAt(target, now); down != (err != nil) {
+		if down != (err != nil) {
 			t.Fatalf("window %d: down=%v but tick error=%v", w, down, err)
 		}
 		if err != nil {

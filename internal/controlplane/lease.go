@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/dataplane"
+	"github.com/servicelayernetworking/slate/internal/routing"
 )
 
 // Leader election for the replicated control plane.
@@ -100,39 +101,36 @@ func (c *Cluster) handleLease(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// admitPush enforces the pubEpoch fence on a rule push. It reports
-// whether the request is fenced (carried a leader epoch, so CAS rules
-// apply) and whether it may proceed; a rejected request has already
-// been answered with 409 + X-Slate-Reject: stale-leader.
+// admitLocked decides whether rule push p, carrying leader-epoch
+// header hdr, may apply. It enforces the pubEpoch fence and, for a
+// fenced push, the full-patch CAS, and returns the X-Slate-Reject
+// reason ("" admits). The caller holds c.mu from this decision through
+// the table swap, so a lease granted while the push's body was still
+// arriving is seen here.
 //
 // Once any lease has been granted (pubEpoch > 0), headerless pushes are
 // rejected too: under a replicated control plane every legitimate
 // publisher states its epoch, so an anonymous push can only be a
 // leftover single-controller deployment that must not race the elected
 // leader.
-func (c *Cluster) admitPush(w http.ResponseWriter, r *http.Request) (fenced, ok bool) {
-	hdr := r.Header.Get(dataplane.HeaderLeaderEpoch)
-	c.mu.Lock()
-	pubEpoch := c.pubEpoch
+func (c *Cluster) admitLocked(hdr string, p *routing.Patch) (reason, msg string) {
 	if hdr == "" {
-		c.mu.Unlock()
-		if pubEpoch > 0 {
-			c.rejectPush(w, dataplane.RejectStaleLeader, "push without leader epoch on a fenced cluster")
-			return false, false
+		if c.pubEpoch > 0 {
+			return dataplane.RejectStaleLeader, "push without leader epoch on a fenced cluster"
 		}
-		return false, true
+		return "", ""
 	}
 	epoch, err := strconv.ParseUint(hdr, 10, 64)
-	if err != nil || epoch < pubEpoch {
-		c.mu.Unlock()
-		c.rejectPush(w, dataplane.RejectStaleLeader, "leader epoch below fence")
-		return true, false
+	if err != nil || epoch < c.pubEpoch {
+		return dataplane.RejectStaleLeader, "leader epoch below fence"
 	}
-	if epoch > c.pubEpoch {
-		c.pubEpoch = epoch
+	c.pubEpoch = epoch
+	if p.Full && p.Version < c.table.Version {
+		// CAS: a full (resync) patch applies unconditionally downstream,
+		// so a version regression must be stopped here.
+		return dataplane.RejectCAS, "table version regression"
 	}
-	c.mu.Unlock()
-	return true, true
+	return "", ""
 }
 
 // rejectPush answers 409 with the X-Slate-Reject marker that tells the

@@ -22,10 +22,11 @@ import (
 //
 // What is NOT snapshotted, deliberately:
 //
-//   - Latency profiles and the telemetry sample history. PoolProfile
-//     embeds a queuemodel.Model interface value, which has no stable
-//     serialization; the restored controller re-derives DefaultProfiles
-//     and (with LearnProfiles) refits from fresh telemetry within
+//   - Latency profiles and the telemetry sample history. A PoolProfile
+//     is plain values (its Model is a queuemodel.MMc) and could be
+//     encoded, but carrying it would change the snapshot format, so
+//     today the restored controller re-derives DefaultProfiles and
+//     (with LearnProfiles) refits from fresh telemetry within
 //     minFitSamples windows. Bit-identical resume therefore holds
 //     exactly when LearnProfiles is off, and approximately (converging
 //     within a few windows) when it is on.

@@ -140,15 +140,9 @@ type Agent struct {
 	mPending   *obs.Gauge
 }
 
-// NewAgent wires a proxy to a cluster controller base URL with default
-// fault-tolerance options.
-func NewAgent(p *Proxy, clusterURL string, period time.Duration) (*Agent, error) {
-	return NewAgentOpts(p, clusterURL, AgentOptions{Period: period})
-}
-
-// NewAgentOpts wires a proxy to a cluster controller with explicit
-// options.
-func NewAgentOpts(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
+// NewAgent wires a proxy to a cluster controller base URL. Zero
+// options take their documented defaults.
+func NewAgent(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
 	if p == nil || clusterURL == "" {
 		return nil, fmt.Errorf("dataplane: agent needs a proxy and a cluster controller URL")
 	}

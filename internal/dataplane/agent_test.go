@@ -66,7 +66,7 @@ func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	agent, err := NewAgent(p, cc.URL, time.Second)
+	agent, err := NewAgent(p, cc.URL, AgentOptions{Period: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAgentSurvivesControllerOutage(t *testing.T) {
 	reg := newRegistry()
 	app := echoApp(t, "app")
 	p, _ := newProxy(t, "svc", topology.West, app.URL, reg, nil)
-	agent, err := NewAgent(p, "http://127.0.0.1:1", 50*time.Millisecond)
+	agent, err := NewAgent(p, "http://127.0.0.1:1", AgentOptions{Period: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,40 @@ func TestAgentSurvivesControllerOutage(t *testing.T) {
 }
 
 func TestAgentValidation(t *testing.T) {
-	if _, err := NewAgent(nil, "http://x", time.Second); err == nil {
+	if _, err := NewAgent(nil, "http://x", AgentOptions{Period: time.Second}); err == nil {
 		t.Error("nil proxy accepted")
 	}
 	reg := newRegistry()
 	app := echoApp(t, "app")
 	p, _ := newProxy(t, "svc", topology.West, app.URL, reg, nil)
-	if _, err := NewAgent(p, "", time.Second); err == nil {
+	if _, err := NewAgent(p, "", AgentOptions{Period: time.Second}); err == nil {
 		t.Error("empty URL accepted")
+	}
+}
+
+// TestAgentZeroOptionsTakeDefaults: the one constructor fills every
+// zero option with its documented default, and a negative MaxRetries
+// disables retries rather than meaning "default".
+func TestAgentZeroOptionsTakeDefaults(t *testing.T) {
+	reg := newRegistry()
+	app := echoApp(t, "app")
+	p, _ := newProxy(t, "svc", topology.West, app.URL, reg, nil)
+	agent, err := NewAgent(p, "http://x", AgentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := agent.opts
+	if o.Period != 5*time.Second || o.MaxRetries != 2 || o.BackoffBase != 100*time.Millisecond ||
+		o.MaxPendingWindows != 8 || o.RNG == nil {
+		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v pending=%d rng=%v",
+			o.Period, o.MaxRetries, o.BackoffBase, o.MaxPendingWindows, o.RNG != nil)
+	}
+	noRetry, err := NewAgent(p, "http://x", AgentOptions{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := noRetry.opts.MaxRetries; got != 0 {
+		t.Errorf("MaxRetries -1 resolved to %d, want 0 (no retries)", got)
 	}
 }
 
@@ -161,7 +187,7 @@ func TestAgentLeaderFailoverResync(t *testing.T) {
 	reg := newRegistry()
 	app := echoApp(t, "app")
 	p, _ := newProxy(t, "svc", topology.West, app.URL, reg, nil)
-	agent, err := NewAgent(p, cc.URL, time.Second)
+	agent, err := NewAgent(p, cc.URL, AgentOptions{Period: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

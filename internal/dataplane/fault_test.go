@@ -135,7 +135,7 @@ func TestAgentRequeuesFailedTelemetryWindow(t *testing.T) {
 	p, srv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 	generateTraffic(t, srv)
 
-	agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAgentMergesBacklogAcrossOutage(t *testing.T) {
 	app := echoApp(t, "app")
 	p, srv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 
-	agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAgentPendingCapBoundsMemory(t *testing.T) {
 	app := echoApp(t, "app")
 	p, srv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 
-	agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{
 		Period: time.Second, MaxRetries: -1, MaxPendingWindows: 2,
 	})
 	if err != nil {
@@ -246,7 +246,7 @@ func TestAgentRetriesWithSeededBackoff(t *testing.T) {
 		p, srv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 		generateTraffic(t, srv)
 
-		agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{
+		agent, err := NewAgent(p, cc.srv.URL, AgentOptions{
 			Period: time.Second, MaxRetries: 2, Seed: 7,
 			BackoffBase: 100 * time.Millisecond,
 		})
@@ -396,7 +396,7 @@ func TestAgentPollRefreshesUnchangedTable(t *testing.T) {
 		{Service: "svc-b", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
 	})
 	cc := newCCServer(t, table)
-	agent, err := NewAgentOpts(p, cc.srv.URL, AgentOptions{Period: time.Second})
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestAgentSendsSourceHeader(t *testing.T) {
 	app := echoApp(t, "app")
 	p, psrv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 	generateTraffic(t, psrv)
-	agent, err := NewAgent(p, srv.URL, time.Second)
+	agent, err := NewAgent(p, srv.URL, AgentOptions{Period: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

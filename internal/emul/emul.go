@@ -56,8 +56,7 @@ type Options struct {
 	// control-plane RPC goes through a fault.Transport, a crashed
 	// controller's HTTP API answers 503, and TickControl skips the
 	// global optimization while the global controller is down. Drive
-	// it directly (Crash/Restart/PartitionClusters) or replay a
-	// fault.Schedule via Injector.Sync.
+	// it with Crash/Restart and PartitionClusters/HealClusters.
 	Fault *fault.Injector
 	// StaleAfter bounds control-plane staleness during faults: cluster
 	// controllers exclude pushed telemetry older than this from the

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/fault"
-	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
 func faultyMesh(t *testing.T) (*Mesh, *fault.Injector) {
 	t.Helper()
-	inj := fault.NewInjector(sim.NewRNG(99).DeriveNamed("fault"))
+	inj := fault.NewInjector()
 	m := startMesh(t, Options{
 		Top:        topology.TwoClusters(10 * time.Millisecond),
 		App:        smallChain(),

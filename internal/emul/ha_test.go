@@ -7,7 +7,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
-	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -17,7 +16,7 @@ import (
 // over once the lease lapses — with the routing tables still flowing.
 func TestMeshReplicatedControlPlaneFailsOver(t *testing.T) {
 	const ttl = 300 * time.Millisecond
-	inj := fault.NewInjector(sim.NewRNG(7))
+	inj := fault.NewInjector()
 	m := startMesh(t, Options{
 		Top:        topology.TwoClusters(10 * time.Millisecond),
 		App:        smallChain(),

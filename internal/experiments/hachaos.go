@@ -11,7 +11,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/emul"
 	"github.com/servicelayernetworking/slate/internal/fault"
-	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -132,7 +131,7 @@ func HAChaos(opt Options) (*Figure, error) {
 // ingress telemetry, run a synchronous control round, then score the
 // window's offered load against the tables the clusters now hold.
 func runHAChaosLeg(opt Options, n, kill int, demandAt func(int) haChaosDemand, replicated bool) (*haChaosLeg, error) {
-	inj := fault.NewInjector(sim.NewRNG(opt.Seed))
+	inj := fault.NewInjector()
 	mo := emul.Options{
 		Top:        topology.TwoClusters(10 * time.Millisecond),
 		App:        chainApp(topology.West, topology.East),

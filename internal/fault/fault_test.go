@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/servicelayernetworking/slate/internal/sim"
+	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -30,118 +30,97 @@ func TestTargetNaming(t *testing.T) {
 }
 
 func TestCrashRestart(t *testing.T) {
-	inj := NewInjector(sim.NewRNG(1))
+	inj := NewInjector()
 	cc := ClusterTarget(topology.West)
-	if d := inj.Decide(cc, Global); d.Drop {
+	if inj.blocked(cc, Global) {
 		t.Fatal("healthy edge dropped")
 	}
 	inj.Crash(Global)
 	if !inj.IsDown(Global) {
 		t.Error("IsDown(global) = false after Crash")
 	}
-	if d := inj.Decide(cc, Global); !d.Drop {
+	if !inj.blocked(cc, Global) {
 		t.Error("RPC to crashed global not dropped")
 	}
-	if d := inj.Decide(Global, cc); !d.Drop {
+	if !inj.blocked(Global, cc) {
 		t.Error("RPC from crashed global not dropped")
 	}
 	inj.Restart(Global)
-	if d := inj.Decide(cc, Global); d.Drop {
+	if inj.blocked(cc, Global) {
 		t.Error("RPC dropped after Restart")
 	}
 }
 
 func TestPartitionBlocksCrossClusterOnly(t *testing.T) {
-	inj := NewInjector(sim.NewRNG(1))
+	inj := NewInjector()
 	inj.PartitionClusters(topology.West, topology.East)
 	wp := ProxyTarget("svc", topology.West)
 	ep := ProxyTarget("svc", topology.East)
 	wc := ClusterTarget(topology.West)
 	ec := ClusterTarget(topology.East)
-	if d := inj.Decide(wp, ec); !d.Drop {
+	if !inj.blocked(wp, ec) {
 		t.Error("west proxy -> east cc not dropped under partition")
 	}
-	if d := inj.Decide(ep, wc); !d.Drop {
+	if !inj.blocked(ep, wc) {
 		t.Error("east proxy -> west cc not dropped under partition")
 	}
-	if d := inj.Decide(wp, wc); d.Drop {
+	if inj.blocked(wp, wc) {
 		t.Error("intra-cluster RPC dropped under partition")
 	}
 	// The global controller lives outside every cluster: reachable.
-	if d := inj.Decide(wc, Global); d.Drop {
+	if inj.blocked(wc, Global) {
 		t.Error("cluster -> global dropped by a west/east partition")
 	}
 	inj.HealClusters(topology.East, topology.West) // order-insensitive
-	if d := inj.Decide(wp, ec); d.Drop {
+	if inj.blocked(wp, ec) {
 		t.Error("RPC dropped after HealClusters")
 	}
 }
 
-// TestDecideDeterministic: the same seed must replay the identical
-// decision sequence on an edge, and interleaving draws on another edge
-// must not perturb it (per-edge derived streams).
-func TestDecideDeterministic(t *testing.T) {
-	run := func(interleave bool) []Decision {
-		inj := NewInjector(sim.NewRNG(42))
-		inj.AddRule(Rule{Drop: 0.3, Fail: 0.2, Delay: 10 * time.Millisecond, Jitter: 0.5})
-		a, b := ClusterTarget("west"), Global
-		other := ClusterTarget("east")
-		var out []Decision
-		for k := 0; k < 200; k++ {
-			if interleave {
-				inj.Decide(other, Global)
-			}
-			out = append(out, inj.Decide(a, b))
-		}
-		return out
+func TestHealAllClearsFaults(t *testing.T) {
+	inj := NewInjector()
+	wc, ec := ClusterTarget(topology.West), ClusterTarget(topology.East)
+	inj.Crash(Global)
+	inj.Crash(wc)
+	inj.PartitionClusters(topology.West, topology.East)
+	if got := inj.String(); got != "fault.Injector{down:2 partitions:1}" {
+		t.Errorf("String = %q", got)
 	}
-	base := run(false)
-	inter := run(true)
-	var drops, fails int
-	for k := range base {
-		if base[k] != inter[k] {
-			t.Fatalf("decision %d differs with interleaved edge: %+v vs %+v", k, base[k], inter[k])
-		}
-		if base[k].Drop {
-			drops++
-		}
-		if base[k].Fail {
-			fails++
-		}
+	inj.HealAll()
+	if inj.IsDown(Global) || inj.IsDown(wc) {
+		t.Error("component still down after HealAll")
 	}
-	// Sanity: the probabilistic rule actually fires at roughly its rate.
-	if drops < 30 || drops > 90 {
-		t.Errorf("drops = %d over 200 draws at p=0.3", drops)
+	if inj.blocked(ProxyTarget("svc", topology.West), ec) {
+		t.Error("partition survived HealAll")
 	}
-	if fails < 15 || fails > 70 {
-		t.Errorf("fails = %d over 200 draws at p=0.2", fails)
+	if inj.blocked(wc, Global) {
+		t.Error("crash survived HealAll")
+	}
+	if got := inj.String(); got != "fault.Injector{down:0 partitions:0}" {
+		t.Errorf("String after HealAll = %q", got)
 	}
 }
 
-func TestRuleMatchingAndClear(t *testing.T) {
-	inj := NewInjector(sim.NewRNG(7))
-	inj.AddRule(Rule{From: ClusterTarget("west"), To: Global, Drop: 1})
-	if d := inj.Decide(ClusterTarget("west"), Global); !d.Drop {
-		t.Error("matching rule did not fire")
-	}
-	if d := inj.Decide(ClusterTarget("east"), Global); d.Drop {
-		t.Error("non-matching From fired")
-	}
-	inj.ClearRules()
-	if d := inj.Decide(ClusterTarget("west"), Global); d.Drop {
-		t.Error("rule fired after ClearRules")
-	}
-}
+// TestBlockedCountsByKind: the injector labels what it blocks with the
+// simulator's vocabulary, so both runtimes' slate_fault_injected_total
+// series read alike.
+func TestBlockedCountsByKind(t *testing.T) {
+	v := obs.Default().CounterVec("slate_fault_injected_total",
+		"Faults injected into control RPCs, by kind.", "kind")
+	outages, cuts := v.With("outage"), v.With("partition")
+	o0, c0 := outages.Value(), cuts.Value()
 
-func TestDelayJitterBounds(t *testing.T) {
-	inj := NewInjector(sim.NewRNG(3))
-	const base = 100 * time.Millisecond
-	inj.AddRule(Rule{Delay: base, Jitter: 0.5})
-	for k := 0; k < 100; k++ {
-		d := inj.Decide(ClusterTarget("west"), Global)
-		if d.Delay < base/2 || d.Delay > 3*base/2 {
-			t.Fatalf("delay %v outside [%v, %v]", d.Delay, base/2, 3*base/2)
-		}
+	inj := NewInjector()
+	inj.Crash(Global)
+	inj.PartitionClusters(topology.West, topology.East)
+	inj.blocked(ClusterTarget(topology.West), Global)
+	inj.blocked(ProxyTarget("svc", topology.West), ClusterTarget(topology.East))
+	inj.blocked(ProxyTarget("svc", topology.West), ClusterTarget(topology.West))
+	if got := outages.Value() - o0; got != 1 {
+		t.Errorf("outage count = %d, want 1", got)
+	}
+	if got := cuts.Value() - c0; got != 1 {
+		t.Errorf("partition count = %d, want 1", got)
 	}
 }
 
@@ -181,23 +160,8 @@ func TestScheduleQueries(t *testing.T) {
 	if !s.DownAt(Global, 42*time.Second+500*time.Millisecond) {
 		t.Error("not down in second flap window")
 	}
-
-	// Last flap window starts at 44s and lasts 1s.
-	if got := s.Horizon(); got != 45*time.Second {
-		t.Errorf("Horizon = %v, want 45s", got)
-	}
-
-	evs := s.Events()
-	for k := 1; k < len(evs); k++ {
-		if evs[k].At < evs[k-1].At {
-			t.Fatal("Events not sorted by start")
-		}
-	}
-	bs := s.Boundaries()
-	for k := 1; k < len(bs); k++ {
-		if bs[k] <= bs[k-1] {
-			t.Fatal("Boundaries not strictly ascending")
-		}
+	if s.PartitionedAt(topology.West, topology.East, 25*time.Second) {
+		t.Error("partitioned at window end (exclusive)")
 	}
 }
 
@@ -205,34 +169,5 @@ func TestNilScheduleIsInert(t *testing.T) {
 	var s *Schedule
 	if s.DownAt(Global, 0) || s.PartitionedAt("a", "b", 0) {
 		t.Error("nil schedule reported a fault")
-	}
-	if s.Events() != nil || s.EventsAt(0) != nil || s.Boundaries() != nil {
-		t.Error("nil schedule returned events")
-	}
-	if s.Horizon() != 0 {
-		t.Error("nil schedule has a horizon")
-	}
-}
-
-func TestInjectorSyncReplaysSchedule(t *testing.T) {
-	s := NewSchedule().
-		Outage(Global, 10*time.Second, 10*time.Second).
-		Partition(topology.West, topology.East, 12*time.Second, 5*time.Second)
-	inj := NewInjector(sim.NewRNG(1))
-
-	inj.Sync(s, 15*time.Second)
-	if !inj.IsDown(Global) {
-		t.Error("global not down mid-outage after Sync")
-	}
-	if !inj.Partitioned(ProxyTarget("svc", topology.West), ClusterTarget(topology.East)) {
-		t.Error("partition not applied by Sync")
-	}
-
-	inj.Sync(s, 25*time.Second)
-	if inj.IsDown(Global) {
-		t.Error("global still down after outage window")
-	}
-	if inj.Partitioned(ProxyTarget("svc", topology.West), ClusterTarget(topology.East)) {
-		t.Error("partition still applied after window")
 	}
 }

@@ -1,43 +1,37 @@
 package fault
 
 import (
-	"sort"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// EventKind discriminates schedule events.
-type EventKind int
+// window is one scheduled fault's active span, [at, at+dur) relative to
+// scenario time zero.
+type window struct{ at, dur time.Duration }
 
-const (
-	// OutageEvent takes one component down for a window.
-	OutageEvent EventKind = iota
-	// PartitionEvent cuts two clusters off from each other for a window.
-	PartitionEvent
-)
-
-// Event is one scheduled fault: active on [At, At+Dur).
-type Event struct {
-	Kind   EventKind
-	Target Target             // OutageEvent: the crashed component
-	A, B   topology.ClusterID // PartitionEvent: the cut cluster pair
-	At     time.Duration      // start, relative to scenario time zero
-	Dur    time.Duration      // window length
+func (w window) activeAt(now time.Duration) bool {
+	return now >= w.at && now < w.at+w.dur
 }
 
-func (e Event) activeAt(now time.Duration) bool {
-	return now >= e.At && now < e.At+e.Dur
+type outage struct {
+	target Target
+	window
 }
 
-// Schedule is a declarative fault timeline on virtual time: the
-// discrete-event simulator queries it directly, and the emulation
-// replays it onto an Injector via Injector.Sync. A nil *Schedule is
-// valid and schedules nothing. Builder methods return the receiver for
+type cut struct {
+	pair clusterPair
+	window
+}
+
+// Schedule is a declarative fault timeline on virtual time, queried
+// directly by the discrete-event simulator. A nil *Schedule is valid
+// and schedules nothing. Builder methods return the receiver for
 // chaining and are not safe for concurrent use with queries; build the
 // schedule fully before running.
 type Schedule struct {
-	events []Event
+	outages []outage
+	cuts    []cut
 }
 
 // NewSchedule returns an empty schedule.
@@ -45,13 +39,13 @@ func NewSchedule() *Schedule { return &Schedule{} }
 
 // Outage schedules a component crash on [at, at+dur).
 func (s *Schedule) Outage(t Target, at, dur time.Duration) *Schedule {
-	s.events = append(s.events, Event{Kind: OutageEvent, Target: t, At: at, Dur: dur})
+	s.outages = append(s.outages, outage{t, window{at, dur}})
 	return s
 }
 
 // Partition schedules a cluster partition on [at, at+dur).
 func (s *Schedule) Partition(a, b topology.ClusterID, at, dur time.Duration) *Schedule {
-	s.events = append(s.events, Event{Kind: PartitionEvent, A: a, B: b, At: at, Dur: dur})
+	s.cuts = append(s.cuts, cut{orderedPair(a, b), window{at, dur}})
 	return s
 }
 
@@ -70,8 +64,8 @@ func (s *Schedule) DownAt(t Target, now time.Duration) bool {
 	if s == nil {
 		return false
 	}
-	for _, ev := range s.events {
-		if ev.Kind == OutageEvent && ev.Target == t && ev.activeAt(now) {
+	for _, o := range s.outages {
+		if o.target == t && o.activeAt(now) {
 			return true
 		}
 	}
@@ -84,69 +78,10 @@ func (s *Schedule) PartitionedAt(a, b topology.ClusterID, now time.Duration) boo
 		return false
 	}
 	p := orderedPair(a, b)
-	for _, ev := range s.events {
-		if ev.Kind == PartitionEvent && orderedPair(ev.A, ev.B) == p && ev.activeAt(now) {
+	for _, c := range s.cuts {
+		if c.pair == p && c.activeAt(now) {
 			return true
 		}
 	}
 	return false
-}
-
-// EventsAt returns the events active at now.
-func (s *Schedule) EventsAt(now time.Duration) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	for _, ev := range s.events {
-		if ev.activeAt(now) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Events returns every scheduled event sorted by start time.
-func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	out := append([]Event(nil), s.events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Horizon returns the end of the last scheduled window.
-func (s *Schedule) Horizon() time.Duration {
-	if s == nil {
-		return 0
-	}
-	var h time.Duration
-	for _, ev := range s.events {
-		if end := ev.At + ev.Dur; end > h {
-			h = end
-		}
-	}
-	return h
-}
-
-// Boundaries returns every distinct window edge (starts and ends)
-// sorted ascending — the instants at which fault state can change.
-// Replayers (the emulation) need only re-Sync at these times.
-func (s *Schedule) Boundaries() []time.Duration {
-	if s == nil {
-		return nil
-	}
-	seen := map[time.Duration]bool{}
-	var out []time.Duration
-	for _, ev := range s.events {
-		for _, t := range []time.Duration{ev.At, ev.At + ev.Dur} {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

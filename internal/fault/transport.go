@@ -2,30 +2,10 @@ package fault
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 )
-
-// TargetResolver maps an outbound request to the Target it addresses,
-// so the injector can match crashes, partitions and per-edge rules.
-type TargetResolver interface {
-	TargetOf(req *http.Request) Target
-}
-
-// TargetFunc adapts a function to TargetResolver.
-type TargetFunc func(req *http.Request) Target
-
-// TargetOf implements TargetResolver.
-func (f TargetFunc) TargetOf(req *http.Request) Target { return f(req) }
-
-// Static resolves every request to one fixed target — the common case
-// for an Agent, whose client only ever dials its cluster controller.
-func Static(t Target) TargetResolver {
-	return TargetFunc(func(*http.Request) Target { return t })
-}
 
 // HostMap resolves targets by the request's host:port — the emulation
 // mesh registers every component's listener here as it starts. Safe
@@ -48,8 +28,12 @@ func (h *HostMap) Register(hostport string, t Target) {
 	h.mu.Unlock()
 }
 
-// TargetOf implements TargetResolver.
+// TargetOf returns the target a request addresses. A nil map targets
+// every request by its URL host.
 func (h *HostMap) TargetOf(req *http.Request) Target {
+	if h == nil {
+		return Target(req.URL.Host)
+	}
 	h.mu.RLock()
 	t, ok := h.m[req.URL.Host]
 	h.mu.RUnlock()
@@ -59,68 +43,35 @@ func (h *HostMap) TargetOf(req *http.Request) Target {
 	return t
 }
 
-// Transport is an http.RoundTripper that subjects requests to an
-// Injector's verdicts before delegating to the base transport. It is
-// what the Agent, Cluster and Global clients are wrapped with under
-// fault injection.
+// Transport is an http.RoundTripper that drops requests the Injector
+// blocks before delegating to the base transport. It is what the Agent,
+// Cluster and Global clients are wrapped with under fault injection.
 type Transport struct {
 	base     http.RoundTripper
 	injector *Injector
 	from     Target
-	to       TargetResolver
+	to       *HostMap
 }
 
 // NewTransport wraps base (nil means http.DefaultTransport) so that
-// requests from `from` to the resolved target suffer inj's faults. A
-// nil resolver targets requests by their URL host.
-func NewTransport(base http.RoundTripper, inj *Injector, from Target, to TargetResolver) *Transport {
+// requests from `from` to the target `to` resolves suffer inj's faults.
+// A nil map targets requests by their URL host.
+func NewTransport(base http.RoundTripper, inj *Injector, from Target, to *HostMap) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
-	}
-	if to == nil {
-		to = TargetFunc(func(req *http.Request) Target { return Target(req.URL.Host) })
 	}
 	return &Transport{base: base, injector: inj, from: from, to: to}
 }
 
-// RoundTrip implements http.RoundTripper. Injected delay respects the
-// request context; drops close the request body as the contract
-// requires.
+// RoundTrip implements http.RoundTripper. Drops close the request body
+// as the contract requires.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	to := t.to.TargetOf(req)
-	d := t.injector.Decide(t.from, to)
-	if d.Delay > 0 {
-		timer := time.NewTimer(d.Delay)
-		select {
-		case <-req.Context().Done():
-			timer.Stop()
-			closeBody(req)
-			return nil, req.Context().Err()
-		case <-timer.C:
+	if t.injector.blocked(t.from, to) {
+		if req.Body != nil {
+			req.Body.Close()
 		}
-	}
-	if d.Drop {
-		closeBody(req)
 		return nil, fmt.Errorf("fault: %s -> %s dropped: %w", t.from, to, ErrInjected)
 	}
-	if d.Fail {
-		closeBody(req)
-		return &http.Response{
-			Status:     "503 Service Unavailable",
-			StatusCode: http.StatusServiceUnavailable,
-			Proto:      "HTTP/1.1",
-			ProtoMajor: 1,
-			ProtoMinor: 1,
-			Header:     http.Header{"X-Slate-Fault": []string{"injected"}},
-			Body:       io.NopCloser(strings.NewReader("fault: injected 503")),
-			Request:    req,
-		}, nil
-	}
 	return t.base.RoundTrip(req)
-}
-
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
 }

@@ -6,10 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
-	"time"
 
-	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -24,10 +23,17 @@ func testServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// globalAt maps srv's host to the global controller's target.
+func globalAt(srv *httptest.Server) *HostMap {
+	hm := NewHostMap()
+	hm.Register(srv.URL, Global)
+	return hm
+}
+
 func TestTransportPassThrough(t *testing.T) {
 	srv := testServer(t)
-	inj := NewInjector(sim.NewRNG(1))
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), Static(Global))}
+	inj := NewInjector()
+	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))}
 	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	resp, err := client.Do(req)
 	if err != nil {
@@ -42,9 +48,9 @@ func TestTransportPassThrough(t *testing.T) {
 
 func TestTransportDropOnCrash(t *testing.T) {
 	srv := testServer(t)
-	inj := NewInjector(sim.NewRNG(1))
+	inj := NewInjector()
 	inj.Crash(Global)
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), Static(Global))}
+	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))}
 	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	_, err := client.Do(req)
 	if err == nil {
@@ -55,41 +61,55 @@ func TestTransportDropOnCrash(t *testing.T) {
 	}
 }
 
-func TestTransportInjected503(t *testing.T) {
+// closeTracker records whether the transport closed the request body.
+type closeTracker struct {
+	io.Reader
+	closed bool
+}
+
+func (c *closeTracker) Close() error { c.closed = true; return nil }
+
+func TestTransportDropClosesBody(t *testing.T) {
 	srv := testServer(t)
-	inj := NewInjector(sim.NewRNG(1))
-	inj.AddRule(Rule{Fail: 1})
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), Static(Global))}
-	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
-	resp, err := client.Do(req)
+	inj := NewInjector()
+	inj.Crash(Global)
+	tr := NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))
+	body := &closeTracker{Reader: strings.NewReader(`{"k":1}`)}
+	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, srv.URL, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status = %d, want 503", resp.StatusCode)
+	if _, err := tr.RoundTrip(req); !errors.Is(err, ErrInjected) {
+		t.Fatalf("RoundTrip error = %v, want ErrInjected", err)
 	}
-	if resp.Header.Get("X-Slate-Fault") != "injected" {
-		t.Error("injected 503 not marked")
+	if !body.closed {
+		t.Error("dropped request's body not closed")
 	}
 }
 
-func TestTransportDelayHonorsContext(t *testing.T) {
+func TestTransportPartitionDrop(t *testing.T) {
 	srv := testServer(t)
-	inj := NewInjector(sim.NewRNG(1))
-	inj.AddRule(Rule{Delay: 10 * time.Second})
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), Static(Global))}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
-	start := time.Now()
-	_, err := client.Do(req)
-	if err == nil {
-		t.Fatal("delayed RPC completed despite context deadline")
+	inj := NewInjector()
+	hm := NewHostMap()
+	hm.Register(srv.URL, ClusterTarget(topology.East))
+	client := &http.Client{Transport: NewTransport(nil, inj, ProxyTarget("svc", topology.West), hm)}
+	do := func() error {
+		req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil
 	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Errorf("cancellation took %v; injected delay ignored the context", el)
+	inj.PartitionClusters(topology.West, topology.East)
+	if err := do(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("cross-cluster RPC under partition: err = %v, want ErrInjected", err)
+	}
+	inj.HealClusters(topology.West, topology.East)
+	if err := do(); err != nil {
+		t.Fatalf("RPC after heal: %v", err)
 	}
 }
 
@@ -114,5 +134,10 @@ func TestHostMapResolution(t *testing.T) {
 	// Unregistered hosts fall back to the raw host (matches nothing).
 	if got := hm.TargetOf(mk("http://203.0.113.9:80/")); got != Target("203.0.113.9:80") {
 		t.Errorf("TargetOf(unknown host) = %q", got)
+	}
+	// A nil map resolves every request by its URL host.
+	var none *HostMap
+	if got := none.TargetOf(mk("http://10.0.0.4:7000/")); got != Target("10.0.0.4:7000") {
+		t.Errorf("nil TargetOf = %q", got)
 	}
 }

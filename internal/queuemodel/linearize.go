@@ -31,11 +31,11 @@ var DefaultBreakFracs = []float64{0.25, 0.5, 0.7, 0.8, 0.9, 0.95}
 const MaxUtilization = 0.95
 
 // Linearize builds the convex PWL approximation of D(λ) = λ·W(λ) for the
-// model, with breakpoints at the given utilization fractions of
+// M/M/c model, with breakpoints at the given utilization fractions of
 // capacity. Fractions must be strictly increasing in (0, 1); the last
 // fraction is the utilization cap. If fracs is nil, DefaultBreakFracs is
 // used.
-func Linearize(m Model, fracs []float64) ([]Segment, error) {
+func Linearize(m MMc, fracs []float64) ([]Segment, error) {
 	if fracs == nil {
 		fracs = DefaultBreakFracs
 	}

@@ -12,21 +12,6 @@ import (
 	"time"
 )
 
-// Model predicts steady-state request latency at a replica pool as a
-// function of offered load.
-type Model interface {
-	// Sojourn returns the expected time a request spends at the pool
-	// (queueing wait plus service) when load is lambda requests/second.
-	// Loads at or beyond capacity return +Inf.
-	Sojourn(lambda float64) time.Duration
-	// SojournSeconds is Sojourn in float seconds, without the
-	// nanosecond truncation of time.Duration — the optimizer's
-	// linearization needs the extra precision.
-	SojournSeconds(lambda float64) float64
-	// Capacity returns the saturation throughput in requests/second.
-	Capacity() float64
-}
-
 // MMc is an M/M/c queue: Poisson arrivals, exponential service times,
 // c parallel servers. SLATE models each (service, cluster) replica pool
 // as one M/M/c queue whose c is replicas × per-replica concurrency.
@@ -89,7 +74,8 @@ func (m MMc) WaitSeconds(lambda float64) float64 {
 }
 
 // SojournSeconds returns the expected total time at the queue in
-// seconds: W = Wq + 1/μ.
+// seconds: W = Wq + 1/μ. The optimizer's linearization reads this
+// rather than Sojourn, for want of the nanosecond truncation.
 func (m MMc) SojournSeconds(lambda float64) float64 {
 	w := m.WaitSeconds(lambda)
 	if math.IsInf(w, 1) {
@@ -98,48 +84,10 @@ func (m MMc) SojournSeconds(lambda float64) float64 {
 	return w + 1/m.Mu
 }
 
-// Sojourn implements Model.
+// Sojourn returns the expected time a request spends at the pool
+// (queueing wait plus service) when load is lambda requests/second.
+// Loads at or beyond capacity saturate at the largest Duration.
 func (m MMc) Sojourn(lambda float64) time.Duration {
-	return secondsToDuration(m.SojournSeconds(lambda))
-}
-
-// MD1 is an M/D/1 queue: Poisson arrivals, deterministic service time,
-// one server. The paper's file-write microbenchmark services are closer
-// to M/D/1; SLATE's controller still fits M/M/c, and the gap between
-// the two is part of what the "resilience to misprediction" challenge
-// (§5) is about.
-type MD1 struct {
-	// Mu is the service rate in requests/second.
-	Mu float64
-}
-
-// NewMD1 builds an M/D/1 model from a fixed service time.
-func NewMD1(serviceTime time.Duration) MD1 {
-	mu := math.Inf(1)
-	if serviceTime > 0 {
-		mu = 1 / serviceTime.Seconds()
-	}
-	return MD1{Mu: mu}
-}
-
-// Capacity implements Model.
-func (m MD1) Capacity() float64 { return m.Mu }
-
-// SojournSeconds returns the Pollaczek–Khinchine sojourn time
-// W = 1/μ + ρ/(2μ(1−ρ)).
-func (m MD1) SojournSeconds(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1 / m.Mu
-	}
-	rho := lambda / m.Mu
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return 1/m.Mu + rho/(2*m.Mu*(1-rho))
-}
-
-// Sojourn implements Model.
-func (m MD1) Sojourn(lambda float64) time.Duration {
 	return secondsToDuration(m.SojournSeconds(lambda))
 }
 

@@ -71,28 +71,6 @@ func TestSojournAtOrBeyondCapacity(t *testing.T) {
 	}
 }
 
-func TestMD1HalfTheMM1Wait(t *testing.T) {
-	// Classic result: M/D/1 queueing delay is half of M/M/1 at equal rho.
-	md := NewMD1(10 * time.Millisecond)
-	mm := NewMMc(1, 10*time.Millisecond)
-	lambda := 80.0
-	wqMM := mm.SojournSeconds(lambda) - 0.010
-	wqMD := md.SojournSeconds(lambda) - 0.010
-	if math.Abs(wqMD-wqMM/2) > 1e-9 {
-		t.Errorf("M/D/1 wait %v, want half of M/M/1 wait %v", wqMD, wqMM)
-	}
-}
-
-func TestMD1Capacity(t *testing.T) {
-	md := NewMD1(4 * time.Millisecond)
-	if got := md.Capacity(); math.Abs(got-250) > 1e-9 {
-		t.Errorf("capacity = %v, want 250", got)
-	}
-	if !math.IsInf(md.SojournSeconds(260), 1) {
-		t.Error("beyond capacity should be +Inf")
-	}
-}
-
 func TestFitMMcRecoversTrueModel(t *testing.T) {
 	// Generate noiseless samples from a known model; the fit must recover
 	// mu closely.

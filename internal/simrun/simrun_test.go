@@ -77,10 +77,53 @@ func TestRunnerMD1Theory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := queuemodel.NewMD1(10 * time.Millisecond).SojournSeconds(80)
+	want := md1SojournSeconds(10*time.Millisecond, 80)
 	got := res.Mean.Seconds()
 	if rel := math.Abs(got-want) / want; rel > 0.08 {
 		t.Errorf("measured mean %.4fs vs M/D/1 theory %.4fs (rel err %.2f)", got, want, rel)
+	}
+}
+
+// md1SojournSeconds is the M/D/1 (Poisson arrivals, deterministic
+// service, one server) Pollaczek–Khinchine sojourn time
+// W = 1/μ + ρ/(2μ(1−ρ)), +Inf at or beyond capacity μ. It is the
+// analytic reference for deterministic-service runs; the controller
+// itself only ever fits M/M/c.
+func md1SojournSeconds(service time.Duration, lambda float64) float64 {
+	mu := 1 / service.Seconds()
+	if lambda <= 0 {
+		return 1 / mu
+	}
+	rho := lambda / mu
+	if rho >= 1 {
+		return math.Inf(1)
+	}
+	return 1/mu + rho/(2*mu*(1-rho))
+}
+
+func TestMD1HalfTheMM1Wait(t *testing.T) {
+	// Classic result: M/D/1 queueing delay is half of M/M/1 at equal rho.
+	mm := queuemodel.NewMMc(1, 10*time.Millisecond)
+	lambda := 80.0
+	wqMM := mm.SojournSeconds(lambda) - 0.010
+	wqMD := md1SojournSeconds(10*time.Millisecond, lambda) - 0.010
+	if math.Abs(wqMD-wqMM/2) > 1e-9 {
+		t.Errorf("M/D/1 wait %v, want half of M/M/1 wait %v", wqMD, wqMM)
+	}
+}
+
+func TestMD1Capacity(t *testing.T) {
+	// Capacity is 1/service time: 250 req/s at 4ms. Finite just below
+	// it, +Inf at and beyond it.
+	const svc = 4 * time.Millisecond
+	if got := md1SojournSeconds(svc, 0); math.Abs(got-0.004) > 1e-12 {
+		t.Errorf("idle sojourn = %v, want the bare service time 0.004", got)
+	}
+	if math.IsInf(md1SojournSeconds(svc, 249), 1) {
+		t.Error("below capacity should be finite")
+	}
+	if !math.IsInf(md1SojournSeconds(svc, 250), 1) || !math.IsInf(md1SojournSeconds(svc, 260), 1) {
+		t.Error("at or beyond capacity should be +Inf")
 	}
 }
 
