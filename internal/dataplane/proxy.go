@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +75,9 @@ type Config struct {
 	Resolver Resolver
 	// Netem injects cross-cluster delay; nil disables.
 	Netem *netem.Emulator
-	// Transport overrides the outbound HTTP transport (tests).
+	// Transport carries every forwarded request, to the local app and to
+	// peer sidecars; nil uses a pooled http.Transport. Tests substitute
+	// it.
 	Transport http.RoundTripper
 	// RNG is the stream for routing picks and span IDs, typically
 	// derived from the scenario seed (sim.NewRNG(seed).DeriveNamed(...))
@@ -126,10 +129,11 @@ type Proxy struct {
 	mu  sync.Mutex
 	rng *sim.RNG
 
-	client *http.Client
+	transport http.RoundTripper
 
-	spanMu sync.Mutex
-	spans  []telemetry.Span
+	spanMu   sync.Mutex
+	spans    []telemetry.Span
+	interned map[string]string // span method, path and class strings; at most internCap
 
 	// Metric handles, resolved once at construction so the per-request
 	// increments are single atomic ops (no map lookups on unlabeled
@@ -174,7 +178,8 @@ func New(cfg Config) (*Proxy, error) {
 		cls:        classifier.New(classifier.Options{MinSamples: 1, TemplatePaths: true}),
 		agg:        telemetry.NewAggregator(),
 		rng:        rng,
-		client:     &http.Client{Transport: tr},
+		transport:  tr,
+		interned:   map[string]string{},
 		staleAfter: cfg.StaleAfter,
 		now:        now,
 	}
@@ -346,27 +351,23 @@ func (p *Proxy) serveInbound(w http.ResponseWriter, r *http.Request) {
 	parentID, _ := strconv.ParseUint(r.Header.Get(HeaderSpanID), 16, 64)
 	selfID := p.newSpanID()
 
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.local+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		http.Error(w, "slate-proxy: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	copyHeaders(req.Header, r.Header)
-	req.Header.Set(HeaderClass, class)
-	req.Header.Set(HeaderTraceID, traceID)
-	req.Header.Set(HeaderSpanID, strconv.FormatUint(selfID, 16))
 	// The local app must know its own cluster context to route its
-	// outbound calls; inject it.
-	req.Header.Set(HeaderSourceCluster, string(p.cluster))
+	// outbound calls; inject it beside the class and trace context.
+	slate := []string{class, traceID, strconv.FormatUint(selfID, 16), string(p.cluster)}
+	h := forwardHeader(r.Header)
+	h[HeaderClass] = slate[0:1:1]
+	h[HeaderTraceID] = slate[1:2:2]
+	h[HeaderSpanID] = slate[2:3:3]
+	h[HeaderSourceCluster] = slate[3:4:4]
 
-	resp, err := p.client.Do(req)
+	resp, err := p.roundTrip(r, p.local, h)
 	if err != nil {
 		p.mUpstreamErr.Inc()
 		http.Error(w, "slate-proxy: local app: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 	defer resp.Body.Close()
-	copyHeaders(w.Header(), resp.Header)
+	copyEndToEnd(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	written, _ := io.Copy(w, resp.Body)
 
@@ -444,24 +445,21 @@ func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetServ
 		}
 	}
 
-	req, err := http.NewRequestWithContext(ctx, r.Method, base+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		http.Error(w, "slate-proxy: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	copyHeaders(req.Header, r.Header)
-	req.Header.Del(HeaderOutbound) // consumed here
-	req.Header.Set(HeaderClass, class)
-	req.Header.Set(HeaderTargetCluster, string(dst))
-	req.Header.Set(HeaderSourceCluster, string(p.cluster))
+	slate := []string{class, string(dst), string(p.cluster), ""}
+	h := forwardHeader(r.Header)
+	delete(h, HeaderOutbound) // consumed here
+	h[HeaderClass] = slate[0:1:1]
+	h[HeaderTargetCluster] = slate[1:2:2]
+	h[HeaderSourceCluster] = slate[2:3:3]
 	// X-Slate-Trace-Id/Span-Id pass through unchanged: the caller's
 	// inbound pass minted them and the destination sidecar will link
 	// its span to them.
-	if req.Header.Get(HeaderTraceID) == "" {
-		req.Header.Set(HeaderTraceID, strconv.FormatUint(p.newSpanID(), 16))
+	if h.Get(HeaderTraceID) == "" {
+		slate[3] = strconv.FormatUint(p.newSpanID(), 16)
+		h[HeaderTraceID] = slate[3:4:4]
 	}
 
-	resp, err := p.client.Do(req)
+	resp, err := p.roundTrip(r, base, h)
 	if err != nil {
 		p.mUpstreamErr.Inc()
 		http.Error(w, "slate-proxy: upstream "+targetService+": "+err.Error(), http.StatusBadGateway)
@@ -477,8 +475,9 @@ func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetServ
 			return
 		}
 	}
-	copyHeaders(w.Header(), resp.Header)
-	w.Header().Set(HeaderTargetCluster, string(dst))
+	wh := w.Header()
+	copyEndToEnd(wh, resp.Header)
+	wh[HeaderTargetCluster] = slate[1:2:2]
 	w.WriteHeader(resp.StatusCode)
 	written, _ := io.Copy(w, resp.Body)
 
@@ -516,9 +515,6 @@ func (p *Proxy) recordSpan(r *http.Request, class, traceID string, selfID, paren
 		Parent:    telemetry.SpanID(parentID),
 		Service:   p.service,
 		Cluster:   string(p.cluster),
-		Class:     class,
-		Method:    r.Method,
-		Path:      r.URL.Path,
 		Start:     time.Duration(start.UnixNano()),
 		End:       time.Duration(start.Add(dur).UnixNano()),
 		ReqBytes:  max(r.ContentLength, 0),
@@ -526,14 +522,81 @@ func (p *Proxy) recordSpan(r *http.Request, class, traceID string, selfID, paren
 		Remote:    r.Header.Get(HeaderSourceCluster) != "" && r.Header.Get(HeaderSourceCluster) != string(p.cluster),
 	}
 	p.spanMu.Lock()
+	span.Class = p.internLocked(class)
+	span.Method = p.internLocked(r.Method)
+	span.Path = p.internLocked(r.URL.Path)
 	p.spans = append(p.spans, span)
 	p.spanMu.Unlock()
 }
 
-func copyHeaders(dst, src http.Header) {
+// internCap bounds a proxy's table of span strings. Buffered spans live
+// until the next drain; interned, they share one copy of each method,
+// path and class instead of pinning every request's request line and
+// header values. Strings past the cap (say, paths with ids in them) are
+// copied to their own size.
+const internCap = 256
+
+func (p *Proxy) internLocked(s string) string {
+	if v, ok := p.interned[s]; ok {
+		return v
+	}
+	v := strings.Clone(s)
+	if len(p.interned) < internCap {
+		p.interned[v] = v
+	}
+	return v
+}
+
+// roundTrip forwards r to base with header h the way
+// httputil.ReverseProxy does: straight through the transport, so a
+// redirect or any other answer goes back to the caller as it came, and
+// with the body's declared length kept — no body when it is empty,
+// chunked only when its length is unknown.
+func (p *Proxy) roundTrip(r *http.Request, base string, h http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = h
+	if r.ContentLength != 0 {
+		req.Body, req.ContentLength = r.Body, r.ContentLength
+	}
+	return p.transport.RoundTrip(req)
+}
+
+// forwardHeader returns the header of a forwarded request: src's
+// end-to-end fields. Content-Length stays behind: the transport frames
+// the body from Request.ContentLength. The map is sized for src alone:
+// the X-Slate fields a pass sets mostly replace fields src already
+// carries, and a map sized for at most eight fields is one group where a
+// larger size hint would lay out a full table.
+func forwardHeader(src http.Header) http.Header {
+	h := make(http.Header, len(src))
+	copyEndToEnd(h, src)
+	delete(h, "Content-Length")
+	return h
+}
+
+// copyEndToEnd sets in dst every field of src that travels past this
+// hop. The value slices are src's own, not copies: a forwarded header is
+// only read, and a field the proxy sets replaces its slice whole. The
+// RFC 7230 §6.1 hop-by-hop fields, and any field Connection names,
+// describe one connection and stay behind — a client's "Connection:
+// close" must not close the proxy's pooled upstream connection.
+func copyEndToEnd(dst, src http.Header) {
 	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
+		switch k {
+		case "Connection", "Proxy-Connection", "Keep-Alive", "Proxy-Authenticate",
+			"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade":
+			continue
+		}
+		dst[k] = vs
+	}
+	for _, v := range src["Connection"] {
+		for name := range strings.SplitSeq(v, ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				delete(dst, http.CanonicalHeaderKey(name))
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package emul
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +21,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -370,9 +370,16 @@ func (m *Mesh) Proxy(svc appgraph.ServiceID, cl topology.ClusterID) *dataplane.P
 // (trace, start, span ID) so dumps are deterministic. Feed the result to
 // an obs.SpanWriter to export a JSONL trace file.
 func (m *Mesh) DrainSpans() []telemetry.Span {
-	var out []telemetry.Span
+	drained := make([][]telemetry.Span, 0, len(m.proxies))
+	n := 0
 	for _, p := range m.proxies {
-		out = append(out, p.DrainSpans()...)
+		s := p.DrainSpans()
+		drained = append(drained, s)
+		n += len(s)
+	}
+	out := make([]telemetry.Span, 0, n)
+	for _, s := range drained {
+		out = append(out, s...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -495,12 +502,14 @@ type appServer struct {
 	slots   chan struct{}
 	client  *http.Client
 
-	// nodes maps "METHOD path" to the call nodes it may execute (one per
-	// class).
-	nodes map[string][]*appgraph.CallNode
+	// nodes maps an endpoint to the first call node (in class order) it
+	// executes.
+	nodes map[endpoint]*appgraph.CallNode
 
 	mReqs *obs.Counter
 }
+
+type endpoint struct{ method, path string }
 
 func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.ClusterID, servers int, scale float64, reg *registry) *appServer {
 	s := &appServer{
@@ -511,16 +520,16 @@ func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.Cluster
 		reg:     reg,
 		slots:   make(chan struct{}, servers),
 		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
-		nodes:   map[string][]*appgraph.CallNode{},
+		nodes:   map[endpoint]*appgraph.CallNode{},
 		mReqs: obs.Default().CounterVec("slate_app_requests_total",
 			"Requests executed by emulated application instances.",
 			"service", "cluster").With(string(sid), string(cl)),
 	}
 	for _, class := range app.Classes {
 		class.Root.Walk(func(n *appgraph.CallNode) {
-			if n.Service == sid {
-				key := n.Method + " " + n.Path
-				s.nodes[key] = append(s.nodes[key], n)
+			key := endpoint{n.Method, n.Path}
+			if _, seen := s.nodes[key]; n.Service == sid && !seen {
+				s.nodes[key] = n
 			}
 		})
 	}
@@ -528,7 +537,7 @@ func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.Cluster
 }
 
 func (s *appServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	node := s.findNode(r)
+	node := s.nodes[endpoint{r.Method, r.URL.Path}]
 	if node == nil {
 		http.Error(w, fmt.Sprintf("%s: no endpoint %s %s", s.service, r.Method, r.URL.Path), http.StatusNotFound)
 		return
@@ -553,21 +562,13 @@ func (s *appServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeZeros(w, node.Work.ResponseBytes)
 }
 
-func (s *appServer) findNode(r *http.Request) *appgraph.CallNode {
-	candidates := s.nodes[r.Method+" "+r.URL.Path]
-	if len(candidates) == 0 {
-		return nil
-	}
-	return candidates[0]
-}
-
 func (s *appServer) callChildren(r *http.Request, node *appgraph.CallNode) error {
 	if len(node.Children) == 0 {
 		return nil
 	}
 	call := func(ch *appgraph.CallNode) error {
 		for i := 0; i < ch.Count; i++ {
-			req, err := http.NewRequestWithContext(r.Context(), ch.Method, s.sidecar+ch.Path, strings.NewReader(strings.Repeat("x", int(min(ch.Work.RequestBytes, 1<<20)))))
+			req, err := http.NewRequestWithContext(r.Context(), ch.Method, s.sidecar+ch.Path, requestBody(ch.Work.RequestBytes))
 			if err != nil {
 				return err
 			}
@@ -610,15 +611,24 @@ func (s *appServer) callChildren(r *http.Request, node *appgraph.CallNode) error
 	return nil
 }
 
+// zeros is the read-only slab emulated bodies are cut from; nothing
+// writes to it.
+var zeros [32 << 10]byte
+
+// requestBody is a child call's body: RequestBytes zero bytes (at most
+// 1 MiB), of known length, so the call is sent with its Content-Length.
+func requestBody(n int64) *bytes.Reader {
+	n = min(n, 1<<20)
+	if n <= int64(len(zeros)) {
+		return bytes.NewReader(zeros[:n])
+	}
+	return bytes.NewReader(make([]byte, n))
+}
+
 func writeZeros(w io.Writer, n int64) {
-	const chunk = 32 << 10
-	buf := make([]byte, chunk)
 	for n > 0 {
-		c := int64(chunk)
-		if c > n {
-			c = n
-		}
-		if _, err := w.Write(buf[:c]); err != nil {
+		c := min(n, int64(len(zeros)))
+		if _, err := w.Write(zeros[:c]); err != nil {
 			return
 		}
 		n -= c

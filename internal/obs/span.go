@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -160,11 +161,67 @@ func ReadSpans(r io.Reader) ([]telemetry.Span, error) {
 }
 
 // GroupTraces buckets spans by trace ID, preserving input order within
-// each trace — the shape telemetry.BuildTree wants.
+// each trace — the shape telemetry.BuildTree wants. Every group is
+// exact-size (len == cap), so appending to one never writes into another
+// or into spans. A trace whose spans sit together in the input (every
+// trace of one emul.Mesh.DrainSpans, which sorts by trace) is a window
+// of spans itself; the others are windows of one backing array, filled
+// in input order. Grouping thus copies only the scattered traces' spans,
+// never grows a slice per trace, and makes its map at the final size: a
+// trace's size is its run in a sorted copy of the ids.
 func GroupTraces(spans []telemetry.Span) map[telemetry.TraceID][]telemetry.Span {
-	out := make(map[telemetry.TraceID][]telemetry.Span)
+	ids := make([]telemetry.TraceID, len(spans))
+	for i := range spans {
+		ids[i] = spans[i].Trace
+	}
+	slices.Sort(ids)
+	size := func(t telemetry.TraceID) int {
+		lo, _ := slices.BinarySearch(ids, t)
+		n := 1
+		for lo+n < len(ids) && ids[lo+n] == t {
+			n++
+		}
+		return n
+	}
+	traces := 0
+	for i := range ids {
+		if i == 0 || ids[i] != ids[i-1] {
+			traces++
+		}
+	}
+
+	out := make(map[telemetry.TraceID][]telemetry.Span, traces)
+	scattered := 0
+	for i := 0; i < len(spans); {
+		t := spans[i].Trace
+		j := i + 1
+		for j < len(spans) && spans[j].Trace == t {
+			j++
+		}
+		if n := size(t); n == j-i {
+			out[t] = spans[i:j:j]
+		} else if _, seen := out[t]; !seen {
+			out[t] = nil // filled below
+			scattered += n
+		}
+		i = j
+	}
+	if scattered == 0 {
+		return out
+	}
+	backing := make([]telemetry.Span, scattered)
+	next := 0
 	for _, s := range spans {
-		out[s.Trace] = append(out[s.Trace], s)
+		g := out[s.Trace]
+		switch {
+		case g == nil:
+			n := size(s.Trace)
+			g = backing[next : next : next+n]
+			next += n
+		case len(g) == cap(g):
+			continue // complete: an adjacent trace, a window of spans
+		}
+		out[s.Trace] = append(g, s)
 	}
 	return out
 }

@@ -90,6 +90,83 @@ func TestSpanDumpReconstructsTrace(t *testing.T) {
 	}
 }
 
+// interleavedTraces returns traces traces of three spans each, their
+// spans interleaved the way a drain of several sidecars delivers them.
+func interleavedTraces(traces int) []telemetry.Span {
+	var out []telemetry.Span
+	for hop := 0; hop < 3; hop++ {
+		for tr := 0; tr < traces; tr++ {
+			out = append(out, telemetry.Span{Trace: telemetry.TraceID(tr + 1), ID: telemetry.SpanID(3*tr + hop + 1)})
+		}
+	}
+	return out
+}
+
+// drainedTraces returns traces traces of three spans each in two
+// drains, each sorted by trace the way emul.Mesh.DrainSpans delivers
+// them: every trace's spans sit together, except the one in flight at
+// the drain boundary.
+func drainedTraces(traces int) []telemetry.Span {
+	var first, second []telemetry.Span
+	for tr := 0; tr < traces; tr++ {
+		for hop := 0; hop < 3; hop++ {
+			s := telemetry.Span{Trace: telemetry.TraceID(tr + 1), ID: telemetry.SpanID(3*tr + hop + 1)}
+			if tr > traces/2 || tr == traces/2 && hop == 0 {
+				second = append(second, s)
+			} else {
+				first = append(first, s)
+			}
+		}
+	}
+	return append(first, second...)
+}
+
+// TestGroupTracesExactGroups: every group keeps its trace's input order
+// in an exact-size window, whether its spans sat together in the input
+// or were scattered, and grouping costs the same number of heap objects
+// at 20 traces as at 200.
+func TestGroupTracesExactGroups(t *testing.T) {
+	for name, spans := range map[string][]telemetry.Span{
+		"interleaved": append(interleavedTraces(50), telemetry.Span{Trace: 7, ID: 999}), // a straggler at the end
+		"drained":     drainedTraces(50),
+	} {
+		groups := GroupTraces(spans)
+		if len(groups) != 50 {
+			t.Fatalf("%s: %d groups, want 50", name, len(groups))
+		}
+		total := 0
+		for id, g := range groups {
+			total += len(g)
+			if cap(g) != len(g) {
+				t.Errorf("%s: trace %d: cap %d, len %d", name, id, cap(g), len(g))
+			}
+			var want []telemetry.SpanID
+			for _, s := range spans {
+				if s.Trace == id {
+					want = append(want, s.ID)
+				}
+			}
+			for i, s := range g {
+				if s.Trace != id || s.ID != want[i] {
+					t.Fatalf("%s: trace %d: span %d is %d of trace %d, want %d", name, id, i, s.ID, s.Trace, want[i])
+				}
+			}
+		}
+		if total != len(spans) {
+			t.Errorf("%s: groups hold %d spans, want %d", name, total, len(spans))
+		}
+	}
+
+	for name, traces := range map[string]func(int) []telemetry.Span{"interleaved": interleavedTraces, "drained": drainedTraces} {
+		few, many := traces(20), traces(200)
+		a := testing.AllocsPerRun(20, func() { GroupTraces(few) })
+		b := testing.AllocsPerRun(20, func() { GroupTraces(many) })
+		if b > a {
+			t.Errorf("%s: GroupTraces allocates %.0f objects at 20 traces, %.0f at 200", name, a, b)
+		}
+	}
+}
+
 func TestReadSpansRejectsMalformedLine(t *testing.T) {
 	in := `{"trace":"abc","span":"1","parent":"0","service":"s","cluster":"c","class":"k","start_ns":0,"end_ns":1}
 not json
