@@ -92,7 +92,8 @@ var figures = []figureSpec{
 	{id: "pardes", run: experiments.ParallelDES,
 		pinned: []string{"serial_mean_ms", "fingerprint_shards_4",
 			"messages_shards_1", "messages_shards_2", "messages_shards_4", "messages_shards_8",
-			"windows_shards_1", "windows_shards_2", "windows_shards_4", "windows_shards_8"},
+			"windows_shards_1", "windows_shards_2", "windows_shards_4", "windows_shards_8",
+			"critical_path_shards_1", "critical_path_shards_2", "critical_path_shards_4", "critical_path_shards_8"},
 		wallClock: []string{"speedup_*", "*wall_ms*"}},
 	{id: "pardes-1m", run: experiments.ParallelDES1M,
 		skip: "minutes of wall time; the CI determinism matrix runs it once"},

@@ -55,7 +55,8 @@ func pardesSpec(opt Options) scenario.GenSpec {
 // ParallelDES measures the simulation engine on a generated
 // 16-cluster/96-service scenario at 1/2/4/8 shards: wall time, and
 // speedup over the one-shard run (what simrun.Run executes; the summary
-// keeps its historical serial_* keys), plus the 4-shard run's result
+// keeps its historical serial_* keys), the critical-path bound on that
+// speedup at each shard count, plus the 4-shard run's result
 // fingerprint (counters, latency moments, message totals), which must
 // not depend on how the shards were scheduled.
 //
@@ -79,6 +80,7 @@ func ParallelDES(opt Options) (*Figure, error) {
 			fmt.Sprintf("16 clusters / 96 services / 12 classes, %v simulated at 4000 RPS", scn.Duration),
 			fmt.Sprintf("GOMAXPROCS %d", runtime.GOMAXPROCS(0)),
 			"speedup_shards_N = one-shard wall time (serial_wall_ms) / N-shard wall time",
+			"critical_path_shards_N = events / Σ over windows of the busiest shard's events: the speedup an infinitely fast barrier would give",
 		},
 		Summary: map[string]float64{},
 	}
@@ -112,6 +114,7 @@ func ParallelDES(opt Options) (*Figure, error) {
 		fig.Summary["speedup_"+key] = float64(oneWall) / float64(w)
 		fig.Summary["messages_"+key] = float64(res.Parallel.Messages)
 		fig.Summary["windows_"+key] = float64(res.Parallel.Windows)
+		fig.Summary["critical_path_"+key] = res.Parallel.CriticalPath
 		if res.Generated != one.Generated {
 			return nil, fmt.Errorf("%d shards generated %d arrivals, one shard %d",
 				n, res.Generated, one.Generated)

@@ -59,6 +59,7 @@ type Shard struct {
 	received bool   // inbox grew at this barrier and needs its order restored
 	seq      uint64 // per-sender sequence for deterministic ordering
 	sent     uint64 // cumulative cross-shard messages sent
+	mark     uint64 // events fired before the current window
 }
 
 // ID returns the shard's index within its group.
@@ -102,6 +103,7 @@ type Group struct {
 	lookahead Time
 	now       Time // barrier time: every shard's clock is exactly here
 	windows   uint64
+	critical  uint64 // Σ over windows of the busiest shard's events
 	workers   int
 }
 
@@ -140,6 +142,13 @@ func (g *Group) Lookahead() Time { return g.lookahead }
 
 // Windows reports how many synchronization windows have run.
 func (g *Group) Windows() uint64 { return g.windows }
+
+// CriticalPathEvents sums, over windows, the events of each window's
+// busiest shard: how many events the run takes if every window lasts as
+// long as its busiest shard and nothing else. EventsProcessed divided by
+// it is the speed-up an infinitely fast barrier would give; it is exactly
+// 1 at one shard.
+func (g *Group) CriticalPathEvents() uint64 { return g.critical }
 
 // EventsProcessed sums event counts across shards.
 func (g *Group) EventsProcessed() uint64 {
@@ -269,6 +278,9 @@ func (g *Group) window(wEnd Time, inclusive bool) {
 			s.inbox = append(s.inbox[:0], s.inbox[cut:]...)
 		}
 	}
+	for _, s := range g.shards {
+		s.mark = s.k.nEvents
+	}
 	// Run the window: shards share no mutable state, so they may run
 	// concurrently; with one worker (or one shard) run inline.
 	if g.workers > 1 && len(g.shards) > 1 {
@@ -286,6 +298,11 @@ func (g *Group) window(wEnd Time, inclusive bool) {
 			s.k.run(wEnd, inclusive)
 		}
 	}
+	var busiest uint64
+	for _, s := range g.shards {
+		busiest = max(busiest, s.k.nEvents-s.mark)
+	}
+	g.critical += busiest
 	// Barrier: exchange outboxes in shard order, then restore the (at,
 	// from, seq) order of each inbox that received something. The
 	// exchange runs on the calling goroutine after wg.Wait, so it is

@@ -278,7 +278,8 @@ func TestPostSharesAtsOrder(t *testing.T) {
 // TestReservedFeedMatchesScheduledUpFront: streams of events fed one at
 // a time under reserved sequence numbers fire exactly where scheduling
 // every one of them up front puts them — ties between streams and with
-// events scheduled during the run included.
+// events scheduled during the run included. The same holds for lanes,
+// streams that grow during the run (simrun's network links).
 func TestReservedFeedMatchesScheduledUpFront(t *testing.T) {
 	streams := [][]Time{{1, 2, 2, 5}, {2, 2, 3}, {}, {2, 5, 5}}
 	type fired struct {
@@ -316,5 +317,67 @@ func TestReservedFeedMatchesScheduledUpFront(t *testing.T) {
 	want, got := run(false), run(true)
 	if len(want) != 20 || !slices.Equal(got, want) {
 		t.Fatalf("fed one at a time:\n%v\nscheduled up front:\n%v", got, want)
+	}
+
+	// Lanes: events sent during the run on fixed-delay lanes arrive in the
+	// order they were sent, so a lane can reserve each event's number when
+	// it is sent, queue it, and keep only its head in the schedule — and
+	// still fire everything where posting each event directly would. The
+	// delays are small integers, so lane events tie with each other and
+	// with the random-delay posts in between.
+	laneDelay := []Time{0, 2, 3, 3}
+	const laneOp, budget = 1, 3000
+	type laneEvent struct {
+		at  Time
+		seq uint64
+		id  int32
+	}
+	runLanes := func(lanes bool) []fired {
+		k, rng := NewKernel(), NewRNG(9)
+		queue := make([][]laneEvent, len(laneDelay))
+		var got []fired
+		next := int32(0)
+		deliver := func(k *Kernel, id int32) {
+			got = append(got, fired{k.Now(), id, 0})
+			for n := 1 + rng.Intn(2); n > 0 && next < budget; n-- {
+				id := next
+				next++
+				if rng.Intn(2) == 0 {
+					k.Post(k.Now()+Time(rng.Intn(4)), Event{A: id})
+					continue
+				}
+				l := rng.Intn(len(laneDelay))
+				at := k.Now() + laneDelay[l]
+				if !lanes {
+					k.Post(at, Event{A: id})
+					continue
+				}
+				seq := k.Reserve(1)
+				if queue[l] = append(queue[l], laneEvent{at, seq, id}); len(queue[l]) == 1 {
+					k.PostReserved(at, seq, Event{Op: laneOp, A: int32(l)})
+				}
+			}
+		}
+		k.SetHandler(func(k *Kernel, ev Event) {
+			if ev.Op != laneOp {
+				deliver(k, ev.A)
+				return
+			}
+			q := queue[ev.A]
+			head := q[0]
+			if queue[ev.A] = q[1:]; len(q) > 1 {
+				k.PostReserved(q[1].at, q[1].seq, ev)
+			}
+			deliver(k, head.id)
+		})
+		for ; next < 8; next++ {
+			k.Post(Time(next/3), Event{A: next})
+		}
+		k.Run()
+		return got
+	}
+	want, got = runLanes(false), runLanes(true)
+	if len(want) < budget || !slices.Equal(got, want) {
+		t.Fatalf("lanes fed one at a time (%d events) fire in another order than posting directly (%d events)", len(got), len(want))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
 	"github.com/servicelayernetworking/slate/internal/obs"
+	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/scenario"
 	"github.com/servicelayernetworking/slate/internal/simrun"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -83,7 +84,10 @@ func fingerprint(r *simrun.Result, dump []byte, parallel bool) uint64 {
 // feature; a one-shard run of the sharded engine must reproduce each of
 // them bit for bit, the span dump included. gen16 was re-recorded at
 // 17d281c when the DES's wire accounting (and its line of the hash) was
-// deleted: the same run, hashed without that line.
+// deleted: the same run, hashed without that line. ties was recorded at
+// de3a4ef, where every network hop was an event of its own in the heap:
+// it holds the links' reserved sequence numbers, which no other case
+// does, because only there do hops tie to the nanosecond.
 //
 // The legs with shards > 0 hold RunParallel at that shard count the same
 // way, with ParallelStats.{Events, Windows, Messages} added to the hash:
@@ -148,6 +152,56 @@ func TestRunFingerprintsPinned(t *testing.T) {
 		scn.ControlPeriod = 500 * time.Millisecond
 		return scn, g.Policy()
 	}
+	// Constant arrivals, fixed service times and whole-millisecond delays
+	// on three clusters: hops land on the same nanosecond as arrivals,
+	// completions and other hops, and which fires first decides the pick
+	// order and the pools' queue order.
+	ties := func(simrun.SpanSink) (simrun.Scenario, simrun.Policy) {
+		ids := []topology.ClusterID{"a", "b", "c"}
+		b := topology.NewBuilder(0.05)
+		for _, id := range ids {
+			b.AddCluster(id, string(id))
+		}
+		b.SetRTT("a", "b", 4*time.Millisecond)
+		b.SetRTT("a", "c", 6*time.Millisecond)
+		b.SetRTT("b", "c", 4*time.Millisecond)
+		fixed := func(svc appgraph.ServiceID, d time.Duration) *appgraph.CallNode {
+			return &appgraph.CallNode{Service: svc, Method: "GET", Path: "/", Count: 1,
+				Work: appgraph.Work{MeanServiceTime: d, Dist: appgraph.DistDeterministic}}
+		}
+		root := fixed("fe", time.Millisecond)
+		root.Parallel = true
+		root.Children = []*appgraph.CallNode{fixed("wk", 2*time.Millisecond), fixed("db", time.Millisecond)}
+		pool := appgraph.ReplicaPool{Replicas: 1, Concurrency: 2}
+		app := &appgraph.App{
+			Name: "ties",
+			Services: map[appgraph.ServiceID]*appgraph.Service{
+				"fe": {ID: "fe", Placement: appgraph.Uniform(appgraph.ReplicaPool{Replicas: 1, Concurrency: 64}, ids...)},
+				"wk": {ID: "wk", Placement: appgraph.Uniform(pool, ids...)},
+				"db": {ID: "db", Placement: appgraph.Uniform(pool, ids...)},
+			},
+			Classes: []*appgraph.Class{{Name: "c", Root: root}},
+		}
+		rules := map[routing.Key]routing.Distribution{}
+		var specs []workload.Spec
+		for i, id := range ids {
+			d, err := routing.NewDistribution(map[topology.ClusterID]float64{
+				id: 0.4, ids[(i+1)%3]: 0.3, ids[(i+2)%3]: 0.3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, svc := range []string{"wk", "db"} {
+				rules[routing.Key{Service: svc, Class: routing.AnyClass, Cluster: id}] = d
+			}
+			specs = append(specs, workload.Spec{Class: "c", Cluster: id, Process: workload.Constant,
+				Phases: []workload.Phase{{RPS: 500}}})
+		}
+		return simrun.Scenario{
+			Name: "pin-ties", Top: b.MustBuild(), App: app, Workload: specs,
+			Duration: 4 * time.Second, Warmup: 500 * time.Millisecond, Seed: 3,
+		}, simrun.Static("ties", routing.NewTable(1, rules))
+	}
 
 	cases := []struct {
 		name   string
@@ -198,6 +252,7 @@ func TestRunFingerprintsPinned(t *testing.T) {
 			want: 0xa57f88728f9673bd,
 		},
 		{name: "gen16", build: gen16, want: 0x8ca06cdc2c894f2a},
+		{name: "ties", build: ties, want: 0x7c8cae7f0b52f470},
 		{name: "chaos-2shards", build: chaos, spans: true, shards: 2, want: 0xc49132b1786f09ab},
 		{name: "gen16-2shards", build: gen16, shards: 2, want: 0x500e67f49c48ba95},
 		{name: "gen16-4shards", build: gen16, shards: 4, want: 0x25bcb45c193e20b0},

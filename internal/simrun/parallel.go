@@ -5,8 +5,9 @@
 // one window per control barrier. Its per-event path runs on the scenario
 // compiled to dense ids (compile.go) and allocates nothing once warm: a
 // call in flight is a frame in its shard's arena, an event a typed record
-// naming a frame, a pool's queue a list of frame indices (DESIGN.md
-// "Simulation engine"; TestRunSteadyStateAllocs pins it).
+// naming a frame, a pool's queue and a network link's hops in flight
+// lists of frame indices (DESIGN.md "Simulation engine";
+// TestRunSteadyStateAllocs pins it).
 //
 // The partition exploits the model's physics: a cluster's pools,
 // telemetry window, and rule-freshness clock are touched only by
@@ -46,6 +47,7 @@ package simrun
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -81,6 +83,10 @@ type ParallelStats struct {
 	Messages uint64
 	// Events is the total number of DES events fired across shards.
 	Events uint64
+	// CriticalPath is Events divided by the sum, over windows, of the
+	// busiest shard's events in that window: the speed-up over one shard
+	// that an infinitely fast barrier would give. Exactly 1 at one shard.
+	CriticalPath float64
 	// Lookahead is the conservative lookahead the run used: the minimum
 	// one-way delay between clusters on different shards. With one shard
 	// there is no such pair and it is unbounded, time.Duration(sim.MaxTime).
@@ -289,6 +295,9 @@ type shardRun struct {
 	free    int32
 	streams []stream
 	scaler  *autoscaler
+	// links holds the network hops in flight from this shard, one FIFO
+	// per ordered cluster pair [from*nC+to]; see hop.
+	links []link
 
 	samples     [][]time.Duration // per class: post-warmup end-to-end latencies
 	remoteCalls uint64
@@ -344,6 +353,17 @@ func Run(scn Scenario, pol Policy) (*Result, error) {
 // kernels with conservative synchronization. See the package comment in
 // this file for the determinism contract.
 func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error) {
+	p, err := newParRun(scn, pol, opt)
+	if err != nil {
+		return nil, err
+	}
+	p.run()
+	return p.res, nil
+}
+
+// newParRun partitions and compiles the scenario and schedules its
+// arrivals, dynamics and autoscalers: a run ready to start.
+func newParRun(scn Scenario, pol Policy, opt ParallelOptions) (*parRun, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
@@ -393,7 +413,11 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 	p.mPartition = faults.With("partition")
 
 	for s := range part.owned {
-		sr := &shardRun{id: s, sh: g.Shard(s), par: p, free: -1, samples: make([][]time.Duration, len(scn.App.Classes))}
+		sr := &shardRun{id: s, sh: g.Shard(s), par: p, free: -1, samples: make([][]time.Duration, len(scn.App.Classes)),
+			links: make([]link, pl.nC*pl.nC)}
+		for l := range sr.links {
+			sr.links[l] = link{head: -1, tail: -1}
+		}
 		sr.sh.Kernel().SetHandler(sr.fire)
 		p.shards = append(p.shards, sr)
 	}
@@ -444,28 +468,29 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 			sr.sh.Kernel().After(sr.scaler.cfg.Period, sr.scaler.tick)
 		}
 	}
+	return p, nil
+}
 
-	// Drive windows between control barriers, then drain in-flight work
-	// (arrivals stop at Duration; completions beyond it still count).
-	// Ticks fire at i×ControlPeriod for i = 1, 2, … while that is before
-	// Duration; the first tick is unconditional.
-	if scn.ControlPeriod > 0 {
+// run drives windows between control barriers, then drains in-flight
+// work (arrivals stop at Duration; completions beyond it still count),
+// and merges the result. Ticks fire at i×ControlPeriod for i = 1, 2, …
+// while that is before Duration; the first tick is unconditional.
+func (p *parRun) run() {
+	if period := p.scn.ControlPeriod; period > 0 {
 		for i := 1; ; i++ {
-			at := time.Duration(i) * scn.ControlPeriod
-			if i > 1 && at >= scn.Duration {
+			at := time.Duration(i) * period
+			if i > 1 && at >= p.scn.Duration {
 				break
 			}
-			g.RunUntil(sim.Time(at))
+			p.g.RunUntil(sim.Time(at))
 			p.controlTick(at)
-			if at >= scn.Duration {
+			if at >= p.scn.Duration {
 				break
 			}
 		}
 	}
-	g.Run()
-
+	p.g.Run()
 	p.finalize()
-	return p.res, nil
 }
 
 // controlTick runs one control round at a quiescent barrier: close the
@@ -506,6 +531,7 @@ const (
 	opServed        // the call's service time is over
 	opReturn        // the response (or a partition's fast failure) reaches the caller; F: fFailed if the remote subtree failed
 	opCall          // a call from another shard reaches its pool: A the caller's frame there, B node, C/D source and destination cluster, F its fMeasure flag, X trace, Y parent of the subtree's spans
+	opLink          // A: link; its oldest hop arrives and fires the op it carries (opServe or opReturn)
 )
 
 // frame is one call in flight: a call-tree node executing for one
@@ -519,15 +545,20 @@ type frame struct {
 	// parent is the calling node's frame (-1 at a root); in a serving
 	// shard's half it is the caller's half, in shard ret's arena.
 	parent, ret int32
-	next        int32 // free list, or the pool's FIFO
+	next        int32 // free list, the pool's FIFO, or the link's
 	// left counts a parallel node's running children; for a sequential
 	// node it is the index of the running child.
 	left   int32
 	repeat int32 // executions still to issue after this one
 	flags  uint8
+	hop    uint8    // on a link: the op its arrival fires
 	start  sim.Time // when the call was issued: span start, request start at a root
 	enq    sim.Time // when it reached the pool
 	svc    time.Duration
+	// On a link: when the hop arrives, and the sequence number it fires
+	// under — the one a Post at send time would have taken.
+	at  sim.Time
+	seq uint64
 	// trace is the exported trace (0: no spans), span this execution's
 	// span (0: none) under parent span up; the children's spans hang
 	// under down, which is span or else up.
@@ -548,6 +579,10 @@ type stream struct {
 	seq            uint64
 	class, cluster int32
 }
+
+// link is the FIFO of one ordered cluster pair's hops in flight, threaded
+// through frame.next: head is the oldest, the only one in the schedule.
+type link struct{ head, tail int32 }
 
 const frameChunk = 256
 
@@ -596,7 +631,56 @@ func (sr *shardRun) fire(k *sim.Kernel, ev sim.Event) {
 		i, f := sr.newFrame()
 		*f = frame{node: ev.B, src: ev.C, dst: ev.D, parent: ev.A, ret: int32(sr.par.pl.shardOf[ev.C]), flags: ev.F, trace: ev.X, down: ev.Y}
 		sr.serve(k, i, f)
+	case opLink:
+		i, f := sr.land(k, ev.A)
+		sr.fire(k, sim.Event{Op: f.hop, A: i})
 	}
+}
+
+// hop sends frame i over the link from→to: after the pair's one-way delay
+// it fires op. The frame joins the link's FIFO under the sequence number
+// a Post would take now, and only the link's oldest hop is in the
+// schedule. The delay is constant per pair, so hops on a link arrive in
+// the order they were sent, and each fires exactly where its Post would
+// have: the arrival-feed argument (DESIGN.md "Arrival feed and the
+// tie-break") for a stream that grows as it runs.
+//
+//slate:hot
+func (sr *shardRun) hop(k *sim.Kernel, i int32, f *frame, from, to int32, op uint8) {
+	pl := sr.par.pl
+	l := int(from)*pl.nC + int(to)
+	f.at, f.seq = k.Now()+sim.Time(pl.oneWay[l]), k.Reserve(1)
+	f.hop, f.next = op, -1
+	ln := &sr.links[l]
+	if ln.tail < 0 {
+		ln.head = i
+		k.PostReserved(f.at, f.seq, sim.Event{Op: opLink, A: int32(l)})
+	} else {
+		t := sr.frame(ln.tail)
+		if f.at < t.at {
+			panic(fmt.Sprintf("simrun: hop on link %v→%v arrives at %v, before the link's last hop at %v",
+				pl.ids[from], pl.ids[to], f.at, t.at))
+		}
+		t.next = i
+	}
+	ln.tail = i
+}
+
+// land takes the oldest hop off link l and schedules the next one under
+// its reserved number.
+//
+//slate:hot
+func (sr *shardRun) land(k *sim.Kernel, l int32) (int32, *frame) {
+	ln := &sr.links[l]
+	i := ln.head
+	f := sr.frame(i)
+	if ln.head = f.next; ln.head < 0 {
+		ln.tail = -1
+	} else {
+		n := sr.frame(ln.head)
+		k.PostReserved(n.at, n.seq, sim.Event{Op: opLink, A: l})
+	}
+	return i, f
 }
 
 // mint returns the sequence's next trace or span ID: non-zero (zero parent
@@ -688,7 +772,7 @@ func (sr *shardRun) issue(k *sim.Kernel, i int32, f *frame) {
 		// so no cross-shard traffic is needed even for a remote target.
 		f.flags |= fFailed
 		p.mPartition.Inc()
-		k.Post(at, sim.Event{Op: opReturn, A: i})
+		sr.hop(k, i, f, f.src, dst, opReturn)
 		return
 	}
 	sr.egress(f, f.src, dst, nd.cn.Work.RequestBytes)
@@ -697,7 +781,7 @@ func (sr *shardRun) issue(k *sim.Kernel, i int32, f *frame) {
 		sr.sh.Send(to, at, sim.Event{Op: opCall, A: i, B: f.node, C: f.src, D: dst,
 			F: f.flags & fMeasure, X: f.trace, Y: f.down})
 	case at > now:
-		k.Post(at, sim.Event{Op: opServe, A: i})
+		sr.hop(k, i, f, f.src, dst, opServe)
 	default:
 		sr.serve(k, i, f)
 	}
@@ -794,11 +878,11 @@ func (sr *shardRun) respond(k *sim.Kernel, i int32, f *frame) {
 	}
 	pl := sr.par.pl
 	sr.egress(f, f.dst, f.src, pl.nodes[f.node].cn.Work.ResponseBytes)
-	at := k.Now() + sim.Time(pl.oneWay[int(f.dst)*pl.nC+int(f.src)])
 	if f.ret < 0 {
-		k.Post(at, sim.Event{Op: opReturn, A: i})
+		sr.hop(k, i, f, f.dst, f.src, opReturn)
 		return
 	}
+	at := k.Now() + sim.Time(pl.oneWay[int(f.dst)*pl.nC+int(f.src)])
 	sr.sh.Send(int(f.ret), at, sim.Event{Op: opReturn, A: f.parent, F: f.flags & fFailed})
 	f.next, sr.free = sr.free, i // recycle the serving half
 }
@@ -914,12 +998,27 @@ func (p *parRun) exportSpans() {
 	}
 }
 
+// quantileOfSorted is telemetry.QuantileOf on samples already sorted:
+// the sample of rank ⌈q·n⌉, for 0 < q < 1.
+func quantileOfSorted(sorted []time.Duration, q float64) time.Duration {
+	return sorted[max(int(math.Ceil(q*float64(len(sorted))))-1, 0)]
+}
+
 // finalize merges per-shard state into the result in fixed shard order,
 // so the merged output is as deterministic as the shards themselves.
 func (p *parRun) finalize() {
 	res := p.res
 	res.MeasuredWindow = p.scn.Duration - p.scn.Warmup
-	var all []time.Duration
+	// Every sample is copied once, into all, class after class. Each
+	// class's run of all is sorted to read its quantiles (cr.Samples keeps
+	// completion order), then all is sorted whole.
+	n := 0
+	for _, sr := range p.shards {
+		for _, s := range sr.samples {
+			n += len(s)
+		}
+	}
+	all := make([]time.Duration, 0, n)
 	for ci, cl := range p.scn.App.Classes {
 		cr := &ClassResult{Class: cl.Name}
 		res.PerClass[cl.Name] = cr
@@ -927,13 +1026,15 @@ func (p *parRun) finalize() {
 			cr.Samples = append(cr.Samples, sr.samples[ci]...)
 		}
 		cr.Completed = uint64(len(cr.Samples))
+		lo := len(all)
+		all = append(all, cr.Samples...)
 		if len(cr.Samples) > 0 {
 			cr.Mean = telemetry.MeanOf(cr.Samples)
-			cr.P50 = telemetry.QuantileOf(cr.Samples, 0.50)
-			cr.P99 = telemetry.QuantileOf(cr.Samples, 0.99)
+			sorted := all[lo:]
+			slices.Sort(sorted)
+			cr.P50, cr.P99 = quantileOfSorted(sorted, 0.50), quantileOfSorted(sorted, 0.99)
 		}
 		res.Completed += cr.Completed
-		all = append(all, cr.Samples...)
 	}
 	var totalCalls, remoteCalls uint64
 	for _, sr := range p.shards {
@@ -951,8 +1052,8 @@ func (p *parRun) finalize() {
 	}
 	if len(all) > 0 {
 		res.Mean = telemetry.MeanOf(all)
-		res.P50 = telemetry.QuantileOf(all, 0.50)
-		res.P99 = telemetry.QuantileOf(all, 0.99)
+		slices.Sort(all)
+		res.P50, res.P99 = quantileOfSorted(all, 0.50), quantileOfSorted(all, 0.99)
 	}
 	if totalCalls > 0 {
 		res.RemoteFraction = float64(remoteCalls) / float64(totalCalls)
@@ -986,4 +1087,7 @@ func (p *parRun) finalize() {
 	ps.Windows = p.g.Windows()
 	ps.Messages = p.g.MessagesSent()
 	ps.Events = p.g.EventsProcessed()
+	if c := p.g.CriticalPathEvents(); c > 0 {
+		ps.CriticalPath = float64(ps.Events) / float64(c)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -469,6 +470,9 @@ func TestParallelControlLoopConverges(t *testing.T) {
 	if res.Parallel.Windows == 0 {
 		t.Fatal("no synchronization windows ran")
 	}
+	if cp := res.Parallel.CriticalPath; cp < 1 || cp > 4 {
+		t.Fatalf("4-shard critical-path bound %v, want within [1, 4]", cp)
+	}
 }
 
 // TestOneShardOneWindowPerBarrier: with no cluster pair across a shard
@@ -494,5 +498,60 @@ func TestOneShardOneWindowPerBarrier(t *testing.T) {
 	}
 	if ps.Events == 0 || len(res.Timeline) < 10 {
 		t.Fatalf("run did no work: %d events, %d timeline points", ps.Events, len(res.Timeline))
+	}
+	if ps.CriticalPath != 1 { //slate:nolint floatcmp -- a count divided by itself is exactly 1
+		t.Fatalf("one-shard critical-path bound %v, want exactly 1", ps.CriticalPath)
+	}
+}
+
+// TestLinksDrain: after a run every link is empty and every frame is back
+// on the free list, at one shard and four, with partition fast-failures
+// riding the links beside calls and responses.
+func TestLinksDrain(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		scn, pol := fourClusterScenario(13)
+		scn.Duration = 6 * time.Second
+		scn.ControlPeriod = time.Second
+		scn.Faults = fault.NewSchedule().Partition("a", "b", 2*time.Second, 2*time.Second)
+		p, err := newParRun(scn, pol, ParallelOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.run()
+		if p.res.Failed == 0 || p.res.Completed == 0 {
+			t.Fatalf("%d shards: %d completed, %d failed; want both", shards, p.res.Completed, p.res.Failed)
+		}
+		for _, sr := range p.shards {
+			for l, ln := range sr.links {
+				if ln.head >= 0 || ln.tail >= 0 {
+					t.Errorf("%d shards: shard %d link %d still holds hops %d..%d", shards, sr.id, l, ln.head, ln.tail)
+				}
+			}
+			free := 0
+			for i := sr.free; i >= 0; i = sr.frame(i).next {
+				free++
+			}
+			if want := len(sr.frames) * frameChunk; free != want {
+				t.Errorf("%d shards: shard %d has %d of %d frames free", shards, sr.id, free, want)
+			}
+		}
+	}
+}
+
+// TestQuantileOfSortedMatchesQuantileOf: finalize's quantiles over a
+// sorted copy use telemetry.QuantileOf's rank rule.
+func TestQuantileOfSortedMatchesQuantileOf(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for n := 1; n <= 300; n += 7 {
+		s := make([]time.Duration, n)
+		for i := range s {
+			s[i] = time.Duration(rng.Intn(50))
+		}
+		sorted := slices.Sorted(slices.Values(s))
+		for _, q := range []float64{0.01, 0.5, 0.99} {
+			if got, want := quantileOfSorted(sorted, q), telemetry.QuantileOf(s, q); got != want {
+				t.Fatalf("n=%d q=%v: %v, QuantileOf %v", n, q, got, want)
+			}
+		}
 	}
 }

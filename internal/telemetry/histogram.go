@@ -10,7 +10,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -19,14 +20,86 @@ import (
 // relative quantile error. The zero value is not usable; construct with
 // NewHistogram. Not safe for concurrent use; callers own locking.
 type Histogram struct {
+	*shape
+	counts  []uint64
+	n       uint64
+	sum     time.Duration
+	maxSeen time.Duration
+	minSeen time.Duration
+}
+
+// shape is a bucket layout: immutable once built, so every histogram made
+// from it shares it, across goroutines included.
+type shape struct {
 	min, max time.Duration
 	growth   float64
 	bounds   []time.Duration // upper bound of each bucket
-	counts   []uint64
-	n        uint64
-	sum      time.Duration
-	maxSeen  time.Duration
-	minSeen  time.Duration
+	// first[bucketKey(d)] is the first bucket whose bound can reach a
+	// value with d's key: the search for d starts there.
+	first []int32
+}
+
+// keyBits is how many bits below the leading one a bucket key keeps: a
+// key spans at most 1/16 of its value, so with growth 1.05 the search
+// from first[key] steps past at most two bounds.
+const keyBits = 4
+
+// bucketKey orders durations coarsely: values below 2^(keyBits+1) are
+// their own key, larger ones the position of their leading one and the
+// keyBits bits after it. It is monotone in d, and integer-only, so no
+// float rounding can misplace a value.
+func bucketKey(d time.Duration) int {
+	u := uint64(d)
+	if u < 2<<keyBits {
+		return int(u)
+	}
+	e := bits.Len64(u) - keyBits - 1
+	return e<<keyBits + int(u>>e)
+}
+
+// keyFloor is the smallest duration with bucket key k.
+func keyFloor(k int) time.Duration {
+	if k < 2<<keyBits {
+		return time.Duration(k)
+	}
+	e := k>>keyBits - 1
+	return time.Duration(k-e<<keyBits) << e
+}
+
+// newShape lays out buckets over [min, max] growing by growth.
+func newShape(min, max time.Duration, growth float64) (*shape, error) {
+	if min <= 0 || max <= min {
+		return nil, fmt.Errorf("telemetry: invalid histogram range [%v, %v]", min, max)
+	}
+	if growth <= 1 {
+		return nil, fmt.Errorf("telemetry: growth factor must exceed 1, got %v", growth)
+	}
+	s := &shape{min: min, max: max, growth: growth}
+	for b := float64(min); b < float64(max); b *= growth {
+		s.bounds = append(s.bounds, time.Duration(b))
+	}
+	s.bounds = append(s.bounds, max)
+	s.first = make([]int32, bucketKey(math.MaxInt64)+1)
+	i := 0
+	for k := range s.first {
+		for lo := keyFloor(k); i < len(s.bounds) && s.bounds[i] < lo; {
+			i++
+		}
+		s.first[k] = int32(i)
+	}
+	return s, nil
+}
+
+// index returns the first bucket whose bound is >= d, len(bounds) (the
+// overflow bucket) if none: sort.Search over bounds, in O(1).
+//
+//slate:hot
+func (s *shape) index(d time.Duration) int {
+	i := int(s.first[bucketKey(d)])
+	for i < len(s.bounds) && s.bounds[i] < d {
+		i++
+	}
+	return i
 }
 
 // NewHistogram returns a histogram covering [min, max] with bucket
@@ -34,30 +107,30 @@ type Histogram struct {
 // are clamped into the edge buckets. A growth of 1.05 yields ~5%
 // relative quantile error.
 func NewHistogram(min, max time.Duration, growth float64) (*Histogram, error) {
-	if min <= 0 || max <= min {
-		return nil, fmt.Errorf("telemetry: invalid histogram range [%v, %v]", min, max)
+	s, err := newShape(min, max, growth)
+	if err != nil {
+		return nil, err
 	}
-	if growth <= 1 {
-		return nil, fmt.Errorf("telemetry: growth factor must exceed 1, got %v", growth)
-	}
-	h := &Histogram{min: min, max: max, growth: growth, minSeen: math.MaxInt64}
-	for b := float64(min); b < float64(max); b *= growth {
-		h.bounds = append(h.bounds, time.Duration(b))
-	}
-	h.bounds = append(h.bounds, max)
-	h.counts = make([]uint64, len(h.bounds)+1) // +1 overflow bucket
-	return h, nil
+	return newHistogram(s), nil
 }
 
-// DefaultHistogram covers 10µs to 100s with ~5% resolution — suitable
-// for request latencies.
-func DefaultHistogram() *Histogram {
-	h, err := NewHistogram(10*time.Microsecond, 100*time.Second, 1.05)
+// newHistogram returns an empty histogram over layout s.
+func newHistogram(s *shape) *Histogram {
+	return &Histogram{shape: s, counts: make([]uint64, len(s.bounds)+1), minSeen: math.MaxInt64} // +1 overflow bucket
+}
+
+// defaultShape is DefaultHistogram's layout, built once.
+var defaultShape = func() *shape {
+	s, err := newShape(10*time.Microsecond, 100*time.Second, 1.05)
 	if err != nil {
 		panic(err)
 	}
-	return h
-}
+	return s
+}()
+
+// DefaultHistogram covers 10µs to 100s with ~5% resolution — suitable
+// for request latencies. Every default histogram shares one layout.
+func DefaultHistogram() *Histogram { return newHistogram(defaultShape) }
 
 // Record adds one observation.
 //
@@ -66,8 +139,7 @@ func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	idx := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= d })
-	h.counts[idx]++
+	h.counts[h.index(d)]++
 	h.n++
 	h.sum += d
 	if d > h.maxSeen {
@@ -206,8 +278,8 @@ func CDFOf(samples []time.Duration) []CDFPoint {
 	if len(samples) == 0 {
 		return nil
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(samples)
+	slices.Sort(s)
 	out := make([]CDFPoint, 0, len(s))
 	n := float64(len(s))
 	for i, v := range s {
@@ -225,8 +297,8 @@ func QuantileOf(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(samples)
+	slices.Sort(s)
 	if q <= 0 {
 		return s[0]
 	}
