@@ -262,10 +262,17 @@ func (c *Cluster) handleGetRules(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics accepts telemetry pushed by out-of-process proxies (the
 // standalone slate-cluster daemon path; in-process proxies are pulled
-// via AddProxy instead).
+// via AddProxy instead). A push carrying a negative rate gets 400, the
+// global's rule: buffered, it would make the cluster's next report one
+// the global refuses, and every service of the cluster would lose the
+// window.
 func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var stats []telemetry.WindowStats
-	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
+	err := decodeBody(r, &stats)
+	if err == nil {
+		err = checkRates(stats)
+	}
+	if err != nil {
 		c.mIngestErrs.Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -348,7 +355,7 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // decided under one c.mu hold, so no lease grant can slip between them.
 func (c *Cluster) handlePatch(w http.ResponseWriter, r *http.Request) {
 	var p routing.Patch
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+	if err := decodeBody(r, &p); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -617,6 +624,16 @@ func (c *Cluster) Run(ctx context.Context, period time.Duration) {
 			return
 		}
 	}
+}
+
+// decodeBody decodes a request body that must hold exactly one JSON
+// value: unlike json.Decoder.Decode, it refuses anything after the value.
+func decodeBody(r *http.Request, v any) error {
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
 
 // postJSON posts body to url under ctx and drains the response,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,7 +37,10 @@ func fuzzGlobal(f *testing.F) (*Global, http.Handler) {
 // seed cluster, so a delta body finds a base at epoch 7 and the delta
 // fold is reachable; after every 202 the reported cluster's
 // reconstructed window must have unique keys in lessMetricKey order and
-// equal the map-based reference fold of the same two reports.
+// equal the map-based reference fold of the same two reports. Both
+// directions are held to json.Unmarshal: a 202 body decodes there, and a
+// body that decodes there into a report naming a cluster, with no
+// negative rate, and either full or the base's next delta, gets 202.
 func FuzzHandleMetrics(f *testing.F) {
 	g, h := fuzzGlobal(f)
 	base := MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 7, Stats: append(feStats(900, 100),
@@ -73,10 +77,20 @@ func FuzzHandleMetrics(f *testing.F) {
 		if code != http.StatusAccepted && code != http.StatusBadRequest && code != http.StatusConflict {
 			t.Fatalf("POST /v1/metrics(%q) = %d, want 202, 400, or 409", body, code)
 		}
+		var rep MetricsReport
+		decodeErr := json.Unmarshal(body, &rep)
+		// The other direction: a body encoding/json decodes into an
+		// acceptable report must be accepted, so a decoder stricter than
+		// encoding/json fails here.
+		acceptable := decodeErr == nil && rep.Cluster != "" &&
+			!slices.ContainsFunc(rep.Stats, func(ws telemetry.WindowStats) bool { return ws.RPS < 0 }) &&
+			(!rep.Delta || rep.Cluster == base.Cluster && rep.Epoch == base.Epoch+1)
+		if acceptable && code != http.StatusAccepted {
+			t.Fatalf("POST /v1/metrics(%q) = %d, but encoding/json decodes an acceptable report", body, code)
+		}
 		if code == http.StatusAccepted {
-			var rep MetricsReport
-			if err := json.Unmarshal(body, &rep); err != nil {
-				t.Fatalf("POST /v1/metrics(%q) = 202 but the body does not decode: %v", body, err)
+			if decodeErr != nil {
+				t.Fatalf("POST /v1/metrics(%q) = 202 but the body does not decode: %v", body, decodeErr)
 			}
 			ref := newRefGlobal()
 			ref.handle(stripeIndex(g, base.Cluster), base)
@@ -125,6 +139,7 @@ func FuzzHandlePatch(f *testing.F) {
 		f.Add(valid)
 	}
 	f.Add([]byte(`{"from_version":9,"version":10}`))
+	f.Add([]byte(`{"from_version":3,"version":4} trailing garbage`))
 	f.Add([]byte(`{"from_version":3,"version":4,"set":[{"service":"s","class":"*","cluster":"west","weights":{"west":-1}}]}`))
 	f.Add([]byte(`{"version":9,"full":true,"set":[{"weights":{"x":1e308,"y":1e308}}]}`))
 	f.Add([]byte(`[1,2,3]`))

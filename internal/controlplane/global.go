@@ -136,6 +136,7 @@ type Global struct {
 
 	ingest          [ingestStripes]ingestStripe
 	pendingClusters atomic.Int64 // clusters reported since the last tick
+	names           internTable  // key strings of decoded reports
 
 	// Replication state (EnableHA; see ha.go). Guarded by mu.
 	haEnabled    bool
@@ -301,7 +302,7 @@ func (g *Global) Handler() http.Handler {
 
 func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -329,15 +330,13 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var rep MetricsReport
 	_, err := body.ReadFrom(r.Body)
 	if err == nil {
-		err = json.Unmarshal(body.Bytes(), &rep)
+		err = decodeReport(body.Bytes(), &rep, &g.names)
 	}
 	if err == nil && rep.Cluster == "" {
 		err = errors.New("report names no cluster")
 	}
-	for i := 0; err == nil && i < len(rep.Stats); i++ {
-		if rep.Stats[i].RPS < 0 {
-			err = fmt.Errorf("negative rps for %v", rep.Stats[i].Key)
-		}
+	if err == nil {
+		err = checkRates(rep.Stats)
 	}
 	if err != nil {
 		g.mReportErrs.Inc()
@@ -387,6 +386,17 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.mReports.Inc()
 	g.noteClusterLoad(lastRPS, curRPS)
 	w.WriteHeader(http.StatusAccepted)
+}
+
+// checkRates refuses stats carrying a negative rate, which as demand
+// would fail every tick until the cluster reported again.
+func checkRates(stats []telemetry.WindowStats) error {
+	for i := range stats {
+		if stats[i].RPS < 0 {
+			return fmt.Errorf("negative rps for %v", stats[i].Key)
+		}
+	}
+	return nil
 }
 
 // sortWindow puts reported stats into telemetry.Sorted shape in place:

@@ -62,7 +62,7 @@ type LeaseResponse struct {
 // the current lease has lapsed. Every grant fences pubEpoch forward.
 func (c *Cluster) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
