@@ -42,8 +42,11 @@ type OptimizerStats struct {
 	// WarmSolves counts solves that installed the previous basis and
 	// skipped phase 1.
 	WarmSolves uint64
-	// ColdSolves counts solves from scratch (first tick or basis gone
-	// stale).
+	// DualRepairs counts the warm solves whose basis the new demand had
+	// left infeasible and dual simplex pivots repaired.
+	DualRepairs uint64
+	// ColdSolves counts solves from scratch (first tick, a basis that no
+	// longer installs, or one that moved costs left beyond repair).
 	ColdSolves uint64
 	// Shards is the number of independent subproblems the app is
 	// partitioned into (1 when not decomposed).
@@ -102,6 +105,9 @@ func (o *Optimizer) solve(solver *lp.Solver, demand Demand, profiles Profiles, v
 	}
 	if sol.Warm {
 		o.stats.WarmSolves++
+		if sol.DualPivots > 0 {
+			o.stats.DualRepairs++
+		}
 	} else {
 		o.stats.ColdSolves++
 	}

@@ -110,6 +110,51 @@ func TestOptimizerMatchesStatelessAcrossDemandDrift(t *testing.T) {
 	}
 }
 
+// TestDualRepairMatchesStatelessAcrossDemandSwings swings demand the way
+// the benchmark's churn does — alternate clusters ×1.15 and ×0.9, the
+// parity flipping every tick — which routinely leaves the previous basis
+// primal infeasible. Only demand moves, so the basis stays dual feasible
+// and every tick after the first must be served warm, through dual
+// simplex repairs where needed, and match a stateless cold solve.
+func TestDualRepairMatchesStatelessAcrossDemandSwings(t *testing.T) {
+	top, app := gcpScenario()
+	base := gcpDemand(1000, 100, 1000, 100)
+	profs := DefaultProfiles(app, top, base)
+	opt := NewOptimizer(top, app, Config{})
+	ids := top.ClusterIDs()
+	for tick := 0; tick < 12; tick++ {
+		demand := Demand{"default": {}}
+		for i, c := range ids {
+			f := 0.9
+			if (i+tick)%2 == 0 {
+				f = 1.15
+			}
+			demand["default"][c] = base["default"][c] * f
+		}
+		warm, err := opt.Optimize(demand, profs, uint64(tick+1))
+		if err != nil {
+			t.Fatalf("tick %d: optimizer: %v", tick, err)
+		}
+		prob := &Problem{Top: top, App: app, Demand: demand, Profiles: profs, Config: Config{}}
+		cold, err := prob.Optimize(uint64(tick + 1))
+		if err != nil {
+			t.Fatalf("tick %d: stateless: %v", tick, err)
+		}
+		if !within(warm.Objective, cold.Objective) {
+			t.Fatalf("tick %d: objective %v (optimizer) vs %v (stateless)", tick, warm.Objective, cold.Objective)
+		}
+		for i := range cold.Loads {
+			if warm.Loads[i].Key != cold.Loads[i].Key || !within(warm.Loads[i].StdRPS, cold.Loads[i].StdRPS) {
+				t.Fatalf("tick %d: pool %v load %v vs %v %v", tick, warm.Loads[i].Key, warm.Loads[i].StdRPS, cold.Loads[i].Key, cold.Loads[i].StdRPS)
+			}
+		}
+	}
+	st := opt.Stats()
+	if st.ColdSolves != 1 || st.WarmSolves != 11 || st.DualRepairs == 0 {
+		t.Fatalf("%d cold, %d warm, %d repaired: want 1 cold set-up, 11 warm ticks, some of them repaired", st.ColdSolves, st.WarmSolves, st.DualRepairs)
+	}
+}
+
 // TestOptimizerTracksProfileRefit refits profiles between ticks (new
 // server counts and reference service times) and checks the cached
 // formulation picks the changes up — segment slopes, widths, and load

@@ -261,6 +261,7 @@ func (s *ShardedOptimizer) Stats() OptimizerStats {
 		st := sh.opt.Stats()
 		out.Builds += st.Builds
 		out.WarmSolves += st.WarmSolves
+		out.DualRepairs += st.DualRepairs
 		out.ColdSolves += st.ColdSolves
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
@@ -111,4 +112,62 @@ func TestProxyDegradationLevelTransitions(t *testing.T) {
 	if got := p.DegradationLevel(); got != 0 {
 		t.Fatalf("after MarkRulesFresh: DegradationLevel = %d, want 0", got)
 	}
+}
+
+// TestRulesAgeIgnoresWallClockSteps steps the wall clock an hour either
+// way, as NTP may, two seconds after the rules arrived. The rules stay
+// two seconds old: neither stale past the 10-second TTL nor refreshed.
+func TestRulesAgeIgnoresWallClockSteps(t *testing.T) {
+	start := time.Now()
+	now := start
+	p, err := New(Config{
+		Service:    "svc-a",
+		Cluster:    topology.West,
+		LocalApp:   "http://127.0.0.1:0",
+		Resolver:   newRegistry(),
+		Seed:       1,
+		StaleAfter: 10 * time.Second,
+		Now:        func() time.Time { return now },
+		Metrics:    obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetTable(routing.NewTable(1, nil))
+	for _, step := range []time.Duration{time.Hour, -time.Hour} {
+		now = wallStepped(t, start.Add(2*time.Second), step)
+		if age := p.RulesAge(); age != 2*time.Second {
+			t.Fatalf("wall clock stepped %v: rules age %v, want 2s", step, age)
+		}
+		if p.RulesStale() || p.DegradationLevel() != 0 {
+			t.Fatalf("wall clock stepped %v: stale %v, level %d; want fresh rules", step, p.RulesStale(), p.DegradationLevel())
+		}
+	}
+}
+
+// wallStepped returns at, which must carry a monotonic clock reading,
+// with its wall clock moved by step (whole seconds) and its monotonic
+// reading kept: what time.Now returns after an NTP step. The time
+// package has no API for that, so this writes the seconds field of its
+// internal encoding, unchanged since Go 1.9 (wall: the hasMonotonic bit,
+// 33 bits of seconds since 1885, 30 bits of nanoseconds), and checks the
+// result before use.
+func wallStepped(t *testing.T, at time.Time, step time.Duration) time.Time {
+	t.Helper()
+	type layout struct {
+		wall uint64
+		ext  int64
+		loc  *time.Location
+	}
+	const hasMonotonic, nsecShift = 1 << 63, 30
+	l := *(*layout)(unsafe.Pointer(&at))
+	if l.wall&hasMonotonic == 0 {
+		t.Fatal("wallStepped needs a time with a monotonic reading")
+	}
+	l.wall += uint64(int64(step/time.Second)) << nsecShift
+	out := *(*time.Time)(unsafe.Pointer(&l))
+	if out.Sub(at) != 0 || out.Round(0).Sub(at.Round(0)) != step {
+		t.Fatalf("time.Time encoding changed: stepped %v to %v (monotonic %v, wall %v)", at, out, out.Sub(at), out.Round(0).Sub(at.Round(0)))
+	}
+	return out
 }

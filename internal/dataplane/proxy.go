@@ -123,7 +123,8 @@ type Proxy struct {
 
 	staleAfter time.Duration
 	now        func() time.Time
-	lastFresh  atomic.Int64 // unix nanos of the last rule confirmation
+	born       time.Time    // now() at New: rule ages are offsets from it
+	lastFresh  atomic.Int64 // born to the last rule confirmation, in nanoseconds
 	degraded   atomic.Uint64
 
 	mu  sync.Mutex
@@ -182,9 +183,9 @@ func New(cfg Config) (*Proxy, error) {
 		interned:   map[string]string{},
 		staleAfter: cfg.StaleAfter,
 		now:        now,
+		born:       now(),
 	}
 	p.table.Store(routing.EmptyTable())
-	p.lastFresh.Store(now().UnixNano())
 
 	reg := cfg.Metrics
 	if reg == nil {
@@ -267,13 +268,15 @@ func (p *Proxy) ApplyPatch(patch *routing.Patch) error {
 // unchanged version — freshness means "the controller answered", not
 // "the rules changed").
 func (p *Proxy) MarkRulesFresh() {
-	p.lastFresh.Store(p.now().UnixNano())
+	p.lastFresh.Store(int64(p.now().Sub(p.born)))
 }
 
 // RulesAge returns how long ago the control plane last confirmed the
-// routing table.
+// routing table. Both ends are offsets from one reading taken at New, so
+// with time.Now they are monotonic: a wall-clock step neither ages nor
+// refreshes the rules.
 func (p *Proxy) RulesAge() time.Duration {
-	return p.now().Sub(time.Unix(0, p.lastFresh.Load()))
+	return p.now().Sub(p.born) - time.Duration(p.lastFresh.Load())
 }
 
 // RulesStale reports whether the staleness TTL has expired, i.e. the

@@ -8,9 +8,12 @@ import (
 
 // The dense reference: the solver as it stood at 4f7cfa2, before the
 // tableau went sparse, kept verbatim (types renamed, a pivot trace added)
-// for TestSparseMatchesDense to hold the live one against. It shares the
-// tolerances, flip, tieBreak, errUnbounded and the pivot budget with the
-// live code; everything that touches storage is its own.
+// for TestSparseMatchesDense to hold the live one against, and extended
+// since by one step the live solver took on: the dual simplex repair of a
+// warm basis the right-hand side left infeasible (finishWarm), written
+// for this tableau's storage. It shares the tolerances, flip, tieBreak,
+// errUnbounded and the pivot budget with the live code; everything that
+// touches storage is its own.
 
 // denseSolver owns the dense tableau's scratch: one flat rows × columns
 // array, cleared at the start of every solve.
@@ -41,14 +44,10 @@ func (s *denseSolver) Solve(m *Model) (*Solution, error) {
 }
 
 // SolveFrom minimizes the model starting from a previously optimal
-// basis (as recorded in Solution.Basis). When the basis still fits the
-// model's shape and remains primal-feasible under the current
-// right-hand side — the steady-state case for a control loop whose
-// demand drifts between ticks — phase 1 is skipped entirely and phase 2
-// re-optimizes in a handful of pivots. Otherwise SolveFrom transparently
-// falls back to a cold Solve; the only error callers see beyond Solve's
-// is ErrIterLimit, and only when both the warm and cold paths exceed the
-// pivot budget.
+// basis (as recorded in Solution.Basis), as Solver.SolveFrom does: phase
+// 2 from an installed basis the right-hand side left feasible, dual
+// simplex pivots first from one it did not, a cold Solve when neither
+// works out.
 //
 // A nil or empty basis is an explicit cold start.
 func (s *denseSolver) SolveFrom(m *Model, basis []int) (*Solution, error) {
@@ -60,16 +59,17 @@ func (s *denseSolver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 		return nil, err
 	}
 	if t.warmStart(basis) {
-		sol, err := t.finishPhase2(m)
-		if err == nil {
+		sol, err := t.finishWarm(m)
+		if sol != nil {
 			sol.Warm = true
 			return sol, nil
 		}
-		if !errors.Is(err, ErrIterLimit) {
+		if err != nil && !errors.Is(err, ErrIterLimit) {
 			return nil, err
 		}
-		// Warm pivots exhausted the budget (cycling from a bad start);
-		// the cold path may still converge.
+		// The installed basis could not be finished warm (see
+		// finishWarm), or warm pivots exhausted the budget (cycling from a
+		// bad start); the cold path may still converge.
 	}
 	t, err = s.newTableau(m)
 	if err != nil {
@@ -273,12 +273,12 @@ func (t *denseTableau) solve(m *Model) (*Solution, error) {
 		}
 		t.driveOutArtificials()
 	}
-	return t.finishPhase2(m)
+	t.priceOut()
+	return t.phase2(m)
 }
 
-// finishPhase2 prices out the phase-2 row for the current (feasible)
-// basis, runs phase-2 pivots, and extracts the solution.
-func (t *denseTableau) finishPhase2(m *Model) (*Solution, error) {
+// priceOut prices the phase-2 row out for the current basis.
+func (t *denseTableau) priceOut() {
 	objRow2 := t.rows
 	for i := 0; i < t.rows; i++ {
 		b := t.basis[i]
@@ -286,6 +286,107 @@ func (t *denseTableau) finishPhase2(m *Model) (*Solution, error) {
 			denseAddRow(t.a[objRow2], t.a[i], -c)
 		}
 	}
+}
+
+// finishWarm finishes a solve from an installed basis: straight to phase
+// 2 when it is primal feasible, through dual simplex pivots first when it
+// is not; a nil Solution sends the caller to a cold solve, as does a
+// basic artificial left above eps.
+func (t *denseTableau) finishWarm(m *Model) (*Solution, error) {
+	feasible := true
+	for i := 0; i < t.rows; i++ {
+		if t.a[i][t.cols] < -eps {
+			feasible = false // new rhs left the old basis infeasible
+		}
+	}
+	if !feasible {
+		t.priceOut()
+		pivots := t.dualRepair()
+		if pivots == 0 || !t.artificialsAtZero() {
+			return nil, nil
+		}
+		t.clampRHS()
+		sol, err := t.phase2(m)
+		if sol != nil {
+			sol.DualPivots = pivots
+		}
+		return sol, err
+	}
+	if !t.artificialsAtZero() {
+		return nil, nil
+	}
+	t.clampRHS()
+	t.priceOut()
+	return t.phase2(m)
+}
+
+// artificialsAtZero reports whether every basic artificial is at most
+// eps: one above it breaks a constraint phase 2 cannot restore.
+func (t *denseTableau) artificialsAtZero() bool {
+	for i := 0; i < t.rows; i++ {
+		if t.basis[i] >= t.artBase && t.a[i][t.cols] > eps {
+			return false
+		}
+	}
+	return true
+}
+
+// clampRHS zeroes the roundoff negatives left above −eps.
+func (t *denseTableau) clampRHS() {
+	for i := 0; i < t.rows; i++ {
+		if t.a[i][t.cols] < 0 {
+			t.a[i][t.cols] = 0 // clamp roundoff negatives
+		}
+	}
+}
+
+// dualRepair runs dual simplex pivots until no basic value is below −eps
+// and returns how many it made, or 0 when the phase-2 row is not dual
+// feasible, the leaving row has no entering column, or the budget runs
+// out. It leaves the most negative right-hand side (the lowest row among
+// equals) and enters the column that minimises max(d, 0)/−a over the
+// row's entries a < −pivotEps in non-artificial columns (the lowest
+// column among ratios eps apart).
+func (t *denseTableau) dualRepair() int {
+	obj := t.a[t.rows]
+	for j := 0; j < t.artBase; j++ {
+		if obj[j] < -eps {
+			return 0
+		}
+	}
+	maxIter := maxIterScale * (t.rows + t.cols + 10)
+	for iter := 0; ; iter++ {
+		leave, low := -1, -eps
+		for i := 0; i < t.rows; i++ {
+			if v := t.a[i][t.cols]; v < low {
+				leave, low = i, v
+			}
+		}
+		if leave < 0 {
+			return iter
+		}
+		if iter > maxIter {
+			return 0
+		}
+		enter, bestRatio := -1, math.Inf(1)
+		for j := 0; j < t.artBase; j++ {
+			if a := t.a[leave][j]; a < -pivotEps {
+				if ratio := max(obj[j], 0) / -a; ratio < bestRatio-eps {
+					enter, bestRatio = j, ratio
+				}
+			}
+		}
+		if enter < 0 {
+			return 0
+		}
+		t.pivot(leave, enter)
+	}
+}
+
+// phase2 runs phase-2 pivots from a primal-feasible basis whose phase-2
+// row is priced out, and extracts the solution.
+func (t *denseTableau) phase2(m *Model) (*Solution, error) {
+	objRow2 := t.rows
 	if err := t.iterate(objRow2, false); err != nil {
 		if err == errUnbounded {
 			return &Solution{Status: Unbounded}, nil
@@ -312,10 +413,9 @@ func (t *denseTableau) finishPhase2(m *Model) (*Solution, error) {
 
 // warmStart tries to install a previously optimal basis by pivoting each
 // row onto its assigned column. It reports false — leaving the caller to
-// re-solve cold — when the basis does not fit this tableau's shape, the
-// basis matrix is (near-)singular, or the basis is not primal-feasible
-// for the current right-hand side. On success the tableau is at a
-// primal-feasible vertex and phase 1 can be skipped entirely.
+// re-solve cold — when the basis does not fit this tableau's shape or the
+// basis matrix is (near-)singular. On success phase 1 can be skipped:
+// finishWarm takes the installed basis the rest of the way.
 func (t *denseTableau) warmStart(basis []int) bool {
 	if len(basis) != t.rows {
 		return false
@@ -371,15 +471,6 @@ func (t *denseTableau) warmStart(basis []int) bool {
 		}
 		t.pivot(best, col)
 		done[best] = true
-	}
-	for i := 0; i < t.rows; i++ {
-		rhs := t.a[i][t.cols]
-		if rhs < -eps {
-			return false // new rhs left the old basis infeasible
-		}
-		if rhs < 0 {
-			t.a[i][t.cols] = 0 // clamp roundoff negatives
-		}
 	}
 	return true
 }

@@ -11,7 +11,8 @@
 // pivoting keeps it so (a pivot row holds a dozen entries); the rows that
 // do fill in, most of them in a monolithic LP, switch to dense arrays. A
 // reusable Solver keeps its storage across solves and warm-starts from
-// the previous tick's basis (see Solver.SolveFrom).
+// the previous tick's basis, repairing it with dual simplex pivots when
+// demand left it infeasible (see Solver.SolveFrom).
 package lp
 
 import (
@@ -183,6 +184,10 @@ type Solution struct {
 	// Warm reports whether this solve installed a warm-started basis and
 	// skipped phase 1 (see Solver.SolveFrom).
 	Warm bool
+	// DualPivots counts the dual simplex pivots that repaired a warm
+	// basis the right-hand side had left infeasible; 0 when the basis
+	// needed none.
+	DualPivots int
 }
 
 // Value returns the solved value of v.

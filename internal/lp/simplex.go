@@ -69,10 +69,11 @@ type holder struct {
 // for operation: a pivot subtracts c·p from exactly the entries where the
 // dense one would have subtracted a nonzero product, an entry absent here
 // is a 0 there, and every order-dependent choice (leaving-row ties, the
-// warm start's pivot search) visits rows in ascending order as a dense
-// scan does, and the tournament picks the column the dense scan of the
-// reduced costs picks. TestSparseMatchesDense holds the two to the same
-// pivots and bit-equal Solutions.
+// warm start's pivot search, the dual repair's leaving row) visits rows
+// in ascending order as a dense scan does, the dual ratio test visits a
+// row's columns in ascending order, and the tournament picks the column
+// the dense scan of the reduced costs picks. TestSparseMatchesDense
+// holds the two to the same pivots and bit-equal Solutions.
 type tableau struct {
 	rows    int // constraint rows
 	cols    int // total columns excluding rhs
@@ -369,17 +370,155 @@ func (t *tableau) solve(m *Model) (*Solution, error) {
 		}
 		t.driveOutArtificials()
 	}
-	return t.finishPhase2(m)
+	t.priceOut()
+	return t.phase2(m)
 }
 
-// finishPhase2 prices out the phase-2 row for the current (feasible)
-// basis, runs phase-2 pivots, and extracts the solution.
-func (t *tableau) finishPhase2(m *Model) (*Solution, error) {
+// priceOut prices the phase-2 row out for the current basis.
+func (t *tableau) priceOut() {
 	for i := 0; i < t.rows; i++ {
 		if c := t.obj2[t.basis[i]]; c != 0 { //slate:nolint floatcmp -- pivot elimination skips exact zeros only
 			t.addRow(t.obj2, i, -c)
 		}
 	}
+}
+
+// finishWarm finishes a solve from an installed basis. A basis the
+// right-hand side left primal feasible goes straight to phase 2. One it
+// left infeasible is repaired by dual simplex pivots first, which needs
+// the priced phase-2 row to be dual feasible — true when only the
+// right-hand side moved since the basis was optimal. finishWarm returns
+// a nil Solution, and the caller solves cold, when the row is not dual
+// feasible, when some infeasible row has no entering column (the LP is
+// primal infeasible: a cold phase 1 says so) or when the repair runs out
+// of pivots — and also when a basic artificial holds a value above eps.
+func (t *tableau) finishWarm(m *Model) (*Solution, error) {
+	if t.primalFeasible() {
+		if !t.artificialsAtZero() {
+			return nil, nil
+		}
+		t.clampRHS()
+		t.priceOut()
+		return t.phase2(m)
+	}
+	t.priceOut()
+	pivots := t.dualRepair()
+	if pivots == 0 || !t.artificialsAtZero() {
+		return nil, nil
+	}
+	t.clampRHS()
+	sol, err := t.phase2(m)
+	if sol != nil {
+		sol.DualPivots = pivots
+	}
+	return sol, err
+}
+
+// primalFeasible reports whether no basic value is below −eps.
+func (t *tableau) primalFeasible() bool {
+	for _, v := range t.rhs[:t.rows] {
+		if v < -eps {
+			return false
+		}
+	}
+	return true
+}
+
+// artificialsAtZero reports whether every basic artificial is at most
+// eps. An optimal basis keeps an artificial only in a row the others
+// made redundant; one the new right-hand side moves off zero says the
+// rows no longer agree, and the point the basis names breaks a
+// constraint however phase 2 pivots. Phase 1 decides such a model.
+func (t *tableau) artificialsAtZero() bool {
+	for i, b := range t.basis {
+		if b >= t.artBase && t.rhs[i] > eps {
+			return false
+		}
+	}
+	return true
+}
+
+// clampRHS zeroes the roundoff negatives that primalFeasible let pass.
+func (t *tableau) clampRHS() {
+	for i, v := range t.rhs[:t.rows] {
+		if v < 0 {
+			t.rhs[i] = 0
+		}
+	}
+}
+
+// dualRepair runs dual simplex pivots on a basis whose phase-2 row is
+// priced out, until no basic value is below −eps, and returns how many
+// it made. It returns 0 — the basis is left half repaired, for a cold
+// solve to discard — when some non-artificial reduced cost is below
+// −eps, when the leaving row has no entering column, or when the pivot
+// budget runs out.
+//
+// The leaving row is the most negative right-hand side, the lowest row
+// among equals. The entering column is, among the non-artificial columns
+// whose entry a in that row is below −pivotEps, the one minimising the
+// ratio max(d, 0)/−a over its reduced cost d, the lowest column among
+// ratios eps apart: the pivot that keeps every reduced cost ≥ 0.
+func (t *tableau) dualRepair() int {
+	for _, d := range t.obj2[:t.artBase] {
+		if d < -eps {
+			return 0
+		}
+	}
+	maxIter := maxIterScale * (t.rows + t.cols + 10)
+	for iter := 0; ; iter++ {
+		leave, low := -1, -eps
+		for i, v := range t.rhs[:t.rows] {
+			if v < low {
+				leave, low = i, v
+			}
+		}
+		if leave < 0 {
+			return iter
+		}
+		if iter > maxIter {
+			return 0
+		}
+		enter := t.dualEntering(leave)
+		if enter < 0 {
+			return 0
+		}
+		t.pivot(leave, enter)
+	}
+}
+
+// dualEntering runs the dual ratio test over row r's entries in the
+// non-artificial columns, in ascending column order, read from the row's
+// own storage: a dual pivot costs what a primal one does.
+func (t *tableau) dualEntering(r int) int {
+	best, bestRatio := -1, math.Inf(1)
+	if off := t.wide[r]; off >= 0 {
+		for j, a := range t.flat[off : off+t.artBase] {
+			if a < -pivotEps {
+				if ratio := max(t.obj2[j], 0) / -a; ratio < bestRatio-eps {
+					best, bestRatio = j, ratio
+				}
+			}
+		}
+		return best
+	}
+	for _, e := range t.row[r] {
+		j := int(e.col)
+		if j >= t.artBase {
+			break
+		}
+		if e.val < -pivotEps {
+			if ratio := max(t.obj2[j], 0) / -e.val; ratio < bestRatio-eps {
+				best, bestRatio = j, ratio
+			}
+		}
+	}
+	return best
+}
+
+// phase2 runs phase-2 pivots from a primal-feasible basis whose phase-2
+// row is priced out, and extracts the solution.
+func (t *tableau) phase2(m *Model) (*Solution, error) {
 	if err := t.iterate(false); err != nil {
 		if err == errUnbounded {
 			return &Solution{Status: Unbounded}, nil
@@ -406,10 +545,9 @@ func (t *tableau) finishPhase2(m *Model) (*Solution, error) {
 
 // warmStart tries to install a previously optimal basis by pivoting each
 // row onto its assigned column. It reports false — leaving the caller to
-// re-solve cold — when the basis does not fit this tableau's shape, the
-// basis matrix is (near-)singular, or the basis is not primal-feasible
-// for the current right-hand side. On success the tableau is at a
-// primal-feasible vertex and phase 1 can be skipped entirely.
+// re-solve cold — when the basis does not fit this tableau's shape or the
+// basis matrix is (near-)singular. On success phase 1 can be skipped:
+// finishWarm takes the installed basis the rest of the way.
 func (t *tableau) warmStart(basis []int) bool {
 	if len(basis) != t.rows {
 		return false
@@ -469,15 +607,6 @@ func (t *tableau) warmStart(basis []int) bool {
 		}
 		t.pivot(best, col)
 		done[best] = true
-	}
-	for i := 0; i < t.rows; i++ {
-		rhs := t.rhs[i]
-		if rhs < -eps {
-			return false // new rhs left the old basis infeasible
-		}
-		if rhs < 0 {
-			t.rhs[i] = 0 // clamp roundoff negatives
-		}
 	}
 	return true
 }

@@ -34,13 +34,17 @@ func (s *Solver) Solve(m *Model) (*Solution, error) {
 
 // SolveFrom minimizes the model starting from a previously optimal
 // basis (as recorded in Solution.Basis). When the basis still fits the
-// model's shape and remains primal-feasible under the current
-// right-hand side — the steady-state case for a control loop whose
-// demand drifts between ticks — phase 1 is skipped entirely and phase 2
-// re-optimizes in a handful of pivots. Otherwise SolveFrom transparently
-// falls back to a cold Solve; the only error callers see beyond Solve's
-// is ErrIterLimit, and only when both the warm and cold paths exceed the
-// pivot budget.
+// model's shape, phase 1 is skipped. If it remains primal-feasible under
+// the current right-hand side — the steady-state case for a control loop
+// whose demand drifts between ticks — phase 2 re-optimizes in a handful
+// of pivots. If demand moved far enough that a basic value went
+// negative, but the objective did not move, the basis is still dual
+// feasible and a few dual simplex pivots repair it first
+// (Solution.DualPivots). Otherwise — a basis that does not install, an
+// objective that moved too, a right-hand side no basis satisfies —
+// SolveFrom transparently falls back to a cold Solve; the only error
+// callers see beyond Solve's is ErrIterLimit, and only when both the
+// warm and cold paths exceed the pivot budget.
 //
 // A nil or empty basis is an explicit cold start.
 func (s *Solver) SolveFrom(m *Model, basis []int) (*Solution, error) {
@@ -51,16 +55,17 @@ func (s *Solver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 		return nil, err
 	}
 	if s.t.warmStart(basis) {
-		sol, err := s.t.finishPhase2(m)
-		if err == nil {
+		sol, err := s.t.finishWarm(m)
+		if sol != nil {
 			sol.Warm = true
 			return sol, nil
 		}
-		if !errors.Is(err, ErrIterLimit) {
+		if err != nil && !errors.Is(err, ErrIterLimit) {
 			return nil, err
 		}
-		// Warm pivots exhausted the budget (cycling from a bad start);
-		// the cold path may still converge.
+		// The installed basis could not be finished warm (see
+		// finishWarm), or warm pivots exhausted the budget (cycling from a
+		// bad start); the cold path may still converge.
 	}
 	return s.Solve(m)
 }

@@ -14,13 +14,14 @@ import (
 // the two made the same pivots in the same order and returned bit-equal
 // Solutions (or the same error).
 type twin struct {
-	t      *testing.T
-	sparse *Solver
-	dense  *denseSolver
-	pivots int // pivots compared so far
-	warm   int // solves that installed their basis
-	fell   int // solves given a basis that fell back to a cold start
-	mixed  int // solves that ended with some rows wide and some narrow
+	t        *testing.T
+	sparse   *Solver
+	dense    *denseSolver
+	pivots   int // pivots compared so far
+	warm     int // solves that installed their basis and needed no repair
+	repaired int // solves whose installed basis dual pivots repaired
+	fell     int // solves given a basis that fell back to a cold start
+	mixed    int // solves that ended with some rows wide and some narrow
 }
 
 func newTwin(t *testing.T) *twin {
@@ -52,9 +53,10 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 	if err != nil {
 		return nil
 	}
-	if sol.Status != ref.Status || sol.Warm != ref.Warm || math.Float64bits(sol.Objective) != math.Float64bits(ref.Objective) {
-		w.t.Fatalf("%s: sparse (%v, warm %v, objective %v), dense (%v, warm %v, objective %v)",
-			label, sol.Status, sol.Warm, sol.Objective, ref.Status, ref.Warm, ref.Objective)
+	if sol.Status != ref.Status || sol.Warm != ref.Warm || sol.DualPivots != ref.DualPivots ||
+		math.Float64bits(sol.Objective) != math.Float64bits(ref.Objective) {
+		w.t.Fatalf("%s: sparse (%v, warm %v, %d dual pivots, objective %v), dense (%v, warm %v, %d dual pivots, objective %v)",
+			label, sol.Status, sol.Warm, sol.DualPivots, sol.Objective, ref.Status, ref.Warm, ref.DualPivots, ref.Objective)
 	}
 	if !slices.Equal(sol.Basis, ref.Basis) {
 		w.t.Fatalf("%s: sparse basis %v, dense %v", label, sol.Basis, ref.Basis)
@@ -69,6 +71,8 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 		}
 	}
 	switch {
+	case sol.DualPivots > 0:
+		w.repaired++
 	case sol.Warm:
 		w.warm++
 	case len(basis) > 0:
@@ -249,7 +253,9 @@ func sparseMatchesDense(t *testing.T) {
 			sol := w.solveFrom(fmt.Sprintf("trial %d cold", trial), m, nil)
 			for step := 0; step < 4; step++ {
 				// Small drift keeps the basis feasible; large drift leaves it
-				// infeasible, and SolveFrom must fall back to a cold start.
+				// infeasible, and SolveFrom repairs it with dual pivots or,
+				// when no vertex satisfies the new rhs, falls back to a cold
+				// start.
 				scale := 0.05
 				if (trial+step)%3 == 0 {
 					scale = 5
@@ -262,15 +268,40 @@ func sparseMatchesDense(t *testing.T) {
 				sol = w.solveFrom(fmt.Sprintf("trial %d step %d", trial, step), m, basis)
 			}
 		}
-		if w.warm == 0 || w.fell == 0 {
-			t.Fatalf("%d warm solves, %d cold fallbacks: the chains must take both paths", w.warm, w.fell)
+		t.Logf("%d pivots compared, %d warm solves, %d repaired, %d cold fallbacks", w.pivots, w.warm, w.repaired, w.fell)
+		if w.warm == 0 || w.repaired == 0 || w.fell == 0 {
+			t.Fatalf("%d warm solves, %d repaired, %d cold fallbacks: the chains must take all three paths", w.warm, w.repaired, w.fell)
+		}
+	})
+
+	// A moved objective leaves the installed basis without dual
+	// feasibility: a basis the new rhs also left infeasible cannot be
+	// repaired, and the solve falls back to a cold start.
+	t.Run("moved objective", func(t *testing.T) {
+		w.t = t
+		rng := rand.New(rand.NewSource(79))
+		fell := w.fell
+		for trial := 0; trial < 60; trial++ {
+			m := randomFeasibleLP(rng)
+			sol := w.solveFrom(fmt.Sprintf("objective %d cold", trial), m, nil)
+			if sol.Status != Optimal {
+				continue
+			}
+			for j := range m.vars {
+				m.SetObj(Var(j), rng.Float64()*4-2)
+			}
+			perturbRHS(t, m, rng, 5)
+			w.solveFrom(fmt.Sprintf("objective %d moved", trial), m, sol.Basis)
+		}
+		if w.fell == fell {
+			t.Fatal("no moved objective fell back to a cold start")
 		}
 	})
 
 	t.Run("routing-shaped chains", func(t *testing.T) {
 		w.t = t
 		rng := rand.New(rand.NewSource(59))
-		pivots, warm, fell := w.pivots, w.warm, w.fell
+		pivots, warm, repaired, fell := w.pivots, w.warm, w.repaired, w.fell
 		for trial := 0; trial < 40; trial++ {
 			r := randomRoutingLP(rng)
 			sol := w.solveFrom(fmt.Sprintf("routing %d cold", trial), r.m, nil)
@@ -283,9 +314,10 @@ func sparseMatchesDense(t *testing.T) {
 				sol = w.solveFrom(fmt.Sprintf("routing %d step %d", trial, step), r.m, basis)
 			}
 		}
-		t.Logf("%d pivots compared, %d warm solves, %d cold fallbacks", w.pivots-pivots, w.warm-warm, w.fell-fell)
-		if w.warm == warm || w.fell == fell {
-			t.Fatal("the chains must take both the warm path and the cold fallback")
+		t.Logf("%d pivots compared, %d warm solves, %d repaired, %d cold fallbacks",
+			w.pivots-pivots, w.warm-warm, w.repaired-repaired, w.fell-fell)
+		if w.warm == warm || w.repaired == repaired || w.fell == fell {
+			t.Fatal("the chains must take the warm path, the dual repair and the cold fallback")
 		}
 		if wideFrac > 1 && wideFrac < math.MaxInt && w.mixed == 0 {
 			t.Fatal("no solve ended with both wide and narrow rows")
@@ -552,48 +584,75 @@ func TestPricingMatchesScan(t *testing.T) {
 
 // TestWarmSolveAllocatesOnlySolution pins the steady state: once a Solver
 // has grown to a model, a warm re-solve allocates its Solution (the
-// struct, X and Basis) and nothing else.
+// struct, X and Basis) and nothing else — whether demand drifted little
+// enough for the installed basis to stay feasible or swung far enough
+// that dual pivots repair it.
 func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	r := randomRoutingLP(rng)
-	s := NewSolver()
-	base, err := s.Solve(r.m)
-	if err != nil || base.Status != Optimal {
-		t.Fatalf("base solve: %v, %+v", err, base)
-	}
-	// Alternate between two right-hand sides, each solved from the other's
-	// basis, so that every run installs a basis and then pivots.
-	var rhs [2][]float64
-	for _, con := range r.demands {
-		d := r.m.cons[con].rhs
-		rhs[0] = append(rhs[0], d*1.02)
-		rhs[1] = append(rhs[1], d*0.98)
-	}
-	run, pivots, cold := 0, 0, 0
-	s.t.trace = func(int, int) { pivots++ }
-	basis := base.Basis
-	solve := func() {
-		for n, con := range r.demands {
-			if err := r.m.SetRHS(con, rhs[run%2][n]); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name     string
+		seed     int64
+		up, down float64 // the two right-hand sides are d·up, d·down and back
+		repair   bool    // every run repairs its basis
+	}{
+		{"drift", 67, 1.02, 0.98, false},
+		{"swing", 65, 1.15, 0.9, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(c.seed))
+			r := randomRoutingLP(rng)
+			s := NewSolver()
+			base, err := s.Solve(r.m)
+			if err != nil || base.Status != Optimal {
+				t.Fatalf("base solve: %v, %+v", err, base)
 			}
-		}
-		run++
-		sol, err := s.SolveFrom(r.m, basis)
-		if err != nil || sol.Status != Optimal {
-			t.Fatalf("warm solve: %v, %+v", err, sol)
-		}
-		if !sol.Warm {
-			cold++
-		}
-		basis = sol.Basis
-	}
-	solve()
-	solve()
-	if allocs := testing.AllocsPerRun(20, solve); allocs != 3 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
-		t.Errorf("a warm solve on a grown Solver allocates %v times, want 3 (Solution, X, Basis)", allocs)
-	}
-	if pivots == 0 || cold != 0 {
-		t.Fatalf("%d pivots, %d cold solves over %d runs: the pin must measure warm solves that pivot", pivots, cold, run)
+			// Alternate between two right-hand sides, each solved from the
+			// other's basis, so that every run installs a basis and then
+			// pivots. The swing moves alternate demands opposite ways, as
+			// the benchmark's churn does.
+			var rhs [2][]float64
+			for n, con := range r.demands {
+				d := r.m.cons[con].rhs
+				up, down := c.up, c.down
+				if c.repair && n%2 == 1 {
+					up, down = down, up
+				}
+				rhs[0] = append(rhs[0], d*up)
+				rhs[1] = append(rhs[1], d*down)
+			}
+			run, pivots, cold, repaired := 0, 0, 0, 0
+			s.t.trace = func(int, int) { pivots++ }
+			basis := base.Basis
+			solve := func() {
+				for n, con := range r.demands {
+					if err := r.m.SetRHS(con, rhs[run%2][n]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run++
+				sol, err := s.SolveFrom(r.m, basis)
+				if err != nil || sol.Status != Optimal {
+					t.Fatalf("warm solve: %v, %+v", err, sol)
+				}
+				if !sol.Warm {
+					cold++
+				}
+				if sol.DualPivots > 0 {
+					repaired++
+				}
+				basis = sol.Basis
+			}
+			solve()
+			solve()
+			if allocs := testing.AllocsPerRun(20, solve); allocs != 3 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
+				t.Errorf("a warm solve on a grown Solver allocates %v times, want 3 (Solution, X, Basis)", allocs)
+			}
+			t.Logf("%d runs: %d pivots, %d repaired, %d cold", run, pivots, repaired, cold)
+			if pivots == 0 || cold != 0 {
+				t.Fatalf("%d pivots, %d cold solves over %d runs: the pin must measure warm solves that pivot", pivots, cold, run)
+			}
+			if c.repair && repaired != run || !c.repair && repaired != 0 {
+				t.Fatalf("%d of %d runs repaired their basis, want %v", repaired, run, c.repair)
+			}
+		})
 	}
 }
