@@ -80,3 +80,119 @@ func (s *state) goroutineEscapes() {
 		time.Sleep(time.Millisecond)
 	}()
 }
+
+func (s *state) rangeOverChannel(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for v := range ch { // want `s\.mu held across range over channel`
+		s.n += v
+	}
+	for _, v := range []int{1, 2} { // a slice range does not block
+		s.n += v
+	}
+}
+
+func (s *state) waitUnderLock(wg *sync.WaitGroup) {
+	s.rw.Lock()
+	wg.Wait() // want `s\.rw held across \(\*sync\.WaitGroup\)\.Wait`
+	s.rw.Unlock()
+}
+
+func (s *state) roundTripUnderLock(rt http.RoundTripper, req *http.Request) error {
+	s.mu.Lock()
+	resp, err := rt.RoundTrip(req) // want `s\.mu held across RoundTripper\.RoundTrip`
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
+}
+
+// lockInBodies takes the lock inside if, else, for, switch, type
+// switch, block and labeled bodies, and blocks before releasing it.
+func (s *state) lockInBodies(ok bool, v any, ch chan int) {
+	if ok {
+		s.mu.Lock()
+		time.Sleep(time.Millisecond) // want `s\.mu held across time\.Sleep`
+		s.mu.Unlock()
+	} else {
+		s.mu.Lock()
+		ch <- 1 // want `s\.mu held across channel send`
+		s.mu.Unlock()
+	}
+	for i := 0; i < s.n; i++ {
+		s.mu.Lock()
+		s.n += <-ch // want `s\.mu held across channel receive`
+		s.mu.Unlock()
+	}
+	switch s.n {
+	case 1:
+		s.mu.Lock()
+		var x = <-ch // want `s\.mu held across channel receive`
+		s.n = x
+		s.mu.Unlock()
+	}
+	switch v.(type) {
+	case int:
+		s.mu.Lock()
+		time.Sleep(time.Millisecond) // want `s\.mu held across time\.Sleep`
+		s.mu.Unlock()
+	}
+	{
+		s.mu.Lock()
+		ch <- 2 // want `s\.mu held across channel send`
+		s.mu.Unlock()
+	}
+loop:
+	for {
+		s.mu.Lock()
+		time.Sleep(time.Millisecond) // want `s\.mu held across time\.Sleep`
+		s.mu.Unlock()
+		break loop
+	}
+}
+
+// returnUnderLock blocks in the result expression, before the deferred
+// unlock runs.
+func (s *state) returnUnderLock(ch chan int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return <-ch // want `s\.mu held across channel receive`
+}
+
+func (s *state) release(int) {}
+
+func (s *state) work(int) {}
+
+// deferredBlocking: a deferred blocking call runs at return, outside the
+// walked order, so it is not flagged; its arguments evaluate now.
+func (s *state) deferredBlocking(wg *sync.WaitGroup, ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer wg.Wait()
+	defer time.Sleep(time.Millisecond)
+	defer s.release(<-ch) // want `s\.mu held across channel receive`
+}
+
+// goArguments: a go statement's arguments evaluate under the lock, its
+// call does not.
+func (s *state) goArguments(ch chan int) {
+	s.mu.Lock()
+	go s.work(<-ch) // want `s\.mu held across channel receive`
+	s.mu.Unlock()
+}
+
+// nestedLiteral: a literal gets its own tracker. It neither inherits the
+// lock held where it is created nor leaks its own lock to the caller.
+func (s *state) nestedLiteral(ch chan int) {
+	s.mu.Lock()
+	f := func() {
+		time.Sleep(time.Millisecond)
+		s.rw.Lock()
+		<-ch // want `s\.rw held across channel receive`
+		s.rw.Unlock()
+	}
+	s.mu.Unlock()
+	f()
+	<-ch
+}
