@@ -13,13 +13,15 @@
 //
 // # Adding an analyzer
 //
-// Write a `var myrule = &Analyzer{Name: ..., Doc: ..., Run: func(*Pass)}`
+// Write a `var Myrule = &Analyzer{Name: ..., Doc: ..., Run: func(*Pass)}`
 // in a new file, append it to All in registry.go, and add a fixture
 // package under testdata/lint/myrule/ with `// want "regexp"`
-// expectations exercised by a RunFixture test. The Pass gives each
-// analyzer fully type-checked ASTs, so rules can resolve callees
-// precisely (e.g. distinguish (*net/http.Client).Post from a local
-// method named Post) instead of string-matching identifiers.
+// expectations, checked by a TestMyruleFixture in analysis_test.go
+// through CheckFixture. The Pass gives each analyzer every unit of the
+// run, fully type-checked, so rules can resolve callees precisely (e.g.
+// distinguish (*net/http.Client).Post from a local method named Post)
+// instead of string-matching identifiers; interprocedural rules ask it
+// for the whole-program call graph.
 //
 // # Suppressing a finding
 //
@@ -28,8 +30,8 @@
 //	x := weight == 0 //slate:nolint floatcmp -- zero is the unset sentinel
 //
 // The directive suppresses the named analyzers (or all, when no names
-// are given) on its own line and on the line directly below, so it can
-// also sit on its own line above the finding. The `-- reason` tail is
+// are given). At the end of a code line it covers that line only; alone
+// on its line it covers the line below. The `-- reason` tail is
 // required by convention: an exception without a recorded reason is a
 // future bug.
 package analysis
@@ -50,16 +52,11 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: what the rule flags and which
 	// SLATE invariant it protects.
 	Doc string
-	// Run inspects one type-checked package unit and reports findings
-	// via pass.Reportf. Nil for whole-program analyzers.
+	// Run inspects the program and reports findings via pass.Reportf.
 	Run func(*Pass)
-	// RunProgram inspects the whole program (all units plus the call
-	// graph) and reports findings via pass.Reportf. Interprocedural
-	// analyzers (hotalloc, lockorder) set this instead of Run.
-	RunProgram func(*ProgramPass)
 }
 
-// Diagnostic is one finding.
+// Diagnostic is one finding, at a module-relative position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
@@ -70,18 +67,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Pass hands one type-checked package unit (a package plus its
-// in-package test files, or an external _test package) to an analyzer.
+// Pass hands the loaded program to one analyzer.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
-	ImportPath string
-	// ModulePath is the enclosing module's path, so analyzers can make
-	// module-relative decisions (e.g. exempt internal/sim from detrand).
-	ModulePath string
+	Analyzer *Analyzer
+	Prog     *Program
 
 	report func(Diagnostic)
 }
@@ -89,7 +78,7 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      p.Prog.Loader.position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -97,14 +86,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	return strings.HasSuffix(p.Prog.Loader.Fset.Position(pos).Filename, "_test.go")
 }
 
 // calleeFunc resolves the static callee of a call expression, or nil
 // for calls through function values, conversions and builtins. For
 // methods the result's FullName() is of the form
 // "(*net/http.Client).Post"; for package functions "net/http.Get".
-// Every analyzer, per-package or whole-program, resolves calls here.
+// Every analyzer resolves calls here.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -93,6 +93,25 @@ func TestDriverSmoke(t *testing.T) {
 	}
 }
 
+// TestDriverTypeErrors: each type error is one [typecheck] diagnostic at
+// its module-relative position, in the driver's line format, and the
+// unit's analyzers are skipped.
+func TestDriverTypeErrors(t *testing.T) {
+	root := tempModule(t, map[string]string{
+		"pkg/pkg.go": "package pkg\n\nfunc F() int { return undefinedA + undefinedB }\n",
+	})
+	var out bytes.Buffer
+	n, err := Run(Options{Dir: root}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "pkg/pkg.go:3:23: [typecheck] undefined: undefinedA\n" +
+		"pkg/pkg.go:3:36: [typecheck] undefined: undefinedB\n"
+	if n != 2 || out.String() != want {
+		t.Errorf("Run = %d diagnostics:\n%s\nwant 2:\n%s", n, out.String(), want)
+	}
+}
+
 // TestLoaderExternalTestPackage: an external _test package is checked,
 // as `go test` compiles it, against the package with its in-package test
 // files — so export_test.go symbols resolve — and the packages between

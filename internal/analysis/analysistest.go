@@ -53,28 +53,22 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	units, err := loader.Load(filepath.Join(moduleDir, dir))
+	units, typeErrs, err := loader.typeCheck([]string{filepath.Join(moduleDir, dir)})
 	if err != nil {
 		return nil, err
 	}
-	if len(units) == 0 {
+	if len(units)+len(typeErrs) == 0 {
 		return nil, fmt.Errorf("no Go package in %s", dir)
 	}
 
 	var complaints []string
-	var okUnits []*Unit
-	for _, u := range units {
-		for _, terr := range u.TypeErrors {
-			complaints = append(complaints, fmt.Sprintf("fixture does not type-check: %v", terr))
-		}
-		if len(u.TypeErrors) == 0 {
-			okUnits = append(okUnits, u)
-		}
+	for _, d := range typeErrs {
+		complaints = append(complaints, fmt.Sprintf("fixture does not type-check: %s", d))
 	}
 
 	// Gather wants across all units: filename -> line -> expectations.
 	wants := make(map[string]map[int][]*expectation)
-	for _, u := range okUnits {
+	for _, u := range units {
 		for _, f := range u.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -82,7 +76,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 					if !ok {
 						continue
 					}
-					pos := loader.Fset.Position(c.Pos())
+					pos := loader.position(c.Pos())
 					for _, q := range wantRE.FindAllString(rest, -1) {
 						pat := strings.Trim(q, "`")
 						if strings.HasPrefix(q, `"`) {
@@ -107,7 +101,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	}
 
 	var diags []Diagnostic
-	analyze(loader, okUnits, []*Analyzer{a}, func(d Diagnostic) { diags = append(diags, d) })
+	analyze(loader, units, []*Analyzer{a}, func(d Diagnostic) { diags = append(diags, d) })
 
 	for _, d := range diags {
 		found := false

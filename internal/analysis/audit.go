@@ -1,12 +1,16 @@
 package analysis
 
 import (
+	"bytes"
+	"cmp"
+	"go/ast"
 	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NolintEntry is one //slate:nolint directive found in the tree.
@@ -15,6 +19,10 @@ type NolintEntry struct {
 	Line      int
 	Analyzers []string // empty = all analyzers
 	Reason    string   // text after "--", "" if missing
+
+	// covers is the line the directive suppresses: its own when it
+	// trails code, the next when it stands alone on its line.
+	covers int
 }
 
 // Audit scans the requested packages (syntax only — no type checking)
@@ -23,90 +31,66 @@ type NolintEntry struct {
 // empty Reason are the ones -audit exists to catch: an exception
 // without a recorded reason is a future bug nobody can triage.
 func Audit(opts Options) ([]NolintEntry, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = "."
-	}
-	loader, err := NewLoader(dir)
+	loader, dirs, err := opts.open()
 	if err != nil {
 		return nil, err
 	}
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dirs, err := expandPatterns(loader.ModuleDir, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	fset := token.NewFileSet()
 	var entries []NolintEntry
-	for _, pkgDir := range dirs {
-		names, err := goFilesIn(pkgDir)
+	for _, dir := range dirs {
+		names, err := goFiles(dir)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range names {
-			path := filepath.Join(pkgDir, name)
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if f == nil {
-				// Unparsable files are the build's problem, not the
-				// audit's; skip with the error only if nothing parsed.
-				if err != nil {
-					continue
-				}
-			}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := strings.CutPrefix(c.Text, "//slate:nolint")
-					if !ok {
-						continue
-					}
-					names, reason, hasReason := strings.Cut(strings.TrimSpace(text), "--")
-					var list []string
-					for _, n := range strings.FieldsFunc(names, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-						list = append(list, n)
-					}
-					if !hasReason {
-						reason = ""
-					}
-					pos := fset.Position(c.Pos())
-					rel := pos.Filename
-					if r, err := filepath.Rel(loader.ModuleDir, rel); err == nil && !strings.HasPrefix(r, "..") {
-						rel = filepath.ToSlash(r)
-					}
-					entries = append(entries, NolintEntry{
-						File:      rel,
-						Line:      pos.Line,
-						Analyzers: list,
-						Reason:    strings.TrimSpace(reason),
-					})
-				}
+			// Unparsable files are the build's problem, not the audit's.
+			if f, _ := parser.ParseFile(loader.Fset, filepath.Join(dir, name), nil, parser.ParseComments); f != nil {
+				entries = append(entries, loader.nolintEntries(f)...)
 			}
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Line < b.Line
+	slices.SortStableFunc(entries, func(a, b NolintEntry) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line))
 	})
 	return entries, nil
 }
 
-func goFilesIn(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
+// nolintEntries returns the //slate:nolint directives in f: the one
+// parse behind both the driver's suppressions and -audit.
+func (l *Loader) nolintEntries(f *ast.File) []NolintEntry {
+	var entries []NolintEntry
+	var src []byte
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			names, reason, ok := parseNolint(c.Text)
+			if !ok {
+				continue
+			}
+			pos := l.position(c.Pos())
+			e := NolintEntry{File: pos.Filename, Line: pos.Line, Analyzers: names, Reason: reason, covers: pos.Line}
+			raw := l.Fset.PositionFor(c.Pos(), false)
+			if src == nil {
+				// The file was just parsed; should it vanish, its
+				// directives are taken as trailing code.
+				src, _ = os.ReadFile(raw.Filename)
+			}
+			if raw.Offset <= len(src) && len(bytes.TrimSpace(src[raw.Offset-raw.Column+1:raw.Offset])) == 0 {
+				e.covers++ // alone on its line
+			}
+			entries = append(entries, e)
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	return entries
+}
+
+// parseNolint reads one comment as a directive: "//slate:nolint", then
+// whitespace or the end of the comment, then analyzer names separated
+// by commas or whitespace, then an optional "-- reason".
+func parseNolint(text string) (names []string, reason string, ok bool) {
+	rest, ok := strings.CutPrefix(text, "//slate:nolint")
+	if r, _ := utf8.DecodeRuneInString(rest); !ok || rest != "" && !unicode.IsSpace(r) {
+		return nil, "", false
+	}
+	list, reason, _ := strings.Cut(rest, "--")
+	names = strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	return names, strings.TrimSpace(reason), true
 }

@@ -14,24 +14,22 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := loader.Load(filepath.Join(repoRoot(t), filepath.FromSlash(dir)))
+	units, typeErrs, err := loader.typeCheck([]string{filepath.Join(repoRoot(t), filepath.FromSlash(dir))})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range typeErrs {
+		t.Fatalf("fixture does not type-check: %s", d)
 	}
 	if len(units) == 0 {
 		t.Fatalf("no Go package in %s", dir)
 	}
-	for _, u := range units {
-		for _, terr := range u.TypeErrors {
-			t.Fatalf("fixture does not type-check: %v", terr)
-		}
-	}
-	return NewProgram(loader, units)
+	return &Program{Loader: loader, Units: units}
 }
 
 func TestCallGraph(t *testing.T) {
 	prog := loadFixtureProgram(t, "testdata/lint/callgraph")
-	g := prog.Graph
+	g := prog.Graph()
 	pkg := prog.Loader.ModulePath + "/testdata/lint/callgraph"
 
 	node := func(id string) *Node {

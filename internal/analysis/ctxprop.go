@@ -36,23 +36,25 @@ var ctxlessHTTP = map[string]string{
 }
 
 func runCtxprop(pass *Pass) {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
+	for _, u := range pass.Prog.Units {
+		for _, f := range u.Files {
+			if pass.InTestFile(f.Pos()) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(u.Info, call)
+				if fn == nil {
+					return true
+				}
+				if repl, ok := ctxlessHTTP[fn.FullName()]; ok {
+					pass.Reportf(call.Pos(), "%s binds the request to the background context, so cancellation cannot propagate; use %s", fn.Name(), repl)
+				}
+				return true
+			})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.Info, call)
-			if fn == nil {
-				return true
-			}
-			if repl, ok := ctxlessHTTP[fn.FullName()]; ok {
-				pass.Reportf(call.Pos(), "%s binds the request to the background context, so cancellation cannot propagate; use %s", fn.Name(), repl)
-			}
-			return true
-		})
 	}
 }

@@ -38,27 +38,29 @@ var detorderCritical = []string{
 }
 
 func runDetorder(pass *Pass) {
-	if !detorderApplies(pass) {
-		return
-	}
-	for _, f := range pass.Files {
-		if len(f.Decls) > 0 && pass.InTestFile(f.Pos()) {
+	for _, u := range pass.Prog.Units {
+		if !detorderApplies(pass.Prog.Loader.ModulePath, u.ImportPath) {
 			continue
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+		for _, f := range u.Files {
+			if len(f.Decls) > 0 && pass.InTestFile(f.Pos()) {
 				continue
 			}
-			checkFuncOrder(pass, fd.Body)
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				checkFuncOrder(pass, u.Info, fd.Body)
+			}
 		}
 	}
 }
 
-func detorderApplies(pass *Pass) bool {
-	rel, ok := strings.CutPrefix(pass.ImportPath, pass.ModulePath)
+func detorderApplies(modulePath, importPath string) bool {
+	rel, ok := strings.CutPrefix(importPath, modulePath)
 	if !ok {
-		rel = pass.ImportPath
+		rel = importPath
 	}
 	for _, p := range detorderCritical {
 		if rel == p || strings.HasPrefix(rel, p+"/") {
@@ -67,23 +69,23 @@ func detorderApplies(pass *Pass) bool {
 	}
 	// Fixture packages opt in by path so the golden tests exercise the
 	// rule outside the real module layout.
-	return strings.Contains(pass.ImportPath, "testdata/lint/detorder")
+	return strings.Contains(importPath, "testdata/lint/detorder")
 }
 
 // checkFuncOrder analyzes one function body (literals included: they
 // share the body's sort-call scope, which is what matters for the
 // collect-then-sort idiom).
-func checkFuncOrder(pass *Pass, body *ast.BlockStmt) {
-	sorts := collectSortCalls(pass, body)
+func checkFuncOrder(pass *Pass, info *types.Info, body *ast.BlockStmt) {
+	sorts := collectSortCalls(info, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		if t := pass.Info.TypeOf(rs.X); t == nil || !isMapType(t) {
+		if t := info.TypeOf(rs.X); t == nil || !isMapType(t) {
 			return true
 		}
-		checkMapRange(pass, rs, sorts)
+		checkMapRange(pass, info, rs, sorts)
 		return true
 	})
 }
@@ -95,14 +97,14 @@ type sortCall struct {
 	idents map[string]bool
 }
 
-func collectSortCalls(pass *Pass, body *ast.BlockStmt) []sortCall {
+func collectSortCalls(info *types.Info, body *ast.BlockStmt) []sortCall {
 	var out []sortCall
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.Info, call)
+		fn := calleeFunc(info, call)
 		isSort := false
 		if fn != nil && fn.Pkg() != nil {
 			p := fn.Pkg().Path()
@@ -130,14 +132,14 @@ func collectSortCalls(pass *Pass, body *ast.BlockStmt) []sortCall {
 }
 
 // checkMapRange walks one map-range body for order-sensitive sinks.
-func checkMapRange(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
+func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, sorts []sortCall) {
 	mapStr := ExprString(rs.X)
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.AssignStmt:
-			checkRangeAssign(pass, rs, e, mapStr, sorts)
+			checkRangeAssign(pass, info, rs, e, mapStr, sorts)
 		case *ast.CallExpr:
-			checkRangeCall(pass, e, mapStr)
+			checkRangeCall(pass, info, e, mapStr)
 		}
 		return true
 	})
@@ -154,7 +156,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
 //     that outlives the loop: float addition is not associative and
 //     string building is ordered, so the result depends on iteration
 //     order.
-func checkRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, mapStr string, sorts []sortCall) {
+func checkRangeAssign(pass *Pass, info *types.Info, rs *ast.RangeStmt, as *ast.AssignStmt, mapStr string, sorts []sortCall) {
 	switch as.Tok {
 	case token.ASSIGN:
 		if target, call := selfAppend(as); call != nil {
@@ -176,7 +178,7 @@ func checkRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, mapStr 
 			return
 		}
 		lhs := as.Lhs[0]
-		t := pass.Info.TypeOf(lhs)
+		t := info.TypeOf(lhs)
 		if t == nil {
 			return
 		}
@@ -184,7 +186,7 @@ func checkRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, mapStr 
 		if !ok || b.Info()&(types.IsFloat|types.IsString) == 0 {
 			return
 		}
-		if !outlivesLoop(pass, rs, lhs) {
+		if !outlivesLoop(info, rs, lhs) {
 			return
 		}
 		kind := "float accumulation is not associative"
@@ -200,12 +202,12 @@ func checkRangeAssign(pass *Pass, rs *ast.RangeStmt, as *ast.AssignStmt, mapStr 
 // outlivesLoop reports whether lhs denotes storage that exists outside
 // the range statement: a selector/index expression, or an identifier
 // declared before the loop.
-func outlivesLoop(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) bool {
+func outlivesLoop(info *types.Info, rs *ast.RangeStmt, lhs ast.Expr) bool {
 	switch e := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		return true
 	case *ast.Ident:
-		obj := pass.Info.ObjectOf(e)
+		obj := info.ObjectOf(e)
 		if obj == nil {
 			return false
 		}
@@ -220,8 +222,8 @@ func outlivesLoop(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) bool {
 // the wire, in a file, or in a fingerprint in random order; events
 // scheduled there get their same-instant tie-break sequence in random
 // order (the autoscaler's ScaleEvents bug).
-func checkRangeCall(pass *Pass, call *ast.CallExpr, mapStr string) {
-	fn := calleeFunc(pass.Info, call)
+func checkRangeCall(pass *Pass, info *types.Info, call *ast.CallExpr, mapStr string) {
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return
 	}

@@ -37,34 +37,36 @@ var globalRandFns = map[string]bool{
 }
 
 func runDetrand(pass *Pass) {
-	simPath := pass.ModulePath + "/internal/sim"
-	for _, f := range pass.Files {
-		// Rule 2: math/rand import in non-test code outside internal/sim.
-		inTest := pass.InTestFile(f.Pos())
-		if !inTest && pass.ImportPath != simPath {
-			for _, imp := range f.Imports {
-				if path, err := strconv.Unquote(imp.Path.Value); err == nil && isMathRand(path) {
-					pass.Reportf(imp.Pos(), "%s in simulation/routing code bypasses the scenario seed; use internal/sim.RNG (seedable, derivable per-component streams)", path)
+	simPath := pass.Prog.Loader.ModulePath + "/internal/sim"
+	for _, u := range pass.Prog.Units {
+		for _, f := range u.Files {
+			// Rule 2: math/rand import in non-test code outside internal/sim.
+			inTest := pass.InTestFile(f.Pos())
+			if !inTest && u.ImportPath != simPath {
+				for _, imp := range f.Imports {
+					if path, err := strconv.Unquote(imp.Path.Value); err == nil && isMathRand(path) {
+						pass.Reportf(imp.Pos(), "%s in simulation/routing code bypasses the scenario seed; use internal/sim.RNG (seedable, derivable per-component streams)", path)
+					}
 				}
 			}
+			// Rule 1: calls on the global source, anywhere.
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(u.Info, call)
+				if fn == nil || fn.Pkg() == nil || !isMathRand(fn.Pkg().Path()) {
+					return true
+				}
+				// Methods (on *rand.Rand etc.) have a receiver-qualified
+				// FullName; package-level globals do not.
+				if !strings.Contains(fn.FullName(), ")") && globalRandFns[fn.Name()] {
+					pass.Reportf(call.Pos(), "%s.%s uses the process-global auto-seeded source and is nondeterministic across runs; draw from a seeded internal/sim.RNG stream", fn.Pkg().Path(), fn.Name())
+				}
+				return true
+			})
 		}
-		// Rule 1: calls on the global source, anywhere.
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || !isMathRand(fn.Pkg().Path()) {
-				return true
-			}
-			// Methods (on *rand.Rand etc.) have a receiver-qualified
-			// FullName; package-level globals do not.
-			if !strings.Contains(fn.FullName(), ")") && globalRandFns[fn.Name()] {
-				pass.Reportf(call.Pos(), "%s.%s uses the process-global auto-seeded source and is nondeterministic across runs; draw from a seeded internal/sim.RNG stream", fn.Pkg().Path(), fn.Name())
-			}
-			return true
-		})
 	}
 }
 

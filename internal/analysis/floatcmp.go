@@ -22,22 +22,24 @@ var Floatcmp = &Analyzer{
 }
 
 func runFloatcmp(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+	for _, u := range pass.Prog.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+					return true
+				}
+				tx, ty := u.Info.Types[be.X], u.Info.Types[be.Y]
+				// Two constants fold at compile time; exact comparison is fine.
+				if tx.Value != nil && ty.Value != nil {
+					return true
+				}
+				if isFloat(tx.Type) || isFloat(ty.Type) {
+					pass.Reportf(be.OpPos, "%s on float operands is exact; use an epsilon comparison (math.Abs(a-b) <= eps)", be.Op)
+				}
 				return true
-			}
-			tx, ty := pass.Info.Types[be.X], pass.Info.Types[be.Y]
-			// Two constants fold at compile time; exact comparison is fine.
-			if tx.Value != nil && ty.Value != nil {
-				return true
-			}
-			if isFloat(tx.Type) || isFloat(ty.Type) {
-				pass.Reportf(be.OpPos, "%s on float operands is exact; use an epsilon comparison (math.Abs(a-b) <= eps)", be.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 

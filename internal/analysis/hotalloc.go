@@ -21,7 +21,7 @@ var Hotalloc = &Analyzer{
 	Doc: "functions reachable from //slate:hot must not allocate; " +
 		"a regression here silently melts the zero-alloc guarantees " +
 		"the DES kernel and data-plane lookup are benchmarked on",
-	RunProgram: runHotalloc,
+	Run: runHotalloc,
 }
 
 // allocatingStdlib lists stdlib functions that always allocate, keyed
@@ -41,8 +41,8 @@ var allocatingStdlib = map[string]string{
 	"sort.Sort":         "sort.Sort takes an interface (receiver escapes)",
 }
 
-func runHotalloc(pp *ProgramPass) {
-	g := pp.Prog.Graph
+func runHotalloc(pass *Pass) {
+	g := pass.Prog.Graph()
 	roots := g.Roots("hot")
 	reached := g.Reachable(roots)
 
@@ -56,7 +56,7 @@ func runHotalloc(pp *ProgramPass) {
 		if root != n {
 			ctx = "in " + n.String() + " (hot via //slate:hot " + root.String() + ")"
 		}
-		checkAllocs(pp, n, ctx)
+		checkAllocs(pass, n, ctx)
 	}
 }
 
@@ -72,7 +72,7 @@ func runHotalloc(pp *ProgramPass) {
 //   - a capturing closure passed directly as an argument to a stdlib
 //     call (sort.Search's comparator): it does not escape and stays
 //     on the stack.
-func checkAllocs(pp *ProgramPass, n *Node, ctx string) {
+func checkAllocs(pass *Pass, n *Node, ctx string) {
 	info := n.Unit.Info
 	var panicDepth int
 	exemptLits := collectExemptLits(info, n.Body())
@@ -86,7 +86,7 @@ func checkAllocs(pp *ProgramPass, n *Node, ctx string) {
 				// if reachable — but creating the closure here costs a
 				// context allocation when it captures and escapes.
 				if panicDepth == 0 && !exemptLits[e] && captures(info, e) {
-					pp.Reportf(e.Pos(), "capturing closure escapes and allocates its context %s", ctx)
+					pass.Reportf(e.Pos(), "capturing closure escapes and allocates its context %s", ctx)
 				}
 				return false
 			}
@@ -114,16 +114,16 @@ func checkAllocs(pp *ProgramPass, n *Node, ctx string) {
 				return false
 			}
 			if panicDepth == 0 {
-				checkCall(pp, info, e, ctx)
+				checkCall(pass, info, e, ctx)
 			}
 		case *ast.CompositeLit:
 			if panicDepth == 0 {
-				checkComposite(pp, info, e, ctx)
+				checkComposite(pass, info, e, ctx)
 			}
 		case *ast.UnaryExpr:
 			if e.Op == token.AND && panicDepth == 0 {
 				if _, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
-					pp.Reportf(e.Pos(), "&composite literal allocates %s", ctx)
+					pass.Reportf(e.Pos(), "&composite literal allocates %s", ctx)
 					// The literal itself is subsumed by this finding.
 					for _, el := range ast.Unparen(e.X).(*ast.CompositeLit).Elts {
 						ast.Inspect(el, walk)
@@ -133,7 +133,7 @@ func checkAllocs(pp *ProgramPass, n *Node, ctx string) {
 			}
 		case *ast.BinaryExpr:
 			if e.Op == token.ADD && panicDepth == 0 && isString(info, e) && !isConstExpr(info, e) {
-				pp.Reportf(e.Pos(), "string concatenation allocates %s", ctx)
+				pass.Reportf(e.Pos(), "string concatenation allocates %s", ctx)
 			}
 		}
 		return true
@@ -143,19 +143,19 @@ func checkAllocs(pp *ProgramPass, n *Node, ctx string) {
 
 // checkCall flags allocating calls: builtins, fmt, known stdlib, and
 // interface boxing of non-pointer-shaped arguments.
-func checkCall(pp *ProgramPass, info *types.Info, call *ast.CallExpr, ctx string) {
+func checkCall(pass *Pass, info *types.Info, call *ast.CallExpr, ctx string) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if b, ok := info.Uses[fun].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				pp.Reportf(call.Pos(), "make allocates %s", ctx)
+				pass.Reportf(call.Pos(), "make allocates %s", ctx)
 				return
 			case "new":
-				pp.Reportf(call.Pos(), "new allocates %s", ctx)
+				pass.Reportf(call.Pos(), "new allocates %s", ctx)
 				return
 			case "append":
-				pp.Reportf(call.Pos(), "append may grow its backing array %s", ctx)
+				pass.Reportf(call.Pos(), "append may grow its backing array %s", ctx)
 				return
 			}
 		}
@@ -164,15 +164,15 @@ func checkCall(pp *ProgramPass, info *types.Info, call *ast.CallExpr, ctx string
 	if fn != nil && fn.Pkg() != nil {
 		full := fn.FullName()
 		if fn.Pkg().Path() == "fmt" {
-			pp.Reportf(call.Pos(), "%s formats through interfaces and allocates %s", full, ctx)
+			pass.Reportf(call.Pos(), "%s formats through interfaces and allocates %s", full, ctx)
 			return
 		}
 		if msg, ok := allocatingStdlib[full]; ok {
-			pp.Reportf(call.Pos(), "%s %s", msg, ctx)
+			pass.Reportf(call.Pos(), "%s %s", msg, ctx)
 			return
 		}
 	}
-	checkBoxing(pp, info, call, fn, ctx)
+	checkBoxing(pass, info, call, fn, ctx)
 }
 
 // collectExemptLits marks function literals that do not pay a closure
@@ -207,7 +207,7 @@ func collectExemptLits(info *types.Info, body *ast.BlockStmt) map[*ast.FuncLit]b
 // (basic, string, struct, array, slice) passed to interface
 // parameters: the conversion heap-allocates the value. Pointer-shaped
 // kinds (pointers, channels, maps, funcs) fit in the interface word.
-func checkBoxing(pp *ProgramPass, info *types.Info, call *ast.CallExpr, fn *types.Func, ctx string) {
+func checkBoxing(pass *Pass, info *types.Info, call *ast.CallExpr, fn *types.Func, ctx string) {
 	sigType := info.TypeOf(call.Fun)
 	sig, ok := sigType.(*types.Signature)
 	if !ok {
@@ -246,7 +246,7 @@ func checkBoxing(pp *ProgramPass, info *types.Info, call *ast.CallExpr, fn *type
 		if fn != nil {
 			name = fn.FullName()
 		}
-		pp.Reportf(arg.Pos(), "passing %s to interface parameter of %s boxes it on the heap %s",
+		pass.Reportf(arg.Pos(), "passing %s to interface parameter of %s boxes it on the heap %s",
 			types.TypeString(at, nil), name, ctx)
 	}
 }
@@ -254,16 +254,16 @@ func checkBoxing(pp *ProgramPass, info *types.Info, call *ast.CallExpr, fn *type
 // checkComposite flags map and slice literals (always heap for maps,
 // escaping for slices in practice). Value struct literals are left
 // alone: Key{a, b, c} as a map index or local is stack-allocated.
-func checkComposite(pp *ProgramPass, info *types.Info, lit *ast.CompositeLit, ctx string) {
+func checkComposite(pass *Pass, info *types.Info, lit *ast.CompositeLit, ctx string) {
 	t := info.TypeOf(lit)
 	if t == nil {
 		return
 	}
 	switch t.Underlying().(type) {
 	case *types.Map:
-		pp.Reportf(lit.Pos(), "map literal allocates %s", ctx)
+		pass.Reportf(lit.Pos(), "map literal allocates %s", ctx)
 	case *types.Slice:
-		pp.Reportf(lit.Pos(), "slice literal allocates %s", ctx)
+		pass.Reportf(lit.Pos(), "slice literal allocates %s", ctx)
 	}
 }
 

@@ -43,7 +43,7 @@ type Unit struct {
 	// TypeErrors are non-fatal type-checking problems. A unit with type
 	// errors still carries partial type information, but diagnostics
 	// from it may be incomplete.
-	TypeErrors []error
+	TypeErrors []types.Error
 }
 
 // NewLoader builds a loader rooted at moduleDir, reading the module
@@ -155,6 +155,39 @@ func (l *Loader) testVariant(path string, pkg *types.Package) *Loader {
 	return &v
 }
 
+// typeCheck loads the package directories. It returns the units that
+// type-checked, and one [typecheck] diagnostic per type error of the
+// rest: this is where a unit with type errors is dropped, because
+// partial type information would poison every analyzer's facts.
+func (l *Loader) typeCheck(dirs []string) ([]*Unit, []Diagnostic, error) {
+	var units []*Unit
+	var diags []Diagnostic
+	for _, dir := range dirs {
+		loaded, err := l.Load(dir)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", dir, err)
+		}
+		for _, u := range loaded {
+			for _, terr := range u.TypeErrors {
+				diags = append(diags, Diagnostic{Pos: l.position(terr.Pos), Analyzer: "typecheck", Message: terr.Msg})
+			}
+			if len(u.TypeErrors) == 0 {
+				units = append(units, u)
+			}
+		}
+	}
+	return units, diags, nil
+}
+
+// position resolves pos with its filename made module-relative.
+func (l *Loader) position(pos token.Pos) token.Position {
+	p := l.Fset.Position(pos)
+	if rel, err := filepath.Rel(l.ModuleDir, p.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		p.Filename = filepath.ToSlash(rel)
+	}
+	return p
+}
+
 func (l *Loader) importPathFor(dir string) string {
 	rel, err := filepath.Rel(l.ModuleDir, dir)
 	if err != nil || rel == "." {
@@ -183,7 +216,7 @@ func (l *Loader) check(importPath, dir string, names []string) (*Unit, error) {
 	}
 	conf := types.Config{
 		Importer: l,
-		Error:    func(err error) { u.TypeErrors = append(u.TypeErrors, err) },
+		Error:    func(err error) { u.TypeErrors = append(u.TypeErrors, err.(types.Error)) },
 	}
 	pkg, _ := conf.Check(importPath, l.Fset, files, info) // errors collected via conf.Error
 	u.Pkg, u.Info = pkg, info

@@ -57,64 +57,95 @@ var blockingCalls = map[string]string{
 }
 
 func runLockguard(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				t := &lockTracker{pass: pass, locked: make(map[string]token.Pos)}
-				t.stmts(body.List)
-			}
-			return true // nested FuncLits get their own tracker
-		})
+	fset := pass.Prog.Loader.Fset
+	for _, u := range pass.Prog.Units {
+		for _, f := range u.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					body = fn.Body
+				case *ast.FuncLit:
+					body = fn.Body
+				default:
+					return true
+				}
+				if body != nil {
+					w := newLockWalk(u.Info, recvKey)
+					w.onBlock = func(pos token.Pos, what string, held map[string]token.Pos) {
+						for name, lockPos := range held {
+							lp := fset.Position(lockPos)
+							pass.Reportf(pos, "%s held across %s blocks all contenders (and can deadlock the control loop); release the lock first (locked at %s:%d)",
+								name, what, filepath.Base(lp.Filename), lp.Line)
+						}
+					}
+					w.stmts(body.List)
+				}
+				return true // nested FuncLits get their own walk
+			})
+		}
 	}
 }
 
-// lockTracker walks one function body in statement order, maintaining
-// the set of held locks keyed by the receiver expression ("c.mu").
-// Branch bodies are visited with the same state — a linear
-// approximation that matches the straight-line lock/unlock style of
-// this codebase.
-type lockTracker struct {
-	pass   *Pass
-	locked map[string]token.Pos
+// recvKey is lockguard's lock key: the receiver expression ("c.mu").
+func recvKey(c *ast.CallExpr) string {
+	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
+		return ExprString(sel.X)
+	}
+	return "mutex"
 }
 
-func (t *lockTracker) stmts(list []ast.Stmt) {
+// lockWalk walks one function body in statement order, maintaining the
+// set of held locks under the analyzer's key. Branch bodies are visited
+// with the same state — a linear approximation that matches the
+// straight-line lock/unlock style of this codebase. Function literals
+// are skipped: they execute later, in their own frame. lockguard and
+// lockorder share the walk and differ in their key and hooks.
+type lockWalk struct {
+	info *types.Info
+	key  func(lock *ast.CallExpr) string
+	held map[string]token.Pos // key -> where it was locked
+
+	// onLock sees a Lock call before its key joins held.
+	onLock func(lock *ast.CallExpr, key string, held map[string]token.Pos)
+	// onCall sees every call that neither locks nor unlocks.
+	onCall func(call *ast.CallExpr, held map[string]token.Pos)
+	// onBlock sees every operation that can block while a lock is held.
+	onBlock func(pos token.Pos, what string, held map[string]token.Pos)
+}
+
+func newLockWalk(info *types.Info, key func(*ast.CallExpr) string) *lockWalk {
+	return &lockWalk{info: info, key: key, held: make(map[string]token.Pos)}
+}
+
+func (w *lockWalk) stmts(list []ast.Stmt) {
 	for _, s := range list {
-		t.stmt(s)
+		w.stmt(s)
 	}
 }
 
-func (t *lockTracker) stmt(s ast.Stmt) {
+func (w *lockWalk) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.ExprStmt:
-		t.expr(s.X)
+		w.expr(s.X)
 	case *ast.SendStmt:
-		t.expr(s.Chan)
-		t.expr(s.Value)
-		t.blocking(s.Arrow, "channel send")
+		w.expr(s.Chan)
+		w.expr(s.Value)
+		w.block(s.Arrow, "channel send")
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
-			t.expr(e)
+			w.expr(e)
 		}
 		for _, e := range s.Lhs {
-			t.expr(e)
+			w.expr(e)
 		}
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, e := range vs.Values {
-						t.expr(e)
+						w.expr(e)
 					}
 				}
 			}
@@ -122,43 +153,45 @@ func (t *lockTracker) stmt(s ast.Stmt) {
 	case *ast.DeferStmt:
 		// defer mu.Unlock() releases at return: the lock stays held for
 		// the rest of the body, which is exactly the current state — no
-		// transition. A deferred blocking call runs outside the walked
+		// transition. Any other deferred call runs outside the walked
 		// order; only its arguments evaluate here.
-		if fn := calleeFunc(t.pass.Info, s.Call); fn == nil || !unlockMethods[fn.FullName()] {
+		if fn := calleeFunc(w.info, s.Call); fn == nil || !unlockMethods[fn.FullName()] {
 			for _, a := range s.Call.Args {
-				t.expr(a)
+				w.expr(a)
 			}
 		}
 	case *ast.GoStmt:
+		// The spawned call runs concurrently, not under our locks: only
+		// argument evaluation happens here.
 		for _, a := range s.Call.Args {
-			t.expr(a)
+			w.expr(a)
 		}
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
-			t.expr(e)
+			w.expr(e)
 		}
 	case *ast.IfStmt:
-		t.stmt(s.Init)
-		t.expr(s.Cond)
-		t.stmts(s.Body.List)
-		t.stmt(s.Else)
+		w.stmt(s.Init)
+		w.expr(s.Cond)
+		w.stmts(s.Body.List)
+		w.stmt(s.Else)
 	case *ast.BlockStmt:
-		t.stmts(s.List)
+		w.stmts(s.List)
 	case *ast.ForStmt:
-		t.stmt(s.Init)
+		w.stmt(s.Init)
 		if s.Cond != nil {
-			t.expr(s.Cond)
+			w.expr(s.Cond)
 		}
-		t.stmts(s.Body.List)
-		t.stmt(s.Post)
+		w.stmts(s.Body.List)
+		w.stmt(s.Post)
 	case *ast.RangeStmt:
-		if tv, ok := t.pass.Info.Types[s.X]; ok {
+		if tv, ok := w.info.Types[s.X]; ok {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				t.blocking(s.For, "range over channel")
+				w.block(s.For, "range over channel")
 			}
 		}
-		t.expr(s.X)
-		t.stmts(s.Body.List)
+		w.expr(s.X)
+		w.stmts(s.Body.List)
 	case *ast.SelectStmt:
 		hasDefault := false
 		for _, c := range s.Body.List {
@@ -167,84 +200,79 @@ func (t *lockTracker) stmt(s ast.Stmt) {
 			}
 		}
 		if !hasDefault {
-			t.blocking(s.Select, "select without default")
+			w.block(s.Select, "select without default")
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				t.stmts(cc.Body)
+				w.stmts(cc.Body)
 			}
 		}
 	case *ast.SwitchStmt:
-		t.stmt(s.Init)
+		w.stmt(s.Init)
 		if s.Tag != nil {
-			t.expr(s.Tag)
+			w.expr(s.Tag)
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				t.stmts(cc.Body)
+				w.stmts(cc.Body)
 			}
 		}
 	case *ast.TypeSwitchStmt:
-		t.stmt(s.Init)
+		w.stmt(s.Init)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				t.stmts(cc.Body)
+				w.stmts(cc.Body)
 			}
 		}
 	case *ast.LabeledStmt:
-		t.stmt(s.Stmt)
+		w.stmt(s.Stmt)
 	}
 }
 
 // expr walks an expression in evaluation order, applying lock
-// transitions and reporting blocking operations. Function literals are
-// skipped: they execute later, in their own frame.
-func (t *lockTracker) expr(e ast.Expr) {
+// transitions and passing channel receives and calls to the hooks.
+func (w *lockWalk) expr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				t.blocking(n.OpPos, "channel receive")
+				w.block(n.OpPos, "channel receive")
 			}
 		case *ast.CallExpr:
-			t.call(n)
+			w.call(n)
 		}
 		return true
 	})
 }
 
-func (t *lockTracker) call(c *ast.CallExpr) {
-	fn := calleeFunc(t.pass.Info, c)
-	if fn == nil {
-		return
+func (w *lockWalk) call(c *ast.CallExpr) {
+	full := ""
+	if fn := calleeFunc(w.info, c); fn != nil {
+		full = fn.FullName()
 	}
-	full := fn.FullName()
 	switch {
 	case lockMethods[full]:
-		t.locked[t.recvKey(c)] = c.Pos()
+		key := w.key(c)
+		if w.onLock != nil {
+			w.onLock(c, key, w.held)
+		}
+		w.held[key] = c.Pos()
 	case unlockMethods[full]:
-		delete(t.locked, t.recvKey(c))
+		delete(w.held, w.key(c))
 	default:
-		if label, ok := blockingCalls[full]; ok {
-			t.blocking(c.Pos(), label)
+		if what, ok := blockingCalls[full]; ok {
+			w.block(c.Pos(), what)
+		}
+		if w.onCall != nil {
+			w.onCall(c, w.held)
 		}
 	}
 }
 
-// recvKey names the locked mutex by its receiver expression.
-func (t *lockTracker) recvKey(c *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-		return ExprString(sel.X)
-	}
-	return "mutex"
-}
-
-func (t *lockTracker) blocking(pos token.Pos, what string) {
-	for name, lockPos := range t.locked {
-		lp := t.pass.Fset.Position(lockPos)
-		t.pass.Reportf(pos, "%s held across %s blocks all contenders (and can deadlock the control loop); release the lock first (locked at %s:%d)",
-			name, what, filepath.Base(lp.Filename), lp.Line)
+func (w *lockWalk) block(pos token.Pos, what string) {
+	if w.onBlock != nil {
+		w.onBlock(pos, what, w.held)
 	}
 }

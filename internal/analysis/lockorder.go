@@ -23,18 +23,13 @@ var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "builds a cross-package lock-acquisition graph and flags " +
 		"ordering cycles (potential deadlocks) between mutex classes",
-	RunProgram: runLockorder,
+	Run: runLockorder,
 }
 
-// lockClass is a canonical name for a family of mutexes: the owning
-// named type plus field for struct-held locks, the package-qualified
-// name for package-level locks, or a function-scoped name for locals.
-type lockClass string
-
-// lockEdge is one observed ordering: `from` was held when `to` was
-// acquired (directly, or transitively inside a callee).
+// lockEdge is one observed ordering: class `from` was held when class
+// `to` was acquired (directly, or transitively inside a callee).
 type lockEdge struct {
-	from, to lockClass
+	from, to string
 	pos      token.Pos
 	inFunc   string
 	// via is non-empty when the acquisition happened inside a callee
@@ -48,7 +43,7 @@ type lockFacts struct {
 	// acquires maps each function to the lock classes it acquires
 	// directly (regardless of whether it releases them before return:
 	// the acquisition still happens during the call).
-	acquires map[FuncID]map[lockClass]bool
+	acquires map[FuncID]map[string]bool
 	// calls records every resolved call site with the lock classes
 	// held at that point.
 	calls []lockCallSite
@@ -59,33 +54,28 @@ type lockFacts struct {
 type lockCallSite struct {
 	caller  FuncID
 	callees []*Node
-	held    []lockClass
+	held    []string
 	pos     token.Pos
 }
 
-func runLockorder(pp *ProgramPass) {
-	g := pp.Prog.Graph
-	facts := &lockFacts{acquires: make(map[FuncID]map[lockClass]bool)}
+func runLockorder(pass *Pass) {
+	g := pass.Prog.Graph()
+	facts := &lockFacts{acquires: make(map[FuncID]map[string]bool)}
 
 	for _, id := range g.NodeIDs() {
 		n := g.Nodes[id]
 		if n.InTest || n.Body() == nil {
 			continue
 		}
-		t := &lockOrderTracker{
-			pp: pp, node: n, facts: facts,
-			held:    make(map[lockClass]token.Pos),
-			callees: calleesByPos(n),
-		}
-		t.stmts(n.Body().List)
+		facts.walk(n)
 	}
 
 	// Transitive closure: mayAcquire(f) = acquires(f) ∪ mayAcquire(g)
 	// for every call/iface edge f→g. Iterate to fixpoint (the graph is
 	// small; cycles from recursion converge because sets only grow).
-	may := make(map[FuncID]map[lockClass]bool, len(facts.acquires))
+	may := make(map[FuncID]map[string]bool, len(facts.acquires))
 	for id, set := range facts.acquires {
-		may[id] = make(map[lockClass]bool, len(set))
+		may[id] = make(map[string]bool, len(set))
 		for c := range set {
 			may[id][c] = true
 		}
@@ -101,7 +91,7 @@ func runLockorder(pp *ProgramPass) {
 				for c := range may[e.Callee.ID] {
 					if !may[id][c] {
 						if may[id] == nil {
-							may[id] = make(map[lockClass]bool)
+							may[id] = make(map[string]bool)
 						}
 						may[id][c] = true
 						changed = true
@@ -126,7 +116,42 @@ func runLockorder(pp *ProgramPass) {
 		}
 	}
 
-	reportLockCycles(pp, edges)
+	reportLockCycles(pass, edges)
+}
+
+// walk runs the shared lock walk over n, recording each acquisition
+// with the ordering edges from the classes already held, and each
+// resolved module call made under a lock.
+func (facts *lockFacts) walk(n *Node) {
+	callees := calleesByPos(n)
+	w := newLockWalk(n.Unit.Info, func(c *ast.CallExpr) string { return classOf(n, c) })
+	w.onLock = func(c *ast.CallExpr, class string, held map[string]token.Pos) {
+		set := facts.acquires[n.ID]
+		if set == nil {
+			set = make(map[string]bool)
+			facts.acquires[n.ID] = set
+		}
+		set[class] = true
+		for h := range held {
+			facts.edges = append(facts.edges, lockEdge{
+				from: h, to: class, pos: c.Pos(), inFunc: string(n.ID),
+			})
+		}
+	}
+	w.onCall = func(c *ast.CallExpr, held map[string]token.Pos) {
+		if len(callees[c.Pos()]) == 0 || len(held) == 0 {
+			return
+		}
+		classes := make([]string, 0, len(held))
+		for h := range held {
+			classes = append(classes, h)
+		}
+		sort.Strings(classes)
+		facts.calls = append(facts.calls, lockCallSite{
+			caller: n.ID, callees: callees[c.Pos()], held: classes, pos: c.Pos(),
+		})
+	}
+	w.stmts(n.Body().List)
 }
 
 // calleesByPos maps each call site position in n to its resolved
@@ -141,20 +166,52 @@ func calleesByPos(n *Node) map[token.Pos][]*Node {
 	return m
 }
 
+// classOf is lockorder's lock key: it canonicalizes the mutex receiver
+// of a Lock/Unlock call in n into a lock class, the name of a family of
+// mutexes — the owning named type plus field for struct-held locks,
+// the package-qualified name for package-level locks, or a
+// function-scoped name for locals.
+func classOf(n *Node, c *ast.CallExpr) string {
+	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "unknown"
+	}
+	info := n.Unit.Info
+	lockExpr := ast.Unparen(sel.X) // e.g. g.mu, st.mu, errMu
+	if fieldSel, ok := lockExpr.(*ast.SelectorExpr); ok {
+		// Struct-held lock: class = owning named type + field.
+		if base := namedTypeName(info.TypeOf(fieldSel.X)); base != "" {
+			return "(" + base + ")." + fieldSel.Sel.Name
+		}
+		return ExprString(fieldSel)
+	}
+	if id, ok := lockExpr.(*ast.Ident); ok {
+		if obj := info.ObjectOf(id); obj != nil {
+			if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				return v.Pkg().Name() + "." + v.Name() // package-level mutex
+			}
+		}
+		// Function-local mutex: scope the class to the function so
+		// unrelated locals in other functions don't alias.
+		return shortFunc(string(n.ID)) + "." + id.Name
+	}
+	return ExprString(lockExpr)
+}
+
 // reportLockCycles finds strongly connected components in the class
 // digraph and reports each cycle once, at its lexicographically first
 // edge, with a witness chain.
-func reportLockCycles(pp *ProgramPass, edges []lockEdge) {
+func reportLockCycles(pass *Pass, edges []lockEdge) {
 	// Adjacency with one representative edge per (from, to), choosing
 	// the smallest position for determinism.
-	best := make(map[[2]lockClass]lockEdge)
+	best := make(map[[2]string]lockEdge)
 	for _, e := range edges {
-		key := [2]lockClass{e.from, e.to}
+		key := [2]string{e.from, e.to}
 		if old, ok := best[key]; !ok || e.pos < old.pos {
 			best[key] = e
 		}
 	}
-	adj := make(map[lockClass][]lockClass)
+	adj := make(map[string][]string)
 	for key := range best {
 		if key[0] != key[1] {
 			adj[key[0]] = append(adj[key[0]], key[1])
@@ -162,7 +219,7 @@ func reportLockCycles(pp *ProgramPass, edges []lockEdge) {
 	}
 
 	// Self-loops first.
-	var selfKeys [][2]lockClass
+	var selfKeys [][2]string
 	for key := range best {
 		if key[0] == key[1] {
 			selfKeys = append(selfKeys, key)
@@ -171,7 +228,7 @@ func reportLockCycles(pp *ProgramPass, edges []lockEdge) {
 	sort.Slice(selfKeys, func(i, j int) bool { return selfKeys[i][0] < selfKeys[j][0] })
 	for _, key := range selfKeys {
 		e := best[key]
-		pp.Reportf(e.pos, "acquiring a second %s while one is held (in %s%s): two goroutines doing this on different instances deadlock; impose a total order or release first",
+		pass.Reportf(e.pos, "acquiring a second %s while one is held (in %s%s): two goroutines doing this on different instances deadlock; impose a total order or release first",
 			key[0], shortFunc(e.inFunc), viaSuffix(e))
 	}
 
@@ -180,9 +237,9 @@ func reportLockCycles(pp *ProgramPass, edges []lockEdge) {
 		if len(scc) < 2 {
 			continue
 		}
-		sort.Slice(scc, func(i, j int) bool { return scc[i] < scc[j] })
+		sort.Strings(scc)
 		// Witness chain: walk the cycle starting from the smallest class.
-		inSCC := make(map[lockClass]bool, len(scc))
+		inSCC := make(map[string]bool, len(scc))
 		for _, c := range scc {
 			inSCC[c] = true
 		}
@@ -190,45 +247,37 @@ func reportLockCycles(pp *ProgramPass, edges []lockEdge) {
 		var firstEdge lockEdge
 		cur := scc[0]
 		for i := 0; i < len(scc); i++ {
-			next := pickNext(adj, best, cur, inSCC)
-			e := best[[2]lockClass{cur, next}]
+			next := pickNext(adj, cur, inSCC)
+			e := best[[2]string{cur, next}]
 			if i == 0 {
 				firstEdge = e
 			}
 			parts = append(parts, fmt.Sprintf("%s → %s (in %s%s at %s)",
-				cur, next, shortFunc(e.inFunc), viaSuffix(e), pp.shortPos(e.pos)))
+				cur, next, shortFunc(e.inFunc), viaSuffix(e), pass.shortPos(e.pos)))
 			cur = next
 			if cur == scc[0] {
 				break
 			}
 		}
-		pp.Reportf(firstEdge.pos, "lock-order cycle between %s: %s; acquire these classes in one global order",
-			joinClasses(scc), strings.Join(parts, "; "))
+		pass.Reportf(firstEdge.pos, "lock-order cycle between %s: %s; acquire these classes in one global order",
+			strings.Join(scc, ", "), strings.Join(parts, "; "))
 	}
 }
 
-// pickNext chooses the smallest in-SCC successor of cur that has a
-// recorded edge, for a deterministic witness chain.
-func pickNext(adj map[lockClass][]lockClass, best map[[2]lockClass]lockEdge, cur lockClass, inSCC map[lockClass]bool) lockClass {
-	var candidates []lockClass
+// pickNext chooses the smallest in-SCC successor of cur, for a
+// deterministic witness chain.
+func pickNext(adj map[string][]string, cur string, inSCC map[string]bool) string {
+	var candidates []string
 	for _, n := range adj[cur] {
 		if inSCC[n] {
 			candidates = append(candidates, n)
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	sort.Strings(candidates)
 	if len(candidates) == 0 {
 		return cur
 	}
 	return candidates[0]
-}
-
-func joinClasses(scc []lockClass) string {
-	s := make([]string, len(scc))
-	for i, c := range scc {
-		s[i] = string(c)
-	}
-	return strings.Join(s, ", ")
 }
 
 func viaSuffix(e lockEdge) string {
@@ -245,7 +294,7 @@ func shortFunc(id string) string {
 	return id
 }
 
-func (p *ProgramPass) shortPos(pos token.Pos) string {
+func (p *Pass) shortPos(pos token.Pos) string {
 	pp := p.Prog.Loader.Fset.Position(pos)
 	name := pp.Filename
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
@@ -256,10 +305,10 @@ func (p *ProgramPass) shortPos(pos token.Pos) string {
 
 // stronglyConnected returns the SCCs of the class digraph (iterative
 // Tarjan), in deterministic order.
-func stronglyConnected(adj map[lockClass][]lockClass) [][]lockClass {
-	var nodes []lockClass
-	seen := make(map[lockClass]bool)
-	addNode := func(c lockClass) {
+func stronglyConnected(adj map[string][]string) [][]string {
+	var nodes []string
+	seen := make(map[string]bool)
+	addNode := func(c string) {
 		if !seen[c] {
 			seen[c] = true
 			nodes = append(nodes, c)
@@ -271,20 +320,20 @@ func stronglyConnected(adj map[lockClass][]lockClass) [][]lockClass {
 			addNode(to)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	sort.Strings(nodes)
 	for _, tos := range adj {
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
+		sort.Strings(tos)
 	}
 
-	index := make(map[lockClass]int)
-	low := make(map[lockClass]int)
-	onStack := make(map[lockClass]bool)
-	var stack []lockClass
-	var sccs [][]lockClass
+	index := make(map[string]int)
+	low := make(map[string]int)
+	onStack := make(map[string]bool)
+	var stack []string
+	var sccs [][]string
 	next := 0
 
 	type frame struct {
-		v  lockClass
+		v  string
 		ei int
 	}
 	for _, root := range nodes {
@@ -317,7 +366,7 @@ func stronglyConnected(adj map[lockClass][]lockClass) [][]lockClass {
 			}
 			// Pop.
 			if low[f.v] == index[f.v] {
-				var scc []lockClass
+				var scc []string
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -340,198 +389,4 @@ func stronglyConnected(adj map[lockClass][]lockClass) [][]lockClass {
 		}
 	}
 	return sccs
-}
-
-// lockOrderTracker walks one function in statement order (same linear
-// approximation as lockguard), tracking held classes and recording
-// acquisitions, ordering edges, and call sites.
-type lockOrderTracker struct {
-	pp      *ProgramPass
-	node    *Node
-	facts   *lockFacts
-	held    map[lockClass]token.Pos
-	callees map[token.Pos][]*Node
-}
-
-func (t *lockOrderTracker) info() *types.Info { return t.node.Unit.Info }
-
-func (t *lockOrderTracker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		t.stmt(s)
-	}
-}
-
-func (t *lockOrderTracker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.ExprStmt:
-		t.expr(s.X)
-	case *ast.SendStmt:
-		t.expr(s.Chan)
-		t.expr(s.Value)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			t.expr(e)
-		}
-		for _, e := range s.Lhs {
-			t.expr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						t.expr(e)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock to function end — no
-		// transition. Other deferred calls run at return; their lock
-		// behavior is attributed here conservatively via the call graph
-		// (the held set at return is unknowable in a linear walk).
-		if fn := calleeFunc(t.info(), s.Call); fn == nil || !unlockMethods[fn.FullName()] {
-			for _, a := range s.Call.Args {
-				t.expr(a)
-			}
-		}
-	case *ast.GoStmt:
-		// The spawned function runs concurrently, not under our locks:
-		// only argument evaluation happens here.
-		for _, a := range s.Call.Args {
-			t.expr(a)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			t.expr(e)
-		}
-	case *ast.IfStmt:
-		t.stmt(s.Init)
-		t.expr(s.Cond)
-		t.stmts(s.Body.List)
-		t.stmt(s.Else)
-	case *ast.BlockStmt:
-		t.stmts(s.List)
-	case *ast.ForStmt:
-		t.stmt(s.Init)
-		if s.Cond != nil {
-			t.expr(s.Cond)
-		}
-		t.stmts(s.Body.List)
-		t.stmt(s.Post)
-	case *ast.RangeStmt:
-		t.expr(s.X)
-		t.stmts(s.Body.List)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				t.stmts(cc.Body)
-			}
-		}
-	case *ast.SwitchStmt:
-		t.stmt(s.Init)
-		if s.Tag != nil {
-			t.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				t.stmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		t.stmt(s.Init)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				t.stmts(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		t.stmt(s.Stmt)
-	}
-}
-
-func (t *lockOrderTracker) expr(e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // literals are their own nodes
-		case *ast.CallExpr:
-			t.call(n)
-		}
-		return true
-	})
-}
-
-func (t *lockOrderTracker) call(c *ast.CallExpr) {
-	fn := calleeFunc(t.info(), c)
-	if fn != nil {
-		full := fn.FullName()
-		switch {
-		case lockMethods[full]:
-			t.acquire(c)
-			return
-		case unlockMethods[full]:
-			delete(t.held, t.classOf(c))
-			return
-		}
-	}
-	// A resolved module call: record the held set for the
-	// cross-function pass.
-	callees := t.callees[c.Pos()]
-	if len(callees) == 0 || len(t.held) == 0 {
-		return
-	}
-	held := make([]lockClass, 0, len(t.held))
-	for h := range t.held {
-		held = append(held, h)
-	}
-	sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
-	t.facts.calls = append(t.facts.calls, lockCallSite{
-		caller: t.node.ID, callees: callees, held: held, pos: c.Pos(),
-	})
-}
-
-func (t *lockOrderTracker) acquire(c *ast.CallExpr) {
-	class := t.classOf(c)
-	set := t.facts.acquires[t.node.ID]
-	if set == nil {
-		set = make(map[lockClass]bool)
-		t.facts.acquires[t.node.ID] = set
-	}
-	set[class] = true
-	for h := range t.held {
-		t.facts.edges = append(t.facts.edges, lockEdge{
-			from: h, to: class, pos: c.Pos(), inFunc: string(t.node.ID),
-		})
-	}
-	t.held[class] = c.Pos()
-}
-
-// classOf canonicalizes the mutex receiver of a Lock/Unlock call into
-// a lock class.
-func (t *lockOrderTracker) classOf(c *ast.CallExpr) lockClass {
-	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockClass("unknown")
-	}
-	lockExpr := ast.Unparen(sel.X) // e.g. g.mu, st.mu, errMu
-	if fieldSel, ok := lockExpr.(*ast.SelectorExpr); ok {
-		// Struct-held lock: class = owning named type + field.
-		if base := namedTypeName(t.info().TypeOf(fieldSel.X)); base != "" {
-			return lockClass("(" + base + ")." + fieldSel.Sel.Name)
-		}
-		return lockClass(ExprString(fieldSel))
-	}
-	if id, ok := lockExpr.(*ast.Ident); ok {
-		if obj := t.info().ObjectOf(id); obj != nil {
-			if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return lockClass(v.Pkg().Name() + "." + v.Name()) // package-level mutex
-			}
-		}
-		// Function-local mutex: scope the class to the function so
-		// unrelated locals in other functions don't alias.
-		return lockClass(shortFunc(string(t.node.ID)) + "." + id.Name)
-	}
-	return lockClass(ExprString(lockExpr))
 }

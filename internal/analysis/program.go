@@ -9,52 +9,25 @@ import (
 	"strings"
 )
 
-// Program is a whole-program view: every type-checked unit the driver
-// loaded, plus the call graph built over them. Per-unit analyzers see a
-// Pass; interprocedural analyzers (hotalloc, lockorder) see a
-// ProgramPass, whose facts span package boundaries — a `//slate:hot`
-// annotation on routing.Local must constrain callees in other packages.
+// Program is what every analyzer sees: each type-checked unit the
+// driver loaded, and the call graph over them. Interprocedural
+// analyzers (hotalloc, lockorder) ask for the graph, because their
+// facts span package boundaries — a `//slate:hot` annotation on
+// routing.Local must constrain callees in other packages.
 type Program struct {
 	Loader *Loader
 	Units  []*Unit
-	Graph  *CallGraph
+
+	graph *CallGraph
 }
 
-// NewProgram assembles a program from loaded units and builds its call
-// graph. Units with type errors are excluded: partial type info would
-// poison interprocedural facts.
-func NewProgram(l *Loader, units []*Unit) *Program {
-	var ok []*Unit
-	for _, u := range units {
-		if len(u.TypeErrors) == 0 {
-			ok = append(ok, u)
-		}
+// Graph returns the call graph over the units, built the first time an
+// analyzer asks, so a run of per-unit analyzers builds none.
+func (p *Program) Graph() *CallGraph {
+	if p.graph == nil {
+		p.graph = buildCallGraph(p)
 	}
-	p := &Program{Loader: l, Units: ok}
-	p.Graph = buildCallGraph(p)
-	return p
-}
-
-// ProgramPass hands the whole program to one interprocedural analyzer.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	report func(Diagnostic)
-}
-
-// Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Prog.Loader.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// InTestFile reports whether pos lies in a _test.go file.
-func (p *ProgramPass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Prog.Loader.Fset.Position(pos).Filename, "_test.go")
+	return p.graph
 }
 
 // FuncID names one function in the call graph. Declared functions use

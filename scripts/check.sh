@@ -4,9 +4,10 @@
 # Runs, in order (each step timed):
 #   1. gofmt -l           (formatting drift)
 #   2. go vet ./...       (stdlib static checks)
-#   3. slate-lint ./...   (SLATE-specific analyzers: lockguard, floatcmp,
-#                          detrand, ctxprop, hotalloc, detorder, lockorder
-#                          — see internal/analysis)
+#   3. slate-lint ./...   (SLATE-specific analyzers: ctxprop, detorder,
+#                          detrand, floatcmp, lockguard, plus the
+#                          interprocedural hotalloc and lockorder — see
+#                          internal/analysis and `slate-lint -list`)
 #   4. go test -race -coverprofile ./...  (full suite under the race
 #                          detector, with per-package coverage; includes
 #                          TestFiguresPinned, which holds the paper's

@@ -46,3 +46,25 @@ func intsAreExact(a, b int) bool {
 func sentinel(weight float64) bool {
 	return weight == 0 //slate:nolint floatcmp -- zero means "unset", assigned literally
 }
+
+// trailingCoversItsLine: a directive at the end of a code line covers
+// that line only, so the unreviewed compare below it is still flagged.
+func trailingCoversItsLine(weight, other float64) bool {
+	unset := weight == 0 //slate:nolint floatcmp -- zero means "unset", assigned literally
+	same := weight == other // want `== on float operands is exact`
+	return unset || same
+}
+
+// aloneCoversNextLine: a directive alone on its line covers the line
+// below it.
+func aloneCoversNextLine(weight float64) bool {
+	//slate:nolint floatcmp -- zero means "unset", assigned literally
+	return weight == 0
+}
+
+// gluedIsNotADirective: the prefix must be followed by whitespace or
+// the end of the comment.
+func gluedIsNotADirective(weight float64) bool {
+	//slate:nolintfloatcmp -- zero means "unset", assigned literally
+	return weight == 0 // want `== on float operands is exact`
+}
