@@ -216,6 +216,8 @@ func optStats(w io.Writer, args []string) error {
 		{"simplex wins (race lost)", "slate_global_search_simplex_wins"},
 		{"search abandoned (gap/infeasible)", "slate_global_search_gap_abandoned"},
 		{"LP warm solves", "slate_global_lp_warm_solves"},
+		{"  resumed from the kept tableau", "slate_global_lp_kept_solves"},
+		{"  repaired by dual pivots", "slate_global_lp_dual_repairs"},
 		{"LP cold solves", "slate_global_lp_cold_solves"},
 		{"subproblems", "slate_global_subproblems"},
 		{"subproblem solves", "slate_global_subproblem_solves"},

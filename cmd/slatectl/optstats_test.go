@@ -16,6 +16,8 @@ slate_global_search_solves 28
 slate_global_search_simplex_wins 4
 slate_global_search_gap_abandoned 4
 slate_global_lp_warm_solves 60
+slate_global_lp_kept_solves 57
+slate_global_lp_dual_repairs 13
 slate_global_lp_cold_solves 32
 slate_global_subproblems 32
 slate_global_subproblem_solves 96
@@ -42,6 +44,10 @@ slate_global_ticks_total 5
 		"simplex wins (race lost)",
 		"search abandoned (gap/infeasible)",
 		"LP warm solves",
+		"resumed from the kept tableau",
+		"57",
+		"repaired by dual pivots",
+		"13",
 		"subproblem skips",
 		"search win rate",
 		"87.5%",

@@ -172,6 +172,8 @@ type Global struct {
 	mIterHolds     *obs.Gauge
 	mReverts       *obs.Gauge
 	mWarmSolves    *obs.Gauge
+	mKeptSolves    *obs.Gauge
+	mDualRepairs   *obs.Gauge
 	mColdSolves    *obs.Gauge
 	mShards        *obs.Gauge
 	mSubSolves     *obs.Gauge
@@ -228,6 +230,10 @@ func NewGlobal(ctrl *core.Controller) *Global {
 			"Cumulative ticks that reverted to a safe table."),
 		mWarmSolves: reg.Gauge("slate_global_lp_warm_solves",
 			"Cumulative LP solves that reused the previous basis."),
+		mKeptSolves: reg.Gauge("slate_global_lp_kept_solves",
+			"Cumulative warm LP solves that resumed from the tableau kept from the previous solve instead of installing the basis."),
+		mDualRepairs: reg.Gauge("slate_global_lp_dual_repairs",
+			"Cumulative warm LP solves whose basis demand left infeasible and dual simplex pivots repaired."),
 		mColdSolves: reg.Gauge("slate_global_lp_cold_solves",
 			"Cumulative LP solves from scratch."),
 		mShards: reg.Gauge("slate_global_subproblems",
@@ -528,6 +534,8 @@ func (g *Global) Tick(ctx context.Context) error {
 	g.mReverts.Set(float64(g.ctrl.Reverts()))
 	solves := g.ctrl.OptimizerStats()
 	g.mWarmSolves.Set(float64(solves.WarmSolves))
+	g.mKeptSolves.Set(float64(solves.KeptSolves))
+	g.mDualRepairs.Set(float64(solves.DualRepairs))
 	g.mColdSolves.Set(float64(solves.ColdSolves))
 	g.mShards.Set(float64(solves.Shards))
 	g.mSubSolves.Set(float64(solves.SubSolves))

@@ -25,7 +25,9 @@ import (
 //     state, search incumbents). A follower that wins an election
 //     restores the cache and resumes exactly where the deposed leader
 //     left off — bit-identical table, warm solves — instead of paying
-//     a cold-solve storm at the worst possible moment.
+//     a cold-solve storm at the worst possible moment. Serving a
+//     snapshot makes the leader's shards forget the tableaux their
+//     solvers kept, which it leaves out (core.Controller.Snapshot).
 //   - Event-driven re-solve: telemetry reports whose per-cluster load
 //     moves beyond EventThreshold arm an immediate re-solve instead of
 //     waiting out the sync period. A token bucket (EventBurst tokens,

@@ -16,13 +16,19 @@ import (
 // mutates demand right-hand sides, PWL segment costs, and load scales in
 // place, then warm-starts the simplex from the previous tick's optimal
 // basis. At steady state a tick costs a handful of phase-2 pivots
-// instead of a full two-phase solve over a freshly built model.
+// instead of a full two-phase solve over a freshly built model, and when
+// only demand and costs moved since the last solve the basis is not even
+// pivoted in: the solver resumes from the tableau it kept
+// (lp.Solver.SolveWith).
 //
 // Not safe for concurrent use.
 type Optimizer struct {
-	top    *topology.Topology
-	app    *appgraph.App
-	cfg    Config // normalized
+	top *topology.Topology
+	app *appgraph.App
+	cfg Config // normalized
+	// solver keeps the tableau of the last solve. A standalone Optimizer
+	// solves in the Solver's own Workspace, a ShardedOptimizer's shard in
+	// its worker's.
 	solver *lp.Solver
 	f      *formulation
 	basis  []int
@@ -39,9 +45,12 @@ type Optimizer struct {
 type OptimizerStats struct {
 	// Builds is the number of full formulation (re)builds.
 	Builds uint64
-	// WarmSolves counts solves that installed the previous basis and
+	// WarmSolves counts solves that started from the previous basis and
 	// skipped phase 1.
 	WarmSolves uint64
+	// KeptSolves counts the warm solves that resumed from the tableau
+	// kept from the previous solve instead of installing the basis.
+	KeptSolves uint64
 	// DualRepairs counts the warm solves whose basis the new demand had
 	// left infeasible and dual simplex pivots repaired.
 	DualRepairs uint64
@@ -81,12 +90,12 @@ func (o *Optimizer) Stats() OptimizerStats { return o.stats }
 // profiles, reusing the cached formulation and the previous optimal
 // basis when possible. version is stamped onto the produced table.
 func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	return o.solve(o.solver, demand, profiles, version)
+	return o.solve(nil, demand, profiles, version)
 }
 
-// solve is Optimize in the given simplex scratch. A ShardedOptimizer's
-// shards own none: each solves in its worker's.
-func (o *Optimizer) solve(solver *lp.Solver, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+// solve is Optimize in the given working storage, nil for the Solver's
+// own. A ShardedOptimizer's shards solve in their worker's.
+func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err
 	}
@@ -99,12 +108,15 @@ func (o *Optimizer) solve(solver *lp.Solver, demand Demand, profiles Profiles, v
 		o.basis = o.restored
 	}
 	o.restored = nil
-	sol, err := solver.SolveFrom(o.f.model, o.basis)
+	sol, err := o.solver.SolveWith(work, o.f.model, o.basis)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving routing LP: %w", err)
 	}
 	if sol.Warm {
 		o.stats.WarmSolves++
+		if sol.Kept {
+			o.stats.KeptSolves++
+		}
 		if sol.DualPivots > 0 {
 			o.stats.DualRepairs++
 		}

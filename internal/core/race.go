@@ -124,10 +124,10 @@ func (r raceOutcome) count(st *OptimizerStats) {
 	}
 }
 
-// solveShard serves one dirty shard in the given simplex scratch: race
+// solveShard serves one dirty shard in the given working storage: race
 // the anytime search against the warm simplex when armed, else (or when
 // search loses) run the simplex alone. It writes only the shard's state.
-func (s *ShardedOptimizer) solveShard(sh *shard, solver *lp.Solver, demand Demand, profiles Profiles, version uint64) (*Plan, raceOutcome, error) {
+func (s *ShardedOptimizer) solveShard(sh *shard, work *lp.Workspace, demand Demand, profiles Profiles, version uint64) (*Plan, raceOutcome, error) {
 	race := unraced
 	if s.race != nil && sh.plan != nil {
 		if plan, ok := s.trySearch(sh, demand, profiles, version); ok {
@@ -135,7 +135,7 @@ func (s *ShardedOptimizer) solveShard(sh *shard, solver *lp.Solver, demand Deman
 		}
 		race = simplexWon
 	}
-	plan, err := sh.opt.solve(solver, demand, profiles, version)
+	plan, err := sh.opt.solve(work, demand, profiles, version)
 	return plan, race, err
 }
 

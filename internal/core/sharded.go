@@ -47,15 +47,17 @@ type ShardedOptimizer struct {
 	app     *appgraph.App
 	cfg     Config // normalized
 	skipEps float64
-	// solvers are the simplex scratch the dirty shards solve in, one per
-	// worker, grown to min(GOMAXPROCS, dirty shards) and kept across
-	// ticks: a sparse tableau is under 2 MB at 48 clusters, a scratch per
-	// shard would be 24 of them. A shard's Optimizer owns none.
-	solvers []*lp.Solver
-	shards  []*shard
-	dirty   []*shard // this tick's dirty shards, in shard order
-	race    *RaceConfig
-	stats   OptimizerStats
+	// work is the simplex working storage the dirty shards solve in, one
+	// per worker, grown to min(GOMAXPROCS, dirty shards) and kept across
+	// ticks: at 48 clusters it is some 1.5 MB, mostly the wide rows' dense
+	// storage, and 24 of them would be 36 MB. A shard's Optimizer owns
+	// none; its Solver keeps only the packed rows of its last optimal
+	// tableau, ≈ 0.1 MB, to resume from when only demand and costs moved.
+	work   []*lp.Workspace
+	shards []*shard
+	dirty  []*shard // this tick's dirty shards, in shard order
+	race   *RaceConfig
+	stats  OptimizerStats
 
 	// Input layout, compiled once (placement is fixed at build): topology
 	// cluster order, every placed pool in (service, cluster) order and the
@@ -102,7 +104,8 @@ type shard struct {
 	// This tick's solve while the shard is dirty: the inputs it answers,
 	// what the worker that ran it returned, and the optimizer as it stood
 	// before — put back when an earlier shard's error leaves this one
-	// uncommitted, as if the serial loop had never reached it.
+	// uncommitted, as if the serial loop had never reached it. Its Solver
+	// cannot be put back: the tableau it kept is of the discarded solve.
 	pending []float64
 	next    *Plan
 	race    raceOutcome
@@ -248,10 +251,10 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub)}
 }
 
-// newOptimizer returns a shard's Optimizer, which owns no simplex
-// scratch: it solves in its worker's.
+// newOptimizer returns a shard's Optimizer. Its Solver keeps the shard's
+// tableau; the working storage it solves in is its worker's.
 func (s *ShardedOptimizer) newOptimizer(app *appgraph.App) *Optimizer {
-	return &Optimizer{top: s.top, app: app, cfg: s.cfg}
+	return &Optimizer{top: s.top, app: app, cfg: s.cfg, solver: lp.NewSolver()}
 }
 
 // Stats reports cumulative solve counters, aggregated over shards.
@@ -261,6 +264,7 @@ func (s *ShardedOptimizer) Stats() OptimizerStats {
 		st := sh.opt.Stats()
 		out.Builds += st.Builds
 		out.WarmSolves += st.WarmSolves
+		out.KeptSolves += st.KeptSolves
 		out.DualRepairs += st.DualRepairs
 		out.ColdSolves += st.ColdSolves
 	}
@@ -278,7 +282,9 @@ func (s *ShardedOptimizer) Shards() int { return len(s.shards) }
 // It fingerprints every shard, solves the dirty ones concurrently, then
 // commits in shard order exactly what solving them one after another
 // would have: the counters, and on an error the first failing shard's,
-// with every later shard left as it was.
+// with every later shard left as it was but for its kept tableau, which
+// every shard after the failing one drops (the serial loop too): a
+// discarded solve has moved it on.
 func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
 	s.refreshProbes(profiles)
 	if len(s.shards) > 1 {
@@ -310,6 +316,9 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 			for _, later := range dirty {
 				*later.opt = later.before
 			}
+			for _, later := range s.shards[i+1:] {
+				later.opt.solver.Forget()
+			}
 			return nil, sh.err
 		}
 		s.stats.SubSolves++
@@ -321,7 +330,7 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 }
 
 // solveDirty solves this tick's dirty shards on min(GOMAXPROCS, dirty)
-// workers, each in its own Solver; a shard's results land in its own
+// workers, each in its own Workspace; a shard's results land in its own
 // fields. The calling goroutine is one of the workers, so one dirty
 // shard starts no goroutine.
 func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version uint64) {
@@ -329,25 +338,25 @@ func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version 
 		return // an all-skip tick allocates nothing here
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(s.dirty))
-	for len(s.solvers) < workers {
-		s.solvers = append(s.solvers, lp.NewSolver())
+	for len(s.work) < workers {
+		s.work = append(s.work, lp.NewWorkspace())
 	}
 	var next atomic.Int64
-	work := func(solver *lp.Solver) {
+	work := func(w *lp.Workspace) {
 		for k := next.Add(1) - 1; k < int64(len(s.dirty)); k = next.Add(1) - 1 {
 			sh := s.dirty[k]
-			sh.next, sh.race, sh.err = s.solveShard(sh, solver, demand, profiles, version)
+			sh.next, sh.race, sh.err = s.solveShard(sh, w, demand, profiles, version)
 		}
 	}
 	var wg sync.WaitGroup
-	for _, solver := range s.solvers[1:workers] {
+	for _, w := range s.work[1:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(solver)
+			work(w)
 		}()
 	}
-	work(s.solvers[0])
+	work(s.work[0])
 	wg.Wait()
 }
 

@@ -89,12 +89,13 @@ func TestShardedPartition(t *testing.T) {
 	if s.Shards() != 4 {
 		t.Errorf("star app shards = %d, want 4", s.Shards())
 	}
-	// A shard owns no simplex scratch — dirty shards solve in the
-	// optimizer's per-worker Solvers; a scratch per shard held hundreds of
-	// MB at 48 clusters × 24 shards.
+	// A shard keeps its tableau's rows in an lp.Solver of its own, and
+	// solves in its worker's Workspace (solveShard): a dense scratch per
+	// shard held hundreds of MB at 48 clusters × 24 shards, a sparse one
+	// some 1.5 MB.
 	for i, sh := range s.shards {
-		if sh.opt.solver != nil {
-			t.Errorf("shard %d solves in its own lp.Solver, want its worker's", i)
+		if sh.opt.solver == nil {
+			t.Errorf("shard %d keeps no lp.Solver of its own", i)
 		}
 	}
 

@@ -32,6 +32,16 @@ import (
 //     within a few windows) when it is on.
 //   - Solve counters (OptimizerStats): they describe a process, not the
 //     control state; a new leader starts its own counts.
+//   - The tableau each shard's solver kept from its last solve, from
+//     which a solve resumes when only demand and costs moved (a shard's
+//     is some 70 kB packed). A restored controller installs each shard's
+//     basis afresh instead, reaching the vertex the kept tableau would
+//     by other pivots, which can leave other last bits in the weights.
+//     So that a snapshot stays the point from which both continue bit
+//     for bit, taking it makes the controller forget its kept tableaux
+//     too: its next dirty solves install the same bases. A leader whose
+//     followers poll every period thus installs every dirty shard, as
+//     it did before tableaux were kept.
 //
 // Determinism: everything in a snapshot is either already
 // deterministically ordered (tables and plans sort their keys, the
@@ -82,7 +92,8 @@ type ControllerSnapshot struct {
 
 // Snapshot captures the controller's warm state. Tables and cached
 // plans are immutable once published, so the snapshot shares them with
-// the live controller; the demand map is deep-copied.
+// the live controller; the demand map is deep-copied. Every shard's
+// solver forgets its kept tableau, which the snapshot does not carry.
 func (c *Controller) Snapshot() *ControllerSnapshot {
 	s := &ControllerSnapshot{
 		Format:          SnapshotFormat,
@@ -152,13 +163,16 @@ func (c *Controller) Restore(s *ControllerSnapshot) error {
 	return nil
 }
 
-// snapshotState captures every shard's warm state in partition order.
-// A fingerprint containing a non-finite entry (a pool that had no
-// profile when last solved) is dropped rather than breaking the JSON
-// encoding — that shard simply re-solves after restore.
+// snapshotState captures every shard's warm state in partition order,
+// and makes every shard's solver forget the tableau it kept, so that the
+// next solve from the basis captured here installs it as a restored
+// shard's does. A fingerprint containing a non-finite entry (a pool that
+// had no profile when last solved) is dropped rather than breaking the
+// JSON encoding — that shard simply re-solves after restore.
 func (s *ShardedOptimizer) snapshotState() *OptimizerSnapshot {
 	out := &OptimizerSnapshot{}
 	for _, sh := range s.shards {
+		sh.opt.solver.Forget()
 		out.Shards = append(out.Shards, ShardSnapshot{
 			Fingerprint: finiteSlice(sh.fp),
 			Basis:       append([]int(nil), sh.opt.basis...),

@@ -81,7 +81,11 @@ func requireSameTable(t *testing.T, ctx string, want, got interface{ MarshalJSON
 // TestSnapshotRestoreBitIdentical is the failover contract: a restored
 // controller publishes bit-identical tables and serves its first
 // post-restore tick warm (no cold solves), across the one-shard,
-// decomposed, robust, search-race, and predictive configurations.
+// decomposed, robust, search-race, and predictive configurations. No
+// snapshot carries the tableaux the solvers kept, so taking one makes
+// the original forget its own: on the first dirty tick both install the
+// snapshot's bases, and on the next both resume from the tableaux that
+// tick kept.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	configs := map[string]ControllerConfig{
 		"one-shard":  {DemandSmoothing: 1},
@@ -124,6 +128,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			// cold-fallback path, original and restored alike). Dirty
 			// shards must re-solve warm from the restored bases — still
 			// zero cold solves, still bit-identical.
+			kept := a.OptimizerStats().KeptSolves
 			ta, err = a.Tick(starStats(app, 1.02), time.Second)
 			if err != nil {
 				t.Fatalf("original dirty tick: %v", err)
@@ -133,6 +138,9 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				t.Fatalf("restored dirty tick: %v", err)
 			}
 			requireSameTable(t, "dirty post-restore tick", ta, tb)
+			if st := a.OptimizerStats(); st.KeptSolves != kept {
+				t.Fatalf("the original resumed %d shards from tableaux kept before the snapshot, want 0 (stats %+v)", st.KeptSolves-kept, st)
+			}
 			st = b.OptimizerStats()
 			if st.ColdSolves != 0 {
 				t.Fatalf("dirty post-restore tick ran %d cold solves, want 0 (stats %+v)", st.ColdSolves, st)
@@ -142,6 +150,23 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			}
 			if st.SubSolves == 0 || st.WarmSolves+st.SearchSolves == 0 {
 				t.Fatalf("dirty tick solved no shard warm (stats %+v)", st)
+			}
+
+			// Third post-restore tick drifts again: original and restored
+			// both resume from the tableaux the dirty tick kept.
+			ta, err = a.Tick(starStats(app, 1.04), time.Second)
+			if err != nil {
+				t.Fatalf("original resumed tick: %v", err)
+			}
+			tb, err = b.Tick(starStats(app, 1.04), time.Second)
+			if err != nil {
+				t.Fatalf("restored resumed tick: %v", err)
+			}
+			requireSameTable(t, "resumed post-restore tick", ta, tb)
+			sa, sb := a.OptimizerStats(), b.OptimizerStats()
+			if sa.KeptSolves-kept != sb.KeptSolves || sb.KeptSolves == 0 && !cfg.Search {
+				t.Fatalf("resumed %d shards, restored %d; want the same, and some without the race (stats %+v)",
+					sa.KeptSolves-kept, sb.KeptSolves, sb)
 			}
 		})
 	}

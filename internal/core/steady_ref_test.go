@@ -146,8 +146,8 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 		}
 	}
 	plans := make([]*Plan, len(s.shards))
-	if len(s.solvers) == 0 {
-		s.solvers = append(s.solvers, lp.NewSolver())
+	if len(s.work) == 0 {
+		s.work = append(s.work, lp.NewWorkspace())
 	}
 	for i, sh := range s.shards {
 		fp := refFingerprint(s, sh, demand, profiles)
@@ -156,9 +156,14 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 			plans[i] = sh.plan
 			continue
 		}
-		plan, race, err := s.solveShard(sh, s.solvers[0], demand, profiles, version)
+		plan, race, err := s.solveShard(sh, s.work[0], demand, profiles, version)
 		race.count(&s.stats)
 		if err != nil {
+			// The shards after a failing one drop their kept tableaux, as
+			// the concurrent loop's do.
+			for _, later := range s.shards[i+1:] {
+				later.opt.solver.Forget()
+			}
 			return nil, err
 		}
 		s.stats.SubSolves++

@@ -4,19 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The dense reference: the solver as it stood at 4f7cfa2, before the
 // tableau went sparse, kept verbatim (types renamed, a pivot trace added)
 // for TestSparseMatchesDense to hold the live one against, and extended
-// since by one step the live solver took on: the dual simplex repair of a
-// warm basis the right-hand side left infeasible (finishWarm), written
-// for this tableau's storage. It shares the tolerances, flip, tieBreak,
-// errUnbounded and the pivot budget with the live code; everything that
-// touches storage is its own.
+// since by two steps the live solver took on, each written for this
+// tableau's storage: the dual simplex repair of a warm basis the
+// right-hand side left infeasible (finishWarm), and the resumed solve
+// from the tableau of the last optimal solve of the same model (resume).
+// It shares the tolerances, flip, tieBreak, errUnbounded, keptTol and the
+// pivot budget with the live code; everything that touches storage is
+// its own.
 
 // denseSolver owns the dense tableau's scratch: one flat rows × columns
-// array, cleared at the start of every solve.
+// array, cleared at the start of every solve but a resumed one.
 type denseSolver struct {
 	flat  []float64   // tableau backing array
 	rowp  [][]float64 // row views into flat
@@ -24,6 +27,16 @@ type denseSolver struct {
 	seen  []bool // warm-start basis validation scratch (per column)
 	done  []bool // warm-start row-installed scratch (per row)
 	nz    []int  // pivot-row nonzero column indices scratch
+
+	// The tableau last built in flat, with newTableau's record of it:
+	// each row's unit column (its initial basic one) and which
+	// constraints it negated. kept names the model whose optimum it holds,
+	// at that model's edit count; nil when it holds none.
+	last      *denseTableau
+	unit      []int
+	neg       []bool
+	kept      *Model
+	keptEdits uint64
 
 	trace func(row, col int) // records the pivot sequence
 }
@@ -36,23 +49,87 @@ func newDenseSolver() *denseSolver { return &denseSolver{} }
 // optimal basis, which a later call can hand to SolveFrom to warm-start
 // a nearby problem.
 func (s *denseSolver) Solve(m *Model) (*Solution, error) {
-	t, err := s.newTableau(m)
-	if err != nil {
-		return nil, err
-	}
-	return t.solve(m)
+	return s.SolveFrom(m, nil)
 }
 
 // SolveFrom minimizes the model starting from a previously optimal
-// basis (as recorded in Solution.Basis), as Solver.SolveFrom does: phase
-// 2 from an installed basis the right-hand side left feasible, dual
-// simplex pivots first from one it did not, a cold Solve when neither
-// works out.
+// basis (as recorded in Solution.Basis), as Solver.SolveWith does: from
+// the kept tableau when it applies, else from an installed basis —
+// phase 2 from a basis the right-hand side left feasible, dual simplex
+// pivots first from one it did not — and a cold solve when neither works
+// out. The tableau of a warm solve that ended optimal is kept for the
+// next solve.
 //
 // A nil or empty basis is an explicit cold start.
 func (s *denseSolver) SolveFrom(m *Model, basis []int) (*Solution, error) {
+	sol, err := s.solveFrom(m, basis)
+	s.kept = nil
+	if sol != nil && sol.Status == Optimal && sol.Warm {
+		// The live solver keeps no artificial column whose row's
+		// right-hand side is 0, and resumes only while it stays 0; this
+		// tableau keeps every column and follows the same rule.
+		unitRHS, _ := s.unitRHSOf(m, s.last.cols)
+		for i, u := range s.unit {
+			if u >= s.last.artBase && unitRHS[u] == 0 { //slate:nolint floatcmp -- only an exact zero reads no column of B⁻¹
+				s.unit[i] = -1
+			}
+		}
+		s.kept, s.keptEdits = m, m.edits
+	}
+	return sol, err
+}
+
+// unitRHSOf returns, per column, the right-hand side of the row whose
+// unit column it is, as newTableau writes it; ok is false when a
+// constraint would be negated the other way round, a bound is negative,
+// or a row whose unit column was dropped has a right-hand side other than
+// 0.
+func (s *denseSolver) unitRHSOf(m *Model, cols int) (unitRHS []float64, ok bool) {
+	unitRHS = make([]float64, cols)
+	set := func(i int, b float64) bool {
+		if u := s.unit[i]; u >= 0 {
+			unitRHS[u] = b
+			return true
+		}
+		return b == 0 //slate:nolint floatcmp -- a dropped column of B⁻¹ is read by no right-hand side but an exact zero
+	}
+	for i, c := range m.cons {
+		if (c.rhs < 0) != s.neg[i] {
+			return nil, false
+		}
+		b := c.rhs
+		if s.neg[i] {
+			b = -b
+		}
+		if !set(i, b) {
+			return nil, false
+		}
+	}
+	row := len(m.cons)
+	for _, v := range m.vars {
+		if !math.IsInf(v.upper, 1) {
+			if v.upper < 0 || !set(row, v.upper) {
+				return nil, false
+			}
+			row++
+		}
+	}
+	return unitRHS, true
+}
+
+func (s *denseSolver) solveFrom(m *Model, basis []int) (*Solution, error) {
 	if len(basis) == 0 {
-		return s.Solve(m)
+		return s.cold(m)
+	}
+	if t := s.resume(m, basis); t != nil {
+		sol, err := t.finishWarm(m)
+		if sol != nil && (sol.Status != Optimal || m.CheckFeasible(sol.X, keptTol) == nil) {
+			sol.Warm, sol.Kept = true, true
+			return sol, nil
+		}
+		if err != nil && !errors.Is(err, ErrIterLimit) {
+			return nil, err
+		}
 	}
 	t, err := s.newTableau(m)
 	if err != nil {
@@ -71,11 +148,48 @@ func (s *denseSolver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 		// finishWarm), or warm pivots exhausted the budget (cycling from a
 		// bad start); the cold path may still converge.
 	}
-	t, err = s.newTableau(m)
+	return s.cold(m)
+}
+
+func (s *denseSolver) cold(m *Model) (*Solution, error) {
+	t, err := s.newTableau(m)
 	if err != nil {
 		return nil, err
 	}
 	return t.solve(m)
+}
+
+// resume returns the last tableau, readied for a solve of m from basis,
+// when it holds m's optimum at that basis and m has changed since only in
+// right-hand sides that kept their signs; else nil, the tableau
+// untouched. The rhs column becomes B⁻¹b — per row, the sum over the
+// unit columns in ascending order of the row's entry times that column's
+// right-hand side, zeros skipped — the phase-2 row m's costs, and the
+// phase-1 row, unread after phase 1, zeros.
+func (s *denseSolver) resume(m *Model, basis []int) *denseTableau {
+	t := s.last
+	if s.kept != m || s.keptEdits != m.edits || !slices.Equal(basis, t.basis) {
+		return nil
+	}
+	unitRHS, ok := s.unitRHSOf(m, t.cols)
+	if !ok {
+		return nil
+	}
+	for i := 0; i < t.rows; i++ {
+		var b float64
+		for j, u := range unitRHS {
+			if a := t.a[i][j]; u != 0 && a != 0 { //slate:nolint floatcmp -- zeros contribute nothing
+				b += u * a
+			}
+		}
+		t.a[i][t.cols] = b
+	}
+	clear(t.a[t.rows])
+	clear(t.a[t.rows+1])
+	for j, v := range m.vars {
+		t.a[t.rows][j] = v.obj
+	}
+	return t
 }
 
 // growTableau returns rows zeroed row views of width elements each,
@@ -221,9 +335,11 @@ func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
 		}
 		row++
 	}
+	s.neg = s.neg[:0]
 	for _, c := range m.cons {
 		sign := 1.0
 		rel := c.rel
+		s.neg = append(s.neg, c.rhs < 0)
 		if c.rhs < 0 {
 			sign = -1
 			rel = flip(rel)
@@ -249,6 +365,8 @@ func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
 	for j := t.artBase; j < cols; j++ {
 		t.a[nRows+1][j] = 1
 	}
+	s.unit = append(s.unit[:0], t.basis...)
+	s.last = t
 	return t, nil
 }
 

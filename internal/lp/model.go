@@ -10,9 +10,12 @@
 // is some 700 rows by 1 800 columns of which under 1 % are nonzero, and
 // pivoting keeps it so (a pivot row holds a dozen entries); the rows that
 // do fill in, most of them in a monolithic LP, switch to dense arrays. A
-// reusable Solver keeps its storage across solves and warm-starts from
-// the previous tick's basis, repairing it with dual simplex pivots when
-// demand left it infeasible (see Solver.SolveFrom).
+// reusable Solver warm-starts from the previous tick's basis, repairing
+// it with dual simplex pivots when demand left it infeasible, and keeps
+// the tableau of its last optimal solve: when only right-hand sides and
+// costs moved since, the next solve resumes from it instead of pivoting
+// the basis in again (see Solver.SolveWith). The storage a solve works in is a
+// Workspace, which a worker serving many models' Solvers holds once.
 package lp
 
 import (
@@ -72,6 +75,11 @@ type constraint struct {
 type Model struct {
 	vars []variable
 	cons []constraint
+	// edits counts the changes to the constraint matrix and the row set —
+	// not to a right-hand side, a finite upper bound's included, nor to a
+	// cost — so that a Solver can tell whether the tableau it kept still
+	// has this model's rows.
+	edits uint64
 }
 
 // NewModel returns an empty model.
@@ -81,11 +89,15 @@ func NewModel() *Model { return &Model{} }
 // x ≥ 0 (no upper bound). The name is used in error messages only.
 func (m *Model) AddVar(name string, obj float64) Var {
 	m.vars = append(m.vars, variable{name: name, obj: obj, upper: math.Inf(1)})
+	m.edits++
 	return Var(len(m.vars) - 1)
 }
 
 // SetUpper bounds the variable above: x ≤ hi.
 func (m *Model) SetUpper(v Var, hi float64) {
+	if math.IsInf(hi, 1) != math.IsInf(m.vars[v].upper, 1) {
+		m.edits++ // the bound's row comes or goes
+	}
 	m.vars[v].upper = hi
 }
 
@@ -134,6 +146,7 @@ func (m *Model) AddConstraint(name string, terms []Term, rel Rel, rhs float64) e
 		}
 	}
 	m.cons = append(m.cons, constraint{name: name, terms: out[:k], rel: rel, rhs: rhs})
+	m.edits++
 	return nil
 }
 
@@ -188,6 +201,10 @@ type Solution struct {
 	// basis the right-hand side had left infeasible; 0 when the basis
 	// needed none.
 	DualPivots int
+	// Kept reports a warm solve that resumed from the tableau the Solver
+	// kept from its last solve of the model, instead of installing the
+	// basis (see Solver.SolveWith).
+	Kept bool
 }
 
 // Value returns the solved value of v.

@@ -74,16 +74,45 @@ type holder struct {
 // row's columns in ascending order, and the tournament picks the column
 // the dense scan of the reduced costs picks. TestSparseMatchesDense
 // holds the two to the same pivots and bit-equal Solutions.
+//
+// Between solves a tableau holds its basis and, packed, the rows of its
+// last optimal solve; the rest is a Workspace's scratch, lent for a solve.
 type tableau struct {
 	rows    int // constraint rows
 	cols    int // total columns excluding rhs
 	n       int // structural variables
 	artBase int // first artificial column; artificials are [artBase, cols)
-	row     [][]entry
-	rhs     []float64
-	obj2    []float64
-	obj1    []float64
 	basis   []int
+	// unit[i] is the column that starts out as row i's unit vector — its
+	// slack in a ≤ row, its artificial otherwise — so the tableau's column
+	// unit[i] is always column i of B⁻¹; −1 once the packed rows dropped
+	// it. neg[i] says load negated constraint i, whose right-hand side was
+	// negative.
+	unit []int32
+	neg  []bool
+	// packed holds the rows of the last optimal solve, row i's entries at
+	// packed[off[i]:off[i+1]], for a resume to unpack. kept is the model
+	// they solve, with the model's edit count then; nil when they hold
+	// none.
+	packed    []entry
+	off       []int32
+	kept      *Model
+	keptEdits uint64
+
+	scratch // a Workspace's while a solve runs, empty between solves
+
+	trace func(row, col int) // tests record the pivot sequence; nil otherwise
+}
+
+// scratch is the part of a tableau a solve rebuilds before it pivots:
+// the rows, the right-hand side, the objective rows, the column lists,
+// the wide rows' dense storage, the pricing tree and the buffers of
+// single steps.
+type scratch struct {
+	row  [][]entry
+	rhs  []float64
+	obj2 []float64
+	obj1 []float64
 	// colRows[j] lists the narrow rows that may hold column j: a superset
 	// of those that do, unordered and possibly repeating. Fill-in appends;
 	// cancellation and widening leave their row behind for holders to drop.
@@ -94,11 +123,12 @@ type tableau struct {
 	wideRows []int32
 	flat     []float64
 
-	merged []entry  // eliminate's scratch: one narrow row under construction
-	prow   []entry  // pivot's scratch: a wide pivot row's nonzeros
-	held   []holder // holders' result
-	seen   []bool   // warm-start basis validation scratch (per column)
-	done   []bool   // warm-start row-installed scratch (per row)
+	merged  []entry   // eliminate's scratch: one narrow row under construction
+	prow    []entry   // pivot's scratch: a wide pivot row's nonzeros
+	held    []holder  // holders' result
+	seen    []bool    // warm-start basis validation scratch (per column)
+	done    []bool    // warm-start row-installed scratch (per row)
+	unitRHS []float64 // resume's scratch: per unit column, its row's rhs
 
 	// price is the pricing tournament over the active objective row's
 	// columns [0, end): a complete binary tree whose leaves, from
@@ -107,8 +137,6 @@ type tableau struct {
 	// of its two children. iterate builds it once per phase.
 	price  []slot
 	leaves int
-
-	trace func(row, col int) // tests record the pivot sequence; nil otherwise
 }
 
 // slot is one node of the pricing tournament: the column winning its
@@ -196,24 +224,11 @@ func (t *tableau) load(m *Model) error {
 	}
 	cols := n + nSlack + nArt
 	t.rows, t.cols, t.n, t.artBase = nRows, cols, n, n+nSlack
-	t.row = resize(t.row, nRows)
-	t.rhs = resize(t.rhs, nRows)
 	t.basis = resize(t.basis, nRows)
-	t.colRows = resize(t.colRows, cols)
-	for j := range t.colRows {
-		t.colRows[j] = t.colRows[j][:0]
-	}
-	t.wide = resize(t.wide, nRows)
-	for i := range t.wide {
-		t.wide[i] = -1
-	}
-	t.wideRows = t.wideRows[:0]
-	t.flat = t.flat[:0]
-	t.prow = resize(t.prow, cols)
-	t.obj2 = resize(t.obj2, cols+1)
-	t.obj1 = resize(t.obj1, cols+1)
-	clear(t.obj2)
-	clear(t.obj1)
+	t.unit = resize(t.unit, nRows)
+	t.neg = resize(t.neg, len(m.cons))
+	t.kept = nil
+	t.reset()
 
 	slackCol, artCol := n, t.artBase
 	row := 0
@@ -238,10 +253,11 @@ func (t *tableau) load(m *Model) error {
 		}
 		row++
 	}
-	for _, c := range m.cons {
+	for i, c := range m.cons {
 		sign := 1.0
 		rel := c.rel
-		if c.rhs < 0 {
+		t.neg[i] = c.rhs < 0
+		if t.neg[i] {
 			sign = -1
 			rel = flip(rel)
 		}
@@ -271,7 +287,163 @@ func (t *tableau) load(m *Model) error {
 	for j := t.artBase; j < cols; j++ {
 		t.obj1[j] = 1
 	}
+	for i, b := range t.basis {
+		t.unit[i] = int32(b)
+	}
 	return nil
+}
+
+// reset sizes the scratch to the tableau's shape: every row narrow, the
+// column lists and objective rows empty. Nothing of size rows × cols is
+// allocated or cleared.
+func (t *tableau) reset() {
+	t.row = resize(t.row, t.rows)
+	t.rhs = resize(t.rhs, t.rows)
+	t.colRows = resize(t.colRows, t.cols)
+	for j := range t.colRows {
+		t.colRows[j] = t.colRows[j][:0]
+	}
+	t.wide = resize(t.wide, t.rows)
+	for i := range t.wide {
+		t.wide[i] = -1
+	}
+	t.wideRows = t.wideRows[:0]
+	t.flat = t.flat[:0]
+	t.prow = resize(t.prow, t.cols)
+	t.obj2 = resize(t.obj2, t.cols+1)
+	t.obj1 = resize(t.obj1, t.cols+1)
+	clear(t.obj2)
+	clear(t.obj1)
+}
+
+// unitRHSOf sets unitRHS[j], for each row's unit column j, to the row's
+// right-hand side in m as load writes it, and every other entry to 0. It
+// reports false when a constraint would load flipped the other way round,
+// a bound is negative (load reports it), or a row whose unit column the
+// packed rows dropped has a right-hand side other than 0.
+func (t *tableau) unitRHSOf(m *Model) bool {
+	t.unitRHS = resize(t.unitRHS, t.cols)
+	clear(t.unitRHS)
+	for i, c := range m.cons {
+		if (c.rhs < 0) != t.neg[i] {
+			return false
+		}
+		b := c.rhs
+		if t.neg[i] {
+			b = -b
+		}
+		if !t.setUnitRHS(i, b) {
+			return false
+		}
+	}
+	row := len(m.cons)
+	for _, v := range m.vars {
+		if !math.IsInf(v.upper, 1) {
+			if v.upper < 0 || !t.setUnitRHS(row, v.upper) {
+				return false
+			}
+			row++
+		}
+	}
+	return true
+}
+
+// setUnitRHS records b for row i's unit column; a dropped one takes 0
+// only.
+func (t *tableau) setUnitRHS(i int, b float64) bool {
+	if u := t.unit[i]; u >= 0 {
+		t.unitRHS[u] = b
+		return true
+	}
+	return b == 0 //slate:nolint floatcmp -- a dropped column of B⁻¹ is read by no right-hand side but an exact zero
+}
+
+// resume readies the rows m's last optimal solve left for a solve from
+// the same basis, in place of a load and an install. It applies when m
+// has changed since only in right-hand sides and costs (Model.edits
+// counts every other edit) and no constraint's right-hand side changed
+// sign, which would flip its row: the rows are then still B⁻¹A, which
+// the costs do not enter. The solve's scratch
+// is rebuilt in one pass over the packed rows — the rows themselves, the
+// column lists, and the right-hand side B⁻¹b, read off the unit columns
+// in ascending column order — and then the phase-2 row is set to m's
+// costs, for finishWarm to price out, and the phase-1 row left empty, as
+// it is unread after phase 1. It reports false, the tableau left as it
+// was, when the rows do not apply.
+func (t *tableau) resume(m *Model, basis []int) bool {
+	if t.kept != m || t.keptEdits != m.edits || !slices.Equal(basis, t.basis) || !t.unitRHSOf(m) {
+		return false
+	}
+	t.reset()
+	for i := range t.row {
+		r := append(t.row[i][:0], t.packed[t.off[i]:t.off[i+1]]...)
+		var b float64
+		for _, e := range r {
+			t.colRows[e.col] = append(t.colRows[e.col], int32(i))
+			if u := t.unitRHS[e.col]; u != 0 { //slate:nolint floatcmp -- a zero right-hand side contributes nothing
+				b += u * e.val
+			}
+		}
+		t.row[i] = r
+		t.rhs[i] = b
+	}
+	for j, v := range m.vars {
+		t.obj2[j] = v.obj
+	}
+	return true
+}
+
+// keep ends a solve. The tableau of a warm solve that ended optimal stays
+// for a later resume, its rows — narrow and wide — packed into the
+// tableau's own storage, since the scratch goes back to its Workspace;
+// any other outcome leaves none. A cold solve's is not kept: a model
+// solved once may never be solved again — a control loop's shard whose
+// demand does not move — while one that came back warm is being re-solved.
+//
+// Packing drops the artificial columns a resume never reads. Phase 2 and
+// the dual repair never enter an artificial, so such a column only ever
+// serves as a column of B⁻¹, and B⁻¹b reads it only when its row's
+// right-hand side is not 0: the artificials of rows whose right-hand side
+// is 0 now — in a routing LP every row but demand's — go, and a resume
+// requires those rows to stay at 0. That is some third of an optimal
+// routing tableau's entries.
+func (t *tableau) keep(m *Model, sol *Solution) {
+	t.kept = nil
+	if sol == nil || sol.Status != Optimal || !sol.Warm || !t.unitRHSOf(m) {
+		return
+	}
+	for i, u := range t.unit {
+		if int(u) >= t.artBase && t.unitRHS[u] == 0 { //slate:nolint floatcmp -- only an exact zero reads no column of B⁻¹
+			t.unit[i] = -1
+		}
+	}
+	t.off = resize(t.off, t.rows+1)
+	packed := t.packed[:0]
+	for i, r := range t.row {
+		t.off[i] = int32(len(packed))
+		if off := t.wide[i]; off >= 0 {
+			for j, v := range t.flat[off:][:t.cols] {
+				if v != 0 && t.packs(j) { //slate:nolint floatcmp -- sparsity: only nonzero coefficients are stored
+					packed = append(packed, entry{int32(j), v})
+				}
+			}
+			continue
+		}
+		for _, e := range r {
+			if t.packs(int(e.col)) {
+				packed = append(packed, e)
+			}
+		}
+	}
+	t.off[t.rows] = int32(len(packed))
+	t.packed = packed
+	t.kept, t.keptEdits = m, m.edits
+}
+
+// packs reports whether keep packs column j: every non-artificial column,
+// and an artificial one a resume reads.
+func (t *tableau) packs(j int) bool {
+	return j < t.artBase || t.unitRHS[j] != 0 //slate:nolint floatcmp -- only an exact zero reads no column of B⁻¹
 }
 
 // put appends a coefficient to a row under construction.

@@ -19,19 +19,33 @@ type twin struct {
 	dense    *denseSolver
 	pivots   int // pivots compared so far
 	warm     int // solves that installed their basis and needed no repair
-	repaired int // solves whose installed basis dual pivots repaired
+	repaired int // solves whose installed or kept basis dual pivots repaired
+	kept     int // solves that resumed from the kept tableau
 	fell     int // solves given a basis that fell back to a cold start
-	mixed    int // solves that ended with some rows wide and some narrow
+	mixed    int // solves that pivoted with some rows wide and some narrow
 }
 
 func newTwin(t *testing.T) *twin {
 	return &twin{t: t, sparse: NewSolver(), dense: newDenseSolver()}
 }
 
+// forget drops both solvers' kept tableaux, as a solve of another model
+// would: the next solve from a basis installs it.
+func (w *twin) forget() {
+	w.sparse.Forget()
+	w.dense.kept = nil
+}
+
 func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 	w.t.Helper()
 	var got, want [][2]int
-	w.sparse.t.trace = func(row, col int) { got = append(got, [2]int{row, col}) }
+	wide := false // some pivot met the tableau with rows both wide and narrow
+	w.sparse.t.trace = func(row, col int) {
+		got = append(got, [2]int{row, col})
+		if n := len(w.sparse.t.wideRows); n > 0 && n < w.sparse.t.rows {
+			wide = true
+		}
+	}
 	w.dense.trace = func(row, col int) { want = append(want, [2]int{row, col}) }
 	sol, err := w.sparse.SolveFrom(m, basis)
 	ref, refErr := w.dense.SolveFrom(m, basis)
@@ -44,7 +58,7 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 			label, n, len(got), len(want), got[n:min(n+3, len(got))], want[n:min(n+3, len(want))])
 	}
 	w.pivots += len(got)
-	if n := len(w.sparse.t.wideRows); n > 0 && n < w.sparse.t.rows {
+	if wide {
 		w.mixed++
 	}
 	if (err == nil) != (refErr == nil) || (err != nil && (err.Error() != refErr.Error() || errors.Is(err, ErrIterLimit) != errors.Is(refErr, ErrIterLimit))) {
@@ -53,10 +67,10 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 	if err != nil {
 		return nil
 	}
-	if sol.Status != ref.Status || sol.Warm != ref.Warm || sol.DualPivots != ref.DualPivots ||
+	if sol.Status != ref.Status || sol.Warm != ref.Warm || sol.Kept != ref.Kept || sol.DualPivots != ref.DualPivots ||
 		math.Float64bits(sol.Objective) != math.Float64bits(ref.Objective) {
-		w.t.Fatalf("%s: sparse (%v, warm %v, %d dual pivots, objective %v), dense (%v, warm %v, %d dual pivots, objective %v)",
-			label, sol.Status, sol.Warm, sol.DualPivots, sol.Objective, ref.Status, ref.Warm, ref.DualPivots, ref.Objective)
+		w.t.Fatalf("%s: sparse (%v, warm %v, kept %v, %d dual pivots, objective %v), dense (%v, warm %v, kept %v, %d dual pivots, objective %v)",
+			label, sol.Status, sol.Warm, sol.Kept, sol.DualPivots, sol.Objective, ref.Status, ref.Warm, ref.Kept, ref.DualPivots, ref.Objective)
 	}
 	if !slices.Equal(sol.Basis, ref.Basis) {
 		w.t.Fatalf("%s: sparse basis %v, dense %v", label, sol.Basis, ref.Basis)
@@ -70,12 +84,15 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 				sol.X[j], math.Float64bits(sol.X[j]), ref.X[j], math.Float64bits(ref.X[j]))
 		}
 	}
+	if sol.Kept {
+		w.kept++
+	}
 	switch {
 	case sol.DualPivots > 0:
 		w.repaired++
-	case sol.Warm:
+	case sol.Warm && !sol.Kept:
 		w.warm++
-	case len(basis) > 0:
+	case len(basis) > 0 && !sol.Warm:
 		w.fell++
 	}
 	return sol
@@ -251,11 +268,12 @@ func sparseMatchesDense(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			m := randomFeasibleLP(rng)
 			sol := w.solveFrom(fmt.Sprintf("trial %d cold", trial), m, nil)
-			for step := 0; step < 4; step++ {
+			for step := 0; step < 6; step++ {
 				// Small drift keeps the basis feasible; large drift leaves it
 				// infeasible, and SolveFrom repairs it with dual pivots or,
 				// when no vertex satisfies the new rhs, falls back to a cold
-				// start.
+				// start. Every other step starts from an install, the rest
+				// from the kept tableau.
 				scale := 0.05
 				if (trial+step)%3 == 0 {
 					scale = 5
@@ -265,12 +283,81 @@ func sparseMatchesDense(t *testing.T) {
 				if sol != nil && sol.Status == Optimal {
 					basis = sol.Basis
 				}
+				if step%2 == 1 {
+					w.forget()
+				}
 				sol = w.solveFrom(fmt.Sprintf("trial %d step %d", trial, step), m, basis)
 			}
 		}
-		t.Logf("%d pivots compared, %d warm solves, %d repaired, %d cold fallbacks", w.pivots, w.warm, w.repaired, w.fell)
-		if w.warm == 0 || w.repaired == 0 || w.fell == 0 {
-			t.Fatalf("%d warm solves, %d repaired, %d cold fallbacks: the chains must take all three paths", w.warm, w.repaired, w.fell)
+		t.Logf("%d pivots compared, %d installed warm solves, %d kept, %d repaired, %d cold fallbacks",
+			w.pivots, w.warm, w.kept, w.repaired, w.fell)
+		if w.warm == 0 || w.kept == 0 || w.repaired == 0 || w.fell == 0 {
+			t.Fatalf("%d installed warm solves, %d kept, %d repaired, %d cold fallbacks: the chains must take all four paths",
+				w.warm, w.kept, w.repaired, w.fell)
+		}
+	})
+
+	// A kept tableau applies only to the model it was solved for, only
+	// while nothing but costs and right-hand sides moved, and only if no
+	// right-hand side changed sign; the solve installs the basis
+	// otherwise. A moved cost resumes: the rows B⁻¹A do not depend on it.
+	t.Run("kept tableau that does not apply", func(t *testing.T) {
+		w.t = t
+		rng := rand.New(rand.NewSource(83))
+		for trial := 0; trial < 40; trial++ {
+			m := randomFeasibleLP(rng)
+			sol := w.solveFrom(fmt.Sprintf("refused %d cold", trial), m, nil)
+			other := randomFeasibleLP(rng)
+			w.solveFrom(fmt.Sprintf("refused %d other model", trial), other, nil)
+			kept := w.kept
+			sol = w.solveFrom(fmt.Sprintf("refused %d after another model", trial), m, sol.Basis)
+			if w.kept != kept {
+				t.Fatalf("trial %d: resumed from another model's tableau", trial)
+			}
+			edit := trial % 3
+			switch edit {
+			case 0: // a constraint's right-hand side changes sign
+				i := rng.Intn(m.NumConstraints())
+				rhs := -1 - m.cons[i].rhs
+				if m.cons[i].rhs < 0 {
+					rhs = 1 - m.cons[i].rhs
+				}
+				if err := m.SetRHS(i, rhs); err != nil {
+					t.Fatal(err)
+				}
+			case 1: // a cost moves
+				v := Var(rng.Intn(m.NumVars()))
+				m.SetObj(v, m.vars[v].obj+0.5)
+			case 2:
+				v := Var(rng.Intn(m.NumVars()))
+				if err := m.SetCoef(0, v, 1.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sol.Status != Optimal {
+				continue
+			}
+			kept = w.kept
+			w.solveFrom(fmt.Sprintf("refused %d edit %d", trial, edit), m, sol.Basis)
+			if resumed, want := w.kept != kept, edit == 1; resumed != want {
+				t.Fatalf("trial %d: edit %d resumed %v, want %v", trial, edit, resumed, want)
+			}
+		}
+		// The kept rows lose the artificial columns of rows whose
+		// right-hand side is 0 — a routing LP's conservation rows — so a
+		// solve after one of them moved off 0 installs.
+		for trial := 0; trial < 10; trial++ {
+			r := randomRoutingLP(rng)
+			sol := w.solveFrom(fmt.Sprintf("zero row %d cold", trial), r.m, nil)
+			i := slices.IndexFunc(r.m.cons, func(c constraint) bool { return c.name == "conserve" })
+			if err := r.m.SetRHS(i, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			kept := w.kept
+			w.solveFrom(fmt.Sprintf("zero row %d moved", trial), r.m, sol.Basis)
+			if w.kept != kept {
+				t.Fatalf("trial %d: resumed after a zero right-hand side moved", trial)
+			}
 		}
 	})
 
@@ -301,11 +388,11 @@ func sparseMatchesDense(t *testing.T) {
 	t.Run("routing-shaped chains", func(t *testing.T) {
 		w.t = t
 		rng := rand.New(rand.NewSource(59))
-		pivots, warm, repaired, fell := w.pivots, w.warm, w.repaired, w.fell
+		pivots, warm, kept, repaired, fell := w.pivots, w.warm, w.kept, w.repaired, w.fell
 		for trial := 0; trial < 40; trial++ {
 			r := randomRoutingLP(rng)
 			sol := w.solveFrom(fmt.Sprintf("routing %d cold", trial), r.m, nil)
-			for step := 0; step < 6; step++ {
+			for step := 0; step < 8; step++ {
 				r.churn(t, rng)
 				var basis []int
 				if sol != nil && sol.Status == Optimal {
@@ -314,10 +401,10 @@ func sparseMatchesDense(t *testing.T) {
 				sol = w.solveFrom(fmt.Sprintf("routing %d step %d", trial, step), r.m, basis)
 			}
 		}
-		t.Logf("%d pivots compared, %d warm solves, %d repaired, %d cold fallbacks",
-			w.pivots-pivots, w.warm-warm, w.repaired-repaired, w.fell-fell)
-		if w.warm == warm || w.repaired == repaired || w.fell == fell {
-			t.Fatal("the chains must take the warm path, the dual repair and the cold fallback")
+		t.Logf("%d pivots compared, %d installed warm solves, %d kept, %d repaired, %d cold fallbacks",
+			w.pivots-pivots, w.warm-warm, w.kept-kept, w.repaired-repaired, w.fell-fell)
+		if w.warm == warm || w.kept == kept || w.repaired == repaired || w.fell == fell {
+			t.Fatal("the chains must take the installed and the kept warm path, the dual repair and the cold fallback")
 		}
 		if wideFrac > 1 && wideFrac < math.MaxInt && w.mixed == 0 {
 			t.Fatal("no solve ended with both wide and narrow rows")
@@ -582,20 +669,91 @@ func TestPricingMatchesScan(t *testing.T) {
 	}
 }
 
+// TestWorkspaceLetsGoOfInstallStorage: a Workspace that has served only
+// resumed solves for trimAfter solves in a row keeps at most twice the
+// dense row storage they used, not what the cold solve and the install
+// before them grew; one that still sees an install now and then keeps it
+// all, so that it does not allocate it again for every install. Every
+// eliminated row goes wide here, so that those grow a lot of it.
+func TestWorkspaceLetsGoOfInstallStorage(t *testing.T) {
+	defer func(old int) { wideFrac = old }(wideFrac)
+	wideFrac = math.MaxInt
+	r := randomRoutingLP(rand.New(rand.NewSource(89)))
+	s, w := NewSolver(), NewWorkspace()
+	sol, err := s.SolveWith(w, r.m, nil)
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("cold solve: %v, %+v", err, sol)
+	}
+	grown := cap(w.s.flat)
+	base := make([]float64, len(r.demands))
+	for n, con := range r.demands {
+		base[n] = r.m.cons[con].rhs
+	}
+	run := 0
+	solve := func(install bool) {
+		t.Helper()
+		// Swing alternate demands ×1.15 and ×0.9 of their first value,
+		// the other way round on every other run.
+		for n, con := range r.demands {
+			f := 1.15
+			if (n+run)%2 == 0 {
+				f = 0.9
+			}
+			if err := r.m.SetRHS(con, base[n]*f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run++
+		if install {
+			s.Forget()
+		}
+		if sol, err = s.SolveWith(w, r.m, sol.Basis); err != nil || !sol.Warm || sol.Kept == install {
+			t.Fatalf("run %d: %v, %+v; want install %v", run, err, sol, install)
+		}
+		grown = max(grown, cap(w.s.flat))
+	}
+	// An install every trimAfter−1 solves: nothing is let go.
+	for n := range 4 * trimAfter {
+		solve(n%(trimAfter-1) == 0)
+		if cap(w.s.flat) < grown {
+			t.Fatalf("run %d: the Workspace let go of dense rows between installs (%d of %d floats kept)", run, cap(w.s.flat), grown)
+		}
+	}
+	// Resumed solves only: the install-sized storage goes at the
+	// trimAfter-th, and does not come back.
+	solve(true)
+	for n := 1; n <= 2*trimAfter; n++ {
+		solve(false)
+		if n >= trimAfter && cap(w.s.flat) > 2*w.keptFlat {
+			t.Fatalf("resumed solve %d: the Workspace keeps %d floats of dense rows, resumed solves used at most %d", n, cap(w.s.flat), w.keptFlat)
+		}
+	}
+	if cap(w.s.flat) >= grown {
+		t.Fatalf("the Workspace kept the %d floats of dense rows installs grew; resumed solves used at most %d", grown, w.keptFlat)
+	}
+}
+
 // TestWarmSolveAllocatesOnlySolution pins the steady state: once a Solver
 // has grown to a model, a warm re-solve allocates its Solution (the
 // struct, X and Basis) and nothing else — whether demand drifted little
-// enough for the installed basis to stay feasible or swung far enough
-// that dual pivots repair it.
+// enough for the basis to stay feasible or swung far enough that dual
+// pivots repair it, and whether the solve resumed from the kept tableau,
+// installed the basis, or did one and then the other in turn, as a
+// worker does whose shards' costs were refitted on one tick and not the
+// next.
 func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		seed     int64
 		up, down float64 // the two right-hand sides are d·up, d·down and back
 		repair   bool    // every run repairs its basis
+		install  int     // every install-th run installs its basis; 0 none
 	}{
-		{"drift", 67, 1.02, 0.98, false},
-		{"swing", 65, 1.15, 0.9, true},
+		{"drift", 67, 1.02, 0.98, false, 0},
+		{"swing", 65, 1.15, 0.9, true, 0},
+		{"installed drift", 67, 1.02, 0.98, false, 1},
+		{"installed swing", 65, 1.15, 0.9, true, 1},
+		{"installed and resumed swing", 65, 1.15, 0.9, true, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(c.seed))
@@ -619,7 +777,7 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 				rhs[0] = append(rhs[0], d*up)
 				rhs[1] = append(rhs[1], d*down)
 			}
-			run, pivots, cold, repaired := 0, 0, 0, 0
+			run, pivots, cold, repaired, kept, installed := 0, 0, 0, 0, 0, 0
 			s.t.trace = func(int, int) { pivots++ }
 			basis := base.Basis
 			solve := func() {
@@ -629,6 +787,14 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 					}
 				}
 				run++
+				forget := c.install > 0 && run%c.install == 0
+				if forget {
+					s.Forget()
+				}
+				// The cold base solve keeps no tableau: the first run installs.
+				if forget || run == 1 {
+					installed++
+				}
 				sol, err := s.SolveFrom(r.m, basis)
 				if err != nil || sol.Status != Optimal {
 					t.Fatalf("warm solve: %v, %+v", err, sol)
@@ -639,19 +805,29 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 				if sol.DualPivots > 0 {
 					repaired++
 				}
+				if sol.Kept {
+					kept++
+				}
 				basis = sol.Basis
 			}
-			solve()
-			solve()
+			// Grow the buffers: each right-hand side once installed, once
+			// resumed.
+			for range 4 {
+				solve()
+			}
 			if allocs := testing.AllocsPerRun(20, solve); allocs != 3 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
 				t.Errorf("a warm solve on a grown Solver allocates %v times, want 3 (Solution, X, Basis)", allocs)
 			}
-			t.Logf("%d runs: %d pivots, %d repaired, %d cold", run, pivots, repaired, cold)
-			if pivots == 0 || cold != 0 {
+			t.Logf("%d runs: %d pivots, %d repaired, %d kept, %d cold", run, pivots, repaired, kept, cold)
+			// A kept tableau that drift left optimal needs no pivot at all.
+			if (c.install > 0 || c.repair) && pivots == 0 || cold != 0 {
 				t.Fatalf("%d pivots, %d cold solves over %d runs: the pin must measure warm solves that pivot", pivots, cold, run)
 			}
 			if c.repair && repaired != run || !c.repair && repaired != 0 {
 				t.Fatalf("%d of %d runs repaired their basis, want %v", repaired, run, c.repair)
+			}
+			if kept != run-installed {
+				t.Fatalf("%d of %d runs resumed from the kept tableau, want %d", kept, run, run-installed)
 			}
 		})
 	}
