@@ -204,19 +204,23 @@ func BenchmarkForecastObserve(b *testing.B) {
 }
 
 // BenchmarkForecastPredict measures one h=1 forecast extraction from
-// trained Holt-Winters state (pure arithmetic, //slate:hot).
+// trained Holt-Winters state (pure arithmetic, //slate:hot), read the
+// way the controller reads it, through Each.
 func BenchmarkForecastPredict(b *testing.B) {
 	f := forecast.New(forecast.Config{Alpha: 0.5, Beta: 0.1, Gamma: 0.3, SeasonLength: 12})
 	k := forecast.Key{Class: "default", Cluster: "west"}
 	for i := 0; i < 48; i++ {
 		f.Observe(k, 500+300*float64(i%12)/12)
 	}
+	check := func(_ forecast.Key, p float64) {
+		if p < 0 {
+			b.Fatal("negative forecast")
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f.Predict(k, 1) < 0 {
-			b.Fatal("negative forecast")
-		}
+		f.Each(1, check)
 	}
 }
 
@@ -251,7 +255,7 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := build().Solve()
+		sol, err := lp.NewSolver().SolveWith(nil, build(), nil)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("solve: %v %v", err, sol)
 		}

@@ -9,7 +9,9 @@
 // the simulator must stay deterministic (the paper's Fig. 4/5
 // comparisons against Waterfall are only meaningful when runs are
 // reproducible). The analyzers in this package mechanically enforce
-// those invariants on every build; cmd/slate-lint is the driver.
+// those invariants on every build, and testonly keeps the design's
+// one-path rule: no exported API or config field whose only user is a
+// test. cmd/slate-lint is the driver.
 //
 // # Adding an analyzer
 //
@@ -17,7 +19,7 @@
 // in a new file, append it to All in registry.go, and add a fixture
 // package under testdata/lint/myrule/ with `// want "regexp"`
 // expectations, checked by a TestMyruleFixture in analysis_test.go
-// through CheckFixture. The Pass gives each analyzer every unit of the
+// through checkFixture. The Pass gives each analyzer every unit of the
 // run, fully type-checked, so rules can resolve callees precisely (e.g.
 // distinguish (*net/http.Client).Post from a local method named Post)
 // instead of string-matching identifiers; interprocedural rules ask it

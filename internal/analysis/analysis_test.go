@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -19,7 +20,7 @@ func repoRoot(t *testing.T) string {
 
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
-	complaints, err := CheckFixture(repoRoot(t), filepath.Join("testdata", "lint", a.Name), a)
+	complaints, err := checkFixture(repoRoot(t), filepath.Join("testdata", "lint", a.Name), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +36,84 @@ func TestCtxpropFixture(t *testing.T)   { runFixture(t, Ctxprop) }
 func TestHotallocFixture(t *testing.T)  { runFixture(t, Hotalloc) }
 func TestDetorderFixture(t *testing.T)  { runFixture(t, Detorder) }
 func TestLockorderFixture(t *testing.T) { runFixture(t, Lockorder) }
+
+// testonlyModule is the testonly fixture: a module of its own, because
+// only a run over a whole module may report a name as unused.
+func testonlyModule(t *testing.T) string {
+	return filepath.Join(repoRoot(t), "testdata", "lint", "testonly")
+}
+
+// TestTestonlyFixture checks testonly over the fixture module's ./...,
+// and that a run over only part of it reports nothing: it cannot see
+// every user.
+func TestTestonlyFixture(t *testing.T) {
+	t.Run("whole module", func(t *testing.T) {
+		complaints, err := checkFixture(testonlyModule(t), "./...", Testonly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range complaints {
+			t.Error(c)
+		}
+	})
+	t.Run("partial patterns", func(t *testing.T) {
+		var out bytes.Buffer
+		n, err := Run(Options{Dir: testonlyModule(t), Patterns: []string{"./internal/...", "./cmd/..."}, Analyzers: []*Analyzer{Testonly}}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 {
+			t.Errorf("a partial run reported %d finding(s):\n%s", n, out.String())
+		}
+	})
+}
+
+// TestTypeCheckWhole: the program is Whole, the gate testonly reports
+// behind, only when its dirs are every package directory of the module
+// and every unit type-checked.
+func TestTypeCheckWhole(t *testing.T) {
+	whole := func(t *testing.T, moduleDir string, patterns ...string) (bool, int) {
+		t.Helper()
+		l, dirs, err := Options{Dir: moduleDir, Patterns: patterns}.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, diags, err := l.typeCheck(dirs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.Whole, len(diags)
+	}
+	t.Run("every package", func(t *testing.T) {
+		if ok, _ := whole(t, testonlyModule(t), "./..."); !ok {
+			t.Error("a ./... run is not Whole")
+		}
+	})
+	t.Run("a package left out", func(t *testing.T) {
+		if ok, _ := whole(t, testonlyModule(t), "./internal/...", "./benchmark/..."); ok {
+			t.Error("a run without cmd/ is Whole")
+		}
+	})
+	t.Run("a type error", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module example.com/broken\n\ngo 1.22\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, "p"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "p", "p.go"), []byte("package p\n\nvar X int = \"x\"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ok, diags := whole(t, dir, "./...")
+		if diags == 0 {
+			t.Fatal("the type error went unreported")
+		}
+		if ok {
+			t.Error("a run that dropped a unit with type errors is Whole")
+		}
+	})
+}
 
 // TestDriverSmoke runs the full driver — pattern expansion, all
 // analyzers, nolint filtering, output formatting — over the fixture
@@ -65,8 +144,19 @@ func TestDriverSmoke(t *testing.T) {
 	if len(lines) != findings {
 		t.Errorf("findings=%d but %d output lines", findings, len(lines))
 	}
+	// testonly reports only over a whole module: its fixture is one.
+	var whole bytes.Buffer
+	wholeFindings, err := Run(Options{Dir: testonlyModule(t)}, &whole)
+	if err != nil {
+		t.Fatalf("Run over the testonly module: %v", err)
+	}
+	if wholeLines := strings.Split(strings.TrimRight(whole.String(), "\n"), "\n"); len(wholeLines) != wholeFindings {
+		t.Errorf("findings=%d but %d output lines over the testonly module", wholeFindings, len(wholeLines))
+	} else {
+		lines = append(lines, wholeLines...)
+	}
 	for _, a := range All() {
-		if !strings.Contains(out.String(), "["+a.Name+"]") {
+		if !strings.Contains(out.String()+whole.String(), "["+a.Name+"]") {
 			t.Errorf("no [%s] finding in driver output over fixtures", a.Name)
 		}
 	}

@@ -2,32 +2,33 @@ package analysis
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// This file is the golden-file test harness for analyzers. It lives in
-// the non-test sources so the package exports one canonical fixture
-// runner, but it is only reached from _test.go files.
+// This file is the golden-file test harness for analyzers.
 
-// fixtureLoader is shared across tests: the stdlib source importer
-// caches GOROOT packages, and net/http is expensive to type-check, so
-// every fixture run reuses one loader.
+// Fixture loaders are shared across tests, one per module: the stdlib
+// source importer caches GOROOT packages, and net/http is expensive to
+// type-check, so every fixture run of a module reuses one loader.
 var (
-	fixtureOnce   sync.Once
-	fixtureShared *Loader
-	fixtureErr    error
-	fixtureMu     sync.Mutex
+	fixtureMu      sync.Mutex
+	fixtureLoaders = map[string]*Loader{}
 )
 
+// sharedLoader returns the module's fixture loader; the caller holds
+// fixtureMu.
 func sharedLoader(moduleDir string) (*Loader, error) {
-	fixtureOnce.Do(func() {
-		fixtureShared, fixtureErr = NewLoader(moduleDir)
-	})
-	return fixtureShared, fixtureErr
+	if l, ok := fixtureLoaders[moduleDir]; ok {
+		return l, nil
+	}
+	l, err := NewLoader(moduleDir)
+	if err == nil {
+		fixtureLoaders[moduleDir] = l
+	}
+	return l, err
 }
 
 // wantRE extracts the quoted expectations of a "// want" comment.
@@ -38,26 +39,31 @@ type expectation struct {
 	matched bool
 }
 
-// CheckFixture loads the fixture package in dir (relative to
-// moduleDir), runs exactly one analyzer over it, and compares the
-// diagnostics against the fixture's `// want "regexp"` comments: every
-// diagnostic must be wanted on its line, and every want must be matched
-// by a diagnostic. //slate:nolint filtering applies, so fixtures can
-// also assert that suppression works (a nolint'd violation with no
-// want), through the driver's own analyze step.
-// It returns a list of complaints, empty on success.
-func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
+// checkFixture loads the fixture packages that the pattern dir names
+// (relative to moduleDir: one directory, or "./..." for a fixture that
+// is a module of its own), runs exactly one analyzer over them, and
+// compares the diagnostics against the fixture's `// want "regexp"`
+// comments: every diagnostic must be wanted on its line, and every want
+// must be matched by a diagnostic. //slate:nolint filtering applies, so
+// fixtures can also assert that suppression works (a nolint'd violation
+// with no want), through the driver's own analyze step. It returns a
+// list of complaints, empty on success.
+func checkFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	fixtureMu.Lock()
 	defer fixtureMu.Unlock()
 	loader, err := sharedLoader(moduleDir)
 	if err != nil {
 		return nil, err
 	}
-	units, typeErrs, err := loader.typeCheck([]string{filepath.Join(moduleDir, dir)})
+	dirs, err := expandPatterns(loader.ModuleDir, []string{dir})
 	if err != nil {
 		return nil, err
 	}
-	if len(units)+len(typeErrs) == 0 {
+	prog, typeErrs, err := loader.typeCheck(dirs)
+	if err != nil {
+		return nil, err
+	}
+	if len(prog.Units)+len(typeErrs) == 0 {
 		return nil, fmt.Errorf("no Go package in %s", dir)
 	}
 
@@ -68,7 +74,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 
 	// Gather wants across all units: filename -> line -> expectations.
 	wants := make(map[string]map[int][]*expectation)
-	for _, u := range units {
+	for _, u := range prog.Units {
 		for _, f := range u.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
@@ -101,7 +107,7 @@ func CheckFixture(moduleDir, dir string, a *Analyzer) ([]string, error) {
 	}
 
 	var diags []Diagnostic
-	analyze(loader, units, []*Analyzer{a}, func(d Diagnostic) { diags = append(diags, d) })
+	analyze(prog, []*Analyzer{a}, func(d Diagnostic) { diags = append(diags, d) })
 
 	for _, d := range diags {
 		found := false

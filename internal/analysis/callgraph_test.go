@@ -14,17 +14,17 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, typeErrs, err := loader.typeCheck([]string{filepath.Join(repoRoot(t), filepath.FromSlash(dir))})
+	prog, typeErrs, err := loader.typeCheck([]string{filepath.Join(repoRoot(t), filepath.FromSlash(dir))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range typeErrs {
 		t.Fatalf("fixture does not type-check: %s", d)
 	}
-	if len(units) == 0 {
+	if len(prog.Units) == 0 {
 		t.Fatalf("no Go package in %s", dir)
 	}
-	return &Program{Loader: loader, Units: units}
+	return prog
 }
 
 func TestCallGraph(t *testing.T) {

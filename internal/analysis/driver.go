@@ -55,7 +55,7 @@ func Run(opts Options, out io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	units, diags, err := loader.typeCheck(dirs)
+	prog, diags, err := loader.typeCheck(dirs)
 	if err != nil {
 		return 0, err
 	}
@@ -63,7 +63,7 @@ func Run(opts Options, out io.Writer) (int, error) {
 	if len(analyzers) == 0 {
 		analyzers = All()
 	}
-	analyze(loader, units, analyzers, func(d Diagnostic) { diags = append(diags, d) })
+	analyze(prog, analyzers, func(d Diagnostic) { diags = append(diags, d) })
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		return cmp.Or(
 			strings.Compare(a.Pos.Filename, b.Pos.Filename),
@@ -78,19 +78,18 @@ func Run(opts Options, out io.Writer) (int, error) {
 	return len(diags), nil
 }
 
-// analyze runs each analyzer once over the units that type-checked and
-// hands report every diagnostic that no //slate:nolint directive
-// covers. The call graph is built only if an analyzer asks for it.
-func analyze(loader *Loader, units []*Unit, analyzers []*Analyzer, report func(Diagnostic)) {
+// analyze runs each analyzer once over the program and hands report
+// every diagnostic that no //slate:nolint directive covers. The call
+// graph is built only if an analyzer asks for it.
+func analyze(prog *Program, analyzers []*Analyzer, report func(Diagnostic)) {
 	nolint := make(nolintIndex)
-	for _, u := range units {
+	for _, u := range prog.Units {
 		for _, f := range u.Files {
-			for _, e := range loader.nolintEntries(f) {
+			for _, e := range prog.Loader.nolintEntries(f) {
 				nolint.add(e)
 			}
 		}
 	}
-	prog := &Program{Loader: loader, Units: units}
 	for _, a := range analyzers {
 		a.Run(&Pass{Analyzer: a, Prog: prog, report: func(d Diagnostic) {
 			if !nolint.suppressed(d) {

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -155,11 +156,13 @@ func (l *Loader) testVariant(path string, pkg *types.Package) *Loader {
 	return &v
 }
 
-// typeCheck loads the package directories. It returns the units that
-// type-checked, and one [typecheck] diagnostic per type error of the
-// rest: this is where a unit with type errors is dropped, because
-// partial type information would poison every analyzer's facts.
-func (l *Loader) typeCheck(dirs []string) ([]*Unit, []Diagnostic, error) {
+// typeCheck loads the package directories. It returns the program of
+// the units that type-checked, and one [typecheck] diagnostic per type
+// error of the rest: this is where a unit with type errors is dropped,
+// because partial type information would poison every analyzer's facts.
+// The program is Whole when dirs are every package directory of the
+// module and none was dropped.
+func (l *Loader) typeCheck(dirs []string) (*Program, []Diagnostic, error) {
 	var units []*Unit
 	var diags []Diagnostic
 	for _, dir := range dirs {
@@ -176,7 +179,11 @@ func (l *Loader) typeCheck(dirs []string) ([]*Unit, []Diagnostic, error) {
 			}
 		}
 	}
-	return units, diags, nil
+	all, err := expandPatterns(l.ModuleDir, []string{"./..."})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Program{Loader: l, Units: units, Whole: len(diags) == 0 && slices.Equal(dirs, all)}, diags, nil
 }
 
 // position resolves pos with its filename made module-relative.

@@ -17,6 +17,10 @@ import (
 type Program struct {
 	Loader *Loader
 	Units  []*Unit
+	// Whole is set when the units are every package of the module, all
+	// of which type-checked: only then can an analyzer conclude that
+	// nothing uses a name.
+	Whole bool
 
 	graph *CallGraph
 }

@@ -10,6 +10,7 @@ func All() []*Analyzer {
 		Hotalloc,
 		Lockguard,
 		Lockorder,
+		Testonly,
 	}
 }
 

@@ -127,10 +127,6 @@ type CallNode struct {
 	Children []*CallNode
 }
 
-// Endpoint returns the "METHOD path" string identifying the endpoint,
-// the attribute pair SLATE's classifier keys on.
-func (n *CallNode) Endpoint() string { return n.Method + " " + n.Path }
-
 // Walk visits the node and all descendants in depth-first pre-order.
 func (n *CallNode) Walk(fn func(*CallNode)) {
 	fn(n)
@@ -255,42 +251,9 @@ func (a *App) Validate(top *topology.Topology) error {
 	return nil
 }
 
-// CallRate returns, for each service, the expected number of calls that
-// service receives per one root request of the class (the product of
-// fan-out Counts along the path, summed over all tree nodes for the
-// service). The optimizer uses these multipliers to propagate demand
-// down the call tree.
-func (c *Class) CallRate() map[ServiceID]float64 {
-	rates := make(map[ServiceID]float64)
-	var visit func(n *CallNode, mult float64)
-	visit = func(n *CallNode, mult float64) {
-		m := mult * float64(n.Count)
-		rates[n.Service] += m
-		for _, ch := range n.Children {
-			visit(ch, m)
-		}
-	}
-	visit(c.Root, 1)
-	return rates
-}
-
 // Nodes returns all call nodes of the class in depth-first pre-order.
 func (c *Class) Nodes() []*CallNode {
 	var out []*CallNode
 	c.Root.Walk(func(n *CallNode) { out = append(out, n) })
-	return out
-}
-
-// ServiceIDs returns the distinct services the class touches, in
-// first-visit order.
-func (c *Class) ServiceIDs() []ServiceID {
-	var out []ServiceID
-	seen := map[ServiceID]bool{}
-	c.Root.Walk(func(n *CallNode) {
-		if !seen[n.Service] {
-			seen[n.Service] = true
-			out = append(out, n.Service)
-		}
-	})
 	return out
 }

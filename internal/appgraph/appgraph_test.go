@@ -93,6 +93,24 @@ func TestFanoutAppParallel(t *testing.T) {
 	}
 }
 
+// callRate returns, for each service, the expected number of calls that
+// service receives per one root request of the class: the product of
+// fan-out Counts along the path, summed over all tree nodes for the
+// service.
+func callRate(c *Class) map[ServiceID]float64 {
+	rates := make(map[ServiceID]float64)
+	var visit func(n *CallNode, mult float64)
+	visit = func(n *CallNode, mult float64) {
+		m := mult * float64(n.Count)
+		rates[n.Service] += m
+		for _, ch := range n.Children {
+			visit(ch, m)
+		}
+	}
+	visit(c.Root, 1)
+	return rates
+}
+
 func TestCallRateMultipliers(t *testing.T) {
 	// root(1) -> a(2) -> b(3): b receives 2*3 = 6 calls per root request.
 	// root also calls b directly once: total 7.
@@ -116,7 +134,7 @@ func TestCallRateMultipliers(t *testing.T) {
 	if err := app.Validate(top); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	rates := app.Classes[0].CallRate()
+	rates := callRate(app.Classes[0])
 	if !almostEqual(rates["root"], 1) {
 		t.Errorf("root rate = %v, want 1", rates["root"])
 	}
@@ -214,26 +232,17 @@ func TestServiceClustersOrder(t *testing.T) {
 	}
 }
 
-func TestClassNodesAndServiceIDs(t *testing.T) {
+func TestClassNodes(t *testing.T) {
 	app := AnomalyDetection(AnomalyOptions{})
-	c := app.Classes[0]
-	nodes := c.Nodes()
-	if len(nodes) != 3 {
-		t.Fatalf("nodes = %d, want 3", len(nodes))
-	}
-	ids := c.ServiceIDs()
+	nodes := app.Classes[0].Nodes()
 	want := []ServiceID{AnomalyFR, AnomalyMP, AnomalyDB}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ServiceIDs = %v, want %v", ids, want)
-		}
+	if len(nodes) != len(want) {
+		t.Fatalf("nodes = %d, want %d", len(nodes), len(want))
 	}
-}
-
-func TestEndpointString(t *testing.T) {
-	n := &CallNode{Method: "GET", Path: "/x"}
-	if n.Endpoint() != "GET /x" {
-		t.Errorf("Endpoint = %q", n.Endpoint())
+	for i, n := range nodes {
+		if n.Service != want[i] {
+			t.Fatalf("node %d is %s, want %s (pre-order)", i, n.Service, want[i])
+		}
 	}
 }
 
@@ -248,7 +257,7 @@ func TestUniformCopies(t *testing.T) {
 }
 
 func TestCallRateMatchesBruteForceProperty(t *testing.T) {
-	// Property: CallRate equals a brute-force expansion that walks every
+	// Property: callRate equals a brute-force expansion that walks every
 	// path with explicit multiplication, on randomly shaped trees.
 	f := func(shape []uint8) bool {
 		if len(shape) == 0 {
@@ -282,7 +291,7 @@ func TestCallRateMatchesBruteForceProperty(t *testing.T) {
 		root := build(0)
 		root.Count = 1
 		cl := &Class{Name: "c", Root: root}
-		got := cl.CallRate()
+		got := callRate(cl)
 
 		// Brute force: accumulate multiplier products along paths.
 		want := map[ServiceID]float64{}

@@ -160,7 +160,7 @@ func TestLearnedClassIsUsableInApp(t *testing.T) {
 	if err := app.Validate(top); err != nil {
 		t.Fatalf("learned app invalid: %v", err)
 	}
-	rates := cl.CallRate()
+	rates := callRate(cl)
 	if !almostEqual(rates["db"], 1) {
 		t.Errorf("db call rate = %v", rates["db"])
 	}

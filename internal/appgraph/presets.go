@@ -25,8 +25,6 @@ type ChainOptions struct {
 	// MeanServiceTime is the per-call busy time of each chained service
 	// (the paper's services do simple file writes).
 	MeanServiceTime time.Duration
-	// Dist selects the service-time distribution.
-	Dist TimeDist
 	// Pool is the per-cluster replica pool of every service.
 	Pool ReplicaPool
 	// Clusters lists where every service (and the gateway) is deployed.
@@ -70,7 +68,6 @@ func LinearChain(opt ChainOptions) *App {
 	}
 	work := Work{
 		MeanServiceTime: opt.MeanServiceTime,
-		Dist:            opt.Dist,
 		RequestBytes:    opt.RequestBytes,
 		ResponseBytes:   opt.ResponseBytes,
 	}
@@ -97,7 +94,6 @@ func LinearChain(opt ChainOptions) *App {
 		Path:    "/ingress",
 		Work: Work{
 			MeanServiceTime: 100 * time.Microsecond,
-			Dist:            opt.Dist,
 			RequestBytes:    opt.RequestBytes,
 			ResponseBytes:   opt.ResponseBytes,
 		},

@@ -312,49 +312,6 @@ func LocalityFailover(top *topology.Topology, app *appgraph.App, version uint64)
 // balancing only).
 func LocalOnly() *routing.Table { return routing.EmptyTable() }
 
-// StaticWeighted returns the routing table of Istio's locality weighted
-// distribution load balancing (paper §2, survey option [13]): the
-// operator statically configures, per source cluster, fixed destination
-// weights that apply to every service and every traffic class, fully
-// load- and class-blind. weights maps each source cluster to its
-// destination weights; clusters without an entry stay local.
-func StaticWeighted(top *topology.Topology, app *appgraph.App, weights map[topology.ClusterID]map[topology.ClusterID]float64, version uint64) (*routing.Table, error) {
-	if err := app.Validate(top); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	rules := make(map[routing.Key]routing.Distribution)
-	for src, w := range weights {
-		if !top.Has(src) {
-			return nil, fmt.Errorf("baseline: static weights for unknown cluster %q", src)
-		}
-		for dst := range w {
-			if !top.Has(dst) {
-				return nil, fmt.Errorf("baseline: static weight to unknown cluster %q", dst)
-			}
-		}
-		for sid, svc := range app.Services {
-			// Restrict to clusters actually hosting the service,
-			// renormalizing — the mesh cannot send traffic to a cluster
-			// with no endpoints.
-			eligible := map[topology.ClusterID]float64{}
-			for dst, frac := range w {
-				if svc.PlacedIn(dst) && frac > 0 {
-					eligible[dst] = frac
-				}
-			}
-			if len(eligible) == 0 {
-				continue
-			}
-			d, err := routing.NewDistribution(eligible)
-			if err != nil {
-				continue
-			}
-			rules[routing.Key{Service: string(sid), Class: routing.AnyClass, Cluster: src}] = d
-		}
-	}
-	return routing.NewTable(version, rules), nil
-}
-
 // Controller recomputes the Waterfall table from observed demand each
 // telemetry window, mirroring core.Controller's interface so runtimes
 // can drive either policy identically. Waterfall itself is static

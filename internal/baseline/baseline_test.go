@@ -323,58 +323,3 @@ func TestWaterfallErrors(t *testing.T) {
 		t.Error("invalid app accepted")
 	}
 }
-
-func TestStaticWeighted(t *testing.T) {
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := chainApp()
-	tab, err := StaticWeighted(top, app, map[topology.ClusterID]map[topology.ClusterID]float64{
-		topology.West: {topology.West: 80, topology.East: 20},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := tab.Lookup("svc-1", routing.AnyClass, topology.West)
-	if w := d.Weight(topology.East); math.Abs(w-0.2) > 1e-9 {
-		t.Errorf("east weight = %v, want 0.2", w)
-	}
-	// East has no entry: stays local.
-	de := tab.Lookup("svc-1", routing.AnyClass, topology.East)
-	if !almostEqual(de.Weight(topology.East), 1) {
-		t.Errorf("east should stay local: %v", de)
-	}
-	// Class-blind.
-	if !almostEqual(tab.Lookup("svc-1", "anything", topology.West).Weight(topology.East), d.Weight(topology.East)) {
-		t.Error("static weighted should be class-blind")
-	}
-}
-
-func TestStaticWeightedRenormalizesForPartialPlacement(t *testing.T) {
-	top := topology.TwoClusters(40 * time.Millisecond)
-	app := appgraph.AnomalyDetection(appgraph.AnomalyOptions{})
-	tab, err := StaticWeighted(top, app, map[topology.ClusterID]map[topology.ClusterID]float64{
-		topology.West: {topology.West: 50, topology.East: 50},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// DB is absent in west: all weight collapses to east.
-	d := tab.Lookup(string(appgraph.AnomalyDB), routing.AnyClass, topology.West)
-	if w := d.Weight(topology.East); math.Abs(w-1) > 1e-9 {
-		t.Errorf("DB east weight = %v, want 1 (renormalized)", w)
-	}
-}
-
-func TestStaticWeightedValidation(t *testing.T) {
-	top := topology.TwoClusters(time.Millisecond)
-	app := chainApp()
-	if _, err := StaticWeighted(top, app, map[topology.ClusterID]map[topology.ClusterID]float64{
-		"mars": {topology.West: 1},
-	}, 1); err == nil {
-		t.Error("unknown source cluster accepted")
-	}
-	if _, err := StaticWeighted(top, app, map[topology.ClusterID]map[topology.ClusterID]float64{
-		topology.West: {"mars": 1},
-	}, 1); err == nil {
-		t.Error("unknown destination cluster accepted")
-	}
-}

@@ -13,7 +13,6 @@
 package classifier
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -85,41 +84,6 @@ func (c *Classifier) Classify(service, method, path string) string {
 		return Fallback
 	}
 	return k.String()
-}
-
-// Classes returns the eligible classes for a service, most-observed
-// first, respecting MinSamples.
-func (c *Classifier) Classes(service string) []Key {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	type kc struct {
-		k Key
-		n uint64
-	}
-	var all []kc
-	for key, n := range c.counts {
-		if key.Service == service && n >= uint64(c.opt.MinSamples) {
-			all = append(all, kc{key, n})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].k.String() < all[j].k.String()
-	})
-	out := make([]Key, len(all))
-	for i, e := range all {
-		out[i] = e.k
-	}
-	return out
-}
-
-// Count returns the number of observations for the exact class key.
-func (c *Classifier) Count(k Key) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.counts[k]
 }
 
 func (c *Classifier) key(service, method, path string) Key {

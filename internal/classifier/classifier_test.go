@@ -81,8 +81,14 @@ func TestClassesPerServiceIsolation(t *testing.T) {
 	if got := c.Classify("b", "GET", "/y"); got == Fallback {
 		t.Error("service b's only class should be eligible")
 	}
-	if n := len(c.Classes("a")); n != 1 {
-		t.Errorf("Classes(a) = %d, want 1", n)
+	n := 0
+	for k := range c.counts {
+		if k.Service == "a" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("classes of a = %d, want 1", n)
 	}
 }
 
@@ -94,7 +100,7 @@ func TestTemplatingMergesIDs(t *testing.T) {
 	if got := c.Classify("svc", "GET", "/user/3"); got == Fallback {
 		t.Errorf("templated class should have 2 samples and be eligible, got %q", got)
 	}
-	if n := c.Count(Key{"svc", "GET", "/user/:id"}); n != 2 {
+	if n := c.counts[Key{"svc", "GET", "/user/:id"}]; n != 2 {
 		t.Errorf("count = %d, want 2", n)
 	}
 }
@@ -125,30 +131,12 @@ func TestConcurrentObserveClassify(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Observe("svc", "GET", fmt.Sprintf("/p%d/%d", g%3, i))
 				c.Classify("svc", "GET", "/p0/1")
-				c.Classes("svc")
 			}
 		}(g)
 	}
 	wg.Wait()
 	// 3 distinct templated paths must exist.
-	if n := len(c.Classes("svc")); n != 3 {
-		t.Errorf("Classes = %d, want 3", n)
-	}
-}
-
-func TestCountUnknownIsZero(t *testing.T) {
-	c := New(Options{})
-	if n := c.Count(Key{"x", "GET", "/"}); n != 0 {
-		t.Errorf("Count = %d, want 0", n)
-	}
-}
-
-func TestClassesDeterministicTieBreak(t *testing.T) {
-	c := New(Options{MinSamples: 1})
-	c.Observe("svc", "GET", "/b")
-	c.Observe("svc", "GET", "/a")
-	got := c.Classes("svc")
-	if len(got) != 2 || got[0].Path != "/a" || got[1].Path != "/b" {
-		t.Errorf("equal-count classes should sort lexicographically, got %v", got)
+	if n := len(c.counts); n != 3 {
+		t.Errorf("classes = %d, want 3", n)
 	}
 }

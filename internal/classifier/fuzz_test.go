@@ -45,8 +45,8 @@ func FuzzTemplatePath(f *testing.F) {
 		if got := c.Classify("svc", "get", path); got != k.String() {
 			t.Fatalf("Classify(%q) = %q after Observe, want %q", path, got, k.String())
 		}
-		if c.Count(k) != 1 {
-			t.Fatalf("Count(%v) = %d after one Observe", k, c.Count(k))
+		if c.counts[k] != 1 {
+			t.Fatalf("count of %v = %d after one Observe", k, c.counts[k])
 		}
 	})
 }

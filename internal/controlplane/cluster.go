@@ -186,9 +186,6 @@ func (c *Cluster) SetStaleAfter(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// ID returns the controller's cluster.
-func (c *Cluster) ID() topology.ClusterID { return c.id }
-
 // AddProxy registers a local sidecar for telemetry collection and rule
 // distribution.
 func (c *Cluster) AddProxy(p *dataplane.Proxy) {
@@ -300,22 +297,6 @@ func (c *Cluster) IngestFrom(source string, stats []telemetry.WindowStats) {
 	c.mIngested.Inc()
 }
 
-// MissingProxies returns the sources that had not reported within the
-// staleness bound as of the last Collect, sorted.
-func (c *Cluster) MissingProxies() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.missing...)
-}
-
-// ExcludedStaleWindows returns how many pushed batches Collect has
-// excluded as stale since the controller started.
-func (c *Cluster) ExcludedStaleWindows() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.excluded
-}
-
 // Health is the cluster controller's degradation snapshot, served at
 // GET /v1/health.
 type Health struct {
@@ -333,8 +314,15 @@ type Health struct {
 }
 
 func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(c.health())
+}
+
+// health is the snapshot GET /v1/health serves.
+func (c *Cluster) health() Health {
 	c.mu.Lock()
-	h := Health{
+	defer c.mu.Unlock()
+	return Health{
 		Cluster:        c.id,
 		TableVersion:   c.table.Version,
 		MissingProxies: append([]string(nil), c.missing...),
@@ -343,9 +331,6 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		LeaderEpoch:    c.leaseEpoch,
 		PubEpoch:       c.pubEpoch,
 	}
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(h)
 }
 
 // handlePatch applies an incremental rule push from the global

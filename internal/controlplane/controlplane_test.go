@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,6 +135,85 @@ func TestGlobalStatus(t *testing.T) {
 	}
 }
 
+// TestStatusDemandMatchesController: the demand GET /v1/status copies
+// out is the controller's estimate, every class and cluster of it.
+func TestStatusDemandMatchesController(t *testing.T) {
+	top := topology.TwoClusters(40 * time.Millisecond)
+	ctrl, err := core.NewController(top, appgraph.TwoClassApp(appgraph.TwoClassOptions{}), core.ControllerConfig{DemandSmoothing: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGlobal(ctrl)
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(srv.Close)
+	var stats []telemetry.WindowStats
+	for _, class := range []string{"L", "H"} {
+		for _, c := range []topology.ClusterID{topology.West, topology.East} {
+			stats = append(stats, telemetry.WindowStats{
+				Key: telemetry.MetricKey{Service: string(appgraph.TwoClassFrontend), Class: class, Cluster: string(c)},
+				RPS: 100, Requests: 100, MeanLatency: 30 * time.Millisecond,
+			})
+		}
+	}
+	drain(postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{Cluster: topology.West, WindowMS: 1000, Stats: stats}))
+	if err := g.Tick(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	want := map[string]map[topology.ClusterID]float64(ctrl.Demand())
+	if len(want) != 2 || len(want["L"]) != 2 || len(want["H"]) != 2 {
+		t.Fatalf("controller demand after a tick = %v, want both classes in both clusters", want)
+	}
+	if !reflect.DeepEqual(st.Demand, want) {
+		t.Errorf("status demand = %v, want the controller's %v", st.Demand, want)
+	}
+}
+
+// TestStatusDoesNotRaceTick: GET /v1/status encodes its reply after
+// releasing g.mu, while every tick folds telemetry into the controller's
+// demand estimate in place. The reply must carry a copy; under -race,
+// encoding the live map is a data race.
+func TestStatusDoesNotRaceTick(t *testing.T) {
+	g, srv := newGlobalServer(t)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := http.Get(srv.URL + "/v1/status")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			drain(resp)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		drain(postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{
+			Cluster: topology.West, WindowMS: 1000, Stats: feStats(float64(400+10*i), float64(100+i)),
+		}))
+		if err := g.Tick(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 func TestGlobalRegisterValidation(t *testing.T) {
 	_, srv := newGlobalServer(t)
 	resp := postJSONReq(t, srv.URL+"/v1/register", RegisterRequest{})
@@ -246,7 +327,7 @@ func TestEndToEndControlPlaneLoop(t *testing.T) {
 	// Inject telemetry into the global via the cluster controllers'
 	// report path (no local traffic: hand-roll the upload).
 	up := func(cc *Cluster, stats []telemetry.WindowStats) {
-		body, _ := json.Marshal(MetricsReport{Cluster: cc.ID(), WindowMS: 1000, Stats: stats})
+		body, _ := json.Marshal(MetricsReport{Cluster: cc.id, WindowMS: 1000, Stats: stats})
 		resp, err := http.Post(gsrv.URL+"/v1/metrics", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)

@@ -72,7 +72,7 @@ func TestCollectExcludesStaleIngestedWindows(t *testing.T) {
 	if !seen {
 		t.Errorf("fresh batch missing from snapshot: %+v", merged)
 	}
-	if got := cc.ExcludedStaleWindows(); got != 1 {
+	if got := cc.health().ExcludedStale; got != 1 {
 		t.Errorf("excluded windows = %d, want 1", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestCollectKeepsEverythingWithoutStaleBound(t *testing.T) {
 	if len(merged) != 1 || merged[0].Requests != 5 {
 		t.Errorf("unbounded controller dropped telemetry: %+v", merged)
 	}
-	if len(cc.MissingProxies()) != 0 {
+	if len(cc.health().MissingProxies) != 0 {
 		t.Error("missing proxies reported with staleness disabled")
 	}
 }
@@ -102,7 +102,7 @@ func TestMissingProxiesMarkedAndRecovered(t *testing.T) {
 	cc.IngestFrom("alive@west", oneWindow("alive", 1))
 	cc.IngestFrom("silent@west", oneWindow("silent", 1))
 	cc.Collect(time.Second)
-	if got := cc.MissingProxies(); len(got) != 0 {
+	if got := cc.health().MissingProxies; len(got) != 0 {
 		t.Fatalf("missing = %v right after both reported", got)
 	}
 
@@ -110,14 +110,14 @@ func TestMissingProxiesMarkedAndRecovered(t *testing.T) {
 	clock.Advance(15 * time.Second)
 	cc.IngestFrom("alive@west", oneWindow("alive", 1))
 	cc.Collect(time.Second)
-	if got := cc.MissingProxies(); len(got) != 1 || got[0] != "silent@west" {
+	if got := cc.health().MissingProxies; len(got) != 1 || got[0] != "silent@west" {
 		t.Fatalf("missing = %v, want [silent@west]", got)
 	}
 
 	// The silent proxy returns.
 	cc.IngestFrom("silent@west", oneWindow("silent", 1))
 	cc.Collect(time.Second)
-	if got := cc.MissingProxies(); len(got) != 0 {
+	if got := cc.health().MissingProxies; len(got) != 0 {
 		t.Fatalf("missing = %v after recovery, want none", got)
 	}
 }
@@ -148,7 +148,7 @@ func TestHandleMetricsRecordsSourceHeader(t *testing.T) {
 
 	clock.Advance(15 * time.Second)
 	cc.Collect(time.Second)
-	if got := cc.MissingProxies(); len(got) != 1 || got[0] != "svc@west" {
+	if got := cc.health().MissingProxies; len(got) != 1 || got[0] != "svc@west" {
 		t.Errorf("missing = %v, want [svc@west]; source header not recorded", got)
 	}
 }
@@ -186,5 +186,27 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 	if h.ExcludedStale != 1 {
 		t.Errorf("health excluded = %d, want 1", h.ExcludedStale)
+	}
+}
+
+// TestHealthSnapshotOwnsItsSlices: health copies the missing list out
+// under the lock, so a caller that writes to its copy leaves the
+// controller's list alone.
+func TestHealthSnapshotOwnsItsSlices(t *testing.T) {
+	clock := newTestClock()
+	cc := NewCluster(topology.West, "")
+	cc.now = clock.Now
+	cc.SetStaleAfter(10 * time.Second)
+	cc.IngestFrom("gone@west", oneWindow("gone", 1))
+	clock.Advance(20 * time.Second)
+	cc.Collect(time.Second)
+
+	h := cc.health()
+	if len(h.MissingProxies) != 1 || !strings.HasPrefix(h.MissingProxies[0], "gone@") {
+		t.Fatalf("health missing = %v, want the one silent proxy", h.MissingProxies)
+	}
+	h.MissingProxies[0] = "scribbled"
+	if got := cc.health().MissingProxies; len(got) != 1 || !strings.HasPrefix(got[0], "gone@") {
+		t.Errorf("after a caller wrote to its snapshot, health missing = %v", got)
 	}
 }

@@ -35,9 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -489,9 +489,14 @@ func (g *Global) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := Status{
 		TableVersion: g.ctrl.Table().Version,
 		Rules:        g.ctrl.Table().Len(),
-		Demand:       g.ctrl.Demand(),
+		Demand:       make(map[string]map[topology.ClusterID]float64),
 		Ticks:        g.ticks,
 		LastError:    g.lastErr,
+	}
+	// The estimate is the controller's live map, which every tick folds
+	// telemetry into in place: encode a copy, taken under g.mu.
+	for class, byCluster := range g.ctrl.Demand() {
+		st.Demand[class] = maps.Clone(byCluster)
 	}
 	for c := range g.clusters {
 		st.Clusters = append(st.Clusters, c)
@@ -499,7 +504,7 @@ func (g *Global) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	g.mu.Unlock()
 	// The status payload is wire-visible JSON: emit clusters in a stable
 	// order rather than whatever the map range produced.
-	sort.Slice(st.Clusters, func(i, j int) bool { return st.Clusters[i] < st.Clusters[j] })
+	slices.Sort(st.Clusters)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }

@@ -95,26 +95,6 @@ func (g *Global) IsLeader() bool {
 	return !g.haEnabled || g.isLeader
 }
 
-// LeaderURL returns the best known leader address: this replica when
-// leading, otherwise the holder reported by the lease acceptors ("" if
-// unknown).
-func (g *Global) LeaderURL() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.haEnabled || g.isLeader {
-		return g.replica
-	}
-	return g.leaderURL
-}
-
-// LeaseEpoch returns the replica's current lease epoch (0 before any
-// campaign).
-func (g *Global) LeaseEpoch() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.leaseEpoch
-}
-
 // HAStep runs one replica step: campaign or renew the lease; as leader,
 // refill one event token and run a full optimization tick; as follower,
 // refresh the cached leader snapshot. Without EnableHA it degenerates

@@ -24,6 +24,25 @@ type vclock struct {
 	t  time.Time
 }
 
+// leaderURL returns the best known leader address: g itself when
+// leading, otherwise the holder reported by the lease acceptors ("" if
+// unknown).
+func leaderURL(g *Global) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.haEnabled || g.isLeader {
+		return g.replica
+	}
+	return g.leaderURL
+}
+
+// leaseEpoch returns g's current lease epoch (0 before any campaign).
+func leaseEpoch(g *Global) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.leaseEpoch
+}
+
 func newVclock() *vclock {
 	return &vclock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
@@ -125,13 +144,13 @@ func (r *haRig) report(westRPS, eastRPS float64) {
 	for i, rps := range []float64{westRPS, eastRPS} {
 		cc := r.clusters[i]
 		cc.Ingest([]telemetry.WindowStats{{
-			Key:      telemetry.MetricKey{Service: "gateway", Class: "default", Cluster: string(cc.ID())},
+			Key:      telemetry.MetricKey{Service: "gateway", Class: "default", Cluster: string(cc.id)},
 			RPS:      rps,
 			Requests: uint64(rps),
 			Window:   time.Second,
 		}})
 		if err := cc.Report(r.t.Context(), time.Second); err != nil {
-			r.t.Fatalf("report %s: %v", cc.ID(), err)
+			r.t.Fatalf("report %s: %v", cc.id, err)
 		}
 	}
 }
@@ -179,7 +198,7 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 		t.Fatalf("want r0 sole leader; got %v %v %v",
 			r0.g.IsLeader(), r1.g.IsLeader(), r2.g.IsLeader())
 	}
-	if got := r1.g.LeaderURL(); got != r0.srv.URL {
+	if got := leaderURL(r1.g); got != r0.srv.URL {
 		t.Fatalf("r1 leader URL = %q, want %q", got, r0.srv.URL)
 	}
 	for _, u := range rig.ccURLs {
@@ -228,7 +247,7 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	if r2.g.IsLeader() {
 		t.Fatal("r2 must stay follower (r1 already renewed epoch 2)")
 	}
-	if got := r1.g.LeaseEpoch(); got != 2 {
+	if got := leaseEpoch(r1.g); got != 2 {
 		t.Fatalf("r1 lease epoch = %d, want 2", got)
 	}
 	if r1.g.mSnapRestores.Value() == 0 {
@@ -243,7 +262,7 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	// table even when the plan itself is unchanged).
 	for i, cc := range rig.clusters {
 		if cc.mPatches.Value() <= patchesBefore[i] {
-			t.Fatalf("cluster %s got no push from the new leader", cc.ID())
+			t.Fatalf("cluster %s got no push from the new leader", cc.id)
 		}
 	}
 	if v := rig.clusters[0].Table().Version; v < vBefore {
@@ -262,7 +281,7 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	rig.clk.Advance(time.Second)
 	rig.report(918, 102)
 	rig.step(map[int]bool{0: true})
-	if got := r2.g.LeaderURL(); got != r1.srv.URL {
+	if got := leaderURL(r2.g); got != r1.srv.URL {
 		t.Fatalf("r2 leader URL = %q, want %q", got, r1.srv.URL)
 	}
 	if st := r1.ctrl.OptimizerStats(); st.ColdSolves != 0 || st.SubSolves == 0 {
@@ -302,7 +321,7 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	if r0.g.IsLeader() || !r1.g.IsLeader() {
 		t.Fatal("rejoined r0 displaced a live leader")
 	}
-	if got := r0.g.LeaderURL(); got != r1.srv.URL {
+	if got := leaderURL(r0.g); got != r1.srv.URL {
 		t.Fatalf("rejoined r0 leader URL = %q, want %q", got, r1.srv.URL)
 	}
 }
@@ -429,11 +448,11 @@ func TestFailoverWithStaleFormatSnapshot(t *testing.T) {
 	for _, cc := range rig.clusters {
 		tab := cc.Table()
 		if err := tab.Validate(topology.TwoClusters(40 * time.Millisecond)); err != nil {
-			t.Fatalf("cluster %s holds an invalid table: %v", cc.ID(), err)
+			t.Fatalf("cluster %s holds an invalid table: %v", cc.id, err)
 		}
 		if len(tab.Keys()) == 0 || tab.Version < vBefore {
 			t.Fatalf("cluster %s holds table v%d with %d rules after failover, want rules at v%d or later",
-				cc.ID(), tab.Version, len(tab.Keys()), vBefore)
+				cc.id, tab.Version, len(tab.Keys()), vBefore)
 		}
 	}
 }

@@ -49,10 +49,10 @@ type ControllerConfig struct {
 	// SearchDeadline is the per-shard search budget, converted to a
 	// deterministic evaluation count so the published table never
 	// depends on wall-clock time (default DefaultSearchDeadline).
-	SearchDeadline time.Duration
+	SearchDeadline time.Duration //slate:nolint testonly -- goes with the search race (ROADMAP item 4); benchmark/adapter.go reads it
 	// MaxGap is the certified optimality gap a search result may carry
 	// and still win (default DefaultMaxGap).
-	MaxGap float64
+	MaxGap float64 //slate:nolint testonly -- goes with the search race (ROADMAP item 4); benchmark/adapter.go reads it
 	// Forecast arms the demand forecaster when non-zero
 	// (forecast.Defaults() is EWMA level + Holt trend): every tick
 	// plans for max(estimate, one-window-ahead forecast) per key, so a

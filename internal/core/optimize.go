@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -599,17 +601,10 @@ func lastFrac(fracs []float64) float64 {
 	return fracs[len(fracs)-1]
 }
 
+// sortLoads orders loads by pool, service then cluster. Pool keys are
+// unique, so the order is total.
 func sortLoads(loads []PoolLoad) {
-	for i := 1; i < len(loads); i++ {
-		for j := i; j > 0 && lessPool(loads[j].Key, loads[j-1].Key); j-- {
-			loads[j], loads[j-1] = loads[j-1], loads[j]
-		}
-	}
-}
-
-func lessPool(a, b PoolKey) bool {
-	if a.Service != b.Service {
-		return a.Service < b.Service
-	}
-	return a.Cluster < b.Cluster
+	slices.SortFunc(loads, func(a, b PoolLoad) int {
+		return cmp.Or(cmp.Compare(a.Key.Service, b.Key.Service), cmp.Compare(a.Key.Cluster, b.Key.Cluster))
+	})
 }

@@ -440,3 +440,27 @@ func TestOptimizeLoadsMatchIndependentPropagation(t *testing.T) {
 		}
 	}
 }
+
+// TestSortLoadsOrdersByServiceThenCluster: merge collects pool loads
+// from a map, so sortLoads alone fixes their order, whatever order they
+// arrive in: by service, then cluster.
+func TestSortLoadsOrdersByServiceThenCluster(t *testing.T) {
+	want := []PoolKey{
+		{"a", "east"}, {"a", "west"},
+		{"b", "east"}, {"b", "west"},
+		{"c", "west"},
+	}
+	orders := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {1, 0, 3, 2, 4}, {4, 0, 3, 1, 2}, {2, 4, 1, 3, 0}}
+	for _, order := range orders {
+		loads := make([]PoolLoad, len(order))
+		for i, j := range order {
+			loads[i] = PoolLoad{Key: want[j]}
+		}
+		sortLoads(loads)
+		for i, l := range loads {
+			if l.Key != want[i] {
+				t.Fatalf("from order %v: position %d is %v, want %v", order, i, l.Key, want[i])
+			}
+		}
+	}
+}

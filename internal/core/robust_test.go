@@ -223,8 +223,8 @@ func TestRobustShardedMatchesMonolithic(t *testing.T) {
 	profs := DefaultProfiles(app, top, demand)
 
 	sharded := NewShardedOptimizer(top, app, cfg, 0)
-	if sharded.Shards() < 2 {
-		t.Fatalf("want ≥ 2 shards, got %d", sharded.Shards())
+	if len(sharded.shards) < 2 {
+		t.Fatalf("want ≥ 2 shards, got %d", len(sharded.shards))
 	}
 	sp, err := sharded.Optimize(demand, profs, 1)
 	if err != nil {

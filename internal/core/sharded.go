@@ -271,10 +271,6 @@ func (s *ShardedOptimizer) Stats() OptimizerStats {
 	return out
 }
 
-// Shards reports how many independent subproblems the app is
-// partitioned into (1 means the whole app is one LP).
-func (s *ShardedOptimizer) Shards() int { return len(s.shards) }
-
 // Optimize solves every dirty subproblem and merges the sub-plans into
 // one versioned plan. Subproblems whose inputs are unchanged within
 // epsilon reuse their cached sub-plan without solving.

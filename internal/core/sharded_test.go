@@ -86,8 +86,8 @@ func TestShardedPartition(t *testing.T) {
 
 	app := starTestApp(4, front, pool, topology.West, topology.East)
 	s := NewShardedOptimizer(top, app, Config{}, 0)
-	if s.Shards() != 4 {
-		t.Errorf("star app shards = %d, want 4", s.Shards())
+	if len(s.shards) != 4 {
+		t.Errorf("star app shards = %d, want 4", len(s.shards))
 	}
 	// A shard keeps its tableau's rows in an lp.Solver of its own, and
 	// solves in its worker's Workspace (solveShard): a dense scratch per
@@ -101,7 +101,7 @@ func TestShardedPartition(t *testing.T) {
 
 	// Single class: one shard.
 	chain := appgraph.LinearChain(appgraph.ChainOptions{})
-	if got := NewShardedOptimizer(top, chain, Config{}, 0).Shards(); got != 1 {
+	if got := len(NewShardedOptimizer(top, chain, Config{}, 0).shards); got != 1 {
 		t.Errorf("single-class shards = %d, want 1", got)
 	}
 
@@ -114,7 +114,7 @@ func TestShardedPartition(t *testing.T) {
 		Service: "gateway", Method: "POST", Path: "/loop",
 		Work: appgraph.Work{MeanServiceTime: 100 * time.Microsecond}, Count: 1,
 	}}
-	if got := NewShardedOptimizer(top, coupled, Config{}, 0).Shards(); got != 1 {
+	if got := len(NewShardedOptimizer(top, coupled, Config{}, 0).shards); got != 1 {
 		t.Errorf("frontend-coupled shards = %d, want 1 (fallback)", got)
 	}
 }

@@ -52,8 +52,6 @@ const (
 type AgentOptions struct {
 	// Period is the sync interval (default 5s).
 	Period time.Duration
-	// Transport overrides the HTTP transport (fault injection, tests).
-	Transport http.RoundTripper
 	// MaxRetries bounds per-RPC retry attempts within one sync round
 	// beyond the first try (default 2; negative disables retries).
 	MaxRetries int
@@ -71,9 +69,6 @@ type AgentOptions struct {
 	// successful push, so a controller outage loses no telemetry as
 	// long as it is shorter than MaxPendingWindows sync periods.
 	MaxPendingWindows int
-	// Metrics is the registry the agent instruments into; nil uses
-	// obs.Default().
-	Metrics *obs.Registry
 }
 
 // backoffMax caps the doubling retry backoff within one sync round.
@@ -147,16 +142,13 @@ func NewAgent(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
 		return nil, fmt.Errorf("dataplane: agent needs a proxy and a cluster controller URL")
 	}
 	opts = opts.withDefaults()
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
+	reg := obs.Default()
 	svc, cl := p.Service(), string(p.Cluster())
 	return &Agent{
 		proxy:      p,
 		clusterURL: clusterURL,
 		opts:       opts,
-		client:     &http.Client{Timeout: 10 * time.Second, Transport: opts.Transport},
+		client:     &http.Client{Timeout: 10 * time.Second},
 		sleep:      sleepCtx,
 		mRetries: reg.CounterVec("slate_agent_retries_total",
 			"Control-plane RPC retry attempts (beyond the first try).",
@@ -175,25 +167,6 @@ func NewAgent(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
 			"service", "cluster").With(svc, cl),
 	}, nil
 }
-
-// Period returns the agent's sync interval.
-func (a *Agent) Period() time.Duration { return a.opts.Period }
-
-// PendingWindows returns how many telemetry windows await a successful
-// push (introspection, tests).
-func (a *Agent) PendingWindows() int { return len(a.pending) }
-
-// DroppedWindows returns how many telemetry windows were evicted
-// because the controller stayed unreachable past the pending cap.
-func (a *Agent) DroppedWindows() int { return a.droppedWindows }
-
-// LeaderEpoch returns the control plane's leader epoch as last observed
-// on a rules response (0 until a replicated control plane reports one).
-func (a *Agent) LeaderEpoch() uint64 { return a.leaderEpoch }
-
-// LeaderFailovers returns how many leader-epoch changes the agent has
-// observed on rule polls.
-func (a *Agent) LeaderFailovers() int { return a.failovers }
 
 // Sync performs one round: upload the telemetry accumulated since the
 // last round (plus any re-queued windows from failed rounds), then

@@ -200,18 +200,18 @@ func TestAgentLeaderFailoverResync(t *testing.T) {
 	if p.TableVersion() != 5 {
 		t.Fatalf("table version = %d, want 5", p.TableVersion())
 	}
-	if agent.LeaderEpoch() != 1 || agent.LeaderFailovers() != 0 {
+	if agent.leaderEpoch != 1 || agent.failovers != 0 {
 		t.Fatalf("epoch %d failovers %d, want 1 and 0",
-			agent.LeaderEpoch(), agent.LeaderFailovers())
+			agent.leaderEpoch, agent.failovers)
 	}
 
 	// Steady state under the same leader: no failover, no full fetch.
 	if err := agent.Sync(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if agent.LeaderFailovers() != 0 || fullFetches != 0 {
+	if agent.failovers != 0 || fullFetches != 0 {
 		t.Fatalf("failovers %d fullFetches %d after steady poll, want 0 and 0",
-			agent.LeaderFailovers(), fullFetches)
+			agent.failovers, fullFetches)
 	}
 
 	// Leadership moves: epoch bumps and the new leader publishes v6. The
@@ -224,9 +224,9 @@ func TestAgentLeaderFailoverResync(t *testing.T) {
 	if p.TableVersion() != 6 {
 		t.Fatalf("table version = %d, want 6 after failover resync", p.TableVersion())
 	}
-	if agent.LeaderFailovers() != 1 || agent.LeaderEpoch() != 2 {
+	if agent.failovers != 1 || agent.leaderEpoch != 2 {
 		t.Fatalf("failovers %d epoch %d, want 1 and 2",
-			agent.LeaderFailovers(), agent.LeaderEpoch())
+			agent.failovers, agent.leaderEpoch)
 	}
 	if fullFetches != 1 {
 		t.Fatalf("full fetches = %d, want exactly 1 (the failover resync)", fullFetches)

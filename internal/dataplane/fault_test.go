@@ -142,7 +142,7 @@ func TestAgentRequeuesFailedTelemetryWindow(t *testing.T) {
 	if err := agent.Sync(t.Context()); err == nil {
 		t.Fatal("first sync should report the failed push")
 	}
-	if got := agent.PendingWindows(); got != 1 {
+	if got := len(agent.pending); got != 1 {
 		t.Fatalf("pending windows after failed push = %d, want 1", got)
 	}
 
@@ -151,7 +151,7 @@ func TestAgentRequeuesFailedTelemetryWindow(t *testing.T) {
 	if err := agent.Sync(t.Context()); err != nil {
 		t.Fatalf("second sync: %v", err)
 	}
-	if got := agent.PendingWindows(); got != 0 {
+	if got := len(agent.pending); got != 0 {
 		t.Errorf("pending windows after successful push = %d, want 0", got)
 	}
 	stats := cc.lastReceived()
@@ -185,7 +185,7 @@ func TestAgentMergesBacklogAcrossOutage(t *testing.T) {
 			t.Fatalf("sync %d should fail during outage", round)
 		}
 	}
-	if got := agent.PendingWindows(); got != 2 {
+	if got := len(agent.pending); got != 2 {
 		t.Fatalf("pending windows = %d, want 2", got)
 	}
 	generateTraffic(t, srv)
@@ -199,8 +199,8 @@ func TestAgentMergesBacklogAcrossOutage(t *testing.T) {
 	if total != 3 {
 		t.Errorf("merged upload carries %d requests, want all 3 from the outage", total)
 	}
-	if agent.DroppedWindows() != 0 {
-		t.Errorf("dropped windows = %d, want 0", agent.DroppedWindows())
+	if agent.droppedWindows != 0 {
+		t.Errorf("dropped windows = %d, want 0", agent.droppedWindows)
 	}
 }
 
@@ -225,10 +225,10 @@ func TestAgentPendingCapBoundsMemory(t *testing.T) {
 		generateTraffic(t, srv)
 		agent.Sync(t.Context())
 	}
-	if got := agent.PendingWindows(); got != 2 {
+	if got := len(agent.pending); got != 2 {
 		t.Errorf("pending windows = %d, want cap 2", got)
 	}
-	if got := agent.DroppedWindows(); got != 2 {
+	if got := agent.droppedWindows; got != 2 {
 		t.Errorf("dropped windows = %d, want 2", got)
 	}
 }
@@ -346,7 +346,7 @@ func TestProxyStaleRulesDegradeToLocalAndRecover(t *testing.T) {
 
 	// Controller silent, but within TTL: stale-but-held.
 	clock.Advance(ttl - time.Second)
-	if p.RulesStale() {
+	if p.DegradationLevel() == 2 {
 		t.Fatal("rules stale before TTL")
 	}
 	if got := routedCluster(t, srv); got != string(topology.East) {
@@ -355,13 +355,13 @@ func TestProxyStaleRulesDegradeToLocalAndRecover(t *testing.T) {
 
 	// Past the TTL: degrade to local-biased routing.
 	clock.Advance(2 * time.Second)
-	if !p.RulesStale() {
+	if p.DegradationLevel() != 2 {
 		t.Fatal("rules not stale past TTL")
 	}
 	if got := routedCluster(t, srv); got != string(topology.West) {
 		t.Fatalf("stale rules routed to %q, want local west", got)
 	}
-	if p.DegradedPicks() == 0 {
+	if p.degraded.Load() == 0 {
 		t.Error("degraded picks not counted")
 	}
 
@@ -369,7 +369,7 @@ func TestProxyStaleRulesDegradeToLocalAndRecover(t *testing.T) {
 	p.SetTable(routing.NewTable(2, map[routing.Key]routing.Distribution{
 		{Service: "svc-b", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
 	}))
-	if p.RulesStale() {
+	if p.DegradationLevel() == 2 {
 		t.Fatal("rules still stale after push")
 	}
 	if got := routedCluster(t, srv); got != string(topology.East) {
@@ -405,14 +405,14 @@ func TestAgentPollRefreshesUnchangedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(ttl + time.Second)
-	if !p.RulesStale() {
+	if p.DegradationLevel() != 2 {
 		t.Fatal("rules should be stale after silence")
 	}
 	// Second sync: same version. Freshness must still be restored.
 	if err := agent.Sync(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if p.RulesStale() {
+	if p.DegradationLevel() == 2 {
 		t.Error("successful poll with unchanged version left rules stale")
 	}
 }

@@ -78,7 +78,7 @@ type Config struct {
 	// Transport carries every forwarded request, to the local app and to
 	// peer sidecars; nil uses a pooled http.Transport. Tests substitute
 	// it.
-	Transport http.RoundTripper
+	Transport http.RoundTripper //slate:nolint testonly -- transport seam: TestPassAllocations counts a pass's allocations over a canned transport
 	// RNG is the stream for routing picks and span IDs, typically
 	// derived from the scenario seed (sim.NewRNG(seed).DeriveNamed(...))
 	// so every sidecar draws an independent, reproducible stream. Nil
@@ -99,7 +99,7 @@ type Config struct {
 	// Zero disables the bound: stale rules are held forever.
 	StaleAfter time.Duration
 	// Now overrides the clock (tests); nil uses time.Now.
-	Now func() time.Time
+	Now func() time.Time //slate:nolint testonly -- clock seam: the staleness tests drive rule age from a virtual clock
 	// Metrics is the registry this proxy instruments into; nil uses
 	// obs.Default(). Series are disambiguated by {service,cluster}
 	// labels, so many proxies can share one registry (and one process
@@ -278,16 +278,6 @@ func (p *Proxy) MarkRulesFresh() {
 func (p *Proxy) RulesAge() time.Duration {
 	return p.now().Sub(p.born) - time.Duration(p.lastFresh.Load())
 }
-
-// RulesStale reports whether the staleness TTL has expired, i.e. the
-// proxy is currently degrading to local-biased routing.
-func (p *Proxy) RulesStale() bool {
-	return p.staleAfter > 0 && p.RulesAge() > p.staleAfter
-}
-
-// DegradedPicks returns how many outbound routing decisions were made
-// in degraded (local-biased) mode since the proxy started.
-func (p *Proxy) DegradedPicks() uint64 { return p.degraded.Load() }
 
 // Table returns the active routing table.
 func (p *Proxy) Table() *routing.Table { return p.table.Load() }

@@ -62,7 +62,7 @@ type Options struct {
 	// controllers exclude pushed telemetry older than this from the
 	// global snapshot, and proxies degrade to local-biased routing when
 	// their rules have not been refreshed within it. Zero disables both.
-	StaleAfter time.Duration
+	StaleAfter time.Duration //slate:nolint testonly -- the emulator's fault seam: the fault tests bound control-plane staleness with it
 	// Replicas > 1 runs a replicated global control plane: N global
 	// controllers (fault targets "global:0" … "global:N-1") contend for
 	// the leader lease held by the cluster controllers, which report
@@ -306,9 +306,9 @@ func (m *Mesh) globalDown(i int) bool {
 	return m.opts.Fault != nil && m.opts.Fault.IsDown(m.globalTarget(i))
 }
 
-// CrashGlobalReplica / RestartGlobalReplica / CrashCluster /
-// RestartCluster drive the fault injector by component; no-ops without
-// Options.Fault. The unreplicated controller is replica 0.
+// CrashGlobalReplica / RestartGlobalReplica drive the fault injector by
+// replica; no-ops without Options.Fault. The unreplicated controller is
+// replica 0.
 func (m *Mesh) CrashGlobalReplica(i int) {
 	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
 		m.opts.Fault.Crash(m.globalTarget(i))
@@ -319,20 +319,6 @@ func (m *Mesh) CrashGlobalReplica(i int) {
 func (m *Mesh) RestartGlobalReplica(i int) {
 	if m.opts.Fault != nil && i >= 0 && i < len(m.globals) {
 		m.opts.Fault.Restart(m.globalTarget(i))
-	}
-}
-
-// CrashCluster takes one cluster controller down.
-func (m *Mesh) CrashCluster(cl topology.ClusterID) {
-	if m.opts.Fault != nil {
-		m.opts.Fault.Crash(fault.ClusterTarget(cl))
-	}
-}
-
-// RestartCluster brings a crashed cluster controller back.
-func (m *Mesh) RestartCluster(cl topology.ClusterID) {
-	if m.opts.Fault != nil {
-		m.opts.Fault.Restart(fault.ClusterTarget(cl))
 	}
 }
 
@@ -401,17 +387,6 @@ func (m *Mesh) GlobalURL() string { return m.gURLs[0] }
 // Globals returns every global-controller replica (one element without
 // Options.Replicas).
 func (m *Mesh) Globals() []*controlplane.Global { return m.globals }
-
-// GlobalLeader returns the replica currently holding the leader lease,
-// or nil when no replica leads (mid-failover, or all crashed).
-func (m *Mesh) GlobalLeader() *controlplane.Global {
-	for i, g := range m.globals {
-		if !m.globalDown(i) && g.IsLeader() {
-			return g
-		}
-	}
-	return nil
-}
 
 // ClusterStats returns the last telemetry window the cluster controller
 // collected (populated by TickControl / the background control loop).

@@ -15,14 +15,22 @@ import (
 )
 
 func smallChain() *appgraph.App {
-	return appgraph.LinearChain(appgraph.ChainOptions{
+	return deterministic(appgraph.LinearChain(appgraph.ChainOptions{
 		Services:        2,
 		MeanServiceTime: 2 * time.Millisecond,
-		Dist:            appgraph.DistDeterministic,
 		Pool:            appgraph.ReplicaPool{Replicas: 1, Concurrency: 8},
 		Clusters:        []topology.ClusterID{topology.West, topology.East},
 		ResponseBytes:   512,
-	})
+	}))
+}
+
+// deterministic makes every call of app take exactly its mean service
+// time.
+func deterministic(app *appgraph.App) *appgraph.App {
+	for _, c := range app.Classes {
+		c.Root.Walk(func(n *appgraph.CallNode) { n.Work.Dist = appgraph.DistDeterministic })
+	}
+	return app
 }
 
 func startMesh(t *testing.T, opts Options) *Mesh {
@@ -60,10 +68,15 @@ func TestMeshServesRequestEndToEnd(t *testing.T) {
 	if len(body) != 512 {
 		t.Errorf("response bytes = %d, want 512", len(body))
 	}
-	// Telemetry flowed: the frontend proxy saw the request.
-	stats := m.Proxy("gateway", topology.West).FlushTelemetry(time.Second)
-	if len(stats) == 0 {
-		t.Error("no telemetry at the gateway sidecar")
+	// Telemetry flowed: the frontend proxy saw the request. The sidecar
+	// records it after copying the response out, so the client may get
+	// here first: wait for the record.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(m.Proxy("gateway", topology.West).FlushTelemetry(time.Second)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no telemetry at the gateway sidecar")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -97,14 +110,13 @@ func TestMeshControlLoopInstallsRulesUnderOverload(t *testing.T) {
 	// West pool concurrency 2 at 20ms => ~100 RPS capacity; drive 150
 	// RPS into west and idle east: the control loop must start
 	// offloading west traffic to east.
-	app := appgraph.LinearChain(appgraph.ChainOptions{
+	app := deterministic(appgraph.LinearChain(appgraph.ChainOptions{
 		Services:        1,
 		MeanServiceTime: 20 * time.Millisecond,
-		Dist:            appgraph.DistDeterministic,
 		Pool:            appgraph.ReplicaPool{Replicas: 1, Concurrency: 2},
 		Clusters:        []topology.ClusterID{topology.West, topology.East},
 		ResponseBytes:   128,
-	})
+	}))
 	m := startMesh(t, Options{
 		Top:        topology.TwoClusters(10 * time.Millisecond),
 		App:        app,

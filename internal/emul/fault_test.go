@@ -67,7 +67,7 @@ func TestMeshServesThroughGlobalOutage(t *testing.T) {
 
 func TestMeshClusterCrashExcludesItFromControl(t *testing.T) {
 	m, inj := faultyMesh(t)
-	m.CrashCluster(topology.East)
+	inj.Crash(fault.ClusterTarget(topology.East))
 	// West still reports; east's report fails but is contained.
 	err := m.TickControl(time.Second)
 	if err == nil {
@@ -87,7 +87,7 @@ func TestMeshClusterCrashExcludesItFromControl(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("global status = %d after a cluster crash", resp.StatusCode)
 	}
-	m.RestartCluster(topology.East)
+	inj.Restart(fault.ClusterTarget(topology.East))
 	if err := m.TickControl(time.Second); err != nil {
 		t.Errorf("tick after east restart: %v", err)
 	}
@@ -111,18 +111,18 @@ func TestMeshPartitionDropsCrossClusterControlRPCs(t *testing.T) {
 func TestMeshStaleAfterFlowsToProxies(t *testing.T) {
 	m, _ := faultyMesh(t)
 	p := m.Proxy("gateway", topology.West)
-	if p.RulesStale() {
+	if p.DegradationLevel() == 2 {
 		t.Fatal("rules stale immediately after start")
 	}
 	time.Sleep(250 * time.Millisecond) // past the 200ms StaleAfter
-	if !p.RulesStale() {
+	if p.DegradationLevel() != 2 {
 		t.Fatal("rules not stale past StaleAfter without a control tick")
 	}
 	// A control round refreshes every proxy through the rule push.
 	if err := m.TickControl(time.Second); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	if p.RulesStale() {
+	if p.DegradationLevel() == 2 {
 		t.Error("rules still stale after a successful control round")
 	}
 }

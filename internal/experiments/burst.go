@@ -120,13 +120,7 @@ func Scalability(opt Options) (*Figure, error) {
 			}
 			samples = append(samples, float64(time.Since(start))/1e6)
 		}
-		// median
-		for i := 1; i < len(samples); i++ {
-			for j := i; j > 0 && samples[j] < samples[j-1]; j-- {
-				samples[j], samples[j-1] = samples[j-1], samples[j]
-			}
-		}
-		return samples[len(samples)/2], nil
+		return median(samples), nil
 	}
 
 	// Sweep clusters (3-service chain, 1 class).

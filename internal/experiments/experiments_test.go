@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -319,5 +320,18 @@ func TestAutoscalerInteraction(t *testing.T) {
 	// replicas than autoscaler-only (the §5 interaction).
 	if r := fig.Summary["scaling_suppression_ratio"]; r < 1.2 {
 		t.Errorf("scaling suppression ratio = %v, want > 1.2", r)
+	}
+}
+
+// TestMedian: the middle value of a sorted copy (the upper one of an
+// even count), 0 for no samples, and the caller's order left alone.
+func TestMedian(t *testing.T) {
+	even := []float64{4, 1, 3, 2}
+	got := []float64{median(nil), median([]float64{5, 1, 3}), median(even)}
+	if want := []float64{0, 3, 3}; !slices.Equal(got, want) {
+		t.Errorf("median of none, [5 1 3], [4 1 3 2] = %v, want %v", got, want)
+	}
+	if !slices.Equal(even, []float64{4, 1, 3, 2}) {
+		t.Errorf("median reordered its input: %v", even)
 	}
 }

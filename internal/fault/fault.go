@@ -134,21 +134,21 @@ func (i *Injector) IsDown(t Target) bool {
 // PartitionClusters blocks every RPC between components of cluster a
 // and components of cluster b (both directions) until HealClusters.
 // The global controller lives outside every cluster and is unaffected.
-func (i *Injector) PartitionClusters(a, b topology.ClusterID) {
+func (i *Injector) PartitionClusters(a, b topology.ClusterID) { //slate:nolint testonly -- fault seam: the emul and fault tests cut live control RPCs with it; simulated runs partition through Schedule
 	i.mu.Lock()
 	i.cuts[orderedPair(a, b)] = true
 	i.mu.Unlock()
 }
 
 // HealClusters removes a cluster partition.
-func (i *Injector) HealClusters(a, b topology.ClusterID) {
+func (i *Injector) HealClusters(a, b topology.ClusterID) { //slate:nolint testonly -- fault seam: the emul and fault tests cut live control RPCs with it; simulated runs partition through Schedule
 	i.mu.Lock()
 	delete(i.cuts, orderedPair(a, b))
 	i.mu.Unlock()
 }
 
 // HealAll clears every crash and partition.
-func (i *Injector) HealAll() {
+func (i *Injector) HealAll() { //slate:nolint testonly -- fault seam: the emul and fault tests cut live control RPCs with it; simulated runs partition through Schedule
 	i.mu.Lock()
 	i.down = make(map[Target]bool)
 	i.cuts = make(map[clusterPair]bool)

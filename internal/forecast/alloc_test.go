@@ -4,7 +4,7 @@ import "testing"
 
 // TestObservePredictAllocationFree pins the per-key hot path at zero
 // heap allocations once a key's state exists — Observe folds in place
-// and Predict is pure arithmetic. The once-per-key create path is the
+// and predict is pure arithmetic. The once-per-key create path is the
 // declared //slate:cold exception.
 func TestObservePredictAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
@@ -26,11 +26,11 @@ func TestObservePredictAllocationFree(t *testing.T) {
 				t.Fatalf("Observe allocates %v per run, want 0", n)
 			}
 			if n := testing.AllocsPerRun(200, func() {
-				if f.Predict(key, 1) < 0 {
+				if predict(f, key, 1) < 0 {
 					t.Fatal("negative forecast")
 				}
 			}); n != 0 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
-				t.Fatalf("Predict allocates %v per run, want 0", n)
+				t.Fatalf("predict allocates %v per run, want 0", n)
 			}
 			if n := testing.AllocsPerRun(200, func() {
 				f.EndWindow()

@@ -23,9 +23,9 @@
 // clamp to the valid range) and predictions are clamped finite and
 // non-negative, fuzzed by FuzzForecastIngest.
 //
-// The per-key Observe/Predict calls sit on the controller's hot path
-// (one per telemetry key per tick): both are allocation-free after a
-// key's first observation, pinned by AllocsPerRun and the hotalloc
+// The per-key observe and predict steps sit on the controller's hot
+// path (one per telemetry key per tick): both are allocation-free after
+// a key's first observation, pinned by AllocsPerRun and the hotalloc
 // lint.
 package forecast
 
@@ -152,14 +152,6 @@ func (f *Forecaster) EndWindow() {
 	f.epoch++
 }
 
-// Predict returns the h-windows-ahead forecast for a key (h ≥ 1). The
-// result is always finite and non-negative; unknown keys forecast 0.
-//
-//slate:hot
-func (f *Forecaster) Predict(k Key, h int) float64 {
-	return f.states[k].predict(f.cfg, h)
-}
-
 // Each calls fn for every tracked key with its h-windows-ahead
 // forecast. Iteration order is unspecified: callers must fold the
 // results into an order-independent structure (the controller builds
@@ -238,6 +230,8 @@ func (s *state) observe(cfg Config, v float64) {
 // result clamps at 0. A non-finite intermediate (impossible from
 // sanitized inputs, but cheap to guard) falls back to the last
 // observation.
+//
+//slate:hot
 func (s *state) predict(cfg Config, h int) float64 {
 	if s == nil || s.n == 0 {
 		return 0
@@ -247,7 +241,7 @@ func (s *state) predict(cfg Config, h int) float64 {
 	}
 	p := s.level + float64(h)*s.trend
 	if m := len(s.season); m > 0 && s.n >= m {
-		// Windows 0..n-1 are observed; Predict(h) targets window n+h-1.
+		// Windows 0..n-1 are observed; predict(h) targets window n+h-1.
 		p += s.season[(s.n+h-1)%m]
 	}
 	if math.IsNaN(p) || math.IsInf(p, 0) {

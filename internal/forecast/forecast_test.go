@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/servicelayernetworking/slate/internal/sim"
@@ -9,16 +10,20 @@ import (
 
 var key = Key{Class: "default", Cluster: "us-west"}
 
+// predict returns f's h-windows-ahead forecast for k: what Each reports
+// for it, and 0 for an unknown key.
+func predict(f *Forecaster, k Key, h int) float64 { return f.states[k].predict(f.cfg, h) }
+
 // seasonalSeries generates a noisy additive-seasonal series: mean +
-// amplitude·sin(2πt/period) + Norm(0, noise), clamped non-negative,
-// seeded through the sim RNG so every run sees the same values.
+// amplitude·sin(2πt/period) + N(0, noise²), clamped non-negative, from a
+// seeded source so every run sees the same values.
 func seasonalSeries(seed int64, n, period int, mean, amplitude, noise float64) []float64 {
-	rng := sim.NewRNG(seed).DeriveNamed("forecast/seasonal")
+	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
 	for t := range out {
 		v := mean + amplitude*math.Sin(2*math.Pi*float64(t)/float64(period))
 		if noise > 0 {
-			v += rng.Norm(0, noise)
+			v += rng.NormFloat64() * noise
 		}
 		out[t] = math.Max(0, v)
 	}
@@ -42,7 +47,7 @@ func TestForecastHoltWintersConverges(t *testing.T) {
 	var absErr, n float64
 	for i, v := range series {
 		if i >= 8*period { // warmed up: score before observing
-			p := f.Predict(key, 1)
+			p := predict(f, key, 1)
 			absErr += math.Abs(p - v)
 			n++
 		}
@@ -73,8 +78,8 @@ func TestForecastEWMAEquivariance(t *testing.T) {
 	for _, v := range series {
 		base.Observe(key, v)
 		scaled.Observe(key, a*v+b)
-		want := a*base.Predict(key, 1) + b
-		got := scaled.Predict(key, 1)
+		want := a*predict(base, key, 1) + b
+		got := predict(scaled, key, 1)
 		if math.Abs(got-want) > 1e-9*math.Max(1, want) {
 			t.Fatalf("EWMA not affine-equivariant: forecast(a*x+b) = %v, a*forecast(x)+b = %v", got, want)
 		}
@@ -101,7 +106,7 @@ func TestForecastDeterministicPerSeed(t *testing.T) {
 		fb.EndWindow()
 		for _, k := range []Key{key, k2} {
 			for _, h := range []int{1, 2, 5} {
-				pa, pb := fa.Predict(k, h), fb.Predict(k, h)
+				pa, pb := predict(fa, k, h), predict(fb, k, h)
 				if pa != pb { //slate:nolint floatcmp -- determinism pin: identical inputs must give bit-identical forecasts
 					t.Fatalf("step %d key %v h %d: forecasts diverge: %v vs %v", i, k, h, pa, pb)
 				}
@@ -123,8 +128,8 @@ func TestForecastHoltTracksRamp(t *testing.T) {
 		ewma.Observe(key, v)
 		next = v + 10
 	}
-	he := math.Abs(holt.Predict(key, 1) - next)
-	ee := math.Abs(ewma.Predict(key, 1) - next)
+	he := math.Abs(predict(holt, key, 1) - next)
+	ee := math.Abs(predict(ewma, key, 1) - next)
 	if he >= ee {
 		t.Fatalf("Holt error %.2f not better than EWMA error %.2f on a ramp", he, ee)
 	}
@@ -135,10 +140,10 @@ func TestForecastHoltTracksRamp(t *testing.T) {
 
 // TestForecastSanitization pins the robustness contract directly:
 // hostile observations never produce NaN/Inf/negative forecasts, and
-// Predict on an unknown key is 0.
+// predict on an unknown key is 0.
 func TestForecastSanitization(t *testing.T) {
 	f := New(Config{Alpha: 0.5, Beta: 0.3, Gamma: 0.3, SeasonLength: 4})
-	if got := f.Predict(Key{Class: "nope"}, 1); got != 0 { //slate:nolint floatcmp -- unknown keys return the literal 0, exact by construction
+	if got := predict(f, Key{Class: "nope"}, 1); got != 0 { //slate:nolint floatcmp -- unknown keys return the literal 0, exact by construction
 		t.Fatalf("unknown key forecast = %v, want 0", got)
 	}
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 1e308, 0, 42}
@@ -147,7 +152,7 @@ func TestForecastSanitization(t *testing.T) {
 			f.Observe(key, v)
 			f.EndWindow()
 			for _, h := range []int{1, 3} {
-				p := f.Predict(key, h)
+				p := predict(f, key, h)
 				if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
 					t.Fatalf("hostile input %v produced forecast %v", v, p)
 				}
@@ -167,7 +172,7 @@ func TestForecastZeroDecay(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.EndWindow() // key absent from the window
 	}
-	if p := f.Predict(key, 1); p > 1 {
+	if p := predict(f, key, 1); p > 1 {
 		t.Fatalf("vanished stream still forecasts %v after 20 silent windows", p)
 	}
 	if f.Len() != 1 {
@@ -176,7 +181,7 @@ func TestForecastZeroDecay(t *testing.T) {
 }
 
 // TestForecastEach checks Each visits every key exactly once with the
-// same value Predict returns.
+// same value predict returns.
 func TestForecastEach(t *testing.T) {
 	f := New(Defaults())
 	keys := []Key{key, {Class: "batch", Cluster: "eu"}, {Class: "rt", Cluster: "ap"}}
@@ -190,8 +195,8 @@ func TestForecastEach(t *testing.T) {
 		t.Fatalf("Each visited %d keys, want %d", len(seen), len(keys))
 	}
 	for _, k := range keys {
-		if seen[k] != f.Predict(k, 1) { //slate:nolint floatcmp -- Each must report exactly what Predict computes
-			t.Fatalf("Each(%v) = %v, Predict = %v", k, seen[k], f.Predict(k, 1))
+		if seen[k] != predict(f, k, 1) { //slate:nolint floatcmp -- Each must report exactly what predict computes
+			t.Fatalf("Each(%v) = %v, predict = %v", k, seen[k], predict(f, k, 1))
 		}
 	}
 }

@@ -59,7 +59,7 @@ func FuzzForecastIngest(f *testing.F) {
 			})
 			for _, k := range keys {
 				for _, h := range []int{1, 2, 7} {
-					if p := fc.Predict(k, h); math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+					if p := predict(fc, k, h); math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
 						t.Fatalf("key %v h %d forecast %v (NaN/Inf/negative)", k, h, p)
 					}
 				}

@@ -49,7 +49,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			for _, k := range keys {
 				for h := 1; h <= 3; h++ {
-					pa, pb := a.Predict(k, h), b.Predict(k, h)
+					pa, pb := predict(a, k, h), predict(b, k, h)
 					if math.Float64bits(pa) != math.Float64bits(pb) {
 						t.Fatalf("%v h=%d: restored predicts %v, original %v", k, h, pb, pa)
 					}
@@ -65,7 +65,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				b.EndWindow()
 			}
 			for _, k := range keys {
-				if pa, pb := a.Predict(k, 1), b.Predict(k, 1); math.Float64bits(pa) != math.Float64bits(pb) {
+				if pa, pb := predict(a, k, 1), predict(b, k, 1); math.Float64bits(pa) != math.Float64bits(pb) {
 					t.Fatalf("%v diverged after restore: %v vs %v", k, pb, pa)
 				}
 			}
@@ -88,7 +88,7 @@ func TestSnapshotSeasonMismatch(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("restored %d keys across a season-length change, want 0", b.Len())
 	}
-	if p := b.Predict(k, 1); p != 0 { //slate:nolint floatcmp -- a dropped key returns the exact zero value, never a computed float
+	if p := predict(b, k, 1); p != 0 { //slate:nolint floatcmp -- a dropped key returns the exact zero value, never a computed float
 		t.Fatalf("dropped key predicts %v, want 0", p)
 	}
 }

@@ -31,7 +31,7 @@ func TestEvalObjective(t *testing.T) {
 
 func TestEvalObjectiveMatchesSolver(t *testing.T) {
 	m, _, _ := evalModel(t)
-	sol, err := m.Solve()
+	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCheckFeasibleSolverSolutions(t *testing.T) {
 			}
 			m.MustConstraint("d", terms, EQ, 10)
 		}
-		sol, err := m.Solve()
+		sol, err := solve(m)
 		if err != nil {
 			t.Fatal(err)
 		}

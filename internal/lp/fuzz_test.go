@@ -10,7 +10,7 @@ import (
 // FuzzWarmRepair holds a warm start to a cold solve. The input names a
 // random LP — a bounded one feasible by construction, or one of the
 // routing shape — its optimal basis, and a move of the right-hand side,
-// of the objective or of both. SolveFrom from the old basis (installed
+// of the objective or of both. SolveWith from the old basis (installed
 // and left feasible, repaired with dual pivots, or abandoned for a cold
 // start) must reach the cold solve's status, its objective within 1e-9
 // relative, and a point that satisfies the moved model. The checked-in
@@ -35,7 +35,7 @@ func FuzzWarmRepair(f *testing.F) {
 			m = randomFeasibleLP(rng)
 		}
 		s := NewSolver()
-		base, err := s.Solve(m)
+		base, err := s.SolveWith(nil, m, nil)
 		if err != nil || base.Status != Optimal {
 			t.Fatalf("base solve: %v, %+v", err, base)
 		}
@@ -59,10 +59,10 @@ func FuzzWarmRepair(f *testing.F) {
 		for j := range m.vars {
 			m.SetObj(Var(j), m.vars[j].obj*(1+objMove*(2*rng.Float64()-1)))
 		}
-		warm, err := s.SolveFrom(m, base.Basis)
-		cold, coldErr := NewSolver().Solve(m)
+		warm, err := s.SolveWith(nil, m, base.Basis)
+		cold, coldErr := solve(m)
 		if err != nil || coldErr != nil {
-			// SolveFrom gives up only where a cold start does too.
+			// SolveWith gives up only where a cold start does too.
 			if !errors.Is(err, ErrIterLimit) || !errors.Is(coldErr, ErrIterLimit) {
 				t.Fatalf("warm solve: %v; cold solve: %v", err, coldErr)
 			}

@@ -6,9 +6,12 @@ import (
 	"testing"
 )
 
+// solve minimizes m from a cold start in a fresh Solver.
+func solve(m *Model) (*Solution, error) { return NewSolver().SolveWith(nil, m, nil) }
+
 func solveOK(t *testing.T, m *Model) *Solution {
 	t.Helper()
-	sol, err := m.Solve()
+	sol, err := solve(m)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -72,7 +75,7 @@ func TestSimplexInfeasible(t *testing.T) {
 	x := m.AddVar("x", 1)
 	m.MustConstraint("hi", []Term{{x, 1}}, LE, 1)
 	m.MustConstraint("lo", []Term{{x, 1}}, GE, 2)
-	sol, err := m.Solve()
+	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestSimplexUnbounded(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", -1) // maximize x, no upper limit
 	m.MustConstraint("c", []Term{{x, 1}}, GE, 0)
-	sol, err := m.Solve()
+	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestConstraintValidation(t *testing.T) {
 		t.Error("infinite rhs should error")
 	}
 	m.SetUpper(x, -1)
-	if _, err := m.Solve(); err == nil {
+	if _, err := solve(m); err == nil {
 		t.Error("negative upper bound should error")
 	}
 }
@@ -353,7 +356,7 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 			m.MustConstraint("c", terms, c.rel, c.rhs)
 			_ = i
 		}
-		sol, err := m.Solve()
+		sol, err := solve(m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -190,12 +190,12 @@ type Solution struct {
 	X []float64
 	// Basis is the optimal simplex basis (one tableau column per
 	// constraint row, in solver-internal numbering). Hand it to
-	// Solver.SolveFrom to warm-start a nearby problem — typically the
+	// Solver.SolveWith to warm-start a nearby problem — typically the
 	// next control tick, after demand drifted. Only valid when
 	// Status == Optimal.
 	Basis []int
 	// Warm reports whether this solve installed a warm-started basis and
-	// skipped phase 1 (see Solver.SolveFrom).
+	// skipped phase 1 (see Solver.SolveWith).
 	Warm bool
 	// DualPivots counts the dual simplex pivots that repaired a warm
 	// basis the right-hand side had left infeasible; 0 when the basis

@@ -23,17 +23,6 @@ const (
 // keep the previous plan and retry next tick. Test with errors.Is.
 var ErrIterLimit = fmt.Errorf("lp: simplex iteration limit exceeded")
 
-// Solve minimizes the model's objective over its constraints using a
-// two-phase primal simplex with Bland's anti-cycling rule engaged after
-// a degenerate stretch. Upper bounds registered with SetUpper are
-// expanded into explicit constraints.
-//
-// Solve allocates fresh scratch per call; a re-solving control loop
-// should hold a Solver and use its Solve/SolveFrom instead.
-func (m *Model) Solve() (*Solution, error) {
-	return NewSolver().Solve(m)
-}
-
 // entry is one stored coefficient of a constraint row.
 type entry struct {
 	col int32
@@ -795,7 +784,7 @@ var maxIterScale = 200
 // and returns a func restoring the previous value. It exists so tests in
 // other packages can provoke ErrIterLimit deterministically; production
 // code must not call it.
-func SetIterBudgetScale(n int) (restore func()) {
+func SetIterBudgetScale(n int) (restore func()) { //slate:nolint testonly -- a deciding phase 1 (ROADMAP item 2(b)) may retire this knob
 	old := maxIterScale
 	maxIterScale = n
 	return func() { maxIterScale = old }

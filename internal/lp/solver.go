@@ -18,7 +18,7 @@ import (
 // across models of different shapes but is not safe for concurrent use.
 type Solver struct {
 	t   tableau
-	own *Workspace // Solve's and SolveFrom's, made on first use
+	own *Workspace // a nil-Workspace SolveWith's, made on first use
 }
 
 // Workspace is the storage a solve works in beyond the packed rows and
@@ -65,21 +65,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // NewSolver returns a Solver with empty storage.
 func NewSolver() *Solver { return &Solver{} }
-
-// Solve minimizes the model from a cold start (phase 1 to find a
-// feasible vertex, then phase 2). The returned Solution records the
-// optimal basis, which a later call can hand to SolveFrom to warm-start
-// a nearby problem.
-func (s *Solver) Solve(m *Model) (*Solution, error) {
-	return s.SolveWith(nil, m, nil)
-}
-
-// SolveFrom is SolveWith in the Solver's own Workspace.
-//
-// A nil or empty basis is an explicit cold start.
-func (s *Solver) SolveFrom(m *Model, basis []int) (*Solution, error) {
-	return s.SolveWith(nil, m, basis)
-}
 
 // Forget drops the kept tableau, keeping its storage: the next solve
 // from a basis installs it, as a Solver that never solved the model

@@ -89,7 +89,7 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 	warmSolver := NewSolver()
 	for trial := 0; trial < 200; trial++ {
 		m := randomFeasibleLP(rng)
-		base, err := NewSolver().Solve(m)
+		base, err := solve(m)
 		if err != nil {
 			t.Fatalf("trial %d: base solve: %v", trial, err)
 		}
@@ -103,11 +103,11 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 			scale = 5
 		}
 		perturbRHS(t, m, rng, scale)
-		warm, err := warmSolver.SolveFrom(m, base.Basis)
+		warm, err := warmSolver.SolveWith(nil, m, base.Basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
-		cold, err := NewSolver().Solve(m)
+		cold, err := solve(m)
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
@@ -122,11 +122,11 @@ func TestWarmSteadyState(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		m := randomFeasibleLP(rng)
 		s := NewSolver()
-		base, err := s.Solve(m)
+		base, err := s.SolveWith(nil, m, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		warm, err := s.SolveFrom(m, base.Basis)
+		warm, err := s.SolveWith(nil, m, base.Basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -143,7 +143,7 @@ func TestSolverReuseNoLeak(t *testing.T) {
 	want := make([]*Solution, len(models))
 	for i := range models {
 		models[i] = randomFeasibleLP(rng)
-		sol, err := NewSolver().Solve(models[i])
+		sol, err := solve(models[i])
 		if err != nil {
 			t.Fatalf("model %d: %v", i, err)
 		}
@@ -152,7 +152,7 @@ func TestSolverReuseNoLeak(t *testing.T) {
 	shared := NewSolver()
 	for pass := 0; pass < 3; pass++ {
 		for i, m := range models {
-			got, err := shared.Solve(m)
+			got, err := shared.SolveWith(nil, m, nil)
 			if err != nil {
 				t.Fatalf("pass %d model %d: %v", pass, i, err)
 			}
@@ -169,33 +169,13 @@ func TestSolverReuseNoLeak(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesSolver verifies Model.Solve (fresh scratch each call)
-// and Solver.Solve produce bit-identical results.
-func TestSolveMatchesSolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 20; trial++ {
-		m := randomFeasibleLP(rng)
-		a, err := m.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		b, err := NewSolver().Solve(m)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if a.Objective != b.Objective { //slate:nolint floatcmp -- same code path must agree exactly
-			t.Fatalf("trial %d: Model.Solve %v != Solver.Solve %v", trial, a.Objective, b.Objective)
-		}
-	}
-}
-
-// TestSolveFromDegenerateBases feeds SolveFrom bases that cannot be
+// TestSolveFromDegenerateBases feeds SolveWith bases that cannot be
 // installed — nil, wrong length, duplicates, out-of-range columns — and
 // expects a silent, correct cold fallback.
 func TestSolveFromDegenerateBases(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := randomFeasibleLP(rng)
-	cold, err := NewSolver().Solve(m)
+	cold, err := solve(m)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -208,7 +188,7 @@ func TestSolveFromDegenerateBases(t *testing.T) {
 		{1 << 20, 1, 2, 3},
 	}
 	for i, basis := range bad {
-		got, err := NewSolver().SolveFrom(m, basis)
+		got, err := NewSolver().SolveWith(nil, m, basis)
 		if err != nil {
 			t.Fatalf("basis %d: %v", i, err)
 		}
@@ -230,7 +210,7 @@ func TestIterLimitTyped(t *testing.T) {
 	m.SetUpper(x, 10)
 	m.SetUpper(y, 10)
 	m.MustConstraint("c", []Term{{x, 1}, {y, 1}}, LE, 15)
-	_, err := m.Solve()
+	_, err := solve(m)
 	if err == nil {
 		t.Fatal("expected iteration-limit error with zero budget")
 	}
@@ -250,7 +230,7 @@ func TestWarmAfterIterLimitFallsBack(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(43))
 	m := randomFeasibleLP(rng)
-	_, err := NewSolver().SolveFrom(m, []int{0})
+	_, err := NewSolver().SolveWith(nil, m, []int{0})
 	if err != nil && !errors.Is(err, ErrIterLimit) {
 		t.Fatalf("error %v is not ErrIterLimit", err)
 	}

@@ -47,7 +47,7 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 		}
 	}
 	w.dense.trace = func(row, col int) { want = append(want, [2]int{row, col}) }
-	sol, err := w.sparse.SolveFrom(m, basis)
+	sol, err := w.sparse.SolveWith(nil, m, basis)
 	ref, refErr := w.dense.SolveFrom(m, basis)
 	if !slices.Equal(got, want) {
 		n := 0
@@ -270,7 +270,7 @@ func sparseMatchesDense(t *testing.T) {
 			sol := w.solveFrom(fmt.Sprintf("trial %d cold", trial), m, nil)
 			for step := 0; step < 6; step++ {
 				// Small drift keeps the basis feasible; large drift leaves it
-				// infeasible, and SolveFrom repairs it with dual pivots or,
+				// infeasible, and SolveWith repairs it with dual pivots or,
 				// when no vertex satisfies the new rhs, falls back to a cold
 				// start. Every other step starts from an install, the rest
 				// from the kept tableau.
@@ -535,7 +535,7 @@ func sparseMatchesDense(t *testing.T) {
 			restore()
 		}
 		restore := SetIterBudgetScale(0)
-		if _, err := w.sparse.Solve(randomRoutingLP(rng).m); !errors.Is(err, ErrIterLimit) {
+		if _, err := w.sparse.SolveWith(nil, randomRoutingLP(rng).m, nil); !errors.Is(err, ErrIterLimit) {
 			t.Fatalf("zero budget: error %v, want ErrIterLimit", err)
 		}
 		restore()
@@ -759,7 +759,7 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 			rng := rand.New(rand.NewSource(c.seed))
 			r := randomRoutingLP(rng)
 			s := NewSolver()
-			base, err := s.Solve(r.m)
+			base, err := s.SolveWith(nil, r.m, nil)
 			if err != nil || base.Status != Optimal {
 				t.Fatalf("base solve: %v, %+v", err, base)
 			}
@@ -795,7 +795,7 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 				if forget || run == 1 {
 					installed++
 				}
-				sol, err := s.SolveFrom(r.m, basis)
+				sol, err := s.SolveWith(nil, r.m, basis)
 				if err != nil || sol.Status != Optimal {
 					t.Fatalf("warm solve: %v, %+v", err, sol)
 				}

@@ -16,7 +16,7 @@ func FuzzReadSpans(f *testing.F) {
 	f.Add([]byte(`{"trace":"zz"}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spans, err := ReadSpans(bytes.NewReader(data))
+		spans, err := readSpans(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -25,7 +25,7 @@ func FuzzReadSpans(f *testing.F) {
 		if err := sw.WriteSpans(spans); err != nil {
 			t.Fatalf("re-exporting parsed spans failed: %v", err)
 		}
-		back, err := ReadSpans(&buf)
+		back, err := readSpans(&buf)
 		if err != nil {
 			t.Fatalf("re-parsing exported spans failed: %v", err)
 		}

@@ -23,9 +23,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("test_gauge", "a gauge")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got < 1.499 || got > 1.501 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 { //slate:nolint floatcmp -- a stored value reads back bit for bit
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	}
 	// NaN observations are dropped, not propagated into the sum.
 	h.Observe(math.NaN())
-	if got := h.Count(); got != 5 {
+	if got := h.count.Load(); got != 5 {
 		t.Fatalf("NaN observation must be dropped, count = %d", got)
 	}
 }
@@ -110,7 +109,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				v.With(name).Inc()
 				h.Observe(float64(i) / 1000)
-				g.Add(1)
+				g.Set(float64(i))
 			}
 		}()
 	}
@@ -131,11 +130,11 @@ func TestConcurrentUse(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("lost increments: %d, want 8000", total)
 	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	if h.count.Load() != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", h.count.Load())
 	}
-	if got := g.Value(); got < 7999.5 || got > 8000.5 {
-		t.Fatalf("gauge = %v, want 8000", got)
+	if got := g.Value(); got != 999 { //slate:nolint floatcmp -- every writer's last Set stores exactly 999
+		t.Fatalf("gauge = %v, want 999", got)
 	}
 }
 

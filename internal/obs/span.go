@@ -1,14 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 )
@@ -50,39 +47,6 @@ func toRecord(s telemetry.Span) spanRecord {
 		RespBytes: s.RespBytes,
 		Remote:    s.Remote,
 	}
-}
-
-func (r spanRecord) toSpan() (telemetry.Span, error) {
-	trace, err := strconv.ParseUint(r.Trace, 16, 64)
-	if err != nil {
-		return telemetry.Span{}, fmt.Errorf("obs: bad trace id %q: %w", r.Trace, err)
-	}
-	id, err := strconv.ParseUint(r.ID, 16, 64)
-	if err != nil {
-		return telemetry.Span{}, fmt.Errorf("obs: bad span id %q: %w", r.ID, err)
-	}
-	var parent uint64
-	if r.Parent != "" {
-		parent, err = strconv.ParseUint(r.Parent, 16, 64)
-		if err != nil {
-			return telemetry.Span{}, fmt.Errorf("obs: bad parent id %q: %w", r.Parent, err)
-		}
-	}
-	return telemetry.Span{
-		Trace:     telemetry.TraceID(trace),
-		ID:        telemetry.SpanID(id),
-		Parent:    telemetry.SpanID(parent),
-		Service:   r.Service,
-		Cluster:   r.Cluster,
-		Class:     r.Class,
-		Method:    r.Method,
-		Path:      r.Path,
-		Start:     time.Duration(r.StartNS),
-		End:       time.Duration(r.EndNS),
-		ReqBytes:  r.ReqBytes,
-		RespBytes: r.RespBytes,
-		Remote:    r.Remote,
-	}, nil
 }
 
 // SpanWriter streams telemetry spans to an io.Writer as JSONL, one span
@@ -128,36 +92,6 @@ func (sw *SpanWriter) Count() int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.n
-}
-
-// ReadSpans parses a JSONL span dump back into spans. Blank lines are
-// skipped; a malformed line fails the whole read (a partial trace would
-// silently reconstruct wrong trees).
-func ReadSpans(r io.Reader) ([]telemetry.Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var out []telemetry.Span
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec spanRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: span line %d: %w", line, err)
-		}
-		s, err := rec.toSpan()
-		if err != nil {
-			return nil, fmt.Errorf("obs: span line %d: %w", line, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // GroupTraces buckets spans by trace ID, preserving input order within

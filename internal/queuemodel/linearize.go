@@ -69,28 +69,3 @@ func TotalWidth(segs []Segment) float64 {
 	}
 	return w
 }
-
-// EvalPWL returns the PWL delay D̃(λ) implied by the segments, filling
-// segments in order. Loads beyond the total width return +Inf slope
-// extension (the last slope extended), which callers should treat as
-// "infeasible" — the optimizer never produces such loads because segment
-// variables are capacity-bounded.
-func EvalPWL(segs []Segment, lambda float64) float64 {
-	var d float64
-	remaining := lambda
-	for _, s := range segs {
-		take := remaining
-		if take > s.Width {
-			take = s.Width
-		}
-		d += take * s.Slope
-		remaining -= take
-		if remaining <= 0 {
-			return d
-		}
-	}
-	if remaining > 0 && len(segs) > 0 {
-		d += remaining * segs[len(segs)-1].Slope
-	}
-	return d
-}

@@ -153,7 +153,7 @@ func TestLinearizeExactAtBreakpoints(t *testing.T) {
 	for _, f := range DefaultBreakFracs {
 		lambda := f * m.Capacity()
 		want := lambda * m.SojournSeconds(lambda)
-		got := EvalPWL(segs, lambda)
+		got := evalPWL(segs, lambda)
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Errorf("PWL at breakpoint rho=%v: %v, want %v", f, got, want)
 		}
@@ -171,7 +171,7 @@ func TestLinearizeOverestimatesBetweenBreakpoints(t *testing.T) {
 	for rho := 0.05; rho < 0.95; rho += 0.033 {
 		lambda := rho * m.Capacity()
 		exact := lambda * m.SojournSeconds(lambda)
-		pwl := EvalPWL(segs, lambda)
+		pwl := evalPWL(segs, lambda)
 		if pwl < exact-1e-9 {
 			t.Errorf("PWL underestimates at rho=%.2f: %v < %v", rho, pwl, exact)
 		}
@@ -191,13 +191,6 @@ func TestLinearizeValidation(t *testing.T) {
 	}
 	if _, err := Linearize(MMc{Servers: 1, Mu: 0}, nil); err == nil {
 		t.Error("zero-capacity model should error")
-	}
-}
-
-func TestEvalPWLBeyondWidthExtendsLastSlope(t *testing.T) {
-	segs := []Segment{{Width: 10, Slope: 1}, {Width: 10, Slope: 2}}
-	if got := EvalPWL(segs, 25); math.Abs(got-(10+20+10)) > 1e-12 {
-		t.Errorf("EvalPWL(25) = %v, want 40", got)
 	}
 }
 
@@ -225,4 +218,26 @@ func TestFitMMcPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// evalPWL returns the PWL delay D̃(λ) implied by the segments, filling
+// segments in order; loads beyond the total width extend the last slope.
+func evalPWL(segs []Segment, lambda float64) float64 {
+	var d float64
+	remaining := lambda
+	for _, s := range segs {
+		take := remaining
+		if take > s.Width {
+			take = s.Width
+		}
+		d += take * s.Slope
+		remaining -= take
+		if remaining <= 0 {
+			return d
+		}
+	}
+	if remaining > 0 && len(segs) > 0 {
+		d += remaining * segs[len(segs)-1].Slope
+	}
+	return d
 }

@@ -730,15 +730,8 @@ func (o *Optimizer) poolCostAt(pl int, load float64) (float64, int) {
 	return cost, p.segN
 }
 
-// Objective returns the current internal objective (penalized when
-// infeasible).
-func (o *Optimizer) Objective() float64 {
-	o.refresh()
-	return o.obj
-}
-
-// LowerBound returns a certified lower bound on the optimal objective
-// of the bound instance. It is routing-independent and combines, per
+// computeLowerBound sets o.lowerBound, a certified lower bound on the
+// optimal objective of the bound instance. It is routing-independent and combines, per
 // service, the stronger of two relaxations:
 //
 //   - Merged fill: per-service total standard work is fixed by demand
@@ -759,11 +752,6 @@ func (o *Optimizer) Objective() float64 {
 //
 // Services that appear only at pinned roots contribute their exact
 // constant cost. Computed at Reset and after SetDemand batches.
-func (o *Optimizer) LowerBound() float64 {
-	o.refresh()
-	return o.lowerBound
-}
-
 func (o *Optimizer) computeLowerBound() {
 	for i := range o.lbWork {
 		o.lbWork[i] = 0

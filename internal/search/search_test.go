@@ -224,7 +224,7 @@ func TestSearchLowerBoundBelowOptimum(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := newSearch(t, p, plan.Table)
-		if lb := o.LowerBound(); lb > plan.Objective+1e-6*(1+plan.Objective) {
+		if lb := search.LowerBound(o); lb > plan.Objective+1e-6*(1+plan.Objective) {
 			t.Errorf("west=%v cfg=%+v: lower bound %v above optimum %v",
 				tc.west, tc.cfg, lb, plan.Objective)
 		}

@@ -53,26 +53,26 @@ func TestPostAllocationFree(t *testing.T) {
 // and fire.
 func TestPendingConstantTime(t *testing.T) {
 	k := NewKernel()
-	if k.Pending() != 0 {
-		t.Fatalf("fresh kernel Pending = %d", k.Pending())
+	if len(k.heap) != 0 {
+		t.Fatalf("fresh kernel Pending = %d", len(k.heap))
 	}
 	for i := 0; i < 10; i++ {
 		k.After(time.Duration(i+1)*time.Millisecond, func(*Kernel) {})
 	}
-	if k.Pending() != 10 {
-		t.Fatalf("Pending = %d after 10 schedules, want 10", k.Pending())
+	if len(k.heap) != 10 {
+		t.Fatalf("Pending = %d after 10 schedules, want 10", len(k.heap))
 	}
 	// Fire three events; each pop decrements.
 	for i := 0; i < 3; i++ {
-		if !k.Step() {
+		if !k.next(MaxTime, true) {
 			t.Fatal("step found no event")
 		}
 	}
-	if k.Pending() != 7 {
-		t.Fatalf("Pending = %d after 3 fires, want 7", k.Pending())
+	if len(k.heap) != 7 {
+		t.Fatalf("Pending = %d after 3 fires, want 7", len(k.heap))
 	}
 	k.Run()
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", k.Pending())
+	if len(k.heap) != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", len(k.heap))
 	}
 }

@@ -62,9 +62,6 @@ type Shard struct {
 	mark     uint64 // events fired before the current window
 }
 
-// ID returns the shard's index within its group.
-func (s *Shard) ID() int { return s.id }
-
 // Kernel returns the shard's event kernel. Model code running inside
 // this shard's callbacks may use it exactly like a standalone kernel.
 func (s *Shard) Kernel() *Kernel { return s.k }
@@ -127,18 +124,8 @@ func NewGroup(n int, lookahead Time) *Group {
 	return g
 }
 
-// Shards returns the number of shards.
-func (g *Group) Shards() int { return len(g.shards) }
-
 // Shard returns shard i.
 func (g *Group) Shard(i int) *Shard { return g.shards[i] }
-
-// Now returns the group's barrier time. Individual kernels may be ahead
-// of it only inside a window.
-func (g *Group) Now() Time { return g.now }
-
-// Lookahead returns the conservative lookahead.
-func (g *Group) Lookahead() Time { return g.lookahead }
 
 // Windows reports how many synchronization windows have run.
 func (g *Group) Windows() uint64 { return g.windows }
@@ -164,16 +151,6 @@ func (g *Group) MessagesSent() uint64 {
 	var n uint64
 	for _, s := range g.shards {
 		n += s.sent
-	}
-	return n
-}
-
-// Pending reports scheduled-but-unfired events across shards, including
-// cross-shard messages awaiting delivery.
-func (g *Group) Pending() int {
-	n := 0
-	for _, s := range g.shards {
-		n += s.k.Pending() + len(s.inbox)
 	}
 	return n
 }

@@ -54,7 +54,7 @@ func newPingModel(shards int, seed int64) *pingModel {
 				if to >= i {
 					to++
 				}
-				at := k.Now() + m.g.Lookahead() + Time(rng.Exp(0.002)*float64(time.Second))
+				at := k.Now() + m.g.lookahead + Time(rng.Exp(0.002)*float64(time.Second))
 				s.Send(to, at, Event{A: int32(-1 - i)})
 			}
 			if k.Now() < Time(200*time.Millisecond) {
@@ -221,8 +221,8 @@ func TestGroupSingleShardMatchesKernel(t *testing.T) {
 		g.Shard(0).Kernel().At(Time(ms)*Time(time.Millisecond), func(*Kernel) { order = append(order, ms) })
 	}
 	g.RunUntil(Time(2 * time.Millisecond))
-	if len(order) != 2 || g.Windows() != 1 || g.Now() != Time(2*time.Millisecond) {
-		t.Fatalf("after RunUntil(2ms): order %v, %d windows, clock %v; want [1 2], 1, 2ms", order, g.Windows(), g.Now())
+	if len(order) != 2 || g.Windows() != 1 || g.now != Time(2*time.Millisecond) {
+		t.Fatalf("after RunUntil(2ms): order %v, %d windows, clock %v; want [1 2], 1, 2ms", order, g.Windows(), g.now)
 	}
 	g.Run()
 	for i, v := range order {
@@ -235,16 +235,18 @@ func TestGroupSingleShardMatchesKernel(t *testing.T) {
 	}
 }
 
-func TestRunBefore(t *testing.T) {
+// TestRunHalfOpen: a run without inclusive stops short of its limit, as a
+// Group window does, and still moves the clock to it.
+func TestRunHalfOpen(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
 	for _, at := range []Time{Time(1 * time.Millisecond), Time(2 * time.Millisecond), Time(3 * time.Millisecond)} {
 		at := at
 		k.At(at, func(*Kernel) { fired = append(fired, at) })
 	}
-	k.RunBefore(Time(2 * time.Millisecond))
+	k.run(Time(2*time.Millisecond), false)
 	if len(fired) != 1 || fired[0] != Time(time.Millisecond) {
-		t.Fatalf("RunBefore fired %v, want only 1ms", fired)
+		t.Fatalf("half-open run fired %v, want only 1ms", fired)
 	}
 	if k.Now() != Time(2*time.Millisecond) {
 		t.Fatalf("clock %v, want 2ms", k.Now())

@@ -83,19 +83,5 @@ func (g *RNG) Pareto(mean, alpha float64) float64 {
 	return scale * (math.Pow(1-u, -1/alpha) - 1)
 }
 
-// Norm returns a normal draw with the given mean and standard deviation,
-// truncated at zero (negative draws are clamped), which is appropriate for
-// durations.
-func (g *RNG) Norm(mean, stddev float64) float64 {
-	v := g.r.NormFloat64()*stddev + mean
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -35,9 +35,6 @@ type Time time.Duration
 // Duration converts t to a time.Duration since simulation start.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds reports t in seconds.
-func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // MaxTime is the largest representable virtual time.
@@ -74,7 +71,6 @@ type Kernel struct {
 	heap    []entry
 	free    []*event
 	seq     uint64
-	stopped bool
 	nEvents uint64
 	handler Handler
 }
@@ -184,12 +180,6 @@ func (k *Kernel) After(d time.Duration, fn func(*Kernel)) {
 	k.At(k.now+Time(d), fn)
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Pending reports the number of events still scheduled.
-func (k *Kernel) Pending() int { return len(k.heap) }
-
 // entry is one heap element. It holds the ordering key beside the slot,
 // so sifting compares adjacent memory instead of chasing pointers.
 type entry struct {
@@ -273,36 +263,29 @@ func (k *Kernel) next(limit Time, inclusive bool) bool {
 	return true
 }
 
-// Run executes events until the schedule is empty or Stop is called.
+// Run executes events until the schedule is empty.
 //
 //slate:hot
 func (k *Kernel) Run() { k.RunUntil(MaxTime) }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (if any events remain beyond it, they stay scheduled).
-// It returns early if Stop is called or the schedule drains.
 //
 //slate:hot
 func (k *Kernel) RunUntil(deadline Time) { k.run(deadline, true) }
 
-// RunBefore executes events with timestamps strictly before deadline,
-// then advances the clock to deadline. It is the half-open variant of
-// RunUntil used by Group windows: a conservative window [T, T+L) may
-// not execute events at exactly T+L, because a cross-shard message with
-// that timestamp may still be in flight.
-//
-//slate:hot
-func (k *Kernel) RunBefore(deadline Time) { k.run(deadline, false) }
-
 // run fires due events, then moves the clock to the limit — except to
 // MaxTime, the limit of a draining run, which is no instant to be at.
+// Without inclusive it fires only events strictly before the limit:
+// Group windows run so, because a conservative window [T, T+L) may not
+// execute events at exactly T+L, while a cross-shard message with that
+// timestamp may still be in flight.
 //
 //slate:hot
 func (k *Kernel) run(limit Time, inclusive bool) {
-	k.stopped = false
-	for !k.stopped && k.next(limit, inclusive) {
+	for k.next(limit, inclusive) {
 	}
-	if !k.stopped && limit != MaxTime && k.now < limit {
+	if limit != MaxTime && k.now < limit {
 		k.now = limit
 	}
 }
@@ -314,9 +297,3 @@ func (k *Kernel) peek() (Time, bool) {
 	}
 	return k.heap[0].at, true
 }
-
-// Step executes exactly one pending event and reports whether an event
-// fired.
-//
-//slate:hot
-func (k *Kernel) Step() bool { return k.next(MaxTime, true) }

@@ -93,29 +93,6 @@ func TestKernelNegativeAfterClampsToNow(t *testing.T) {
 	}
 }
 
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		k.At(Time(time.Duration(i)*time.Millisecond), func(kk *Kernel) {
-			n++
-			if n == 3 {
-				kk.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 3 {
-		t.Errorf("processed %d events after Stop, want 3", n)
-	}
-	if k.Pending() != 7 {
-		t.Errorf("Pending() = %d, want 7", k.Pending())
-	}
-	if k.EventsProcessed() != 3 {
-		t.Errorf("EventsProcessed() = %d, want 3", k.EventsProcessed())
-	}
-}
-
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -141,16 +118,16 @@ func TestKernelStep(t *testing.T) {
 	n := 0
 	k.At(0, func(*Kernel) { n++ })
 	k.At(0, func(*Kernel) { n++ })
-	if !k.Step() {
+	if !k.next(MaxTime, true) {
 		t.Fatal("Step returned false with pending events")
 	}
 	if n != 1 {
 		t.Fatalf("n = %d after one Step, want 1", n)
 	}
-	if !k.Step() {
+	if !k.next(MaxTime, true) {
 		t.Fatal("Step returned false with one pending event")
 	}
-	if k.Step() {
+	if k.next(MaxTime, true) {
 		t.Fatal("Step returned true with empty schedule")
 	}
 }
@@ -216,15 +193,6 @@ func TestRNGExpNonPositiveMean(t *testing.T) {
 	g := NewRNG(1)
 	if !almostEqual(g.Exp(0), 0) || !almostEqual(g.Exp(-5), 0) {
 		t.Error("Exp with non-positive mean should return 0")
-	}
-}
-
-func TestRNGNormTruncatesAtZero(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 10000; i++ {
-		if v := g.Norm(0.1, 10); v < 0 {
-			t.Fatalf("Norm returned negative value %v", v)
-		}
 	}
 }
 
@@ -379,5 +347,35 @@ func TestReservedFeedMatchesScheduledUpFront(t *testing.T) {
 	want, got = runLanes(false), runLanes(true)
 	if len(want) < budget || !slices.Equal(got, want) {
 		t.Fatalf("lanes fed one at a time (%d events) fire in another order than posting directly (%d events)", len(got), len(want))
+	}
+}
+
+// TestKernelDrainKeepsLastEventTime: a draining Run leaves the clock at
+// its last event, not at MaxTime, so the kernel can go on scheduling.
+func TestKernelDrainKeepsLastEventTime(t *testing.T) {
+	k := NewKernel()
+	k.At(Time(5*time.Millisecond), func(*Kernel) {})
+	k.Run()
+	if k.Now() != Time(5*time.Millisecond) {
+		t.Fatalf("after drain, Now() = %v, want 5ms", k.Now())
+	}
+	fired := false
+	k.After(time.Millisecond, func(*Kernel) { fired = true })
+	k.Run()
+	if !fired || k.Now() != Time(6*time.Millisecond) {
+		t.Errorf("event after drain: fired %v, Now() = %v; want true, 6ms", fired, k.Now())
+	}
+}
+
+// TestKernelRunUntilNeverMovesClockBack: a deadline earlier than the
+// clock fires nothing and leaves the clock where it is.
+func TestKernelRunUntilNeverMovesClockBack(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	k.At(Time(20*time.Millisecond), func(*Kernel) { fired++ })
+	k.RunUntil(Time(10 * time.Millisecond))
+	k.RunUntil(Time(5 * time.Millisecond))
+	if fired != 0 || k.Now() != Time(10*time.Millisecond) {
+		t.Errorf("fired %d, Now() = %v; want 0, 10ms", fired, k.Now())
 	}
 }

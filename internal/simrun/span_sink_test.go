@@ -1,8 +1,6 @@
 package simrun
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -43,8 +41,8 @@ func spanScenario(sink SpanSink) Scenario {
 
 // TestSpanSinkExportsReconstructibleTraces runs a small chain scenario
 // with a span sink and checks the export end to end: every trace
-// rebuilds into a single-root tree whose depth matches the call chain,
-// and the spans survive a JSONL round trip through obs.SpanWriter.
+// rebuilds into a single-root tree whose depth matches the call chain.
+// The obs tests hold obs.SpanWriter's JSONL to a lossless round trip.
 func TestSpanSinkExportsReconstructibleTraces(t *testing.T) {
 	sink := &memSink{}
 	res, err := Run(spanScenario(sink), Static("local", routing.EmptyTable()))
@@ -87,19 +85,5 @@ func TestSpanSinkExportsReconstructibleTraces(t *testing.T) {
 		if depth != 4 {
 			t.Fatalf("trace %d: depth %d, want 4", id, depth)
 		}
-	}
-
-	// The exported spans must survive a JSONL round trip unchanged.
-	var buf bytes.Buffer
-	sw := obs.NewSpanWriter(&buf)
-	if err := sw.WriteSpans(sink.spans); err != nil {
-		t.Fatal(err)
-	}
-	back, err := obs.ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, sink.spans) {
-		t.Fatal("spans changed across the JSONL round trip")
 	}
 }

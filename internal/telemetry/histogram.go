@@ -18,7 +18,7 @@ import (
 // Histogram is a streaming latency histogram with logarithmically spaced
 // buckets, in the spirit of HDR histograms: constant memory, bounded
 // relative quantile error. The zero value is not usable; construct with
-// NewHistogram. Not safe for concurrent use; callers own locking.
+// DefaultHistogram. Not safe for concurrent use; callers own locking.
 type Histogram struct {
 	*shape
 	counts  []uint64
@@ -31,9 +31,7 @@ type Histogram struct {
 // shape is a bucket layout: immutable once built, so every histogram made
 // from it shares it, across goroutines included.
 type shape struct {
-	min, max time.Duration
-	growth   float64
-	bounds   []time.Duration // upper bound of each bucket
+	bounds []time.Duration // upper bound of each bucket
 	// first[bucketKey(d)] is the first bucket whose bound can reach a
 	// value with d's key: the search for d starts there.
 	first []int32
@@ -74,7 +72,7 @@ func newShape(min, max time.Duration, growth float64) (*shape, error) {
 	if growth <= 1 {
 		return nil, fmt.Errorf("telemetry: growth factor must exceed 1, got %v", growth)
 	}
-	s := &shape{min: min, max: max, growth: growth}
+	s := &shape{}
 	for b := float64(min); b < float64(max); b *= growth {
 		s.bounds = append(s.bounds, time.Duration(b))
 	}
@@ -100,18 +98,6 @@ func (s *shape) index(d time.Duration) int {
 		i++
 	}
 	return i
-}
-
-// NewHistogram returns a histogram covering [min, max] with bucket
-// boundaries growing by the given factor (> 1). Values outside the range
-// are clamped into the edge buckets. A growth of 1.05 yields ~5%
-// relative quantile error.
-func NewHistogram(min, max time.Duration, growth float64) (*Histogram, error) {
-	s, err := newShape(min, max, growth)
-	if err != nil {
-		return nil, err
-	}
-	return newHistogram(s), nil
 }
 
 // newHistogram returns an empty histogram over layout s.
@@ -162,22 +148,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.n)
 }
 
-// Max returns the largest recorded value.
-func (h *Histogram) Max() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.maxSeen
-}
-
-// Min returns the smallest recorded value.
-func (h *Histogram) Min() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.minSeen
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with relative error
 // bounded by the growth factor. q outside [0,1] is clamped.
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -199,7 +169,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 				return h.maxSeen
 			}
 			// Clamp the bucket bound to the observed range so quantiles
-			// never fall outside [Min, Max].
+			// never fall outside it.
 			b := h.bounds[i]
 			if b > h.maxSeen {
 				b = h.maxSeen
@@ -211,28 +181,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.maxSeen
-}
-
-// Merge adds other's observations into h. The histograms must have been
-// created with identical parameters.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.counts) != len(other.counts) || h.min != other.min || h.max != other.max || h.growth != other.growth { //slate:nolint floatcmp -- construction parameters are copied verbatim, never computed
-		return fmt.Errorf("telemetry: merging histograms with different shapes")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.maxSeen > h.maxSeen {
-			h.maxSeen = other.maxSeen
-		}
-		if other.minSeen < h.minSeen {
-			h.minSeen = other.minSeen
-		}
-	}
-	return nil
 }
 
 // Reset clears all observations, keeping the bucket layout.
@@ -248,28 +196,6 @@ func (h *Histogram) Reset() {
 type CDFPoint struct {
 	Latency  time.Duration
 	Fraction float64 // P(X <= Latency)
-}
-
-// CDF returns the empirical CDF of the histogram at each non-empty
-// bucket boundary.
-func (h *Histogram) CDF() []CDFPoint {
-	if h.n == 0 {
-		return nil
-	}
-	var out []CDFPoint
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		lat := h.maxSeen
-		if i < len(h.bounds) {
-			lat = h.bounds[i]
-		}
-		out = append(out, CDFPoint{Latency: lat, Fraction: float64(cum) / float64(h.n)})
-	}
-	return out
 }
 
 // CDFOf computes an exact empirical CDF from raw samples (sorted copy),

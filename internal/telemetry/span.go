@@ -112,41 +112,3 @@ func BuildTree(spans []Span) (*TraceTree, error) {
 	sort.SliceStable(t.Orphans, func(i, j int) bool { return t.Orphans[i].Span.ID < t.Orphans[j].Span.ID })
 	return t, nil
 }
-
-// EgressBytes sums the bytes that crossed cluster boundaries in the
-// tree: for each edge where child and parent ran in different clusters,
-// the child's request and response bytes.
-func (t *TraceTree) EgressBytes() int64 {
-	var total int64
-	var visit func(n *TraceNode)
-	visit = func(n *TraceNode) {
-		for _, c := range n.Children {
-			if c.Span.Cluster != n.Span.Cluster {
-				total += c.Span.ReqBytes + c.Span.RespBytes
-			}
-			visit(c)
-		}
-	}
-	visit(t.Root)
-	return total
-}
-
-// CriticalPath returns the sequence of spans on the latency-critical
-// path from the root: at each node, the child whose End is latest
-// (after CRISP's critical-path analysis, simplified to end-time
-// domination).
-func (t *TraceTree) CriticalPath() []Span {
-	var path []Span
-	n := t.Root
-	for n != nil {
-		path = append(path, n.Span)
-		var next *TraceNode
-		for _, c := range n.Children {
-			if next == nil || c.Span.End > next.Span.End {
-				next = c
-			}
-		}
-		n = next
-	}
-	return path
-}

@@ -10,7 +10,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := DefaultHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(1) != 0 || h.Quantile(0) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	if h.Quantile(0.5) != 0 {
@@ -25,11 +25,11 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 20*time.Millisecond {
 		t.Errorf("Mean = %v, want 20ms", h.Mean())
 	}
-	if h.Max() != 30*time.Millisecond {
-		t.Errorf("Max = %v", h.Max())
+	if h.Quantile(1) != 30*time.Millisecond {
+		t.Errorf("max = %v", h.Quantile(1))
 	}
-	if h.Min() != 10*time.Millisecond {
-		t.Errorf("Min = %v", h.Min())
+	if h.Quantile(0) != 10*time.Millisecond {
+		t.Errorf("min = %v", h.Quantile(0))
 	}
 }
 
@@ -53,10 +53,11 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 }
 
 func TestHistogramClampsOutOfRange(t *testing.T) {
-	h, err := NewHistogram(time.Millisecond, time.Second, 1.5)
+	s, err := newShape(time.Millisecond, time.Second, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := newHistogram(s)
 	h.Record(-5 * time.Millisecond) // clamps to 0 -> lowest bucket
 	h.Record(10 * time.Second)      // overflow bucket
 	if h.Count() != 2 {
@@ -68,33 +69,14 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 }
 
 func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, time.Second, 1.5); err == nil {
+	if _, err := newShape(0, time.Second, 1.5); err == nil {
 		t.Error("min=0 should error")
 	}
-	if _, err := NewHistogram(time.Second, time.Second, 1.5); err == nil {
+	if _, err := newShape(time.Second, time.Second, 1.5); err == nil {
 		t.Error("max=min should error")
 	}
-	if _, err := NewHistogram(time.Millisecond, time.Second, 1.0); err == nil {
+	if _, err := newShape(time.Millisecond, time.Second, 1.0); err == nil {
 		t.Error("growth=1 should error")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := DefaultHistogram(), DefaultHistogram()
-	a.Record(10 * time.Millisecond)
-	b.Record(30 * time.Millisecond)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 2 || a.Mean() != 20*time.Millisecond {
-		t.Errorf("merged Count=%d Mean=%v", a.Count(), a.Mean())
-	}
-	if a.Max() != 30*time.Millisecond || a.Min() != 10*time.Millisecond {
-		t.Errorf("merged Max=%v Min=%v", a.Max(), a.Min())
-	}
-	c, _ := NewHistogram(time.Millisecond, time.Second, 1.5)
-	if err := a.Merge(c); err == nil {
-		t.Error("merging different shapes should error")
 	}
 }
 
@@ -102,34 +84,8 @@ func TestHistogramReset(t *testing.T) {
 	h := DefaultHistogram()
 	h.Record(time.Millisecond)
 	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || len(h.CDF()) != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(1) != 0 {
 		t.Error("Reset did not clear state")
-	}
-}
-
-func TestHistogramCDFMonotone(t *testing.T) {
-	h := DefaultHistogram()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 10000; i++ {
-		h.Record(time.Duration(rng.Intn(int(time.Second))))
-	}
-	cdf := h.CDF()
-	if len(cdf) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prevF := 0.0
-	prevL := time.Duration(-1)
-	for _, p := range cdf {
-		if p.Fraction < prevF {
-			t.Fatal("CDF fractions not nondecreasing")
-		}
-		if p.Latency <= prevL {
-			t.Fatal("CDF latencies not increasing")
-		}
-		prevF, prevL = p.Fraction, p.Latency
-	}
-	if last := cdf[len(cdf)-1].Fraction; !almostEqual(last, 1.0) {
-		t.Errorf("CDF should end at 1.0, got %v", last)
 	}
 }
 
@@ -181,8 +137,7 @@ func TestBuildTree(t *testing.T) {
 	spans := []Span{
 		{Trace: 1, ID: 2, Parent: 1, Service: "mp", Cluster: "west", Start: 10, End: 90},
 		{Trace: 1, ID: 1, Parent: 0, Service: "fr", Cluster: "west", Start: 0, End: 100},
-		{Trace: 1, ID: 3, Parent: 2, Service: "db", Cluster: "east", Start: 20, End: 80,
-			ReqBytes: 2048, RespBytes: 1000000},
+		{Trace: 1, ID: 3, Parent: 2, Service: "db", Cluster: "east", Start: 20, End: 80},
 	}
 	tree, err := BuildTree(spans)
 	if err != nil {
@@ -197,14 +152,6 @@ func TestBuildTree(t *testing.T) {
 	mp := tree.Root.Children[0]
 	if mp.Span.Service != "mp" || mp.Children[0].Span.Service != "db" {
 		t.Error("tree structure wrong")
-	}
-	// Egress: only mp(west)->db(east) crosses clusters.
-	if got := tree.EgressBytes(); got != 2048+1000000 {
-		t.Errorf("EgressBytes = %d, want %d", got, 2048+1000000)
-	}
-	cp := tree.CriticalPath()
-	if len(cp) != 3 || cp[0].Service != "fr" || cp[2].Service != "db" {
-		t.Errorf("CriticalPath = %v", cp)
 	}
 }
 
@@ -349,7 +296,8 @@ func TestMergeDisjointKeys(t *testing.T) {
 }
 
 func TestHistogramQuantilePropertyBounds(t *testing.T) {
-	// Property: quantile is between min and max and monotone in q.
+	// Property: quantile is between the quantiles at 0 and 1 (the exact
+	// min and max) and monotone in q.
 	f := func(vals []uint32) bool {
 		if len(vals) == 0 {
 			return true
@@ -361,7 +309,7 @@ func TestHistogramQuantilePropertyBounds(t *testing.T) {
 		prev := time.Duration(-1)
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 1} {
 			x := h.Quantile(q)
-			if x < prev || x < h.Min() || x > h.Max() {
+			if x < prev || x < h.Quantile(0) || x > h.Quantile(1) {
 				return false
 			}
 			prev = x

@@ -155,10 +155,6 @@ func (b *Builder) MustBuild() *Topology {
 	return t
 }
 
-// Clusters returns the clusters in registration order. The caller must
-// not mutate the returned slice.
-func (t *Topology) Clusters() []Cluster { return t.clusters }
-
 // ClusterIDs returns all cluster IDs in registration order.
 func (t *Topology) ClusterIDs() []ClusterID {
 	ids := make([]ClusterID, len(t.clusters))

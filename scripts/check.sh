@@ -6,7 +6,8 @@
 #   2. go vet ./...       (stdlib static checks)
 #   3. slate-lint ./...   (SLATE-specific analyzers: ctxprop, detorder,
 #                          detrand, floatcmp, lockguard, plus the
-#                          interprocedural hotalloc and lockorder — see
+#                          interprocedural hotalloc and lockorder and
+#                          the whole-module testonly — see
 #                          internal/analysis and `slate-lint -list`)
 #   4. go test -race -coverprofile ./...  (full suite under the race
 #                          detector, with per-package coverage; includes
