@@ -100,6 +100,22 @@ type nodeRef struct {
 	idx   int
 	// parent is the DFS index of the parent node, -1 for roots.
 	parent int
+	// placed counts the clusters the node's service is placed in, and
+	// pool indexes the first of its pools in formulation.pools: the
+	// node's k-th flow variable runs on pool pool+k%placed.
+	placed, pool int
+}
+
+// ruleGroup lays out the rules of one (callee service, class), one per
+// source cluster, over formulation.flow. ruleNodes[node0:node1] are the
+// class's call nodes at that service, in DFS order, and
+// ruleDests[dest0:dest1] are the service's placed clusters in ascending
+// cluster ID order, each given by its position among them. The flow of
+// node n from source cluster i to the destination at position q is then
+// flow[n][i*placed+q]: a non-root node has a variable for every source
+// cluster and every placed destination, in (i, j) order.
+type ruleGroup struct {
+	node0, node1, dest0, dest1 int32
 }
 
 // flowVar is one flow variable of a call node: the rate of its calls
@@ -184,6 +200,10 @@ type formulation struct {
 	pools   []*poolRef
 	poolIdx map[PoolKey]*poolRef
 	demands []demandRef
+	// The rule layout extract reads the routing rules by: ruleGroups index
+	// the flat ruleNodes and ruleDests.
+	ruleGroups           []ruleGroup
+	ruleNodes, ruleDests []int32
 }
 
 // Optimize builds and solves the routing LP from scratch and extracts
@@ -232,6 +252,11 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		return app.Services[s].PlacedIn(c)
 	}
 	for ni, nr := range f.nodes {
+		for _, c := range clusters {
+			if placedIn(nr.node.Service, c) {
+				f.nodes[ni].placed++
+			}
+		}
 		for i, ci := range clusters {
 			if nr.parent == -1 {
 				// Root: executes where demand arrives; a single variable
@@ -319,8 +344,10 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		sortedSids = append(sortedSids, sid)
 	}
 	sort.Slice(sortedSids, func(i, j int) bool { return sortedSids[i] < sortedSids[j] })
+	firstPool := make(map[appgraph.ServiceID]int, len(sortedSids))
 	for _, sid := range sortedSids {
 		svc := app.Services[sid]
+		firstPool[sid] = len(f.pools)
 		for _, c := range svc.Clusters(top) {
 			key := PoolKey{Service: sid, Cluster: c}
 			prof, ok := profiles.Get(sid, c)
@@ -342,6 +369,10 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 			f.poolIdx[key] = pr
 		}
 	}
+	for ni := range f.nodes {
+		f.nodes[ni].pool = firstPool[f.nodes[ni].node.Service]
+	}
+	f.layRules()
 	// load[s,j] = sum over nodes at s of flows into j, scaled to standard
 	// requests; and load = sum of segment vars.
 	loadTerms := make(map[PoolKey][]lp.Term)
@@ -463,6 +494,42 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	return f, nil
 }
 
+// layRules compiles the rule layout. A class's call nodes are
+// contiguous in f.nodes, so each (service, class) group is gathered
+// within its class's run.
+func (f *formulation) layRules() {
+	for lo := 0; lo < len(f.nodes); {
+		hi := lo
+		for hi < len(f.nodes) && f.nodes[hi].class == f.nodes[lo].class {
+			hi++
+		}
+		for a := lo; a < hi; a++ {
+			svc := f.nodes[a].node.Service
+			if f.nodes[a].parent == -1 || slices.ContainsFunc(f.nodes[lo:a], func(nr nodeRef) bool {
+				return nr.parent != -1 && nr.node.Service == svc
+			}) {
+				continue // a root, or the group is already laid out
+			}
+			g := ruleGroup{node0: int32(len(f.ruleNodes)), dest0: int32(len(f.ruleDests))}
+			for b := a; b < hi; b++ {
+				if f.nodes[b].parent != -1 && f.nodes[b].node.Service == svc {
+					f.ruleNodes = append(f.ruleNodes, int32(b))
+				}
+			}
+			dests := f.flow[a][:f.nodes[a].placed] // source cluster 0's
+			for q := range dests {
+				f.ruleDests = append(f.ruleDests, int32(q))
+			}
+			slices.SortFunc(f.ruleDests[g.dest0:], func(p, q int32) int {
+				return cmp.Compare(f.clusters[dests[p].j], f.clusters[dests[q].j])
+			})
+			g.node1, g.dest1 = int32(len(f.ruleNodes)), int32(len(f.ruleDests))
+			f.ruleGroups = append(f.ruleGroups, g)
+		}
+		lo = hi
+	}
+}
+
 // statusErr maps a non-optimal solve status to the caller-facing error.
 func (f *formulation) statusErr(sol *lp.Solution) error {
 	switch sol.Status {
@@ -479,67 +546,30 @@ func (f *formulation) statusErr(sol *lp.Solution) error {
 // extract turns an optimal solution into a Plan.
 func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *Plan {
 	clusters := f.clusters
-
-	// Extract routing rules: for each (callee service, class, src
-	// cluster), weights proportional to solved flows. Root nodes are
-	// pinned and need no rule.
-	type ruleAgg map[topology.ClusterID]float64
-	ruleFlows := make(map[routing.Key]ruleAgg)
-	for ni, nr := range f.nodes {
-		if nr.parent == -1 {
-			continue
-		}
-		for _, fl := range f.flow[ni] {
-			x := sol.Value(fl.v)
-			if x <= 1e-9 {
-				continue
-			}
-			k := routing.Key{
-				Service: string(nr.node.Service),
-				Class:   nr.class.Name,
-				Cluster: clusters[fl.i],
-			}
-			if ruleFlows[k] == nil {
-				ruleFlows[k] = make(ruleAgg)
-			}
-			ruleFlows[k][clusters[fl.j]] += x
-		}
-	}
-	rules := make(map[routing.Key]routing.Distribution, len(ruleFlows))
-	for k, agg := range ruleFlows {
-		d, err := routing.NewDistribution(agg)
-		if err != nil {
-			continue
-		}
-		rules[k] = d
-	}
-	table := routing.NewTable(version, rules)
-
 	plan := &Plan{
-		Table:                table,
+		Table:                routing.NewTable(version, f.rules(sol)),
 		Objective:            sol.Objective,
 		PredictedMeanLatency: make(map[string]time.Duration),
+		Loads:                make([]PoolLoad, len(f.pools)),
 	}
 
 	// Planned pool loads and predicted sojourns (nonlinear model at the
-	// solved standard loads).
-	poolStd := make(map[PoolKey]float64)
-	for _, pr := range f.pools {
+	// solved standard loads), in pool order until the latencies below
+	// have read them.
+	for p, pr := range f.pools {
 		std := sol.Value(pr.loadVar)
-		poolStd[pr.key] = std
 		capStd := pr.profile.Model.Capacity()
 		util := 0.0
 		if capStd > 0 {
 			util = std / capStd
 		}
-		plan.Loads = append(plan.Loads, PoolLoad{
+		plan.Loads[p] = PoolLoad{
 			Key:              pr.key,
 			StdRPS:           std,
 			Utilization:      util,
 			PredictedSojourn: pr.profile.Model.Sojourn(std),
-		})
+		}
 	}
-	sortLoads(plan.Loads)
 
 	// Predicted per-class mean end-to-end latency and egress totals.
 	for _, cl := range f.app.Classes {
@@ -552,14 +582,14 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 			if nr.class != cl {
 				continue
 			}
-			for _, fl := range f.flow[ni] {
+			for k, fl := range f.flow[ni] {
 				x := sol.Value(fl.v)
 				if x <= 0 {
 					continue
 				}
-				key := PoolKey{Service: nr.node.Service, Cluster: clusters[fl.j]}
-				pr := f.poolIdx[key]
-				soj := pr.profile.Model.SojournSeconds(poolStd[key])
+				p := nr.pool + k%nr.placed
+				pr := f.pools[p]
+				soj := pr.profile.Model.SojournSeconds(plan.Loads[p].StdRPS)
 				if math.IsInf(soj, 1) {
 					soj = pr.profile.Model.SojournSeconds(0.999 * pr.profile.Model.Capacity())
 				}
@@ -577,6 +607,7 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 		}
 		plan.PredictedMeanLatency[cl.Name] = time.Duration(agg / total * float64(time.Second))
 	}
+	sortLoads(plan.Loads)
 	for ni, nr := range f.nodes {
 		for _, fl := range f.flow[ni] {
 			if fl.i == fl.j {
@@ -592,6 +623,73 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 		}
 	}
 	return plan
+}
+
+// rules reads the routing rules off a solution, through the rule
+// layout: for each (callee service, class, source cluster), weights
+// proportional to the solved flows into each destination, summed over
+// the group's nodes in DFS order and leaving out flows at or below 1e-9.
+// Root nodes are pinned and need no rule. A rule whose weights are not
+// finite, or overflow their sum, is dropped. The rules share one array
+// of clusters and one of weights, counted out before they are written.
+func (f *formulation) rules(sol *lp.Solution) map[routing.Key]routing.Distribution {
+	nRules, nDests := 0, 0
+	for _, g := range f.ruleGroups {
+		for i := range f.clusters {
+			n := 0
+			for _, q := range f.ruleDests[g.dest0:g.dest1] {
+				if _, ok := f.destFlow(sol, g, i, q); ok {
+					n++
+				}
+			}
+			nDests += n
+			nRules += min(n, 1)
+		}
+	}
+	out := make(map[routing.Key]routing.Distribution, nRules)
+	clusters := make([]topology.ClusterID, nDests)
+	weights := make([]float64, nDests)
+	at := 0
+	for _, g := range f.ruleGroups {
+		first := f.ruleNodes[g.node0]
+		nr := f.nodes[first]
+		for i, ci := range f.clusters {
+			end := at
+			for _, q := range f.ruleDests[g.dest0:g.dest1] {
+				if w, ok := f.destFlow(sol, g, i, q); ok {
+					clusters[end], weights[end] = f.clusters[f.flow[first][q].j], w
+					end++
+				}
+			}
+			if end == at {
+				continue
+			}
+			d, err := routing.NewSortedDistribution(clusters[at:end:end], weights[at:end:end])
+			if err != nil {
+				continue // the next rule writes over its slots
+			}
+			out[routing.Key{Service: string(nr.node.Service), Class: nr.class.Name, Cluster: ci}] = d
+			at = end
+		}
+	}
+	return out
+}
+
+// destFlow sums the flows of a rule group from source cluster i into
+// the destination at position q, and reports whether any flow there
+// exceeds 1e-9.
+func (f *formulation) destFlow(sol *lp.Solution, g ruleGroup, i int, q int32) (float64, bool) {
+	var sum float64
+	ok := false
+	for _, n := range f.ruleNodes[g.node0:g.node1] {
+		x := sol.Value(f.flow[n][i*f.nodes[n].placed+int(q)].v)
+		if x <= 1e-9 {
+			continue
+		}
+		sum += x
+		ok = true
+	}
+	return sum, ok
 }
 
 func lastFrac(fracs []float64) float64 {

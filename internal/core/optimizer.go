@@ -90,12 +90,18 @@ func (o *Optimizer) Stats() OptimizerStats { return o.stats }
 // profiles, reusing the cached formulation and the previous optimal
 // basis when possible. version is stamped onto the produced table.
 func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	return o.solve(nil, demand, profiles, version)
+	sol, err := o.solve(nil, demand, profiles)
+	if err != nil {
+		return nil, err
+	}
+	return o.f.extract(sol, demand, version), nil
 }
 
-// solve is Optimize in the given working storage, nil for the Solver's
-// own. A ShardedOptimizer's shards solve in their worker's.
-func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+// solve brings the formulation up to this tick and solves it in the
+// given working storage, nil for the Solver's own (a ShardedOptimizer's
+// shards solve in their worker's). It returns an optimal solution, which
+// o.f.extract turns into the plan.
+func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) (*lp.Solution, error) {
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err
 	}
@@ -131,7 +137,7 @@ func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles, 
 	if err := o.f.statusErr(sol); err != nil {
 		return nil, err
 	}
-	return o.f.extract(sol, demand, version), nil
+	return sol, nil
 }
 
 // ensure brings the cached formulation up to date with this tick's

@@ -126,24 +126,26 @@ func (r raceOutcome) count(st *OptimizerStats) {
 
 // solveShard serves one dirty shard in the given working storage: race
 // the anytime search against the warm simplex when armed, else (or when
-// search loses) run the simplex alone. It writes only the shard's state.
-func (s *ShardedOptimizer) solveShard(sh *shard, work *lp.Workspace, demand Demand, profiles Profiles, version uint64) (*Plan, raceOutcome, error) {
+// search loses) run the simplex alone. It returns the optimal solution
+// of whichever won, which the shard's formulation extracts the plan
+// from, and writes only the shard's state.
+func (s *ShardedOptimizer) solveShard(sh *shard, work *lp.Workspace, demand Demand, profiles Profiles, version uint64) (*lp.Solution, raceOutcome, error) {
 	race := unraced
 	if s.race != nil && sh.plan != nil {
-		if plan, ok := s.trySearch(sh, demand, profiles, version); ok {
-			return plan, searchWon, nil
+		if sol, ok := s.trySearch(sh, demand, profiles, version); ok {
+			return sol, searchWon, nil
 		}
 		race = simplexWon
 	}
-	plan, err := sh.opt.solve(work, demand, profiles, version)
-	return plan, race, err
+	sol, err := sh.opt.solve(work, demand, profiles)
+	return sol, race, err
 }
 
 // trySearch runs the search leg of the race for one shard and returns
-// its plan iff the result certifies within the gap. Every rejection —
-// infeasible table, lost flow, or gap too wide — abandons the candidate
-// and sends the shard to the simplex.
-func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles, version uint64) (*Plan, bool) {
+// its table's flows as an LP solution iff the result certifies within
+// the gap. Every rejection — infeasible table, lost flow, or gap too
+// wide — abandons the candidate and sends the shard to the simplex.
+func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles, version uint64) (*lp.Solution, bool) {
 	if sh.search == nil {
 		sh.search = search.New(s.top, sh.app, search.Params{
 			LatencyWeight: s.cfg.LatencyWeight,
@@ -191,6 +193,5 @@ func (s *ShardedOptimizer) trySearch(sh *shard, demand Demand, profiles Profiles
 	if gap > s.race.gap() {
 		return nil, false
 	}
-	sol := &lp.Solution{Status: lp.Optimal, Objective: obj, X: x}
-	return sh.opt.f.extract(sol, demand, version), true
+	return &lp.Solution{Status: lp.Optimal, Objective: obj, X: x}, true
 }

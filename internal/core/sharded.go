@@ -325,14 +325,25 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 	return s.merge(profiles, version), nil
 }
 
-// solveDirty solves this tick's dirty shards on min(GOMAXPROCS, dirty)
-// workers, each in its own Workspace; a shard's results land in its own
-// fields. The calling goroutine is one of the workers, so one dirty
-// shard starts no goroutine.
+// solveDirty solves this tick's dirty shards; a shard's results land in
+// its own fields.
 func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version uint64) {
 	if len(s.dirty) == 0 {
 		return // an all-skip tick allocates nothing here
 	}
+	s.eachDirty(func(sh *shard, w *lp.Workspace) {
+		var sol *lp.Solution
+		sol, sh.race, sh.err = s.solveShard(sh, w, demand, profiles, version)
+		if sh.err == nil {
+			sh.next = sh.opt.f.extract(sol, demand, version)
+		}
+	})
+}
+
+// eachDirty serves every dirty shard on min(GOMAXPROCS, dirty) workers,
+// each in its own Workspace. The calling goroutine is one of the
+// workers, so one dirty shard starts no goroutine.
+func (s *ShardedOptimizer) eachDirty(serve func(*shard, *lp.Workspace)) {
 	workers := min(runtime.GOMAXPROCS(0), len(s.dirty))
 	for len(s.work) < workers {
 		s.work = append(s.work, lp.NewWorkspace())
@@ -340,8 +351,7 @@ func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version 
 	var next atomic.Int64
 	work := func(w *lp.Workspace) {
 		for k := next.Add(1) - 1; k < int64(len(s.dirty)); k = next.Add(1) - 1 {
-			sh := s.dirty[k]
-			sh.next, sh.race, sh.err = s.solveShard(sh, w, demand, profiles, version)
+			serve(s.dirty[k], w)
 		}
 	}
 	var wg sync.WaitGroup
@@ -487,7 +497,8 @@ func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand) error {
 }
 
 // merge combines sub-plans into one plan. Rule keys are disjoint across
-// shards (they carry the class), so rules merge by union. Pool loads
+// shards (they carry the class), so rules merge by union, copied from
+// each shard's table in any order. Pool loads
 // overlap only on the frontend pools; overlapping loads sum their
 // standard RPS and re-derive utilization and sojourn from the profile.
 //
@@ -502,14 +513,11 @@ func (s *ShardedOptimizer) merge(profiles Profiles, version uint64) *Plan {
 		s.merged = &out
 		return s.merged
 	}
-	rules := make(map[routing.Key]routing.Distribution)
+	tables := make([]*routing.Table, len(s.plans))
 	out := &Plan{PredictedMeanLatency: make(map[string]time.Duration)}
 	loads := make(map[PoolKey]float64)
-	for _, p := range s.plans {
-		for _, k := range p.Table.Keys() {
-			d, _ := p.Table.Get(k)
-			rules[k] = d
-		}
+	for i, p := range s.plans {
+		tables[i] = p.Table
 		out.Objective += p.Objective
 		out.EgressPerSecond += p.EgressPerSecond
 		out.EgressBytesPerSecond += p.EgressBytesPerSecond
@@ -520,7 +528,7 @@ func (s *ShardedOptimizer) merge(profiles Profiles, version uint64) *Plan {
 			loads[pl.Key] += pl.StdRPS
 		}
 	}
-	out.Table = routing.NewTable(version, rules)
+	out.Table = routing.Union(version, tables)
 	for key, std := range loads {
 		pl := PoolLoad{Key: key, StdRPS: std}
 		if prof, ok := profiles.Get(key.Service, key.Cluster); ok {

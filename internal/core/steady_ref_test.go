@@ -156,7 +156,7 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 			plans[i] = sh.plan
 			continue
 		}
-		plan, race, err := s.solveShard(sh, s.work[0], demand, profiles, version)
+		sol, race, err := s.solveShard(sh, s.work[0], demand, profiles, version)
 		race.count(&s.stats)
 		if err != nil {
 			// The shards after a failing one drop their kept tableaux, as
@@ -167,6 +167,7 @@ func refOptimize(s *ShardedOptimizer, demand Demand, profiles Profiles, version 
 			return nil, err
 		}
 		s.stats.SubSolves++
+		plan := sh.opt.f.extract(sol, demand, version)
 		sh.fp = fp
 		sh.plan = plan
 		plans[i] = plan

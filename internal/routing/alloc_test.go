@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -61,5 +62,24 @@ func TestEqualAllocationFree(t *testing.T) {
 		}
 	}); n != 0 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
 		t.Fatalf("Equal allocates %v per run, want 0", n)
+	}
+}
+
+// TestNewDistributionAllocs pins the rule constructor at two heap
+// allocations, whatever the cluster count: the clusters it keeps and
+// their weights. Sorting the clusters allocates nothing.
+func TestNewDistributionAllocs(t *testing.T) {
+	for _, n := range []int{1, 4, 48} {
+		w := make(map[topology.ClusterID]float64, n)
+		for i := range n {
+			w[topology.ClusterID(fmt.Sprintf("c-%02d", i))] = float64(i%5 + 1)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := NewDistribution(w); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 { //slate:nolint floatcmp -- AllocsPerRun returns an integer-valued count
+			t.Errorf("NewDistribution over %d clusters allocates %v per call, want 2", n, got)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -64,31 +63,18 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 // float sum of normalized weights lands off 1.0, and the warm-state
 // snapshot/restore path depends on a restored leader republishing
 // bit-identical tables. Weights that are not normalized (hand-written
-// JSON, non-SLATE peers) fall back to the normalizing constructor.
+// JSON, non-SLATE peers) are normalized as NewDistribution would.
 func restoreDistribution(weights map[topology.ClusterID]float64) (Distribution, error) {
-	var d Distribution
-	for c, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return NewDistribution(weights) // surface the constructor's error
-		}
-		if w > 0 {
-			d.clusters = append(d.clusters, c)
-		}
+	clusters, ws, err := sortedWeights(weights)
+	if err != nil {
+		return Distribution{}, err
 	}
-	if len(d.clusters) == 0 {
-		return NewDistribution(weights)
-	}
-	sort.Slice(d.clusters, func(i, j int) bool { return d.clusters[i] < d.clusters[j] })
 	var sum float64
-	for _, c := range d.clusters {
-		sum += weights[c]
+	for _, w := range ws {
+		sum += w
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		return NewDistribution(weights)
+		return NewSortedDistribution(clusters, ws)
 	}
-	d.weights = make([]float64, len(d.clusters))
-	for i, c := range d.clusters {
-		d.weights[i] = weights[c]
-	}
-	return d, nil
+	return Distribution{clusters: clusters, weights: ws}, nil
 }

@@ -13,17 +13,18 @@ import (
 // snapshot/restore republishes restored tables and asserts bit-identity
 // against the never-restarted controller, so the wire codec must not
 // renormalize already-normalized weights.
+// bitExactWeights are 1/3-ish splits whose normalized weights do not
+// sum to exactly 1.0: the case plain renormalization perturbs.
+var bitExactWeights = []map[topology.ClusterID]float64{
+	{"a": 1, "b": 1, "c": 1},
+	{"a": 0.1, "b": 0.2, "c": 0.7},
+	{"a": 1e-9, "b": 3},
+	{"a": 1.0 / 3, "b": 1.0 / 7, "c": 1.0 / 11, "d": 1.0 / 13},
+}
+
 func TestTableJSONRoundTripBitExact(t *testing.T) {
-	// 1/3-ish splits whose normalized weights do not sum to exactly 1.0
-	// are the case plain renormalization perturbs.
-	weights := []map[topology.ClusterID]float64{
-		{"a": 1, "b": 1, "c": 1},
-		{"a": 0.1, "b": 0.2, "c": 0.7},
-		{"a": 1e-9, "b": 3},
-		{"a": 1.0 / 3, "b": 1.0 / 7, "c": 1.0 / 11, "d": 1.0 / 13},
-	}
 	rules := make(map[Key]Distribution)
-	for i, w := range weights {
+	for i, w := range bitExactWeights {
 		d, err := NewDistribution(w)
 		if err != nil {
 			t.Fatalf("NewDistribution(%d): %v", i, err)

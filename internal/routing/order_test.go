@@ -35,7 +35,7 @@ func TestDiffSortedDeterministic(t *testing.T) {
 		t.Fatalf("got %d deltas, want 12", len(first))
 	}
 	for i := 1; i < len(first); i++ {
-		if lessKeyD(first[i].Key, first[i-1].Key) {
+		if compareKeys(first[i].Key, first[i-1].Key) < 0 {
 			t.Errorf("deltas not sorted at %d: %v after %v", i, first[i].Key, first[i-1].Key)
 		}
 	}

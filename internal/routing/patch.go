@@ -116,7 +116,9 @@ func (t *Table) Apply(p *Patch) (*Table, error) {
 		}
 	}
 	for _, r := range p.Set {
-		d, err := NewDistribution(r.Weights)
+		// A rule's weights were normalized by its sender: adopt them
+		// verbatim, so every receiver routes by the bits it was sent.
+		d, err := restoreDistribution(r.Weights)
 		if err != nil {
 			return nil, fmt.Errorf("routing: patch rule %s[%s]@%s: %w", r.Service, r.Class, r.Cluster, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -197,6 +198,46 @@ func TestApplyRejectsBadPatchRule(t *testing.T) {
 	}}}
 	if _, err := EmptyTable().Apply(p); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+}
+
+// TestMakePatchApplyBitExact pins that a rule reaches a receiver with
+// the bits its sender published: MakePatch ships normalized weights, and
+// Apply adopts them as they are instead of normalizing them again, which
+// moves the last ulp of nearly one weight in five here.
+func TestMakePatchApplyBitExact(t *testing.T) {
+	weights := slices.Clone(bitExactWeights)
+	for a := 1; a <= 9; a++ {
+		for b := 1; b <= 9; b++ {
+			for c := 0; c <= 9; c++ {
+				weights = append(weights, map[topology.ClusterID]float64{"a": float64(a), "b": float64(b) / 7, "c": float64(c) / 3})
+			}
+		}
+	}
+	rules := make(map[Key]Distribution)
+	for i, w := range weights {
+		rules[Key{Service: fmt.Sprintf("svc-%03d", i), Class: "d", Cluster: "a"}] = patchDist(t, w)
+	}
+	sent := NewTable(2, rules)
+	got, err := EmptyTable().Apply(MakePatch(EmptyTable(), sent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != sent.Len() {
+		t.Fatalf("applied %d rules, sent %d", got.Len(), sent.Len())
+	}
+	for _, k := range sent.Keys() {
+		want, _ := sent.Get(k)
+		have, _ := got.Get(k)
+		if !slices.Equal(have.Clusters(), want.Clusters()) {
+			t.Fatalf("rule %v: clusters %v, sent %v", k, have.Clusters(), want.Clusters())
+		}
+		for _, c := range want.Clusters() {
+			if math.Float64bits(have.Weight(c)) != math.Float64bits(want.Weight(c)) {
+				t.Errorf("rule %v cluster %s: weight %v (bits %x) after MakePatch + Apply, sent %v (bits %x)",
+					k, c, have.Weight(c), math.Float64bits(have.Weight(c)), want.Weight(c), math.Float64bits(want.Weight(c)))
+			}
+		}
 	}
 }
 

@@ -10,8 +10,9 @@ package routing
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -46,40 +47,68 @@ type Distribution struct {
 // NewDistribution builds a distribution from weights. Weights must be
 // non-negative and sum to a positive value; they are normalized to 1.
 func NewDistribution(weights map[topology.ClusterID]float64) (Distribution, error) {
-	var d Distribution
+	clusters, ws, err := sortedWeights(weights)
+	if err != nil {
+		return Distribution{}, err
+	}
+	return NewSortedDistribution(clusters, ws)
+}
+
+// sortedWeights returns the positive entries of weights as parallel
+// slices in ascending cluster order, or an error naming a weight that is
+// negative, NaN or infinite.
+func sortedWeights(weights map[topology.ClusterID]float64) ([]topology.ClusterID, []float64, error) {
+	clusters := make([]topology.ClusterID, 0, len(weights))
 	for c, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			// Return the zero value, not the partially built d: a caller
-			// that ignores the error must get a distribution that routes
-			// nothing, never one with clusters but no weights.
-			return Distribution{}, fmt.Errorf("routing: invalid weight %v for cluster %q", w, c)
+			return nil, nil, fmt.Errorf("routing: invalid weight %v for cluster %q", w, c)
 		}
 		if w > 0 {
-			d.clusters = append(d.clusters, c)
+			clusters = append(clusters, c)
 		}
 	}
-	if len(d.clusters) == 0 {
+	slices.Sort(clusters)
+	ws := make([]float64, len(clusters))
+	for i, c := range clusters {
+		ws[i] = weights[c]
+	}
+	return clusters, ws, nil
+}
+
+// NewSortedDistribution builds a distribution over clusters, which must
+// ascend strictly, with the parallel positive finite weights normalized
+// to 1. It normalizes weights in place and keeps both slices, so the
+// caller hands them over. On an error the result is the zero value,
+// which routes nothing, and weights is left as it was.
+func NewSortedDistribution(clusters []topology.ClusterID, weights []float64) (Distribution, error) {
+	if len(clusters) != len(weights) {
+		return Distribution{}, fmt.Errorf("routing: %d clusters but %d weights", len(clusters), len(weights))
+	}
+	if len(clusters) == 0 {
 		return Distribution{}, fmt.Errorf("routing: distribution has no positive weights")
 	}
-	sort.Slice(d.clusters, func(i, j int) bool { return d.clusters[i] < d.clusters[j] })
-	// Sum in sorted-cluster order, not map order: float addition is not
-	// associative, so a map-order sum would make the normalized weights
-	// (and everything downstream, like rule fingerprints) depend on map
-	// iteration order.
+	// Sum in ascending cluster order: float addition is not associative,
+	// so the normalized weights (and everything downstream, like rule
+	// fingerprints) are a function of the weights alone.
 	var sum float64
-	for _, c := range d.clusters {
-		sum += weights[c]
+	for i, w := range weights {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return Distribution{}, fmt.Errorf("routing: invalid weight %v for cluster %q", w, clusters[i])
+		}
+		if i > 0 && clusters[i-1] >= clusters[i] {
+			return Distribution{}, fmt.Errorf("routing: clusters %q, %q out of order", clusters[i-1], clusters[i])
+		}
+		sum += w
 	}
 	if math.IsInf(sum, 0) {
 		// Individually finite weights can still overflow the sum, and
 		// normalizing by +Inf would zero every weight.
 		return Distribution{}, fmt.Errorf("routing: distribution weights overflow")
 	}
-	d.weights = make([]float64, len(d.clusters))
-	for i, c := range d.clusters {
-		d.weights[i] = weights[c] / sum
+	for i := range weights {
+		weights[i] /= sum
 	}
-	return d, nil
+	return Distribution{clusters: clusters, weights: weights}, nil
 }
 
 // localCache interns the single-cluster distributions Lookup falls back
@@ -186,6 +215,21 @@ func NewTable(version uint64, rules map[Key]Distribution) *Table {
 	return t
 }
 
+// Union returns one table holding the rules of every table, stamped
+// with version. The tables' keys should be disjoint: where two hold the
+// same key, the later table's rule is kept.
+func Union(version uint64, tables []*Table) *Table {
+	n := 0
+	for _, t := range tables {
+		n += len(t.rules)
+	}
+	u := &Table{Version: version, rules: make(map[Key]Distribution, n)}
+	for _, t := range tables {
+		maps.Copy(u.rules, t.rules)
+	}
+	return u
+}
+
 // EmptyTable returns a table with no rules (everything routes local).
 func EmptyTable() *Table { return NewTable(0, nil) }
 
@@ -225,7 +269,7 @@ func (t *Table) Keys() []Key {
 	for k := range t.rules {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessKeyD(out[i], out[j]) })
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 

@@ -1,9 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -16,7 +16,7 @@ func sortedClusters[V any](m map[topology.ClusterID]V) []topology.ClusterID {
 	for c := range m {
 		ids = append(ids, c)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -53,7 +53,7 @@ func Diff(old, new *Table) []Delta {
 	for k := range keys {
 		ordered = append(ordered, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return lessKeyD(ordered[i], ordered[j]) })
+	slices.SortFunc(ordered, compareKeys)
 	var out []Delta
 	for _, k := range ordered {
 		ow := old.Lookup(k.Service, k.Class, k.Cluster).Weights()
@@ -116,14 +116,9 @@ func moved(od, nd Distribution) bool {
 	return false
 }
 
-func lessKeyD(a, b Key) bool {
-	if a.Service != b.Service {
-		return a.Service < b.Service
-	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	return a.Cluster < b.Cluster
+// compareKeys orders keys by service, class, then cluster.
+func compareKeys(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.Service, b.Service), cmp.Compare(a.Class, b.Class), cmp.Compare(a.Cluster, b.Cluster))
 }
 
 // Step moves each rule of cur at most maxStep of traffic weight toward
