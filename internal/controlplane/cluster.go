@@ -1,12 +1,10 @@
 package controlplane
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -59,7 +57,8 @@ type Cluster struct {
 	// ups are the global-controller replicas this cluster reports to.
 	// Each carries its own delta-report state (last acked window, report
 	// epoch, full-resync flag) so replicas reconstruct windows
-	// independently and a failover lands on a warm ingest.
+	// independently and a failover lands on a warm ingest. It only grows
+	// by append, so a copy of the slice taken under mu stays valid.
 	ups []*upstream
 
 	// Leader-lease acceptor state. Global replicas contend for leadership
@@ -74,8 +73,8 @@ type Cluster struct {
 	leaseExpires time.Time
 	pubEpoch     uint64
 
-	client *http.Client
-	now    func() time.Time
+	rt  http.RoundTripper
+	now func() time.Time
 
 	metricsH      http.Handler
 	mIngested     *obs.Counter
@@ -95,6 +94,7 @@ type Cluster struct {
 // with its private delta-report state.
 type upstream struct {
 	url        string
+	metricsURL string // url + "/v1/metrics", joined once
 	lastReport []telemetry.WindowStats
 	epoch      uint64
 	needFull   bool
@@ -115,7 +115,7 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 		id:       id,
 		sources:  make(map[string]time.Time),
 		table:    routing.EmptyTable(),
-		client:   &http.Client{Timeout: 10 * time.Second},
+		rt:       http.DefaultTransport,
 		now:      time.Now,
 		metricsH: reg.Handler(),
 		mIngested: reg.CounterVec("slate_cluster_ingested_batches_total",
@@ -142,7 +142,7 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 			"Version of the routing table last applied.", "cluster").With(cl),
 	}
 	if globalURL != "" {
-		c.ups = append(c.ups, &upstream{url: globalURL})
+		c.ups = append(c.ups, newUpstream(globalURL))
 	}
 	return c
 }
@@ -161,7 +161,11 @@ func (c *Cluster) AddUpstream(url string) {
 			return
 		}
 	}
-	c.ups = append(c.ups, &upstream{url: url})
+	c.ups = append(c.ups, newUpstream(url))
+}
+
+func newUpstream(url string) *upstream {
+	return &upstream{url: url, metricsURL: url + "/v1/metrics"}
 }
 
 // SetNow swaps the controller's clock (deterministic harnesses, tests).
@@ -174,7 +178,7 @@ func (c *Cluster) SetNow(f func() time.Time) {
 // SetTransport swaps the HTTP transport used for upstream RPCs (fault
 // injection, tests). Call before Run.
 func (c *Cluster) SetTransport(rt http.RoundTripper) {
-	c.client.Transport = rt
+	c.rt = rt
 }
 
 // SetStaleAfter bounds telemetry staleness: Collect excludes pushed
@@ -271,7 +275,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		c.mIngestErrs.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	c.IngestFrom(r.Header.Get(dataplane.HeaderSource), stats)
@@ -341,7 +345,7 @@ func (c *Cluster) health() Health {
 func (c *Cluster) handlePatch(w http.ResponseWriter, r *http.Request) {
 	var p routing.Patch
 	if err := decodeBody(r, &p); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	c.mu.Lock()
@@ -522,7 +526,7 @@ func (c *Cluster) Collect(window time.Duration) []telemetry.WindowStats {
 func (c *Cluster) Report(ctx context.Context, window time.Duration) error {
 	stats := c.Collect(window)
 	c.mu.Lock()
-	ups := append([]*upstream(nil), c.ups...)
+	ups := c.ups
 	c.mu.Unlock()
 	var firstErr error
 	for _, up := range ups {
@@ -555,7 +559,7 @@ func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.
 	if err != nil {
 		return err
 	}
-	if err := postJSON(ctx, c.client, up.url+"/v1/metrics", body); err != nil {
+	if err := rpc(ctx, c.rt, http.MethodPost, up.metricsURL, jsonHeader, body, nil); err != nil {
 		c.mu.Lock()
 		up.needFull = true
 		c.mu.Unlock()
@@ -579,7 +583,7 @@ const reportEpsilon = 1e-9
 // that were reached stay registered.
 func (c *Cluster) Register(ctx context.Context, selfURL string) error {
 	c.mu.Lock()
-	ups := append([]*upstream(nil), c.ups...)
+	ups := c.ups
 	c.mu.Unlock()
 	if len(ups) == 0 {
 		return fmt.Errorf("controlplane: no global URL configured")
@@ -590,7 +594,7 @@ func (c *Cluster) Register(ctx context.Context, selfURL string) error {
 	}
 	var firstErr error
 	for _, up := range ups {
-		if err := postJSON(ctx, c.client, up.url+"/v1/register", body); err != nil && firstErr == nil {
+		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("controlplane: register: %w", err)
 		}
 	}
@@ -609,80 +613,4 @@ func (c *Cluster) Run(ctx context.Context, period time.Duration) {
 			return
 		}
 	}
-}
-
-// decodeBody decodes a request body that must hold exactly one JSON
-// value: unlike json.Decoder.Decode, it refuses anything after the value.
-func decodeBody(r *http.Request, v any) error {
-	b, err := io.ReadAll(r.Body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
-}
-
-// postJSON posts body to url under ctx and drains the response,
-// returning an error on transport failure or a non-2xx status.
-func postJSON(ctx context.Context, client *http.Client, url string, body []byte) error {
-	return postJSONHeaders(ctx, client, url, body, nil)
-}
-
-// postJSONHeaders is postJSON with extra request headers (the leader
-// epoch on fenced rule pushes). A non-2xx response is preserved as a
-// statusError carrying the X-Slate-Reject marker, if any.
-func postJSONHeaders(ctx context.Context, client *http.Client, url string, body []byte, hdr map[string]string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return statusError{code: resp.StatusCode, reject: resp.Header.Get(dataplane.HeaderReject)}
-	}
-	return nil
-}
-
-// statusError is a non-2xx HTTP response, preserved as a typed error so
-// callers can branch on the code (409 → resync) and the X-Slate-Reject
-// marker (step down, don't resync) without string matching.
-type statusError struct {
-	code   int
-	reject string
-}
-
-func (e statusError) Error() string {
-	if e.reject != "" {
-		return fmt.Sprintf("status %d (%s)", e.code, e.reject)
-	}
-	return fmt.Sprintf("status %d", e.code)
-}
-
-// statusCode extracts the HTTP status from an error chain produced by
-// postJSON, reporting whether one was found.
-func statusCode(err error) (int, bool) {
-	var se statusError
-	if errors.As(err, &se) {
-		return se.code, true
-	}
-	return 0, false
-}
-
-// rejectReason extracts the X-Slate-Reject marker from an error chain
-// ("" when absent): a non-empty marker tells a pusher it was fenced
-// out as a deposed leader rather than merely out of sync.
-func rejectReason(err error) string {
-	var se statusError
-	if errors.As(err, &se) {
-		return se.reject
-	}
-	return ""
 }

@@ -17,6 +17,9 @@
 //	GET  cluster:/v1/rules[?since=N]                   table, or patch since version N
 //	GET  cluster:/v1/stats                             local window peek
 //
+// A POST whose body is longer than maxBodyBytes gets 413 and changes
+// nothing.
+//
 // Rule distribution is incremental: the global controller keeps a
 // per-cluster shadow of the last acknowledged table slice and pushes
 // only the changed rules (routing.Patch) to each cluster, concurrently
@@ -29,7 +32,7 @@
 package controlplane
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -117,22 +120,17 @@ type ingestStripe struct {
 	ids      []topology.ClusterID // the keys of clusters, sorted
 }
 
-// reportBodies recycles the buffers report bodies are read into. Not a
-// Global field: the runtime lists every used sync.Pool until its second
-// idle GC, so a pool inside a discarded Global would pin all it points to.
-var reportBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // Global is the Global Controller daemon: an HTTP API around
 // core.Controller plus incremental rule push-down to registered cluster
 // controllers.
 type Global struct {
 	mu       sync.Mutex
 	ctrl     *core.Controller
-	clusters map[topology.ClusterID]string // cluster -> cluster-controller URL
+	clusters []peer // in cluster order; replaced whole, so a push round reads its copy unlocked
 	window   time.Duration
 	ticks    uint64
 	lastErr  string
-	client   *http.Client
+	rt       http.RoundTripper
 
 	ingest          [ingestStripes]ingestStripe
 	pendingClusters atomic.Int64 // clusters reported since the last tick
@@ -201,10 +199,9 @@ func NewGlobal(ctrl *core.Controller) *Global {
 	reg := obs.Default()
 	g := &Global{
 		ctrl:     ctrl,
-		clusters: make(map[topology.ClusterID]string),
 		pushSem:  make(chan struct{}, 1),
 		sent:     make(map[topology.ClusterID]shadow),
-		client:   &http.Client{Timeout: 10 * time.Second},
+		rt:       http.DefaultTransport,
 		eventCh:  make(chan struct{}, 1),
 		now:      time.Now,
 		metricsH: reg.Handler(),
@@ -289,7 +286,7 @@ func (g *Global) stripe(c topology.ClusterID) *ingestStripe {
 // SetTransport swaps the HTTP transport used for rule pushes (fault
 // injection, tests). Call before Run.
 func (g *Global) SetTransport(rt http.RoundTripper) {
-	g.client.Transport = rt
+	g.rt = rt
 }
 
 // Handler returns the daemon's HTTP API.
@@ -309,7 +306,7 @@ func (g *Global) Handler() http.Handler {
 func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	if req.Cluster == "" || req.URL == "" {
@@ -317,9 +314,29 @@ func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.mu.Lock()
-	g.clusters[req.Cluster] = req.URL
+	g.clusters = register(g.clusters, req.Cluster, req.URL)
 	g.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// peer is one registered cluster controller, with the endpoints the
+// global calls joined once, at registration.
+type peer struct {
+	id                 topology.ClusterID
+	patchURL, leaseURL string
+}
+
+// register returns a copy of ps, which is in cluster order, with
+// cluster id at base URL u: a push round may still be reading ps.
+func register(ps []peer, id topology.ClusterID, u string) []peer {
+	p := peer{id: id, patchURL: u + "/v1/patch", leaseURL: u + "/v1/lease"}
+	i, found := slices.BinarySearchFunc(ps, id, func(p peer, id topology.ClusterID) int { return cmp.Compare(p.id, id) })
+	ps = slices.Clone(ps)
+	if found {
+		ps[i] = p
+		return ps
+	}
+	return slices.Insert(ps, i, p)
 }
 
 // handleMetrics ingests one telemetry report into the cluster's striped
@@ -330,14 +347,8 @@ func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 // naming no cluster or carrying a negative rate gets 400 and leaves the
 // window as it was: negative demand would fail every tick until re-reported.
 func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	body := reportBodies.Get().(*bytes.Buffer)
-	defer reportBodies.Put(body)
-	body.Reset()
 	var rep MetricsReport
-	_, err := body.ReadFrom(r.Body)
-	if err == nil {
-		err = decodeReport(body.Bytes(), &rep, &g.names)
-	}
+	err := withBody(r, func(b []byte) error { return decodeReport(b, &rep, &g.names) })
 	if err == nil && rep.Cluster == "" {
 		err = errors.New("report names no cluster")
 	}
@@ -346,7 +357,7 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		g.mReportErrs.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	if rep.WindowMS > 0 {
@@ -468,7 +479,13 @@ func (g *Global) snapshotIngest() [][]telemetry.WindowStats {
 	return groups
 }
 
+// handleOptimize runs a tick. Its body is ignored, but read under the
+// same cap as every other control POST.
 func (g *Global) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	if err := withBody(r, func([]byte) error { return nil }); err != nil {
+		badBody(w, err)
+		return
+	}
 	if err := g.Tick(r.Context()); err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
@@ -498,13 +515,10 @@ func (g *Global) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	for class, byCluster := range g.ctrl.Demand() {
 		st.Demand[class] = maps.Clone(byCluster)
 	}
-	for c := range g.clusters {
-		st.Clusters = append(st.Clusters, c)
+	for _, p := range g.clusters {
+		st.Clusters = append(st.Clusters, p.id)
 	}
 	g.mu.Unlock()
-	// The status payload is wire-visible JSON: emit clusters in a stable
-	// order rather than whatever the map range produced.
-	slices.Sort(st.Clusters)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }
@@ -530,10 +544,7 @@ func (g *Global) Tick(ctx context.Context) error {
 	} else {
 		g.lastErr = ""
 	}
-	targets := make(map[topology.ClusterID]string, len(g.clusters))
-	for c, u := range g.clusters {
-		targets[c] = u
-	}
+	targets := g.clusters
 	g.mTableVer.Set(float64(g.ctrl.Table().Version))
 	g.mIterHolds.Set(float64(g.ctrl.IterLimitHolds()))
 	g.mReverts.Set(float64(g.ctrl.Reverts()))
@@ -571,44 +582,57 @@ func (g *Global) Tick(ctx context.Context) error {
 
 // push distributes the table incrementally: for each cluster it diffs
 // the cluster's slice of the table against the last acknowledged push
-// and sends only the changed rules, fanning out concurrently with
-// bounded parallelism so one slow peer does not stall the rest. An
-// empty patch is still sent — it confirms the table version and renews
-// the proxies' staleness TTL downstream. A 409 from the cluster
+// and sends only the changed rules, on pushParallelism workers that
+// take the targets in order, so one slow peer does not stall the rest.
+// An empty patch is still sent — it confirms the table version and
+// renews the proxies' staleness TTL downstream. A 409 from the cluster
 // (version gap: it restarted or missed a push) triggers an immediate
-// full-table resync.
-func (g *Global) push(ctx context.Context, table *routing.Table, targets map[topology.ClusterID]string) error {
+// full-table resync. Of several failures, the first target's is
+// returned.
+func (g *Global) push(ctx context.Context, table *routing.Table, targets []peer) error {
 	g.pushSem <- struct{}{}
 	defer func() { <-g.pushSem }()
 
-	sem := make(chan struct{}, pushParallelism)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for c, u := range targets {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c topology.ClusterID, u string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := g.pushOne(ctx, c, u, table); err != nil {
+	hdr := g.publisherHeaders()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+		errAt    int
+	)
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(targets) {
+				return
+			}
+			t := &targets[i]
+			if err := g.pushOne(ctx, t, table, hdr); err != nil {
 				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("push to %s: %w", c, err)
+				if firstErr == nil || i < errAt {
+					firstErr, errAt = fmt.Errorf("push to %s: %w", t.id, err), i
 				}
 				errMu.Unlock()
 			}
-		}(c, u)
+		}
+	}
+	workers := min(pushParallelism, len(targets))
+	wg.Add(workers)
+	for range workers {
+		go work()
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// pushOne sends one cluster its rule patch, resyncing with a full patch
-// on a version gap. The shadow of what the cluster acknowledged only
-// advances on success, so a failed push is retried as a (larger) patch
-// next tick.
-func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, table *routing.Table) error {
+// pushOne sends one cluster its rule patch with header hdr, resyncing
+// with a full patch on a version gap. The shadow of what the cluster
+// acknowledged only advances on success, so a failed push is retried
+// as a (larger) patch next tick.
+func (g *Global) pushOne(ctx context.Context, t *peer, table *routing.Table, hdr http.Header) error {
+	c := t.id
 	start := time.Now()
 	defer func() {
 		g.mPushDur.With(string(c)).Observe(time.Since(start).Seconds())
@@ -626,7 +650,7 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 		desired = table.Restrict(c)
 		patch = routing.MakePatch(prev.slice, desired)
 	}
-	if err := g.postPatch(ctx, c, u, patch); err != nil {
+	if err := g.postPatch(ctx, t, patch, hdr); err != nil {
 		code, ok := statusCode(err)
 		switch {
 		case ok && code == http.StatusConflict && rejectReason(err) != "":
@@ -640,7 +664,7 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 			// The cluster is not at the version we believe it is (it
 			// restarted, or a push went missing): resync in full.
 			g.mResyncs.With(string(c)).Inc()
-			if err := g.postPatch(ctx, c, u, routing.FullPatch(desired)); err != nil {
+			if err := g.postPatch(ctx, t, routing.FullPatch(desired), hdr); err != nil {
 				return err
 			}
 		default:
@@ -654,15 +678,13 @@ func (g *Global) pushOne(ctx context.Context, c topology.ClusterID, u string, ta
 }
 
 // postPatch marshals and posts one patch, accounting its wire bytes.
-// Replicated pushes carry the leader's lease epoch so acceptors can
-// fence out a deposed leader.
-func (g *Global) postPatch(ctx context.Context, c topology.ClusterID, u string, p *routing.Patch) error {
+func (g *Global) postPatch(ctx context.Context, t *peer, p *routing.Patch, hdr http.Header) error {
 	body, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
-	g.mPatchBytes.With(string(c)).Add(uint64(len(body)))
-	return postJSONHeaders(ctx, g.client, u+"/v1/patch", body, g.publisherHeaders())
+	g.mPatchBytes.With(string(t.id)).Add(uint64(len(body)))
+	return rpc(ctx, g.rt, http.MethodPost, t.patchURL, hdr, body, nil)
 }
 
 // Run steps the controller until the context is cancelled: a scheduled

@@ -1,13 +1,12 @@
 package controlplane
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"strconv"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
@@ -121,33 +120,26 @@ func (g *Global) HAStep(ctx context.Context) error {
 }
 
 // campaign acquires or renews the lease from every registered cluster
-// controller (in sorted order, for determinism) and updates leadership:
+// controller (in cluster order, for determinism) and updates leadership:
 // majority grants → leader; otherwise step down and remember the
 // holder the acceptors reported. With no clusters registered yet the
 // replica trivially leads (single-node and bootstrap case).
 func (g *Global) campaign(ctx context.Context) {
 	g.mu.Lock()
-	type acceptor struct {
-		id  string
-		url string
-	}
-	accs := make([]acceptor, 0, len(g.clusters))
-	for c, u := range g.clusters {
-		accs = append(accs, acceptor{id: string(c), url: u})
-	}
-	sort.Slice(accs, func(i, j int) bool { return accs[i].id < accs[j].id })
+	accs := g.clusters
 	epoch := g.leaseEpoch
 	if !g.isLeader {
 		epoch = g.maxSeenEpoch + 1
 	}
 	req := LeaseRequest{Candidate: g.replica, Epoch: epoch, TTLMS: g.haCfg.LeaseTTL.Milliseconds()}
 	g.mu.Unlock()
+	body, _ := json.Marshal(req) // strings and integers always encode
 
 	granted := 0
 	var rivalEpoch uint64
 	var rivalHolder string
 	for _, a := range accs {
-		resp, err := g.requestLease(ctx, a.url, req)
+		resp, err := g.requestLease(ctx, a.leaseURL, body)
 		if err != nil {
 			continue // unreachable acceptor counts as a denial
 		}
@@ -204,30 +196,13 @@ func (g *Global) restoreFromCacheLocked() {
 	g.mTableVer.Set(float64(g.ctrl.Table().Version))
 }
 
-// requestLease POSTs one lease request and decodes the decision.
-func (g *Global) requestLease(ctx context.Context, acceptorURL string, req LeaseRequest) (*LeaseResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, acceptorURL+"/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := g.client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return nil, statusError{code: resp.StatusCode}
-	}
+// requestLease POSTs one encoded LeaseRequest and decodes the decision.
+func (g *Global) requestLease(ctx context.Context, leaseURL string, body []byte) (*LeaseResponse, error) {
 	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+	err := rpc(ctx, g.rt, http.MethodPost, leaseURL, jsonHeader, body, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&lr)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &lr, nil
@@ -244,23 +219,11 @@ func (g *Global) fetchSnapshot(ctx context.Context) {
 	if leader == "" || leader == self {
 		return
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/v1/snapshot", nil)
-	if err != nil {
-		return
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
 	var snap core.ControllerSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	err := rpc(ctx, g.rt, http.MethodGet, leader+"/v1/snapshot", nil, nil, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&snap)
+	})
+	if err != nil {
 		return
 	}
 	g.mu.Lock()
@@ -287,18 +250,20 @@ func (g *Global) stepDown(reason string) {
 	g.mStepDowns.Inc()
 }
 
-// publisherHeaders returns the fencing headers stamped on rule pushes,
-// nil when not replicated (single-controller pushes stay headerless).
-func (g *Global) publisherHeaders() map[string]string {
+// publisherHeaders returns the header of one push round's rule pushes:
+// jsonHeader when not replicated (single-controller pushes carry no
+// fencing headers), else a copy with the leader's lease epoch and URL
+// added, so acceptors can fence out a deposed leader.
+func (g *Global) publisherHeaders() http.Header {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.haEnabled {
-		return nil
+		return jsonHeader
 	}
-	return map[string]string{
-		dataplane.HeaderLeaderEpoch: fmt.Sprintf("%d", g.leaseEpoch),
-		dataplane.HeaderLeader:      g.replica,
-	}
+	h := jsonHeader.Clone()
+	h.Set(dataplane.HeaderLeaderEpoch, strconv.FormatUint(g.leaseEpoch, 10))
+	h.Set(dataplane.HeaderLeader, g.replica)
+	return h
 }
 
 // TryEventSolve runs an immediate re-solve if one is armed and a token

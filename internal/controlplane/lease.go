@@ -63,7 +63,7 @@ type LeaseResponse struct {
 func (c *Cluster) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	if req.Candidate == "" || req.Epoch == 0 || req.TTLMS <= 0 {

@@ -1,0 +1,163 @@
+package controlplane
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/servicelayernetworking/slate/internal/dataplane"
+)
+
+// rpcTimeout bounds one control RPC, from sending the request to the
+// last byte of the response.
+const rpcTimeout = 10 * time.Second
+
+// jsonHeader is the header of every control POST. It is shared by all
+// of them and never written: a RoundTripper must not modify a request.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// rpc does one control RPC: it sends body (nil for none) to u with
+// header h (nil for none) straight over rt, under ctx and rpcTimeout,
+// and hands a 2xx response's body to decode (nil to discard it). The
+// response is drained and closed before rpc returns. A non-2xx answer
+// comes back as a statusError, a transport failure as the *url.Error
+// http.Client.Do would have returned ("Post \"<u>\": …"). Going around
+// http.Client skips what it does per request that a control RPC never
+// needs: a redirect-safe copy of the header, and a timer and cancel
+// context of its own for the timeout.
+func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Header, body []byte, decode func(io.Reader) error) error {
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	if err != nil {
+		return err
+	}
+	if h != nil {
+		req.Header = h
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.Redacted(), Err: err}
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode/100 != 2 {
+		return statusError{code: resp.StatusCode, reject: resp.Header.Get(dataplane.HeaderReject)}
+	}
+	if decode != nil {
+		return decode(resp.Body)
+	}
+	return nil
+}
+
+// statusError is a non-2xx HTTP response, preserved as a typed error so
+// callers can branch on the code (409 → resync) and the X-Slate-Reject
+// marker (step down, don't resync) without string matching.
+type statusError struct {
+	code   int
+	reject string
+}
+
+func (e statusError) Error() string {
+	if e.reject != "" {
+		return fmt.Sprintf("status %d (%s)", e.code, e.reject)
+	}
+	return fmt.Sprintf("status %d", e.code)
+}
+
+// statusCode extracts the HTTP status from an error chain produced by
+// rpc, reporting whether one was found.
+func statusCode(err error) (int, bool) {
+	var se statusError
+	if errors.As(err, &se) {
+		return se.code, true
+	}
+	return 0, false
+}
+
+// rejectReason extracts the X-Slate-Reject marker from an error chain
+// ("" when absent): a non-empty marker tells a pusher it was fenced
+// out as a deposed leader rather than merely out of sync.
+func rejectReason(err error) string {
+	var se statusError
+	if errors.As(err, &se) {
+		return se.reject
+	}
+	return ""
+}
+
+// maxBodyBytes caps the body of a control request, so no request can
+// make a handler hold more than this. The largest body any test,
+// experiment or benchmark workload sends is a 4.2 kB report (48
+// clusters, 96 services, 24 classes). The cap is some 4 000 times that,
+// room for the full reports and patches of far larger deployments.
+const maxBodyBytes = 16 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body over %d bytes", maxBodyBytes)
+
+// requestBodies recycles the buffers control request bodies are read
+// into. Not a field: the runtime lists every used sync.Pool until its
+// second idle GC, so a pool inside a discarded Global or Cluster would
+// pin all it points to.
+var requestBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// withBody reads r's body into a pooled buffer and hands it to decode,
+// which must not keep it. A body past maxBodyBytes is refused with
+// errBodyTooLarge: a declared length before anything is read, a chunked
+// body as soon as it crosses the cap.
+func withBody(r *http.Request, decode func([]byte) error) error {
+	if r.ContentLength > maxBodyBytes {
+		return errBodyTooLarge
+	}
+	bp := requestBodies.Get().(*[]byte)
+	b := (*bp)[:0]
+	defer func() { *bp = b; requestBodies.Put(bp) }()
+	if n := int(r.ContentLength); n >= cap(b) {
+		b = make([]byte, 0, n+1) // +1: room for the read that sees EOF
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Body.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
+		b = b[:len(b)+n]
+		switch {
+		case len(b) > maxBodyBytes:
+			return errBodyTooLarge
+		case err == io.EOF:
+			return decode(b)
+		case err != nil:
+			return err
+		}
+	}
+}
+
+// decodeBody decodes a request body that must hold exactly one JSON
+// value: unlike json.Decoder.Decode, it refuses anything after the value.
+func decodeBody(r *http.Request, v any) error {
+	return withBody(r, func(b []byte) error { return json.Unmarshal(b, v) })
+}
+
+// badBody answers a request whose body was refused: 413 past the cap,
+// 400 for anything else.
+func badBody(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, errBodyTooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+}

@@ -547,13 +547,13 @@ func (o *Optimizer) Reset(
 		p := &o.pairs[pi]
 		for src := 0; src < o.C; src++ {
 			wrow := o.w[p.wOff+src*p.nDst : p.wOff+(src+1)*p.nDst]
+			var rule routing.Distribution
+			if incumbent != nil {
+				rule = incumbent.Lookup(o.svcNames[p.svc], o.classes[p.cls].name, o.clusters[src])
+			}
 			var sum float64
 			for s := 0; s < p.nDst; s++ {
-				wrow[s] = 0
-				if incumbent != nil {
-					wrow[s] = incumbent.Lookup(o.svcNames[p.svc], o.classes[p.cls].name, o.clusters[src]).
-						Weight(o.clusters[o.dstC[p.dstOff+s]])
-				}
+				wrow[s] = rule.Weight(o.clusters[o.dstC[p.dstOff+s]])
 				sum += wrow[s]
 			}
 			if sum <= 1e-12 {
