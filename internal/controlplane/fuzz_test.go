@@ -161,8 +161,7 @@ func FuzzHandlePatch(f *testing.F) {
 					t.Fatalf("Keys lists %v but Get misses it", k)
 				}
 				var sum float64
-				for _, cl := range dist.Clusters() {
-					w := dist.Weight(cl)
+				for cl, w := range dist.All() {
 					if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 						t.Fatalf("rule %v: invalid weight %v for %q", k, w, cl)
 					}

@@ -475,6 +475,9 @@ func TestEventDrivenResolve(t *testing.T) {
 	// No cluster controllers registered: the replica trivially holds
 	// leadership (bootstrap shape), isolating the event machinery.
 	g.EnableHA(srv.URL, HAConfig{EventThreshold: 0.25, EventBurst: 2})
+	// The counters are process-global (obs.Default()): read them as
+	// deltas, so an earlier run in the same process cannot show here.
+	b0, s0 := g.mEventBreaches.Value(), g.mEventSolves.Value()
 	if err := g.HAStep(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -501,14 +504,14 @@ func TestEventDrivenResolve(t *testing.T) {
 
 	// A silent cluster stirring (0 -> nonzero) always arms.
 	report(400, 400)
-	if g.mEventBreaches.Value() == 0 {
+	if g.mEventBreaches.Value() == b0 {
 		t.Fatal("0->nonzero load did not arm an event solve")
 	}
 	if !g.TryEventSolve(t.Context()) {
 		t.Fatal("armed event solve did not run")
 	}
-	if g.mEventSolves.Value() != 1 {
-		t.Fatalf("event solves = %d, want 1", g.mEventSolves.Value())
+	if solves := g.mEventSolves.Value() - s0; solves != 1 {
+		t.Fatalf("event solves = %d, want 1", solves)
 	}
 
 	// An identical window is below threshold: nothing arms.

@@ -60,8 +60,8 @@ func tableHash(tab *routing.Table) uint64 {
 	for _, k := range tab.Keys() {
 		d, _ := tab.Get(k)
 		fmt.Fprintf(h, "%s|", k)
-		for _, c := range d.Clusters() {
-			fmt.Fprintf(h, "%s=%016x,", c, math.Float64bits(d.Weight(c)))
+		for c, w := range d.All() {
+			fmt.Fprintf(h, "%s=%016x,", c, math.Float64bits(w))
 		}
 	}
 	return h.Sum64()

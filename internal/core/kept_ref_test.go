@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -89,11 +90,12 @@ func vertexDiff(a, b *routing.Table) (float64, error) {
 	for _, k := range a.Keys() {
 		ad, _ := a.Get(k)
 		bd, _ := b.Get(k)
-		if !slices.Equal(ad.Clusters(), bd.Clusters()) {
-			return 0, fmt.Errorf("rule %s over %v against %v", k, ad.Clusters(), bd.Clusters())
+		as, bs := slices.Sorted(maps.Keys(ad.Weights())), slices.Sorted(maps.Keys(bd.Weights()))
+		if !slices.Equal(as, bs) {
+			return 0, fmt.Errorf("rule %s over %v against %v", k, as, bs)
 		}
-		for _, c := range ad.Clusters() {
-			diff = max(diff, math.Abs(ad.Weight(c)-bd.Weight(c)))
+		for c, w := range ad.All() {
+			diff = max(diff, math.Abs(w-bd.Weight(c)))
 		}
 	}
 	return diff, nil

@@ -346,8 +346,8 @@ func propagateLoads(app *appgraph.App, top *topology.Topology, tab *routing.Tabl
 				next := placed{}
 				for src, rps := range exec {
 					d := tab.Lookup(string(ch.Service), cl.Name, src)
-					for _, dst := range d.Clusters() {
-						next[dst] += rps * float64(ch.Count) * d.Weight(dst)
+					for dst, w := range d.All() {
+						next[dst] += rps * float64(ch.Count) * w
 					}
 				}
 				walk(ch, next)

@@ -71,12 +71,12 @@ func tablesEquivalent(t *testing.T, at string, a, b *routing.Table, eps float64)
 		db, okB := b.Get(k)
 		clusters := map[topology.ClusterID]bool{}
 		if okA {
-			for _, c := range da.Clusters() {
+			for c := range da.All() {
 				clusters[c] = true
 			}
 		}
 		if okB {
-			for _, c := range db.Clusters() {
+			for c := range db.All() {
 				clusters[c] = true
 			}
 		}

@@ -231,8 +231,8 @@ func haChaosServed(m *emul.Mesh, hops []string, d haChaosDemand) float64 {
 				next[src] += load[src]
 				continue
 			}
-			for _, dst := range dist.Clusters() {
-				next[dst] += load[src] * dist.Weight(dst)
+			for dst, w := range dist.All() {
+				next[dst] += load[src] * w
 			}
 		}
 		for _, c := range clusters {

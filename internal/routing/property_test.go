@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/servicelayernetworking/slate/internal/sim"
@@ -67,8 +68,7 @@ func TestNewDistributionProperties(t *testing.T) {
 		accepted++
 
 		var sum float64
-		for _, c := range d.Clusters() {
-			w := d.Weight(c)
+		for c, w := range d.All() {
 			if w <= 0 || w > 1 {
 				t.Fatalf("trial %d: weight %v for %q out of (0, 1]", trial, w, c)
 			}
@@ -79,14 +79,14 @@ func TestNewDistributionProperties(t *testing.T) {
 		}
 
 		// Pick must stay inside the support for any u in [0, 1).
-		members := make(map[topology.ClusterID]bool, len(d.Clusters()))
-		for _, c := range d.Clusters() {
+		members := make(map[topology.ClusterID]bool)
+		for c := range d.All() {
 			members[c] = true
 		}
 		for draw := 0; draw < 20; draw++ {
 			u := rng.Float64()
 			if dst := d.Pick(u); !members[dst] {
-				t.Fatalf("trial %d: Pick(%v) = %q outside support %v", trial, u, dst, d.Clusters())
+				t.Fatalf("trial %d: Pick(%v) = %q outside support %v", trial, u, dst, support(d))
 			}
 		}
 		if dst := d.Pick(0); !members[dst] {
@@ -103,15 +103,68 @@ func TestNewDistributionProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: re-normalizing failed: %v", trial, err)
 		}
-		for _, c := range d.Clusters() {
-			if math.Abs(d2.Weight(c)-d.Weight(c)) > 1e-12 {
+		for c, w := range d.All() {
+			if math.Abs(d2.Weight(c)-w) > 1e-12 {
 				t.Fatalf("trial %d: re-normalized weight for %q drifted: %v vs %v",
-					trial, c, d2.Weight(c), d.Weight(c))
+					trial, c, d2.Weight(c), w)
 			}
 		}
 	}
 	if accepted == 0 || rejected == 0 {
 		t.Fatalf("unbalanced trial mix: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+// support lists d's clusters in the order All yields them.
+func support(d Distribution) []topology.ClusterID {
+	var cs []topology.ClusterID
+	for c := range d.All() {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// TestAllYieldsSupportInPlace checks All over the same seeded random
+// weight maps: it yields exactly the clusters given a positive weight,
+// in ascending order, each with the weight Weight returns, stops when
+// the loop breaks, and allocates nothing.
+func TestAllYieldsSupportInPlace(t *testing.T) {
+	rng := sim.NewRNG(20240805)
+	for trial := 0; trial < 2000; trial++ {
+		m := randomWeights(rng)
+		d, err := NewDistribution(m)
+		if err != nil {
+			continue
+		}
+		var want []topology.ClusterID
+		for c, w := range m {
+			if w > 0 {
+				want = append(want, c)
+			}
+		}
+		slices.Sort(want)
+		if got := support(d); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: All yields %v, want the support %v", trial, got, want)
+		}
+		for c, w := range d.All() {
+			if math.Float64bits(w) != math.Float64bits(d.Weight(c)) {
+				t.Fatalf("trial %d: All yields %v for %q, Weight says %v", trial, w, c, d.Weight(c))
+			}
+		}
+		for range d.All() {
+			break // a yield after this would panic in the range loop
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			var sum float64
+			for _, w := range d.All() {
+				sum += w
+			}
+			if sum <= 0 {
+				t.Fatal("empty support")
+			}
+		}); n > 0 {
+			t.Fatalf("trial %d: ranging over All allocates %v per run, want 0", trial, n)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package routing
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"math"
 	"slices"
@@ -165,10 +166,17 @@ func (d Distribution) Weight(c topology.ClusterID) float64 {
 	return 0
 }
 
-// Clusters returns the destination clusters with positive weight, in
-// sorted order.
-func (d Distribution) Clusters() []topology.ClusterID {
-	return append([]topology.ClusterID(nil), d.clusters...)
+// All yields each destination cluster with positive weight and its
+// normalized weight, in sorted cluster order. It reads the distribution
+// in place: ranging over it allocates nothing.
+func (d Distribution) All() iter.Seq2[topology.ClusterID, float64] {
+	return func(yield func(topology.ClusterID, float64) bool) {
+		for i, c := range d.clusters {
+			if !yield(c, d.weights[i]) {
+				return
+			}
+		}
+	}
 }
 
 // IsZero reports whether the distribution routes nothing.

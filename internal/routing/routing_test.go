@@ -49,8 +49,8 @@ func TestDistributionErrors(t *testing.T) {
 
 func TestDistributionDropsZeroWeights(t *testing.T) {
 	d := dist(t, map[topology.ClusterID]float64{"a": 1, "b": 0})
-	if got := d.Clusters(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("Clusters = %v, want [a]", got)
+	if got := support(d); len(got) != 1 || got[0] != "a" {
+		t.Errorf("support = %v, want [a]", got)
 	}
 }
 
@@ -294,8 +294,8 @@ func TestStepDistributionsStayNormalizedProperty(t *testing.T) {
 		})
 		d := Step(cur, target, maxStep).Lookup("s", "*", "w")
 		var sum float64
-		for _, c := range d.Clusters() {
-			sum += d.Weight(c)
+		for _, w := range d.All() {
+			sum += w
 		}
 		return math.Abs(sum-1) < 1e-9
 	}

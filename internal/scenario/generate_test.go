@@ -94,8 +94,8 @@ func digest(g *Generated) genDigest {
 	for _, k := range keys {
 		dist, _ := g.Table.Get(k)
 		fmt.Fprintf(tab, "%s=", k)
-		for _, c := range dist.Clusters() {
-			fmt.Fprintf(tab, "%s:%.6f,", c, dist.Weight(c))
+		for c, w := range dist.All() {
+			fmt.Fprintf(tab, "%s:%.6f,", c, w)
 		}
 	}
 	d.TableHash = tab.Sum64()
@@ -223,18 +223,18 @@ func TestGenerateLocalityTable(t *testing.T) {
 		dist, _ := g.Table.Get(k)
 		svc := g.App.Services[appgraph.ServiceID(k.Service)]
 		sum := 0.0
-		for _, c := range dist.Clusters() {
+		for c, w := range dist.All() {
 			if !svc.PlacedIn(c) {
 				t.Fatalf("rule %s routes to %s where %s is not placed", k, c, k.Service)
 			}
-			sum += dist.Weight(c)
+			sum += w
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("rule %s weights sum to %v", k, sum)
 		}
 		if svc.PlacedIn(k.Cluster) {
 			want := 1 - rf
-			if len(dist.Clusters()) == 1 {
+			if len(dist.Weights()) == 1 {
 				want = 1
 			}
 			if got := dist.Weight(k.Cluster); math.Abs(got-want) > 1e-9 {

@@ -13,12 +13,12 @@ import (
 // replayed under each policy.
 type RNG struct {
 	seed uint64
-	r    *rand.Rand
+	r    rand.Rand // by value: a stream is itself and its source, two objects
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: uint64(seed), r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: uint64(seed), r: *rand.New(rand.NewSource(seed))}
 }
 
 // Derive returns an independent child stream identified by id. The

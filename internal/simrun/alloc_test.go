@@ -77,8 +77,15 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 // 4000 RPS for 5 s, a control tick every second; ≈ 20 k requests):
 // set-up, per-window flushes and result included. It was 7 754 while
 // every histogram rebuilt its bucket bounds and quantiles sorted fresh
-// copies; a shared bucket layout and one sort per sample set make it
-// ≈ 4 k. The first run is discarded: it registers the run's metrics.
+// copies; a shared bucket layout and one sort per sample set made it
+// ≈ 4 120. Rules read in place (no support copy per resolved rule),
+// telemetry windows from a per-shard histogram slab, RNG streams that
+// hold their rand.Rand by value, samples sized once and one kids array
+// built in place make it ≈ 1 350: ≈ 660 of those are the 330 RNG streams
+// (struct and math/rand source), 216 the arrival slices, 115 the
+// partition, ≈ 125 compile and resolve, the rest flushes, frames,
+// histogram slabs, samples and the result. The first run is discarded:
+// it registers the run's metrics.
 func TestGen16RunAllocs(t *testing.T) {
 	g, err := scenario.Generate(scenario.GenSpec{
 		Seed: 1, Clusters: 16, Regions: 4, Services: 96, Classes: 12,
@@ -105,7 +112,7 @@ func TestGen16RunAllocs(t *testing.T) {
 		mallocs = after.Mallocs - before.Mallocs
 	}
 	t.Logf("%d heap objects per run", mallocs)
-	if mallocs > 4200 {
-		t.Errorf("one gen16 run allocates %d heap objects, want <= 4200", mallocs)
+	if mallocs > 1415 {
+		t.Errorf("one gen16 run allocates %d heap objects, want <= 1415", mallocs)
 	}
 }

@@ -20,6 +20,7 @@ import (
 // in pre-order class by class. Tables are [row*nC+cluster].
 type plan struct {
 	ids      []topology.ClusterID
+	byName   []int32 // cluster indices in name order: the order flush emits
 	index    map[topology.ClusterID]int32
 	svcIndex map[appgraph.ServiceID]int32
 	classes  []*appgraph.Class
@@ -66,17 +67,13 @@ func (pl *plan) row(service, class string) int32 {
 	return int32(i)
 }
 
-// stat is one telemetry key's window. The histogram is made when the key
-// is first touched, then Reset and reused window after window.
+// stat is one telemetry key's window. The histogram is taken from the
+// owning shard's slab when the key is first touched (shardRun.record),
+// then Reset and reused window after window.
 type stat struct {
 	hist   *telemetry.Histogram
 	egress int64
 }
-
-// grow makes the histogram: the set of keys the run has touched went up.
-//
-//slate:cold
-func (st *stat) grow() { st.hist = telemetry.DefaultHistogram() }
 
 func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *plan {
 	ids := scn.Top.ClusterIDs()
@@ -85,7 +82,9 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 		index: make(map[topology.ClusterID]int32, nC), svcIndex: make(map[appgraph.ServiceID]int32, len(scn.App.Services)),
 		oneWay: make([]time.Duration, nC*nC), perGB: make([]float64, nC*nC)}
 	nearest := make([][]topology.ClusterID, nC)
+	pl.byName = make([]int32, nC)
 	for i, a := range ids {
+		pl.byName[i] = int32(i)
 		pl.index[a] = int32(i)
 		pl.shardOf[i] = shardOf[a]
 		nearest[i] = scn.Top.Nearest(a)
@@ -94,6 +93,8 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 			pl.perGB[i*nC+j] = scn.Top.EgressCostPerGB(a, b)
 		}
 	}
+
+	slices.SortFunc(pl.byName, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
 
 	svcs := slices.Sorted(maps.Keys(scn.App.Services))
 	pl.pool = make([]int32, len(svcs)*nC)
@@ -126,12 +127,15 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 			n := len(pl.nodes)
 			pl.nodes = append(pl.nodes, node{cn: cn, class: int32(ci), svc: pl.svcIndex[cn.Service], root: cn == cl.Root})
 			pl.rows = append(pl.rows, telemetry.MetricKey{Service: string(cn.Service), Class: cl.Name})
-			kids := make([]int32, len(cn.Children))
+			// Reserve the children's run of kids, then fill it as they
+			// are walked: their own runs follow it, so walk moves pl.kids.
+			kid0 := len(pl.kids)
+			pl.kids = append(pl.kids, make([]int32, len(cn.Children))...)
+			pl.nodes[n].kid0, pl.nodes[n].nKids = int32(kid0), int32(len(cn.Children))
 			for i, ch := range cn.Children {
-				kids[i] = walk(ch)
+				k := walk(ch)
+				pl.kids[kid0+i] = k
 			}
-			pl.nodes[n].kid0, pl.nodes[n].nKids = int32(len(pl.kids)), int32(len(kids))
-			pl.kids = append(pl.kids, kids...)
 			return int32(n)
 		}
 		pl.roots = append(pl.roots, walk(cl.Root))
@@ -166,13 +170,13 @@ func (pl *plan) resolve(tab *routing.Table) {
 				continue // roots run where the request arrived
 			}
 			d := tab.Lookup(string(nd.cn.Service), pl.classes[nd.class].Name, id)
-			for _, c := range d.Clusters() {
+			for c, w := range d.All() {
 				dst, ok := pl.index[c]
 				if !ok || pl.pool[int(nd.svc)*pl.nC+int(dst)] < 0 {
 					dst = pl.fallback[int(nd.svc)*pl.nC+src]
 				}
 				pl.routeDst = append(pl.routeDst, dst)
-				pl.routeW = append(pl.routeW, d.Weight(c))
+				pl.routeW = append(pl.routeW, w)
 			}
 		}
 	}
@@ -185,14 +189,10 @@ func (pl *plan) resolve(tab *routing.Table) {
 //
 //slate:cold
 func (pl *plan) flush(window time.Duration) []telemetry.WindowStats {
-	var byName []int // clusters in name order
-	for _, id := range slices.Sorted(slices.Values(pl.ids)) {
-		byName = append(byName, int(pl.index[id]))
-	}
 	out := []telemetry.WindowStats{}
 	for r, key := range pl.rows {
-		for _, c := range byName {
-			st := &pl.stats[r*pl.nC+c]
+		for _, c := range pl.byName {
+			st := &pl.stats[r*pl.nC+int(c)]
 			if st.hist == nil || st.hist.Count() == 0 {
 				continue
 			}

@@ -298,6 +298,9 @@ type shardRun struct {
 	// links holds the network hops in flight from this shard, one FIFO
 	// per ordered cluster pair [from*nC+to]; see hop.
 	links []link
+	// hists is what is left of the slab this shard's telemetry windows
+	// are taken from; see record.
+	hists []telemetry.Histogram
 
 	samples     [][]time.Duration // per class: post-warmup end-to-end latencies
 	remoteCalls uint64
@@ -451,6 +454,22 @@ func newParRun(scn Scenario, pol Policy, opt ParallelOptions) (*parRun, error) {
 		st := stream{at: at, seq: k.Reserve(len(at)), class: int32(class), cluster: pl.index[spec.Cluster]}
 		k.PostReserved(sim.Time(at[0]), st.seq, sim.Event{Op: opArrive, A: int32(len(sr.streams))})
 		sr.streams = append(sr.streams, st)
+	}
+
+	// Size each shard's samples once. Only a request that arrived at or
+	// after Warmup leaves a sample, on its stream's shard, so that
+	// shard's measured arrivals of the class bound them.
+	for _, sr := range p.shards {
+		for c := range sr.samples {
+			n := 0
+			for _, st := range sr.streams {
+				if int(st.class) == c {
+					i, _ := slices.BinarySearch(st.at, scn.Warmup)
+					n += len(st.at) - i
+				}
+			}
+			sr.samples[c] = make([]time.Duration, 0, n)
+		}
 	}
 
 	// Pool dynamics on the owning shard.
@@ -949,10 +968,29 @@ func (sr *shardRun) complete(k *sim.Kernel, i int32, f *frame) {
 func (sr *shardRun) record(row, cluster int32, latency time.Duration, egress int64) {
 	st := &sr.par.pl.stats[int(row)*sr.par.pl.nC+int(cluster)]
 	if st.hist == nil {
-		st.grow()
+		st.hist = sr.newHist()
 	}
 	st.hist.Record(latency)
 	st.egress += egress
+}
+
+// histChunk is how many telemetry windows a shard's slab holds. Keys
+// are touched lazily, so the slab is refilled a chunk at a time rather
+// than sized for every key up front.
+const histChunk = 16
+
+// newHist hands out the next histogram of the shard's slab: the set of
+// keys the run has touched went up. The slab is per shard, not per plan,
+// because shards record concurrently.
+//
+//slate:cold
+func (sr *shardRun) newHist() *telemetry.Histogram {
+	if len(sr.hists) == 0 {
+		sr.hists = telemetry.DefaultHistograms(histChunk)
+	}
+	h := &sr.hists[0]
+	sr.hists = sr.hists[1:]
+	return h
 }
 
 // egress accounts the bytes call f sends between clusters, if measured.

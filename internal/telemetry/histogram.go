@@ -18,7 +18,7 @@ import (
 // Histogram is a streaming latency histogram with logarithmically spaced
 // buckets, in the spirit of HDR histograms: constant memory, bounded
 // relative quantile error. The zero value is not usable; construct with
-// DefaultHistogram. Not safe for concurrent use; callers own locking.
+// DefaultHistogram or DefaultHistograms. Not safe for concurrent use; callers own locking.
 type Histogram struct {
 	*shape
 	counts  []uint64
@@ -101,8 +101,19 @@ func (s *shape) index(d time.Duration) int {
 }
 
 // newHistogram returns an empty histogram over layout s.
-func newHistogram(s *shape) *Histogram {
-	return &Histogram{shape: s, counts: make([]uint64, len(s.bounds)+1), minSeen: math.MaxInt64} // +1 overflow bucket
+func newHistogram(s *shape) *Histogram { return &newHistograms(s, 1)[0] }
+
+// newHistograms returns n empty histograms over layout s whose counts
+// share one backing array. Each histogram's counts is capped at its own
+// buckets, so an append could not run into its neighbour's either.
+func newHistograms(s *shape, n int) []Histogram {
+	w := len(s.bounds) + 1 // +1 overflow bucket
+	counts := make([]uint64, n*w)
+	hs := make([]Histogram, n)
+	for i := range hs {
+		hs[i] = Histogram{shape: s, counts: counts[i*w : (i+1)*w : (i+1)*w], minSeen: math.MaxInt64}
+	}
+	return hs
 }
 
 // defaultShape is DefaultHistogram's layout, built once.
@@ -117,6 +128,11 @@ var defaultShape = func() *shape {
 // DefaultHistogram covers 10µs to 100s with ~5% resolution — suitable
 // for request latencies. Every default histogram shares one layout.
 func DefaultHistogram() *Histogram { return newHistogram(defaultShape) }
+
+// DefaultHistograms returns n default histograms in two heap objects,
+// not two each: for callers that make many, like a simulated run's
+// per-key telemetry windows.
+func DefaultHistograms(n int) []Histogram { return newHistograms(defaultShape, n) }
 
 // Record adds one observation.
 //

@@ -102,3 +102,67 @@ func TestDefaultLayoutSharedAcrossGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultHistogramsIndependent holds the histograms of one
+// DefaultHistograms slab apart: each one's counts is capped at its own
+// buckets, filling one to its overflow bucket leaves its neighbours at
+// zero, and each, fed its own samples alongside a DefaultHistogram, reads
+// the same Count, Mean and quantiles bit for bit, before and after Reset.
+func TestDefaultHistogramsIndependent(t *testing.T) {
+	const n = 4
+	hs := DefaultHistograms(n)
+	w := len(defaultShape.bounds) + 1
+	for i := range hs {
+		if len(hs[i].counts) != w || cap(hs[i].counts) != w {
+			t.Fatalf("histogram %d: counts len %d cap %d, want both %d", i, len(hs[i].counts), cap(hs[i].counts), w)
+		}
+	}
+	for range 1000 {
+		hs[1].Record(time.Hour) // past the last bound: the overflow bucket
+	}
+	if got := hs[1].counts[w-1]; got != 1000 {
+		t.Fatalf("overflow bucket holds %d, want 1000", got)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if hs[i].Count() != 0 || slices.ContainsFunc(hs[i].counts, func(c uint64) bool { return c != 0 }) {
+			t.Fatalf("histogram %d picked up counts from its neighbour", i)
+		}
+	}
+	hs[1].Reset()
+
+	refs := make([]*Histogram, n)
+	for i := range refs {
+		refs[i] = DefaultHistogram()
+	}
+	same := func(what string) {
+		t.Helper()
+		for i := range hs {
+			got, want := &hs[i], refs[i]
+			if got.Count() != want.Count() || got.Mean() != want.Mean() {
+				t.Fatalf("%s: histogram %d reads count %d mean %v, DefaultHistogram %d %v",
+					what, i, got.Count(), got.Mean(), want.Count(), want.Mean())
+			}
+			for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+				if got.Quantile(q) != want.Quantile(q) {
+					t.Fatalf("%s: histogram %d q%v = %v, DefaultHistogram %v", what, i, q, got.Quantile(q), want.Quantile(q))
+				}
+			}
+		}
+	}
+	for round := range 3 {
+		for k := range 20000 {
+			// Spread over the whole layout: below its first bound, into
+			// its overflow bucket and everything between.
+			x := uint64(round*20000+k+1) * 0x9e3779b97f4a7c15
+			d := time.Duration(x >> (27 + x%31))
+			hs[k%n].Record(d)
+			refs[k%n].Record(d)
+		}
+		same("filled")
+		for i := range hs {
+			hs[i].Reset()
+			refs[i].Reset()
+		}
+		same("reset")
+	}
+}

@@ -9,8 +9,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -222,11 +223,8 @@ func (t *Topology) Nearest(from ClusterID) []ClusterID {
 		}
 		ps = append(ps, pair{c.ID, t.rtt[i][j]})
 	}
-	sort.SliceStable(ps, func(a, b int) bool {
-		if ps[a].rtt != ps[b].rtt {
-			return ps[a].rtt < ps[b].rtt
-		}
-		return ps[a].id < ps[b].id
+	slices.SortStableFunc(ps, func(a, b pair) int {
+		return cmp.Or(cmp.Compare(a.rtt, b.rtt), cmp.Compare(a.id, b.id))
 	})
 	out := make([]ClusterID, len(ps))
 	for k, p := range ps {
