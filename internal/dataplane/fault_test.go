@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -326,9 +327,11 @@ func routedCluster(t *testing.T, srv *httptest.Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	return resp.Header.Get(HeaderTargetCluster)
+	// The destination echo apps are named b-west and b-east.
+	app, _, _ := strings.Cut(string(body), ":")
+	return strings.TrimPrefix(app, "b-")
 }
 
 // TestProxyStaleRulesDegradeToLocalAndRecover covers the degradation

@@ -12,13 +12,20 @@
 // calls back through the proxy (header X-Slate-Outbound names the
 // target service), which applies routing rules and cross-cluster netem
 // delay — the loopback analogue of an Envoy sidecar pair.
+//
+// Between hops a request's SLATE context — trace, caller span, source
+// cluster and class — travels in one field, X-Slate-Context (see
+// hopContext). The application copies it verbatim from the request it
+// serves onto each call it makes, as Envoy's applications copy b3 or
+// traceparent. A request without one is an edge request: its sidecar
+// reads the ingress's X-Slate-Class and X-Slate-Trace-Id, or classifies
+// the request and mints a trace itself.
 package dataplane
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,16 +40,15 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// Wire headers. X-Slate-Outbound marks a request from the local app to
-// the sidecar; the rest propagate trace and class context, mirroring
-// how Envoy/Istio propagate b3/w3c trace headers.
+// Wire headers. X-Slate-Context carries a request between mesh hops;
+// X-Slate-Outbound marks a request from the local app to its sidecar.
+// X-Slate-Class and X-Slate-Trace-Id are read only from edge requests,
+// which carry no context yet, and are not forwarded.
 const (
-	HeaderOutbound      = "X-Slate-Outbound"       // target service name
-	HeaderClass         = "X-Slate-Class"          // traffic class
-	HeaderTraceID       = "X-Slate-Trace-Id"       // trace correlation
-	HeaderSpanID        = "X-Slate-Span-Id"        // caller span
-	HeaderSourceCluster = "X-Slate-Source-Cluster" // where the caller ran
-	HeaderTargetCluster = "X-Slate-Target-Cluster" // routing decision
+	HeaderContext  = "X-Slate-Context"  // trace;parent;source;class (hopContext)
+	HeaderOutbound = "X-Slate-Outbound" // target service name
+	HeaderClass    = "X-Slate-Class"    // an edge request's traffic class
+	HeaderTraceID  = "X-Slate-Trace-Id" // an edge request's trace id, hex
 )
 
 // Resolver maps a (service, cluster) replica pool to a base URL the
@@ -323,37 +329,30 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveInbound forwards a request to the local application instance and
-// records its sojourn telemetry and span. Trace context: the incoming
-// X-Slate-Span-Id is this span's parent; a fresh span ID is minted and
-// handed to the application, which propagates it on its outbound calls
-// so the next hop's span links back here (the b3-style propagation of
-// Envoy/Istio).
+// records its sojourn telemetry and span. The span's trace, parent and
+// the caller's cluster come from the request's context; the app gets a
+// context naming this span as the parent and this cluster as the source,
+// and copies it onto its outbound calls so the next hop's span links
+// back here (the b3-style propagation of Envoy/Istio).
 func (p *Proxy) serveInbound(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	class := r.Header.Get(HeaderClass)
-	if class == "" {
+	in, ok := readHop(r.Header)
+	if !ok {
+		in = hopContext{class: r.Header.Get(HeaderClass), trace: edgeTrace(r.Header.Get(HeaderTraceID))}
+	}
+	if in.class == "" {
 		// Ingress traffic: classify here (paper §3.3: service, HTTP
 		// method, HTTP path).
 		p.cls.Observe(p.service, r.Method, r.URL.Path)
-		class = p.cls.Classify(p.service, r.Method, r.URL.Path)
+		in.class = p.cls.Classify(p.service, r.Method, r.URL.Path)
 	}
-	traceID := r.Header.Get(HeaderTraceID)
-	if traceID == "" {
-		traceID = strconv.FormatUint(p.newSpanID(), 16)
+	if in.trace == 0 {
+		in.trace = p.newSpanID()
 	}
-	parentID, _ := strconv.ParseUint(r.Header.Get(HeaderSpanID), 16, 64)
 	selfID := p.newSpanID()
 
-	// The local app must know its own cluster context to route its
-	// outbound calls; inject it beside the class and trace context.
-	slate := []string{class, traceID, strconv.FormatUint(selfID, 16), string(p.cluster)}
-	h := forwardHeader(r.Header)
-	h[HeaderClass] = slate[0:1:1]
-	h[HeaderTraceID] = slate[1:2:2]
-	h[HeaderSpanID] = slate[2:3:3]
-	h[HeaderSourceCluster] = slate[3:4:4]
-
-	resp, err := p.roundTrip(r, p.local, h)
+	out := hopContext{trace: in.trace, parent: selfID, source: string(p.cluster), class: in.class}
+	resp, err := p.roundTrip(r, p.local, hopHeader(r.Header, []string{out.String()}))
 	if err != nil {
 		p.mUpstreamErr.Inc()
 		http.Error(w, "slate-proxy: local app: "+err.Error(), http.StatusBadGateway)
@@ -369,17 +368,19 @@ func (p *Proxy) serveInbound(w http.ResponseWriter, r *http.Request) {
 	p.mInboundDur.Observe(sojourn.Seconds())
 	p.agg.Record(telemetry.MetricKey{
 		Service: p.service,
-		Class:   class,
+		Class:   in.class,
 		Cluster: string(p.cluster),
 	}, sojourn, 0)
-	p.recordSpan(r, class, traceID, selfID, parentID, start, sojourn, written)
+	p.recordSpan(r, in, selfID, start, sojourn, written)
 }
 
 // serveOutbound routes an application's outbound call: classify, pick a
 // destination cluster from the routing rules, inject network delay, and
 // forward to the destination sidecar.
 func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetService string) {
-	class := r.Header.Get(HeaderClass)
+	ctxVal := r.Header[HeaderContext]
+	in, ok := readHop(r.Header)
+	class := in.class
 	if class == "" {
 		class = classifier.Fallback
 	}
@@ -438,21 +439,19 @@ func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetServ
 		}
 	}
 
-	slate := []string{class, string(dst), string(p.cluster), ""}
-	h := forwardHeader(r.Header)
-	delete(h, HeaderOutbound) // consumed here
-	h[HeaderClass] = slate[0:1:1]
-	h[HeaderTargetCluster] = slate[1:2:2]
-	h[HeaderSourceCluster] = slate[2:3:3]
-	// X-Slate-Trace-Id/Span-Id pass through unchanged: the caller's
-	// inbound pass minted them and the destination sidecar will link
-	// its span to them.
-	if h.Get(HeaderTraceID) == "" {
-		slate[3] = strconv.FormatUint(p.newSpanID(), 16)
-		h[HeaderTraceID] = slate[3:4:4]
+	// The app copied the context its inbound pass handed it: trace and
+	// parent pass on unchanged, so the destination sidecar links its
+	// span to the caller's, and the source is already this cluster. Any
+	// other context is rewritten to say so.
+	if !ok {
+		in.trace = p.newSpanID()
+	}
+	if !ok || in.source != string(p.cluster) || in.class != class {
+		in.source, in.class = string(p.cluster), class
+		ctxVal = []string{in.String()}
 	}
 
-	resp, err := p.roundTrip(r, base, h)
+	resp, err := p.roundTrip(r, base, hopHeader(r.Header, ctxVal))
 	if err != nil {
 		p.mUpstreamErr.Inc()
 		http.Error(w, "slate-proxy: upstream "+targetService+": "+err.Error(), http.StatusBadGateway)
@@ -468,9 +467,7 @@ func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetServ
 			return
 		}
 	}
-	wh := w.Header()
-	copyEndToEnd(wh, resp.Header)
-	wh[HeaderTargetCluster] = slate[1:2:2]
+	copyEndToEnd(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	written, _ := io.Copy(w, resp.Body)
 
@@ -500,22 +497,23 @@ func (p *Proxy) newSpanID() uint64 {
 	}
 }
 
-func (p *Proxy) recordSpan(r *http.Request, class, traceID string, selfID, parentID uint64, start time.Time, dur time.Duration, respBytes int64) {
-	trace, _ := strconv.ParseUint(traceID, 16, 64)
+// recordSpan buffers the span of an inbound pass: in is the context the
+// request arrived with, selfID the pass's own span.
+func (p *Proxy) recordSpan(r *http.Request, in hopContext, selfID uint64, start time.Time, dur time.Duration, respBytes int64) {
 	span := telemetry.Span{
-		Trace:     telemetry.TraceID(trace),
+		Trace:     telemetry.TraceID(in.trace),
 		ID:        telemetry.SpanID(selfID),
-		Parent:    telemetry.SpanID(parentID),
+		Parent:    telemetry.SpanID(in.parent),
 		Service:   p.service,
 		Cluster:   string(p.cluster),
 		Start:     time.Duration(start.UnixNano()),
 		End:       time.Duration(start.Add(dur).UnixNano()),
 		ReqBytes:  max(r.ContentLength, 0),
 		RespBytes: respBytes,
-		Remote:    r.Header.Get(HeaderSourceCluster) != "" && r.Header.Get(HeaderSourceCluster) != string(p.cluster),
+		Remote:    in.source != "" && in.source != string(p.cluster),
 	}
 	p.spanMu.Lock()
-	span.Class = p.internLocked(class)
+	span.Class = p.internLocked(in.class)
 	span.Method = p.internLocked(r.Method)
 	span.Path = p.internLocked(r.URL.Path)
 	p.spans = append(p.spans, span)
@@ -557,16 +555,21 @@ func (p *Proxy) roundTrip(r *http.Request, base string, h http.Header) (*http.Re
 	return p.transport.RoundTrip(req)
 }
 
-// forwardHeader returns the header of a forwarded request: src's
-// end-to-end fields. Content-Length stays behind: the transport frames
-// the body from Request.ContentLength. The map is sized for src alone:
-// the X-Slate fields a pass sets mostly replace fields src already
-// carries, and a map sized for at most eight fields is one group where a
-// larger size hint would lay out a full table.
-func forwardHeader(src http.Header) http.Header {
+// hopHeader returns the header of a forwarded request: src's end-to-end
+// fields, with the SLATE fields src carried replaced by the one context
+// field ctx. Content-Length stays behind: the transport frames the body
+// from Request.ContentLength. The map is sized for src alone: the
+// context mostly replaces a field src already carries, and a map sized
+// for at most eight fields is one group where a larger size hint would
+// lay out a full table.
+func hopHeader(src http.Header, ctx []string) http.Header {
 	h := make(http.Header, len(src))
 	copyEndToEnd(h, src)
 	delete(h, "Content-Length")
+	delete(h, HeaderOutbound)
+	delete(h, HeaderClass)
+	delete(h, HeaderTraceID)
+	h[HeaderContext] = ctx
 	return h
 }
 

@@ -39,12 +39,13 @@ func (r *registry) Resolve(service string, cluster topology.ClusterID) (string, 
 	return u, nil
 }
 
-// echoApp returns an app server that echoes its name and the class
-// header it saw.
+// echoApp returns an app server that echoes its name and the class its
+// context carried.
 func echoApp(t *testing.T, name string) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "%s:%s:%s", name, r.Header.Get(HeaderClass), r.URL.Path)
+		in, _ := readHop(r.Header)
+		fmt.Fprintf(w, "%s:%s:%s", name, in.class, r.URL.Path)
 	}))
 	t.Cleanup(srv.Close)
 	return srv
@@ -109,7 +110,7 @@ func TestProxyOutboundRoutesLocalByDefault(t *testing.T) {
 	defer paSrv.Close()
 	req, _ := http.NewRequest("GET", paSrv.URL+"/do", nil)
 	req.Header.Set(HeaderOutbound, "svc-b")
-	req.Header.Set(HeaderClass, "c1")
+	req.Header.Set(HeaderContext, hopContext{trace: 0x1f, parent: 0x2e, source: string(topology.West), class: "c1"}.String())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +119,6 @@ func TestProxyOutboundRoutesLocalByDefault(t *testing.T) {
 	resp.Body.Close()
 	if !strings.HasPrefix(string(body), "b:c1:") {
 		t.Fatalf("body = %q", string(body))
-	}
-	if got := resp.Header.Get(HeaderTargetCluster); got != string(topology.West) {
-		t.Errorf("target cluster = %q, want west", got)
 	}
 }
 
@@ -280,8 +278,7 @@ func TestProxySpans(t *testing.T) {
 	app := echoApp(t, "app")
 	p, srv := newProxy(t, "svc", topology.West, app.URL, reg, nil)
 	req, _ := http.NewRequest("GET", srv.URL+"/x", nil)
-	req.Header.Set(HeaderTraceID, "ab12")
-	req.Header.Set(HeaderSourceCluster, "east")
+	req.Header.Set(HeaderContext, hopContext{trace: 0xab12, parent: 0x2e, source: string(topology.East), class: "c1"}.String())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +290,7 @@ func TestProxySpans(t *testing.T) {
 		t.Fatalf("spans = %d, want 1", len(spans))
 	}
 	s := spans[0]
-	if s.Trace != 0xab12 || s.Service != "svc" || !s.Remote {
+	if s.Trace != 0xab12 || s.Parent != 0x2e || s.Class != "c1" || s.Service != "svc" || !s.Remote {
 		t.Errorf("span = %+v", s)
 	}
 	if s.End <= s.Start {

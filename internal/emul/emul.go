@@ -19,8 +19,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -475,7 +477,7 @@ type appServer struct {
 	reg     *registry
 	sidecar string // set after the sidecar starts
 	slots   chan struct{}
-	client  *http.Client
+	rt      *http.Transport
 
 	// nodes maps an endpoint to the first call node (in class order) it
 	// executes.
@@ -494,7 +496,7 @@ func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.Cluster
 		scale:   scale,
 		reg:     reg,
 		slots:   make(chan struct{}, servers),
-		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
+		rt:      &http.Transport{MaxIdleConnsPerHost: 64},
 		nodes:   map[endpoint]*appgraph.CallNode{},
 		mReqs: obs.Default().CounterVec("slate_app_requests_total",
 			"Requests executed by emulated application instances.",
@@ -548,12 +550,13 @@ func (s *appServer) callChildren(r *http.Request, node *appgraph.CallNode) error
 				return err
 			}
 			req.Header.Set(dataplane.HeaderOutbound, string(ch.Service))
-			req.Header.Set(dataplane.HeaderClass, r.Header.Get(dataplane.HeaderClass))
-			req.Header.Set(dataplane.HeaderTraceID, r.Header.Get(dataplane.HeaderTraceID))
-			// Propagate the caller's span so the callee's span links to it.
-			req.Header.Set(dataplane.HeaderSpanID, r.Header.Get(dataplane.HeaderSpanID))
-			resp, err := s.client.Do(req)
+			// Propagate the context verbatim, so the callee's span links
+			// to this one. A forwarded header is only read: sharing the
+			// value slice is safe.
+			req.Header[dataplane.HeaderContext] = r.Header[dataplane.HeaderContext]
+			resp, err := s.rt.RoundTrip(req)
 			if err != nil {
+				err = &url.Error{Op: req.Method[:1] + strings.ToLower(req.Method[1:]), URL: req.URL.Redacted(), Err: err}
 				return fmt.Errorf("%s -> %s: %w", s.service, ch.Service, err)
 			}
 			io.Copy(io.Discard, resp.Body)
@@ -647,7 +650,12 @@ func (m *Mesh) Drive(ctx context.Context, class string, cluster topology.Cluster
 		res LoadResult
 		wg  sync.WaitGroup
 	)
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
+	// Each call dials its own connections; close them on return, or
+	// every Drive leaves its idle connections, and their goroutines on
+	// both ends, behind.
+	tr := &http.Transport{MaxIdleConnsPerHost: 256}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
 	seq := 0
 	for now := time.Now(); now.Before(deadline); now = time.Now() {
 		seq++

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,6 +105,67 @@ func TestMeshDriveCollectsLatencies(t *testing.T) {
 	}
 	if res.P99() < res.Mean() {
 		t.Errorf("p99 %v < mean %v", res.P99(), res.Mean())
+	}
+}
+
+// TestDriveClosesConnections: Drive closes the connections it dialled
+// when it returns, so a caller that drives in a loop (slate-emul does)
+// does not pile up idle connections and the goroutines that serve them
+// on both ends.
+func TestDriveClosesConnections(t *testing.T) {
+	m := startMesh(t, Options{
+		Top:        topology.TwoClusters(10 * time.Millisecond),
+		App:        smallChain(),
+		NetemScale: 0.1,
+		Seed:       6,
+	})
+	drive := func() {
+		t.Helper()
+		res, err := m.Drive(context.Background(), "default", topology.West, 300, 300*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors > 0 {
+			t.Fatalf("%d/%d requests failed", res.Errors, res.Sent)
+		}
+	}
+	// Fill every connection pool in the mesh to its idle cap of 64 a
+	// host, so no pool grows during the measured calls and the count
+	// below moves only with the connections Drive dials.
+	fe, err := m.FrontendURL(topology.West)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := &http.Transport{}
+	var wg sync.WaitGroup
+	for range 64 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodPost, fe+"/ingress", nil)
+			req.Header.Set(dataplane.HeaderClass, "default")
+			if resp, err := warm.RoundTrip(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	warm.CloseIdleConnections()
+
+	drive()
+	time.Sleep(100 * time.Millisecond) // let closed connections' goroutines exit
+	first := runtime.NumGoroutine()
+	drive()
+	drive()
+	// A server notices a closed connection a moment later: allow for it.
+	const slack = 8
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > first+slack && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > first+slack {
+		t.Errorf("%d goroutines after three Drive calls, %d after the first", n, first)
 	}
 }
 

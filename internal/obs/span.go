@@ -11,10 +11,10 @@ import (
 )
 
 // spanRecord is the JSONL wire form of one telemetry.Span: one JSON
-// object per line. Trace/span IDs are lowercase hex strings, matching
-// the X-Slate-Trace-Id / X-Slate-Span-Id wire headers, so a dumped
-// trace can be grepped against proxy logs; parent "0" marks a root
-// span. Times are integer nanoseconds since the trace's epoch.
+// object per line. Trace/span IDs are lowercase hex strings, written as
+// the trace and parent ids of the X-Slate-Context wire field, so a
+// dumped trace can be grepped against proxy logs; parent "0" marks a
+// root span. Times are integer nanoseconds since the trace's epoch.
 type spanRecord struct {
 	Trace     string `json:"trace"`
 	ID        string `json:"span"`
