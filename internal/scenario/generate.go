@@ -289,14 +289,19 @@ func Generate(spec GenSpec) (*Generated, error) {
 			Work:     appgraph.Work{MeanServiceTime: 100 * time.Microsecond, Dist: appgraph.DistExponential},
 			Parallel: true,
 		}
-		// Breadth-first tree shaping: each open node adopts 1..MaxFanout
-		// children (mean FanoutMean) until the class's services run out.
+		// Breadth-first tree shaping: each open node adopts
+		// 1 + uniform{0 … 2·round(FanoutMean)−1} children, capped at
+		// MaxFanout, until the class's services run out. A FanoutMean
+		// that rounds to 0 adopts one child without a draw.
 		open := []*appgraph.CallNode{rootNode}
 		next := 0
 		for len(open) > 0 && next < len(members) {
 			n := open[0]
 			open = open[1:]
-			fan := 1 + stream.Intn(2*int(s.FanoutMean+0.5))
+			fan := 1
+			if span := 2 * int(s.FanoutMean+0.5); span > 0 {
+				fan += stream.Intn(span)
+			}
 			if fan > s.MaxFanout {
 				fan = s.MaxFanout
 			}

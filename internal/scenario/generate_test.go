@@ -382,3 +382,59 @@ func TestGenerateRejectsNothing(t *testing.T) {
 		t.Error("zero spec generated an empty scenario")
 	}
 }
+
+// TestGenerateFanoutRoundsToZero: a FanoutMean in (0, 0.5) rounds to a
+// fan of 0, which once drew Intn(0) and panicked. Such a fan adopts one
+// child, so every class is a chain.
+func TestGenerateFanoutRoundsToZero(t *testing.T) {
+	spec := GenSpec{Seed: 1, Clusters: 4, Services: 12, Classes: 3, FanoutMean: 0.3}
+	g, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range g.App.Classes {
+		depth := 0
+		cl.Root.Walk(func(n *appgraph.CallNode) {
+			if len(n.Children) > 1 {
+				t.Errorf("class %s node %s has %d children, want a chain", cl.Name, n.Service, len(n.Children))
+			}
+			depth++
+		})
+		if want := 1 + spec.Services/spec.Classes; depth != want {
+			t.Errorf("class %s has %d nodes, want %d", cl.Name, depth, want)
+		}
+	}
+}
+
+// FuzzGenerate generates small specs — 2–6 clusters, 2–20 services,
+// FanoutMean 0–4, MaxFanout 0–5, the rest defaulted — and requires every
+// one to generate without a panic or an error, into an app that
+// validates and respects MaxFanout.
+func FuzzGenerate(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(10), uint16(4915), uint8(0))
+	f.Add(int64(7), uint8(4), uint8(18), uint16(65535), uint8(5))
+	f.Add(int64(-3), uint8(1), uint8(0), uint16(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, clusters, services uint8, fanout uint16, maxFanout uint8) {
+		spec := GenSpec{
+			Seed:       seed,
+			Clusters:   2 + int(clusters%5),
+			Services:   2 + int(services%19),
+			FanoutMean: 4 * float64(fanout) / math.MaxUint16,
+			MaxFanout:  int(maxFanout % 6),
+		}
+		g, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("Generate(%+v): %v", spec, err)
+		}
+		if err := g.App.Validate(g.Top); err != nil {
+			t.Fatalf("Generate(%+v) made an invalid app: %v", spec, err)
+		}
+		for _, cl := range g.App.Classes {
+			cl.Root.Walk(func(n *appgraph.CallNode) {
+				if len(n.Children) > g.Spec.MaxFanout {
+					t.Fatalf("class %s node %s has fan-out %d > MaxFanout %d", cl.Name, n.Service, len(n.Children), g.Spec.MaxFanout)
+				}
+			})
+		}
+	})
+}

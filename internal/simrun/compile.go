@@ -99,15 +99,28 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 	svcs := slices.Sorted(maps.Keys(scn.App.Services))
 	pl.pool = make([]int32, len(svcs)*nC)
 	pl.fallback = make([]int32, len(svcs)*nC)
+	// Every pool's stream is seeded in place into one slab.
+	nPools := 0
+	for _, sid := range svcs {
+		for _, id := range ids {
+			if scn.App.Services[sid].PlacedIn(id) {
+				nPools++
+			}
+		}
+	}
+	pl.pools = make([]pool, 0, nPools)
+	rngs := make([]sim.RNG, nPools)
 	for s, sid := range svcs {
 		pl.svcIndex[sid] = int32(s)
 		svc := scn.App.Services[sid]
 		for c, id := range ids {
 			pl.pool[s*nC+c] = -1
 			if rp := svc.Placement[id]; svc.PlacedIn(id) {
+				rng := &rngs[len(pl.pools)]
+				root.DeriveNamedInto(rng, "svc/"+string(sid)+"@"+string(id))
 				pl.pool[s*nC+c] = int32(len(pl.pools))
 				pl.pools = append(pl.pools, pool{key: core.PoolKey{Service: sid, Cluster: id}, head: -1, tail: -1,
-					servers: rp.Servers(), conc: rp.Concurrency, rng: root.DeriveNamed("svc/" + string(sid) + "@" + string(id))})
+					servers: rp.Servers(), conc: rp.Concurrency, rng: rng})
 			}
 		}
 		// The source itself, else the nearest placement; Validate

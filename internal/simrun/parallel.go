@@ -156,9 +156,16 @@ func buildPartition(scn *Scenario, want int) partition {
 	// (arrival sites + every placement of every service it calls) so
 	// cross-shard messages are rare, but never below the shard count —
 	// a giant fully-replicated class must not collapse the partition.
+	// The marks are reset after each class, so every class reuses them.
+	var (
+		touched []int
+		seen    = make([]bool, len(ids)) // cluster index in touched
+		isRoot  = make([]bool, len(ids)) // component root counted
+		seenSvc = map[appgraph.ServiceID]bool{}
+	)
 	for _, cl := range scn.App.Classes {
-		var touched []int
-		seen := make(map[int]bool)
+		touched = touched[:0]
+		clear(seenSvc)
 		add := func(c topology.ClusterID) {
 			if i, ok := idx[c]; ok && !seen[i] {
 				seen[i] = true
@@ -172,7 +179,6 @@ func buildPartition(scn *Scenario, want int) partition {
 		}
 		// The root (frontend) call is pinned to the arrival cluster and
 		// never routed, so only non-root services couple clusters.
-		seenSvc := map[appgraph.ServiceID]bool{}
 		cl.Root.Walk(func(n *appgraph.CallNode) {
 			if n == cl.Root || seenSvc[n.Service] {
 				return
@@ -185,11 +191,18 @@ func buildPartition(scn *Scenario, want int) partition {
 				}
 			}
 		})
-		roots := make(map[int]bool)
+		roots := 0
 		for _, i := range touched {
-			roots[find(i)] = true
+			seen[i] = false
+			if r := find(i); !isRoot[r] {
+				isRoot[r] = true
+				roots++
+			}
 		}
-		if len(roots) <= 1 || components-(len(roots)-1) < want {
+		for _, i := range touched {
+			isRoot[find(i)] = false
+		}
+		if roots <= 1 || components-(roots-1) < want {
 			continue
 		}
 		for _, i := range touched[1:] {
@@ -197,9 +210,10 @@ func buildPartition(scn *Scenario, want int) partition {
 		}
 	}
 
-	// Gather components (deterministic: keyed by root index, clusters in
-	// topology order), weigh them by offered arrival load, and assign
-	// heaviest-first to the least-loaded shard.
+	// Gather components, weigh them by offered arrival load, and assign
+	// heaviest-first to the least-loaded shard. A component's root is
+	// its smallest cluster index, so the roots in index order are the
+	// components in topology order.
 	weight := make([]float64, len(ids))
 	for i := range weight {
 		weight[i] = 1 // so service-only clusters still spread out
@@ -213,20 +227,14 @@ func buildPartition(scn *Scenario, want int) partition {
 		}
 		weight[idx[spec.Cluster]] += peak
 	}
-	compOf := make(map[int][]int)
 	var order []int
+	compWeight := make([]float64, len(ids))
 	for i := range ids {
 		r := find(i)
-		if _, ok := compOf[r]; !ok {
+		if r == i {
 			order = append(order, r)
 		}
-		compOf[r] = append(compOf[r], i)
-	}
-	compWeight := make(map[int]float64)
-	for _, r := range order {
-		for _, i := range compOf[r] {
-			compWeight[r] += weight[i]
-		}
+		compWeight[r] += weight[i]
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if compWeight[order[a]] != compWeight[order[b]] { //slate:nolint floatcmp -- sort tie-break must be exact: epsilon grouping would make the order depend on comparison sequence
@@ -244,7 +252,7 @@ func buildPartition(scn *Scenario, want int) partition {
 		owned:   make([][]topology.ClusterID, shards),
 	}
 	load := make([]float64, shards)
-	memberIdx := make([][]int, shards)
+	shardOfRoot := make([]int, len(ids))
 	for _, r := range order {
 		best := 0
 		for s := 1; s < shards; s++ {
@@ -253,14 +261,12 @@ func buildPartition(scn *Scenario, want int) partition {
 			}
 		}
 		load[best] += compWeight[r]
-		memberIdx[best] = append(memberIdx[best], compOf[r]...)
+		shardOfRoot[r] = best
 	}
-	for s := range memberIdx {
-		sort.Ints(memberIdx[s])
-		for _, i := range memberIdx[s] {
-			p.shardOf[ids[i]] = s
-			p.owned[s] = append(p.owned[s], ids[i])
-		}
+	for i, id := range ids {
+		s := shardOfRoot[find(i)]
+		p.shardOf[id] = s
+		p.owned[s] = append(p.owned[s], id)
 	}
 
 	// Lookahead: the minimum network delay any cross-shard event pays;
@@ -442,10 +448,32 @@ func newParRun(scn Scenario, pol Policy, opt ParallelOptions) (*parRun, error) {
 	// all here would put them — equal-timestamp arrivals of two streams
 	// included, whose order reaches the result through the shared pick
 	// stream — over a heap only as deep as the work in flight.
+	//
+	// Every stream's arrivals are read into one buffer, each from a
+	// stream seeded in place over the last; a stream's arrivals are
+	// their own sub-slice of it, cut once the buffer has stopped growing.
+	// The buffer holds the expected count plus four standard deviations
+	// of a Poisson total, so it rarely grows.
+	expect := 0.0
 	for _, spec := range scn.Workload {
+		expect += spec.MeanRate(0, scn.Duration) * scn.Duration.Seconds()
+	}
+	var (
+		arrRNG sim.RNG
+		buf    = make([]time.Duration, 0, int(expect+4*math.Sqrt(expect))+1)
+		end    = make([]int, len(scn.Workload))
+	)
+	for i, spec := range scn.Workload {
+		root.DeriveNamedInto(&arrRNG, "arrivals/"+spec.Class+"@"+string(spec.Cluster))
+		buf = workload.AppendArrivals(buf, spec, scn.Duration, &arrRNG)
+		end[i] = len(buf)
+	}
+	p.res.Generated = uint64(len(buf))
+	start := 0
+	for i, spec := range scn.Workload {
 		sr := p.shards[part.shardOf[spec.Cluster]]
-		at := workload.Arrivals(spec, scn.Duration, root.DeriveNamed("arrivals/"+spec.Class+"@"+string(spec.Cluster)))
-		p.res.Generated += uint64(len(at))
+		at := buf[start:end[i]:end[i]]
+		start = end[i]
 		if len(at) == 0 {
 			continue
 		}

@@ -148,7 +148,13 @@ func Burst(class string, cluster topology.ClusterID, baseRPS, burstRPS float64, 
 // and is shared by the simulator (which replays the same arrivals under
 // every policy for paired comparison) and tests.
 func Arrivals(spec Spec, horizon time.Duration, rng *sim.RNG) []time.Duration {
-	var out []time.Duration
+	return AppendArrivals(nil, spec, horizon, rng)
+}
+
+// AppendArrivals appends the arrival times Arrivals would return to out
+// and returns the extended slice, so a run can read every stream's
+// arrivals into one buffer.
+func AppendArrivals(out []time.Duration, spec Spec, horizon time.Duration, rng *sim.RNG) []time.Duration {
 	t := time.Duration(0)
 	for t < horizon {
 		rate := spec.RateAt(t)
