@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -178,6 +179,125 @@ func FuzzHandlePatch(f *testing.F) {
 			}
 		default:
 			t.Fatalf("POST /v1/patch(%q) = %d, want 204, 400, or 409", body, rec.Code)
+		}
+	})
+}
+
+// leaseState is an acceptor's lease, read under its lock.
+type leaseState struct {
+	holder          string
+	epoch, pubEpoch uint64
+	expires         time.Time
+}
+
+func readLease(c *Cluster) leaseState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return leaseState{c.leaseHolder, c.leaseEpoch, c.pubEpoch, c.leaseExpires}
+}
+
+func (s leaseState) equal(o leaseState) bool {
+	return s.holder == o.holder && s.epoch == o.epoch && s.pubEpoch == o.pubEpoch && s.expires.Equal(o.expires)
+}
+
+// postLease sends one POST /v1/lease body to h.
+func postLease(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lease", bytes.NewReader(body)))
+	return rec
+}
+
+// TestLeaseRejectsOverflowingTTL: a TTL whose milliseconds overflow a
+// time.Duration is refused. Accepted, it granted a lease that had
+// already expired (expires_in_ms -9223372036854), which a rival at the
+// next epoch took over at once.
+func TestLeaseRejectsOverflowingTTL(t *testing.T) {
+	clk := newVclock()
+	c := NewCluster(topology.West, "")
+	c.SetNow(clk.Now)
+	h := c.Handler()
+	if rec := postLease(h, []byte(`{"candidate":"a","epoch":1,"ttl_ms":9223372036855}`)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("ttl_ms one past the largest Duration = %d %s, want 400", rec.Code, rec.Body)
+	}
+	if s := readLease(c); s.holder != "" || s.pubEpoch != 0 {
+		t.Fatalf("refused lease changed the acceptor: holder %q, fence %d", s.holder, s.pubEpoch)
+	}
+	// The largest TTL a Duration holds is granted, and it holds.
+	rec := postLease(h, []byte(`{"candidate":"a","epoch":1,"ttl_ms":9223372036854}`))
+	var resp LeaseResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !resp.Granted || resp.ExpiresInMS != 9223372036854 {
+		t.Fatalf("largest TTL: %d %s (%v), want granted for 9223372036854 ms", rec.Code, rec.Body, err)
+	}
+	clk.Advance(time.Hour)
+	rec = postLease(h, []byte(`{"candidate":"b","epoch":2,"ttl_ms":1000}`))
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Granted || resp.Holder != "a" {
+		t.Fatalf("rival at epoch 2: %s (%v), want denied while a holds", rec.Body, err)
+	}
+}
+
+// FuzzHandleLease runs a script against one lease acceptor on a virtual
+// clock. Each line is either "+<ms>", which advances the clock, or a
+// POST /v1/lease body. The seeds draw candidates from {a, b, c} and
+// epochs from 1–3, so mutations keep meeting renewals, takeovers and
+// denials. After every body:
+//   - the answer is 200 or 400;
+//   - a grant expires within 0 and the requested ttl_ms;
+//   - the lease epoch and the push fence never decrease;
+//   - a denial, or a 400, changes nothing.
+func FuzzHandleLease(f *testing.F) {
+	for _, s := range []string{
+		`{"candidate":"a","epoch":1,"ttl_ms":1000}`,
+		"{\"candidate\":\"a\",\"epoch\":1,\"ttl_ms\":1000}\n+500\n{\"candidate\":\"a\",\"epoch\":1,\"ttl_ms\":1000}",
+		"{\"candidate\":\"a\",\"epoch\":1,\"ttl_ms\":1000}\n{\"candidate\":\"b\",\"epoch\":2,\"ttl_ms\":1000}\n+1000\n{\"candidate\":\"b\",\"epoch\":2,\"ttl_ms\":1000}",
+		"{\"candidate\":\"c\",\"epoch\":3,\"ttl_ms\":10}\n+10\n{\"candidate\":\"a\",\"epoch\":2,\"ttl_ms\":10}\n{\"candidate\":\"c\",\"epoch\":3,\"ttl_ms\":10}",
+		`{"candidate":"a","epoch":1,"ttl_ms":9223372036855}`,
+		`{"candidate":"","epoch":0,"ttl_ms":-1}`,
+		`{"candidate":"a","epoch":1,"ttl_ms":1000} trailing`,
+		`not json`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		clk := newVclock()
+		c := NewCluster(topology.West, "")
+		c.SetNow(clk.Now)
+		h := c.Handler()
+		for line := range bytes.SplitSeq(script, []byte("\n")) {
+			if ms, ok := bytes.CutPrefix(line, []byte("+")); ok {
+				if n, err := strconv.ParseUint(string(ms), 10, 32); err == nil {
+					clk.Advance(time.Duration(n) * time.Millisecond)
+					continue
+				}
+			}
+			before := readLease(c)
+			rec := postLease(h, line)
+			after := readLease(c)
+			if after.epoch < before.epoch || after.pubEpoch < before.pubEpoch {
+				t.Fatalf("lease %q moved epoch %d -> %d, fence %d -> %d", line, before.epoch, after.epoch, before.pubEpoch, after.pubEpoch)
+			}
+			switch rec.Code {
+			case http.StatusBadRequest:
+				if !after.equal(before) {
+					t.Fatalf("refused lease %q changed the acceptor: %+v -> %+v", line, before, after)
+				}
+			case http.StatusOK:
+				var req LeaseRequest
+				var resp LeaseResponse
+				if err := json.Unmarshal(line, &req); err != nil {
+					t.Fatalf("lease %q answered 200, but the body does not decode: %v", line, err)
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("lease %q: answer %q does not decode: %v", line, rec.Body, err)
+				}
+				switch {
+				case resp.Granted && (resp.ExpiresInMS < 0 || resp.ExpiresInMS > req.TTLMS):
+					t.Fatalf("lease %q granted for %d ms", line, resp.ExpiresInMS)
+				case !resp.Granted && !after.equal(before):
+					t.Fatalf("denied lease %q changed the acceptor: %+v -> %+v", line, before, after)
+				}
+			default:
+				t.Fatalf("lease %q = %d, want 200 or 400", line, rec.Code)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -57,6 +58,10 @@ type LeaseResponse struct {
 	ExpiresInMS int64  `json:"expires_in_ms"`
 }
 
+// maxLeaseTTLMS is the longest lease TTL, in milliseconds, that a
+// time.Duration holds.
+const maxLeaseTTLMS = math.MaxInt64 / int64(time.Millisecond)
+
 // handleLease decides one lease acquisition/renewal. Grant rules:
 // same holder + same epoch renews; a higher epoch takes over only once
 // the current lease has lapsed. Every grant fences pubEpoch forward.
@@ -68,6 +73,12 @@ func (c *Cluster) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Candidate == "" || req.Epoch == 0 || req.TTLMS <= 0 {
 		http.Error(w, "candidate, epoch and ttl_ms required", http.StatusBadRequest)
+		return
+	}
+	if req.TTLMS > maxLeaseTTLMS {
+		// Past this the TTL overflows a time.Duration, and the lease it
+		// granted would already have expired.
+		http.Error(w, "ttl_ms out of range", http.StatusBadRequest)
 		return
 	}
 	now := c.now()

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"net"
 	"net/http"
@@ -149,6 +150,61 @@ func TestProxyDropsHopByHopHeaders(t *testing.T) {
 	}
 	if got := app.accepts.Load(); got != 1 {
 		t.Errorf("the app accepted %d connections for %d requests, want 1", got, 2*n)
+	}
+}
+
+// TestProxyAddsNoAcceptEncoding: a sidecar forwards the client's
+// Accept-Encoding, or its absence, as it came, and relays the app's
+// answer as the app framed it. The app here gzips only when asked. A
+// client that asks for nothing must not be answered through a gzip
+// request the sidecar made up; one that asks must get the app's gzip.
+func TestProxyAddsNoAcceptEncoding(t *testing.T) {
+	var mu sync.Mutex
+	var asked []string
+	caller, peer, _ := sidecarPair(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		asked = append(asked, r.Header.Get("Accept-Encoding"))
+		mu.Unlock()
+		if r.Header.Get("Accept-Encoding") != "gzip" {
+			io.WriteString(w, "hello")
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		io.WriteString(zw, "hello")
+		zw.Close()
+	}))
+	client := &http.Transport{DisableCompression: true} // sends Accept-Encoding only when the request has it
+	defer client.CloseIdleConnections()
+	for _, pass := range passes(caller.URL, peer.URL) {
+		for _, accept := range []string{"", "gzip"} {
+			mu.Lock()
+			asked = nil
+			mu.Unlock()
+			req, _ := http.NewRequest(http.MethodGet, pass.base+"/x", nil)
+			if accept != "" {
+				req.Header.Set("Accept-Encoding", accept)
+			}
+			if pass.outbound != "" {
+				req.Header.Set(HeaderOutbound, pass.outbound)
+			}
+			resp, err := client.RoundTrip(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			mu.Lock()
+			if len(asked) != 1 || asked[0] != accept {
+				t.Errorf("%s, client Accept-Encoding %q: the app saw %q", pass.name, accept, asked)
+			}
+			mu.Unlock()
+			gzipped := resp.Header.Get("Content-Encoding") == "gzip"
+			if gzipped != (accept == "gzip") || !gzipped && string(body) != "hello" {
+				t.Errorf("%s, client Accept-Encoding %q: got Content-Encoding %q, body %q",
+					pass.name, accept, resp.Header.Get("Content-Encoding"), body)
+			}
+		}
 	}
 }
 

@@ -82,9 +82,8 @@ type Config struct {
 	// Netem injects cross-cluster delay; nil disables.
 	Netem *netem.Emulator
 	// Transport carries every forwarded request, to the local app and to
-	// peer sidecars; nil uses a pooled http.Transport. Tests substitute
-	// it.
-	Transport http.RoundTripper //slate:nolint testonly -- transport seam: TestPassAllocations counts a pass's allocations over a canned transport
+	// peer sidecars; nil uses an Upstream of the proxy's own.
+	Transport http.RoundTripper
 	// RNG is the stream for routing picks and span IDs, typically
 	// derived from the scenario seed (sim.NewRNG(seed).DeriveNamed(...))
 	// so every sidecar draws an independent, reproducible stream. Nil
@@ -165,7 +164,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	tr := cfg.Transport
 	if tr == nil {
-		tr = &http.Transport{MaxIdleConnsPerHost: 64}
+		tr = &Upstream{}
 	}
 	rng := cfg.RNG
 	if rng == nil {

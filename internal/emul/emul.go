@@ -94,6 +94,10 @@ type Mesh struct {
 	stopCtrl chan struct{}
 	wg       sync.WaitGroup
 
+	// upstreams are the sidecars' and apps' transports, one each; Close
+	// closes their idle connections.
+	upstreams []*dataplane.Upstream
+
 	mu     sync.Mutex
 	closed bool
 }
@@ -213,7 +217,9 @@ func Start(opts Options) (*Mesh, error) {
 				continue
 			}
 			id := poolID{sid, cl}
-			app := newAppServer(opts.App, sid, cl, pool.Servers(), opts.TimeScale, m.registry)
+			appRT, proxyRT := &dataplane.Upstream{}, &dataplane.Upstream{}
+			m.upstreams = append(m.upstreams, appRT, proxyRT)
+			app := newAppServer(opts.App, sid, cl, pool.Servers(), opts.TimeScale, m.registry, appRT)
 			appURL, err := m.serve(app)
 			if err != nil {
 				m.Close()
@@ -225,6 +231,7 @@ func Start(opts Options) (*Mesh, error) {
 				LocalApp:   appURL,
 				Resolver:   m.registry,
 				Netem:      m.nem,
+				Transport:  proxyRT,
 				RNG:        rng.DeriveNamed(string(sid) + "@" + string(cl)),
 				Fallback:   opts.Top.Nearest(cl),
 				StaleAfter: opts.StaleAfter,
@@ -461,6 +468,9 @@ func (m *Mesh) Close() {
 		s.Shutdown(ctx)
 	}
 	m.wg.Wait()
+	for _, u := range m.upstreams {
+		u.CloseIdleConnections()
+	}
 }
 
 // appServer emulates one service's application instances: it performs
@@ -477,7 +487,7 @@ type appServer struct {
 	reg     *registry
 	sidecar string // set after the sidecar starts
 	slots   chan struct{}
-	rt      *http.Transport
+	rt      *dataplane.Upstream
 
 	// nodes maps an endpoint to the first call node (in class order) it
 	// executes.
@@ -488,7 +498,7 @@ type appServer struct {
 
 type endpoint struct{ method, path string }
 
-func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.ClusterID, servers int, scale float64, reg *registry) *appServer {
+func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.ClusterID, servers int, scale float64, reg *registry, rt *dataplane.Upstream) *appServer {
 	s := &appServer{
 		app:     app,
 		service: sid,
@@ -496,7 +506,7 @@ func newAppServer(app *appgraph.App, sid appgraph.ServiceID, cl topology.Cluster
 		scale:   scale,
 		reg:     reg,
 		slots:   make(chan struct{}, servers),
-		rt:      &http.Transport{MaxIdleConnsPerHost: 64},
+		rt:      rt,
 		nodes:   map[endpoint]*appgraph.CallNode{},
 		mReqs: obs.Default().CounterVec("slate_app_requests_total",
 			"Requests executed by emulated application instances.",
