@@ -98,7 +98,7 @@ func BenchmarkFigure(b *testing.B) {
 // reaction", paper §5). The cold sub-benchmark rebuilds and solves the
 // LP from scratch every iteration (the stateless Problem path); warm is
 // the steady-state control loop — a cached formulation re-solved from
-// the previous tick's basis via the stateful Optimizer.
+// the previous tick's basis by the controller's ShardedOptimizer.
 func BenchmarkOptimizerSolve(b *testing.B) {
 	top := slate.GCPTopology()
 	app := slate.LinearChain(slate.ChainOptions{
@@ -122,22 +122,37 @@ func BenchmarkOptimizerSolve(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		opt := slate.NewOptimizer(top, app, slate.OptimizerConfig{})
-		if _, err := opt.Optimize(demand, profs, 1); err != nil {
+		benchWarmSolves(b, core.NewShardedOptimizer(top, app, slate.OptimizerConfig{}, 0), demand, profs)
+	})
+}
+
+// benchWarmSolves re-solves opt once per iteration, warm from the last
+// iteration's basis. The demand alternates between the given vector and
+// one with its first cluster's rate 2 % higher: at one fixed demand the
+// fingerprint skip would serve every iteration after the first without
+// a solve.
+func benchWarmSolves(b *testing.B, opt *core.ShardedOptimizer, demand slate.Demand, profs slate.Profiles) {
+	demands := [2]slate.Demand{demand, {}}
+	for class, per := range demand {
+		demands[1][class] = map[slate.ClusterID]float64{}
+		for c, d := range per {
+			demands[1][class][c] = d
+		}
+	}
+	demands[1]["default"][slate.OR] *= 1.02
+	if _, err := opt.Optimize(demands[0], profs, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.Optimize(demands[(i+1)%2], profs, uint64(i+2)); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Optimize(demand, profs, uint64(i+2)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := opt.Stats()
-		if st.WarmSolves < uint64(b.N) {
-			b.Fatalf("warm solves = %d of %d iterations", st.WarmSolves, b.N)
-		}
-	})
+	}
+	b.StopTimer()
+	if st := opt.Stats(); st.WarmSolves < uint64(b.N) {
+		b.Fatalf("warm solves = %d of %d iterations", st.WarmSolves, b.N)
+	}
 }
 
 // BenchmarkRobustSolve measures the robust (Bertsimas–Sim budgeted
@@ -170,21 +185,7 @@ func BenchmarkRobustSolve(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		opt := slate.NewOptimizer(top, app, cfg)
-		if _, err := opt.Optimize(demand, profs, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Optimize(demand, profs, uint64(i+2)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := opt.Stats()
-		if st.WarmSolves < uint64(b.N) {
-			b.Fatalf("warm solves = %d of %d iterations", st.WarmSolves, b.N)
-		}
+		benchWarmSolves(b, core.NewShardedOptimizer(top, app, cfg, 0), demand, profs)
 	})
 }
 
@@ -255,7 +256,7 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := lp.NewSolver().SolveWith(nil, build(), nil)
+		sol, err := lp.NewSolver().Solve(lp.NewWorkspace(), build(), nil)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("solve: %v %v", err, sol)
 		}

@@ -159,16 +159,16 @@ func EvaluateTable(p *Problem, table *routing.Table) (float64, error) { //slate:
 	if table == nil {
 		return 0, fmt.Errorf("core: nil table")
 	}
-	o := NewOptimizer(p.Top, p.App, p.Config)
-	if err := o.ensure(p.Demand, p.Profiles); err != nil {
-		return 0, err
-	}
-	x, err := o.f.assign(table, p.Demand)
+	f, err := buildFormulation(p.Top, p.App, p.Config.normalized(), p.Demand, p.Profiles)
 	if err != nil {
 		return 0, err
 	}
-	if err := o.f.model.CheckFeasible(x, 1e-6); err != nil {
+	x, err := f.assign(table, p.Demand)
+	if err != nil {
+		return 0, err
+	}
+	if err := f.model.CheckFeasible(x, 1e-6); err != nil {
 		return 0, fmt.Errorf("core: table infeasible: %w", err)
 	}
-	return o.f.model.EvalObjective(x), nil
+	return f.model.EvalObjective(x), nil
 }

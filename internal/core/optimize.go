@@ -129,7 +129,7 @@ type flowVar struct {
 // linkTerm remembers one flow variable's contribution to a pool's
 // loadlink constraint: the coefficient is the node's mean service time
 // over the pool's reference service time, and the latter may change when
-// profiles are refit, so Optimizer.update recomputes it per tick. class
+// profiles are refit, so formulation.update recomputes it per tick. class
 // attributes the flow for the robust per-class surge constraints.
 type linkTerm struct {
 	v     lp.Var
@@ -206,19 +206,45 @@ type formulation struct {
 	ruleNodes, ruleDests []int32
 }
 
-// Optimize builds and solves the routing LP from scratch and extracts
-// routing rules: the first (cold) solve of a fresh Optimizer. version is
-// stamped onto the produced table. A control loop re-solving every tick
-// should hold an Optimizer, which caches the formulation and warm-starts
-// the solver.
+// Optimize builds and solves the routing LP from scratch, as the first
+// solve of a one-shard ShardedOptimizer (which a control loop should hold
+// instead, to warm-start); version is stamped onto the produced table.
 func (p *Problem) Optimize(version uint64) (*Plan, error) {
-	return NewOptimizer(p.Top, p.App, p.Config).Optimize(p.Demand, p.Profiles, version)
+	if err := checkInputs(p.Top, p.App); err != nil {
+		return nil, err
+	}
+	return newShardedOptimizer(p.Top, p.App, p.Config, 0, false).Optimize(p.Demand, p.Profiles, version)
+}
+
+// checkInputs rejects a topology and app no LP can be built over.
+func checkInputs(top *topology.Topology, app *appgraph.App) error {
+	if top == nil || app == nil {
+		return fmt.Errorf("core: optimizer missing topology or app")
+	}
+	if err := app.Validate(top); err != nil {
+		return fmt.Errorf("core: invalid app: %w", err)
+	}
+	return nil
+}
+
+// demandErr rejects a negative, NaN or infinite demand entry.
+func demandErr(class string, c topology.ClusterID, d float64) error {
+	if d < 0 {
+		return fmt.Errorf("core: negative demand for class %q in %s", class, c)
+	}
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Errorf("core: non-finite demand %v for class %q in %s", d, class, c)
+	}
+	return nil
 }
 
 // buildFormulation constructs the routing LP. Demand and profiles seed
 // the mutable pieces (rhs, PWL costs, load scales); everything else is
 // structural.
 func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand, profiles Profiles) (*formulation, error) {
+	if err := checkInputs(top, app); err != nil {
+		return nil, err
+	}
 	f := &formulation{
 		top:      top,
 		app:      app,
@@ -286,8 +312,8 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		placed := f.flow[ni] // one variable per cluster holding the frontend
 		for i, ci := range clusters {
 			d := demand[nr.class.Name][ci]
-			if d < 0 {
-				return nil, fmt.Errorf("core: negative demand for class %q in %s", nr.class.Name, ci)
+			if err := demandErr(nr.class.Name, ci, d); err != nil {
+				return nil, err
 			}
 			if len(placed) == 0 || placed[0].i != i {
 				if d > 0 {

@@ -10,8 +10,8 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// Optimizer solves the routing LP for one app (or one shard's sub-app)
-// tick after tick: it caches the LP formulation across ticks (the model's
+// optimizer solves the routing LP of one ShardedOptimizer shard tick
+// after tick: it caches the LP formulation across ticks (the model's
 // structure depends only on topology, placement, and config) and
 // mutates demand right-hand sides, PWL segment costs, and load scales in
 // place, then warm-starts the simplex from the previous tick's optimal
@@ -19,16 +19,15 @@ import (
 // instead of a full two-phase solve over a freshly built model, and when
 // only demand and costs moved since the last solve the basis is not even
 // pivoted in: the solver resumes from the tableau it kept
-// (lp.Solver.SolveWith).
+// (lp.Solver.Solve).
 //
 // Not safe for concurrent use.
-type Optimizer struct {
+type optimizer struct {
 	top *topology.Topology
 	app *appgraph.App
 	cfg Config // normalized
-	// solver keeps the tableau of the last solve. A standalone Optimizer
-	// solves in the Solver's own Workspace, a ShardedOptimizer's shard in
-	// its worker's.
+	// solver keeps the tableau of the last solve; the working storage it
+	// solves in is that of the worker serving the shard.
 	solver *lp.Solver
 	f      *formulation
 	basis  []int
@@ -77,31 +76,10 @@ type OptimizerStats struct {
 	GapAbandoned uint64
 }
 
-// NewOptimizer returns an Optimizer for a fixed topology, app, and
-// config. Demand and profiles are supplied per call to Optimize.
-func NewOptimizer(top *topology.Topology, app *appgraph.App, cfg Config) *Optimizer {
-	return &Optimizer{top: top, app: app, cfg: cfg.normalized(), solver: lp.NewSolver()}
-}
-
-// Stats reports cumulative solve counters.
-func (o *Optimizer) Stats() OptimizerStats { return o.stats }
-
-// Optimize solves the routing problem for this tick's demand and
-// profiles, reusing the cached formulation and the previous optimal
-// basis when possible. version is stamped onto the produced table.
-func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
-	sol, err := o.solve(nil, demand, profiles)
-	if err != nil {
-		return nil, err
-	}
-	return o.f.extract(sol, demand, version), nil
-}
-
 // solve brings the formulation up to this tick and solves it in the
-// given working storage, nil for the Solver's own (a ShardedOptimizer's
-// shards solve in their worker's). It returns an optimal solution, which
-// o.f.extract turns into the plan.
-func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) (*lp.Solution, error) {
+// given working storage, the worker's serving the shard. It returns an
+// optimal solution, which o.f.extract turns into the plan.
+func (o *optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) (*lp.Solution, error) {
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err
 	}
@@ -114,7 +92,7 @@ func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) 
 		o.basis = o.restored
 	}
 	o.restored = nil
-	sol, err := o.solver.SolveWith(work, o.f.model, o.basis)
+	sol, err := o.solver.Solve(work, o.f.model, o.basis)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving routing LP: %w", err)
 	}
@@ -146,7 +124,7 @@ func (o *Optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) 
 // segment count moved). After ensure, o.f.model is exactly the LP the
 // simplex would solve — which is what lets the race score an external
 // table against it.
-func (o *Optimizer) ensure(demand Demand, profiles Profiles) error {
+func (o *optimizer) ensure(demand Demand, profiles Profiles) error {
 	if o.f == nil {
 		return o.build(demand, profiles)
 	}
@@ -159,13 +137,7 @@ func (o *Optimizer) ensure(demand Demand, profiles Profiles) error {
 	return nil
 }
 
-func (o *Optimizer) build(demand Demand, profiles Profiles) error {
-	if o.top == nil || o.app == nil {
-		return fmt.Errorf("core: optimizer missing topology or app")
-	}
-	if err := o.app.Validate(o.top); err != nil {
-		return fmt.Errorf("core: invalid app: %w", err)
-	}
+func (o *optimizer) build(demand Demand, profiles Profiles) error {
 	f, err := buildFormulation(o.top, o.app, o.cfg, demand, profiles)
 	if err != nil {
 		return err
@@ -188,10 +160,7 @@ var errStructureChanged = errors.New("core: formulation structure changed")
 // linearized once per profile value, not once per tick.
 func (f *formulation) update(demand Demand, profiles Profiles) error {
 	for _, dr := range f.demands {
-		d := demand[dr.class][dr.ci]
-		if d < 0 {
-			return fmt.Errorf("core: negative demand for class %q in %s", dr.class, dr.ci)
-		}
+		d := demand[dr.class][dr.ci] // ShardedOptimizer.checkDemand has passed it
 		if dr.con < 0 {
 			if d > 0 {
 				return fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",

@@ -42,13 +42,13 @@ func gcpDemand(or, ut, iow, sc float64) Demand {
 }
 
 // TestOptimizerMatchesStatelessAcrossDemandDrift is the SLATE-problem
-// differential test: a cached, warm-started Optimizer must track the
-// stateless Problem.Optimize through a random demand walk.
+// differential test: a warm-started one-shard ShardedOptimizer must
+// track the stateless Problem.Optimize through a random demand walk.
 func TestOptimizerMatchesStatelessAcrossDemandDrift(t *testing.T) {
 	top, app := gcpScenario()
 	demand := gcpDemand(1000, 100, 1000, 100)
 	profs := DefaultProfiles(app, top, demand)
-	opt := NewOptimizer(top, app, Config{})
+	opt := newShardedOptimizer(top, app, Config{}, 0, false)
 
 	rng := rand.New(rand.NewSource(5))
 	for tick := 0; tick < 40; tick++ {
@@ -120,7 +120,7 @@ func TestDualRepairMatchesStatelessAcrossDemandSwings(t *testing.T) {
 	top, app := gcpScenario()
 	base := gcpDemand(1000, 100, 1000, 100)
 	profs := DefaultProfiles(app, top, base)
-	opt := NewOptimizer(top, app, Config{})
+	opt := newShardedOptimizer(top, app, Config{}, 0, false)
 	ids := top.ClusterIDs()
 	for tick := 0; tick < 12; tick++ {
 		demand := Demand{"default": {}}
@@ -163,7 +163,7 @@ func TestOptimizerTracksProfileRefit(t *testing.T) {
 	top, app := gcpScenario()
 	demand := gcpDemand(900, 200, 800, 150)
 	profs := DefaultProfiles(app, top, demand)
-	opt := NewOptimizer(top, app, Config{})
+	opt := newShardedOptimizer(top, app, Config{}, 0, false)
 
 	if _, err := opt.Optimize(demand, profs, 1); err != nil {
 		t.Fatalf("initial: %v", err)
@@ -211,13 +211,14 @@ func TestOptimizerTracksProfileRefit(t *testing.T) {
 
 // TestOptimizerInfeasibleThenRecovers drives demand beyond capacity (the
 // cached basis cannot stay feasible) and back, checking the optimizer
-// reports infeasibility exactly like the stateless path and then
-// recovers with a cold re-solve.
+// reports infeasibility and then recovers with a re-solve. The recovery
+// tick's demand is a hair off the first tick's, so the shard is dirty
+// rather than served the plan it last solved.
 func TestOptimizerInfeasibleThenRecovers(t *testing.T) {
 	top, app := gcpScenario()
 	demand := gcpDemand(1000, 100, 1000, 100)
 	profs := DefaultProfiles(app, top, demand)
-	opt := NewOptimizer(top, app, Config{})
+	opt := newShardedOptimizer(top, app, Config{}, 0, false)
 
 	if _, err := opt.Optimize(demand, profs, 1); err != nil {
 		t.Fatalf("initial: %v", err)
@@ -226,12 +227,15 @@ func TestOptimizerInfeasibleThenRecovers(t *testing.T) {
 	if _, err := opt.Optimize(over, profs, 2); err == nil {
 		t.Fatal("expected infeasibility at 10M RPS per cluster")
 	}
-	plan, err := opt.Optimize(demand, profs, 3)
+	plan, err := opt.Optimize(gcpDemand(1001, 100, 1000, 100), profs, 3)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	if plan.Table == nil || plan.Table.Version != 3 {
 		t.Fatalf("recovery plan table %+v", plan.Table)
+	}
+	if st := opt.Stats(); st.SubSolves != 2 {
+		t.Fatalf("%d shard solves committed, want 2: the first tick and the recovery", st.SubSolves)
 	}
 }
 

@@ -150,8 +150,8 @@ func TestRobustEvaluateTableMatchesPlan(t *testing.T) {
 	}
 }
 
-// TestRobustWarmUpdateMatchesRebuild drives the cached Optimizer
-// through demand drift and a profile refit (changed reference service
+// TestRobustWarmUpdateMatchesRebuild drives a one-shard
+// ShardedOptimizer through demand drift and a profile refit (changed reference service
 // times rewrite the robust surge rows in place) and checks it tracks a
 // from-scratch build of the robust LP.
 func TestRobustWarmUpdateMatchesRebuild(t *testing.T) {
@@ -163,7 +163,7 @@ func TestRobustWarmUpdateMatchesRebuild(t *testing.T) {
 		"H": {topology.West: 150, topology.East: 40},
 	}
 	profs := DefaultProfiles(app, top, demand)
-	opt := NewOptimizer(top, app, cfg)
+	opt := newShardedOptimizer(top, app, cfg, 0, false)
 	if _, err := opt.Optimize(demand, profs, 1); err != nil {
 		t.Fatalf("initial robust solve: %v", err)
 	}

@@ -22,7 +22,7 @@ import (
 // the routing problem into independent subproblems — one per connected
 // component of the (call-graph × traffic class) coupling graph, or a
 // single one holding the whole app when decomposition is off — and
-// solves each with its own warm-started Optimizer. Two classes couple
+// solves each with its own warm-started optimizer. Two classes couple
 // iff their call trees share a service at a non-root position: root
 // nodes are pinned to the arrival cluster (x[root][i][i] = demand, a
 // constant), so constant root load on the shared frontend only shifts
@@ -50,7 +50,7 @@ type ShardedOptimizer struct {
 	// work is the simplex working storage the dirty shards solve in, one
 	// per worker, grown to min(GOMAXPROCS, dirty shards) and kept across
 	// ticks: at 48 clusters it is some 1.5 MB, mostly the wide rows' dense
-	// storage, and 24 of them would be 36 MB. A shard's Optimizer owns
+	// storage, and 24 of them would be 36 MB. A shard's optimizer owns
 	// none; its Solver keeps only the packed rows of its last optimal
 	// tableau, ≈ 0.1 MB, to resume from when only demand and costs moved.
 	work   []*lp.Workspace
@@ -95,7 +95,7 @@ type poolProbe struct {
 type shard struct {
 	classes []*appgraph.Class
 	app     *appgraph.App
-	opt     *Optimizer
+	opt     *optimizer
 	search  *search.Optimizer // lazily built when the race is armed
 	fp      []float64         // inputs of the last successful solve
 	plan    *Plan             // result of the last successful solve
@@ -110,7 +110,7 @@ type shard struct {
 	next    *Plan
 	race    raceOutcome
 	err     error
-	before  Optimizer
+	before  optimizer
 }
 
 // DefaultSkipEpsilon is the relative input-change threshold below which
@@ -187,8 +187,8 @@ func (s *ShardedOptimizer) partition(decompose bool) {
 		}
 	}
 	if !decompose || len(s.app.Classes) <= 1 {
-		// One shard over the untouched app (not a rebuilt sub-app), so the
-		// formulation is exactly the LP Problem.Optimize builds.
+		// One shard over the untouched app, not a rebuilt sub-app: the
+		// shape Problem.Optimize solves.
 		s.shards = []*shard{{
 			classes: s.app.Classes,
 			app:     s.app,
@@ -251,17 +251,17 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 	return &shard{classes: classes, app: sub, opt: s.newOptimizer(sub)}
 }
 
-// newOptimizer returns a shard's Optimizer. Its Solver keeps the shard's
+// newOptimizer returns a shard's optimizer. Its Solver keeps the shard's
 // tableau; the working storage it solves in is its worker's.
-func (s *ShardedOptimizer) newOptimizer(app *appgraph.App) *Optimizer {
-	return &Optimizer{top: s.top, app: app, cfg: s.cfg, solver: lp.NewSolver()}
+func (s *ShardedOptimizer) newOptimizer(app *appgraph.App) *optimizer {
+	return &optimizer{top: s.top, app: app, cfg: s.cfg, solver: lp.NewSolver()}
 }
 
 // Stats reports cumulative solve counters, aggregated over shards.
 func (s *ShardedOptimizer) Stats() OptimizerStats {
 	out := s.stats
 	for _, sh := range s.shards {
-		st := sh.opt.Stats()
+		st := sh.opt.stats
 		out.Builds += st.Builds
 		out.WarmSolves += st.WarmSolves
 		out.KeptSolves += st.KeptSolves
@@ -282,6 +282,9 @@ func (s *ShardedOptimizer) Stats() OptimizerStats {
 // every shard after the failing one drops (the serial loop too): a
 // discarded solve has moved it on.
 func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
+	if err := s.checkDemand(demand); err != nil {
+		return nil, err
+	}
 	s.refreshProbes(profiles)
 	if len(s.shards) > 1 {
 		if err := s.checkFrontendCapacity(demand); err != nil {
@@ -364,6 +367,21 @@ func (s *ShardedOptimizer) eachDirty(serve func(*shard, *lp.Workspace)) {
 	}
 	work(s.work[0])
 	wg.Wait()
+}
+
+// checkDemand rejects a demand entry the LP cannot take before any
+// shard state moves: +Inf would read as clean in fingerprintsEqual
+// (Inf > Inf is false), and the shard would re-stamp its old plan.
+func (s *ShardedOptimizer) checkDemand(demand Demand) error {
+	for _, cl := range s.app.Classes {
+		per := demand[cl.Name]
+		for _, c := range s.clusters {
+			if err := demandErr(cl.Name, c, per[c]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // refreshProbes brings the pools' cached numbers up to date with this

@@ -281,7 +281,7 @@ func TestShardedAggregateInfeasibility(t *testing.T) {
 
 	d := starDemand(app, 150, 0) // 450 aggregate on west's frontend
 
-	mono := NewOptimizer(top, app, Config{})
+	mono := newShardedOptimizer(top, app, Config{}, 0, false)
 	_, monoErr := mono.Optimize(d, profs, 1)
 	if monoErr == nil || !strings.Contains(monoErr.Error(), "infeasible") {
 		t.Fatalf("monolithic error = %v, want infeasible", monoErr)
@@ -294,7 +294,7 @@ func TestShardedAggregateInfeasibility(t *testing.T) {
 
 	// One class alone is feasible for both.
 	small := Demand{"ca": {topology.West: 150}}
-	if _, err := NewOptimizer(top, app, Config{}).Optimize(small, profs, 1); err != nil {
+	if _, err := newShardedOptimizer(top, app, Config{}, 0, false).Optimize(small, profs, 1); err != nil {
 		t.Fatalf("single class monolithic: %v", err)
 	}
 	if _, err := NewShardedOptimizer(top, app, Config{}, 0).Optimize(small, profs, 1); err != nil {

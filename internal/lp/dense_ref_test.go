@@ -53,7 +53,7 @@ func (s *denseSolver) Solve(m *Model) (*Solution, error) {
 }
 
 // SolveFrom minimizes the model starting from a previously optimal
-// basis (as recorded in Solution.Basis), as Solver.SolveWith does: from
+// basis (as recorded in Solution.Basis), as Solver.Solve does: from
 // the kept tableau when it applies, else from an installed basis —
 // phase 2 from a basis the right-hand side left feasible, dual simplex
 // pivots first from one it did not — and a cold solve when neither works

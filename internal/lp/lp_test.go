@@ -6,8 +6,21 @@ import (
 	"testing"
 )
 
-// solve minimizes m from a cold start in a fresh Solver.
-func solve(m *Model) (*Solution, error) { return NewSolver().SolveWith(nil, m, nil) }
+// solver is a Solver with a Workspace of its own, kept across its solves
+// as a worker's is across the models it serves. Every test solves
+// through it.
+type solver struct {
+	*Solver
+	w *Workspace
+}
+
+func newSolver() solver { return solver{NewSolver(), NewWorkspace()} }
+
+// solve minimizes m from basis (nil for a cold start) in s's Workspace.
+func (s solver) solve(m *Model, basis []int) (*Solution, error) { return s.Solve(s.w, m, basis) }
+
+// solve minimizes m from a cold start in a fresh solver.
+func solve(m *Model) (*Solution, error) { return newSolver().solve(m, nil) }
 
 func solveOK(t *testing.T, m *Model) *Solution {
 	t.Helper()

@@ -14,7 +14,7 @@
 // it with dual simplex pivots when demand left it infeasible, and keeps
 // the tableau of its last optimal solve: when only right-hand sides and
 // costs moved since, the next solve resumes from it instead of pivoting
-// the basis in again (see Solver.SolveWith). The storage a solve works in is a
+// the basis in again (see Solver.Solve). The storage a solve works in is a
 // Workspace, which a worker serving many models' Solvers holds once.
 package lp
 
@@ -190,12 +190,12 @@ type Solution struct {
 	X []float64
 	// Basis is the optimal simplex basis (one tableau column per
 	// constraint row, in solver-internal numbering). Hand it to
-	// Solver.SolveWith to warm-start a nearby problem — typically the
+	// Solver.Solve to warm-start a nearby problem — typically the
 	// next control tick, after demand drifted. Only valid when
 	// Status == Optimal.
 	Basis []int
 	// Warm reports whether this solve installed a warm-started basis and
-	// skipped phase 1 (see Solver.SolveWith).
+	// skipped phase 1 (see Solver.Solve).
 	Warm bool
 	// DualPivots counts the dual simplex pivots that repaired a warm
 	// basis the right-hand side had left infeasible; 0 when the basis
@@ -203,7 +203,7 @@ type Solution struct {
 	DualPivots int
 	// Kept reports a warm solve that resumed from the tableau the Solver
 	// kept from its last solve of the model, instead of installing the
-	// basis (see Solver.SolveWith).
+	// basis (see Solver.Solve).
 	Kept bool
 }
 

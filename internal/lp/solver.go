@@ -12,13 +12,12 @@ import (
 // B. When the next solve of the same model starts from that basis and
 // the model changed since only in right-hand sides and costs, the solve
 // resumes from those rows instead of rebuilding the tableau and pivoting
-// the basis in (see SolveWith). Every buffer is kept, so a control loop
+// the basis in (see Solve). Every buffer is kept, so a control loop
 // re-solving every tick allocates nothing per solve but its Solution
 // once they have grown to the problem's size. A Solver may be reused
 // across models of different shapes but is not safe for concurrent use.
 type Solver struct {
-	t   tableau
-	own *Workspace // a nil-Workspace SolveWith's, made on first use
+	t tableau
 }
 
 // Workspace is the storage a solve works in beyond the packed rows and
@@ -78,7 +77,7 @@ func (s *Solver) Forget() { s.t.kept = nil }
 // install when the check fails.
 const keptTol = 1e-9
 
-// SolveWith minimizes the model starting from a previously optimal
+// Solve minimizes the model starting from a previously optimal
 // basis (as recorded in Solution.Basis), working in w. Phase 1 is
 // skipped when the basis fits the model's shape. If the basis is still
 // primal feasible under the current right-hand side — the steady-state
@@ -98,20 +97,13 @@ const keptTol = 1e-9
 // away. Otherwise the model's tableau is built afresh
 // and the basis pivoted in. Either way, when the basis cannot be
 // finished — it does not install, an objective that moved left it
-// beyond repair, no basis satisfies the right-hand side — SolveWith
+// beyond repair, no basis satisfies the right-hand side — Solve
 // transparently falls back to a cold solve; the only error callers see
 // beyond a cold solve's is ErrIterLimit, and only when both the warm and
 // cold paths exceed the pivot budget.
 //
-// A nil or empty basis is an explicit cold start. A nil w is the
-// Solver's own Workspace.
-func (s *Solver) SolveWith(w *Workspace, m *Model, basis []int) (*Solution, error) {
-	if w == nil {
-		if s.own == nil {
-			s.own = NewWorkspace()
-		}
-		w = s.own
-	}
+// A nil or empty basis is an explicit cold start. w is required.
+func (s *Solver) Solve(w *Workspace, m *Model, basis []int) (*Solution, error) {
 	t := &s.t
 	t.scratch = w.s
 	sol, err := t.solveFrom(m, basis)
@@ -121,7 +113,7 @@ func (s *Solver) SolveWith(w *Workspace, m *Model, basis []int) (*Solution, erro
 	return sol, err
 }
 
-// solveFrom is SolveWith in the attached scratch.
+// solveFrom is Solve in the attached scratch.
 func (t *tableau) solveFrom(m *Model, basis []int) (*Solution, error) {
 	if len(basis) == 0 {
 		return t.cold(m)

@@ -86,7 +86,7 @@ func sameSolution(t *testing.T, trial int, warm, cold *Solution) {
 // perturbed problem.
 func TestWarmMatchesColdRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	warmSolver := NewSolver()
+	warmSolver := newSolver()
 	for trial := 0; trial < 200; trial++ {
 		m := randomFeasibleLP(rng)
 		base, err := solve(m)
@@ -103,7 +103,7 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 			scale = 5
 		}
 		perturbRHS(t, m, rng, scale)
-		warm, err := warmSolver.SolveWith(nil, m, base.Basis)
+		warm, err := warmSolver.solve(m, base.Basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
@@ -121,12 +121,12 @@ func TestWarmSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
 		m := randomFeasibleLP(rng)
-		s := NewSolver()
-		base, err := s.SolveWith(nil, m, nil)
+		s := newSolver()
+		base, err := s.solve(m, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		warm, err := s.SolveWith(nil, m, base.Basis)
+		warm, err := s.solve(m, base.Basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -149,10 +149,10 @@ func TestSolverReuseNoLeak(t *testing.T) {
 		}
 		want[i] = sol
 	}
-	shared := NewSolver()
+	shared := newSolver()
 	for pass := 0; pass < 3; pass++ {
 		for i, m := range models {
-			got, err := shared.SolveWith(nil, m, nil)
+			got, err := shared.solve(m, nil)
 			if err != nil {
 				t.Fatalf("pass %d model %d: %v", pass, i, err)
 			}
@@ -169,7 +169,7 @@ func TestSolverReuseNoLeak(t *testing.T) {
 	}
 }
 
-// TestSolveFromDegenerateBases feeds SolveWith bases that cannot be
+// TestSolveFromDegenerateBases feeds Solve bases that cannot be
 // installed — nil, wrong length, duplicates, out-of-range columns — and
 // expects a silent, correct cold fallback.
 func TestSolveFromDegenerateBases(t *testing.T) {
@@ -188,7 +188,7 @@ func TestSolveFromDegenerateBases(t *testing.T) {
 		{1 << 20, 1, 2, 3},
 	}
 	for i, basis := range bad {
-		got, err := NewSolver().SolveWith(nil, m, basis)
+		got, err := newSolver().solve(m, basis)
 		if err != nil {
 			t.Fatalf("basis %d: %v", i, err)
 		}
@@ -230,7 +230,7 @@ func TestWarmAfterIterLimitFallsBack(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(43))
 	m := randomFeasibleLP(rng)
-	_, err := NewSolver().SolveWith(nil, m, []int{0})
+	_, err := newSolver().solve(m, []int{0})
 	if err != nil && !errors.Is(err, ErrIterLimit) {
 		t.Fatalf("error %v is not ErrIterLimit", err)
 	}

@@ -15,7 +15,7 @@ import (
 // Solutions (or the same error).
 type twin struct {
 	t        *testing.T
-	sparse   *Solver
+	sparse   solver
 	dense    *denseSolver
 	pivots   int // pivots compared so far
 	warm     int // solves that installed their basis and needed no repair
@@ -26,7 +26,7 @@ type twin struct {
 }
 
 func newTwin(t *testing.T) *twin {
-	return &twin{t: t, sparse: NewSolver(), dense: newDenseSolver()}
+	return &twin{t: t, sparse: newSolver(), dense: newDenseSolver()}
 }
 
 // forget drops both solvers' kept tableaux, as a solve of another model
@@ -47,7 +47,7 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 		}
 	}
 	w.dense.trace = func(row, col int) { want = append(want, [2]int{row, col}) }
-	sol, err := w.sparse.SolveWith(nil, m, basis)
+	sol, err := w.sparse.solve(m, basis)
 	ref, refErr := w.dense.SolveFrom(m, basis)
 	if !slices.Equal(got, want) {
 		n := 0
@@ -270,7 +270,7 @@ func sparseMatchesDense(t *testing.T) {
 			sol := w.solveFrom(fmt.Sprintf("trial %d cold", trial), m, nil)
 			for step := 0; step < 6; step++ {
 				// Small drift keeps the basis feasible; large drift leaves it
-				// infeasible, and SolveWith repairs it with dual pivots or,
+				// infeasible, and Solve repairs it with dual pivots or,
 				// when no vertex satisfies the new rhs, falls back to a cold
 				// start. Every other step starts from an install, the rest
 				// from the kept tableau.
@@ -535,7 +535,7 @@ func sparseMatchesDense(t *testing.T) {
 			restore()
 		}
 		restore := SetIterBudgetScale(0)
-		if _, err := w.sparse.SolveWith(nil, randomRoutingLP(rng).m, nil); !errors.Is(err, ErrIterLimit) {
+		if _, err := w.sparse.solve(randomRoutingLP(rng).m, nil); !errors.Is(err, ErrIterLimit) {
 			t.Fatalf("zero budget: error %v, want ErrIterLimit", err)
 		}
 		restore()
@@ -679,8 +679,9 @@ func TestWorkspaceLetsGoOfInstallStorage(t *testing.T) {
 	defer func(old int) { wideFrac = old }(wideFrac)
 	wideFrac = math.MaxInt
 	r := randomRoutingLP(rand.New(rand.NewSource(89)))
-	s, w := NewSolver(), NewWorkspace()
-	sol, err := s.SolveWith(w, r.m, nil)
+	s := newSolver()
+	w := s.w
+	sol, err := s.solve(r.m, nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("cold solve: %v, %+v", err, sol)
 	}
@@ -707,7 +708,7 @@ func TestWorkspaceLetsGoOfInstallStorage(t *testing.T) {
 		if install {
 			s.Forget()
 		}
-		if sol, err = s.SolveWith(w, r.m, sol.Basis); err != nil || !sol.Warm || sol.Kept == install {
+		if sol, err = s.solve(r.m, sol.Basis); err != nil || !sol.Warm || sol.Kept == install {
 			t.Fatalf("run %d: %v, %+v; want install %v", run, err, sol, install)
 		}
 		grown = max(grown, cap(w.s.flat))
@@ -758,8 +759,8 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(c.seed))
 			r := randomRoutingLP(rng)
-			s := NewSolver()
-			base, err := s.SolveWith(nil, r.m, nil)
+			s := newSolver()
+			base, err := s.solve(r.m, nil)
 			if err != nil || base.Status != Optimal {
 				t.Fatalf("base solve: %v, %+v", err, base)
 			}
@@ -795,7 +796,7 @@ func TestWarmSolveAllocatesOnlySolution(t *testing.T) {
 				if forget || run == 1 {
 					installed++
 				}
-				sol, err := s.SolveWith(nil, r.m, basis)
+				sol, err := s.solve(r.m, basis)
 				if err != nil || sol.Status != Optimal {
 					t.Fatalf("warm solve: %v, %+v", err, sol)
 				}

@@ -76,12 +76,12 @@ func (p *primedPolicy) Tick(stats []telemetry.WindowStats, window time.Duration)
 // robust and predictive controllers are regret-scored against.
 // Requires Scenario.ControlPeriod > 0.
 func Clairvoyant(scn *Scenario, cfg core.Config) Policy {
-	return &clairvoyantPolicy{scn: scn, opt: core.NewOptimizer(scn.Top, scn.App, cfg)}
+	return &clairvoyantPolicy{scn: scn, opt: core.NewShardedOptimizer(scn.Top, scn.App, cfg, 0)}
 }
 
 type clairvoyantPolicy struct {
 	scn     *Scenario
-	opt     *core.Optimizer
+	opt     *core.ShardedOptimizer
 	elapsed time.Duration
 	version uint64
 	cur     *routing.Table

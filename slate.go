@@ -160,9 +160,6 @@ type (
 	Controller = core.Controller
 	// ControllerConfig tunes the control loop.
 	ControllerConfig = core.ControllerConfig
-	// Optimizer is the stateful fast path: it caches the LP formulation
-	// and warm-starts each solve from the previous tick's basis.
-	Optimizer = core.Optimizer
 	// OptimizerStats counts formulation builds and warm vs cold solves.
 	OptimizerStats = core.OptimizerStats
 )
@@ -173,10 +170,6 @@ var DefaultProfiles = core.DefaultProfiles
 
 // NewController builds an adaptive global controller.
 var NewController = core.NewController
-
-// NewOptimizer builds a stateful optimizer for one fixed topology,
-// application, and config (see core.Optimizer).
-var NewOptimizer = core.NewOptimizer
 
 // Routing rules.
 type (
