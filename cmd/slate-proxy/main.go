@@ -29,6 +29,7 @@ import (
 	"os/signal"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -80,7 +81,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *ccURL != "" {
-		agent, err := dataplane.NewAgent(proxy, *ccURL, dataplane.AgentOptions{
+		agent, err := controlplane.NewAgent(proxy, *ccURL, controlplane.AgentOptions{
 			Period:            *period,
 			MaxRetries:        *retries,
 			BackoffBase:       *backoff,

@@ -1,50 +1,19 @@
-package dataplane
+package controlplane
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
-)
-
-// HeaderSource identifies the pushing proxy ("service@cluster") on
-// telemetry uploads, so the cluster controller can track which proxies
-// have gone silent and exclude their stale windows from the global
-// snapshot.
-const HeaderSource = "X-Slate-Source"
-
-// Replicated-control-plane wire headers. They live in this package —
-// the bottom of the control-plane import graph — because both the
-// cluster controller (which enforces them) and the Agent (which
-// observes them) need the names.
-const (
-	// HeaderLeaderEpoch carries the publishing leader's lease epoch on
-	// rule pushes (requests) and the accepting controller's fenced epoch
-	// on rule reads (responses). A push whose epoch is below the fenced
-	// one is rejected: the sender was deposed.
-	HeaderLeaderEpoch = "X-Slate-Leader-Epoch"
-	// HeaderLeader carries the publishing leader's identity (its
-	// advertised URL) on rule pushes.
-	HeaderLeader = "X-Slate-Leader"
-	// HeaderReject distinguishes 409 rejections: RejectStaleLeader and
-	// RejectCAS mean "step down", a bare 409 means "version gap, resync".
-	HeaderReject = "X-Slate-Reject"
-	// RejectStaleLeader marks a push refused because its lease epoch is
-	// below the fenced one.
-	RejectStaleLeader = "stale-leader"
-	// RejectCAS marks a push refused because it would replace the table
-	// with an older version.
-	RejectCAS = "cas"
 )
 
 // AgentOptions tunes the Agent's fault tolerance. The zero value gets
@@ -96,13 +65,12 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	return o
 }
 
-// Agent connects a standalone (out-of-process) Proxy to its cluster
-// controller: it pushes the proxy's telemetry windows upstream
+// Agent connects a standalone (out-of-process) dataplane.Proxy to its
+// cluster controller: it pushes the proxy's telemetry windows upstream
 // (POST /v1/metrics) and polls for routing-table updates
 // (GET /v1/rules). In-process deployments skip the Agent and use
-// controlplane.Cluster.AddProxy instead; the Agent is what
-// cmd/slate-proxy runs so a SLATE deployment can span real processes
-// and hosts.
+// Cluster.AddProxy instead; the Agent is what cmd/slate-proxy runs so
+// a SLATE deployment can span real processes and hosts.
 //
 // The Agent is hardened against a faulty control plane: each RPC is
 // retried with exponential backoff and seeded jitter, and a telemetry
@@ -110,10 +78,10 @@ func (o AgentOptions) withDefaults() AgentOptions {
 // next round's upload instead of being dropped (bounded by
 // MaxPendingWindows).
 type Agent struct {
-	proxy      *Proxy
+	proxy      *dataplane.Proxy
 	clusterURL string
 	opts       AgentOptions
-	client     *http.Client
+	rt         http.RoundTripper // a dataplane.Upstream of its own; tests swap it
 
 	// leaderEpoch is the control plane's fenced leader epoch as last
 	// reported on a rules response; failovers counts observed changes.
@@ -137,7 +105,7 @@ type Agent struct {
 
 // NewAgent wires a proxy to a cluster controller base URL. Zero
 // options take their documented defaults.
-func NewAgent(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
+func NewAgent(p *dataplane.Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
 	if p == nil || clusterURL == "" {
 		return nil, fmt.Errorf("dataplane: agent needs a proxy and a cluster controller URL")
 	}
@@ -148,7 +116,7 @@ func NewAgent(p *Proxy, clusterURL string, opts AgentOptions) (*Agent, error) {
 		proxy:      p,
 		clusterURL: clusterURL,
 		opts:       opts,
-		client:     &http.Client{Timeout: 10 * time.Second},
+		rt:         &dataplane.Upstream{},
 		sleep:      sleepCtx,
 		mRetries: reg.CounterVec("slate_agent_retries_total",
 			"Control-plane RPC retry attempts (beyond the first try).",
@@ -207,23 +175,12 @@ func (a *Agent) pushTelemetry(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	hdr := http.Header{
+		"Content-Type": {"application/json"},
+		headerSource:   {a.proxy.Service() + "@" + string(a.proxy.Cluster())},
+	}
 	err = a.withRetries(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.clusterURL+"/v1/metrics", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(HeaderSource, a.proxy.Service()+"@"+string(a.proxy.Cluster()))
-		resp, err := a.client.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
+		return rpc(ctx, a.rt, http.MethodPost, a.clusterURL+"/v1/metrics", hdr, body, nil)
 	})
 	if err != nil {
 		return fmt.Errorf("dataplane: agent push: %w", err)
@@ -303,26 +260,15 @@ func (a *Agent) getRules(ctx context.Context, query string) ([]byte, uint64, err
 	var body []byte
 	var epoch uint64
 	err := a.withRetries(ctx, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.clusterURL+"/v1/rules"+query, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := a.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		if h := resp.Header.Get(HeaderLeaderEpoch); h != "" {
-			if e, perr := strconv.ParseUint(h, 10, 64); perr == nil {
-				epoch = e
+		return rpc(ctx, a.rt, http.MethodGet, a.clusterURL+"/v1/rules"+query, nil, nil, func(resp *http.Response, b []byte) error {
+			if h := resp.Header.Get(headerLeaderEpoch); h != "" {
+				if e, perr := strconv.ParseUint(h, 10, 64); perr == nil {
+					epoch = e
+				}
 			}
-		}
-		body, err = io.ReadAll(resp.Body)
-		return err
+			body = append(body[:0], b...)
+			return nil
+		})
 	})
 	return body, epoch, err
 }

@@ -1,0 +1,551 @@
+package controlplane
+
+// Tests for the Agent, the sidecar's end of the cluster-controller
+// protocol: telemetry push and rule poll against a fake controller,
+// retry/backoff, telemetry re-queueing across failed pushes, and
+// leader-failover resync.
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/servicelayernetworking/slate/internal/dataplane"
+	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
+	"github.com/servicelayernetworking/slate/internal/topology"
+)
+
+// newAgentProxy starts a west "svc" sidecar, configured by cfg's
+// remaining fields, in front of an app that answers "ok".
+func newAgentProxy(t *testing.T, cfg dataplane.Config) (*dataplane.Proxy, *httptest.Server) {
+	t.Helper()
+	app := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}))
+	t.Cleanup(app.Close)
+	cfg.Service, cfg.Cluster, cfg.LocalApp, cfg.Seed = "svc", topology.West, app.URL, 1
+	cfg.Resolver = &memResolver{m: map[string]string{}}
+	p, err := dataplane.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p)
+	t.Cleanup(srv.Close)
+	return p, srv
+}
+
+// serveRules answers GET /v1/rules the way the cluster controller does:
+// the full table without a query, a routing.Patch for ?since=N — empty
+// when the poller is current, else a full patch (the shape a poller
+// outside the history window gets).
+func serveRules(w http.ResponseWriter, r *http.Request, table *routing.Table) {
+	w.Header().Set("Content-Type", "application/json")
+	since := r.URL.Query().Get("since")
+	if since == "" {
+		body, _ := table.MarshalJSON()
+		w.Write(body)
+		return
+	}
+	p := routing.FullPatch(table)
+	if since == strconv.FormatUint(table.Version, 10) {
+		p = routing.MakePatch(table, table)
+	}
+	body, _ := json.Marshal(p)
+	w.Write(body)
+}
+
+func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
+	// Fake cluster controller: records pushed metrics, serves a table.
+	var pushed int
+	table := routing.NewTable(9, map[routing.Key]routing.Distribution{
+		{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
+	})
+	cc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/metrics":
+			pushed++
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusAccepted)
+		case "/v1/rules":
+			serveRules(w, r, table)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer cc.Close()
+
+	p, srv := newAgentProxy(t, dataplane.Config{})
+
+	// Generate one request so there is telemetry to push.
+	resp, err := http.Get(srv.URL + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	agent, err := NewAgent(p, cc.URL, AgentOptions{Period: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if pushed != 1 {
+		t.Errorf("metrics pushes = %d, want 1", pushed)
+	}
+	if p.TableVersion() != 9 {
+		t.Errorf("table version = %d, want 9 (polled)", p.TableVersion())
+	}
+	// Second sync with no new telemetry: no push, same table (version
+	// unchanged -> empty patch, rules only marked fresh).
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if pushed != 1 {
+		t.Errorf("empty window should not push, pushes = %d", pushed)
+	}
+}
+
+func TestAgentSurvivesControllerOutage(t *testing.T) {
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	agent, err := NewAgent(p, "http://127.0.0.1:1", AgentOptions{Period: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Sync(t.Context()); err == nil {
+		t.Error("sync against dead controller should error")
+	}
+	// Run must not crash and must stop on cancel.
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
+	defer cancel()
+	done := make(chan struct{})
+	go func() { agent.Run(ctx); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not stop on cancel")
+	}
+}
+
+func TestAgentValidation(t *testing.T) {
+	if _, err := NewAgent(nil, "http://x", AgentOptions{Period: time.Second}); err == nil {
+		t.Error("nil proxy accepted")
+	}
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	if _, err := NewAgent(p, "", AgentOptions{Period: time.Second}); err == nil {
+		t.Error("empty URL accepted")
+	}
+}
+
+// TestAgentZeroOptionsTakeDefaults: the one constructor fills every
+// zero option with its documented default, and a negative MaxRetries
+// disables retries rather than meaning "default".
+func TestAgentZeroOptionsTakeDefaults(t *testing.T) {
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	agent, err := NewAgent(p, "http://x", AgentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := agent.opts
+	if o.Period != 5*time.Second || o.MaxRetries != 2 || o.BackoffBase != 100*time.Millisecond ||
+		o.MaxPendingWindows != 8 || o.RNG == nil {
+		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v pending=%d rng=%v",
+			o.Period, o.MaxRetries, o.BackoffBase, o.MaxPendingWindows, o.RNG != nil)
+	}
+	noRetry, err := NewAgent(p, "http://x", AgentOptions{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := noRetry.opts.MaxRetries; got != 0 {
+		t.Errorf("MaxRetries -1 resolved to %d, want 0 (no retries)", got)
+	}
+}
+
+// TestAgentLeaderFailoverResync: a change in the X-Slate-Leader-Epoch
+// header advertised by the cluster controller means the control plane
+// elected a new leader. The agent must count the failover and refetch
+// the FULL table rather than trust an incremental answer that may have
+// raced the leadership change.
+func TestAgentLeaderFailoverResync(t *testing.T) {
+	tableV5 := routing.NewTable(5, map[routing.Key]routing.Distribution{
+		{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.West),
+	})
+	tableV6 := routing.NewTable(6, map[routing.Key]routing.Distribution{
+		{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
+	})
+	var (
+		epoch       uint64 = 1
+		current            = tableV5
+		fullFetches int
+	)
+	cc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/metrics":
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusAccepted)
+		case "/v1/rules":
+			w.Header().Set("X-Slate-Leader-Epoch", strconv.FormatUint(epoch, 10))
+			if r.URL.Query().Get("since") == "" {
+				fullFetches++
+			}
+			serveRules(w, r, current)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer cc.Close()
+
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	agent, err := NewAgent(p, cc.URL, AgentOptions{Period: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// First poll: the agent learns the current epoch — joining an
+	// already-elected control plane is not a failover.
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if p.TableVersion() != 5 {
+		t.Fatalf("table version = %d, want 5", p.TableVersion())
+	}
+	if agent.leaderEpoch != 1 || agent.failovers != 0 {
+		t.Fatalf("epoch %d failovers %d, want 1 and 0",
+			agent.leaderEpoch, agent.failovers)
+	}
+
+	// Steady state under the same leader: no failover, no full fetch.
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if agent.failovers != 0 || fullFetches != 0 {
+		t.Fatalf("failovers %d fullFetches %d after steady poll, want 0 and 0",
+			agent.failovers, fullFetches)
+	}
+
+	// Leadership moves: epoch bumps and the new leader publishes v6. The
+	// next poll must resync in full and land on the new leader's table.
+	epoch = 2
+	current = tableV6
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if p.TableVersion() != 6 {
+		t.Fatalf("table version = %d, want 6 after failover resync", p.TableVersion())
+	}
+	if agent.failovers != 1 || agent.leaderEpoch != 2 {
+		t.Fatalf("failovers %d epoch %d, want 1 and 2",
+			agent.failovers, agent.leaderEpoch)
+	}
+	if fullFetches != 1 {
+		t.Fatalf("full fetches = %d, want exactly 1 (the failover resync)", fullFetches)
+	}
+}
+
+// noSleep replaces the agent's backoff sleep and records the waits.
+func noSleep(rec *[]time.Duration) func(context.Context, time.Duration) error {
+	return func(_ context.Context, d time.Duration) error {
+		*rec = append(*rec, d)
+		return nil
+	}
+}
+
+// ccServer is a scriptable fake cluster controller.
+type ccServer struct {
+	mu           sync.Mutex
+	metricsCalls int
+	failMetrics  int // fail this many /v1/metrics requests with 503
+	received     [][]telemetry.WindowStats
+	table        *routing.Table
+	srv          *httptest.Server
+}
+
+func newCCServer(t *testing.T, table *routing.Table) *ccServer {
+	t.Helper()
+	cc := &ccServer{table: table}
+	cc.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/metrics":
+			cc.mu.Lock()
+			cc.metricsCalls++
+			fail := cc.failMetrics > 0
+			if fail {
+				cc.failMetrics--
+			}
+			cc.mu.Unlock()
+			if fail {
+				io.Copy(io.Discard, r.Body)
+				http.Error(w, "injected", http.StatusServiceUnavailable)
+				return
+			}
+			var stats []telemetry.WindowStats
+			json.NewDecoder(r.Body).Decode(&stats)
+			cc.mu.Lock()
+			cc.received = append(cc.received, stats)
+			cc.mu.Unlock()
+			w.WriteHeader(http.StatusAccepted)
+		case "/v1/rules":
+			cc.mu.Lock()
+			tab := cc.table
+			cc.mu.Unlock()
+			serveRules(w, r, tab)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(cc.srv.Close)
+	return cc
+}
+
+func (cc *ccServer) calls() int {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.metricsCalls
+}
+
+func (cc *ccServer) lastReceived() []telemetry.WindowStats {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.received) == 0 {
+		return nil
+	}
+	return cc.received[len(cc.received)-1]
+}
+
+// generateTraffic sends one inbound request through the proxy so a
+// telemetry window exists.
+func generateTraffic(t *testing.T, srv *httptest.Server) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// TestAgentRequeuesFailedTelemetryWindow is the regression test for
+// the telemetry-loss bug: a failed POST /v1/metrics used to discard
+// the flushed window. The window must survive to the next round and
+// arrive merged into the next successful push.
+func TestAgentRequeuesFailedTelemetryWindow(t *testing.T) {
+	cc := newCCServer(t, routing.EmptyTable())
+	cc.failMetrics = 1
+
+	p, srv := newAgentProxy(t, dataplane.Config{})
+	generateTraffic(t, srv)
+
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Sync(t.Context()); err == nil {
+		t.Fatal("first sync should report the failed push")
+	}
+	if got := len(agent.pending); got != 1 {
+		t.Fatalf("pending windows after failed push = %d, want 1", got)
+	}
+
+	// Controller is healthy again; no new traffic arrived. The retained
+	// window must be delivered now.
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatalf("second sync: %v", err)
+	}
+	if got := len(agent.pending); got != 0 {
+		t.Errorf("pending windows after successful push = %d, want 0", got)
+	}
+	stats := cc.lastReceived()
+	var total uint64
+	for _, ws := range stats {
+		total += ws.Requests
+	}
+	if total != 1 {
+		t.Errorf("re-delivered window carries %d requests, want the 1 from the failed round (stats: %+v)", total, stats)
+	}
+}
+
+// TestAgentMergesBacklogAcrossOutage: several windows accumulated
+// during an outage arrive as one merged upload when the controller
+// returns.
+func TestAgentMergesBacklogAcrossOutage(t *testing.T) {
+	cc := newCCServer(t, routing.EmptyTable())
+	cc.failMetrics = 2
+
+	p, srv := newAgentProxy(t, dataplane.Config{})
+
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		generateTraffic(t, srv)
+		if err := agent.Sync(t.Context()); err == nil {
+			t.Fatalf("sync %d should fail during outage", round)
+		}
+	}
+	if got := len(agent.pending); got != 2 {
+		t.Fatalf("pending windows = %d, want 2", got)
+	}
+	generateTraffic(t, srv)
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatalf("post-outage sync: %v", err)
+	}
+	var total uint64
+	for _, ws := range cc.lastReceived() {
+		total += ws.Requests
+	}
+	if total != 3 {
+		t.Errorf("merged upload carries %d requests, want all 3 from the outage", total)
+	}
+	if agent.droppedWindows != 0 {
+		t.Errorf("dropped windows = %d, want 0", agent.droppedWindows)
+	}
+}
+
+// TestAgentPendingCapBoundsMemory: an unreachable controller cannot
+// grow the backlog without bound; the oldest windows are dropped and
+// counted.
+func TestAgentPendingCapBoundsMemory(t *testing.T) {
+	cc := newCCServer(t, routing.EmptyTable())
+	cc.failMetrics = 1 << 30
+
+	p, srv := newAgentProxy(t, dataplane.Config{})
+
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{
+		Period: time.Second, MaxRetries: -1, MaxPendingWindows: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		generateTraffic(t, srv)
+		agent.Sync(t.Context())
+	}
+	if got := len(agent.pending); got != 2 {
+		t.Errorf("pending windows = %d, want cap 2", got)
+	}
+	if got := agent.droppedWindows; got != 2 {
+		t.Errorf("dropped windows = %d, want 2", got)
+	}
+}
+
+// TestAgentRetriesWithSeededBackoff: transient failures are retried
+// within one sync round with exponential, jittered, reproducible
+// backoff.
+func TestAgentRetriesWithSeededBackoff(t *testing.T) {
+	run := func() (int, []time.Duration) {
+		cc := newCCServer(t, routing.EmptyTable())
+		cc.failMetrics = 2
+
+		p, srv := newAgentProxy(t, dataplane.Config{})
+		generateTraffic(t, srv)
+
+		agent, err := NewAgent(p, cc.srv.URL, AgentOptions{
+			Period: time.Second, MaxRetries: 2, Seed: 7,
+			BackoffBase: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var waits []time.Duration
+		agent.sleep = noSleep(&waits)
+		if err := agent.Sync(t.Context()); err != nil {
+			t.Fatalf("sync with retries: %v", err)
+		}
+		return cc.calls(), waits
+	}
+
+	calls, waits := run()
+	if calls != 3 {
+		t.Errorf("metrics attempts = %d, want 3 (1 + 2 retries)", calls)
+	}
+	if len(waits) != 2 {
+		t.Fatalf("backoff waits = %v, want 2", waits)
+	}
+	// Jitter is [0.5, 1.5)x around 100ms then 200ms.
+	if waits[0] < 50*time.Millisecond || waits[0] >= 150*time.Millisecond {
+		t.Errorf("first backoff %v outside [50ms, 150ms)", waits[0])
+	}
+	if waits[1] < 100*time.Millisecond || waits[1] >= 300*time.Millisecond {
+		t.Errorf("second backoff %v outside [100ms, 300ms)", waits[1])
+	}
+	// Same seed -> identical jitter sequence (determinism).
+	_, waits2 := run()
+	for k := range waits {
+		if waits[k] != waits2[k] {
+			t.Errorf("backoff %d differs across same-seed runs: %v vs %v", k, waits[k], waits2[k])
+		}
+	}
+}
+
+// TestAgentPollRefreshesUnchangedTable: a successful poll returning
+// the same table version must still restart the staleness TTL — the
+// controller answered; the rules are confirmed, not stale.
+func TestAgentPollRefreshesUnchangedTable(t *testing.T) {
+	const ttl = 10 * time.Second
+	clock := newTestClock()
+	p, _ := newAgentProxy(t, dataplane.Config{StaleAfter: ttl, Now: clock.Now})
+	table := routing.NewTable(5, map[routing.Key]routing.Distribution{
+		{Service: "svc-b", Class: routing.AnyClass, Cluster: topology.West}: routing.Local(topology.East),
+	})
+	cc := newCCServer(t, table)
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First sync applies version 5 and marks fresh.
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(ttl + time.Second)
+	if p.DegradationLevel() != 2 {
+		t.Fatal("rules should be stale after silence")
+	}
+	// Second sync: same version. Freshness must still be restored.
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if p.DegradationLevel() == 2 {
+		t.Error("successful poll with unchanged version left rules stale")
+	}
+}
+
+// TestAgentSendsSourceHeader: telemetry uploads carry the proxy
+// identity so the cluster controller can track silent proxies.
+func TestAgentSendsSourceHeader(t *testing.T) {
+	var gotSource string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/metrics" {
+			gotSource = r.Header.Get(headerSource)
+		}
+		if r.URL.Path == "/v1/rules" {
+			serveRules(w, r, routing.EmptyTable())
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer srv.Close()
+
+	p, psrv := newAgentProxy(t, dataplane.Config{})
+	generateTraffic(t, psrv)
+	agent, err := NewAgent(p, srv.URL, AgentOptions{Period: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if gotSource != "svc@west" {
+		t.Errorf("source header = %q, want svc@west", gotSource)
+	}
+}

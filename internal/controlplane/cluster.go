@@ -115,7 +115,7 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 		id:       id,
 		sources:  make(map[string]time.Time),
 		table:    routing.EmptyTable(),
-		rt:       http.DefaultTransport,
+		rt:       &dataplane.Upstream{},
 		now:      time.Now,
 		metricsH: reg.Handler(),
 		mIngested: reg.CounterVec("slate_cluster_ingested_batches_total",
@@ -176,7 +176,8 @@ func (c *Cluster) SetNow(f func() time.Time) {
 }
 
 // SetTransport swaps the HTTP transport used for upstream RPCs (fault
-// injection, tests). Call before Run.
+// injection, tests), by default a dataplane.Upstream of this Cluster's
+// own. Call before Run.
 func (c *Cluster) SetTransport(rt http.RoundTripper) {
 	c.rt = rt
 }
@@ -226,7 +227,7 @@ func (c *Cluster) handleGetRules(w http.ResponseWriter, r *http.Request) {
 	if pubEpoch > 0 {
 		// Advertise the fenced leader epoch so agents can detect a
 		// failover and resync rather than trust a raced incremental poll.
-		w.Header().Set(dataplane.HeaderLeaderEpoch, strconv.FormatUint(pubEpoch, 10))
+		w.Header().Set(headerLeaderEpoch, strconv.FormatUint(pubEpoch, 10))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if sinceStr == "" {
@@ -278,7 +279,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		badBody(w, err)
 		return
 	}
-	c.IngestFrom(r.Header.Get(dataplane.HeaderSource), stats)
+	c.IngestFrom(r.Header.Get(headerSource), stats)
 	w.WriteHeader(http.StatusAccepted)
 }
 
@@ -349,7 +350,7 @@ func (c *Cluster) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	reason, msg := c.admitLocked(r.Header.Get(dataplane.HeaderLeaderEpoch), &p)
+	reason, msg := c.admitLocked(r.Header.Get(headerLeaderEpoch), &p)
 	var (
 		next    *routing.Table
 		proxies []*dataplane.Proxy

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -136,7 +135,7 @@ func TestHandleMetricsRecordsSourceHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(dataplane.HeaderSource, "svc@west")
+	req.Header.Set(headerSource, "svc@west")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // TestFullyDistributedDeployment assembles the deployment shape of
 // cmd/slate-global + cmd/slate-cluster + cmd/slate-proxy: every
 // component only talks HTTP — proxies push telemetry to and poll rules
-// from their cluster controller via dataplane.Agent; cluster
+// from their cluster controller via the Agent; cluster
 // controllers relay to the global controller; the global controller
 // optimizes and pushes tables down. No in-process shortcuts.
 func TestFullyDistributedDeployment(t *testing.T) {
@@ -53,7 +53,7 @@ func TestFullyDistributedDeployment(t *testing.T) {
 
 	// A standalone gateway proxy per cluster, wired only by URL.
 	resolver := &memResolver{m: map[string]string{}}
-	mkProxy := func(cl topology.ClusterID, ccURL string) (*dataplane.Proxy, *dataplane.Agent) {
+	mkProxy := func(cl topology.ClusterID, ccURL string) (*dataplane.Proxy, *Agent) {
 		appSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprint(w, "ok")
 		}))
@@ -67,7 +67,7 @@ func TestFullyDistributedDeployment(t *testing.T) {
 		psrv := httptest.NewServer(p)
 		t.Cleanup(psrv.Close)
 		resolver.add("gateway", cl, psrv.URL)
-		agent, err := dataplane.NewAgent(p, ccURL, dataplane.AgentOptions{Period: time.Second})
+		agent, err := NewAgent(p, ccURL, AgentOptions{Period: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,13 +270,13 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := postRaw(t, ccsrv.URL+"/v1/patch", staleJSON, map[string]string{
-		dataplane.HeaderLeaderEpoch: "3",
+		headerLeaderEpoch: "3",
 	})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || resp.Header.Get(dataplane.HeaderReject) != dataplane.RejectCAS {
+	if resp.StatusCode != http.StatusConflict || resp.Header.Get(headerReject) != rejectCAS {
 		t.Fatalf("stale full patch: status %d reject %q, want 409 %q",
-			resp.StatusCode, resp.Header.Get(dataplane.HeaderReject), dataplane.RejectCAS)
+			resp.StatusCode, resp.Header.Get(headerReject), rejectCAS)
 	}
 
 	// A headerless push on a fenced cluster is rejected outright: every
@@ -284,9 +284,9 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 	resp = postRaw(t, ccsrv.URL+"/v1/patch", staleJSON, nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || resp.Header.Get(dataplane.HeaderReject) != dataplane.RejectStaleLeader {
+	if resp.StatusCode != http.StatusConflict || resp.Header.Get(headerReject) != rejectStaleLeader {
 		t.Fatalf("headerless push: status %d reject %q, want 409 %q",
-			resp.StatusCode, resp.Header.Get(dataplane.HeaderReject), dataplane.RejectStaleLeader)
+			resp.StatusCode, resp.Header.Get(headerReject), rejectStaleLeader)
 	}
 
 	if got := cc.Table().Version; got != newVersion {
@@ -336,7 +336,7 @@ func pushMidBody(t *testing.T, mid func(clk *vclock, lease func(candidate string
 	pr, pw := io.Pipe()
 	defer pw.Close() // a failed assertion must not strand the handler mid-body
 	req := httptest.NewRequest(http.MethodPost, "/v1/patch", pr)
-	req.Header.Set(dataplane.HeaderLeaderEpoch, "1")
+	req.Header.Set(headerLeaderEpoch, "1")
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
@@ -368,9 +368,9 @@ func TestFencedPushRechecksAfterBody(t *testing.T) {
 		clk.Advance(10*time.Second + time.Second)
 		lease("b", 2)
 	})
-	if rec.Code != http.StatusConflict || rec.Header().Get(dataplane.HeaderReject) != dataplane.RejectStaleLeader {
+	if rec.Code != http.StatusConflict || rec.Header().Get(headerReject) != rejectStaleLeader {
 		t.Fatalf("deposed push: status %d reject %q, want 409 %q",
-			rec.Code, rec.Header().Get(dataplane.HeaderReject), dataplane.RejectStaleLeader)
+			rec.Code, rec.Header().Get(headerReject), rejectStaleLeader)
 	}
 	if cc.Table() != before {
 		t.Fatalf("deposed push moved the table: v%d -> v%d", before.Version, cc.Table().Version)
@@ -389,7 +389,7 @@ func TestFencedPushLandsWhenLeaderRenews(t *testing.T) {
 	})
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("renewed leader's push: status %d reject %q, want 204",
-			rec.Code, rec.Header().Get(dataplane.HeaderReject))
+			rec.Code, rec.Header().Get(headerReject))
 	}
 	if got := cc.Table().Version; got != 5 {
 		t.Fatalf("table version = %d, want the pushed 5", got)

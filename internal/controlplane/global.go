@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
@@ -201,7 +202,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		ctrl:     ctrl,
 		pushSem:  make(chan struct{}, 1),
 		sent:     make(map[topology.ClusterID]shadow),
-		rt:       http.DefaultTransport,
+		rt:       &dataplane.Upstream{},
 		eventCh:  make(chan struct{}, 1),
 		now:      time.Now,
 		metricsH: reg.Handler(),
@@ -283,8 +284,9 @@ func (g *Global) stripe(c topology.ClusterID) *ingestStripe {
 	return &g.ingest[h.Sum32()%ingestStripes]
 }
 
-// SetTransport swaps the HTTP transport used for rule pushes (fault
-// injection, tests). Call before Run.
+// SetTransport swaps the HTTP transport used for rule pushes, lease
+// requests and snapshot fetches (fault injection, tests), by default a
+// dataplane.Upstream of this Global's own. Call before Run.
 func (g *Global) SetTransport(rt http.RoundTripper) {
 	g.rt = rt
 }
@@ -348,7 +350,7 @@ func register(ps []peer, id topology.ClusterID, u string) []peer {
 // window as it was: negative demand would fail every tick until re-reported.
 func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var rep MetricsReport
-	err := withBody(r, func(b []byte) error { return decodeReport(b, &rep, &g.names) })
+	err := readBody(r.Body, r.ContentLength, func(b []byte) error { return decodeReport(b, &rep, &g.names) })
 	if err == nil && rep.Cluster == "" {
 		err = errors.New("report names no cluster")
 	}
@@ -482,7 +484,7 @@ func (g *Global) snapshotIngest() [][]telemetry.WindowStats {
 // handleOptimize runs a tick. Its body is ignored, but read under the
 // same cap as every other control POST.
 func (g *Global) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if err := withBody(r, func([]byte) error { return nil }); err != nil {
+	if err := readBody(r.Body, r.ContentLength, func([]byte) error { return nil }); err != nil {
 		badBody(w, err)
 		return
 	}

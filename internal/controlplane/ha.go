@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
-	"github.com/servicelayernetworking/slate/internal/dataplane"
 )
 
 // Replicated global controller. EnableHA turns a Global from "the one
@@ -199,8 +197,8 @@ func (g *Global) restoreFromCacheLocked() {
 // requestLease POSTs one encoded LeaseRequest and decodes the decision.
 func (g *Global) requestLease(ctx context.Context, leaseURL string, body []byte) (*LeaseResponse, error) {
 	var lr LeaseResponse
-	err := rpc(ctx, g.rt, http.MethodPost, leaseURL, jsonHeader, body, func(r io.Reader) error {
-		return json.NewDecoder(r).Decode(&lr)
+	err := rpc(ctx, g.rt, http.MethodPost, leaseURL, jsonHeader, body, func(_ *http.Response, b []byte) error {
+		return json.Unmarshal(b, &lr)
 	})
 	if err != nil {
 		return nil, err
@@ -220,8 +218,8 @@ func (g *Global) fetchSnapshot(ctx context.Context) {
 		return
 	}
 	var snap core.ControllerSnapshot
-	err := rpc(ctx, g.rt, http.MethodGet, leader+"/v1/snapshot", nil, nil, func(r io.Reader) error {
-		return json.NewDecoder(r).Decode(&snap)
+	err := rpc(ctx, g.rt, http.MethodGet, leader+"/v1/snapshot", nil, nil, func(_ *http.Response, b []byte) error {
+		return json.Unmarshal(b, &snap)
 	})
 	if err != nil {
 		return
@@ -261,8 +259,8 @@ func (g *Global) publisherHeaders() http.Header {
 		return jsonHeader
 	}
 	h := jsonHeader.Clone()
-	h.Set(dataplane.HeaderLeaderEpoch, strconv.FormatUint(g.leaseEpoch, 10))
-	h.Set(dataplane.HeaderLeader, g.replica)
+	h.Set(headerLeaderEpoch, strconv.FormatUint(g.leaseEpoch, 10))
+	h.Set(headerLeader, g.replica)
 	return h
 }
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/routing"
 )
 
@@ -127,19 +126,19 @@ func (c *Cluster) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) admitLocked(hdr string, p *routing.Patch) (reason, msg string) {
 	if hdr == "" {
 		if c.pubEpoch > 0 {
-			return dataplane.RejectStaleLeader, "push without leader epoch on a fenced cluster"
+			return rejectStaleLeader, "push without leader epoch on a fenced cluster"
 		}
 		return "", ""
 	}
 	epoch, err := strconv.ParseUint(hdr, 10, 64)
 	if err != nil || epoch < c.pubEpoch {
-		return dataplane.RejectStaleLeader, "leader epoch below fence"
+		return rejectStaleLeader, "leader epoch below fence"
 	}
 	c.pubEpoch = epoch
 	if p.Full && p.Version < c.table.Version {
 		// CAS: a full (resync) patch applies unconditionally downstream,
 		// so a version regression must be stopped here.
-		return dataplane.RejectCAS, "table version regression"
+		return rejectCAS, "table version regression"
 	}
 	return "", ""
 }
@@ -148,6 +147,6 @@ func (c *Cluster) admitLocked(hdr string, p *routing.Patch) (reason, msg string)
 // pusher to step down instead of resyncing.
 func (c *Cluster) rejectPush(w http.ResponseWriter, reason, msg string) {
 	c.mStaleRejects.Inc()
-	w.Header().Set(dataplane.HeaderReject, reason)
+	w.Header().Set(headerReject, reason)
 	http.Error(w, msg, http.StatusConflict)
 }

@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/servicelayernetworking/slate/internal/dataplane"
 )
 
 // rpcTimeout bounds one control RPC, from sending the request to the
@@ -24,16 +22,46 @@ const rpcTimeout = 10 * time.Second
 // of them and never written: a RoundTripper must not modify a request.
 var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
+// Control-protocol headers. Both ends of the protocol live in this
+// package: the Cluster handlers enforce them, and the Global and the
+// Agent send or read them.
+const (
+	// headerSource identifies the pushing proxy ("service@cluster") on
+	// telemetry uploads, so the cluster controller can track which
+	// proxies have gone silent and exclude their stale windows from the
+	// global snapshot.
+	headerSource = "X-Slate-Source"
+	// headerLeaderEpoch carries the publishing leader's lease epoch on
+	// rule pushes (requests) and the accepting controller's fenced epoch
+	// on rule reads (responses). A push whose epoch is below the fenced
+	// one is rejected: the sender was deposed.
+	headerLeaderEpoch = "X-Slate-Leader-Epoch"
+	// headerLeader carries the publishing leader's identity (its
+	// advertised URL) on rule pushes.
+	headerLeader = "X-Slate-Leader"
+	// headerReject distinguishes 409 rejections: rejectStaleLeader and
+	// rejectCAS mean "step down", a bare 409 means "version gap, resync".
+	headerReject = "X-Slate-Reject"
+	// rejectStaleLeader marks a push refused because its lease epoch is
+	// below the fenced one.
+	rejectStaleLeader = "stale-leader"
+	// rejectCAS marks a push refused because it would replace the table
+	// with an older version.
+	rejectCAS = "cas"
+)
+
 // rpc does one control RPC: it sends body (nil for none) to u with
 // header h (nil for none) straight over rt, under ctx and rpcTimeout,
-// and hands a 2xx response's body to decode (nil to discard it). The
-// response is drained and closed before rpc returns. A non-2xx answer
-// comes back as a statusError, a transport failure as the *url.Error
-// http.Client.Do would have returned ("Post \"<u>\": …"). Going around
-// http.Client skips what it does per request that a control RPC never
-// needs: a redirect-safe copy of the header, and a timer and cancel
-// context of its own for the timeout.
-func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Header, body []byte, decode func(io.Reader) error) error {
+// and hands a 2xx response with its body to decode (nil to discard
+// it), which must not keep the body. The body is read whole first and
+// is held to maxBodyBytes, as a request's is: a longer one fails the
+// RPC. The response is closed before rpc returns; a non-2xx one unread.
+// A non-2xx answer comes back as a statusError, a transport failure as
+// the *url.Error http.Client.Do would have returned ("Post \"<u>\": …").
+// Going around http.Client skips what it does per request that a
+// control RPC never needs: a redirect-safe copy of the header, and a
+// timer and cancel context of its own for the timeout.
+func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Header, body []byte, decode func(*http.Response, []byte) error) error {
 	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -51,17 +79,16 @@ func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Hea
 	if err != nil {
 		return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.Redacted(), Err: err}
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return statusError{code: resp.StatusCode, reject: resp.Header.Get(dataplane.HeaderReject)}
+		return statusError{code: resp.StatusCode, reject: resp.Header.Get(headerReject)}
 	}
-	if decode != nil {
-		return decode(resp.Body)
-	}
-	return nil
+	return readBody(resp.Body, resp.ContentLength, func(b []byte) error {
+		if decode == nil {
+			return nil
+		}
+		return decode(resp, b)
+	})
 }
 
 // statusError is a non-2xx HTTP response, preserved as a typed error so
@@ -100,40 +127,42 @@ func rejectReason(err error) string {
 	return ""
 }
 
-// maxBodyBytes caps the body of a control request, so no request can
-// make a handler hold more than this. The largest body any test,
-// experiment or benchmark workload sends is a 4.2 kB report (48
-// clusters, 96 services, 24 classes). The cap is some 4 000 times that,
-// room for the full reports and patches of far larger deployments.
+// maxBodyBytes caps the body of a control request and of a control
+// response, so no peer can make a handler or a caller hold more than
+// this. The largest body any test, experiment or benchmark workload
+// sends is a 4.2 kB report (48 clusters, 96 services, 24 classes), and
+// the largest answer a 3.5 kB warm-state snapshot. The cap is some
+// 4 000 times that, room for the full reports, patches and snapshots of
+// far larger deployments.
 const maxBodyBytes = 16 << 20
 
-var errBodyTooLarge = fmt.Errorf("request body over %d bytes", maxBodyBytes)
+var errBodyTooLarge = fmt.Errorf("body over %d bytes", maxBodyBytes)
 
-// requestBodies recycles the buffers control request bodies are read
-// into. Not a field: the runtime lists every used sync.Pool until its
+// bodies recycles the buffers control request and response bodies are
+// read into. Not a field: the runtime lists every used sync.Pool until its
 // second idle GC, so a pool inside a discarded Global or Cluster would
 // pin all it points to.
-var requestBodies = sync.Pool{New: func() any { return new([]byte) }}
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
-// withBody reads r's body into a pooled buffer and hands it to decode,
-// which must not keep it. A body past maxBodyBytes is refused with
-// errBodyTooLarge: a declared length before anything is read, a chunked
-// body as soon as it crosses the cap.
-func withBody(r *http.Request, decode func([]byte) error) error {
-	if r.ContentLength > maxBodyBytes {
+// readBody reads body, of declared length (-1 for unknown), into a
+// pooled buffer and hands it to decode, which must not keep it. A body
+// past maxBodyBytes is refused with errBodyTooLarge: a declared length
+// before anything is read, any other as soon as it crosses the cap.
+func readBody(body io.Reader, length int64, decode func([]byte) error) error {
+	if length > maxBodyBytes {
 		return errBodyTooLarge
 	}
-	bp := requestBodies.Get().(*[]byte)
+	bp := bodies.Get().(*[]byte)
 	b := (*bp)[:0]
-	defer func() { *bp = b; requestBodies.Put(bp) }()
-	if n := int(r.ContentLength); n >= cap(b) {
+	defer func() { *bp = b; bodies.Put(bp) }()
+	if n := int(length); n >= cap(b) {
 		b = make([]byte, 0, n+1) // +1: room for the read that sees EOF
 	}
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Body.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
+		n, err := body.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
 		b = b[:len(b)+n]
 		switch {
 		case len(b) > maxBodyBytes:
@@ -149,7 +178,7 @@ func withBody(r *http.Request, decode func([]byte) error) error {
 // decodeBody decodes a request body that must hold exactly one JSON
 // value: unlike json.Decoder.Decode, it refuses anything after the value.
 func decodeBody(r *http.Request, v any) error {
-	return withBody(r, func(b []byte) error { return json.Unmarshal(b, v) })
+	return readBody(r.Body, r.ContentLength, func(b []byte) error { return json.Unmarshal(b, v) })
 }
 
 // badBody answers a request whose body was refused: 413 past the cap,

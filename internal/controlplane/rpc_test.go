@@ -18,6 +18,7 @@ import (
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -26,10 +27,11 @@ import (
 // RPC allocates around it is the control plane's own share, with no
 // socket and no net/http client or server code in the count.
 type cannedRPC struct {
-	status int
-	header http.Header
-	body   []byte
-	err    error // returned instead of a response when set
+	status  int
+	header  http.Header
+	body    []byte
+	chunked bool  // answer without a declared length
+	err     error // returned instead of a response when set
 
 	last   *http.Request
 	reader bytes.Reader
@@ -47,8 +49,14 @@ func (c *cannedRPC) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	c.reader.Reset(c.body)
 	c.resp = http.Response{StatusCode: c.status, Header: c.header, Body: c, ContentLength: int64(len(c.body))}
+	if c.chunked {
+		c.resp.ContentLength = -1
+	}
 	return &c.resp, nil
 }
+
+// read is how much of the body the caller read.
+func (c *cannedRPC) read() int { return len(c.body) - c.reader.Len() }
 
 func (c *cannedRPC) Read(p []byte) (int, error) { return c.reader.Read(p) }
 func (c *cannedRPC) Close() error               { return nil }
@@ -130,7 +138,7 @@ func TestControlRPCCarriesDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("replicated push", tr, "http://west.invalid/v1/patch", false)
-	if e, l := tr.last.Header.Get(dataplane.HeaderLeaderEpoch), tr.last.Header.Get(dataplane.HeaderLeader); e != "1" || l != "http://a.invalid" {
+	if e, l := tr.last.Header.Get(headerLeaderEpoch), tr.last.Header.Get(headerLeader); e != "1" || l != "http://a.invalid" {
 		t.Errorf("replicated push carries epoch %q leader %q, want 1 and http://a.invalid", e, l)
 	}
 	if len(jsonHeader) != 1 {
@@ -156,15 +164,55 @@ func TestControlRPCErrorShape(t *testing.T) {
 		t.Fatalf("transport failure reads %q, http.Client.Do read %q", err, want)
 	}
 
-	tr := &cannedRPC{status: http.StatusConflict, header: http.Header{dataplane.HeaderReject: {dataplane.RejectStaleLeader}}}
+	tr := &cannedRPC{status: http.StatusConflict, header: http.Header{headerReject: {rejectStaleLeader}}}
 	c := NewCluster(topology.West, "http://global.invalid")
 	c.SetTransport(tr)
 	err = c.Report(t.Context(), time.Second)
 	if code, ok := statusCode(err); !ok || code != http.StatusConflict {
 		t.Fatalf("409 answer: status %d, %v (err %v)", code, ok, err)
 	}
-	if r := rejectReason(err); r != dataplane.RejectStaleLeader {
-		t.Fatalf("409 answer: reject marker %q, want %q", r, dataplane.RejectStaleLeader)
+	if r := rejectReason(err); r != rejectStaleLeader {
+		t.Fatalf("409 answer: reject marker %q, want %q", r, rejectStaleLeader)
+	}
+
+	// The Agent's push and rules poll fail as they did through its own
+	// client, (&http.Client{Timeout: 10 * time.Second}).Do, which took
+	// any 2xx for a push and only 200 for a poll.
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	for _, tr := range []*cannedRPC{{err: cause}, {status: http.StatusServiceUnavailable}} {
+		a, err := NewAgent(p, "http://cluster.invalid", AgentOptions{MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.rt = tr
+		a.pending = [][]telemetry.WindowStats{feStats(900, 100)}
+		for _, row := range []struct {
+			name, method, url string
+			ok                func(code int) bool
+			call              func(context.Context) error
+		}{
+			{"push", http.MethodPost, "http://cluster.invalid/v1/metrics", func(code int) bool { return code/100 == 2 }, a.pushTelemetry},
+			{"poll", http.MethodGet, "http://cluster.invalid/v1/rules?since=0", func(code int) bool { return code == http.StatusOK }, a.pollRules},
+		} {
+			err := row.call(t.Context())
+			req, _ := http.NewRequest(row.method, row.url, nil)
+			resp, want := (&http.Client{Transport: tr, Timeout: 10 * time.Second}).Do(req)
+			if want == nil {
+				resp.Body.Close()
+				if !row.ok(resp.StatusCode) {
+					want = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			if want == nil {
+				t.Fatalf("agent %s: the client took the canned answer", row.name)
+			}
+			if err == nil || err.Error() != "dataplane: agent "+row.name+": "+want.Error() {
+				t.Errorf("agent %s failure reads %q, its client read %q", row.name, err, want)
+			}
+			if tr.err != nil && (!errors.As(err, &ue) || !errors.Is(err, cause)) {
+				t.Errorf("agent %s transport failure = %#v, want a *url.Error wrapping the cause", row.name, err)
+			}
+		}
 	}
 }
 
@@ -308,6 +356,64 @@ func TestControlBodyCapped(t *testing.T) {
 	}
 	if v := c.Table().Version; v != 3 {
 		t.Fatalf("an oversized patch moved the cluster to version %d", v)
+	}
+}
+
+// TestControlResponseCapped: a peer that answers a lease request, a
+// snapshot fetch or a rules poll with a valid body padded past
+// maxBodyBytes fails the RPC, and nothing changes: no lease, no cached
+// snapshot, no new table. An answer that declares its length is refused
+// before a byte is read; one that does not, once reading crosses the
+// cap. Without the cap each body decodes and applies.
+func TestControlResponseCapped(t *testing.T) {
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, chunked := range []bool{false, true} {
+		answer := func(body string) *cannedRPC {
+			return &cannedRPC{status: http.StatusOK, body: []byte(body + pad), chunked: chunked}
+		}
+		checkRead := func(what string, tr *cannedRPC) {
+			t.Helper()
+			if chunked && tr.read() > maxBodyBytes+1 {
+				t.Errorf("%s: read %d bytes of an unsized answer, want at most %d", what, tr.read(), maxBodyBytes+1)
+			}
+			if !chunked && tr.read() != 0 {
+				t.Errorf("%s: read %d bytes of an answer declaring %d", what, tr.read(), len(tr.body))
+			}
+		}
+
+		tr := answer(`{"granted":true,"holder":"http://a.invalid","epoch":1}`)
+		g := newCannedGlobal(t, tr)
+		g.EnableHA("http://a.invalid", HAConfig{})
+		g.campaign(t.Context())
+		if g.IsLeader() {
+			t.Errorf("an oversized lease grant (chunked %v) made a leader", chunked)
+		}
+		checkRead("lease", tr)
+
+		tr = answer(`{"format":1,"version":7}`)
+		g = newCannedGlobal(t, tr)
+		g.EnableHA("http://a.invalid", HAConfig{})
+		g.leaderURL = "http://west.invalid"
+		g.fetchSnapshot(t.Context())
+		if g.snapCache != nil {
+			t.Errorf("an oversized snapshot (chunked %v) was cached", chunked)
+		}
+		checkRead("snapshot", tr)
+
+		tr = answer(`{"from_version":0,"version":3,"full":true}`)
+		p, _ := newAgentProxy(t, dataplane.Config{})
+		a, err := NewAgent(p, "http://cluster.invalid", AgentOptions{MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.rt = tr
+		if err := a.pollRules(t.Context()); !errors.Is(err, errBodyTooLarge) {
+			t.Errorf("oversized rules answer (chunked %v): error %v, want %v", chunked, err, errBodyTooLarge)
+		}
+		if v := p.TableVersion(); v != 0 {
+			t.Errorf("an oversized rules answer (chunked %v) moved the proxy to version %d", chunked, v)
+		}
+		checkRead("rules poll", tr)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // pool's utilization cap surfaces as an upper-bound violation in
 // Model.CheckFeasible rather than being silently clipped. It errors on
 // tables that lose flow (weight pointing at clusters without replicas,
-// or no usable rule for a triple that carries traffic).
+// or no usable rule for a triple that carries traffic). The demand must
+// be the one the formulation was built or last updated with, which
+// rejected negative demand and demand at a cluster without the frontend.
 func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, error) {
 	C := len(f.clusters)
 	x := make([]float64, f.model.NumVars())
@@ -29,15 +31,7 @@ func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, er
 		if nr.parent == -1 {
 			for i, ci := range f.clusters {
 				placed := len(flows) > 0 && flows[0].i == i
-				d := demand[nr.class.Name][ci]
-				if d < 0 {
-					return nil, fmt.Errorf("core: negative demand for class %q in %s", nr.class.Name, ci)
-				}
-				if d > 0 {
-					if !placed {
-						return nil, fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",
-							nr.class.Name, ci, nr.node.Service)
-					}
+				if d := demand[nr.class.Name][ci]; d > 0 {
 					x[flows[0].v] = d
 					row[i] = d
 				}

@@ -476,7 +476,7 @@ func (p *Proxy) serveOutbound(w http.ResponseWriter, r *http.Request, targetServ
 			egress = written
 		}
 		p.agg.Record(telemetry.MetricKey{
-			Service: "__egress__",
+			Service: telemetry.EgressService,
 			Class:   class,
 			Cluster: string(p.cluster),
 		}, 0, egress)

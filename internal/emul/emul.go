@@ -94,8 +94,8 @@ type Mesh struct {
 	stopCtrl chan struct{}
 	wg       sync.WaitGroup
 
-	// upstreams are the sidecars' and apps' transports, one each; Close
-	// closes their idle connections.
+	// upstreams are the sidecars' and apps' transports, one each, and
+	// the control plane's; Close closes their idle connections.
 	upstreams []*dataplane.Upstream
 
 	mu     sync.Mutex
@@ -155,6 +155,16 @@ func Start(opts Options) (*Mesh, error) {
 	if opts.Fault != nil {
 		m.hosts = fault.NewHostMap()
 	}
+	// Every control RPC of the mesh rides one Upstream; under faults
+	// each controller wraps it.
+	ctrlRT := &dataplane.Upstream{}
+	m.upstreams = append(m.upstreams, ctrlRT)
+	controlFrom := func(from fault.Target) http.RoundTripper {
+		if opts.Fault == nil {
+			return ctrlRT
+		}
+		return fault.NewTransport(ctrlRT, opts.Fault, from, m.hosts)
+	}
 	// One RNG stream per sidecar, derived by pool name: derivation is a
 	// pure function of (seed, name), so routing draws are reproducible
 	// regardless of the map-iteration order pools start in.
@@ -180,9 +190,7 @@ func Start(opts Options) (*Mesh, error) {
 		if len(m.globals) > 1 {
 			g.EnableHA(gURL, opts.HA)
 		}
-		if opts.Fault != nil {
-			g.SetTransport(fault.NewTransport(nil, opts.Fault, target, m.hosts))
-		}
+		g.SetTransport(controlFrom(target))
 		m.gURLs = append(m.gURLs, gURL)
 	}
 
@@ -195,9 +203,7 @@ func Start(opts Options) (*Mesh, error) {
 		if opts.StaleAfter > 0 {
 			cc.SetStaleAfter(opts.StaleAfter)
 		}
-		if opts.Fault != nil {
-			cc.SetTransport(fault.NewTransport(nil, opts.Fault, fault.ClusterTarget(cl), m.hosts))
-		}
+		cc.SetTransport(controlFrom(fault.ClusterTarget(cl)))
 		ccURL, err := m.serveTarget(cc.Handler(), fault.ClusterTarget(cl))
 		if err != nil {
 			m.Close()

@@ -53,13 +53,10 @@ type Transport struct {
 	to       *HostMap
 }
 
-// NewTransport wraps base (nil means http.DefaultTransport) so that
-// requests from `from` to the target `to` resolves suffer inj's faults.
-// A nil map targets requests by their URL host.
+// NewTransport wraps base, which must not be nil, so that requests from
+// `from` to the target `to` resolves suffer inj's faults. A nil map
+// targets requests by their URL host.
 func NewTransport(base http.RoundTripper, inj *Injector, from Target, to *HostMap) *Transport {
-	if base == nil {
-		base = http.DefaultTransport
-	}
 	return &Transport{base: base, injector: inj, from: from, to: to}
 }
 

@@ -33,7 +33,7 @@ func globalAt(srv *httptest.Server) *HostMap {
 func TestTransportPassThrough(t *testing.T) {
 	srv := testServer(t)
 	inj := NewInjector()
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))}
+	client := &http.Client{Transport: NewTransport(http.DefaultTransport, inj, ClusterTarget("west"), globalAt(srv))}
 	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	resp, err := client.Do(req)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestTransportDropOnCrash(t *testing.T) {
 	srv := testServer(t)
 	inj := NewInjector()
 	inj.Crash(Global)
-	client := &http.Client{Transport: NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))}
+	client := &http.Client{Transport: NewTransport(http.DefaultTransport, inj, ClusterTarget("west"), globalAt(srv))}
 	req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 	_, err := client.Do(req)
 	if err == nil {
@@ -73,7 +73,7 @@ func TestTransportDropClosesBody(t *testing.T) {
 	srv := testServer(t)
 	inj := NewInjector()
 	inj.Crash(Global)
-	tr := NewTransport(nil, inj, ClusterTarget("west"), globalAt(srv))
+	tr := NewTransport(http.DefaultTransport, inj, ClusterTarget("west"), globalAt(srv))
 	body := &closeTracker{Reader: strings.NewReader(`{"k":1}`)}
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, srv.URL, body)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestTransportPartitionDrop(t *testing.T) {
 	inj := NewInjector()
 	hm := NewHostMap()
 	hm.Register(srv.URL, ClusterTarget(topology.East))
-	client := &http.Client{Transport: NewTransport(nil, inj, ProxyTarget("svc", topology.West), hm)}
+	client := &http.Client{Transport: NewTransport(http.DefaultTransport, inj, ProxyTarget("svc", topology.West), hm)}
 	do := func() error {
 		req, _ := http.NewRequestWithContext(context.Background(), http.MethodGet, srv.URL, nil)
 		resp, err := client.Do(req)

@@ -133,7 +133,7 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 		}
 	}
 
-	pl.rows = []telemetry.MetricKey{{Service: "__egress__", Class: routing.AnyClass}}
+	pl.rows = []telemetry.MetricKey{{Service: telemetry.EgressService, Class: routing.AnyClass}}
 	for ci, cl := range scn.App.Classes {
 		var walk func(cn *appgraph.CallNode) int32
 		walk = func(cn *appgraph.CallNode) int32 {
@@ -163,7 +163,7 @@ func compile(scn *Scenario, shardOf map[topology.ClusterID]int, root *sim.RNG) *
 	for _, cl := range pl.classes {
 		pl.e2eRow = append(pl.e2eRow, pl.row(telemetry.E2EService, cl.Name))
 	}
-	pl.egressRow = pl.row("__egress__", routing.AnyClass)
+	pl.egressRow = pl.row(telemetry.EgressService, routing.AnyClass)
 	pl.stats = make([]stat, len(pl.rows)*nC)
 	pl.routeOff = make([]int32, len(pl.nodes)*nC+1)
 	return pl

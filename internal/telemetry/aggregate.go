@@ -16,6 +16,11 @@ import (
 // end-to-end stream when present.
 const E2EService = "__e2e__"
 
+// EgressService is the pseudo-service name under which runtimes report
+// the bytes requests moved across clusters: its keys carry EgressBytes
+// and no latency.
+const EgressService = "__egress__"
+
 // MetricKey identifies one telemetry stream: a traffic class at a
 // service in a cluster.
 type MetricKey struct {
