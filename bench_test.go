@@ -540,8 +540,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkEventSolve measures the event-driven reaction path end to
-// end: a cluster telemetry upload whose load swing breaches the
-// threshold, then the immediate re-solve it arms — the latency between
+// end: the two clusters' telemetry uploads, whose load swing breaches
+// the threshold, then the immediate re-solve they arm — the latency between
 // a traffic jump and a fresh routing table, independent of the sync
 // period.
 func BenchmarkEventSolve(b *testing.B) {
@@ -556,16 +556,25 @@ func BenchmarkEventSolve(b *testing.B) {
 	}
 	h := g.Handler()
 	post := func(scale float64) {
-		rep := controlplane.MetricsReport{Cluster: topology.West, WindowMS: 1000, Stats: s.stats(scale)}
-		body, err := json.Marshal(rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		req := httptest.NewRequest("POST", "/v1/metrics", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code/100 != 2 {
-			b.Fatalf("metrics upload: status %d", rec.Code)
+		// Each cluster reports its own keys.
+		stats := s.stats(scale)
+		for _, c := range []topology.ClusterID{topology.West, topology.East} {
+			rep := controlplane.MetricsReport{Cluster: c, WindowMS: 1000}
+			for _, ws := range stats {
+				if ws.Key.Cluster == string(c) {
+					rep.Stats = append(rep.Stats, ws)
+				}
+			}
+			body, err := json.Marshal(rep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := httptest.NewRequest("POST", "/v1/metrics", bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code/100 != 2 {
+				b.Fatalf("metrics upload: status %d", rec.Code)
+			}
 		}
 	}
 	post(1) // establish the last-seen load

@@ -13,7 +13,7 @@ import (
 // cross-package acquisition graph and reports potential deadlock
 // cycles. Locks are grouped into classes by the named type and field
 // that owns them — "(controlplane.Global).mu", "(controlplane.
-// ingestStripe).mu" — so the sixteen ingest stripes are one class and
+// Cluster).mu" — so every cluster controller's lock is one class and
 // an ordering inversion between the global controller and the
 // per-cluster controllers shows up as a two-node cycle. Acquisition
 // sets propagate transitively over the call graph (direct and
@@ -177,7 +177,7 @@ func classOf(n *Node, c *ast.CallExpr) string {
 		return "unknown"
 	}
 	info := n.Unit.Info
-	lockExpr := ast.Unparen(sel.X) // e.g. g.mu, st.mu, errMu
+	lockExpr := ast.Unparen(sel.X) // e.g. g.mu, c.mu, f.mu
 	if fieldSel, ok := lockExpr.(*ast.SelectorExpr); ok {
 		// Struct-held lock: class = owning named type + field.
 		if base := namedTypeName(info.TypeOf(fieldSel.X)); base != "" {

@@ -26,11 +26,9 @@ type AgentOptions struct {
 	MaxRetries int
 	// BackoffBase is the first retry's backoff (default 100ms); each
 	// further retry doubles it, capped at backoffMax. The actual wait
-	// is jittered uniformly in [0.5, 1.5)x from RNG.
+	// is jittered uniformly in [0.5, 1.5)x from a stream seeded by Seed.
 	BackoffBase time.Duration
-	// RNG seeds the backoff jitter stream (nil derives from Seed).
-	RNG *sim.RNG
-	// Seed seeds the jitter stream when RNG is nil.
+	// Seed seeds the backoff jitter stream.
 	Seed int64
 	// MaxPendingWindows caps how many unpushed telemetry windows the
 	// agent re-queues across failed rounds before dropping the oldest
@@ -56,9 +54,6 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 100 * time.Millisecond
 	}
-	if o.RNG == nil {
-		o.RNG = sim.NewRNG(o.Seed).DeriveNamed("agent-backoff")
-	}
 	if o.MaxPendingWindows <= 0 {
 		o.MaxPendingWindows = 8
 	}
@@ -82,6 +77,7 @@ type Agent struct {
 	clusterURL string
 	opts       AgentOptions
 	rt         http.RoundTripper // a dataplane.Upstream of its own; tests swap it
+	jitter     *sim.RNG          // the backoff jitter stream, seeded by opts.Seed
 
 	// leaderEpoch is the control plane's fenced leader epoch as last
 	// reported on a rules response; failovers counts observed changes.
@@ -117,6 +113,7 @@ func NewAgent(p *dataplane.Proxy, clusterURL string, opts AgentOptions) (*Agent,
 		clusterURL: clusterURL,
 		opts:       opts,
 		rt:         &dataplane.Upstream{},
+		jitter:     sim.NewRNG(opts.Seed).DeriveNamed("agent-backoff"),
 		sleep:      sleepCtx,
 		mRetries: reg.CounterVec("slate_agent_retries_total",
 			"Control-plane RPC retry attempts (beyond the first try).",
@@ -292,7 +289,7 @@ func (a *Agent) withRetries(ctx context.Context, op func(context.Context) error)
 		a.mRetries.Inc()
 		// Jitter uniformly in [0.5, 1.5)x so a fleet of agents does not
 		// re-dial a recovering controller in lockstep.
-		wait := time.Duration(float64(backoff) * (0.5 + a.opts.RNG.Float64()))
+		wait := time.Duration(float64(backoff) * (0.5 + a.jitter.Float64()))
 		if err := a.sleep(ctx, wait); err != nil {
 			return errors.Join(lastErr, err)
 		}

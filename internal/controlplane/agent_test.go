@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -157,9 +159,16 @@ func TestAgentZeroOptionsTakeDefaults(t *testing.T) {
 	}
 	o := agent.opts
 	if o.Period != 5*time.Second || o.MaxRetries != 2 || o.BackoffBase != 100*time.Millisecond ||
-		o.MaxPendingWindows != 8 || o.RNG == nil {
-		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v pending=%d rng=%v",
-			o.Period, o.MaxRetries, o.BackoffBase, o.MaxPendingWindows, o.RNG != nil)
+		o.MaxPendingWindows != 8 {
+		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v pending=%d",
+			o.Period, o.MaxRetries, o.BackoffBase, o.MaxPendingWindows)
+	}
+	// Seed 0 seeds the jitter stream, as any other seed does.
+	want := sim.NewRNG(0).DeriveNamed("agent-backoff")
+	for i := 0; i < 3; i++ {
+		if got, w := agent.jitter.Float64(), want.Float64(); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("jitter draw %d = %v, want %v (the Seed 0 stream)", i, got, w)
+		}
 	}
 	noRetry, err := NewAgent(p, "http://x", AgentOptions{MaxRetries: -1})
 	if err != nil {

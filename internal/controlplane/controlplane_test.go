@@ -70,18 +70,25 @@ func feStats(west, east float64) []telemetry.WindowStats {
 	}
 }
 
+// postFE reports feStats(west, east) to the global at url the way the
+// two cluster controllers do: each cluster sends its own key.
+func postFE(t *testing.T, url string, west, east float64) {
+	t.Helper()
+	stats := feStats(west, east)
+	for i, c := range []topology.ClusterID{topology.West, topology.East} {
+		resp := postJSONReq(t, url+"/v1/metrics", MetricsReport{Cluster: c, WindowMS: 1000, Stats: stats[i : i+1]})
+		drain(resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s metrics status = %d", c, resp.StatusCode)
+		}
+	}
+}
+
 func TestGlobalMetricsOptimizeTableRoundTrip(t *testing.T) {
 	_, srv := newGlobalServer(t)
 
-	resp := postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{
-		Cluster: topology.West, WindowMS: 1000, Stats: feStats(900, 100),
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
-	}
-	drain(resp)
-
-	resp = postJSONReq(t, srv.URL+"/v1/optimize", struct{}{})
+	postFE(t, srv.URL, 900, 100)
+	resp := postJSONReq(t, srv.URL+"/v1/optimize", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize status = %d", resp.StatusCode)
 	}
@@ -146,16 +153,16 @@ func TestStatusDemandMatchesController(t *testing.T) {
 	g := NewGlobal(ctrl)
 	srv := httptest.NewServer(g.Handler())
 	t.Cleanup(srv.Close)
-	var stats []telemetry.WindowStats
-	for _, class := range []string{"L", "H"} {
-		for _, c := range []topology.ClusterID{topology.West, topology.East} {
+	for _, c := range []topology.ClusterID{topology.West, topology.East} {
+		var stats []telemetry.WindowStats
+		for _, class := range []string{"L", "H"} {
 			stats = append(stats, telemetry.WindowStats{
 				Key: telemetry.MetricKey{Service: string(appgraph.TwoClassFrontend), Class: class, Cluster: string(c)},
 				RPS: 100, Requests: 100, MeanLatency: 30 * time.Millisecond,
 			})
 		}
+		drain(postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{Cluster: c, WindowMS: 1000, Stats: stats}))
 	}
-	drain(postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{Cluster: topology.West, WindowMS: 1000, Stats: stats}))
 	if err := g.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +210,7 @@ func TestStatusDoesNotRaceTick(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		drain(postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{
-			Cluster: topology.West, WindowMS: 1000, Stats: feStats(float64(400+10*i), float64(100+i)),
-		}))
+		postFE(t, srv.URL, float64(400+10*i), float64(100+i))
 		if err := g.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}

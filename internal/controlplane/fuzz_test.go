@@ -39,12 +39,13 @@ func fuzzGlobal(f *testing.F) (*Global, http.Handler) {
 // fold is reachable; after every 202 the reported cluster's
 // reconstructed window must have unique keys in lessMetricKey order and
 // equal the map-based reference fold of the same two reports. Both
-// directions are held to json.Unmarshal: a 202 body decodes there, and a
-// body that decodes there into a report naming a cluster, with no
-// negative rate, and either full or the base's next delta, gets 202.
+// directions are held to json.Unmarshal: a body gets 202 exactly when it
+// decodes there into an acceptable report — naming a cluster, with no
+// negative rate, every stat keyed to that cluster, and either full or
+// the base's next delta.
 func FuzzHandleMetrics(f *testing.F) {
 	g, h := fuzzGlobal(f)
-	base := MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 7, Stats: append(feStats(900, 100),
+	base := MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 7, Stats: append(feStats(900, 0)[:1],
 		telemetry.WindowStats{Key: telemetry.MetricKey{Service: "svc-1", Class: "default", Cluster: "west"}, RPS: 450})}
 	valid, err := json.Marshal(base)
 	if err != nil {
@@ -58,16 +59,17 @@ func FuzzHandleMetrics(f *testing.F) {
 	// Deltas on the base: keys out of order, duplicated (last wins), new, removed.
 	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[` +
 		`{"Key":{"Service":"svc-1","Class":"default","Cluster":"west"},"RPS":3},` +
-		`{"Key":{"Service":"gateway","Class":"default","Cluster":"east"},"RPS":2},` +
+		`{"Key":{"Service":"gateway","Class":"default","Cluster":"west"},"RPS":2},` +
 		`{"Key":{"Service":"svc-1","Class":"default","Cluster":"west"},"RPS":4}]}`))
 	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[` +
 		`{"Key":{"Service":"zz","Class":"c","Cluster":"west"},"RPS":1},` +
 		`{"Key":{"Service":"aa","Class":"c","Cluster":"west"},"RPS":1},` +
 		`{"Key":{"Service":"aa","Class":"c","Cluster":"west"},"RPS":9}],` +
 		`"removed":[{"Service":"gateway","Class":"default","Cluster":"west"},{"Service":"zz","Class":"c","Cluster":"west"},{"Service":"nope"}]}`))
-	// The two rejects: a negative rate, no cluster.
+	// The three rejects: a negative rate, no cluster, another cluster's key.
 	f.Add([]byte(`{"cluster":"west","delta":true,"epoch":8,"stats":[{"Key":{"Service":"gateway","Class":"default","Cluster":"west"},"RPS":-1}]}`))
 	f.Add([]byte(`{"cluster":"","epoch":1,"stats":[{"Key":{"Service":"gateway"},"RPS":1}]}`))
+	f.Add([]byte(`{"cluster":"west","epoch":1,"stats":[{"Key":{"Service":"gateway","Class":"default","Cluster":"east"},"RPS":1}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -80,34 +82,28 @@ func FuzzHandleMetrics(f *testing.F) {
 		}
 		var rep MetricsReport
 		decodeErr := json.Unmarshal(body, &rep)
-		// The other direction: a body encoding/json decodes into an
-		// acceptable report must be accepted, so a decoder stricter than
-		// encoding/json fails here.
+		// Both directions: a body encoding/json decodes into an acceptable
+		// report must be accepted, so a decoder stricter than encoding/json
+		// fails here, and any other must not be.
 		acceptable := decodeErr == nil && rep.Cluster != "" &&
-			!slices.ContainsFunc(rep.Stats, func(ws telemetry.WindowStats) bool { return ws.RPS < 0 }) &&
+			!slices.ContainsFunc(rep.Stats, func(ws telemetry.WindowStats) bool {
+				return ws.RPS < 0 || ws.Key.Cluster != string(rep.Cluster)
+			}) &&
 			(!rep.Delta || rep.Cluster == base.Cluster && rep.Epoch == base.Epoch+1)
-		if acceptable && code != http.StatusAccepted {
-			t.Fatalf("POST /v1/metrics(%q) = %d, but encoding/json decodes an acceptable report", body, code)
+		if acceptable != (code == http.StatusAccepted) {
+			t.Fatalf("POST /v1/metrics(%q) = %d, but the report is acceptable = %v", body, code, acceptable)
 		}
 		if code == http.StatusAccepted {
-			if decodeErr != nil {
-				t.Fatalf("POST /v1/metrics(%q) = 202 but the body does not decode: %v", body, decodeErr)
-			}
 			ref := newRefGlobal()
-			ref.handle(stripeIndex(g, base.Cluster), base)
-			if want := ref.handle(stripeIndex(g, rep.Cluster), rep); want != code {
+			ref.handle(refStripe(base.Cluster), base)
+			if want := ref.handle(refStripe(rep.Cluster), rep); want != code {
 				t.Fatalf("POST /v1/metrics(%q) = 202, reference %d", body, want)
 			}
 			checkWindow(t, g, ref, rep.Cluster)
 		}
-		for i := range g.ingest {
-			st := &g.ingest[i]
-			st.mu.Lock()
-			clear(st.clusters)
-			st.ids = nil
-			st.mu.Unlock()
-		}
-		g.pendingClusters.Store(0)
+		g.ingestMu.Lock()
+		g.ingest, g.pending = nil, 0
+		g.ingestMu.Unlock()
 	})
 }
 

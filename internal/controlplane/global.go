@@ -37,17 +37,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"net/http"
 	"slices"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
+	"github.com/servicelayernetworking/slate/internal/par"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -89,11 +89,6 @@ type Status struct {
 	LastError    string                                    `json:"last_error,omitempty"`
 }
 
-// ingestStripes is the number of lock stripes sharding the telemetry
-// ingest map, so concurrent cluster uploads do not serialize on one
-// mutex.
-const ingestStripes = 16
-
 // pushParallelism bounds the concurrent rule pushes per tick: enough to
 // overlap slow peers, small enough not to stampede the network.
 const pushParallelism = 8
@@ -102,6 +97,7 @@ const pushParallelism = 8
 // cluster: the reconstructed full window (deltas folded in), kept
 // telemetry.Sorted, and the epoch of the last applied report.
 type clusterIngest struct {
+	id       topology.ClusterID
 	epoch    uint64
 	stats    []telemetry.WindowStats
 	reported bool // reported since the last tick merged this cluster
@@ -114,13 +110,6 @@ type clusterIngest struct {
 // and the published table that slice was cut from.
 type shadow struct{ slice, from *routing.Table }
 
-// ingestStripe is one lock stripe of the sharded ingest map.
-type ingestStripe struct {
-	mu       sync.Mutex
-	clusters map[topology.ClusterID]*clusterIngest
-	ids      []topology.ClusterID // the keys of clusters, sorted
-}
-
 // Global is the Global Controller daemon: an HTTP API around
 // core.Controller plus incremental rule push-down to registered cluster
 // controllers.
@@ -128,14 +117,18 @@ type Global struct {
 	mu       sync.Mutex
 	ctrl     *core.Controller
 	clusters []peer // in cluster order; replaced whole, so a push round reads its copy unlocked
-	window   time.Duration
 	ticks    uint64
 	lastErr  string
 	rt       http.RoundTripper
 
-	ingest          [ingestStripes]ingestStripe
-	pendingClusters atomic.Int64 // clusters reported since the last tick
-	names           internTable  // key strings of decoded reports
+	// ingestMu guards the telemetry ingest: one lock for every cluster,
+	// whose reports arrive once a period each and already serialize on
+	// names' mutex while they decode.
+	ingestMu sync.Mutex
+	ingest   []*clusterIngest // in cluster order
+	window   time.Duration    // of the last accepted report, 1 s before any
+	pending  int              // clusters reported since the last merge
+	names    internTable      // key strings of decoded reports
 
 	// Replication state (EnableHA; see ha.go). Guarded by mu.
 	haEnabled    bool
@@ -152,8 +145,8 @@ type Global struct {
 	now          func() time.Time
 
 	// pushSem (capacity 1) serializes whole push rounds — a semaphore
-	// rather than a mutex because a round blocks on the fan-out's
-	// WaitGroup; sentMu guards the per-cluster shadow of the last
+	// rather than a mutex because a round blocks until its fan-out's
+	// pushes return; sentMu guards the per-cluster shadow of the last
 	// acknowledged table slice within a round.
 	pushSem chan struct{}
 	sentMu  sync.Mutex
@@ -203,6 +196,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		pushSem:  make(chan struct{}, 1),
 		sent:     make(map[topology.ClusterID]shadow),
 		rt:       &dataplane.Upstream{},
+		window:   time.Second,
 		eventCh:  make(chan struct{}, 1),
 		now:      time.Now,
 		metricsH: reg.Handler(),
@@ -271,17 +265,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		mResyncs: reg.CounterVec("slate_global_push_resyncs_total",
 			"Rule pushes that fell back to a full-table resync after a version gap.", "cluster"),
 	}
-	for i := range g.ingest {
-		g.ingest[i].clusters = make(map[topology.ClusterID]*clusterIngest)
-	}
 	return g
-}
-
-// stripe returns the ingest lock stripe owning a cluster's telemetry.
-func (g *Global) stripe(c topology.ClusterID) *ingestStripe {
-	h := fnv.New32a()
-	h.Write([]byte(c))
-	return &g.ingest[h.Sum32()%ingestStripes]
 }
 
 // SetTransport swaps the HTTP transport used for rule pushes, lease
@@ -341,13 +325,14 @@ func register(ps []peer, id topology.ClusterID, u string) []peer {
 	return slices.Insert(ps, i, p)
 }
 
-// handleMetrics ingests one telemetry report into the cluster's striped
-// state. Full reports replace the cluster's window outright; delta
-// reports fold changed stats in and delete removed keys, but only when
-// their epoch is the exact successor of the last applied one — any gap
-// (lost report, global restart) gets 409 so the cluster resyncs. A report
-// naming no cluster or carrying a negative rate gets 400 and leaves the
-// window as it was: negative demand would fail every tick until re-reported.
+// handleMetrics ingests one telemetry report. Full reports replace the
+// cluster's window outright; delta reports fold changed stats in and
+// delete removed keys, but only when their epoch is the exact successor
+// of the last applied one — any gap (lost report, global restart) gets
+// 409 so the cluster resyncs. A report naming no cluster, or carrying a
+// negative rate or a stat keyed to another cluster, gets 400 (checkRates,
+// checkKeys). A refused report leaves the ingest as it was, window
+// length included.
 func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var rep MetricsReport
 	err := readBody(r.Body, r.ContentLength, func(b []byte) error { return decodeReport(b, &rep, &g.names) })
@@ -357,40 +342,39 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = checkRates(rep.Stats)
 	}
+	if err == nil {
+		err = checkKeys(rep.Cluster, rep.Stats)
+	}
 	if err != nil {
 		g.mReportErrs.Inc()
 		badBody(w, err)
 		return
 	}
-	if rep.WindowMS > 0 {
-		g.mu.Lock()
-		g.window = time.Duration(rep.WindowMS) * time.Millisecond
-		g.mu.Unlock()
+	g.ingestMu.Lock()
+	at, found := slices.BinarySearchFunc(g.ingest, rep.Cluster, func(ci *clusterIngest, c topology.ClusterID) int { return cmp.Compare(ci.id, c) })
+	switch {
+	case rep.Delta && (!found || rep.Epoch != g.ingest[at].epoch+1):
+		g.ingestMu.Unlock()
+		g.mEpochGaps.Inc()
+		http.Error(w, "epoch gap: full report required", http.StatusConflict)
+		return
+	case !found:
+		g.ingest = slices.Insert(g.ingest, at, &clusterIngest{id: rep.Cluster})
 	}
-	st := g.stripe(rep.Cluster)
-	st.mu.Lock()
-	ci := st.clusters[rep.Cluster]
+	ci := g.ingest[at]
 	if rep.Delta {
-		if ci == nil || rep.Epoch != ci.epoch+1 {
-			st.mu.Unlock()
-			g.mEpochGaps.Inc()
-			http.Error(w, "epoch gap: full report required", http.StatusConflict)
-			return
-		}
 		ci.stats = foldDelta(ci.stats, rep.Stats, rep.Removed)
 	} else {
-		if ci == nil {
-			ci = &clusterIngest{}
-			st.clusters[rep.Cluster] = ci
-			at, _ := slices.BinarySearch(st.ids, rep.Cluster)
-			st.ids = slices.Insert(st.ids, at, rep.Cluster)
-		}
 		ci.stats = sortWindow(rep.Stats)
 	}
 	ci.epoch = rep.Epoch
+	if rep.WindowMS > 0 {
+		g.window = time.Duration(rep.WindowMS) * time.Millisecond
+	}
 	if !ci.reported {
 		ci.reported = true
-		g.mStaleGroups.Set(float64(g.pendingClusters.Add(1)))
+		g.pending++
+		g.mStaleGroups.Set(float64(g.pending))
 	}
 	// Event-driven re-solve trigger: compare the reconstructed window's
 	// total load against the previous report's. The window is in key order,
@@ -401,7 +385,7 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		curRPS += ci.stats[i].RPS
 	}
 	ci.lastRPS = curRPS
-	st.mu.Unlock()
+	g.ingestMu.Unlock()
 	g.mReports.Inc()
 	g.noteClusterLoad(lastRPS, curRPS)
 	w.WriteHeader(http.StatusAccepted)
@@ -418,6 +402,18 @@ func checkRates(stats []telemetry.WindowStats) error {
 	return nil
 }
 
+// checkKeys refuses stats keyed to a cluster other than c, the
+// reporter: the merge would add their rates to that cluster's demand.
+// A cluster controller stamps its own ID on every key it reports.
+func checkKeys(c topology.ClusterID, stats []telemetry.WindowStats) error {
+	for i := range stats {
+		if k := stats[i].Key; k.Cluster != string(c) {
+			return fmt.Errorf("cluster %s reported a stat of cluster %q: %v", c, k.Cluster, k)
+		}
+	}
+	return nil
+}
+
 // sortWindow puts reported stats into telemetry.Sorted shape in place:
 // key order, one stat per key, the last reported winning.
 func sortWindow(ws []telemetry.WindowStats) []telemetry.WindowStats {
@@ -429,56 +425,54 @@ func sortWindow(ws []telemetry.WindowStats) []telemetry.WindowStats {
 	return slices.CompactFunc(ws, func(a, b telemetry.WindowStats) bool { return a.Key == b.Key })
 }
 
-// statVsKey orders a window's stat against a key, for binary search.
-func statVsKey(s telemetry.WindowStats, k telemetry.MetricKey) int { return s.Key.Compare(k) }
+// search finds key k in window, which is in key order, or where it goes.
+// It compares in place: slices.BinarySearchFunc copies each stat it visits.
+func search(window []telemetry.WindowStats, k telemetry.MetricKey) (int, bool) {
+	i := sort.Search(len(window), func(j int) bool { return window[j].Key.Compare(k) >= 0 })
+	return i, i < len(window) && window[i].Key == k
+}
 
 // foldDelta applies a delta report to a cluster's window: changed stats
 // overwrite their entry or join (only that re-sorts), then removed keys leave.
 func foldDelta(window, changed []telemetry.WindowStats, removed []telemetry.MetricKey) []telemetry.WindowStats {
 	known := window // new keys are appended behind it, out of order
 	for _, ws := range changed {
-		if i, ok := slices.BinarySearchFunc(known, ws.Key, statVsKey); ok {
+		if i, ok := search(known, ws.Key); ok {
 			window[i] = ws
 		} else {
 			window = append(window, ws)
 		}
 	}
-	window = sortWindow(window)
+	if len(window) > len(known) {
+		window = sortWindow(window)
+	}
 	for _, k := range removed {
-		if i, ok := slices.BinarySearchFunc(window, k, statVsKey); ok {
+		if i, ok := search(window, k); ok {
 			window = slices.Delete(window, i, i+1)
 		}
 	}
 	return window
 }
 
-// snapshotIngest collects the reconstructed windows of every cluster
-// that reported since the last tick and clears the reported marks.
-// Windows are retained so the next delta has a base; clusters that
-// stay silent simply contribute nothing, which lets the controller's
-// demand estimate decay exactly as it did with full fan-in.
-//
-// Clusters are visited in sorted order within each stripe and windows
-// are in key order: they feed float-averaging demand estimation, so both
-// orders are visible in the optimizer input. The groups are copies: the
-// next delta overwrites a window in place.
-func (g *Global) snapshotIngest() [][]telemetry.WindowStats {
+// mergeIngest merges, under the ingest lock, the retained windows of the
+// clusters that reported since the last merge, and returns the merge
+// with the window length of the last accepted report (1 s before any).
+// Clusters that stay silent contribute nothing, so the controller's
+// demand estimate decays as it did with full fan-in. No key is in two
+// windows (checkKeys), so the merge does not depend on cluster order.
+func (g *Global) mergeIngest() ([]telemetry.WindowStats, time.Duration) {
+	g.ingestMu.Lock()
+	defer g.ingestMu.Unlock()
 	var groups [][]telemetry.WindowStats
-	for i := range g.ingest {
-		st := &g.ingest[i]
-		st.mu.Lock()
-		for _, id := range st.ids {
-			ci := st.clusters[id]
-			if !ci.reported {
-				continue
-			}
+	for _, ci := range g.ingest {
+		if ci.reported {
 			ci.reported = false
-			groups = append(groups, slices.Clone(ci.stats))
+			groups = append(groups, ci.stats)
 		}
-		st.mu.Unlock()
 	}
-	g.pendingClusters.Store(0)
-	return groups
+	g.pending = 0
+	g.mStaleGroups.Set(0)
+	return telemetry.Merge(groups...), g.window
 }
 
 // handleOptimize runs a tick. Its body is ignored, but read under the
@@ -532,13 +526,8 @@ func (g *Global) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // cluster controller.
 func (g *Global) Tick(ctx context.Context) error {
 	start := time.Now()
-	groups := g.snapshotIngest()
+	merged, window := g.mergeIngest()
 	g.mu.Lock()
-	window := g.window
-	if window == 0 {
-		window = time.Second
-	}
-	merged := telemetry.Merge(groups...)
 	table, err := g.ctrl.Tick(merged, window)
 	g.ticks++
 	if err != nil {
@@ -561,7 +550,6 @@ func (g *Global) Tick(ctx context.Context) error {
 	g.mSearchWins.Set(float64(solves.SearchSolves))
 	g.mSimplexWins.Set(float64(solves.SimplexWins))
 	g.mGapAbandons.Set(float64(solves.GapAbandoned))
-	g.mStaleGroups.Set(float64(g.pendingClusters.Load()))
 	g.mu.Unlock()
 
 	g.mTicks.Inc()
@@ -596,37 +584,17 @@ func (g *Global) push(ctx context.Context, table *routing.Table, targets []peer)
 	defer func() { <-g.pushSem }()
 
 	hdr := g.publisherHeaders()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		errAt    int
-	)
-	work := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(targets) {
-				return
-			}
-			t := &targets[i]
-			if err := g.pushOne(ctx, t, table, hdr); err != nil {
-				errMu.Lock()
-				if firstErr == nil || i < errAt {
-					firstErr, errAt = fmt.Errorf("push to %s: %w", t.id, err), i
-				}
-				errMu.Unlock()
-			}
+	errs := make([]error, len(targets))
+	par.Each(len(targets), pushParallelism, func(_, i int) error {
+		errs[i] = g.pushOne(ctx, &targets[i], table, hdr)
+		return nil // one wedged cluster stops no push to the others
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("push to %s: %w", targets[i].id, err)
 		}
 	}
-	workers := min(pushParallelism, len(targets))
-	wg.Add(workers)
-	for range workers {
-		go work()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // pushOne sends one cluster its rule patch with header hdr, resyncing

@@ -11,14 +11,14 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// TestSnapshotIngestDeterministicOrder feeds identical reports to two
-// fresh globals and asserts snapshotIngest reconstructs identical,
-// sorted window groups. The merged windows seed float-averaging demand
-// estimation, so group and window order must not leak map iteration
-// order into the optimizer input (the detorder analyzer guards the
-// pattern; this pins the behavior).
-func TestSnapshotIngestDeterministicOrder(t *testing.T) {
-	build := func() [][]telemetry.WindowStats {
+// TestMergeIngestDeterministicOrder feeds identical reports to two
+// fresh globals and asserts mergeIngest merges them into identical
+// windows, every key once and in key order. The merged window seeds
+// float-averaging demand estimation, so its order must not leak map
+// iteration order into the optimizer input (the detorder analyzer
+// guards the pattern; this pins the behavior).
+func TestMergeIngestDeterministicOrder(t *testing.T) {
+	build := func() []telemetry.WindowStats {
 		g, srv := newGlobalServer(t)
 		for _, cl := range []topology.ClusterID{"zeta", "alpha", topology.West, topology.East} {
 			var stats []telemetry.WindowStats
@@ -41,21 +41,20 @@ func TestSnapshotIngestDeterministicOrder(t *testing.T) {
 			}
 			drain(resp)
 		}
-		return g.snapshotIngest()
+		merged, _ := g.mergeIngest()
+		return merged
 	}
 
 	a, b := build(), build()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("snapshotIngest not deterministic across identical ingests:\n%v\n%v", a, b)
+		t.Fatalf("mergeIngest not deterministic across identical ingests:\n%v\n%v", a, b)
 	}
-	if len(a) != 4 {
-		t.Fatalf("got %d groups, want 4", len(a))
+	if len(a) != 4*21 { // 21 distinct (service, class) keys per cluster
+		t.Fatalf("merged %d stats, want 84", len(a))
 	}
-	for gi, group := range a {
-		for i := 1; i < len(group); i++ {
-			if lessMetricKey(group[i].Key, group[i-1].Key) {
-				t.Errorf("group %d not sorted at %d: %v after %v", gi, i, group[i].Key, group[i-1].Key)
-			}
+	for i := 1; i < len(a); i++ {
+		if !lessMetricKey(a[i-1].Key, a[i].Key) {
+			t.Errorf("merge not in strict key order at %d: %v then %v", i, a[i-1].Key, a[i].Key)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"net/http"
@@ -21,7 +22,10 @@ import (
 
 // Reference implementations: the map-based ingest fold and snapshotIngest
 // of commit fa64b4b, kept verbatim (minus HTTP and metrics) as what the
-// sorted-window ingest must reproduce element for element.
+// sorted-window ingest must reproduce element for element. Their groups
+// are in the order of the sixteen FNV-hashed lock stripes the ingest had
+// until it took one lock (ingestStripes, refStripe), and the live merge
+// must equal telemetry.Merge of them.
 
 func lessMetricKey(a, b telemetry.MetricKey) bool {
 	if a.Service != b.Service {
@@ -40,8 +44,12 @@ type refClusterIngest struct {
 	lastRPS  float64
 }
 
-// refGlobal is the ingest state of the reference, striped like the live
-// one so that group order can be compared.
+// ingestStripes is the number of lock stripes the ingest was sharded
+// over until it took one lock.
+const ingestStripes = 16
+
+// refGlobal is the ingest state of the reference, striped like the
+// parent's live one so that its group order is the parent's.
 type refGlobal struct {
 	stripes [ingestStripes]map[topology.ClusterID]*refClusterIngest
 }
@@ -54,15 +62,12 @@ func newRefGlobal() *refGlobal {
 	return r
 }
 
-// stripeIndex is the index of the live stripe owning a cluster.
-func stripeIndex(g *Global, c topology.ClusterID) int {
-	st := g.stripe(c)
-	for i := range g.ingest {
-		if st == &g.ingest[i] {
-			return i
-		}
-	}
-	panic("stripe not found")
+// refStripe is the index of the lock stripe that owned a cluster's
+// telemetry while the ingest was striped (the striped Global's stripe).
+func refStripe(c topology.ClusterID) int {
+	h := fnv.New32a()
+	h.Write([]byte(c))
+	return int(h.Sum32() % ingestStripes)
 }
 
 // handle is the parent's handleMetrics from the epoch check on; it
@@ -149,17 +154,21 @@ func (r *refGlobal) snapshotIngest() [][]telemetry.WindowStats {
 // liveIngest returns the live global's state for one cluster (nil if it
 // never reported).
 func liveIngest(g *Global, c topology.ClusterID) *clusterIngest {
-	st := g.stripe(c)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.clusters[c]
+	g.ingestMu.Lock()
+	defer g.ingestMu.Unlock()
+	for _, ci := range g.ingest {
+		if ci.id == c {
+			return ci
+		}
+	}
+	return nil
 }
 
 // checkWindow asserts the live reconstructed window of one cluster has
 // unique keys in lessMetricKey order and equals the reference fold.
 func checkWindow(t *testing.T, g *Global, ref *refGlobal, c topology.ClusterID) {
 	t.Helper()
-	live, want := liveIngest(g, c), ref.stripes[stripeIndex(g, c)][c]
+	live, want := liveIngest(g, c), ref.stripes[refStripe(c)][c]
 	if (live == nil) != (want == nil) {
 		t.Fatalf("cluster %q: live state %v, reference %v", c, live != nil, want != nil)
 	}
@@ -186,6 +195,24 @@ func sameWindow(a, b []telemetry.WindowStats) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// sameBits compares element for element, the rate by its bits.
+func sameBits(a, b []telemetry.WindowStats) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.RPS) != math.Float64bits(y.RPS) {
+			return false
+		}
+		x.RPS, y.RPS = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
 func postMetrics(h http.Handler, body []byte) int {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/metrics", bytes.NewReader(body)))
@@ -197,8 +224,9 @@ func postMetrics(h http.Handler, body []byte) int {
 // removed keys, epoch gaps, and ticks in between — through the live
 // ingest and the map-based reference: after every report the cluster's
 // reconstructed window, epoch and event-trigger total are equal bit for
-// bit, and every snapshotIngest hands out the same groups in the same
-// order.
+// bit, and every merge a tick takes equals telemetry.Merge of the groups
+// the reference's snapshotIngest hands out, in its striped order, bit
+// for bit.
 func TestSteadyPathMatchesFullRecompute(t *testing.T) {
 	clusters := []topology.ClusterID{"west", "east", "zeta", "alpha", "c07", "c11", "c23"}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -246,7 +274,7 @@ func TestSteadyPathMatchesFullRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			code := postMetrics(h, body)
-			if want := ref.handle(stripeIndex(g, c), rep); code != want {
+			if want := ref.handle(refStripe(c), rep); code != want {
 				t.Fatalf("seed %d step %d: status %d, reference %d", seed, step, code, want)
 			}
 			if code == http.StatusAccepted {
@@ -254,24 +282,22 @@ func TestSteadyPathMatchesFullRecompute(t *testing.T) {
 			}
 			checkWindow(t, g, ref, c)
 			if rng.Intn(12) == 0 {
-				live, want := g.snapshotIngest(), ref.snapshotIngest()
-				same := len(live) == len(want)
-				for i := 0; same && i < len(want); i++ {
-					same = sameWindow(live[i], want[i])
-				}
-				if !same {
-					t.Fatalf("seed %d step %d: snapshotIngest groups differ:\nlive %v\nref  %v", seed, step, live, want)
+				live, window := g.mergeIngest()
+				want := telemetry.Merge(ref.snapshotIngest()...)
+				if !sameBits(live, want) || window != time.Second {
+					t.Fatalf("seed %d step %d: the tick's merge differs:\nlive %v over %v\nref  %v over 1s", seed, step, live, window, want)
 				}
 			}
 		}
 	}
 }
 
-// TestHandleMetricsRejectsOutOfRange: a report with a negative rate or
-// without a cluster is refused whole with 400 and counted, the cluster's
-// previous window stays, and the next good report is accepted — the
-// control loop keeps ticking throughout instead of failing on negative
-// demand until the key is re-reported.
+// TestHandleMetricsRejectsOutOfRange: a report with a negative rate,
+// without a cluster, or with a stat keyed to another cluster is refused
+// whole with 400 and counted, the cluster's previous window stays, and
+// the next good report is accepted — the control loop keeps ticking
+// throughout instead of failing on negative demand until the key is
+// re-reported, and no cluster adds to another's demand.
 func TestHandleMetricsRejectsOutOfRange(t *testing.T) {
 	g, srv := newGlobalServer(t)
 	post := func(rep MetricsReport) int {
@@ -288,25 +314,29 @@ func TestHandleMetricsRejectsOutOfRange(t *testing.T) {
 			t.Fatalf("optimize status = %d", resp.StatusCode)
 		}
 	}
-	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 1, Stats: feStats(900, 100)}); code != http.StatusAccepted {
+	west := func(rps float64) []telemetry.WindowStats { return feStats(rps, 0)[:1] }
+	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 1, Stats: west(900)}); code != http.StatusAccepted {
 		t.Fatalf("good report status = %d", code)
 	}
 	tick()
 	before := append([]telemetry.WindowStats(nil), liveIngest(g, topology.West).stats...)
 	errsBefore := counterValue(t, scrape(t, srv.URL), "slate_global_report_errors_total")
 
-	bad := feStats(-5, 100)
+	bad := west(-5)
 	for _, rep := range []MetricsReport{
 		{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Delta: true, Stats: bad},
 		{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Stats: bad},
-		{Cluster: "", WindowMS: 1000, Epoch: 1, Stats: feStats(900, 100)},
+		{Cluster: "", WindowMS: 1000, Epoch: 1, Stats: west(900)},
+		// West's key beside east's: east's rate would join east's demand.
+		{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Delta: true, Stats: feStats(900, 100)},
+		{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Stats: feStats(900, 100)},
 	} {
 		if code := post(rep); code != http.StatusBadRequest {
 			t.Fatalf("report %+v: status = %d, want 400", rep, code)
 		}
 	}
-	if got := counterValue(t, scrape(t, srv.URL), "slate_global_report_errors_total"); got != errsBefore+3 {
-		t.Errorf("slate_global_report_errors_total went %d -> %d, want +3", errsBefore, got)
+	if got := counterValue(t, scrape(t, srv.URL), "slate_global_report_errors_total"); got != errsBefore+5 {
+		t.Errorf("slate_global_report_errors_total went %d -> %d, want +5", errsBefore, got)
 	}
 	if ci := liveIngest(g, topology.West); ci.epoch != 1 || !reflect.DeepEqual(ci.stats, before) {
 		t.Errorf("rejected reports changed west's window: epoch %d, %v (was %v)", ci.epoch, ci.stats, before)
@@ -317,13 +347,86 @@ func TestHandleMetricsRejectsOutOfRange(t *testing.T) {
 	tick() // an empty window: demand decays, nothing fails
 
 	// The rejected delta consumed no epoch: the next good delta is 2.
-	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Delta: true, Stats: feStats(800, 100)[:1]}); code != http.StatusAccepted {
+	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 2, Delta: true, Stats: west(800)}); code != http.StatusAccepted {
 		t.Fatalf("recovery report status = %d", code)
 	}
 	tick()
-	if rps := liveIngest(g, topology.West).stats[1].RPS; rps != 800 { //slate:nolint floatcmp -- copied verbatim, not computed
+	if rps := liveIngest(g, topology.West).stats[0].RPS; rps != 800 { //slate:nolint floatcmp -- copied verbatim, not computed
 		t.Errorf("west's gateway rate after recovery = %v, want 800", rps)
 	}
+}
+
+// TestRefusedReportKeepsWindowLength: only an accepted report sets the
+// window length a tick plans over. A delta refused for an epoch gap
+// used to set it anyway, before its epoch was checked.
+func TestRefusedReportKeepsWindowLength(t *testing.T) {
+	g, srv := newGlobalServer(t)
+	post := func(rep MetricsReport) int {
+		t.Helper()
+		resp := postJSONReq(t, srv.URL+"/v1/metrics", rep)
+		drain(resp)
+		return resp.StatusCode
+	}
+	west := feStats(900, 0)[:1]
+	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 5000, Epoch: 1, Stats: west}); code != http.StatusAccepted {
+		t.Fatalf("full report status = %d", code)
+	}
+	if code := post(MetricsReport{Cluster: topology.West, WindowMS: 7000, Epoch: 3, Delta: true, Stats: west}); code != http.StatusConflict {
+		t.Fatalf("gapped delta status = %d, want 409", code)
+	}
+	if err := g.Tick(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if g.window != 5*time.Second {
+		t.Fatalf("the tick after a refused 7 s report plans over %v, want the accepted 5 s", g.window)
+	}
+}
+
+// TestPendingReportsGauge: slate_global_pending_reports reads exactly
+// the number of clusters that reported since the last tick merged them.
+// A cluster's second report does not count again, a refused one not at
+// all, and a tick clears the count.
+func TestPendingReportsGauge(t *testing.T) {
+	g, srv := newGlobalServer(t)
+	post := func(c topology.ClusterID, epoch uint64, delta bool, rps float64, want int) {
+		t.Helper()
+		stats := []telemetry.WindowStats{{Key: telemetry.MetricKey{Service: "gateway", Class: "default", Cluster: string(c)}, RPS: rps}}
+		resp := postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{Cluster: c, WindowMS: 1000, Epoch: epoch, Delta: delta, Stats: stats})
+		drain(resp)
+		if resp.StatusCode != want {
+			t.Fatalf("%s report at epoch %d: status %d, want %d", c, epoch, resp.StatusCode, want)
+		}
+	}
+	check := func(want int) {
+		t.Helper()
+		if got := g.mStaleGroups.Value(); int(got) != want {
+			t.Fatalf("slate_global_pending_reports = %v, want %d", got, want)
+		}
+	}
+	tick := func() {
+		t.Helper()
+		if err := g.Tick(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post(topology.West, 1, false, 900, http.StatusAccepted)
+	check(1)
+	post(topology.West, 2, true, 800, http.StatusAccepted)
+	check(1)
+	post(topology.East, 1, false, 100, http.StatusAccepted)
+	post("zeta", 1, false, 10, http.StatusAccepted)
+	check(3)
+	post(topology.East, 5, true, 100, http.StatusConflict)
+	post(topology.East, 2, true, -1, http.StatusBadRequest)
+	check(3)
+	tick()
+	check(0)
+	post(topology.East, 2, true, 120, http.StatusAccepted)
+	check(1)
+	tick()
+	check(0)
+	tick()
+	check(0)
 }
 
 // TestDiscardedGlobalIsCollectedAtOnce: a Global that has ingested
@@ -342,7 +445,7 @@ func TestDiscardedGlobalIsCollectedAtOnce(t *testing.T) {
 		}
 		g := NewGlobal(ctrl)
 		runtime.SetFinalizer(g, func(*Global) { close(freed) })
-		body, err := json.Marshal(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 1, Stats: feStats(900, 100)})
+		body, err := json.Marshal(MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 1, Stats: feStats(900, 100)[:1]})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,6 +142,37 @@ func TestOneShotMatchesStandalone(t *testing.T) {
 	}
 }
 
+// TestOneShotAllocs pins the heap objects of one Problem.Optimize call,
+// which builds a whole one-shard ShardedOptimizer to solve once: on
+// fig6a at most 1 390 and on the GCP chain at most 3 100, their counts
+// when that path replaced the standalone optimizer (≈ 80 objects more
+// than it; ROADMAP keeps the reduction). Lowering either is welcome;
+// lower the pin with it.
+func TestOneShotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates more")
+	}
+	top, app := gcpScenario()
+	demand := gcpDemand(1000, 100, 1000, 100)
+	for _, c := range []struct {
+		name string
+		p    *Problem
+		max  float64
+	}{
+		{"fig6a", oneShotProblems()["fig6a"], 1390},
+		{"gcp chain", &Problem{Top: top, App: app, Demand: demand, Profiles: DefaultProfiles(app, top, demand)}, 3100},
+	} {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := c.p.Optimize(7); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > c.max {
+			t.Errorf("%s: Problem.Optimize allocates %v objects, want at most %v", c.name, n, c.max)
+		}
+	}
+}
+
 // TestNonFiniteDemandIsAnError: a NaN or infinite demand entry is an
 // error naming its class and cluster on every path a plan is made by,
 // never a panic, and a warm optimizer given one neither skips the tick

@@ -6,12 +6,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/lp"
+	"github.com/servicelayernetworking/slate/internal/par"
 	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/search"
@@ -343,30 +342,17 @@ func (s *ShardedOptimizer) solveDirty(demand Demand, profiles Profiles, version 
 	})
 }
 
-// eachDirty serves every dirty shard on min(GOMAXPROCS, dirty) workers,
-// each in its own Workspace. The calling goroutine is one of the
-// workers, so one dirty shard starts no goroutine.
+// eachDirty serves every dirty shard on min(GOMAXPROCS, dirty) workers
+// of par.Each, each worker in its own Workspace.
 func (s *ShardedOptimizer) eachDirty(serve func(*shard, *lp.Workspace)) {
 	workers := min(runtime.GOMAXPROCS(0), len(s.dirty))
 	for len(s.work) < workers {
 		s.work = append(s.work, lp.NewWorkspace())
 	}
-	var next atomic.Int64
-	work := func(w *lp.Workspace) {
-		for k := next.Add(1) - 1; k < int64(len(s.dirty)); k = next.Add(1) - 1 {
-			serve(s.dirty[k], w)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, w := range s.work[1:workers] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(s.work[0])
-	wg.Wait()
+	par.Each(len(s.dirty), workers, func(w, i int) error {
+		serve(s.dirty[i], s.work[w])
+		return nil
+	})
 }
 
 // checkDemand rejects a demand entry the LP cannot take before any

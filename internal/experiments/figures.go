@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/par"
 	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/simrun"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -134,7 +136,7 @@ func Fig4(opt Options) (*Figure, error) {
 		tops[i] = topology.TwoClusters(rtt)
 		apps[i] = chainApp(topology.West, topology.East)
 	}
-	err := runConcurrently(len(rtts)*len(loads), func(i int) error {
+	err := par.Each(len(rtts)*len(loads), runtime.GOMAXPROCS(0), func(_, i int) error {
 		ri, li := i/len(loads), i%len(loads)
 		load := loads[li]
 		demand := core.Demand{"default": {topology.West: load, topology.East: 100}}
@@ -317,7 +319,7 @@ func Headline(opt Options) (*Figure, error) {
 		f  func(Options) (*Figure, error)
 	}{{"fig6a", Fig6a}, {"fig6b", Fig6b}, {"fig6c", Fig6c}, {"fig6d", Fig6d}}
 	subs := make([]*Figure, len(entries))
-	err := runConcurrently(len(entries), func(i int) error {
+	err := par.Each(len(entries), runtime.GOMAXPROCS(0), func(_, i int) error {
 		sub, err := entries[i].f(opt)
 		if err != nil {
 			return fmt.Errorf("%s: %w", entries[i].id, err)

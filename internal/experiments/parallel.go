@@ -3,67 +3,13 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/servicelayernetworking/slate/internal/baseline"
 	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/par"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/simrun"
 )
-
-// forEachConcurrent runs task(0), …, task(n-1) on up to `workers`
-// goroutines and returns the lowest-index error (nil if none). Tasks
-// must be independent: each scenario run owns its kernel and seeded RNG
-// streams, so results land in caller-indexed slots bit-identical to a
-// serial loop regardless of scheduling. With one worker (or one task)
-// it degenerates to a plain loop on the calling goroutine.
-func forEachConcurrent(n, workers int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = task(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runConcurrently is forEachConcurrent bounded by GOMAXPROCS — the
-// harness-wide knob for scenario sweeps.
-func runConcurrently(n int, task func(i int) error) error {
-	return forEachConcurrent(n, runtime.GOMAXPROCS(0), task)
-}
 
 // leg is one simulated run of an experiment: a scenario and the policy
 // driving it. Every simulated figure is a table of legs handed to
@@ -84,7 +30,7 @@ type policyFunc func(scn *simrun.Scenario) (simrun.Policy, error)
 // returns the results in leg order.
 func runLegs(legs []leg) ([]*simrun.Result, error) {
 	results := make([]*simrun.Result, len(legs))
-	err := runConcurrently(len(legs), func(i int) error {
+	err := par.Each(len(legs), runtime.GOMAXPROCS(0), func(_, i int) error {
 		l := legs[i]
 		pol, err := l.policy(&l.scn)
 		if err == nil {
