@@ -235,7 +235,7 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 		for i := range vars {
 			vars[i] = make([]lp.Var, n)
 			for j := range vars[i] {
-				vars[i][j] = m.AddVar("x", float64((i*7+j*13)%10+1))
+				vars[i][j] = m.AddVar(float64((i*7+j*13)%10 + 1))
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -243,14 +243,14 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 			for j := 0; j < n; j++ {
 				terms[j] = lp.Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint("s", terms, lp.EQ, 10)
+			m.MustConstraint(terms, lp.EQ, 10)
 		}
 		for j := 0; j < n; j++ {
 			terms := make([]lp.Term, n)
 			for i := 0; i < n; i++ {
 				terms[i] = lp.Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint("d", terms, lp.EQ, 10)
+			m.MustConstraint(terms, lp.EQ, 10)
 		}
 		return m
 	}

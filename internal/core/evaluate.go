@@ -162,7 +162,7 @@ func EvaluateTable(p *Problem, table *routing.Table) (float64, error) { //slate:
 		return 0, err
 	}
 	if err := f.model.CheckFeasible(x, 1e-6); err != nil {
-		return 0, fmt.Errorf("core: table infeasible: %w", err)
+		return 0, fmt.Errorf("core: table infeasible: %w", f.named(err))
 	}
 	return f.model.EvalObjective(x), nil
 }

@@ -245,6 +245,9 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	if err := checkInputs(top, app); err != nil {
 		return nil, err
 	}
+	if m := cfg.DemandMargin; math.IsNaN(m) || math.IsInf(m, 0) {
+		return nil, fmt.Errorf("core: non-finite robust demand margin %v", m)
+	}
 	f := &formulation{
 		top:      top,
 		app:      app,
@@ -289,8 +292,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				// x[n][i][i] carries the demand (no choice). Skip clusters
 				// without the frontend; validated below.
 				if placedIn(nr.node.Service, ci) {
-					v := model.AddVar(fmt.Sprintf("x[%s#%d][%s->%s]", nr.class.Name, ni, ci, ci), 0)
-					f.flow[ni] = append(f.flow[ni], flowVar{i, i, v})
+					f.flow[ni] = append(f.flow[ni], flowVar{i, i, model.AddVar(0)})
 				}
 				continue
 			}
@@ -298,11 +300,14 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				if !placedIn(nr.node.Service, cj) {
 					continue
 				}
-				v := model.AddVar(fmt.Sprintf("x[%s#%d][%s->%s]", nr.class.Name, ni, ci, cj), 0)
-				f.flow[ni] = append(f.flow[ni], flowVar{i, j, v})
+				f.flow[ni] = append(f.flow[ni], flowVar{i, j, model.AddVar(0)})
 			}
 		}
 	}
+
+	// Every row's terms are gathered in one reused slice: the model
+	// keeps a sorted copy of each.
+	var terms []lp.Term
 
 	// Root demand constraints.
 	for ni, nr := range f.nodes {
@@ -324,9 +329,8 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				continue
 			}
 			f.demands = append(f.demands, demandRef{class: nr.class.Name, svc: nr.node.Service, ci: ci, con: model.NumConstraints()})
-			model.MustConstraint(
-				fmt.Sprintf("demand[%s][%s]", nr.class.Name, ci),
-				[]lp.Term{{Var: placed[0].v, Coef: 1}}, lp.EQ, d)
+			terms = append(terms[:0], lp.Term{Var: placed[0].v, Coef: 1})
+			model.MustConstraint(terms, lp.EQ, d)
 			placed = placed[1:]
 		}
 	}
@@ -338,23 +342,9 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 			continue
 		}
 		for j := range clusters {
-			var terms []lp.Term
-			for _, fl := range f.flow[ni] {
-				if fl.i == j {
-					terms = append(terms, lp.Term{Var: fl.v, Coef: 1})
-				}
+			if terms = f.conserveTerms(terms[:0], ni, j); len(terms) > 0 {
+				model.MustConstraint(terms, lp.EQ, 0)
 			}
-			for _, fl := range f.flow[nr.parent] {
-				if fl.j == j {
-					terms = append(terms, lp.Term{Var: fl.v, Coef: -float64(nr.node.Count)})
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			model.MustConstraint(
-				fmt.Sprintf("conserve[%s#%d][%s]", nr.class.Name, ni, clusters[j]),
-				terms, lp.EQ, 0)
 		}
 	}
 
@@ -369,7 +359,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	for sid := range app.Services {
 		sortedSids = append(sortedSids, sid)
 	}
-	sort.Slice(sortedSids, func(i, j int) bool { return sortedSids[i] < sortedSids[j] })
+	slices.Sort(sortedSids)
 	firstPool := make(map[appgraph.ServiceID]int, len(sortedSids))
 	for _, sid := range sortedSids {
 		svc := app.Services[sid]
@@ -385,9 +375,9 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				return nil, fmt.Errorf("core: linearizing pool %s: %w", key, err)
 			}
 			pr := &poolRef{key: key, profile: prof, segs: segs}
-			pr.loadVar = model.AddVar(fmt.Sprintf("load[%s]", key), 0)
-			for si, seg := range segs {
-				v := model.AddVar(fmt.Sprintf("seg[%s][%d]", key, si), cfg.LatencyWeight*seg.Slope)
+			pr.loadVar = model.AddVar(0)
+			for _, seg := range segs {
+				v := model.AddVar(cfg.LatencyWeight * seg.Slope)
 				model.SetUpper(v, seg.Width)
 				pr.segVars = append(pr.segVars, v)
 			}
@@ -401,17 +391,10 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	f.layRules()
 	// load[s,j] = sum over nodes at s of flows into j, scaled to standard
 	// requests; and load = sum of segment vars.
-	loadTerms := make(map[PoolKey][]lp.Term)
 	for ni, nr := range f.nodes {
 		mst := nr.node.Work.MeanServiceTime.Seconds()
-		for _, fl := range f.flow[ni] {
-			key := PoolKey{Service: nr.node.Service, Cluster: clusters[fl.j]}
-			pr := f.poolIdx[key]
-			scale := 1.0
-			if pr.profile.RefServiceTime > 0 {
-				scale = mst / pr.profile.RefServiceTime.Seconds()
-			}
-			loadTerms[key] = append(loadTerms[key], lp.Term{Var: fl.v, Coef: scale})
+		for k, fl := range f.flow[ni] {
+			pr := f.pools[nr.pool+k%nr.placed]
 			pr.linkTerms = append(pr.linkTerms, linkTerm{v: fl.v, mst: mst, class: nr.class.Name})
 		}
 	}
@@ -450,12 +433,9 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				continue // placed but never called: no load to protect
 			}
 			sort.Strings(classes)
-			pr.zVar = model.AddVar(fmt.Sprintf("zrob[%s]", pr.key), 0)
+			pr.zVar = model.AddVar(0)
 			for _, class := range classes {
-				pr.robs = append(pr.robs, robRef{
-					class: class,
-					qVar:  model.AddVar(fmt.Sprintf("qrob[%s][%s]", pr.key, class), 0),
-				})
+				pr.robs = append(pr.robs, robRef{class: class, qVar: model.AddVar(0)})
 			}
 			g := cfg.Budget
 			if g <= 0 || g > len(classes) {
@@ -466,31 +446,34 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	}
 
 	for _, pr := range f.pools {
-		terms := append([]lp.Term{{Var: pr.loadVar, Coef: -1}}, loadTerms[pr.key]...)
+		terms = append(terms[:0], lp.Term{Var: pr.loadVar, Coef: -1})
+		for _, lt := range pr.linkTerms {
+			terms = append(terms, lp.Term{Var: lt.v, Coef: linkScale(lt, pr.profile)})
+		}
 		pr.linkCon = model.NumConstraints()
-		model.MustConstraint(fmt.Sprintf("loadlink[%s]", pr.key), terms, lp.EQ, 0)
-		segTerms := []lp.Term{{Var: pr.loadVar, Coef: -1}}
+		model.MustConstraint(terms, lp.EQ, 0)
+		terms = append(terms[:0], lp.Term{Var: pr.loadVar, Coef: -1})
 		for _, v := range pr.segVars {
-			segTerms = append(segTerms, lp.Term{Var: v, Coef: 1})
+			terms = append(terms, lp.Term{Var: v, Coef: 1})
 		}
 		if len(pr.robs) > 0 {
-			segTerms = append(segTerms, lp.Term{Var: pr.zVar, Coef: -pr.gamma})
+			terms = append(terms, lp.Term{Var: pr.zVar, Coef: -pr.gamma})
 			for _, rr := range pr.robs {
-				segTerms = append(segTerms, lp.Term{Var: rr.qVar, Coef: -1})
+				terms = append(terms, lp.Term{Var: rr.qVar, Coef: -1})
 			}
 		}
-		model.MustConstraint(fmt.Sprintf("segments[%s]", pr.key), segTerms, lp.EQ, 0)
+		model.MustConstraint(terms, lp.EQ, 0)
 		for ri := range pr.robs {
 			rr := &pr.robs[ri]
-			rterms := []lp.Term{{Var: pr.zVar, Coef: 1}, {Var: rr.qVar, Coef: 1}}
+			terms = append(terms[:0], lp.Term{Var: pr.zVar, Coef: 1}, lp.Term{Var: rr.qVar, Coef: 1})
 			for _, lt := range pr.linkTerms {
 				if lt.class != rr.class {
 					continue
 				}
-				rterms = append(rterms, lp.Term{Var: lt.v, Coef: -cfg.DemandMargin * linkScale(lt, pr.profile)})
+				terms = append(terms, lp.Term{Var: lt.v, Coef: -cfg.DemandMargin * linkScale(lt, pr.profile)})
 			}
 			rr.con = model.NumConstraints()
-			model.MustConstraint(fmt.Sprintf("rob[%s][%s]", pr.key, rr.class), rterms, lp.GE, 0)
+			model.MustConstraint(terms, lp.GE, 0)
 		}
 	}
 
@@ -518,6 +501,109 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	// capacity and pay proportionally more aggregate delay, which prices
 	// their longer service time; adding Δτ again would double-count it.
 	return f, nil
+}
+
+// conserveTerms appends to terms the conservation row of non-root node
+// ni in cluster j: its flows out of j less Count times its parent's flows
+// into j. Clusters where neither runs have no row.
+func (f *formulation) conserveTerms(terms []lp.Term, ni, j int) []lp.Term {
+	nr := f.nodes[ni]
+	for _, fl := range f.flow[ni] {
+		if fl.i == j {
+			terms = append(terms, lp.Term{Var: fl.v, Coef: 1})
+		}
+	}
+	for _, fl := range f.flow[nr.parent] {
+		if fl.j == j {
+			terms = append(terms, lp.Term{Var: fl.v, Coef: -float64(nr.node.Count)})
+		}
+	}
+	return terms
+}
+
+// named gives an lp error the names of the formulation's rows and
+// columns in place of their indices; any other error passes through.
+// The model stores no names, so they are made here, on the failure path.
+func (f *formulation) named(err error) error {
+	if le, ok := err.(*lp.Error); ok {
+		return le.Named(f.rowName, f.colName)
+	}
+	return err
+}
+
+// rowName names constraint r: demand[class][cluster],
+// conserve[class#node][cluster], loadlink[pool], segments[pool] or
+// rob[pool][class]. The rows lie in that order, a pool's rows together.
+func (f *formulation) rowName(r int) string {
+	conserve := 0 // the first conservation row follows the demand rows
+	for _, dr := range f.demands {
+		if dr.con == r {
+			return fmt.Sprintf("demand[%s][%s]", dr.class, dr.ci)
+		}
+		if dr.con >= 0 {
+			conserve++
+		}
+	}
+	for _, pr := range f.pools {
+		switch r {
+		case pr.linkCon:
+			return fmt.Sprintf("loadlink[%s]", pr.key)
+		case pr.linkCon + 1:
+			return fmt.Sprintf("segments[%s]", pr.key)
+		}
+		for _, rr := range pr.robs {
+			if rr.con == r {
+				return fmt.Sprintf("rob[%s][%s]", pr.key, rr.class)
+			}
+		}
+	}
+	var terms []lp.Term
+	for ni, nr := range f.nodes {
+		if nr.parent == -1 {
+			continue
+		}
+		for j, cj := range f.clusters {
+			if terms = f.conserveTerms(terms[:0], ni, j); len(terms) == 0 {
+				continue
+			}
+			if conserve == r {
+				return fmt.Sprintf("conserve[%s#%d][%s]", nr.class.Name, ni, cj)
+			}
+			conserve++
+		}
+	}
+	return fmt.Sprintf("#%d", r)
+}
+
+// colName names variable v: the flow x[class#node][from->to],
+// load[pool], seg[pool][k], zrob[pool] or qrob[pool][class].
+func (f *formulation) colName(v int) string {
+	for ni, nr := range f.nodes {
+		for _, fl := range f.flow[ni] {
+			if int(fl.v) == v {
+				return fmt.Sprintf("x[%s#%d][%s->%s]", nr.class.Name, ni, f.clusters[fl.i], f.clusters[fl.j])
+			}
+		}
+	}
+	for _, pr := range f.pools {
+		if int(pr.loadVar) == v {
+			return fmt.Sprintf("load[%s]", pr.key)
+		}
+		for si, sv := range pr.segVars {
+			if int(sv) == v {
+				return fmt.Sprintf("seg[%s][%d]", pr.key, si)
+			}
+		}
+		if len(pr.robs) > 0 && int(pr.zVar) == v {
+			return fmt.Sprintf("zrob[%s]", pr.key)
+		}
+		for _, rr := range pr.robs {
+			if int(rr.qVar) == v {
+				return fmt.Sprintf("qrob[%s][%s]", pr.key, rr.class)
+			}
+		}
+	}
+	return fmt.Sprintf("#%d", v)
 }
 
 // layRules compiles the rule layout. A class's call nodes are

@@ -94,7 +94,7 @@ func (o *optimizer) solve(work *lp.Workspace, demand Demand, profiles Profiles) 
 	o.restored = nil
 	sol, err := o.solver.Solve(work, o.f.model, o.basis)
 	if err != nil {
-		return nil, fmt.Errorf("core: solving routing LP: %w", err)
+		return nil, fmt.Errorf("core: solving routing LP: %w", o.f.named(err))
 	}
 	if sol.Warm {
 		o.stats.WarmSolves++
@@ -169,7 +169,7 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 			continue
 		}
 		if err := f.model.SetRHS(dr.con, d); err != nil {
-			return err
+			return f.named(err)
 		}
 	}
 	for _, pr := range f.pools {
@@ -197,7 +197,7 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 		if refChanged {
 			for _, lt := range pr.linkTerms {
 				if err := f.model.SetCoef(pr.linkCon, lt.v, linkScale(lt, prof)); err != nil {
-					return err
+					return f.named(err)
 				}
 			}
 			// The robust surge rows scale flows by the same reference
@@ -209,7 +209,7 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 						continue
 					}
 					if err := f.model.SetCoef(rr.con, lt.v, -f.cfg.DemandMargin*linkScale(lt, prof)); err != nil {
-						return err
+						return f.named(err)
 					}
 				}
 			}

@@ -1,0 +1,56 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/servicelayernetworking/slate/internal/core"
+	"github.com/servicelayernetworking/slate/internal/scenario"
+	"github.com/servicelayernetworking/slate/internal/topology"
+)
+
+// TestShardBuildRetains pins what a cold build of the planner's shards
+// keeps on the heap, on the deployment the ctrl-churn benchmark plans:
+// 48 clusters, 96 services, 24 classes, so 24 shards of ≈ 1 000 columns
+// and ≈ 360 rows. A formulation holds numbers only; a string formatted
+// per row or column would add ≈ 1 400 objects and tens of kB a shard.
+func TestShardBuildRetains(t *testing.T) {
+	g, err := scenario.Generate(scenario.GenSpec{
+		Seed: 1, Clusters: 48, Regions: 6, Services: 96, Classes: 24,
+		Spread: 3, Replicas: 3, Concurrency: 8, TotalRPS: 150000, ArrivalSpread: 2,
+		RemoteFraction: 0.1, MeanServiceTime: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := core.Demand{}
+	for _, sp := range g.Workload {
+		if demand[sp.Class] == nil {
+			demand[sp.Class] = map[topology.ClusterID]float64{}
+		}
+		demand[sp.Class][sp.Cluster] += sp.RateAt(0)
+	}
+	build := core.ShardBuilds(g.Top, g.App, demand)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	shards, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := len(shards)
+	runtime.KeepAlive(shards)
+	objects := (after.HeapObjects - before.HeapObjects) / uint64(n)
+	kB := float64(after.HeapAlloc-before.HeapAlloc) / float64(n) / 1e3
+	t.Logf("%d shards keep %d objects and %.1f kB each", n, objects, kB)
+	if n != 24 {
+		t.Fatalf("%d shards, want 24", n)
+	}
+	// 2 010 objects and 230.3 kB a shard while the model kept names.
+	if objects > 650 || kB > 170 {
+		t.Errorf("a shard's build keeps %d objects and %.1f kB, want at most 650 and 170 kB", objects, kB)
+	}
+}

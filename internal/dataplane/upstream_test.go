@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -723,10 +724,16 @@ func TestUpstreamRoundTripAllocs(t *testing.T) {
 // transports.
 func BenchmarkUpstreamRoundTrip(b *testing.B) {
 	url := cannedServer(b)
+	up, ref := &Upstream{}, oracle()
+	// Each leg leaves a keep-alive connection idle, and the server's
+	// cleanup waits for every connection to end: close them first
+	// (cleanups run last registered, first run).
+	b.Cleanup(up.CloseIdleConnections)
+	b.Cleanup(ref.CloseIdleConnections)
 	for _, c := range []struct {
 		name string
 		rt   http.RoundTripper
-	}{{"upstream", &Upstream{}}, {"http.Transport", oracle()}} {
+	}{{"upstream", up}, {"http.Transport", ref}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
@@ -739,5 +746,25 @@ func BenchmarkUpstreamRoundTrip(b *testing.B) {
 				resp.Body.Close()
 			}
 		})
+	}
+}
+
+// TestUpstreamRoundTripBenchmarkReturns runs BenchmarkUpstreamRoundTrip
+// once per leg, as a -benchtime=1x run of every benchmark does, under a
+// deadline: a leg that holds a keep-alive connection past the canned
+// server's cleanup hangs the benchmark there.
+func TestUpstreamRoundTripBenchmarkReturns(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime").Value
+	was := benchtime.String()
+	if err := benchtime.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { benchtime.Set(was) })
+	done := make(chan testing.BenchmarkResult, 1)
+	go func() { done <- testing.Benchmark(BenchmarkUpstreamRoundTrip) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("BenchmarkUpstreamRoundTrip has not returned after 30 s")
 	}
 }

@@ -294,10 +294,10 @@ func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
 			nArt++
 		}
 	}
-	for _, v := range m.vars {
+	for i, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
 			if v.upper < 0 {
-				return nil, fmt.Errorf("lp: variable %s has negative upper bound %v", v.name, v.upper)
+				return nil, fmt.Errorf("lp: variable #%d has negative upper bound %v", i, v.upper)
 			}
 			nRows++
 			nSlack++

@@ -26,8 +26,8 @@ func (m *Model) EvalObjective(x []float64) float64 {
 // a row residual |Σ a·x − rhs| (or one-sided slack violation) is
 // accepted up to tol·(1 + Σ|a·x|), and a bound violation up to
 // tol·(1 + |bound|), so well-scaled and badly-scaled rows are judged
-// alike. tol ≤ 0 uses 1e-6. It returns nil when feasible and a
-// descriptive error naming the first violated row or bound otherwise.
+// alike. tol ≤ 0 uses 1e-6. It returns nil when feasible and otherwise
+// an *Error naming the first violated row or bound.
 //
 // This is the gate an external solver's solution must pass before the
 // control plane will publish it: a locally-searched routing table that
@@ -43,13 +43,13 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	for i := range m.vars {
 		v := x[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("lp: variable %s has non-finite value %v", m.vars[i].name, v)
+			return errorAt(-1, i, "lp: variable %[2]s has non-finite value %[3]v", v)
 		}
 		if v < -tol {
-			return fmt.Errorf("lp: variable %s = %v violates x >= 0", m.vars[i].name, v)
+			return errorAt(-1, i, "lp: variable %[2]s = %[3]v violates x >= 0", v)
 		}
 		if hi := m.vars[i].upper; v > hi+tol*(1+math.Abs(hi)) {
-			return fmt.Errorf("lp: variable %s = %v exceeds upper bound %v", m.vars[i].name, v, hi)
+			return errorAt(-1, i, "lp: variable %[2]s = %[3]v exceeds upper bound %[4]v", v, hi)
 		}
 	}
 	for ci := range m.cons {
@@ -64,15 +64,15 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 		switch con.rel {
 		case LE:
 			if sum > con.rhs+slack {
-				return fmt.Errorf("lp: constraint %s violated: %v > %v", con.name, sum, con.rhs)
+				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v > %[4]v", sum, con.rhs)
 			}
 		case GE:
 			if sum < con.rhs-slack {
-				return fmt.Errorf("lp: constraint %s violated: %v < %v", con.name, sum, con.rhs)
+				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v < %[4]v", sum, con.rhs)
 			}
 		case EQ:
 			if math.Abs(sum-con.rhs) > slack {
-				return fmt.Errorf("lp: constraint %s violated: %v != %v", con.name, sum, con.rhs)
+				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v != %[4]v", sum, con.rhs)
 			}
 		}
 	}

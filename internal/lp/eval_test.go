@@ -10,11 +10,11 @@ import (
 func evalModel(t *testing.T) (*Model, Var, Var) {
 	t.Helper()
 	m := NewModel()
-	a := m.AddVar("a", 1)
-	b := m.AddVar("b", 2)
+	a := m.AddVar(1)
+	b := m.AddVar(2)
 	m.SetUpper(a, 6)
 	m.SetUpper(b, 8)
-	m.MustConstraint("sum", []Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, EQ, 10)
+	m.MustConstraint([]Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, EQ, 10)
 	return m, a, b
 }
 
@@ -57,7 +57,7 @@ func TestCheckFeasible(t *testing.T) {
 		{"short-vector", []float64{6}, "2 variables"},
 		{"negative", []float64{-1, 11}, "x >= 0"},
 		{"over-upper", []float64{7, 3}, "upper bound"},
-		{"broken-sum", []float64{3, 3}, "constraint sum"},
+		{"broken-sum", []float64{3, 3}, "constraint #0 violated"},
 		{"nan", []float64{math.NaN(), 4}, "non-finite"},
 	}
 	for _, tc := range cases {
@@ -78,9 +78,9 @@ func TestCheckFeasible(t *testing.T) {
 
 func TestCheckFeasibleRelations(t *testing.T) {
 	m := NewModel()
-	a := m.AddVar("a", 0)
-	m.MustConstraint("le", []Term{{Var: a, Coef: 1}}, LE, 5)
-	m.MustConstraint("ge", []Term{{Var: a, Coef: 1}}, GE, 2)
+	a := m.AddVar(0)
+	m.MustConstraint([]Term{{Var: a, Coef: 1}}, LE, 5)
+	m.MustConstraint([]Term{{Var: a, Coef: 1}}, GE, 2)
 	if err := m.CheckFeasible([]float64{3}, 1e-9); err != nil {
 		t.Fatalf("3 should satisfy 2 <= a <= 5: %v", err)
 	}
@@ -97,8 +97,8 @@ func TestCheckFeasibleRelations(t *testing.T) {
 // relative residual is tiny.
 func TestCheckFeasibleRelativeTolerance(t *testing.T) {
 	m := NewModel()
-	a := m.AddVar("a", 0)
-	m.MustConstraint("big", []Term{{Var: a, Coef: 1e9}}, EQ, 1e9)
+	a := m.AddVar(0)
+	m.MustConstraint([]Term{{Var: a, Coef: 1e9}}, EQ, 1e9)
 	// 1 + 1e-9 → residual 1.0 in absolute terms, 1e-9 relative.
 	if err := m.CheckFeasible([]float64{1 + 1e-9}, 1e-6); err != nil {
 		t.Fatalf("relative tolerance should accept: %v", err)
@@ -117,7 +117,7 @@ func TestCheckFeasibleSolverSolutions(t *testing.T) {
 		for i := range vars {
 			vars[i] = make([]Var, n)
 			for j := range vars[i] {
-				vars[i][j] = m.AddVar("x", float64((i*7+j*13)%10+1))
+				vars[i][j] = m.AddVar(float64((i*7+j*13)%10 + 1))
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -125,14 +125,14 @@ func TestCheckFeasibleSolverSolutions(t *testing.T) {
 			for j := 0; j < n; j++ {
 				terms[j] = Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint("s", terms, EQ, 10)
+			m.MustConstraint(terms, EQ, 10)
 		}
 		for j := 0; j < n; j++ {
 			terms := make([]Term, n)
 			for i := 0; i < n; i++ {
 				terms[i] = Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint("d", terms, EQ, 10)
+			m.MustConstraint(terms, EQ, 10)
 		}
 		sol, err := solve(m)
 		if err != nil {

@@ -40,11 +40,11 @@ func TestSimplexTextbookMaximization(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's example)
 	// Optimum: x=2, y=6, obj=36. As minimization of -(3x+5y).
 	m := NewModel()
-	x := m.AddVar("x", -3)
-	y := m.AddVar("y", -5)
-	m.MustConstraint("c1", []Term{{x, 1}}, LE, 4)
-	m.MustConstraint("c2", []Term{{y, 2}}, LE, 12)
-	m.MustConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
+	x := m.AddVar(-3)
+	y := m.AddVar(-5)
+	m.MustConstraint([]Term{{x, 1}}, LE, 4)
+	m.MustConstraint([]Term{{y, 2}}, LE, 12)
+	m.MustConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, -36) {
 		t.Errorf("objective = %v, want -36", sol.Objective)
@@ -57,11 +57,11 @@ func TestSimplexTextbookMaximization(t *testing.T) {
 func TestSimplexEqualityAndGE(t *testing.T) {
 	// min 2x + 3y s.t. x + y = 10, x >= 3, y >= 2. Optimum x=8, y=2, obj=22.
 	m := NewModel()
-	x := m.AddVar("x", 2)
-	y := m.AddVar("y", 3)
-	m.MustConstraint("sum", []Term{{x, 1}, {y, 1}}, EQ, 10)
-	m.MustConstraint("xmin", []Term{{x, 1}}, GE, 3)
-	m.MustConstraint("ymin", []Term{{y, 1}}, GE, 2)
+	x := m.AddVar(2)
+	y := m.AddVar(3)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 10)
+	m.MustConstraint([]Term{{x, 1}}, GE, 3)
+	m.MustConstraint([]Term{{y, 1}}, GE, 2)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, 22) {
 		t.Errorf("objective = %v, want 22", sol.Objective)
@@ -74,9 +74,9 @@ func TestSimplexEqualityAndGE(t *testing.T) {
 func TestSimplexNegativeRHSNormalization(t *testing.T) {
 	// -x - y <= -4  is x + y >= 4; min x + 2y -> x=4, y=0.
 	m := NewModel()
-	x := m.AddVar("x", 1)
-	y := m.AddVar("y", 2)
-	m.MustConstraint("c", []Term{{x, -1}, {y, -1}}, LE, -4)
+	x := m.AddVar(1)
+	y := m.AddVar(2)
+	m.MustConstraint([]Term{{x, -1}, {y, -1}}, LE, -4)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, 4) || !almost(sol.Value(x), 4) {
 		t.Errorf("obj=%v x=%v, want 4, 4", sol.Objective, sol.Value(x))
@@ -85,9 +85,9 @@ func TestSimplexNegativeRHSNormalization(t *testing.T) {
 
 func TestSimplexInfeasible(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 1)
-	m.MustConstraint("hi", []Term{{x, 1}}, LE, 1)
-	m.MustConstraint("lo", []Term{{x, 1}}, GE, 2)
+	x := m.AddVar(1)
+	m.MustConstraint([]Term{{x, 1}}, LE, 1)
+	m.MustConstraint([]Term{{x, 1}}, GE, 2)
 	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func TestSimplexInfeasible(t *testing.T) {
 
 func TestSimplexUnbounded(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", -1) // maximize x, no upper limit
-	m.MustConstraint("c", []Term{{x, 1}}, GE, 0)
+	x := m.AddVar(-1) // maximize x, no upper limit
+	m.MustConstraint([]Term{{x, 1}}, GE, 0)
 	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestSimplexUnbounded(t *testing.T) {
 func TestSimplexUpperBounds(t *testing.T) {
 	// min -x - y with x <= 2.5, y <= 1.5 -> obj = -4.
 	m := NewModel()
-	x := m.AddVar("x", -1)
-	y := m.AddVar("y", -1)
+	x := m.AddVar(-1)
+	y := m.AddVar(-1)
 	m.SetUpper(x, 2.5)
 	m.SetUpper(y, 1.5)
 	sol := solveOK(t, m)
@@ -129,13 +129,13 @@ func TestSimplexUpperBounds(t *testing.T) {
 // solve leaves the cycle only through Bland's rule.
 func bealeLP() *Model {
 	m := NewModel()
-	x4 := m.AddVar("x4", 6)
-	x3 := m.AddVar("x3", -0.02)
-	x2 := m.AddVar("x2", 150)
-	x1 := m.AddVar("x1", -0.75)
-	m.MustConstraint("c2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
-	m.MustConstraint("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
-	m.MustConstraint("c3", []Term{{x3, 1}}, LE, 1)
+	x4 := m.AddVar(6)
+	x3 := m.AddVar(-0.02)
+	x2 := m.AddVar(150)
+	x1 := m.AddVar(-0.75)
+	m.MustConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
+	m.MustConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
+	m.MustConstraint([]Term{{x3, 1}}, LE, 1)
 	return m
 }
 
@@ -150,10 +150,10 @@ func TestSimplexDegenerate(t *testing.T) {
 func TestSimplexZeroRHSEquality(t *testing.T) {
 	// Flow-conservation-style constraint with rhs 0.
 	m := NewModel()
-	in := m.AddVar("in", 0)
-	out := m.AddVar("out", 1)
-	m.MustConstraint("conserve", []Term{{in, 1}, {out, -1}}, EQ, 0)
-	m.MustConstraint("demand", []Term{{in, 1}}, GE, 5)
+	in := m.AddVar(0)
+	out := m.AddVar(1)
+	m.MustConstraint([]Term{{in, 1}, {out, -1}}, EQ, 0)
+	m.MustConstraint([]Term{{in, 1}}, GE, 5)
 	sol := solveOK(t, m)
 	if !almost(sol.Value(out), 5) {
 		t.Errorf("out = %v, want 5", sol.Value(out))
@@ -162,9 +162,9 @@ func TestSimplexZeroRHSEquality(t *testing.T) {
 
 func TestSimplexMergesDuplicateTerms(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 1)
+	x := m.AddVar(1)
 	// x + x >= 6 -> x >= 3.
-	m.MustConstraint("c", []Term{{x, 1}, {x, 1}}, GE, 6)
+	m.MustConstraint([]Term{{x, 1}, {x, 1}}, GE, 6)
 	sol := solveOK(t, m)
 	if !almost(sol.Value(x), 3) {
 		t.Errorf("x = %v, want 3", sol.Value(x))
@@ -173,14 +173,14 @@ func TestSimplexMergesDuplicateTerms(t *testing.T) {
 
 func TestConstraintValidation(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 1)
-	if err := m.AddConstraint("bad", []Term{{Var(5), 1}}, LE, 1); err == nil {
+	x := m.AddVar(1)
+	if err := m.AddConstraint([]Term{{Var(5), 1}}, LE, 1); err == nil {
 		t.Error("unknown var should error")
 	}
-	if err := m.AddConstraint("bad", []Term{{x, math.NaN()}}, LE, 1); err == nil {
+	if err := m.AddConstraint([]Term{{x, math.NaN()}}, LE, 1); err == nil {
 		t.Error("NaN coefficient should error")
 	}
-	if err := m.AddConstraint("bad", []Term{{x, 1}}, LE, math.Inf(1)); err == nil {
+	if err := m.AddConstraint([]Term{{x, 1}}, LE, math.Inf(1)); err == nil {
 		t.Error("infinite rhs should error")
 	}
 	m.SetUpper(x, -1)
@@ -193,10 +193,10 @@ func TestRedundantConstraints(t *testing.T) {
 	// Same equality twice: the second is redundant; artificial stays at
 	// zero and the solve must still succeed.
 	m := NewModel()
-	x := m.AddVar("x", 1)
-	y := m.AddVar("y", 1)
-	m.MustConstraint("e1", []Term{{x, 1}, {y, 1}}, EQ, 4)
-	m.MustConstraint("e2", []Term{{x, 1}, {y, 1}}, EQ, 4)
+	x := m.AddVar(1)
+	y := m.AddVar(1)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 4)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 4)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, 4) {
 		t.Errorf("objective = %v, want 4", sol.Objective)
@@ -358,7 +358,7 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 		m := NewModel()
 		vars := make([]Var, n)
 		for j := 0; j < n; j++ {
-			vars[j] = m.AddVar("x", obj[j])
+			vars[j] = m.AddVar(obj[j])
 			m.SetUpper(vars[j], ub[j])
 		}
 		for i, c := range cons {
@@ -366,7 +366,7 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 			for j := 0; j < n; j++ {
 				terms[j] = Term{vars[j], c.a[j]}
 			}
-			m.MustConstraint("c", terms, c.rel, c.rhs)
+			m.MustConstraint(terms, c.rel, c.rhs)
 			_ = i
 		}
 		sol, err := solve(m)
@@ -398,7 +398,7 @@ func TestLargeLPPerformanceSanity(t *testing.T) {
 	for i := range x {
 		x[i] = make([]Var, d)
 		for j := range x[i] {
-			x[i][j] = m.AddVar("x", 1+rng.Float64()*9)
+			x[i][j] = m.AddVar(1 + rng.Float64()*9)
 		}
 	}
 	for i := 0; i < s; i++ {
@@ -406,14 +406,14 @@ func TestLargeLPPerformanceSanity(t *testing.T) {
 		for j := 0; j < d; j++ {
 			terms[j] = Term{x[i][j], 1}
 		}
-		m.MustConstraint("supply", terms, EQ, 10)
+		m.MustConstraint(terms, EQ, 10)
 	}
 	for j := 0; j < d; j++ {
 		terms := make([]Term, s)
 		for i := 0; i < s; i++ {
 			terms[i] = Term{x[i][j], 1}
 		}
-		m.MustConstraint("demand", terms, EQ, 10)
+		m.MustConstraint(terms, EQ, 10)
 	}
 	sol := solveOK(t, m)
 	// Total shipped is 200; min cost must be >= 200 * min cost ~ 200.

@@ -16,12 +16,20 @@
 // costs moved since, the next solve resumes from it instead of pivoting
 // the basis in again (see Solver.Solve). The storage a solve works in is a
 // Workspace, which a worker serving many models' Solvers holds once.
+//
+// A Model holds numbers only: its variables and constraints are known by
+// their index, and an error about one is an *Error that names it so.
+// The code that built the model knows what each index stands for and
+// names them in its own terms (Error.Named) on the failure path, so a
+// model costs no string per row or column.
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Var identifies a decision variable within a Model.
@@ -57,16 +65,58 @@ type Term struct {
 }
 
 type variable struct {
-	name  string
 	obj   float64
 	upper float64 // +Inf when unbounded above
 }
 
 type constraint struct {
-	name  string
 	terms []Term
 	rel   Rel
 	rhs   float64
+}
+
+// An Error is an lp error about one constraint row or one variable
+// column of a Model, or both. A model holds numbers only, so the error
+// names them by index ("constraint #3", "variable #17"); the code that
+// built the model knows what each index stands for and can name them
+// with Named.
+type Error struct {
+	// Row is the constraint the error is about, in AddConstraint order,
+	// and Col the variable; each is -1 when the error is not about one.
+	Row, Col int
+	// format is the text with the row at %[1] and the column at %[2];
+	// args are its operands from %[3] on.
+	format   string
+	args     []any
+	row, col string // the names Named gave; "" names by index
+}
+
+func errorAt(row, col int, format string, args ...any) *Error {
+	return &Error{Row: row, Col: col, format: format, args: args}
+}
+
+func (e *Error) Error() string {
+	row, col := e.row, e.col
+	if row == "" && e.Row >= 0 {
+		row = "#" + strconv.Itoa(e.Row)
+	}
+	if col == "" && e.Col >= 0 {
+		col = "#" + strconv.Itoa(e.Col)
+	}
+	return fmt.Sprintf(e.format, append([]any{row, col}, e.args...)...)
+}
+
+// Named returns a copy of the error that names its row by row(Row) and
+// its column by col(Col) instead of by index.
+func (e *Error) Named(row, col func(int) string) *Error {
+	n := *e
+	if e.Row >= 0 {
+		n.row = row(e.Row)
+	}
+	if e.Col >= 0 {
+		n.col = col(e.Col)
+	}
+	return &n
 }
 
 // Model is a linear program under construction: minimize c·x subject to
@@ -86,9 +136,9 @@ type Model struct {
 func NewModel() *Model { return &Model{} }
 
 // AddVar adds a variable with objective coefficient obj and domain
-// x ≥ 0 (no upper bound). The name is used in error messages only.
-func (m *Model) AddVar(name string, obj float64) Var {
-	m.vars = append(m.vars, variable{name: name, obj: obj, upper: math.Inf(1)})
+// x ≥ 0 (no upper bound).
+func (m *Model) AddVar(obj float64) Var {
+	m.vars = append(m.vars, variable{obj: obj, upper: math.Inf(1)})
 	m.edits++
 	return Var(len(m.vars) - 1)
 }
@@ -112,28 +162,34 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
-// AddConstraint adds Σ terms rel rhs. Terms referencing the same
-// variable are summed. It returns an error for out-of-range variables
-// or non-finite coefficients.
-func (m *Model) AddConstraint(name string, terms []Term, rel Rel, rhs float64) error {
+// AddConstraint adds Σ terms rel rhs as the next row. Terms referencing
+// the same variable are summed. It returns an *Error for out-of-range
+// variables or non-finite coefficients. The model keeps a copy of terms,
+// so the caller may reuse the slice.
+func (m *Model) AddConstraint(terms []Term, rel Rel, rhs float64) error {
+	row := len(m.cons)
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("lp: constraint %q has non-finite rhs %v", name, rhs)
+		return errorAt(row, -1, "lp: constraint %[1]q has non-finite rhs %[3]v", rhs)
 	}
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
-			return fmt.Errorf("lp: constraint %q references unknown variable %d", name, t.Var)
+			return errorAt(row, -1, "lp: constraint %[1]q references unknown variable %[3]d", t.Var)
 		}
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-			return fmt.Errorf("lp: constraint %q has non-finite coefficient for %s", name, m.vars[t.Var].name)
+			return errorAt(row, int(t.Var), "lp: constraint %[1]q has non-finite coefficient for %[2]s")
 		}
 	}
 	// Sort a copy by variable and merge duplicate mentions, keeping terms
 	// in ascending Var order (SetCoef's binary search relies on this).
 	// Sorting len(terms) beats the old per-constraint scan over every
 	// model variable, which made model construction O(cons·vars).
+	// The sort is not stable: duplicate mentions sum in the order
+	// slices.SortFunc's pattern-defeating quicksort leaves them in, which
+	// is sort.Slice's, comparison for comparison
+	// (TestAddConstraintMatchesSortSlice).
 	out := make([]Term, len(terms))
 	copy(out, terms)
-	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
+	slices.SortFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	k := 0
 	for i := 0; i < len(out); {
 		v, c := out[i].Var, out[i].Coef
@@ -145,15 +201,15 @@ func (m *Model) AddConstraint(name string, terms []Term, rel Rel, rhs float64) e
 			k++
 		}
 	}
-	m.cons = append(m.cons, constraint{name: name, terms: out[:k], rel: rel, rhs: rhs})
+	m.cons = append(m.cons, constraint{terms: out[:k], rel: rel, rhs: rhs})
 	m.edits++
 	return nil
 }
 
 // MustConstraint is AddConstraint that panics on error, for construction
 // code whose inputs are programmatically correct.
-func (m *Model) MustConstraint(name string, terms []Term, rel Rel, rhs float64) {
-	if err := m.AddConstraint(name, terms, rel, rhs); err != nil {
+func (m *Model) MustConstraint(terms []Term, rel Rel, rhs float64) {
+	if err := m.AddConstraint(terms, rel, rhs); err != nil {
 		panic(err)
 	}
 }

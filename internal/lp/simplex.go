@@ -202,10 +202,10 @@ func (t *tableau) load(m *Model) error {
 			nArt++
 		}
 	}
-	for _, v := range m.vars {
+	for i, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
 			if v.upper < 0 {
-				return fmt.Errorf("lp: variable %s has negative upper bound %v", v.name, v.upper)
+				return errorAt(-1, i, "lp: variable %[2]s has negative upper bound %[3]v", v.upper)
 			}
 			nRows++
 			nSlack++

@@ -165,7 +165,7 @@ func (m *Model) SetRHS(i int, rhs float64) error {
 		return fmt.Errorf("lp: SetRHS: constraint index %d out of range [0,%d)", i, len(m.cons))
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("lp: SetRHS: constraint %q given non-finite rhs %v", m.cons[i].name, rhs)
+		return errorAt(i, -1, "lp: SetRHS: constraint %[1]q given non-finite rhs %[3]v", rhs)
 	}
 	m.cons[i].rhs = rhs
 	return nil
@@ -180,10 +180,10 @@ func (m *Model) SetCoef(i int, v Var, coef float64) error {
 		return fmt.Errorf("lp: SetCoef: constraint index %d out of range [0,%d)", i, len(m.cons))
 	}
 	if int(v) < 0 || int(v) >= len(m.vars) {
-		return fmt.Errorf("lp: SetCoef: constraint %q references unknown variable %d", m.cons[i].name, v)
+		return errorAt(i, -1, "lp: SetCoef: constraint %[1]q references unknown variable %[3]d", v)
 	}
 	if math.IsNaN(coef) || math.IsInf(coef, 0) {
-		return fmt.Errorf("lp: SetCoef: constraint %q given non-finite coefficient %v for %s", m.cons[i].name, coef, m.vars[v].name)
+		return errorAt(i, int(v), "lp: SetCoef: constraint %[1]q given non-finite coefficient %[3]v for %[2]s", coef)
 	}
 	terms := m.cons[i].terms
 	j := sort.Search(len(terms), func(k int) bool { return terms[k].Var >= v })

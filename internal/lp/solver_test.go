@@ -20,7 +20,7 @@ func randomFeasibleLP(rng *rand.Rand) *Model {
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
 		ub := 2 + 10*rng.Float64()
-		vars[j] = m.AddVar("x", rng.Float64()*4-2)
+		vars[j] = m.AddVar(rng.Float64()*4 - 2)
 		m.SetUpper(vars[j], ub)
 		x0[j] = ub * rng.Float64()
 	}
@@ -40,11 +40,11 @@ func randomFeasibleLP(rng *rand.Rand) *Model {
 		}
 		switch Rel(rng.Intn(3)) {
 		case LE:
-			m.MustConstraint("c", terms, LE, dot+rng.Float64()*2)
+			m.MustConstraint(terms, LE, dot+rng.Float64()*2)
 		case GE:
-			m.MustConstraint("c", terms, GE, dot-rng.Float64()*2)
+			m.MustConstraint(terms, GE, dot-rng.Float64()*2)
 		case EQ:
-			m.MustConstraint("c", terms, EQ, dot)
+			m.MustConstraint(terms, EQ, dot)
 		}
 	}
 	return m
@@ -205,11 +205,11 @@ func TestIterLimitTyped(t *testing.T) {
 	defer func() { maxIterScale = old }()
 
 	m := NewModel()
-	x := m.AddVar("x", -1)
-	y := m.AddVar("y", -1)
+	x := m.AddVar(-1)
+	y := m.AddVar(-1)
 	m.SetUpper(x, 10)
 	m.SetUpper(y, 10)
-	m.MustConstraint("c", []Term{{x, 1}, {y, 1}}, LE, 15)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, LE, 15)
 	_, err := solve(m)
 	if err == nil {
 		t.Fatal("expected iteration-limit error with zero budget")
@@ -240,11 +240,11 @@ func TestWarmAfterIterLimitFallsBack(t *testing.T) {
 // keep terms sorted for later binary searches.
 func TestSetCoefUpdatesModel(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 1)
-	y := m.AddVar("y", 2)
+	x := m.AddVar(1)
+	y := m.AddVar(2)
 	m.SetUpper(x, 100)
 	m.SetUpper(y, 100)
-	m.MustConstraint("c", []Term{{x, 1}}, GE, 10)
+	m.MustConstraint([]Term{{x, 1}}, GE, 10)
 
 	// minimize x+2y s.t. x >= 10: x=10, y=0.
 	sol := solveOK(t, m)

@@ -105,10 +105,11 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 // harder cases live: exact cancellation among ±1 coefficients, fill-in,
 // long degenerate stretches (Bland's rule) and ratio-test ties.
 type routingLP struct {
-	m       *Model
-	demands []int    // demand constraint indices
-	links   [][2]int // (loadlink constraint, one of its flow variables)
-	segs    []Var
+	m        *Model
+	demands  []int    // demand constraint indices
+	conserve int      // the first conservation row
+	links    [][2]int // (loadlink constraint, one of its flow variables)
+	segs     []Var
 }
 
 func randomRoutingLP(rng *rand.Rand) *routingLP {
@@ -133,11 +134,11 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 	for k := 0; k < classes; k++ {
 		into := make([][]Var, clusters) // parent-level flows executing in cluster j
 		for i := 0; i < clusters; i++ {
-			root := m.AddVar("root", 0)
+			root := m.AddVar(0)
 			dem := float64(rng.Intn(4) * 25) // often zero: degenerate vertices
 			total += dem
 			out.demands = append(out.demands, m.NumConstraints())
-			m.MustConstraint("demand", []Term{{root, 1}}, EQ, dem)
+			m.MustConstraint([]Term{{root, 1}}, EQ, dem)
 			into[i] = []Var{root}
 		}
 		for d := 0; d < depth; d++ {
@@ -150,7 +151,7 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 					if i != j {
 						cost = float64(1+rng.Intn(3)) * 0.005
 					}
-					v := m.AddVar("x", cost)
+					v := m.AddVar(cost)
 					terms = append(terms, Term{v, 1})
 					next[j] = append(next[j], v)
 					flows[d][j] = append(flows[d][j], flow{v, k})
@@ -158,32 +159,35 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 				for _, p := range into[i] {
 					terms = append(terms, Term{p, -count})
 				}
-				m.MustConstraint("conserve", terms, EQ, 0)
+				if k == 0 && d == 0 && i == 0 {
+					out.conserve = m.NumConstraints()
+				}
+				m.MustConstraint(terms, EQ, 0)
 			}
 			into = next
 		}
 	}
 	for d := 0; d < depth; d++ {
 		for j := 0; j < clusters; j++ {
-			load := m.AddVar("load", 0)
+			load := m.AddVar(0)
 			linkTerms := []Term{{load, -1}}
 			for _, f := range flows[d][j] {
 				linkTerms = append(linkTerms, Term{f.v, []float64{1, 1, 0.5, 2}[rng.Intn(4)]})
 			}
 			out.links = append(out.links, [2]int{m.NumConstraints(), int(flows[d][j][0].v)})
-			m.MustConstraint("loadlink", linkTerms, EQ, 0)
+			m.MustConstraint(linkTerms, EQ, 0)
 			segTerms := []Term{{load, -1}}
 			for s, width := range []float64{total / 4, total / 4, 8 * total} {
-				v := m.AddVar("seg", float64(1+2*s)*0.001)
+				v := m.AddVar(float64(1+2*s) * 0.001)
 				m.SetUpper(v, width+1)
 				out.segs = append(out.segs, v)
 				segTerms = append(segTerms, Term{v, 1})
 			}
 			if robust {
-				z := m.AddVar("z", 0)
+				z := m.AddVar(0)
 				segTerms = append(segTerms, Term{z, -1})
 				for k := 0; k < classes; k++ {
-					q := m.AddVar("q", 0)
+					q := m.AddVar(0)
 					segTerms = append(segTerms, Term{q, -1})
 					rob := []Term{{z, 1}, {q, 1}}
 					for _, f := range flows[d][j] {
@@ -191,10 +195,10 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 							rob = append(rob, Term{f.v, -0.25})
 						}
 					}
-					m.MustConstraint("rob", rob, GE, 0)
+					m.MustConstraint(rob, GE, 0)
 				}
 			}
-			m.MustConstraint("segments", segTerms, EQ, 0)
+			m.MustConstraint(segTerms, EQ, 0)
 		}
 	}
 	return out
@@ -349,8 +353,7 @@ func sparseMatchesDense(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			r := randomRoutingLP(rng)
 			sol := w.solveFrom(fmt.Sprintf("zero row %d cold", trial), r.m, nil)
-			i := slices.IndexFunc(r.m.cons, func(c constraint) bool { return c.name == "conserve" })
-			if err := r.m.SetRHS(i, 0.5); err != nil {
+			if err := r.m.SetRHS(r.conserve, 0.5); err != nil {
 				t.Fatal(err)
 			}
 			kept := w.kept
@@ -420,8 +423,8 @@ func sparseMatchesDense(t *testing.T) {
 		rng := rand.New(rand.NewSource(71))
 		for trial := 0; trial < 200; trial++ {
 			m := NewModel()
-			x := m.AddVar("x", -1)
-			y := m.AddVar("y", -1)
+			x := m.AddVar(-1)
+			y := m.AddVar(-1)
 			rows := 3 + rng.Intn(6)
 			var holders []int32
 			for i := 0; i < rows; i++ {
@@ -430,7 +433,7 @@ func sparseMatchesDense(t *testing.T) {
 					terms = append(terms, Term{x, 1})
 					holders = append(holders, int32(i))
 				}
-				m.MustConstraint("c", terms, LE, 1+float64(rng.Intn(5))*0.6e-9)
+				m.MustConstraint(terms, LE, 1+float64(rng.Intn(5))*0.6e-9)
 			}
 			dense, err := newDenseSolver().newTableau(m)
 			if err != nil {
@@ -510,18 +513,18 @@ func sparseMatchesDense(t *testing.T) {
 	t.Run("infeasible, unbounded, out of budget", func(t *testing.T) {
 		w.t = t
 		m := NewModel()
-		x := m.AddVar("x", 1)
-		y := m.AddVar("y", 1)
-		m.MustConstraint("lo", []Term{{x, 1}, {y, 1}}, GE, 10)
-		m.MustConstraint("hi", []Term{{x, 1}, {y, 2}}, LE, 5)
+		x := m.AddVar(1)
+		y := m.AddVar(1)
+		m.MustConstraint([]Term{{x, 1}, {y, 1}}, GE, 10)
+		m.MustConstraint([]Term{{x, 1}, {y, 2}}, LE, 5)
 		if sol := w.solveFrom("infeasible", m, nil); sol.Status != Infeasible {
 			t.Fatalf("status %v, want infeasible", sol.Status)
 		}
 
 		m = NewModel()
-		x = m.AddVar("x", -1)
-		y = m.AddVar("y", 0)
-		m.MustConstraint("c", []Term{{x, 1}, {y, -1}}, LE, 4)
+		x = m.AddVar(-1)
+		y = m.AddVar(0)
+		m.MustConstraint([]Term{{x, 1}, {y, -1}}, LE, 4)
 		if sol := w.solveFrom("unbounded", m, nil); sol.Status != Unbounded {
 			t.Fatalf("status %v, want unbounded", sol.Status)
 		}
@@ -544,12 +547,12 @@ func sparseMatchesDense(t *testing.T) {
 	t.Run("explicit zero term", func(t *testing.T) {
 		w.t = t
 		m := NewModel()
-		x := m.AddVar("x", 1)
-		y := m.AddVar("y", 2)
-		z := m.AddVar("z", 3)
+		x := m.AddVar(1)
+		y := m.AddVar(2)
+		z := m.AddVar(3)
 		m.SetUpper(y, 8)
-		m.MustConstraint("c", []Term{{x, 1}, {y, 4}, {z, 1}}, GE, 10)
-		m.MustConstraint("d", []Term{{x, 1}, {y, -1}}, LE, 3)
+		m.MustConstraint([]Term{{x, 1}, {y, 4}, {z, 1}}, GE, 10)
+		m.MustConstraint([]Term{{x, 1}, {y, -1}}, LE, 3)
 		sol := w.solveFrom("before zeroing", m, nil)
 		// x stays a term of c, with coefficient 0: the dense tableau writes
 		// the 0, the sparse one must not store it.
