@@ -155,12 +155,11 @@ func benchWarmSolves(b *testing.B, opt *core.ShardedOptimizer, demand slate.Dema
 	}
 }
 
-// BenchmarkRobustSolve measures the robust (Bertsimas–Sim budgeted
-// uncertainty) formulation on the same GCP-scale problem as
-// BenchmarkOptimizerSolve: a 25% demand margin with Γ=2. Cold rebuilds
-// the dualized LP from scratch; warm re-solves the cached formulation
-// with the robust rows rewritten in place — the steady-state cost of
-// running the control loop in robust mode.
+// BenchmarkRobustSolve measures the robust (box uncertainty)
+// formulation on the same GCP-scale problem as BenchmarkOptimizerSolve:
+// a 25% demand margin. Cold builds the LP, its load rows scaled to the
+// box's worst case, from scratch; warm re-solves the cached formulation
+// — the steady-state cost of running the control loop in robust mode.
 func BenchmarkRobustSolve(b *testing.B) {
 	top := slate.GCPTopology()
 	app := slate.LinearChain(slate.ChainOptions{
@@ -173,7 +172,7 @@ func BenchmarkRobustSolve(b *testing.B) {
 		slate.OR: 1000, slate.UT: 100, slate.IOW: 1000, slate.SC: 100,
 	}}
 	profs := slate.DefaultProfiles(app, top, demand)
-	cfg := slate.OptimizerConfig{DemandMargin: 0.25, Budget: 2}
+	cfg := slate.OptimizerConfig{DemandMargin: 0.25}
 
 	b.Run("cold", func(b *testing.B) {
 		prob := &slate.Problem{Top: top, App: app, Demand: demand, Profiles: profs, Config: cfg}

@@ -8,6 +8,11 @@
 //
 //	slate-cluster -cluster west -listen 127.0.0.1:7101 \
 //	    -global http://127.0.0.1:7000 -period 5s
+//
+// With a replicated global controller, -global lists every replica,
+// comma-separated: the cluster reports to each and is a lease acceptor
+// for each. A replica that does not answer the registration at start is
+// asked again every period until it does.
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/controlplane"
@@ -29,7 +35,7 @@ func main() {
 	var (
 		cluster   = flag.String("cluster", "", "cluster ID this controller serves (required)")
 		listen    = flag.String("listen", "127.0.0.1:7101", "HTTP listen address")
-		globalURL = flag.String("global", "", "global controller base URL (required)")
+		globalURL = flag.String("global", "", "global controller base URL, or every replica's, comma-separated (required)")
 		selfURL   = flag.String("advertise", "", "URL the global controller should push rules to (default http://<listen>)")
 		period    = flag.Duration("period", 5*time.Second, "telemetry report interval")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -46,9 +52,9 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	cc := controlplane.NewCluster(topology.ClusterID(*cluster), *globalURL)
+	cc := newCluster(topology.ClusterID(*cluster), *globalURL)
 	if err := cc.Register(ctx, *selfURL); err != nil {
-		log.Fatalf("slate-cluster: register: %v", err)
+		log.Printf("slate-cluster: %v (retried every period)", err)
 	}
 
 	go cc.Run(ctx, *period)
@@ -70,4 +76,15 @@ func main() {
 	if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 		log.Fatalf("slate-cluster: %v", err)
 	}
+}
+
+// newCluster returns a cluster controller reporting to every global
+// replica in the comma-separated list globals.
+func newCluster(id topology.ClusterID, globals string) *controlplane.Cluster {
+	urls := strings.Split(globals, ",")
+	cc := controlplane.NewCluster(id, strings.TrimSpace(urls[0]))
+	for _, u := range urls[1:] {
+		cc.AddUpstream(strings.TrimSpace(u))
+	}
+	return cc
 }

@@ -43,7 +43,6 @@ func main() {
 		learn      = flag.Bool("learn-profiles", true, "fit latency profiles from telemetry")
 		guard      = flag.Bool("guard", true, "revert rule changes that regress the measured objective")
 		margin     = flag.Float64("robust-margin", 0, "robust mode: relative demand-uncertainty margin (0 disables; e.g. 0.25 hedges a 25% surge)")
-		budget     = flag.Int("robust-budget", 0, "robust mode: Bertsimas–Sim budget Γ — max classes surging per pool at once (0 = all, i.e. box uncertainty)")
 		predictive = flag.Bool("predictive", false, "plan for forecasted demand (Holt trend smoothing) instead of the last window's estimate alone")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		replica    = flag.String("replica", "", "advertised base URL of this replica; enables replicated mode (leader lease + warm snapshot handoff)")
@@ -64,7 +63,7 @@ func main() {
 	cfg := core.ControllerConfig{
 		Optimizer: core.Config{
 			LatencyWeight: *latWeight, CostWeight: *costWeight,
-			DemandMargin: *margin, Budget: *budget,
+			DemandMargin: *margin,
 		},
 		MaxStep:         *maxStep,
 		LearnProfiles:   *learn,

@@ -60,6 +60,10 @@ type Cluster struct {
 	// independently and a failover lands on a warm ingest. It only grows
 	// by append, so a copy of the slice taken under mu stays valid.
 	ups []*upstream
+	// self is the URL Register announced this controller at; Run
+	// announces it again each period to every replica that has not yet
+	// answered.
+	self string
 
 	// Leader-lease acceptor state. Global replicas contend for leadership
 	// by acquiring a TTL lease from a majority of cluster controllers;
@@ -98,6 +102,7 @@ type upstream struct {
 	lastReport []telemetry.WindowStats
 	epoch      uint64
 	needFull   bool
+	registered bool // the replica has answered a registration
 }
 
 // tableHistoryCap bounds how many superseded tables the controller
@@ -580,35 +585,68 @@ func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.
 const reportEpsilon = 1e-9
 
 // Register announces this cluster controller (reachable at selfURL) to
-// every registered global replica. Returns the first error; replicas
-// that were reached stay registered.
+// every global replica. Returns the first error; replicas that were
+// reached stay registered, and Run announces it again each period to
+// those that were not (registration is idempotent), so a replica that
+// starts late still gets this cluster as a lease acceptor.
 func (c *Cluster) Register(ctx context.Context, selfURL string) error {
+	if selfURL == "" {
+		return fmt.Errorf("controlplane: no URL to register this cluster at")
+	}
 	c.mu.Lock()
-	ups := c.ups
+	c.self = selfURL
+	n := len(c.ups)
 	c.mu.Unlock()
-	if len(ups) == 0 {
+	if n == 0 {
 		return fmt.Errorf("controlplane: no global URL configured")
 	}
-	body, err := json.Marshal(RegisterRequest{Cluster: c.id, URL: selfURL})
+	return c.register(ctx)
+}
+
+// register announces c.self to every replica that has not yet answered,
+// once Register has set it.
+func (c *Cluster) register(ctx context.Context) error {
+	c.mu.Lock()
+	self := c.self
+	var pending []*upstream
+	for _, up := range c.ups {
+		if !up.registered {
+			pending = append(pending, up)
+		}
+	}
+	c.mu.Unlock()
+	if self == "" || len(pending) == 0 {
+		return nil
+	}
+	body, err := json.Marshal(RegisterRequest{Cluster: c.id, URL: self})
 	if err != nil {
 		return err
 	}
 	var firstErr error
-	for _, up := range ups {
-		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("controlplane: register: %w", err)
+	for _, up := range pending {
+		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("controlplane: register with %s: %w", up.url, err)
+			}
+			continue
 		}
+		c.mu.Lock()
+		up.registered = true
+		c.mu.Unlock()
 	}
 	return firstErr
 }
 
-// Run reports telemetry every period until the context is cancelled.
+// Run reports telemetry every period until the context is cancelled,
+// first registering, once Register has named this controller's URL,
+// with every replica that has not yet answered.
 func (c *Cluster) Run(ctx context.Context, period time.Duration) {
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
+			c.register(ctx)       // a replica still down is retried next period
 			c.Report(ctx, period) // errors visible to global via missing data
 		case <-ctx.Done():
 			return

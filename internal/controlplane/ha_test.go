@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -386,13 +387,28 @@ func TestTickErrorMetricAcrossFaultSchedule(t *testing.T) {
 }
 
 // TestFailoverWithStaleFormatSnapshot covers a rolling upgrade: the
-// follower's cached snapshot is in the previous encoding (format 1).
-// On winning the lease it must reject the snapshot, start cold, and
-// still land a valid table on every cluster within two control periods
-// — demand drifts beforehand so the clusters hold a table well past
-// version 1, which a leader counting from zero could not replace (the
-// CAS fence refuses version regressions).
+// follower's cached snapshot is in an old encoding — format 1, or
+// format 2, whose bases index the columns of the LP before each pool
+// took one row. On winning the lease it must reject the snapshot, start
+// cold adopting only its version counter, and still land a valid table
+// on every cluster within two control periods — demand drifts
+// beforehand so the clusters hold a table well past version 1, which a
+// leader counting from zero could not replace (the CAS fence refuses
+// version regressions).
 func TestFailoverWithStaleFormatSnapshot(t *testing.T) {
+	for _, format := range []int{1, 2} {
+		t.Run(fmt.Sprintf("format%d", format), func(t *testing.T) {
+			failoverWithStaleSnapshot(t, format)
+		})
+	}
+}
+
+// failoverWithStaleSnapshot fails over to a follower whose cached
+// snapshot is in the given, stale, format.
+func failoverWithStaleSnapshot(t *testing.T, format int) {
+	if format == core.SnapshotFormat {
+		t.Fatalf("format %d is the current one", format)
+	}
 	const ttl = 10 * time.Second
 	rig := newHARig(t, 2, HAConfig{LeaseTTL: ttl, EventThreshold: -1})
 	r0, r1 := rig.reps[0], rig.reps[1]
@@ -413,7 +429,8 @@ func TestFailoverWithStaleFormatSnapshot(t *testing.T) {
 		r1.g.mu.Unlock()
 		t.Fatal("follower never cached a leader snapshot")
 	}
-	r1.g.snapCache.Format = 1
+	r1.g.snapCache.Format = format
+	snapVersion := r1.g.snapCache.Version
 	r1.g.mu.Unlock()
 
 	restoresBefore := r1.g.mSnapRestores.Value()
@@ -440,7 +457,10 @@ func TestFailoverWithStaleFormatSnapshot(t *testing.T) {
 		t.Fatal("r1 did not take over after the lease lapsed")
 	}
 	if got := r1.g.mSnapRestores.Value(); got != restoresBefore {
-		t.Fatalf("format-1 snapshot was restored (%d restores)", got-restoresBefore)
+		t.Fatalf("format-%d snapshot was restored (%d restores)", format, got-restoresBefore)
+	}
+	if v := r1.ctrl.Version(); v <= snapVersion {
+		t.Fatalf("the new leader is at table version %d, want past the snapshot's %d (its counter adopted)", v, snapVersion)
 	}
 	if st := r1.ctrl.OptimizerStats(); st.ColdSolves == 0 {
 		t.Fatalf("rejected snapshot but no cold solve: warm state came from somewhere (stats %+v)", st)

@@ -3,18 +3,18 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/servicelayernetworking/slate/internal/routing"
 )
 
 // assign maps an externally produced routing table onto the
 // formulation's variable space: root flows carry the demand, each
-// deeper flow splits its caller's rate by the table's weights, pool
-// load variables sum their link terms, and PWL segment variables fill
-// greedily — overfilling the last segment, so a table that exceeds a
-// pool's utilization cap surfaces as an upper-bound violation in
-// Model.CheckFeasible rather than being silently clipped. It errors on
+// deeper flow splits its caller's rate by the table's weights, and each
+// pool's PWL segment variables fill greedily with its load row's sum —
+// the box's worst case in robust mode — overfilling the last segment,
+// so a table that exceeds a pool's utilization cap surfaces as an
+// upper-bound violation in Model.CheckFeasible rather than being
+// silently clipped. It errors on
 // tables that lose flow (weight pointing at clusters without replicas,
 // or no usable rule for a triple that carries traffic). The demand must
 // be the one the formulation was built or last updated with, which
@@ -75,15 +75,8 @@ func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, er
 	for _, pr := range f.pools {
 		var load float64
 		for _, lt := range pr.linkTerms {
-			load += linkScale(lt, pr.profile) * x[lt.v]
+			load += f.rowCoef(lt, pr.profile) * x[lt.v]
 		}
-		x[pr.loadVar] = load
-		// Robust formulations fill segments to the worst-case load:
-		// load + Γ·z + Σq with the duals at the exact inner maximum
-		// (the Γ largest per-class margin increments), so the assigned
-		// point satisfies rob[p][c] tightly and prices queueing exactly
-		// as the LP would for the same flows.
-		load += f.robustExtra(pr, x)
 		rem := load
 		for si, v := range pr.segVars {
 			if si == len(pr.segVars)-1 {
@@ -96,50 +89,6 @@ func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, er
 		}
 	}
 	return x, nil
-}
-
-// robustExtra fills pool pr's robust dual variables in x for the flows
-// already assigned and returns the worst-case load increment
-// Γ·z + Σ_c q_c. The inner maximization over the budget set picks the
-// Γ classes with the largest margin increments m_c = margin·load_c;
-// the optimal duals are z = the (Γ+1)-th largest m_c (0 if every class
-// fits the budget) and q_c = max(0, m_c − z), which makes
-// Γ·z + Σ_c q_c equal the sum of the top-Γ increments exactly. No-op
-// (returns 0) when the formulation is not robust.
-func (f *formulation) robustExtra(pr *poolRef, x []float64) float64 {
-	if len(pr.robs) == 0 {
-		return 0
-	}
-	m := make([]float64, len(pr.robs))
-	for ri := range pr.robs {
-		var load float64
-		for _, lt := range pr.linkTerms {
-			if lt.class != pr.robs[ri].class {
-				continue
-			}
-			load += linkScale(lt, pr.profile) * x[lt.v]
-		}
-		m[ri] = f.cfg.DemandMargin * load
-	}
-	// z = (Γ+1)-th largest increment. robs are sorted by class name, so
-	// ties resolve deterministically regardless of magnitude order.
-	sorted := append([]float64(nil), m...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	var z float64
-	if g := int(pr.gamma); g < len(sorted) {
-		z = sorted[g]
-	}
-	x[pr.zVar] = z
-	extra := pr.gamma * z
-	for ri := range pr.robs {
-		q := m[ri] - z
-		if q < 0 {
-			q = 0
-		}
-		x[pr.robs[ri].qVar] = q
-		extra += q
-	}
-	return extra
 }
 
 // EvaluateTable scores an externally produced routing table — e.g. one

@@ -14,9 +14,11 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// refExtract is formulation.extract of commit 425a4c2, kept verbatim:
-// rules gathered in a map of maps and built by NewDistribution, pool
-// loads and sojourns looked up by key. The map version of merge is
+// refExtract is formulation.extract of commit 425a4c2, kept verbatim
+// but for a pool's load, which the LP no longer holds as a column and is
+// summed from its link terms as extract does: rules gathered in a map of
+// maps and built by NewDistribution, pool loads and sojourns looked up
+// by key. The map version of merge is
 // refMerge (steady_ref_test.go). ExtractTee holds the live code to both.
 func refExtract(f *formulation, sol *lp.Solution, demand Demand, version uint64) *Plan {
 	clusters := f.clusters
@@ -66,7 +68,10 @@ func refExtract(f *formulation, sol *lp.Solution, demand Demand, version uint64)
 	// solved standard loads).
 	poolStd := make(map[PoolKey]float64)
 	for _, pr := range f.pools {
-		std := sol.Value(pr.loadVar)
+		var std float64
+		for _, lt := range pr.linkTerms {
+			std += linkScale(lt, pr.profile) * sol.Value(lt.v)
+		}
 		poolStd[pr.key] = std
 		capStd := pr.profile.Model.Capacity()
 		util := 0.0

@@ -64,7 +64,7 @@ func TestExtractMatchesMaps(t *testing.T) {
 		ticks  int
 	}{
 		{"churn", core.Config{}, true, 12},
-		{"robust churn", core.Config{DemandMargin: 0.25, Budget: 2}, false, 4},
+		{"robust churn", core.Config{DemandMargin: 0.25}, false, 4},
 	} {
 		tee := core.NewExtractTee(g.Top, g.App, c.cfg, c.search)
 		rng := sim.NewRNG(23)

@@ -33,13 +33,30 @@ func ShardBuilds(top *topology.Topology, app *appgraph.App, demand Demand) func(
 	}
 }
 
+// ShardModels partitions app as the decomposed planner does and builds
+// every shard's routing LP under cfg, for tests outside the package that
+// measure its shape and what a solve of it keeps.
+func ShardModels(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand) ([]*lp.Model, error) {
+	s := newShardedOptimizer(top, app, cfg, 0, true)
+	profiles := DefaultProfiles(app, top, demand)
+	out := make([]*lp.Model, len(s.shards))
+	for i, sh := range s.shards {
+		f, err := buildFormulation(top, sh.app, s.cfg, demand, profiles)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = f.model
+	}
+	return out, nil
+}
+
 // TestFormulationNamesEveryIndex: the routing LP holds no names, so
 // core names its rows and columns from the formulation when an lp error
-// surfaces. On a robust formulation, which has every kind of row and
-// column, each index gets a name of its kind's shape, no two alike, and
-// as many of each kind as the formulation holds.
+// surfaces. On a robust formulation, which has the nominal one's rows
+// and columns, each index gets a name of its kind's shape, no two alike,
+// and as many of each kind as the formulation holds.
 func TestFormulationNamesEveryIndex(t *testing.T) {
-	p := twoClassProblem(Config{DemandMargin: 0.25, Budget: 1})
+	p := twoClassProblem(Config{DemandMargin: 0.25})
 	f, err := buildFormulation(p.Top, p.App, p.Config.normalized(), p.Demand, p.Profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +79,8 @@ func TestFormulationNamesEveryIndex(t *testing.T) {
 		}
 	}
 	for _, pr := range f.pools {
-		want.rows["loadlink"]++
-		want.rows["segments"]++
-		want.rows["rob"] += len(pr.robs)
-		want.cols["load"]++
+		want.rows["load"]++
 		want.cols["seg"] += len(pr.segVars)
-		want.cols["qrob"] += len(pr.robs)
-		if len(pr.robs) > 0 {
-			want.cols["zrob"]++
-		}
 	}
 	for _, c := range []struct {
 		what string
@@ -124,8 +134,8 @@ func TestLPErrorsNameTheirRowsAndColumns(t *testing.T) {
 		t.Fatalf("a flow column is named %q", flow)
 	}
 
-	// A non-finite coefficient through SetCoef, as update sets a loadlink
-	// scale.
+	// A non-finite coefficient through SetCoef, as update sets a load
+	// row's scale.
 	check := func(err error, want string, row, col int) {
 		t.Helper()
 		if err == nil || err.Error() != want {
@@ -136,9 +146,9 @@ func TestLPErrorsNameTheirRowsAndColumns(t *testing.T) {
 			t.Errorf("%v does not unwrap to an *lp.Error at row %d, column %d", err, row, col)
 		}
 	}
-	check(f.named(f.model.SetCoef(pr.linkCon, lt.v, math.NaN())),
-		fmt.Sprintf("lp: SetCoef: constraint %q given non-finite coefficient NaN for %s", "loadlink["+pr.key.String()+"]", flow),
-		pr.linkCon, int(lt.v))
+	check(f.named(f.model.SetCoef(pr.con, lt.v, math.NaN())),
+		fmt.Sprintf("lp: SetCoef: constraint %q given non-finite coefficient NaN for %s", "load["+pr.key.String()+"]", flow),
+		pr.con, int(lt.v))
 	dr := f.demands[0]
 	check(f.named(f.model.SetRHS(dr.con, math.Inf(1))),
 		fmt.Sprintf("lp: SetRHS: constraint %q given non-finite rhs +Inf", fmt.Sprintf("demand[default][%s]", dr.ci)),
@@ -168,11 +178,11 @@ func TestLPErrorsNameTheirRowsAndColumns(t *testing.T) {
 }
 
 // TestNonFiniteMarginIsAnError: an infinite robust margin would put an
-// infinite coefficient in every surge row, and a NaN one would switch
-// the robust rows off unseen; either is an error before any row is built,
-// not a panic in the build.
+// infinite coefficient in every load row, a NaN one a NaN coefficient,
+// and a negative one would shrink the loads the segments are priced at;
+// each is an error before any row is built, not a panic in the build.
 func TestNonFiniteMarginIsAnError(t *testing.T) {
-	for _, m := range []float64{math.Inf(1), math.NaN()} {
+	for _, m := range []float64{math.Inf(1), math.NaN(), -0.25} {
 		if _, err := twoClassProblem(Config{DemandMargin: m}).Optimize(1); err == nil || !strings.Contains(err.Error(), "margin") {
 			t.Errorf("DemandMargin %v: %v, want an error naming the margin", m, err)
 		}

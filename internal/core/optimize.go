@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
@@ -31,22 +30,15 @@ type Config struct {
 	BreakFracs []float64
 	// DemandMargin arms robust optimization (Kulfi-style semi-oblivious
 	// routing): the plan is feasible and queueing-priced for every
-	// demand vector in an uncertainty set around the estimate, where
-	// each class's demand may rise by up to DemandMargin (relative,
-	// e.g. 0.25 = +25%). 0 disables — the formulation is then
-	// bit-identical to the nominal one (differential-tested).
+	// demand vector in the box around the estimate where each class's
+	// demand may rise by up to DemandMargin (relative, e.g. 0.25 =
+	// +25%). The box's worst case is every class at its upper corner, so
+	// each pool's load row scales its flows by 1+DemandMargin. 0
+	// disables — the formulation is then bit-identical to the nominal
+	// one (differential-tested); a negative or non-finite margin is an
+	// error.
 	DemandMargin float64
-	// Budget is the Bertsimas–Sim Γ: at most Budget classes surge to
-	// their margin simultaneously per pool. 0 (or ≥ the pool's class
-	// count) means the full box — every class at its upper corner.
-	// Only meaningful with DemandMargin > 0.
-	Budget int
 }
-
-// robustActive reports whether the uncertainty-set machinery is built.
-// Margin 0 must add zero variables and constraints so the robust
-// config is provably identical to the nominal path when off.
-func (c Config) robustActive() bool { return c.DemandMargin > 0 }
 
 func (c Config) normalized() Config {
 	if c.LatencyWeight == 0 && c.CostWeight == 0 { //slate:nolint floatcmp -- zero means "weight unset": assigned literally, never computed
@@ -126,15 +118,13 @@ type flowVar struct {
 	v    lp.Var
 }
 
-// linkTerm remembers one flow variable's contribution to a pool's
-// loadlink constraint: the coefficient is the node's mean service time
-// over the pool's reference service time, and the latter may change when
-// profiles are refit, so formulation.update recomputes it per tick. class
-// attributes the flow for the robust per-class surge constraints.
+// linkTerm remembers one flow variable's term in its pool's load row:
+// the coefficient is the node's mean service time over the pool's
+// reference service time, and the latter may change when profiles are
+// refit, so formulation.update recomputes it per tick.
 type linkTerm struct {
-	v     lp.Var
-	mst   float64 // node mean service time, seconds
-	class string
+	v   lp.Var
+	mst float64 // node mean service time, seconds
 }
 
 // linkScale converts one link term's flow to standard requests: the
@@ -146,30 +136,22 @@ func linkScale(lt linkTerm, prof PoolProfile) float64 {
 	return 1
 }
 
-// robRef ties one (pool, class) robust surge constraint to its dual
-// variable q and constraint row, for in-place coefficient updates when
-// profiles are refit.
-type robRef struct {
-	class string
-	qVar  lp.Var
-	con   int
+// rowCoef is a link term's coefficient in its pool's load row: its
+// standard-request scale at the box's worst case, every class's demand
+// raised by the robust margin (exactly linkScale at margin 0).
+func (f *formulation) rowCoef(lt linkTerm, prof PoolProfile) float64 {
+	return (1 + f.cfg.DemandMargin) * linkScale(lt, prof)
 }
 
-// poolRef ties one service pool to its LP variables and constraints.
-// zVar/robs/gamma exist only when Config.robustActive(): they carry the
-// Bertsimas–Sim dualization of the demand uncertainty set (see the
-// comment at buildFormulation's robust block).
+// poolRef ties one service pool to its PWL segment variables and its
+// load row.
 type poolRef struct {
 	key       PoolKey
 	profile   PoolProfile
 	segs      []queuemodel.Segment
 	segVars   []lp.Var
-	loadVar   lp.Var
-	linkCon   int // loadlink constraint index in the model
+	con       int // load row index in the model
 	linkTerms []linkTerm
-	zVar      lp.Var
-	robs      []robRef
-	gamma     float64 // effective Γ: min(Budget or ∞, classes on the pool)
 }
 
 // demandRef ties one (root class, arrival cluster) to its demand
@@ -184,7 +166,7 @@ type demandRef struct {
 
 // formulation is a built routing LP plus the metadata needed to mutate
 // it in place for a new tick (demand right-hand sides, PWL segment
-// costs/widths, loadlink scale coefficients) instead of rebuilding —
+// costs/widths, load row scale coefficients) instead of rebuilding —
 // the model's structure depends only on topology, app placement, and
 // config, none of which change between ticks.
 type formulation struct {
@@ -242,11 +224,95 @@ func demandErr(class string, c topology.ClusterID, d float64) error {
 // the mutable pieces (rhs, PWL costs, load scales); everything else is
 // structural.
 func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand, profiles Profiles) (*formulation, error) {
-	if err := checkInputs(top, app); err != nil {
+	f, terms, err := newFormulation(top, app, cfg, demand)
+	if err != nil {
 		return nil, err
 	}
-	if m := cfg.DemandMargin; math.IsNaN(m) || math.IsInf(m, 0) {
-		return nil, fmt.Errorf("core: non-finite robust demand margin %v", m)
+	model := f.model
+
+	// Pools and their PWL delay segments. Services are visited in
+	// sorted order so the LP's column order — and hence which optimal
+	// vertex a degenerate solve lands on — is a deterministic function
+	// of the problem, not of map iteration. The sharded optimizer's
+	// differential tests rely on this: a sub-formulation built from an
+	// equal service set must be the same LP as the monolithic one.
+	f.poolIdx = make(map[PoolKey]*poolRef)
+	sortedSids := make([]appgraph.ServiceID, 0, len(app.Services))
+	for sid := range app.Services {
+		sortedSids = append(sortedSids, sid)
+	}
+	slices.Sort(sortedSids)
+	firstPool := make(map[appgraph.ServiceID]int, len(sortedSids))
+	for _, sid := range sortedSids {
+		svc := app.Services[sid]
+		firstPool[sid] = len(f.pools)
+		for _, c := range svc.Clusters(top) {
+			key := PoolKey{Service: sid, Cluster: c}
+			prof, ok := profiles.Get(sid, c)
+			if !ok {
+				return nil, fmt.Errorf("core: no latency profile for pool %s", key)
+			}
+			segs, err := queuemodel.Linearize(prof.Model, cfg.BreakFracs)
+			if err != nil {
+				return nil, fmt.Errorf("core: linearizing pool %s: %w", key, err)
+			}
+			pr := &poolRef{key: key, profile: prof, segs: segs}
+			for _, seg := range segs {
+				v := model.AddVar(cfg.LatencyWeight * seg.Slope)
+				model.SetUpper(v, seg.Width)
+				pr.segVars = append(pr.segVars, v)
+			}
+			f.pools = append(f.pools, pr)
+			f.poolIdx[key] = pr
+		}
+	}
+	for ni := range f.nodes {
+		f.nodes[ni].pool = firstPool[f.nodes[ni].node.Service]
+	}
+	f.layRules()
+	// One row per pool: its load — the flows of the nodes at s into j,
+	// scaled to standard requests — fills its PWL delay segments,
+	// Σ scale·x − Σ seg = 0, so queueing delay is priced and the
+	// utilization cap enforced at that load. In robust mode (Kulfi-style
+	// semi-oblivious routing) the scale carries the box's worst case,
+	// (1+DemandMargin)·scale, while the flow variables (and the published
+	// routing fractions) stay defined over the nominal demand. The box is
+	// per class, not per (class, arrival cluster): conservation mixes
+	// arrival origins at depth ≥ 1, so a class surges as a whole — which
+	// also matches how flash crowds present (correlated across a class's
+	// clusters).
+	for ni, nr := range f.nodes {
+		mst := nr.node.Work.MeanServiceTime.Seconds()
+		for k, fl := range f.flow[ni] {
+			pr := f.pools[nr.pool+k%nr.placed]
+			pr.linkTerms = append(pr.linkTerms, linkTerm{v: fl.v, mst: mst})
+		}
+	}
+	for _, pr := range f.pools {
+		terms = terms[:0]
+		for _, lt := range pr.linkTerms {
+			terms = append(terms, lp.Term{Var: lt.v, Coef: f.rowCoef(lt, pr.profile)})
+		}
+		for _, v := range pr.segVars {
+			terms = append(terms, lp.Term{Var: v, Coef: -1})
+		}
+		pr.con = model.NumConstraints()
+		model.MustConstraint(terms, lp.EQ, 0)
+	}
+	f.setFlowCosts()
+	return f, nil
+}
+
+// newFormulation lays out the routing LP's flow variables and adds the
+// rows no pool enters: the roots' demand rows and the conservation rows.
+// It returns the slice the rows' terms were gathered in, for the pool
+// rows to gather theirs in too: the model keeps a sorted copy of each.
+func newFormulation(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand) (*formulation, []lp.Term, error) {
+	if err := checkInputs(top, app); err != nil {
+		return nil, nil, err
+	}
+	if m := cfg.DemandMargin; !(m >= 0) || math.IsInf(m, 1) {
+		return nil, nil, fmt.Errorf("core: robust demand margin %v is not finite and non-negative", m)
 	}
 	f := &formulation{
 		top:      top,
@@ -305,8 +371,6 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		}
 	}
 
-	// Every row's terms are gathered in one reused slice: the model
-	// keeps a sorted copy of each.
 	var terms []lp.Term
 
 	// Root demand constraints.
@@ -318,11 +382,11 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		for i, ci := range clusters {
 			d := demand[nr.class.Name][ci]
 			if err := demandErr(nr.class.Name, ci, d); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if len(placed) == 0 || placed[0].i != i {
 				if d > 0 {
-					return nil, fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",
+					return nil, nil, fmt.Errorf("core: demand for class %q arrives in %s but frontend %q is not placed there",
 						nr.class.Name, ci, nr.node.Service)
 				}
 				f.demands = append(f.demands, demandRef{class: nr.class.Name, svc: nr.node.Service, ci: ci, con: -1})
@@ -348,139 +412,13 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 		}
 	}
 
-	// Pool load linking and PWL delay segments. Services are visited in
-	// sorted order so the LP's column order — and hence which optimal
-	// vertex a degenerate solve lands on — is a deterministic function
-	// of the problem, not of map iteration. The sharded optimizer's
-	// differential tests rely on this: a sub-formulation built from an
-	// equal service set must be the same LP as the monolithic one.
-	f.poolIdx = make(map[PoolKey]*poolRef)
-	sortedSids := make([]appgraph.ServiceID, 0, len(app.Services))
-	for sid := range app.Services {
-		sortedSids = append(sortedSids, sid)
-	}
-	slices.Sort(sortedSids)
-	firstPool := make(map[appgraph.ServiceID]int, len(sortedSids))
-	for _, sid := range sortedSids {
-		svc := app.Services[sid]
-		firstPool[sid] = len(f.pools)
-		for _, c := range svc.Clusters(top) {
-			key := PoolKey{Service: sid, Cluster: c}
-			prof, ok := profiles.Get(sid, c)
-			if !ok {
-				return nil, fmt.Errorf("core: no latency profile for pool %s", key)
-			}
-			segs, err := queuemodel.Linearize(prof.Model, cfg.BreakFracs)
-			if err != nil {
-				return nil, fmt.Errorf("core: linearizing pool %s: %w", key, err)
-			}
-			pr := &poolRef{key: key, profile: prof, segs: segs}
-			pr.loadVar = model.AddVar(0)
-			for _, seg := range segs {
-				v := model.AddVar(cfg.LatencyWeight * seg.Slope)
-				model.SetUpper(v, seg.Width)
-				pr.segVars = append(pr.segVars, v)
-			}
-			f.pools = append(f.pools, pr)
-			f.poolIdx[key] = pr
-		}
-	}
-	for ni := range f.nodes {
-		f.nodes[ni].pool = firstPool[f.nodes[ni].node.Service]
-	}
-	f.layRules()
-	// load[s,j] = sum over nodes at s of flows into j, scaled to standard
-	// requests; and load = sum of segment vars.
-	for ni, nr := range f.nodes {
-		mst := nr.node.Work.MeanServiceTime.Seconds()
-		for k, fl := range f.flow[ni] {
-			pr := f.pools[nr.pool+k%nr.placed]
-			pr.linkTerms = append(pr.linkTerms, linkTerm{v: fl.v, mst: mst, class: nr.class.Name})
-		}
-	}
+	return f, terms, nil
+}
 
-	// Robust counterpart (Kulfi-style semi-oblivious routing with a
-	// Bertsimas–Sim budget): every class's demand may rise by up to
-	// DemandMargin (relative), at most Γ classes simultaneously per
-	// pool. The inner maximization over that set — max Σ_c m_{p,c}·u_c
-	// with 0 ≤ u_c ≤ 1, Σ_c u_c ≤ Γ, where m_{p,c} = margin·load_{p,c}(x)
-	// — dualizes into one z_p ≥ 0 per pool and one q_{p,c} ≥ 0 per
-	// (pool, class):
-	//
-	//	z_p + q_{p,c} ≥ margin·load_{p,c}(x)           (rob[p][c])
-	//	Σ_s seg_{p,s} = load_p + Γ_p·z_p + Σ_c q_{p,c}  (segments[p])
-	//
-	// so queueing delay is priced — and the utilization cap enforced —
-	// at the worst-case load in the set, while the flow variables (and
-	// the published routing fractions) stay defined over the nominal
-	// demand. Γ ≥ the pool's class count degenerates to the box set's
-	// upper corner. Granularity is per class, not per (class, arrival
-	// cluster): conservation mixes arrival origins at depth ≥ 1, so a
-	// class surges as a whole — which also matches how flash crowds
-	// present (correlated across a class's clusters).
-	robust := cfg.robustActive()
-	if robust {
-		for _, pr := range f.pools {
-			classes := make([]string, 0, len(app.Classes))
-			seen := make(map[string]bool)
-			for _, lt := range pr.linkTerms {
-				if !seen[lt.class] {
-					seen[lt.class] = true
-					classes = append(classes, lt.class)
-				}
-			}
-			if len(classes) == 0 {
-				continue // placed but never called: no load to protect
-			}
-			sort.Strings(classes)
-			pr.zVar = model.AddVar(0)
-			for _, class := range classes {
-				pr.robs = append(pr.robs, robRef{class: class, qVar: model.AddVar(0)})
-			}
-			g := cfg.Budget
-			if g <= 0 || g > len(classes) {
-				g = len(classes)
-			}
-			pr.gamma = float64(g)
-		}
-	}
-
-	for _, pr := range f.pools {
-		terms = append(terms[:0], lp.Term{Var: pr.loadVar, Coef: -1})
-		for _, lt := range pr.linkTerms {
-			terms = append(terms, lp.Term{Var: lt.v, Coef: linkScale(lt, pr.profile)})
-		}
-		pr.linkCon = model.NumConstraints()
-		model.MustConstraint(terms, lp.EQ, 0)
-		terms = append(terms[:0], lp.Term{Var: pr.loadVar, Coef: -1})
-		for _, v := range pr.segVars {
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
-		}
-		if len(pr.robs) > 0 {
-			terms = append(terms, lp.Term{Var: pr.zVar, Coef: -pr.gamma})
-			for _, rr := range pr.robs {
-				terms = append(terms, lp.Term{Var: rr.qVar, Coef: -1})
-			}
-		}
-		model.MustConstraint(terms, lp.EQ, 0)
-		for ri := range pr.robs {
-			rr := &pr.robs[ri]
-			terms = append(terms[:0], lp.Term{Var: pr.zVar, Coef: 1}, lp.Term{Var: rr.qVar, Coef: 1})
-			for _, lt := range pr.linkTerms {
-				if lt.class != rr.class {
-					continue
-				}
-				terms = append(terms, lp.Term{Var: lt.v, Coef: -cfg.DemandMargin * linkScale(lt, pr.profile)})
-			}
-			rr.con = model.NumConstraints()
-			model.MustConstraint(terms, lp.GE, 0)
-		}
-	}
-
-	// Per-flow linear objective terms: cross-cluster network latency and
-	// egress cost, plus the class-specific service-time correction (the
-	// PWL delay prices all requests at the pool's reference service
-	// time; a class whose service time differs by Δτ adds Δτ per call).
+// setFlowCosts sets the flows' linear objective terms: cross-cluster
+// network latency and egress cost.
+func (f *formulation) setFlowCosts() {
+	clusters, top, cfg := f.clusters, f.top, f.cfg
 	for ni, nr := range f.nodes {
 		for _, fl := range f.flow[ni] {
 			ci, cj := clusters[fl.i], clusters[fl.j]
@@ -492,7 +430,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 				obj += cfg.CostWeight * top.EgressCost(ci, cj, bytes)
 			}
 			if obj != 0 { //slate:nolint floatcmp -- sparsity: only exactly-zero coefficients are skippable
-				model.SetObj(fl.v, obj)
+				f.model.SetObj(fl.v, obj)
 			}
 		}
 	}
@@ -500,7 +438,6 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 	// τ/τ̄ already makes heavy classes consume proportionally more PWL
 	// capacity and pay proportionally more aggregate delay, which prices
 	// their longer service time; adding Δτ again would double-count it.
-	return f, nil
 }
 
 // conserveTerms appends to terms the conservation row of non-root node
@@ -532,8 +469,8 @@ func (f *formulation) named(err error) error {
 }
 
 // rowName names constraint r: demand[class][cluster],
-// conserve[class#node][cluster], loadlink[pool], segments[pool] or
-// rob[pool][class]. The rows lie in that order, a pool's rows together.
+// conserve[class#node][cluster] or load[pool]. The rows lie in that
+// order.
 func (f *formulation) rowName(r int) string {
 	conserve := 0 // the first conservation row follows the demand rows
 	for _, dr := range f.demands {
@@ -545,16 +482,8 @@ func (f *formulation) rowName(r int) string {
 		}
 	}
 	for _, pr := range f.pools {
-		switch r {
-		case pr.linkCon:
-			return fmt.Sprintf("loadlink[%s]", pr.key)
-		case pr.linkCon + 1:
-			return fmt.Sprintf("segments[%s]", pr.key)
-		}
-		for _, rr := range pr.robs {
-			if rr.con == r {
-				return fmt.Sprintf("rob[%s][%s]", pr.key, rr.class)
-			}
+		if pr.con == r {
+			return fmt.Sprintf("load[%s]", pr.key)
 		}
 	}
 	var terms []lp.Term
@@ -575,8 +504,8 @@ func (f *formulation) rowName(r int) string {
 	return fmt.Sprintf("#%d", r)
 }
 
-// colName names variable v: the flow x[class#node][from->to],
-// load[pool], seg[pool][k], zrob[pool] or qrob[pool][class].
+// colName names variable v: the flow x[class#node][from->to] or the
+// PWL segment seg[pool][k].
 func (f *formulation) colName(v int) string {
 	for ni, nr := range f.nodes {
 		for _, fl := range f.flow[ni] {
@@ -586,20 +515,9 @@ func (f *formulation) colName(v int) string {
 		}
 	}
 	for _, pr := range f.pools {
-		if int(pr.loadVar) == v {
-			return fmt.Sprintf("load[%s]", pr.key)
-		}
 		for si, sv := range pr.segVars {
 			if int(sv) == v {
 				return fmt.Sprintf("seg[%s][%d]", pr.key, si)
-			}
-		}
-		if len(pr.robs) > 0 && int(pr.zVar) == v {
-			return fmt.Sprintf("zrob[%s]", pr.key)
-		}
-		for _, rr := range pr.robs {
-			if int(rr.qVar) == v {
-				return fmt.Sprintf("qrob[%s][%s]", pr.key, rr.class)
 			}
 		}
 	}
@@ -665,11 +583,14 @@ func (f *formulation) extract(sol *lp.Solution, demand Demand, version uint64) *
 		Loads:                make([]PoolLoad, len(f.pools)),
 	}
 
-	// Planned pool loads and predicted sojourns (nonlinear model at the
-	// solved standard loads), in pool order until the latencies below
-	// have read them.
+	// Planned pool loads — nominal, Σ scale·x over the pool's link terms
+	// — and predicted sojourns (nonlinear model at those standard loads),
+	// in pool order until the latencies below have read them.
 	for p, pr := range f.pools {
-		std := sol.Value(pr.loadVar)
+		var std float64
+		for _, lt := range pr.linkTerms {
+			std += linkScale(lt, pr.profile) * sol.Value(lt.v)
+		}
 		capStd := pr.profile.Model.Capacity()
 		util := 0.0
 		if capStd > 0 {

@@ -156,7 +156,7 @@ var errStructureChanged = errors.New("core: formulation structure changed")
 // update mutates the cached model for a new tick: demand right-hand
 // sides, and for each pool whose profile changed in value (FitProfiles
 // refits in place) its PWL segment slopes/widths and, where the reference
-// service time moved, its loadlink scale coefficients. A pool is
+// service time moved, its load row's scale coefficients. A pool is
 // linearized once per profile value, not once per tick.
 func (f *formulation) update(demand Demand, profiles Profiles) error {
 	for _, dr := range f.demands {
@@ -196,21 +196,8 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 		}
 		if refChanged {
 			for _, lt := range pr.linkTerms {
-				if err := f.model.SetCoef(pr.linkCon, lt.v, linkScale(lt, prof)); err != nil {
+				if err := f.model.SetCoef(pr.con, lt.v, f.rowCoef(lt, prof)); err != nil {
 					return f.named(err)
-				}
-			}
-			// The robust surge rows scale flows by the same reference
-			// service time; keep them in lockstep with the loadlink row.
-			for ri := range pr.robs {
-				rr := &pr.robs[ri]
-				for _, lt := range pr.linkTerms {
-					if lt.class != rr.class {
-						continue
-					}
-					if err := f.model.SetCoef(rr.con, lt.v, -f.cfg.DemandMargin*linkScale(lt, prof)); err != nil {
-						return f.named(err)
-					}
 				}
 			}
 		}

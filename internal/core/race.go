@@ -25,11 +25,11 @@ import (
 // Robust shards: the search descends on the nominal model, so its
 // certified lower bound brackets the *nominal* LP optimum. That bound
 // stays valid for the robust LP: any robust-feasible x is
-// nominal-feasible with no larger segment fill (drop the Γ·z + Σq
-// worst-case padding; slopes are non-negative), hence
+// nominal-feasible with no larger segment fill (the robust load row
+// scales the nominal load by 1+margin; slopes are non-negative), hence
 // LB ≤ opt_nominal ≤ opt_robust. The authoritative re-check below
-// evaluates the candidate on the robust LP (assign fills the duals at
-// the exact inner maximum), so the accepted gap
+// evaluates the candidate on the robust LP (assign fills the segments
+// at the box's worst-case load), so the accepted gap
 // (obj_robust − LB)/obj_robust is a conservative over-estimate of the
 // true robust gap — certified gaps remain valid, the race merely gets
 // harder for search to win as the margin grows.

@@ -458,39 +458,16 @@ func (s *ShardedOptimizer) checkFrontendCapacity(demand Demand) error {
 		if p.widthErr != nil {
 			return fmt.Errorf("core: linearizing pool %s: %w", p.key, p.widthErr)
 		}
+		// Robust shards fill their frontend segments at the box's worst
+		// case, every class's root load raised by the margin, so the
+		// aggregate is taken there too (margin 0 leaves it nominal).
 		var load float64
 		for _, cl := range s.app.Classes {
 			scale := 1.0
 			if prof.RefServiceTime > 0 {
 				scale = cl.Root.Work.MeanServiceTime.Seconds() / prof.RefServiceTime.Seconds()
 			}
-			load += demand[cl.Name][c] * scale
-		}
-		// Robust shards fill their frontend segments to the worst case
-		// in the uncertainty set — nominal plus the top-Γ per-class
-		// margin increments, budgeted per shard exactly as each shard's
-		// own rob[p][c] rows are — so the aggregate pre-check must add
-		// the same increments or shards would individually accept a
-		// worst-case total the one-shard robust LP rejects.
-		if s.cfg.robustActive() {
-			for _, sh := range s.shards {
-				incs := make([]float64, 0, len(sh.classes))
-				for _, cl := range sh.classes {
-					scale := 1.0
-					if prof.RefServiceTime > 0 {
-						scale = cl.Root.Work.MeanServiceTime.Seconds() / prof.RefServiceTime.Seconds()
-					}
-					incs = append(incs, s.cfg.DemandMargin*demand[cl.Name][c]*scale)
-				}
-				sort.Sort(sort.Reverse(sort.Float64Slice(incs)))
-				g := s.cfg.Budget
-				if g <= 0 || g > len(incs) {
-					g = len(incs)
-				}
-				for _, inc := range incs[:g] {
-					load += inc
-				}
-			}
+			load += demand[cl.Name][c] * ((1 + s.cfg.DemandMargin) * scale)
 		}
 		if load > p.width+1e-9 {
 			return fmt.Errorf("core: routing LP infeasible: offered demand exceeds modeled capacity (utilization cap %.0f%%)",

@@ -12,25 +12,11 @@ import (
 
 // TestShardBuildRetains pins what a cold build of the planner's shards
 // keeps on the heap, on the deployment the ctrl-churn benchmark plans:
-// 48 clusters, 96 services, 24 classes, so 24 shards of ≈ 1 000 columns
-// and ≈ 360 rows. A formulation holds numbers only; a string formatted
-// per row or column would add ≈ 1 400 objects and tens of kB a shard.
+// 48 clusters, 96 services, 24 classes, so 24 shards of 984 columns and
+// 300 rows. A formulation holds numbers only; a string formatted per row
+// or column would add ≈ 1 300 objects and tens of kB a shard.
 func TestShardBuildRetains(t *testing.T) {
-	g, err := scenario.Generate(scenario.GenSpec{
-		Seed: 1, Clusters: 48, Regions: 6, Services: 96, Classes: 24,
-		Spread: 3, Replicas: 3, Concurrency: 8, TotalRPS: 150000, ArrivalSpread: 2,
-		RemoteFraction: 0.1, MeanServiceTime: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand := core.Demand{}
-	for _, sp := range g.Workload {
-		if demand[sp.Class] == nil {
-			demand[sp.Class] = map[topology.ClusterID]float64{}
-		}
-		demand[sp.Class][sp.Cluster] += sp.RateAt(0)
-	}
+	g, demand := ctrlChurnDeployment(t)
 	build := core.ShardBuilds(g.Top, g.App, demand)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -49,8 +35,32 @@ func TestShardBuildRetains(t *testing.T) {
 	if n != 24 {
 		t.Fatalf("%d shards, want 24", n)
 	}
-	// 2 010 objects and 230.3 kB a shard while the model kept names.
-	if objects > 650 || kB > 170 {
-		t.Errorf("a shard's build keeps %d objects and %.1f kB, want at most 650 and 170 kB", objects, kB)
+	// 546 objects and 125.5 kB a shard; 606 and 159.7 kB while each pool
+	// had a load column and two rows, 2 010 and 230.3 kB while the model
+	// kept names.
+	if objects > 560 || kB > 130 {
+		t.Errorf("a shard's build keeps %d objects and %.1f kB, want at most 560 and 130 kB", objects, kB)
 	}
+}
+
+// ctrlChurnDeployment is the deployment the ctrl-churn benchmark plans
+// and the demand its streams arrive at.
+func ctrlChurnDeployment(t *testing.T) (*scenario.Generated, core.Demand) {
+	t.Helper()
+	g, err := scenario.Generate(scenario.GenSpec{
+		Seed: 1, Clusters: 48, Regions: 6, Services: 96, Classes: 24,
+		Spread: 3, Replicas: 3, Concurrency: 8, TotalRPS: 150000, ArrivalSpread: 2,
+		RemoteFraction: 0.1, MeanServiceTime: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := core.Demand{}
+	for _, sp := range g.Workload {
+		if demand[sp.Class] == nil {
+			demand[sp.Class] = map[topology.ClusterID]float64{}
+		}
+		demand[sp.Class][sp.Cluster] += sp.RateAt(0)
+	}
+	return g, demand
 }

@@ -52,8 +52,10 @@ import (
 // SnapshotFormat versions the snapshot encoding. Restore rejects
 // snapshots from a different format rather than guessing. Format 2
 // dropped the optimizer's "sharded" flag: every optimizer snapshot is a
-// list of shards, one when the app is not decomposed.
-const SnapshotFormat = 2
+// list of shards, one when the app is not decomposed. Format 3 is the LP
+// with one row per pool and no load or robust dual columns: a format-2
+// basis indexes columns that have moved.
+const SnapshotFormat = 3
 
 // ShardSnapshot is one optimizer subproblem's warm state: the input
 // fingerprint of its last solve, the simplex basis that solve ended on,

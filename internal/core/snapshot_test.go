@@ -90,7 +90,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	configs := map[string]ControllerConfig{
 		"one-shard":  {DemandSmoothing: 1},
 		"decomposed": {DemandSmoothing: 1, Decompose: true},
-		"robust":     {DemandSmoothing: 1, Decompose: true, Optimizer: Config{DemandMargin: 0.25, Budget: 1}},
+		"robust":     {DemandSmoothing: 1, Decompose: true, Optimizer: Config{DemandMargin: 0.25}},
 		"search":     {DemandSmoothing: 1, Decompose: true, Search: true},
 		"predictive": {DemandSmoothing: 1, Decompose: true, Forecast: forecast.Defaults()},
 	}
@@ -194,7 +194,7 @@ func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 	if err := mono.Restore(dec.Snapshot()); err == nil {
 		t.Fatal("restoring a decomposed snapshot into a one-shard controller did not fail")
 	}
-	for _, format := range []int{1, SnapshotFormat + 1} {
+	for _, format := range []int{1, SnapshotFormat - 1, SnapshotFormat + 1} {
 		bad := dec.Snapshot()
 		bad.Format = format
 		bad.Version = mono.Version() + 5

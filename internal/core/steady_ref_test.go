@@ -20,7 +20,9 @@ import (
 // Reference implementations: the full-recompute tick of commit fa64b4b —
 // fingerprint, merge, checkFrontendCapacity, Optimize, updateDemand, Tick
 // and Prime, bodies kept verbatim with the receiver spelled out — as what
-// the cached steady path must reproduce. SteadyTee runs a live controller
+// the cached steady path must reproduce. refCheckFrontendCapacity's
+// robust increments are the box's, every class's: the Bertsimas–Sim
+// budget it also took has left the optimizer. SteadyTee runs a live controller
 // and a reference one side by side; steady_test.go (package core_test, so
 // that it can import the simulator) feeds it the experiments' streams.
 
@@ -77,7 +79,7 @@ func refCheckFrontendCapacity(s *ShardedOptimizer, demand Demand, profiles Profi
 			}
 			load += demand[cl.Name][c] * scale
 		}
-		if s.cfg.robustActive() {
+		if s.cfg.DemandMargin > 0 {
 			for _, sh := range s.shards {
 				incs := make([]float64, 0, len(sh.classes))
 				for _, cl := range sh.classes {
@@ -88,10 +90,7 @@ func refCheckFrontendCapacity(s *ShardedOptimizer, demand Demand, profiles Profi
 					incs = append(incs, s.cfg.DemandMargin*demand[cl.Name][c]*scale)
 				}
 				sort.Sort(sort.Reverse(sort.Float64Slice(incs)))
-				g := s.cfg.Budget
-				if g <= 0 || g > len(incs) {
-					g = len(incs)
-				}
+				g := len(incs)
 				for _, inc := range incs[:g] {
 					load += inc
 				}

@@ -16,6 +16,7 @@ import (
 	"github.com/servicelayernetworking/slate/internal/lp"
 	"github.com/servicelayernetworking/slate/internal/scenario"
 	"github.com/servicelayernetworking/slate/internal/sim"
+	"github.com/servicelayernetworking/slate/internal/telemetry"
 )
 
 // streamTicks is the length of one controller stream.
@@ -60,6 +61,16 @@ func newStream(seed int64, clusters, services, classes, spread, replicas, concur
 	return s
 }
 
+// window is the stream's next telemetry window: each class's generated
+// load at a factor drawn from [0.5, maxFactor].
+func (s stream) window(g *scenario.Generated, rng *sim.RNG) []telemetry.WindowStats {
+	factors := make([]float64, len(g.App.Classes))
+	for i := range factors {
+		factors[i] = 0.5 + (s.maxFactor-0.5)*rng.Float64()
+	}
+	return genWindow(g, func(class int) float64 { return factors[class] })
+}
+
 // streamTally counts what a stream's ticks did.
 type streamTally struct {
 	ticks, infeasible, aboveOptimum int
@@ -92,11 +103,7 @@ func (s stream) run(t *testing.T) streamTally {
 	rng := sim.NewRNG(s.spec.Seed)
 	var tally streamTally
 	for tick := 0; tick < streamTicks; tick++ {
-		factors := make([]float64, len(g.App.Classes))
-		for i := range factors {
-			factors[i] = 0.5 + (s.maxFactor-0.5)*rng.Float64()
-		}
-		window := genWindow(g, func(class int) float64 { return factors[class] })
+		window := s.window(g, rng)
 		holds := leader.IterLimitHolds()
 		tab, err := leader.Tick(window, time.Second)
 		if follower != nil {
@@ -184,12 +191,22 @@ func FuzzControllerStream(f *testing.F) {
 	})
 }
 
+// streamCorpus is the directory of FuzzControllerStream's corpus.
+var streamCorpus = filepath.Join("testdata", "fuzz", "FuzzControllerStream")
+
+// corpusStream decodes one of FuzzControllerStream's corpus files.
+func corpusStream(t *testing.T, file string) stream {
+	t.Helper()
+	args := readCorpusFile(t, filepath.Join(streamCorpus, file))
+	u := func(i int) uint8 { return uint8(args[i]) }
+	return newStream(args[0], u(1), u(2), u(3), u(4), u(5), u(6), u(7), u(8))
+}
+
 // TestControllerStreamCorpus replays FuzzControllerStream's named corpus
 // files and checks that each still shows what it is named for, so a
 // change that moves a stream off its case is seen rather than silently
 // testing less.
 func TestControllerStreamCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzControllerStream")
 	raceOff := func(s stream, tl streamTally) bool { return !s.cfg.Search && tl.infeasible == 0 }
 	for _, c := range []struct {
 		file string
@@ -202,9 +219,7 @@ func TestControllerStreamCorpus(t *testing.T) {
 		{"overload-both-infeasible", func(_ stream, tl streamTally) bool { return tl.infeasible > 0 }},
 	} {
 		t.Run(c.file, func(t *testing.T) {
-			args := readCorpusFile(t, filepath.Join(dir, c.file))
-			u := func(i int) uint8 { return uint8(args[i]) }
-			s := newStream(args[0], u(1), u(2), u(3), u(4), u(5), u(6), u(7), u(8))
+			s := corpusStream(t, c.file)
 			tl := s.run(t)
 			t.Logf("%d clusters, %d services, %d classes: %+v", s.spec.Clusters, s.spec.Services, s.spec.Classes, tl)
 			if !c.want(s, tl) {

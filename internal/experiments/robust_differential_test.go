@@ -12,9 +12,9 @@ import (
 
 // robustTeePolicy drives the simulation with a plain controller while
 // feeding the identical telemetry to a shadow controller configured for
-// robust planning (a budget Γ) at DemandMargin 0. Margin 0 must build the
-// exact same LP (no robust variables or rows at all — see
-// Config.robustActive), so the tables must match *bit for bit* on
+// robust planning at DemandMargin 0. Margin 0 must build the exact same
+// LP (every load row scaled by 1+0, the nominal scale to the bit — see
+// Config.DemandMargin), so the tables must match *bit for bit* on
 // every tick, not merely within a tolerance: routing.Diff is the
 // comparator, exactly as proxies diff tables on the wire.
 type robustTeePolicy struct {
@@ -58,7 +58,7 @@ func (p *robustTeePolicy) Tick(stats []telemetry.WindowStats, window time.Durati
 
 // TestRobustMarginZeroMatchesNominal proves the robust off-state is the
 // value margin 0: across every fig6 scenario and the chaos fault
-// schedule, a DemandMargin-0 controller with a budget set, fed the same
+// schedule, a controller with DemandMargin set to 0, fed the same
 // telemetry as a plain controller publishes bit-identical routing
 // tables on every tick (the PR-8 tee style, with exact comparison).
 func TestRobustMarginZeroMatchesNominal(t *testing.T) {
@@ -69,7 +69,6 @@ func TestRobustMarginZeroMatchesNominal(t *testing.T) {
 				cfg := tc.cfg
 				if robust {
 					cfg.Optimizer.DemandMargin = 0
-					cfg.Optimizer.Budget = 3 // must be inert while the margin is 0
 				}
 				ctrl, err := core.NewController(tc.scn.Top, tc.scn.App, cfg)
 				if err != nil {

@@ -98,10 +98,11 @@ func (w *twin) solveFrom(label string, m *Model, basis []int) *Solution {
 	return sol
 }
 
-// routingLP is a small LP of the shape core.buildFormulation produces —
-// pinned root demand, ±count conservation rows with zero right-hand
-// sides, load-link rows over many flows, bounded PWL segments, and
-// optionally the robust surge rows — which is where the sparse tableau's
+// routingLP is a small LP of the shape core.buildFormulation produced
+// while each pool had a load column and two rows — pinned root demand,
+// ±count conservation rows with zero right-hand sides, load-link rows
+// over many flows, bounded PWL segments, and optionally the surge rows
+// of a Bertsimas–Sim dualization — which is where the sparse tableau's
 // harder cases live: exact cancellation among ±1 coefficients, fill-in,
 // long degenerate stretches (Bland's rule) and ratio-test ties.
 type routingLP struct {

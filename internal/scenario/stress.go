@@ -161,11 +161,12 @@ func AdversarialWalk(seed int64, margin float64) simrun.Scenario {
 
 // CorrelatedSurge lifts demand in two GCP clusters (Oregon and Iowa)
 // simultaneously from 600 to 900 RPS for 6 s starting at t=20s — the
-// correlated regional event a per-pool budget of Γ=1 underestimates
-// but a box (or Γ=2) covers. The 600-RPS base sits under the local
-// knee, so a reactive table keeps it local and has no headroom for the
-// surge; the 25% margin provisions for 750 and pre-spills. Utah and
-// South Carolina idle at 100 RPS and are the natural spill targets.
+// correlated regional event the box covers, since its margin raises a
+// class in every arrival cluster at once. The 600-RPS base sits under
+// the local knee, so a reactive table keeps it local and has no
+// headroom for the surge; the 25% margin provisions for 750 and
+// pre-spills. Utah and South Carolina idle at 100 RPS and are the
+// natural spill targets.
 func CorrelatedSurge(seed int64) simrun.Scenario {
 	top := topology.GCPTopology()
 	clusters := top.ClusterIDs()
