@@ -61,8 +61,7 @@ type Cluster struct {
 	// by append, so a copy of the slice taken under mu stays valid.
 	ups []*upstream
 	// self is the URL Register announced this controller at; Run
-	// announces it again each period to every replica that has not yet
-	// answered.
+	// announces it again to every replica each period.
 	self string
 
 	// Leader-lease acceptor state. Global replicas contend for leadership
@@ -102,7 +101,6 @@ type upstream struct {
 	lastReport []telemetry.WindowStats
 	epoch      uint64
 	needFull   bool
-	registered bool // the replica has answered a registration
 }
 
 // tableHistoryCap bounds how many superseded tables the controller
@@ -586,9 +584,10 @@ const reportEpsilon = 1e-9
 
 // Register announces this cluster controller (reachable at selfURL) to
 // every global replica. Returns the first error; replicas that were
-// reached stay registered, and Run announces it again each period to
-// those that were not (registration is idempotent), so a replica that
-// starts late still gets this cluster as a lease acceptor.
+// reached stay registered. Run announces it again to every replica each
+// period (registration is idempotent), so a replica that starts late,
+// or restarts with no clusters, still gets this cluster as a lease
+// acceptor.
 func (c *Cluster) Register(ctx context.Context, selfURL string) error {
 	if selfURL == "" {
 		return fmt.Errorf("controlplane: no URL to register this cluster at")
@@ -603,19 +602,12 @@ func (c *Cluster) Register(ctx context.Context, selfURL string) error {
 	return c.register(ctx)
 }
 
-// register announces c.self to every replica that has not yet answered,
-// once Register has set it.
+// register announces c.self to every replica, once Register has set it.
 func (c *Cluster) register(ctx context.Context) error {
 	c.mu.Lock()
-	self := c.self
-	var pending []*upstream
-	for _, up := range c.ups {
-		if !up.registered {
-			pending = append(pending, up)
-		}
-	}
+	self, ups := c.self, c.ups
 	c.mu.Unlock()
-	if self == "" || len(pending) == 0 {
+	if self == "" {
 		return nil
 	}
 	body, err := json.Marshal(RegisterRequest{Cluster: c.id, URL: self})
@@ -623,30 +615,24 @@ func (c *Cluster) register(ctx context.Context) error {
 		return err
 	}
 	var firstErr error
-	for _, up := range pending {
-		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("controlplane: register with %s: %w", up.url, err)
-			}
-			continue
+	for _, up := range ups {
+		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("controlplane: register with %s: %w", up.url, err)
 		}
-		c.mu.Lock()
-		up.registered = true
-		c.mu.Unlock()
 	}
 	return firstErr
 }
 
 // Run reports telemetry every period until the context is cancelled,
 // first registering, once Register has named this controller's URL,
-// with every replica that has not yet answered.
+// with every replica.
 func (c *Cluster) Run(ctx context.Context, period time.Duration) {
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			c.register(ctx)       // a replica still down is retried next period
+			c.register(ctx)       // a replica that is down is retried next period
 			c.Report(ctx, period) // errors visible to global via missing data
 		case <-ctx.Done():
 			return

@@ -312,11 +312,15 @@ type peer struct {
 	patchURL, leaseURL string
 }
 
-// register returns a copy of ps, which is in cluster order, with
-// cluster id at base URL u: a push round may still be reading ps.
+// register returns ps, which is in cluster order, with cluster id at
+// base URL u. A change is made on a copy: a push round may still be
+// reading ps.
 func register(ps []peer, id topology.ClusterID, u string) []peer {
 	p := peer{id: id, patchURL: u + "/v1/patch", leaseURL: u + "/v1/lease"}
 	i, found := slices.BinarySearchFunc(ps, id, func(p peer, id topology.ClusterID) int { return cmp.Compare(p.id, id) })
+	if found && ps[i] == p {
+		return ps // a cluster re-registering each period changes nothing
+	}
 	ps = slices.Clone(ps)
 	if found {
 		ps[i] = p

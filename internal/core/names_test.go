@@ -14,11 +14,11 @@ import (
 )
 
 // ShardBuilds partitions app as the decomposed planner does and returns
-// a function that builds every shard's formulation cold, as a cold start
-// or a restored leader does, for tests outside the package that count
-// what the builds keep.
-func ShardBuilds(top *topology.Topology, app *appgraph.App, demand Demand) func() ([]any, error) {
-	s := newShardedOptimizer(top, app, Config{}, 0, true)
+// a function that builds every shard's formulation cold under cfg, as a
+// cold start or a restored leader does, for tests outside the package
+// that count what the builds keep.
+func ShardBuilds(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand) func() ([]any, error) {
+	s := newShardedOptimizer(top, app, cfg, 0, true)
 	profiles := DefaultProfiles(app, top, demand)
 	return func() ([]any, error) {
 		out := make([]any, len(s.shards))
@@ -33,19 +33,17 @@ func ShardBuilds(top *topology.Topology, app *appgraph.App, demand Demand) func(
 	}
 }
 
-// ShardModels partitions app as the decomposed planner does and builds
-// every shard's routing LP under cfg, for tests outside the package that
-// measure its shape and what a solve of it keeps.
+// ShardModels builds every shard's routing LP under cfg, as ShardBuilds
+// does, for tests outside the package that measure its shape and what a
+// solve of it keeps.
 func ShardModels(top *topology.Topology, app *appgraph.App, cfg Config, demand Demand) ([]*lp.Model, error) {
-	s := newShardedOptimizer(top, app, cfg, 0, true)
-	profiles := DefaultProfiles(app, top, demand)
-	out := make([]*lp.Model, len(s.shards))
-	for i, sh := range s.shards {
-		f, err := buildFormulation(top, sh.app, s.cfg, demand, profiles)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f.model
+	fs, err := ShardBuilds(top, app, cfg, demand)()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*lp.Model, len(fs))
+	for i, f := range fs {
+		out[i] = f.(*formulation).model
 	}
 	return out, nil
 }

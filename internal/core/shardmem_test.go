@@ -17,7 +17,7 @@ import (
 // or column would add ≈ 1 300 objects and tens of kB a shard.
 func TestShardBuildRetains(t *testing.T) {
 	g, demand := ctrlChurnDeployment(t)
-	build := core.ShardBuilds(g.Top, g.App, demand)
+	build := core.ShardBuilds(g.Top, g.App, core.Config{}, demand)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -6,8 +6,8 @@
 # (-global A,B), and asks `slatectl leader` of every daemon until
 # exactly one replica reports itself leader and both clusters name it
 # as their lease holder. Exits 0 then, 1 if that does not happen within
-# TIMEOUT seconds (default 20). Every daemon is stopped with SIGINT on
-# exit, so each writes its counters.
+# 20 seconds. Every daemon is stopped with SIGINT on exit, so each
+# writes its counters.
 #
 # Usage:
 #   ./scripts/ha-quickstart.sh          # from the repo root
@@ -19,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base=${BASE_PORT:-27000}
-timeout=${TIMEOUT:-20}
+timeout=20 # seconds
 bin=$(mktemp -d)
 pids=()
 cleanup() {
