@@ -242,14 +242,14 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 			for j := 0; j < n; j++ {
 				terms[j] = lp.Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint(terms, lp.EQ, 10)
+			m.MustConstraint(terms, 10)
 		}
 		for j := 0; j < n; j++ {
 			terms := make([]lp.Term, n)
 			for i := 0; i < n; i++ {
 				terms[i] = lp.Term{Var: vars[i][j], Coef: 1}
 			}
-			m.MustConstraint(terms, lp.EQ, 10)
+			m.MustConstraint(terms, 10)
 		}
 		return m
 	}

@@ -152,10 +152,9 @@ func TestLPErrorsNameTheirRowsAndColumns(t *testing.T) {
 		fmt.Sprintf("lp: SetRHS: constraint %q given non-finite rhs +Inf", fmt.Sprintf("demand[default][%s]", dr.ci)),
 		dr.con, -1)
 
-	// A bound the solve refuses surfaces through the shard's solve.
-	f.model.SetUpper(pr.segVars[1], -1)
-	_, err := o.solve(lp.NewWorkspace(), demand, profiles)
-	check(err, fmt.Sprintf("core: solving routing LP: lp: variable seg[%s][1] has negative upper bound -1", pr.key),
+	// A negative bound through SetUpper, as update sets a segment's width.
+	check(f.named(f.model.SetUpper(pr.segVars[1], -1)),
+		fmt.Sprintf("lp: SetUpper: variable seg[%s][1] given upper bound -1 outside [0, +Inf]", pr.key),
 		-1, int(pr.segVars[1]))
 
 	// A CheckFeasible failure: the nominal plan of a near-capacity chain

@@ -259,7 +259,9 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 			pr := &poolRef{key: key, profile: prof, segs: segs}
 			for _, seg := range segs {
 				v := model.AddVar(cfg.LatencyWeight * seg.Slope)
-				model.SetUpper(v, seg.Width)
+				if err := model.SetUpper(v, seg.Width); err != nil {
+					return nil, f.named(err)
+				}
 				pr.segVars = append(pr.segVars, v)
 			}
 			f.pools = append(f.pools, pr)
@@ -297,7 +299,7 @@ func buildFormulation(top *topology.Topology, app *appgraph.App, cfg Config, dem
 			terms = append(terms, lp.Term{Var: v, Coef: -1})
 		}
 		pr.con = model.NumConstraints()
-		model.MustConstraint(terms, lp.EQ, 0)
+		model.MustConstraint(terms, 0)
 	}
 	f.setFlowCosts()
 	return f, nil
@@ -394,7 +396,7 @@ func newFormulation(top *topology.Topology, app *appgraph.App, cfg Config, deman
 			}
 			f.demands = append(f.demands, demandRef{class: nr.class.Name, svc: nr.node.Service, ci: ci, con: model.NumConstraints()})
 			terms = append(terms[:0], lp.Term{Var: placed[0].v, Coef: 1})
-			model.MustConstraint(terms, lp.EQ, d)
+			model.MustConstraint(terms, d)
 			placed = placed[1:]
 		}
 	}
@@ -407,7 +409,7 @@ func newFormulation(top *topology.Topology, app *appgraph.App, cfg Config, deman
 		}
 		for j := range clusters {
 			if terms = f.conserveTerms(terms[:0], ni, j); len(terms) > 0 {
-				model.MustConstraint(terms, lp.EQ, 0)
+				model.MustConstraint(terms, 0)
 			}
 		}
 	}

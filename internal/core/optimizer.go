@@ -192,7 +192,9 @@ func (f *formulation) update(demand Demand, profiles Profiles) error {
 		pr.segs = segs
 		for si, seg := range segs {
 			f.model.SetObj(pr.segVars[si], f.cfg.LatencyWeight*seg.Slope)
-			f.model.SetUpper(pr.segVars[si], seg.Width)
+			if err := f.model.SetUpper(pr.segVars[si], seg.Width); err != nil {
+				return f.named(err)
+			}
 		}
 		if refChanged {
 			for _, lt := range pr.linkTerms {

@@ -47,10 +47,12 @@ type twoRowPool struct {
 	surging float64
 }
 
-// twoRowRob ties one (pool, class) robust surge row to its dual column.
+// twoRowRob ties one (pool, class) robust surge row to its dual column
+// and to the surplus column that makes the row an equality.
 type twoRowRob struct {
 	class string
 	qCol  lp.Var
+	sCol  lp.Var
 	con   int
 }
 
@@ -97,7 +99,9 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 			pr.loadCol = model.AddVar(0)
 			for _, seg := range segs {
 				v := model.AddVar(cfg.LatencyWeight * seg.Slope)
-				model.SetUpper(v, seg.Width)
+				if err := model.SetUpper(v, seg.Width); err != nil {
+					return nil, err
+				}
 				pr.segVars = append(pr.segVars, v)
 			}
 			f.pools = append(f.pools, pr.poolRef)
@@ -128,17 +132,18 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 	// — dualizes into one z_p ≥ 0 per pool and one q_{p,c} ≥ 0 per
 	// (pool, class):
 	//
-	//	z_p + q_{p,c} ≥ margin·load_{p,c}(x)           (rob[p][c])
+	//	z_p + q_{p,c} − s_{p,c} = margin·load_{p,c}(x)  (rob[p][c])
 	//	Σ_s seg_{p,s} = load_p + Γ_p·z_p + Σ_c q_{p,c}  (segments[p])
 	//
-	// so queueing delay is priced — and the utilization cap enforced —
-	// at the worst-case load in the set, while the flow variables (and
-	// the published routing fractions) stay defined over the nominal
-	// demand. Γ ≥ the pool's class count degenerates to the box set's
-	// upper corner. Granularity is per class, not per (class, arrival
-	// cluster): conservation mixes arrival origins at depth ≥ 1, so a
-	// class surges as a whole — which also matches how flash crowds
-	// present (correlated across a class's clusters).
+	// with a surplus s_{p,c} ≥ 0 per rob row, so queueing delay is priced
+	// — and the utilization cap enforced — at the worst-case load in the
+	// set, while the flow variables (and the published routing
+	// fractions) stay defined over the nominal demand. Γ ≥ the pool's
+	// class count degenerates to the box set's upper corner. Granularity
+	// is per class, not per (class, arrival cluster): conservation mixes
+	// arrival origins at depth ≥ 1, so a class surges as a whole — which
+	// also matches how flash crowds present (correlated across a class's
+	// clusters).
 	robust := cfg.DemandMargin > 0
 	if robust {
 		for _, pr := range t.pools {
@@ -156,7 +161,7 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 			sort.Strings(classes)
 			pr.zCol = model.AddVar(0)
 			for _, class := range classes {
-				pr.surges = append(pr.surges, twoRowRob{class: class, qCol: model.AddVar(0)})
+				pr.surges = append(pr.surges, twoRowRob{class: class, qCol: model.AddVar(0), sCol: model.AddVar(0)})
 			}
 			g := twoRowBudget
 			if g <= 0 || g > len(classes) {
@@ -172,7 +177,7 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 			terms = append(terms, lp.Term{Var: lt.v, Coef: linkScale(lt, pr.profile)})
 		}
 		pr.linkRow = model.NumConstraints()
-		model.MustConstraint(terms, lp.EQ, 0)
+		model.MustConstraint(terms, 0)
 		terms = append(terms[:0], lp.Term{Var: pr.loadCol, Coef: -1})
 		for _, v := range pr.segVars {
 			terms = append(terms, lp.Term{Var: v, Coef: 1})
@@ -183,10 +188,10 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 				terms = append(terms, lp.Term{Var: rr.qCol, Coef: -1})
 			}
 		}
-		model.MustConstraint(terms, lp.EQ, 0)
+		model.MustConstraint(terms, 0)
 		for ri := range pr.surges {
 			rr := &pr.surges[ri]
-			terms = append(terms[:0], lp.Term{Var: pr.zCol, Coef: 1}, lp.Term{Var: rr.qCol, Coef: 1})
+			terms = append(terms[:0], lp.Term{Var: pr.zCol, Coef: 1}, lp.Term{Var: rr.qCol, Coef: 1}, lp.Term{Var: rr.sCol, Coef: -1})
 			for k, lt := range pr.linkTerms {
 				if pr.classes[k] != rr.class {
 					continue
@@ -194,7 +199,7 @@ func buildTwoRows(top *topology.Topology, app *appgraph.App, cfg Config, demand 
 				terms = append(terms, lp.Term{Var: lt.v, Coef: -cfg.DemandMargin * linkScale(lt, pr.profile)})
 			}
 			rr.con = model.NumConstraints()
-			model.MustConstraint(terms, lp.GE, 0)
+			model.MustConstraint(terms, 0)
 		}
 	}
 
@@ -276,6 +281,7 @@ func (t *twoRows) dualFill(pr *twoRowPool, x []float64) float64 {
 			q = 0
 		}
 		x[pr.surges[ri].qCol] = q
+		x[pr.surges[ri].sCol] = z + q - m[ri]
 		extra += q
 	}
 	return extra

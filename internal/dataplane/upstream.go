@@ -38,9 +38,15 @@ import (
 //   - Cancelling the request's context closes the connection, which
 //     unblocks a write or read in progress. A connection whose context
 //     was cancelled is never pooled.
-//   - A reused connection whose write failed before any byte reached the
-//     socket is retried once on a fresh dial, if the body can be replayed
-//     (there is none, or GetBody makes another). Nothing else is retried.
+//   - A round trip on a reused connection that failed before a byte of
+//     its answer arrived is retried once on a fresh dial, by net/http's
+//     shouldRetryRequest rule: when no byte of the request reached the
+//     socket, if the body can be replayed (there is none, or GetBody
+//     makes another); when some did, only if the request is also
+//     idempotent — GET, HEAD, OPTIONS or TRACE, or one that carries
+//     Idempotency-Key or X-Idempotency-Key. Such a failure is a server
+//     closing an idle connection as the request went out. Nothing else
+//     is retried.
 //
 // Two differences: no gzip (it sends no Accept-Encoding of its own, so a
 // sidecar forwards what its client asked for and relays what the app
@@ -90,6 +96,7 @@ type upConn struct {
 	idle  *idleConns         // where put returns it
 
 	wrote     int64 // bytes this round trip wrote to conn
+	got       int64 // bytes this round trip read from conn
 	readLimit int64 // head bytes left to read
 
 	// The probe's result, written by peekFD.
@@ -120,11 +127,11 @@ func (t *Upstream) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx := req.Context()
 	if c := t.get(addr); c != nil {
 		resp, err := t.exchange(ctx, c, req)
-		if err == nil || c.wrote > 0 || ctx.Err() != nil {
+		if err == nil || ctx.Err() != nil || c.got > 0 || c.wrote > 0 && !idempotent(req) {
 			return resp, err
 		}
-		// The server closed the reused connection before it took a
-		// byte: retry once on a fresh one, if the body can be replayed.
+		// The server closed the reused connection before it answered:
+		// retry once on a fresh one, if the body can be replayed.
 		if req.Body != nil && req.Body != http.NoBody {
 			if req.GetBody == nil {
 				return nil, err
@@ -155,7 +162,7 @@ func (t *Upstream) exchange(ctx context.Context, c *upConn, req *http.Request) (
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, c.abort)
 	}
-	c.wrote = 0
+	c.wrote, c.got = 0, 0
 	err := req.Write(wireWriter{c.bw})
 	if err == nil {
 		err = c.bw.Flush()
@@ -328,6 +335,7 @@ func (c *upConn) Read(p []byte) (int, error) {
 	}
 	n, err := c.conn.Read(p)
 	c.readLimit -= int64(n)
+	c.got += int64(n)
 	return n, err
 }
 
@@ -387,6 +395,20 @@ type switchedBody struct{ c *upConn }
 func (b *switchedBody) Read(p []byte) (int, error)  { return b.c.br.Read(p) }
 func (b *switchedBody) Write(p []byte) (int, error) { return b.c.conn.Write(p) }
 func (b *switchedBody) Close() error                { return b.c.conn.Close() }
+
+// idempotent reports whether a request may be sent again after the
+// server took some of it, by its method or an idempotency key, as
+// (*http.Request).isReplayable has it; whether its body can be replayed
+// is the caller's to check.
+func idempotent(req *http.Request) bool {
+	switch req.Method {
+	case "", http.MethodGet, http.MethodHead, http.MethodOptions, http.MethodTrace:
+		return true
+	}
+	_, key := req.Header["Idempotency-Key"]
+	_, xkey := req.Header["X-Idempotency-Key"]
+	return key || xkey
+}
 
 // checkRequest refuses what http.Transport refuses, and returns the
 // address to dial.

@@ -574,6 +574,81 @@ func TestUpstreamRetriesUnwrittenRequest(t *testing.T) {
 	}
 }
 
+// TestUpstreamRetriesReplayableOnServerClose: the server answers a
+// connection's first request, then reads the second and closes without
+// a byte of answer, as one does whose keep-alive timeout fires while a
+// request is on its way. A replayable request — an idempotent method,
+// or an idempotency key, with a body GetBody can make again — is then
+// retried on a fresh connection and any other fails, as with
+// http.Transport. The server holds the connection open until the
+// request is in, so the checkout probe always finds it alive.
+func TestUpstreamRetriesReplayableOnServerClose(t *testing.T) {
+	for _, c := range []struct {
+		name, method, key string // key is an idempotency header to set
+		oneShot           bool   // the body cannot be replayed
+		retried           bool
+	}{
+		{"GET", http.MethodGet, "", false, true},
+		{"HEAD", http.MethodHead, "", false, true},
+		{"OPTIONS", http.MethodOptions, "", false, true},
+		{"POST", http.MethodPost, "", false, false},
+		{"POST/Idempotency-Key", http.MethodPost, "Idempotency-Key", false, true},
+		{"POST/X-Idempotency-Key", http.MethodPost, "X-Idempotency-Key", false, true},
+		{"POST/Idempotency-Key/one-shot-body", http.MethodPost, "Idempotency-Key", true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(rt http.RoundTripper) (outcome, int32) {
+				// The round trips come one at a time, so every
+				// even-numbered request the server reads is a
+				// connection's second.
+				var n atomic.Int32
+				srv := newRawServer(t, func(req *http.Request) []byte {
+					if n.Add(1)%2 == 0 {
+						return nil
+					}
+					if req.Method == http.MethodHead {
+						return []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n")
+					}
+					return []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+				}, func(*http.Request) bool { return n.Load()%2 == 0 })
+				req, err := http.NewRequest(http.MethodGet, srv.url(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first := roundTrip(rt, req, -1); first.err || first.body != "ok" {
+					t.Fatalf("first round trip: %v", first)
+				}
+				var body io.Reader
+				if c.method == http.MethodPost {
+					body = strings.NewReader("ping")
+					if c.oneShot {
+						body = io.MultiReader(body)
+					}
+				}
+				if req, err = http.NewRequest(c.method, srv.url(), body); err != nil {
+					t.Fatal(err)
+				}
+				if c.key != "" {
+					req.Header.Set(c.key, "k1")
+				}
+				return roundTrip(rt, req, -1), srv.accepts.Load()
+			}
+			up := &Upstream{}
+			defer up.CloseIdleConnections()
+			ref := oracle()
+			defer ref.CloseIdleConnections()
+			got, gotConns := run(up)
+			want, wantConns := run(ref)
+			if !got.equal(want) || gotConns != wantConns {
+				t.Errorf("Upstream %v over %d connections, http.Transport %v over %d", got, gotConns, want, wantConns)
+			}
+			if wantRetried := !want.err && wantConns == 2; wantRetried != c.retried || want.err == c.retried {
+				t.Errorf("http.Transport %v over %d connections; want retried %v", want, wantConns, c.retried)
+			}
+		})
+	}
+}
+
 // TestUpstreamRefusesWhatTransportRefuses: the requests http.Transport
 // refuses before dialling, Upstream refuses too.
 func TestUpstreamRefusesWhatTransportRefuses(t *testing.T) {

@@ -70,7 +70,7 @@ func TestAddConstraintMatchesSortSlice(t *testing.T) {
 		}
 		terms := randomTerms(rng, nVars)
 		orig := slices.Clone(terms)
-		if err := m.AddConstraint(terms, EQ, 1); err != nil {
+		if err := m.AddConstraint(terms, 1); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(terms, orig) {
@@ -95,7 +95,7 @@ func TestErrorsNameByIndex(t *testing.T) {
 	m := NewModel()
 	a := m.AddVar(0)
 	b := m.AddVar(0)
-	m.MustConstraint([]Term{{a, 1}, {b, 1}}, LE, 4)
+	m.MustConstraint([]Term{{a, 1}, {b, 1}}, 4)
 	// A failed AddConstraint is about the row it would have added.
 	row := func(i int) string { return []string{"cap", "next"}[i] }
 	col := func(i int) string { return []string{"a", "b"}[i] }
@@ -109,12 +109,21 @@ func TestErrorsNameByIndex(t *testing.T) {
 		{m.SetRHS(0, math.NaN()),
 			`lp: SetRHS: constraint "#0" given non-finite rhs NaN`,
 			`lp: SetRHS: constraint "cap" given non-finite rhs NaN`},
-		{m.AddConstraint([]Term{{a, math.NaN()}}, EQ, 0),
+		{m.SetRHS(0, -1),
+			`lp: SetRHS: constraint "#0" given negative rhs -1`,
+			`lp: SetRHS: constraint "cap" given negative rhs -1`},
+		{m.AddConstraint([]Term{{a, math.NaN()}}, 0),
 			`lp: constraint "#1" has non-finite coefficient for #0`,
 			`lp: constraint "next" has non-finite coefficient for a`},
+		{m.AddConstraint([]Term{{a, 1}}, -2),
+			`lp: constraint "#1" has negative rhs -2`,
+			`lp: constraint "next" has negative rhs -2`},
+		{m.SetUpper(b, math.NaN()),
+			`lp: SetUpper: variable #1 given upper bound NaN outside [0, +Inf]`,
+			`lp: SetUpper: variable b given upper bound NaN outside [0, +Inf]`},
 		{m.CheckFeasible([]float64{3, 3}, 0),
-			`lp: constraint #0 violated: 6 > 4`,
-			`lp: constraint cap violated: 6 > 4`},
+			`lp: constraint #0 violated: 6 != 4`,
+			`lp: constraint cap violated: 6 != 4`},
 		{m.CheckFeasible([]float64{-1, 0}, 0),
 			`lp: variable #0 = -1 violates x >= 0`,
 			`lp: variable a = -1 violates x >= 0`},

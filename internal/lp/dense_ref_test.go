@@ -13,10 +13,12 @@ import (
 // since by two steps the live solver took on, each written for this
 // tableau's storage: the dual simplex repair of a warm basis the
 // right-hand side left infeasible (finishWarm), and the resumed solve
-// from the tableau of the last optimal solve of the same model (resume).
-// It shares the tolerances, flip, tieBreak, errUnbounded, keptTol and the
-// pivot budget with the live code; everything that touches storage is
-// its own.
+// from the tableau of the last optimal solve of the same model (resume);
+// and cut down, as the live one was, when a Model came to hold only the
+// standard form: newTableau no longer negates a row or places a slack or
+// surplus column for an inequality. It shares the tolerances, tieBreak,
+// errUnbounded, keptTol and the pivot budget with the live code;
+// everything that touches storage is its own.
 
 // denseSolver owns the dense tableau's scratch: one flat rows × columns
 // array, cleared at the start of every solve but a resumed one.
@@ -29,12 +31,11 @@ type denseSolver struct {
 	nz    []int  // pivot-row nonzero column indices scratch
 
 	// The tableau last built in flat, with newTableau's record of it:
-	// each row's unit column (its initial basic one) and which
-	// constraints it negated. kept names the model whose optimum it holds,
-	// at that model's edit count; nil when it holds none.
+	// each row's unit column (its initial basic one). kept names the
+	// model whose optimum it holds, at that model's edit count; nil when
+	// it holds none.
 	last      *denseTableau
 	unit      []int
-	neg       []bool
 	kept      *Model
 	keptEdits uint64
 
@@ -80,10 +81,8 @@ func (s *denseSolver) SolveFrom(m *Model, basis []int) (*Solution, error) {
 }
 
 // unitRHSOf returns, per column, the right-hand side of the row whose
-// unit column it is, as newTableau writes it; ok is false when a
-// constraint would be negated the other way round, a bound is negative,
-// or a row whose unit column was dropped has a right-hand side other than
-// 0.
+// unit column it is, as newTableau writes it; ok is false when a row
+// whose unit column was dropped has a right-hand side other than 0.
 func (s *denseSolver) unitRHSOf(m *Model, cols int) (unitRHS []float64, ok bool) {
 	unitRHS = make([]float64, cols)
 	set := func(i int, b float64) bool {
@@ -94,21 +93,14 @@ func (s *denseSolver) unitRHSOf(m *Model, cols int) (unitRHS []float64, ok bool)
 		return b == 0 //slate:nolint floatcmp -- a dropped column of B⁻¹ is read by no right-hand side but an exact zero
 	}
 	for i, c := range m.cons {
-		if (c.rhs < 0) != s.neg[i] {
-			return nil, false
-		}
-		b := c.rhs
-		if s.neg[i] {
-			b = -b
-		}
-		if !set(i, b) {
+		if !set(i, c.rhs) {
 			return nil, false
 		}
 	}
 	row := len(m.cons)
 	for _, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
-			if v.upper < 0 || !set(row, v.upper) {
+			if !set(row, v.upper) {
 				return nil, false
 			}
 			row++
@@ -131,11 +123,7 @@ func (s *denseSolver) solveFrom(m *Model, basis []int) (*Solution, error) {
 			return nil, err
 		}
 	}
-	t, err := s.newTableau(m)
-	if err != nil {
-		return nil, err
-	}
-	if t.warmStart(basis) {
+	if t := s.newTableau(m); t.warmStart(basis) {
 		sol, err := t.finishWarm(m)
 		if sol != nil {
 			sol.Warm = true
@@ -152,20 +140,16 @@ func (s *denseSolver) solveFrom(m *Model, basis []int) (*Solution, error) {
 }
 
 func (s *denseSolver) cold(m *Model) (*Solution, error) {
-	t, err := s.newTableau(m)
-	if err != nil {
-		return nil, err
-	}
-	return t.solve(m)
+	return s.newTableau(m).solve(m)
 }
 
 // resume returns the last tableau, readied for a solve of m from basis,
 // when it holds m's optimum at that basis and m has changed since only in
-// right-hand sides that kept their signs; else nil, the tableau
-// untouched. The rhs column becomes B⁻¹b — per row, the sum over the
-// unit columns in ascending order of the row's entry times that column's
-// right-hand side, zeros skipped — the phase-2 row m's costs, and the
-// phase-1 row, unread after phase 1, zeros.
+// right-hand sides and costs; else nil, the tableau untouched. The rhs
+// column becomes B⁻¹b — per row, the sum over the unit columns in
+// ascending order of the row's entry times that column's right-hand
+// side, zeros skipped — the phase-2 row m's costs, and the phase-1 row,
+// unread after phase 1, zeros.
 func (s *denseSolver) resume(m *Model, basis []int) *denseTableau {
 	t := s.last
 	if s.kept != m || s.keptEdits != m.edits || !slices.Equal(basis, t.basis) {
@@ -272,33 +256,14 @@ type denseTableau struct {
 	s       *denseSolver // owner of the scratch buffers
 }
 
-func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
+func (s *denseSolver) newTableau(m *Model) *denseTableau {
 	n := len(m.vars)
-	// Count rows and extra columns: explicit constraints, then upper
-	// bounds expanded into LE rows (their rhs is validated ≥ 0, so they
-	// never flip).
+	// Count rows and extra columns: explicit constraints, each with its
+	// artificial, then upper bounds expanded into rows with a slack.
 	nRows := len(m.cons)
-	nSlack, nArt := 0, 0
-	for _, c := range m.cons {
-		rel := c.rel
-		if c.rhs < 0 { // normalization flips the relation
-			rel = flip(rel)
-		}
-		switch rel {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
-	for i, v := range m.vars {
+	nSlack, nArt := 0, len(m.cons)
+	for _, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
-			if v.upper < 0 {
-				return nil, fmt.Errorf("lp: variable #%d has negative upper bound %v", i, v.upper)
-			}
 			nRows++
 			nSlack++
 		}
@@ -314,47 +279,25 @@ func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
 	t.a = s.growTableau(nRows+2, cols+1)
 	t.basis = s.growBasis(nRows)
 
-	slackCol, artCol := n, t.artBase
 	row := 0
-	place := func(rel Rel) {
-		switch rel {
-		case LE:
-			t.a[row][slackCol] = 1
-			t.basis[row] = slackCol
-			slackCol++
-		case GE:
-			t.a[row][slackCol] = -1
-			slackCol++
-			t.a[row][artCol] = 1
-			t.basis[row] = artCol
-			artCol++
-		case EQ:
-			t.a[row][artCol] = 1
-			t.basis[row] = artCol
-			artCol++
+	for i, c := range m.cons {
+		for _, term := range c.terms {
+			t.a[row][term.Var] = term.Coef
 		}
+		t.a[row][cols] = c.rhs
+		t.a[row][t.artBase+i] = 1
+		t.basis[row] = t.artBase + i
 		row++
 	}
-	s.neg = s.neg[:0]
-	for _, c := range m.cons {
-		sign := 1.0
-		rel := c.rel
-		s.neg = append(s.neg, c.rhs < 0)
-		if c.rhs < 0 {
-			sign = -1
-			rel = flip(rel)
-		}
-		for _, term := range c.terms {
-			t.a[row][term.Var] = sign * term.Coef
-		}
-		t.a[row][cols] = sign * c.rhs
-		place(rel)
-	}
+	slackCol := n
 	for j, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
 			t.a[row][j] = 1
 			t.a[row][cols] = v.upper
-			place(LE)
+			t.a[row][slackCol] = 1
+			t.basis[row] = slackCol
+			slackCol++
+			row++
 		}
 	}
 	// Phase-2 objective row: original costs (minimization).
@@ -367,7 +310,7 @@ func (s *denseSolver) newTableau(m *Model) (*denseTableau, error) {
 	}
 	s.unit = append(s.unit[:0], t.basis...)
 	s.last = t
-	return t, nil
+	return t
 }
 
 // solve runs both phases from the all-slack/artificial start.

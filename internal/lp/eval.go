@@ -23,11 +23,11 @@ func (m *Model) EvalObjective(x []float64) float64 {
 
 // CheckFeasible verifies that x satisfies every constraint, variable
 // bound, and the x ≥ 0 domain of the model, within a relative tolerance:
-// a row residual |Σ a·x − rhs| (or one-sided slack violation) is
-// accepted up to tol·(1 + Σ|a·x|), and a bound violation up to
-// tol·(1 + |bound|), so well-scaled and badly-scaled rows are judged
-// alike. tol ≤ 0 uses 1e-6. It returns nil when feasible and otherwise
-// an *Error naming the first violated row or bound.
+// a row residual |Σ a·x − rhs| is accepted up to tol·(1 + Σ|a·x|), and a
+// bound violation up to tol·(1 + |bound|), so well-scaled and
+// badly-scaled rows are judged alike. tol ≤ 0 uses 1e-6. It returns nil
+// when feasible and otherwise an *Error naming the first violated row or
+// bound.
 //
 // This is the gate an external solver's solution must pass before the
 // control plane will publish it: a locally-searched routing table that
@@ -60,20 +60,8 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 			sum += p
 			scale += math.Abs(p)
 		}
-		slack := tol * (1 + scale)
-		switch con.rel {
-		case LE:
-			if sum > con.rhs+slack {
-				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v > %[4]v", sum, con.rhs)
-			}
-		case GE:
-			if sum < con.rhs-slack {
-				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v < %[4]v", sum, con.rhs)
-			}
-		case EQ:
-			if math.Abs(sum-con.rhs) > slack {
-				return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v != %[4]v", sum, con.rhs)
-			}
+		if math.Abs(sum-con.rhs) > tol*(1+scale) {
+			return errorAt(ci, -1, "lp: constraint %[1]s violated: %[3]v != %[4]v", sum, con.rhs)
 		}
 	}
 	return nil

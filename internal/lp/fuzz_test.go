@@ -49,7 +49,7 @@ func FuzzWarmRepair(f *testing.F) {
 			}
 		} else {
 			for i := range m.cons {
-				if err := m.SetRHS(i, m.cons[i].rhs+rhsMove*(2*rng.Float64()-1)); err != nil {
+				if err := m.SetRHS(i, max(0, m.cons[i].rhs+rhsMove*(2*rng.Float64()-1))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,8 +3,48 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// rel is the sense of a row a test states. A Model holds equality rows
+// with right-hand sides ≥ 0 only, so constrain writes an inequality in
+// that form.
+type rel int
+
+const (
+	le rel = iota // ≤
+	ge            // ≥
+	eq            // =
+)
+
+// constrain adds Σ terms r rhs to m as an equality row: a ≤ row gets a
+// new slack column, +1, a ≥ row a new surplus column, −1, both of cost 0
+// and unbounded, and a row whose rhs is negative is negated, that column
+// and all.
+func constrain(m *Model, terms []Term, r rel, rhs float64) {
+	row := slices.Clone(terms)
+	switch r {
+	case le:
+		row = append(row, Term{m.AddVar(0), 1})
+	case ge:
+		row = append(row, Term{m.AddVar(0), -1})
+	}
+	if rhs < 0 {
+		for i := range row {
+			row[i].Coef = -row[i].Coef
+		}
+		rhs = -rhs
+	}
+	m.MustConstraint(row, rhs)
+}
+
+// mustUpper is SetUpper for a bound the test knows is ≥ 0.
+func mustUpper(m *Model, v Var, hi float64) {
+	if err := m.SetUpper(v, hi); err != nil {
+		panic(err)
+	}
+}
 
 // solver is a Solver with a Workspace of its own, kept across its solves
 // as a worker's is across the models it serves. Every test solves
@@ -42,9 +82,9 @@ func TestSimplexTextbookMaximization(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(-3)
 	y := m.AddVar(-5)
-	m.MustConstraint([]Term{{x, 1}}, LE, 4)
-	m.MustConstraint([]Term{{y, 2}}, LE, 12)
-	m.MustConstraint([]Term{{x, 3}, {y, 2}}, LE, 18)
+	constrain(m, []Term{{x, 1}}, le, 4)
+	constrain(m, []Term{{y, 2}}, le, 12)
+	constrain(m, []Term{{x, 3}, {y, 2}}, le, 18)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, -36) {
 		t.Errorf("objective = %v, want -36", sol.Objective)
@@ -54,14 +94,15 @@ func TestSimplexTextbookMaximization(t *testing.T) {
 	}
 }
 
-func TestSimplexEqualityAndGE(t *testing.T) {
-	// min 2x + 3y s.t. x + y = 10, x >= 3, y >= 2. Optimum x=8, y=2, obj=22.
+func TestSimplexEqualityAndSurplus(t *testing.T) {
+	// min 2x + 3y s.t. x + y = 10, x >= 3, y >= 2, the two bounds below
+	// written with surplus columns. Optimum x=8, y=2, obj=22.
 	m := NewModel()
 	x := m.AddVar(2)
 	y := m.AddVar(3)
-	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 10)
-	m.MustConstraint([]Term{{x, 1}}, GE, 3)
-	m.MustConstraint([]Term{{y, 1}}, GE, 2)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, 10)
+	constrain(m, []Term{{x, 1}}, ge, 3)
+	constrain(m, []Term{{y, 1}}, ge, 2)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, 22) {
 		t.Errorf("objective = %v, want 22", sol.Objective)
@@ -71,23 +112,11 @@ func TestSimplexEqualityAndGE(t *testing.T) {
 	}
 }
 
-func TestSimplexNegativeRHSNormalization(t *testing.T) {
-	// -x - y <= -4  is x + y >= 4; min x + 2y -> x=4, y=0.
-	m := NewModel()
-	x := m.AddVar(1)
-	y := m.AddVar(2)
-	m.MustConstraint([]Term{{x, -1}, {y, -1}}, LE, -4)
-	sol := solveOK(t, m)
-	if !almost(sol.Objective, 4) || !almost(sol.Value(x), 4) {
-		t.Errorf("obj=%v x=%v, want 4, 4", sol.Objective, sol.Value(x))
-	}
-}
-
 func TestSimplexInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
-	m.MustConstraint([]Term{{x, 1}}, LE, 1)
-	m.MustConstraint([]Term{{x, 1}}, GE, 2)
+	constrain(m, []Term{{x, 1}}, le, 1)
+	constrain(m, []Term{{x, 1}}, ge, 2)
 	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +129,7 @@ func TestSimplexInfeasible(t *testing.T) {
 func TestSimplexUnbounded(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(-1) // maximize x, no upper limit
-	m.MustConstraint([]Term{{x, 1}}, GE, 0)
+	constrain(m, []Term{{x, 1}}, ge, 0)
 	sol, err := solve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +144,8 @@ func TestSimplexUpperBounds(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(-1)
 	y := m.AddVar(-1)
-	m.SetUpper(x, 2.5)
-	m.SetUpper(y, 1.5)
+	mustUpper(m, x, 2.5)
+	mustUpper(m, y, 1.5)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, -4) {
 		t.Errorf("objective = %v, want -4", sol.Objective)
@@ -125,25 +154,34 @@ func TestSimplexUpperBounds(t *testing.T) {
 
 // bealeLP is Beale's classic cycling example, its variables and its two
 // degenerate rows in the order that makes Dantzig's rule cycle under this
-// solver's ratio-test tie-break (in the textbook order it does not): the
-// solve leaves the cycle only through Bland's rule.
-func bealeLP() *Model {
+// solver's ratio-test tie-break (in the textbook order it does not),
+// with the basis of its three slack columns. A solve from that basis
+// starts where the textbook's does and leaves the cycle only through
+// Bland's rule; a cold solve's phase 1 takes another path.
+func bealeLP() (*Model, []int) {
 	m := NewModel()
 	x4 := m.AddVar(6)
 	x3 := m.AddVar(-0.02)
 	x2 := m.AddVar(150)
 	x1 := m.AddVar(-0.75)
-	m.MustConstraint([]Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
-	m.MustConstraint([]Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
-	m.MustConstraint([]Term{{x3, 1}}, LE, 1)
-	return m
+	constrain(m, []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, le, 0)
+	constrain(m, []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, le, 0)
+	constrain(m, []Term{{x3, 1}}, le, 1)
+	return m, []int{4, 5, 6}
 }
 
 func TestSimplexDegenerate(t *testing.T) {
-	// Beale's cycling example must terminate with optimum -0.05.
-	sol := solveOK(t, bealeLP())
-	if !almost(sol.Objective, -0.05) {
-		t.Errorf("objective = %v, want -0.05", sol.Objective)
+	// Beale's cycling example must terminate with optimum -0.05, solved
+	// cold and from the slack basis, where Dantzig's rule cycles.
+	m, slacks := bealeLP()
+	for _, basis := range [][]int{nil, slacks} {
+		sol, err := newSolver().solve(m, basis)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("basis %v: %v, %+v", basis, err, sol)
+		}
+		if !almost(sol.Objective, -0.05) {
+			t.Errorf("basis %v: objective = %v, want -0.05", basis, sol.Objective)
+		}
 	}
 }
 
@@ -152,8 +190,8 @@ func TestSimplexZeroRHSEquality(t *testing.T) {
 	m := NewModel()
 	in := m.AddVar(0)
 	out := m.AddVar(1)
-	m.MustConstraint([]Term{{in, 1}, {out, -1}}, EQ, 0)
-	m.MustConstraint([]Term{{in, 1}}, GE, 5)
+	m.MustConstraint([]Term{{in, 1}, {out, -1}}, 0)
+	constrain(m, []Term{{in, 1}}, ge, 5)
 	sol := solveOK(t, m)
 	if !almost(sol.Value(out), 5) {
 		t.Errorf("out = %v, want 5", sol.Value(out))
@@ -164,7 +202,7 @@ func TestSimplexMergesDuplicateTerms(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
 	// x + x >= 6 -> x >= 3.
-	m.MustConstraint([]Term{{x, 1}, {x, 1}}, GE, 6)
+	constrain(m, []Term{{x, 1}, {x, 1}}, ge, 6)
 	sol := solveOK(t, m)
 	if !almost(sol.Value(x), 3) {
 		t.Errorf("x = %v, want 3", sol.Value(x))
@@ -174,18 +212,20 @@ func TestSimplexMergesDuplicateTerms(t *testing.T) {
 func TestConstraintValidation(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
-	if err := m.AddConstraint([]Term{{Var(5), 1}}, LE, 1); err == nil {
+	if err := m.AddConstraint([]Term{{Var(5), 1}}, 1); err == nil {
 		t.Error("unknown var should error")
 	}
-	if err := m.AddConstraint([]Term{{x, math.NaN()}}, LE, 1); err == nil {
+	if err := m.AddConstraint([]Term{{x, math.NaN()}}, 1); err == nil {
 		t.Error("NaN coefficient should error")
 	}
-	if err := m.AddConstraint([]Term{{x, 1}}, LE, math.Inf(1)); err == nil {
+	if err := m.AddConstraint([]Term{{x, 1}}, math.Inf(1)); err == nil {
 		t.Error("infinite rhs should error")
 	}
-	m.SetUpper(x, -1)
-	if _, err := solve(m); err == nil {
+	if err := m.SetUpper(x, -1); err == nil {
 		t.Error("negative upper bound should error")
+	}
+	if err := m.AddConstraint([]Term{{x, 1}}, -1); err == nil {
+		t.Error("negative rhs should error")
 	}
 }
 
@@ -195,8 +235,8 @@ func TestRedundantConstraints(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
 	y := m.AddVar(1)
-	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 4)
-	m.MustConstraint([]Term{{x, 1}, {y, 1}}, EQ, 4)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, 4)
+	m.MustConstraint([]Term{{x, 1}, {y, 1}}, 4)
 	sol := solveOK(t, m)
 	if !almost(sol.Objective, 4) {
 		t.Errorf("objective = %v, want 4", sol.Objective)
@@ -208,7 +248,7 @@ func TestRedundantConstraints(t *testing.T) {
 // returns the best feasible objective (min). Used as ground truth.
 func bruteForce(obj []float64, cons []struct {
 	a   []float64
-	rel Rel
+	rel rel
 	rhs float64
 }, ub []float64) (float64, bool) {
 	n := len(obj)
@@ -238,15 +278,15 @@ func bruteForce(obj []float64, cons []struct {
 				dot += c.a[j] * x[j]
 			}
 			switch c.rel {
-			case LE:
+			case le:
 				if dot > c.rhs+1e-7 {
 					return false
 				}
-			case GE:
+			case ge:
 				if dot < c.rhs-1e-7 {
 					return false
 				}
-			case EQ:
+			case eq:
 				if math.Abs(dot-c.rhs) > 1e-7 {
 					return false
 				}
@@ -341,7 +381,7 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 		}
 		cons := make([]struct {
 			a   []float64
-			rel Rel
+			rel rel
 			rhs float64
 		}, k)
 		for i := range cons {
@@ -350,7 +390,7 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 				a[j] = math.Round((rng.Float64()*4-2)*4) / 4
 			}
 			cons[i].a = a
-			cons[i].rel = Rel(rng.Intn(3))
+			cons[i].rel = rel(rng.Intn(3))
 			cons[i].rhs = math.Round((rng.Float64()*8-2)*4) / 4
 		}
 		wantObj, feasible := bruteForce(obj, cons, ub)
@@ -359,15 +399,14 @@ func TestSimplexAgainstBruteForceRandom(t *testing.T) {
 		vars := make([]Var, n)
 		for j := 0; j < n; j++ {
 			vars[j] = m.AddVar(obj[j])
-			m.SetUpper(vars[j], ub[j])
+			mustUpper(m, vars[j], ub[j])
 		}
-		for i, c := range cons {
+		for _, c := range cons {
 			terms := make([]Term, n)
 			for j := 0; j < n; j++ {
 				terms[j] = Term{vars[j], c.a[j]}
 			}
-			m.MustConstraint(terms, c.rel, c.rhs)
-			_ = i
+			constrain(m, terms, c.rel, c.rhs)
 		}
 		sol, err := solve(m)
 		if err != nil {
@@ -406,14 +445,14 @@ func TestLargeLPPerformanceSanity(t *testing.T) {
 		for j := 0; j < d; j++ {
 			terms[j] = Term{x[i][j], 1}
 		}
-		m.MustConstraint(terms, EQ, 10)
+		m.MustConstraint(terms, 10)
 	}
 	for j := 0; j < d; j++ {
 		terms := make([]Term, s)
 		for i := 0; i < s; i++ {
 			terms[i] = Term{x[i][j], 1}
 		}
-		m.MustConstraint(terms, EQ, 10)
+		m.MustConstraint(terms, 10)
 	}
 	sol := solveOK(t, m)
 	// Total shipped is 200; min cost must be >= 200 * min cost ~ 200.

@@ -1,5 +1,8 @@
 // Package lp implements a self-contained linear programming solver — a
-// two-phase primal simplex on a sparse tableau.
+// two-phase primal simplex on a sparse tableau — for the standard form
+// min c·x s.t. A x = b, b ≥ 0, 0 ≤ x ≤ u, the form of the routing LP.
+// Every Model setter refuses what that form does not allow, so a solve
+// has nothing to normalise; an inequality takes a slack column.
 //
 // SLATE's global controller formulates request routing as an
 // optimization (paper §3.3: "formulated as a Mixed Integer Linear
@@ -7,7 +10,7 @@
 // relaxation is exact, so the routing problem is a pure LP. The solver
 // stays a tableau simplex with textbook pivoting rules, but stores the
 // tableau by its nonzeros: a shard of a generated 48-cluster deployment
-// is some 700 rows by 1 800 columns of which under 1 % are nonzero, and
+// is some 660 rows by 1 644 columns of which under 1 % are nonzero, and
 // pivoting keeps it so (a pivot row holds a dozen entries); the rows that
 // do fill in, most of them in a monolithic LP, switch to dense arrays. A
 // reusable Solver warm-starts from the previous tick's basis, repairing
@@ -35,29 +38,6 @@ import (
 // Var identifies a decision variable within a Model.
 type Var int
 
-// Rel is a constraint relation.
-type Rel int
-
-// Constraint relations.
-const (
-	LE Rel = iota // ≤
-	GE            // ≥
-	EQ            // =
-)
-
-func (r Rel) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return fmt.Sprintf("Rel(%d)", int(r))
-	}
-}
-
 // Term is one coefficient of a linear expression.
 type Term struct {
 	Var  Var
@@ -69,9 +49,9 @@ type variable struct {
 	upper float64 // +Inf when unbounded above
 }
 
+// constraint is the row Σ terms = rhs, rhs ≥ 0.
 type constraint struct {
 	terms []Term
-	rel   Rel
 	rhs   float64
 }
 
@@ -119,9 +99,9 @@ func (e *Error) Named(row, col func(int) string) *Error {
 	return &n
 }
 
-// Model is a linear program under construction: minimize c·x subject to
-// linear constraints, x ≥ 0, with optional upper bounds. Not safe for
-// concurrent use.
+// Model is a linear program in standard form under construction:
+// minimize c·x subject to equality rows with right-hand sides ≥ 0,
+// x ≥ 0, with optional upper bounds. Not safe for concurrent use.
 type Model struct {
 	vars []variable
 	cons []constraint
@@ -143,12 +123,17 @@ func (m *Model) AddVar(obj float64) Var {
 	return Var(len(m.vars) - 1)
 }
 
-// SetUpper bounds the variable above: x ≤ hi.
-func (m *Model) SetUpper(v Var, hi float64) {
+// SetUpper bounds the variable above: x ≤ hi; +Inf lifts the bound. It
+// returns an *Error, the model unchanged, for a bound below 0 or NaN.
+func (m *Model) SetUpper(v Var, hi float64) error {
+	if !(hi >= 0) {
+		return errorAt(-1, int(v), "lp: SetUpper: variable %[2]s given upper bound %[3]v outside [0, +Inf]", hi)
+	}
 	if math.IsInf(hi, 1) != math.IsInf(m.vars[v].upper, 1) {
 		m.edits++ // the bound's row comes or goes
 	}
 	m.vars[v].upper = hi
+	return nil
 }
 
 // SetObj replaces the variable's objective coefficient.
@@ -162,14 +147,15 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
-// AddConstraint adds Σ terms rel rhs as the next row. Terms referencing
-// the same variable are summed. It returns an *Error for out-of-range
-// variables or non-finite coefficients. The model keeps a copy of terms,
-// so the caller may reuse the slice.
-func (m *Model) AddConstraint(terms []Term, rel Rel, rhs float64) error {
+// AddConstraint adds Σ terms = rhs as the next row. Terms referencing
+// the same variable are summed. It returns an *Error, the model
+// unchanged, for a non-finite or negative rhs, out-of-range variables or
+// non-finite coefficients. The model keeps a copy of terms, so the
+// caller may reuse the slice.
+func (m *Model) AddConstraint(terms []Term, rhs float64) error {
 	row := len(m.cons)
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return errorAt(row, -1, "lp: constraint %[1]q has non-finite rhs %[3]v", rhs)
+	if err := rhsErr(row, "lp: constraint %[1]q has", rhs); err != nil {
+		return err
 	}
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
@@ -201,17 +187,29 @@ func (m *Model) AddConstraint(terms []Term, rel Rel, rhs float64) error {
 			k++
 		}
 	}
-	m.cons = append(m.cons, constraint{terms: out[:k], rel: rel, rhs: rhs})
+	m.cons = append(m.cons, constraint{terms: out[:k], rhs: rhs})
 	m.edits++
 	return nil
 }
 
 // MustConstraint is AddConstraint that panics on error, for construction
 // code whose inputs are programmatically correct.
-func (m *Model) MustConstraint(terms []Term, rel Rel, rhs float64) {
-	if err := m.AddConstraint(terms, rel, rhs); err != nil {
+func (m *Model) MustConstraint(terms []Term, rhs float64) {
+	if err := m.AddConstraint(terms, rhs); err != nil {
 		panic(err)
 	}
+}
+
+// rhsErr is the *Error, its text after prefix, about row's right-hand
+// side rhs unless rhs is finite and ≥ 0.
+func rhsErr(row int, prefix string, rhs float64) error {
+	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
+		return errorAt(row, -1, prefix+" non-finite rhs %[3]v", rhs)
+	}
+	if rhs < 0 {
+		return errorAt(row, -1, prefix+" negative rhs %[3]v", rhs)
+	}
+	return nil
 }
 
 // Status reports the outcome of a solve.

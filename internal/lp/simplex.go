@@ -41,18 +41,19 @@ type holder struct {
 //	obj2:         phase-2 objective (original costs)
 //	obj1:         phase-1 objective (artificial costs), unread after phase 1
 //
-// over n structural columns, then slack/surplus, then artificials, stored
-// by its nonzeros: SLATE's flow LPs are > 99 % zeros and a decomposed
-// shard stays so under pivoting. A constraint row is its nonzero
-// coefficients in ascending column order, its right-hand side beside it
-// in rhs; colRows indexes the rows by column. A row that fills in past
-// cols/wideFrac entries — a few load-link rows of a shard, nearly every
-// row of a monolithic LP whose classes share their pools — moves to a
-// dense array for the rest of the solve: merging into a long row costs
-// its length, indexing into it costs the pivot row's. The two objective
-// rows are dense, indexed by column, the right-hand side in their last
-// slot; the entering column is read off a tournament over the active one
-// (price), which a pivot updates in the pivot row's columns only.
+// over n structural columns, then the bound rows' slacks, then the
+// constraint rows' artificials (see load), stored by its nonzeros:
+// SLATE's flow LPs are > 99 % zeros and a decomposed shard stays so under
+// pivoting. A constraint row is its nonzero coefficients in ascending
+// column order, its right-hand side beside it in rhs; colRows indexes the
+// rows by column. A row that fills in past cols/wideFrac entries — a few
+// load-link rows of a shard, nearly every row of a monolithic LP whose
+// classes share their pools — moves to a dense array for the rest of the
+// solve: merging into a long row costs its length, indexing into it costs
+// the pivot row's. The two objective rows are dense, indexed by column,
+// the right-hand side in their last slot; the entering column is read off
+// a tournament over the active one (price), which a pivot updates in the
+// pivot row's columns only.
 //
 // The arithmetic is the dense tableau's (dense_ref_test.go), operation
 // for operation: a pivot subtracts c·p from exactly the entries where the
@@ -61,8 +62,8 @@ type holder struct {
 // warm start's pivot search, the dual repair's leaving row) visits rows
 // in ascending order as a dense scan does, the dual ratio test visits a
 // row's columns in ascending order, and the tournament picks the column
-// the dense scan of the reduced costs picks. TestSparseMatchesDense
-// holds the two to the same pivots and bit-equal Solutions.
+// the dense scan of the reduced costs picks. TestSparseMatchesDense holds
+// the two to the same pivots and bit-equal Solutions.
 //
 // Between solves a tableau holds its basis and, packed, the rows of its
 // last optimal solve; the rest is a Workspace's scratch, lent for a solve.
@@ -73,12 +74,10 @@ type tableau struct {
 	artBase int // first artificial column; artificials are [artBase, cols)
 	basis   []int
 	// unit[i] is the column that starts out as row i's unit vector — its
-	// slack in a ≤ row, its artificial otherwise — so the tableau's column
-	// unit[i] is always column i of B⁻¹; −1 once the packed rows dropped
-	// it. neg[i] says load negated constraint i, whose right-hand side was
-	// negative.
+	// slack in a bound row, its artificial in a constraint row — so the
+	// tableau's column unit[i] is always column i of B⁻¹; −1 once the
+	// packed rows dropped it.
 	unit []int32
-	neg  []bool
 	// packed holds the rows of the last optimal solve, row i's entries at
 	// packed[off[i]:off[i+1]], for a resume to unpack. kept is the model
 	// they solve, with the model's edit count then; nil when they hold
@@ -179,93 +178,47 @@ func resize[T any](s []T, n int) []T {
 
 // load builds the initial tableau for m straight from the model's terms,
 // in storage kept from earlier solves: nothing of size rows × cols is
-// allocated or cleared.
-func (t *tableau) load(m *Model) error {
-	n := len(m.vars)
-	// Count rows and extra columns: explicit constraints, then upper
-	// bounds expanded into LE rows (their rhs is validated ≥ 0, so they
-	// never flip).
-	nRows := len(m.cons)
-	nSlack, nArt := 0, 0
-	for _, c := range m.cons {
-		rel := c.rel
-		if c.rhs < 0 { // normalization flips the relation
-			rel = flip(rel)
-		}
-		switch rel {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
-	for i, v := range m.vars {
+// allocated or cleared. Constraint row i is basic in its artificial,
+// column artBase+i; each finite upper bound adds a row x_j + s = u_j,
+// basic in its slack s, the slacks numbered from column n in variable
+// order. An added column lies above every structural one, so each row
+// stays in column order.
+func (t *tableau) load(m *Model) {
+	n, nCons := len(m.vars), len(m.cons)
+	nBounds := 0
+	for _, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
-			if v.upper < 0 {
-				return errorAt(-1, i, "lp: variable %[2]s has negative upper bound %[3]v", v.upper)
-			}
-			nRows++
-			nSlack++
+			nBounds++
 		}
 	}
-	cols := n + nSlack + nArt
-	t.rows, t.cols, t.n, t.artBase = nRows, cols, n, n+nSlack
-	t.basis = resize(t.basis, nRows)
-	t.unit = resize(t.unit, nRows)
-	t.neg = resize(t.neg, len(m.cons))
+	t.rows, t.cols, t.n, t.artBase = nCons+nBounds, n+nBounds+nCons, n, n+nBounds
+	t.basis = resize(t.basis, t.rows)
+	t.unit = resize(t.unit, t.rows)
 	t.kept = nil
 	t.reset()
 
-	slackCol, artCol := n, t.artBase
-	row := 0
-	// place closes row with its slack and artificial columns, which lie
-	// above every structural one: the row stays in column order.
-	place := func(rel Rel) {
-		switch rel {
-		case LE:
-			t.put(row, slackCol, 1)
-			t.basis[row] = slackCol
-			slackCol++
-		case GE:
-			t.put(row, slackCol, -1)
-			slackCol++
-			t.put(row, artCol, 1)
-			t.basis[row] = artCol
-			artCol++
-		case EQ:
-			t.put(row, artCol, 1)
-			t.basis[row] = artCol
-			artCol++
-		}
-		row++
-	}
 	for i, c := range m.cons {
-		sign := 1.0
-		rel := c.rel
-		t.neg[i] = c.rhs < 0
-		if t.neg[i] {
-			sign = -1
-			rel = flip(rel)
-		}
-		t.row[row] = t.row[row][:0]
+		t.row[i] = t.row[i][:0]
 		for _, term := range c.terms { // ascending Var, one term per Var
 			// SetCoef(…, 0) leaves an explicit zero term behind.
-			if v := sign * term.Coef; v != 0 { //slate:nolint floatcmp -- sparsity: only nonzero coefficients are stored
-				t.put(row, int(term.Var), v)
+			if term.Coef != 0 { //slate:nolint floatcmp -- sparsity: only nonzero coefficients are stored
+				t.put(i, int(term.Var), term.Coef)
 			}
 		}
-		t.rhs[row] = sign * c.rhs
-		place(rel)
+		t.rhs[i] = c.rhs
+		t.put(i, t.artBase+i, 1)
+		t.basis[i] = t.artBase + i
 	}
+	row, slack := nCons, n
 	for j, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
 			t.row[row] = t.row[row][:0]
 			t.put(row, j, 1)
+			t.put(row, slack, 1)
 			t.rhs[row] = v.upper
-			place(LE)
+			t.basis[row] = slack
+			row++
+			slack++
 		}
 	}
 	// Phase-2 objective row: original costs (minimization).
@@ -273,13 +226,12 @@ func (t *tableau) load(m *Model) error {
 		t.obj2[j] = v.obj
 	}
 	// Phase-1 objective row: sum of artificials.
-	for j := t.artBase; j < cols; j++ {
+	for j := t.artBase; j < t.cols; j++ {
 		t.obj1[j] = 1
 	}
 	for i, b := range t.basis {
 		t.unit[i] = int32(b)
 	}
-	return nil
 }
 
 // reset sizes the scratch to the tableau's shape: every row narrow, the
@@ -306,59 +258,40 @@ func (t *tableau) reset() {
 }
 
 // unitRHSOf sets unitRHS[j], for each row's unit column j, to the row's
-// right-hand side in m as load writes it, and every other entry to 0. It
-// reports false when a constraint would load flipped the other way round,
-// a bound is negative (load reports it), or a row whose unit column the
-// packed rows dropped has a right-hand side other than 0.
+// right-hand side in m, and every other entry to 0. It reports false when
+// a row whose unit column the packed rows dropped has a right-hand side
+// other than 0: no right-hand side but an exact zero reads such a column
+// of B⁻¹. Only artificials are dropped, so a bound row's slack is there.
 func (t *tableau) unitRHSOf(m *Model) bool {
 	t.unitRHS = resize(t.unitRHS, t.cols)
 	clear(t.unitRHS)
 	for i, c := range m.cons {
-		if (c.rhs < 0) != t.neg[i] {
-			return false
-		}
-		b := c.rhs
-		if t.neg[i] {
-			b = -b
-		}
-		if !t.setUnitRHS(i, b) {
+		if u := t.unit[i]; u >= 0 {
+			t.unitRHS[u] = c.rhs
+		} else if c.rhs != 0 { //slate:nolint floatcmp -- a dropped column of B⁻¹ is read by no right-hand side but an exact zero
 			return false
 		}
 	}
 	row := len(m.cons)
 	for _, v := range m.vars {
 		if !math.IsInf(v.upper, 1) {
-			if v.upper < 0 || !t.setUnitRHS(row, v.upper) {
-				return false
-			}
+			t.unitRHS[t.unit[row]] = v.upper
 			row++
 		}
 	}
 	return true
 }
 
-// setUnitRHS records b for row i's unit column; a dropped one takes 0
-// only.
-func (t *tableau) setUnitRHS(i int, b float64) bool {
-	if u := t.unit[i]; u >= 0 {
-		t.unitRHS[u] = b
-		return true
-	}
-	return b == 0 //slate:nolint floatcmp -- a dropped column of B⁻¹ is read by no right-hand side but an exact zero
-}
-
 // resume readies the rows m's last optimal solve left for a solve from
 // the same basis, in place of a load and an install. It applies when m
 // has changed since only in right-hand sides and costs (Model.edits
-// counts every other edit) and no constraint's right-hand side changed
-// sign, which would flip its row: the rows are then still B⁻¹A, which
-// the costs do not enter. The solve's scratch
-// is rebuilt in one pass over the packed rows — the rows themselves, the
-// column lists, and the right-hand side B⁻¹b, read off the unit columns
-// in ascending column order — and then the phase-2 row is set to m's
-// costs, for finishWarm to price out, and the phase-1 row left empty, as
-// it is unread after phase 1. It reports false, the tableau left as it
-// was, when the rows do not apply.
+// counts every other edit): the rows are then still B⁻¹A, which the costs
+// do not enter. The solve's scratch is rebuilt in one pass over the
+// packed rows — the rows themselves, the column lists, and the right-hand
+// side B⁻¹b, read off the unit columns in ascending column order — and
+// then the phase-2 row is set to m's costs, for finishWarm to price out,
+// and the phase-1 row left empty, as it is unread after phase 1. It
+// reports false, the tableau left as it was, when the rows do not apply.
 func (t *tableau) resume(m *Model, basis []int) bool {
 	if t.kept != m || t.keptEdits != m.edits || !slices.Equal(basis, t.basis) || !t.unitRHSOf(m) {
 		return false
@@ -439,17 +372,6 @@ func (t *tableau) packs(j int) bool {
 func (t *tableau) put(row, col int, v float64) {
 	t.row[row] = append(t.row[row], entry{int32(col), v})
 	t.colRows[col] = append(t.colRows[col], int32(row))
-}
-
-func flip(r Rel) Rel {
-	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
 }
 
 // coef returns row i's coefficient in column col, 0 where it stores none.

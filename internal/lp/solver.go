@@ -89,15 +89,14 @@ const keptTol = 1e-9
 //
 // The basis comes from one of two places. When it is the basis of the
 // Solver's last solve, that solve was of this model and ended optimal,
-// and the model has changed since only in costs and in right-hand sides
-// that kept their signs, the Solver still holds its rows B⁻¹A: the new
-// basic values B⁻¹b are read off them, the costs are the model's
-// current ones, and the solve goes on from there (Solution.Kept). A
-// point so reached that breaks a constraint beyond keptTol is thrown
-// away. Otherwise the model's tableau is built afresh
-// and the basis pivoted in. Either way, when the basis cannot be
-// finished — it does not install, an objective that moved left it
-// beyond repair, no basis satisfies the right-hand side — Solve
+// and the model has changed since only in costs and in right-hand sides,
+// the Solver still holds its rows B⁻¹A: the new basic values B⁻¹b are
+// read off them, the costs are the model's current ones, and the solve
+// goes on from there (Solution.Kept). A point so reached that breaks a
+// constraint beyond keptTol is thrown away. Otherwise the model's tableau
+// is built afresh and the basis pivoted in. Either way, when the basis
+// cannot be finished — it does not install, an objective that moved left
+// it beyond repair, no basis satisfies the right-hand side — Solve
 // transparently falls back to a cold solve; the only error callers see
 // beyond a cold solve's is ErrIterLimit, and only when both the warm and
 // cold paths exceed the pivot budget.
@@ -130,9 +129,7 @@ func (t *tableau) solveFrom(m *Model, basis []int) (*Solution, error) {
 		// The kept rows could not be finished warm, or drifted: install
 		// the basis afresh.
 	}
-	if err := t.load(m); err != nil {
-		return nil, err
-	}
+	t.load(m)
 	if t.warmStart(basis) {
 		sol, err := t.finishWarm(m)
 		if sol != nil {
@@ -151,21 +148,21 @@ func (t *tableau) solveFrom(m *Model, basis []int) (*Solution, error) {
 
 // cold solves the model from the all-slack/artificial start.
 func (t *tableau) cold(m *Model) (*Solution, error) {
-	if err := t.load(m); err != nil {
-		return nil, err
-	}
+	t.load(m)
 	return t.solve(m)
 }
 
 // SetRHS replaces the right-hand side of constraint i (in AddConstraint
 // order). Together with SetCoef and SetObj this lets a control loop
-// mutate a cached model between ticks instead of rebuilding it.
+// mutate a cached model between ticks instead of rebuilding it. It
+// returns an *Error, the model unchanged, for a non-finite or negative
+// rhs.
 func (m *Model) SetRHS(i int, rhs float64) error {
 	if i < 0 || i >= len(m.cons) {
 		return fmt.Errorf("lp: SetRHS: constraint index %d out of range [0,%d)", i, len(m.cons))
 	}
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return errorAt(i, -1, "lp: SetRHS: constraint %[1]q given non-finite rhs %[3]v", rhs)
+	if err := rhsErr(i, "lp: SetRHS: constraint %[1]q given", rhs); err != nil {
+		return err
 	}
 	m.cons[i].rhs = rhs
 	return nil

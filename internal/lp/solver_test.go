@@ -2,14 +2,18 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
 // randomFeasibleLP builds a bounded LP that is feasible by construction:
 // a random point x0 inside the box is sampled first and every
-// constraint's rhs is derived from A·x0 so x0 satisfies it. Continuous
+// constraint's rhs is derived from A·x0 so x0 satisfies it, an
+// inequality written in standard form by constrain. Continuous
 // (unrounded) coefficients make the optimum unique almost surely, so
 // differential tests may compare X, not just the objective.
 func randomFeasibleLP(rng *rand.Rand) *Model {
@@ -21,7 +25,7 @@ func randomFeasibleLP(rng *rand.Rand) *Model {
 	for j := 0; j < n; j++ {
 		ub := 2 + 10*rng.Float64()
 		vars[j] = m.AddVar(rng.Float64()*4 - 2)
-		m.SetUpper(vars[j], ub)
+		mustUpper(m, vars[j], ub)
 		x0[j] = ub * rng.Float64()
 	}
 	for i := 0; i < k; i++ {
@@ -38,25 +42,25 @@ func randomFeasibleLP(rng *rand.Rand) *Model {
 		if len(terms) == 0 {
 			continue
 		}
-		switch Rel(rng.Intn(3)) {
-		case LE:
-			m.MustConstraint(terms, LE, dot+rng.Float64()*2)
-		case GE:
-			m.MustConstraint(terms, GE, dot-rng.Float64()*2)
-		case EQ:
-			m.MustConstraint(terms, EQ, dot)
+		r, rhs := rel(rng.Intn(3)), dot
+		switch r {
+		case le:
+			rhs += rng.Float64() * 2
+		case ge:
+			rhs -= rng.Float64() * 2
 		}
+		constrain(m, terms, r, rhs)
 	}
 	return m
 }
 
-// perturbRHS drifts every constraint's rhs a little, mimicking demand
-// drift between control ticks. The result may or may not stay feasible;
-// warm and cold solves must agree either way.
+// perturbRHS drifts every constraint's rhs a little, never below 0,
+// mimicking demand drift between control ticks. The result may or may
+// not stay feasible; warm and cold solves must agree either way.
 func perturbRHS(t *testing.T, m *Model, rng *rand.Rand, scale float64) {
 	t.Helper()
 	for i := 0; i < m.NumConstraints(); i++ {
-		if err := m.SetRHS(i, m.cons[i].rhs+scale*(rng.Float64()*2-1)); err != nil {
+		if err := m.SetRHS(i, max(0, m.cons[i].rhs+scale*(rng.Float64()*2-1))); err != nil {
 			t.Fatalf("SetRHS: %v", err)
 		}
 	}
@@ -207,9 +211,9 @@ func TestIterLimitTyped(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(-1)
 	y := m.AddVar(-1)
-	m.SetUpper(x, 10)
-	m.SetUpper(y, 10)
-	m.MustConstraint([]Term{{x, 1}, {y, 1}}, LE, 15)
+	mustUpper(m, x, 10)
+	mustUpper(m, y, 10)
+	constrain(m, []Term{{x, 1}, {y, 1}}, le, 15)
 	_, err := solve(m)
 	if err == nil {
 		t.Fatal("expected iteration-limit error with zero budget")
@@ -242,9 +246,9 @@ func TestSetCoefUpdatesModel(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
 	y := m.AddVar(2)
-	m.SetUpper(x, 100)
-	m.SetUpper(y, 100)
-	m.MustConstraint([]Term{{x, 1}}, GE, 10)
+	mustUpper(m, x, 100)
+	mustUpper(m, y, 100)
+	constrain(m, []Term{{x, 1}}, ge, 10)
 
 	// minimize x+2y s.t. x >= 10: x=10, y=0.
 	sol := solveOK(t, m)
@@ -283,5 +287,82 @@ func TestSetCoefUpdatesModel(t *testing.T) {
 	}
 	if err := m.SetRHS(0, math.NaN()); err == nil {
 		t.Fatal("expected non-finite SetRHS error")
+	}
+}
+
+// modelState is a deep copy of what a Model holds.
+type modelState struct {
+	vars  []variable
+	cons  []constraint
+	edits uint64
+}
+
+func stateOf(m *Model) modelState {
+	st := modelState{vars: slices.Clone(m.vars), edits: m.edits}
+	for _, c := range m.cons {
+		st.cons = append(st.cons, constraint{terms: slices.Clone(c.terms), rhs: c.rhs})
+	}
+	return st
+}
+
+// checkRefused makes the edit refuse on a routing LP whose Solver holds
+// the tableau of a warm optimum: the edit must return an *Error about row
+// and col, leave the model's rows, bounds and edit count as they were,
+// and leave the kept tableau to the next solve from the same basis.
+func checkRefused(t *testing.T, edit func(r *routingLP) (row, col int, err error)) {
+	t.Helper()
+	r := randomRoutingLP(rand.New(rand.NewSource(97)))
+	s := newSolver()
+	sol, err := s.solve(r.m, nil)
+	if err == nil {
+		sol, err = s.solve(r.m, sol.Basis) // a warm solve keeps its tableau
+	}
+	if err != nil || sol.Status != Optimal || !sol.Warm {
+		t.Fatalf("warm solve: %v, %+v", err, sol)
+	}
+	before := stateOf(r.m)
+	row, col, err := edit(r)
+	var lerr *Error
+	if !errors.As(err, &lerr) || lerr.Row != row || lerr.Col != col {
+		t.Fatalf("edit returned %v, want an *Error at row %d, column %d", err, row, col)
+	}
+	if !reflect.DeepEqual(stateOf(r.m), before) {
+		t.Fatal("the refused edit changed the model")
+	}
+	again, err := s.solve(r.m, sol.Basis)
+	if err != nil || again.Status != Optimal || !again.Kept {
+		t.Fatalf("solve after the refused edit: %v, %+v; want it to resume from the kept tableau", err, again)
+	}
+}
+
+// TestAddConstraintRefusesNegativeRHS: a row whose right-hand side is
+// below 0 is not the standard form; AddConstraint refuses it, naming the
+// row it would have added.
+func TestAddConstraintRefusesNegativeRHS(t *testing.T) {
+	checkRefused(t, func(r *routingLP) (int, int, error) {
+		row := r.m.NumConstraints()
+		return row, -1, r.m.AddConstraint([]Term{{r.segs[0], 1}}, -0.5)
+	})
+}
+
+// TestSetRHSRefusesNegativeRHS: a demand moved below 0 is refused, and
+// the model keeps the demand it had.
+func TestSetRHSRefusesNegativeRHS(t *testing.T) {
+	checkRefused(t, func(r *routingLP) (int, int, error) {
+		con := r.demands[len(r.demands)-1]
+		return con, -1, r.m.SetRHS(con, -1e-12)
+	})
+}
+
+// TestSetUpperRefusesNegativeOrNaN: a bound below 0 or NaN is refused,
+// and the variable keeps the bound it had.
+func TestSetUpperRefusesNegativeOrNaN(t *testing.T) {
+	for _, hi := range []float64{-1, math.Inf(-1), math.NaN()} {
+		t.Run(fmt.Sprint(hi), func(t *testing.T) {
+			checkRefused(t, func(r *routingLP) (int, int, error) {
+				v := r.segs[1]
+				return -1, int(v), r.m.SetUpper(v, hi)
+			})
+		})
 	}
 }

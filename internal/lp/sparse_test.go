@@ -137,7 +137,7 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 			dem := float64(rng.Intn(4) * 25) // often zero: degenerate vertices
 			total += dem
 			out.demands = append(out.demands, m.NumConstraints())
-			m.MustConstraint([]Term{{root, 1}}, EQ, dem)
+			m.MustConstraint([]Term{{root, 1}}, dem)
 			into[i] = []Var{root}
 		}
 		for d := 0; d < depth; d++ {
@@ -161,7 +161,7 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 				if k == 0 && d == 0 && i == 0 {
 					out.conserve = m.NumConstraints()
 				}
-				m.MustConstraint(terms, EQ, 0)
+				m.MustConstraint(terms, 0)
 			}
 			into = next
 		}
@@ -174,12 +174,12 @@ func randomRoutingLP(rng *rand.Rand) *routingLP {
 			}
 			for s, width := range []float64{total / 4, total / 4, 8 * total} {
 				v := m.AddVar(float64(1+2*s) * 0.001)
-				m.SetUpper(v, width+1)
+				mustUpper(m, v, width+1)
 				out.segs = append(out.segs, v)
 				terms = append(terms, Term{v, -1})
 			}
 			out.links = append(out.links, [2]int{m.NumConstraints(), int(flows[d][j][0])})
-			m.MustConstraint(terms, EQ, 0)
+			m.MustConstraint(terms, 0)
 		}
 	}
 	return out
@@ -208,7 +208,7 @@ func (r *routingLP) churn(t *testing.T, rng *rand.Rand) {
 	if rng.Intn(3) == 0 {
 		v := r.segs[rng.Intn(len(r.segs))]
 		r.m.SetObj(v, r.m.vars[v].obj*(0.5+rng.Float64()))
-		r.m.SetUpper(v, r.m.vars[v].upper*(0.8+0.4*rng.Float64()))
+		mustUpper(r.m, v, r.m.vars[v].upper*(0.8+0.4*rng.Float64()))
 	}
 	if rng.Intn(3) == 0 {
 		l := r.links[rng.Intn(len(r.links))]
@@ -282,10 +282,11 @@ func sparseMatchesDense(t *testing.T) {
 		}
 	})
 
-	// A kept tableau applies only to the model it was solved for, only
-	// while nothing but costs and right-hand sides moved, and only if no
-	// right-hand side changed sign; the solve installs the basis
-	// otherwise. A moved cost resumes: the rows B⁻¹A do not depend on it.
+	// A kept tableau applies only to the model it was solved for and only
+	// while nothing but costs and right-hand sides moved; the solve
+	// installs the basis otherwise. A moved cost resumes: the rows B⁻¹A do
+	// not depend on it. So does a refused edit, which leaves the model as
+	// it was.
 	t.Run("kept tableau that does not apply", func(t *testing.T) {
 		w.t = t
 		rng := rand.New(rand.NewSource(83))
@@ -299,16 +300,11 @@ func sparseMatchesDense(t *testing.T) {
 			if w.kept != kept {
 				t.Fatalf("trial %d: resumed from another model's tableau", trial)
 			}
-			edit := trial % 3
+			edit := trial % 4
 			switch edit {
-			case 0: // a constraint's right-hand side changes sign
-				i := rng.Intn(m.NumConstraints())
-				rhs := -1 - m.cons[i].rhs
-				if m.cons[i].rhs < 0 {
-					rhs = 1 - m.cons[i].rhs
-				}
-				if err := m.SetRHS(i, rhs); err != nil {
-					t.Fatal(err)
+			case 0: // a negative right-hand side, refused
+				if err := m.SetRHS(rng.Intn(m.NumConstraints()), -1); err == nil {
+					t.Fatal("SetRHS took a negative rhs")
 				}
 			case 1: // a cost moves
 				v := Var(rng.Intn(m.NumVars()))
@@ -318,13 +314,15 @@ func sparseMatchesDense(t *testing.T) {
 				if err := m.SetCoef(0, v, 1.5); err != nil {
 					t.Fatal(err)
 				}
+			case 3: // a bound comes off, and its row with it
+				mustUpper(m, 0, math.Inf(1))
 			}
 			if sol.Status != Optimal {
 				continue
 			}
 			kept = w.kept
 			w.solveFrom(fmt.Sprintf("refused %d edit %d", trial, edit), m, sol.Basis)
-			if resumed, want := w.kept != kept, edit == 1; resumed != want {
+			if resumed, want := w.kept != kept, edit <= 1; resumed != want {
 				t.Fatalf("trial %d: edit %d resumed %v, want %v", trial, edit, resumed, want)
 			}
 		}
@@ -414,16 +412,11 @@ func sparseMatchesDense(t *testing.T) {
 					terms = append(terms, Term{x, 1})
 					holders = append(holders, int32(i))
 				}
-				m.MustConstraint(terms, LE, 1+float64(rng.Intn(5))*0.6e-9)
+				constrain(m, terms, le, 1+float64(rng.Intn(5))*0.6e-9)
 			}
-			dense, err := newDenseSolver().newTableau(m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dense := newDenseSolver().newTableau(m)
 			var sparse tableau
-			if err := sparse.load(m); err != nil {
-				t.Fatal(err)
-			}
+			sparse.load(m)
 			var narrow []int32 // the holders colRows should be left naming
 			for _, r := range rng.Perm(rows) {
 				if rng.Intn(3) == 0 {
@@ -460,16 +453,16 @@ func sparseMatchesDense(t *testing.T) {
 		}
 	})
 
-	// Dantzig's rule cycles on Beale's LP until the degenerate stretch
-	// outlasts 2·(rows+1) pivots and hands the entering choice to Bland's
-	// rule: the tournament's descent to its leftmost eligible column. No
-	// other case here stays degenerate that long.
+	// From the slack basis, Dantzig's rule cycles on Beale's LP until the
+	// degenerate stretch outlasts 2·(rows+1) pivots and hands the entering
+	// choice to Bland's rule: the tournament's descent to its leftmost
+	// eligible column. No other case here stays degenerate that long.
 	t.Run("Beale's cycling LP", func(t *testing.T) {
 		w.t = t
-		m := bealeLP()
+		m, slacks := bealeLP()
 		pivots := w.pivots
-		if sol := w.solveFrom("beale", m, nil); sol.Status != Optimal {
-			t.Fatalf("status %v, want optimal", sol.Status)
+		if sol := w.solveFrom("beale", m, slacks); sol.Status != Optimal || !sol.Warm {
+			t.Fatalf("status %v, warm %v: want an optimal warm solve", sol.Status, sol.Warm)
 		}
 		if n, stretch := w.pivots-pivots, 2*(m.NumConstraints()+1); n <= stretch+1 {
 			t.Fatalf("%d pivots: the solve never outlasted a %d-pivot degenerate stretch", n, stretch)
@@ -496,8 +489,8 @@ func sparseMatchesDense(t *testing.T) {
 		m := NewModel()
 		x := m.AddVar(1)
 		y := m.AddVar(1)
-		m.MustConstraint([]Term{{x, 1}, {y, 1}}, GE, 10)
-		m.MustConstraint([]Term{{x, 1}, {y, 2}}, LE, 5)
+		constrain(m, []Term{{x, 1}, {y, 1}}, ge, 10)
+		constrain(m, []Term{{x, 1}, {y, 2}}, le, 5)
 		if sol := w.solveFrom("infeasible", m, nil); sol.Status != Infeasible {
 			t.Fatalf("status %v, want infeasible", sol.Status)
 		}
@@ -505,7 +498,7 @@ func sparseMatchesDense(t *testing.T) {
 		m = NewModel()
 		x = m.AddVar(-1)
 		y = m.AddVar(0)
-		m.MustConstraint([]Term{{x, 1}, {y, -1}}, LE, 4)
+		constrain(m, []Term{{x, 1}, {y, -1}}, le, 4)
 		if sol := w.solveFrom("unbounded", m, nil); sol.Status != Unbounded {
 			t.Fatalf("status %v, want unbounded", sol.Status)
 		}
@@ -531,23 +524,21 @@ func sparseMatchesDense(t *testing.T) {
 		x := m.AddVar(1)
 		y := m.AddVar(2)
 		z := m.AddVar(3)
-		m.SetUpper(y, 8)
-		m.MustConstraint([]Term{{x, 1}, {y, 4}, {z, 1}}, GE, 10)
-		m.MustConstraint([]Term{{x, 1}, {y, -1}}, LE, 3)
+		mustUpper(m, y, 8)
+		constrain(m, []Term{{x, 1}, {y, 4}, {z, 1}}, ge, 10)
+		constrain(m, []Term{{x, 1}, {y, -1}}, le, 3)
 		sol := w.solveFrom("before zeroing", m, nil)
 		// x stays a term of c, with coefficient 0: the dense tableau writes
 		// the 0, the sparse one must not store it.
 		if err := m.SetCoef(0, x, 0); err != nil {
 			t.Fatal(err)
 		}
-		if len(m.cons[0].terms) != 3 {
+		if len(m.cons[0].terms) != 4 {
 			t.Fatalf("SetCoef(…, 0) removed the term: %v", m.cons[0].terms)
 		}
 		w.solveFrom("zeroed warm", m, sol.Basis)
 		w.solveFrom("zeroed cold", m, nil)
-		if err := w.sparse.t.load(m); err != nil {
-			t.Fatal(err)
-		}
+		w.sparse.t.load(m)
 		for i, row := range w.sparse.t.row {
 			for _, e := range row {
 				if e.val == 0 { //slate:nolint floatcmp -- the stored value must not be a zero of either sign
