@@ -32,6 +32,7 @@ import (
 	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -71,7 +72,7 @@ func main() {
 		Cluster:    topology.ClusterID(*cluster),
 		LocalApp:   *localApp,
 		Resolver:   peers,
-		Seed:       *seed,
+		RNG:        sim.NewRNG(*seed),
 		StaleAfter: *staleAfter,
 	})
 	if err != nil {

@@ -197,7 +197,7 @@ func (a *Agent) pushTelemetry(ctx context.Context) error {
 // is unchanged — freshness means "the controller answered", not "the
 // rules changed".
 func (a *Agent) pollRules(ctx context.Context) error {
-	body, epoch, err := a.getRules(ctx, fmt.Sprintf("?since=%d", a.proxy.TableVersion()))
+	patch, epoch, err := a.getRules(ctx, fmt.Sprintf("?since=%d", a.proxy.TableVersion()))
 	if err != nil {
 		return fmt.Errorf("dataplane: agent poll: %w", err)
 	}
@@ -214,15 +214,7 @@ func (a *Agent) pollRules(ctx context.Context) error {
 			return a.resyncRules(ctx)
 		}
 	}
-	var patch routing.Patch
-	if err := json.Unmarshal(body, &patch); err != nil {
-		return fmt.Errorf("dataplane: agent poll: %w", err)
-	}
-	if patch.Empty() && patch.Version == a.proxy.TableVersion() {
-		a.proxy.MarkRulesFresh()
-		return nil
-	}
-	if err := a.proxy.ApplyPatch(&patch); err != nil {
+	if err := a.proxy.ApplyPatch(patch); err != nil {
 		if !errors.Is(err, routing.ErrVersionGap) {
 			return fmt.Errorf("dataplane: agent poll: %w", err)
 		}
@@ -231,29 +223,28 @@ func (a *Agent) pollRules(ctx context.Context) error {
 	return nil
 }
 
-// resyncRules refetches the full table after a patch failed to apply
-// or a leader failover was observed.
+// resyncRules fetches the full table, as a full patch (GET /v1/rules
+// without a query), after a patch failed to apply or a leader failover
+// was observed.
 func (a *Agent) resyncRules(ctx context.Context) error {
 	a.mResyncs.Inc()
-	body, epoch, err := a.getRules(ctx, "")
+	patch, epoch, err := a.getRules(ctx, "")
 	if err != nil {
 		return fmt.Errorf("dataplane: agent resync: %w", err)
 	}
 	if epoch > 0 {
 		a.leaderEpoch = epoch
 	}
-	var table routing.Table
-	if err := json.Unmarshal(body, &table); err != nil {
+	if err := a.proxy.ApplyPatch(patch); err != nil {
 		return fmt.Errorf("dataplane: agent resync: %w", err)
 	}
-	a.proxy.SetTable(&table)
 	return nil
 }
 
 // getRules performs one (retried) GET of the controller's rules
-// endpoint and returns the raw response body plus the leader epoch the
+// endpoint and returns the patch it answered plus the leader epoch the
 // controller advertised (0 when it did not).
-func (a *Agent) getRules(ctx context.Context, query string) ([]byte, uint64, error) {
+func (a *Agent) getRules(ctx context.Context, query string) (*routing.Patch, uint64, error) {
 	var body []byte
 	var epoch uint64
 	err := a.withRetries(ctx, func(ctx context.Context) error {
@@ -267,7 +258,14 @@ func (a *Agent) getRules(ctx context.Context, query string) ([]byte, uint64, err
 			return nil
 		})
 	})
-	return body, epoch, err
+	if err != nil {
+		return nil, 0, err
+	}
+	var patch routing.Patch
+	if err := json.Unmarshal(body, &patch); err != nil {
+		return nil, 0, err
+	}
+	return &patch, epoch, nil
 }
 
 // withRetries runs op up to 1+MaxRetries times with exponential

@@ -33,7 +33,7 @@ func newAgentProxy(t *testing.T, cfg dataplane.Config) (*dataplane.Proxy, *httpt
 		fmt.Fprint(w, "ok")
 	}))
 	t.Cleanup(app.Close)
-	cfg.Service, cfg.Cluster, cfg.LocalApp, cfg.Seed = "svc", topology.West, app.URL, 1
+	cfg.Service, cfg.Cluster, cfg.LocalApp, cfg.RNG = "svc", topology.West, app.URL, sim.NewRNG(1)
 	cfg.Resolver = &memResolver{m: map[string]string{}}
 	p, err := dataplane.New(cfg)
 	if err != nil {
@@ -45,23 +45,76 @@ func newAgentProxy(t *testing.T, cfg dataplane.Config) (*dataplane.Proxy, *httpt
 }
 
 // serveRules answers GET /v1/rules the way the cluster controller does:
-// the full table without a query, a routing.Patch for ?since=N — empty
-// when the poller is current, else a full patch (the shape a poller
-// outside the history window gets).
+// always a routing.Patch — empty for ?since= the table's version, else
+// a full patch (what a poll without a query, or one outside the history
+// window, gets).
 func serveRules(w http.ResponseWriter, r *http.Request, table *routing.Table) {
 	w.Header().Set("Content-Type", "application/json")
-	since := r.URL.Query().Get("since")
-	if since == "" {
-		body, _ := table.MarshalJSON()
-		w.Write(body)
-		return
-	}
 	p := routing.FullPatch(table)
-	if since == strconv.FormatUint(table.Version, 10) {
+	if r.URL.Query().Get("since") == strconv.FormatUint(table.Version, 10) {
 		p = routing.MakePatch(table, table)
 	}
 	body, _ := json.Marshal(p)
 	w.Write(body)
+}
+
+// TestClusterRulesAnswerIsAPatch: GET /v1/rules has one answer shape, a
+// routing.Patch. Without a query, or from a version the history has
+// forgotten, it is a full patch, which a proxy on any other table
+// installs; from a remembered version it carries the changed rules
+// only, and from the current one it is empty.
+func TestClusterRulesAnswerIsAPatch(t *testing.T) {
+	key := routing.Key{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}
+	cc := NewCluster(topology.West, "")
+	cc.ApplyTable(routing.NewTable(1, map[routing.Key]routing.Distribution{key: routing.Local(topology.West)}))
+	cc.ApplyTable(routing.NewTable(2, map[routing.Key]routing.Distribution{key: routing.Local(topology.East)}))
+	srv := httptest.NewServer(cc.Handler())
+	defer srv.Close()
+	get := func(query string) (*routing.Patch, int) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/rules" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, resp.StatusCode
+		}
+		var p routing.Patch
+		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+			t.Fatalf("GET /v1/rules%s: %v", query, err)
+		}
+		return &p, resp.StatusCode
+	}
+	for _, tc := range []struct {
+		query       string
+		full, empty bool
+	}{
+		{query: "", full: true},
+		{query: "?since=7", full: true},
+		{query: "?since=1"},
+		{query: "?since=2", empty: true},
+	} {
+		p, _ := get(tc.query)
+		if p.Version != 2 || p.Full != tc.full || p.Empty() != tc.empty {
+			t.Errorf("GET /v1/rules%s: version %d, full %v, empty %v; want 2, %v, %v",
+				tc.query, p.Version, p.Full, p.Empty(), tc.full, tc.empty)
+		}
+	}
+	if _, code := get("?since=v1"); code != http.StatusBadRequest {
+		t.Errorf("GET /v1/rules?since=v1: status %d, want 400", code)
+	}
+
+	// A proxy on an unrelated table lands on the cluster's.
+	p, _ := newAgentProxy(t, dataplane.Config{})
+	p.SetTable(routing.NewTable(7, nil))
+	full, _ := get("")
+	if err := p.ApplyPatch(full); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Table().Lookup("callee", "default", topology.West); p.TableVersion() != 2 || d.Weight(topology.East) < 1 {
+		t.Errorf("proxy on v%d routes %v, want v2 all east", p.TableVersion(), d)
+	}
 }
 
 func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {

@@ -104,8 +104,8 @@ type upstream struct {
 }
 
 // tableHistoryCap bounds how many superseded tables the controller
-// keeps to answer GET /v1/rules?since=N with a patch instead of a full
-// table. Pollers further behind get a full patch.
+// keeps to answer GET /v1/rules?since=N with the changed rules only.
+// Pollers further behind get a full patch.
 const tableHistoryCap = 8
 
 // NewCluster returns a cluster controller reporting to globalURL (may
@@ -217,37 +217,27 @@ func (c *Cluster) Handler() http.Handler {
 }
 
 // handleGetRules serves routing rules to out-of-process proxies that
-// poll (in-process proxies get pushes via AddProxy). Without a query it
-// returns the full table; with ?since=N it returns a routing.Patch from
-// version N — empty when the poller is current, computed from the table
-// history when the base is still remembered, and a full patch
-// otherwise.
+// poll (in-process proxies get pushes via AddProxy). The answer is
+// always a routing.Patch: with ?since=N, the patch from version N —
+// empty when the poller is current, computed from the table history
+// when the base is still remembered — and otherwise, or without a
+// query, a full patch, which a receiver installs whatever its version.
 func (c *Cluster) handleGetRules(w http.ResponseWriter, r *http.Request) {
 	sinceStr := r.URL.Query().Get("since")
-	c.mu.Lock()
-	pubEpoch := c.pubEpoch
-	c.mu.Unlock()
-	if pubEpoch > 0 {
-		// Advertise the fenced leader epoch so agents can detect a
-		// failover and resync rather than trust a raced incremental poll.
-		w.Header().Set(headerLeaderEpoch, strconv.FormatUint(pubEpoch, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if sinceStr == "" {
-		json.NewEncoder(w).Encode(c.Table())
-		return
-	}
 	since, err := strconv.ParseUint(sinceStr, 10, 64)
-	if err != nil {
+	if err != nil && sinceStr != "" {
 		http.Error(w, "since must be a table version", http.StatusBadRequest)
 		return
 	}
 	c.mu.Lock()
+	pubEpoch := c.pubEpoch
 	cur := c.table
 	var base *routing.Table
-	if since == cur.Version {
+	switch {
+	case sinceStr == "":
+	case since == cur.Version:
 		base = cur
-	} else {
+	default:
 		for _, old := range c.history {
 			if old.Version == since {
 				base = old
@@ -256,6 +246,12 @@ func (c *Cluster) handleGetRules(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mu.Unlock()
+	if pubEpoch > 0 {
+		// Advertise the fenced leader epoch so agents can detect a
+		// failover and resync rather than trust a raced incremental poll.
+		w.Header().Set(headerLeaderEpoch, strconv.FormatUint(pubEpoch, 10))
+	}
+	w.Header().Set("Content-Type", "application/json")
 	var p *routing.Patch
 	if base != nil {
 		p = routing.MakePatch(base, cur)

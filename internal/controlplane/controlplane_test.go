@@ -85,12 +85,15 @@ func postFE(t *testing.T, url string, west, east float64) {
 }
 
 func TestGlobalMetricsOptimizeTableRoundTrip(t *testing.T) {
-	_, srv := newGlobalServer(t)
+	g, srv := newGlobalServer(t)
 
 	postFE(t, srv.URL, 900, 100)
-	resp := postJSONReq(t, srv.URL+"/v1/optimize", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("optimize status = %d", resp.StatusCode)
+	if err := g.Tick(t.Context()); err != nil {
+		t.Fatalf("tick: %v", err)
+	}
+	resp, err := http.Get(srv.URL + "/v1/table")
+	if err != nil {
+		t.Fatal(err)
 	}
 	var table routing.Table
 	if err := json.NewDecoder(resp.Body).Decode(&table); err != nil {
@@ -102,21 +105,11 @@ func TestGlobalMetricsOptimizeTableRoundTrip(t *testing.T) {
 	}
 	d := table.Lookup("svc-1", "default", topology.West)
 	if d.Weight(topology.East) <= 0 {
-		t.Errorf("no offload in pushed table: %v", d)
+		t.Errorf("no offload in served table: %v", d)
 	}
-
-	// GET /v1/table returns the same rules.
-	resp2, err := http.Get(srv.URL + "/v1/table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var table2 routing.Table
-	if err := json.NewDecoder(resp2.Body).Decode(&table2); err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if table2.Version != table.Version || table2.Len() != table.Len() {
-		t.Errorf("table mismatch: v%d/%d vs v%d/%d", table2.Version, table2.Len(), table.Version, table.Len())
+	// GET /v1/table serves the table the tick published.
+	if want := g.ctrl.Table(); table.Version != want.Version || table.Len() != want.Len() {
+		t.Errorf("table mismatch: v%d/%d vs v%d/%d", table.Version, table.Len(), want.Version, want.Len())
 	}
 }
 
@@ -305,7 +298,7 @@ func TestEndToEndControlPlaneLoop(t *testing.T) {
 	// Full loop over real HTTP: cluster controllers register with the
 	// global, upload telemetry, global optimizes and pushes rules back,
 	// and the proxies see the new table.
-	_, gsrv := newGlobalServer(t)
+	g, gsrv := newGlobalServer(t)
 
 	reg := dataplane.ResolverFunc(func(s string, c topology.ClusterID) (string, error) {
 		return "", fmt.Errorf("none")
@@ -342,10 +335,8 @@ func TestEndToEndControlPlaneLoop(t *testing.T) {
 	up(ccW, feStats(900, 0)[:1])
 	up(ccE, feStats(0, 100)[1:])
 
-	resp := postJSONReq(t, gsrv.URL+"/v1/optimize", struct{}{})
-	drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("optimize status = %d", resp.StatusCode)
+	if err := g.Tick(t.Context()); err != nil {
+		t.Fatalf("tick: %v", err)
 	}
 
 	// The push must have reached the west proxy.

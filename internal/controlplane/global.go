@@ -10,11 +10,10 @@
 //
 //	POST global:/v1/register   {cluster, url}          cluster joins
 //	POST global:/v1/metrics    {cluster, window_ms, stats[], delta?, epoch?, removed?}
-//	POST global:/v1/optimize   {}                      force a tick
 //	GET  global:/v1/table                              current rules
 //	GET  global:/v1/status                             demand, version
 //	POST cluster:/v1/patch     routing.Patch           incremental rule push
-//	GET  cluster:/v1/rules[?since=N]                   table, or patch since version N
+//	GET  cluster:/v1/rules[?since=N]                   routing.Patch: full, or since version N
 //	GET  cluster:/v1/stats                             local window peek
 //
 // A POST whose body is longer than maxBodyBytes gets 413 and changes
@@ -280,7 +279,6 @@ func (g *Global) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/register", g.handleRegister)
 	mux.HandleFunc("POST /v1/metrics", g.handleMetrics)
-	mux.HandleFunc("POST /v1/optimize", g.handleOptimize)
 	mux.HandleFunc("GET /v1/table", g.handleTable)
 	mux.HandleFunc("GET /v1/status", g.handleStatus)
 	mux.HandleFunc("GET /v1/health", g.handleHealth)
@@ -479,20 +477,6 @@ func (g *Global) mergeIngest() ([]telemetry.WindowStats, time.Duration) {
 	return telemetry.Merge(groups...), g.window
 }
 
-// handleOptimize runs a tick. Its body is ignored, but read under the
-// same cap as every other control POST.
-func (g *Global) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if err := readBody(r.Body, r.ContentLength, func([]byte) error { return nil }); err != nil {
-		badBody(w, err)
-		return
-	}
-	if err := g.Tick(r.Context()); err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	g.handleTable(w, r)
-}
-
 func (g *Global) handleTable(w http.ResponseWriter, _ *http.Request) {
 	g.mu.Lock()
 	tab := g.ctrl.Table()
@@ -526,8 +510,7 @@ func (g *Global) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // Tick merges the telemetry reported since the last tick, runs one
 // optimization round, and pushes rule patches to every registered
 // cluster controller. The context bounds the rule pushes so shutdown
-// (or a cancelled /v1/optimize request) does not hang on a wedged
-// cluster controller.
+// does not hang on a wedged cluster controller.
 func (g *Global) Tick(ctx context.Context) error {
 	start := time.Now()
 	merged, window := g.mergeIngest()

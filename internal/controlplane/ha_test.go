@@ -327,6 +327,35 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	}
 }
 
+// TestFollowerPlansOnlyThroughHAStep: no HTTP request makes a follower
+// plan. A replica runs its Controller's Tick only from HAStep or
+// TryEventSolve, each behind the leader check; a POST to the retired
+// /v1/optimize, which ticked the replica it reached, is refused and
+// leaves the follower's controller and every cluster's table as they
+// were.
+func TestFollowerPlansOnlyThroughHAStep(t *testing.T) {
+	rig := newHARig(t, 2, HAConfig{LeaseTTL: 10 * time.Second, EventThreshold: -1})
+	r0, r1 := rig.reps[0], rig.reps[1]
+	rig.report(900, 100)
+	rig.step(nil)
+	if !r0.g.IsLeader() || r1.g.IsLeader() {
+		t.Fatalf("want r0 sole leader; got %v %v", r0.g.IsLeader(), r1.g.IsLeader())
+	}
+	rig.report(900, 100)
+	version, table := r1.ctrl.Version(), rig.clusters[0].Table().Version
+	resp := postJSONReq(t, r1.srv.URL+"/v1/optimize", struct{}{})
+	drain(resp)
+	if resp.StatusCode < 400 {
+		t.Errorf("POST /v1/optimize on a follower answered %d, want a refusal", resp.StatusCode)
+	}
+	if got := r1.ctrl.Version(); got != version {
+		t.Errorf("follower's controller moved from version %d to %d", version, got)
+	}
+	if got := rig.clusters[0].Table().Version; got != table {
+		t.Errorf("cluster table moved from version %d to %d", table, got)
+	}
+}
+
 // TestTickErrorMetricAcrossFaultSchedule is the regression test for the
 // Tick accounting fix: a tick whose PUSH fails is still a failed tick,
 // so slate_global_tick_errors_total must rise on every early-return

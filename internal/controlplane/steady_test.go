@@ -308,10 +308,8 @@ func TestHandleMetricsRejectsOutOfRange(t *testing.T) {
 	}
 	tick := func() {
 		t.Helper()
-		resp := postJSONReq(t, srv.URL+"/v1/optimize", struct{}{})
-		drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("optimize status = %d", resp.StatusCode)
+		if err := g.Tick(t.Context()); err != nil {
+			t.Fatalf("tick: %v", err)
 		}
 	}
 	west := func(rps float64) []telemetry.WindowStats { return feStats(rps, 0)[:1] }

@@ -354,6 +354,11 @@ func newFormulation(top *topology.Topology, app *appgraph.App, cfg Config, deman
 				f.nodes[ni].placed++
 			}
 		}
+		n := f.nodes[ni].placed // a root's: one per arrival cluster
+		if nr.parent != -1 {
+			n *= len(clusters)
+		}
+		f.flow[ni] = make([]flowVar, 0, n)
 		for i, ci := range clusters {
 			if nr.parent == -1 {
 				// Root: executes where demand arrives; a single variable

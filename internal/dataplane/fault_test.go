@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -53,7 +54,7 @@ func newStaleProxy(t *testing.T, ttl time.Duration) (*Proxy, *httptest.Server, *
 		Cluster:    topology.West,
 		LocalApp:   appA.URL,
 		Resolver:   reg,
-		Seed:       1,
+		RNG:        sim.NewRNG(1),
 		StaleAfter: ttl,
 		Now:        clock.Now,
 	})

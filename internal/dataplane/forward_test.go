@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/servicelayernetworking/slate/internal/obs"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -53,7 +54,7 @@ func sidecarPair(t *testing.T, app http.Handler) (caller *httptest.Server, peer,
 	t.Helper()
 	reg := newRegistry()
 	appSrv = newUpstream(t, app)
-	callee, err := New(Config{Service: "callee", Cluster: topology.West, LocalApp: appSrv.URL, Resolver: reg, Seed: 1, Metrics: obs.NewRegistry()})
+	callee, err := New(Config{Service: "callee", Cluster: topology.West, LocalApp: appSrv.URL, Resolver: reg, RNG: sim.NewRNG(1), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestPassAllocations(t *testing.T) {
 	p, err := New(Config{
 		Service: "svc", Cluster: topology.West, LocalApp: "http://app.invalid",
 		Resolver:  ResolverFunc(func(string, topology.ClusterID) (string, error) { return "http://peer.invalid", nil }),
-		Transport: tr, Seed: 1, Metrics: obs.NewRegistry(),
+		Transport: tr, RNG: sim.NewRNG(1), Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -25,7 +26,7 @@ func TestProxyServesPrometheusExposition(t *testing.T) {
 		Cluster:  topology.West,
 		LocalApp: app.URL,
 		Resolver: reg,
-		Seed:     1,
+		RNG:      sim.NewRNG(1),
 		Metrics:  obs.NewRegistry(),
 	})
 	if err != nil {
@@ -82,7 +83,7 @@ func TestProxyDegradationLevelTransitions(t *testing.T) {
 		Cluster:    topology.West,
 		LocalApp:   "http://127.0.0.1:0",
 		Resolver:   newRegistry(),
-		Seed:       1,
+		RNG:        sim.NewRNG(1),
 		StaleAfter: 10 * time.Second,
 		Now:        clock,
 		Metrics:    obs.NewRegistry(),
@@ -125,7 +126,7 @@ func TestRulesAgeIgnoresWallClockSteps(t *testing.T) {
 		Cluster:    topology.West,
 		LocalApp:   "http://127.0.0.1:0",
 		Resolver:   newRegistry(),
-		Seed:       1,
+		RNG:        sim.NewRNG(1),
 		StaleAfter: 10 * time.Second,
 		Now:        func() time.Time { return now },
 		Metrics:    obs.NewRegistry(),

@@ -87,10 +87,8 @@ type Config struct {
 	// RNG is the stream for routing picks and span IDs, typically
 	// derived from the scenario seed (sim.NewRNG(seed).DeriveNamed(...))
 	// so every sidecar draws an independent, reproducible stream. Nil
-	// falls back to a stream seeded with Seed.
+	// draws from sim.NewRNG(0).
 	RNG *sim.RNG
-	// Seed makes routing picks reproducible when RNG is nil.
-	Seed int64
 	// Fallback lists clusters to try, in order (typically nearest
 	// first), when the routed cluster has no replicas of the target
 	// service — the locality-failover behaviour of today's meshes
@@ -168,7 +166,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	rng := cfg.RNG
 	if rng == nil {
-		rng = sim.NewRNG(cfg.Seed)
+		rng = sim.NewRNG(0)
 	}
 	now := cfg.Now
 	if now == nil {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/servicelayernetworking/slate/internal/netem"
 	"github.com/servicelayernetworking/slate/internal/routing"
+	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -59,7 +60,7 @@ func newProxy(t *testing.T, svc string, cluster topology.ClusterID, app string, 
 		LocalApp: app,
 		Resolver: reg,
 		Netem:    nem,
-		Seed:     1,
+		RNG:      sim.NewRNG(1),
 	})
 	if err != nil {
 		t.Fatal(err)

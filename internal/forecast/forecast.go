@@ -107,9 +107,6 @@ func New(cfg Config) *Forecaster {
 	return &Forecaster{cfg: cfg.normalized(), states: make(map[Key]*state)}
 }
 
-// Len reports how many keys the forecaster tracks.
-func (f *Forecaster) Len() int { return len(f.states) }
-
 // Observe folds one telemetry window's observed rate for a key into
 // its smoothing state. NaN, Inf, and negative rates sanitize to the
 // valid range rather than poisoning the recurrences.

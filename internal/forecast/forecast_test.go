@@ -175,8 +175,8 @@ func TestForecastZeroDecay(t *testing.T) {
 	if p := predict(f, key, 1); p > 1 {
 		t.Fatalf("vanished stream still forecasts %v after 20 silent windows", p)
 	}
-	if f.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", f.Len())
+	if len(f.states) != 1 {
+		t.Fatalf("tracks %d keys, want 1", len(f.states))
 	}
 }
 

@@ -44,8 +44,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			b := New(cfg)
 			b.Restore(&snap)
 
-			if a.Len() != b.Len() {
-				t.Fatalf("restored %d keys, want %d", b.Len(), a.Len())
+			if len(a.states) != len(b.states) {
+				t.Fatalf("restored %d keys, want %d", len(b.states), len(a.states))
 			}
 			for _, k := range keys {
 				for h := 1; h <= 3; h++ {
@@ -85,8 +85,8 @@ func TestSnapshotSeasonMismatch(t *testing.T) {
 	}
 	b := New(Config{Alpha: 0.5}) // no seasonality configured
 	b.Restore(a.Snapshot())
-	if b.Len() != 0 {
-		t.Fatalf("restored %d keys across a season-length change, want 0", b.Len())
+	if len(b.states) != 0 {
+		t.Fatalf("restored %d keys across a season-length change, want 0", len(b.states))
 	}
 	if p := predict(b, k, 1); p != 0 { //slate:nolint floatcmp -- a dropped key returns the exact zero value, never a computed float
 		t.Fatalf("dropped key predicts %v, want 0", p)

@@ -105,6 +105,11 @@ func (e *Error) Named(row, col func(int) string) *Error {
 type Model struct {
 	vars []variable
 	cons []constraint
+	// slab is the chunk of term storage the next row is cut from, so a
+	// model holds a few chunks instead of an array per row. Each row is a
+	// capacity-limited sub-slice of one chunk: SetCoef's insert into it
+	// reallocates that row alone, and no row spans two chunks.
+	slab []Term
 	// edits counts the changes to the constraint matrix and the row set —
 	// not to a right-hand side, a finite upper bound's included, nor to a
 	// cost — so that a Solver can tell whether the tableau it kept still
@@ -173,8 +178,11 @@ func (m *Model) AddConstraint(terms []Term, rhs float64) error {
 	// slices.SortFunc's pattern-defeating quicksort leaves them in, which
 	// is sort.Slice's, comparison for comparison
 	// (TestAddConstraintMatchesSortSlice).
-	out := make([]Term, len(terms))
-	copy(out, terms)
+	if cap(m.slab)-len(m.slab) < len(terms) {
+		m.slab = make([]Term, 0, max(slabTerms, len(terms)))
+	}
+	start := len(m.slab)
+	out := append(m.slab, terms...)[start:]
 	slices.SortFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	k := 0
 	for i := 0; i < len(out); {
@@ -187,10 +195,14 @@ func (m *Model) AddConstraint(terms []Term, rhs float64) error {
 			k++
 		}
 	}
-	m.cons = append(m.cons, constraint{terms: out[:k], rhs: rhs})
+	m.slab = m.slab[:start+k]
+	m.cons = append(m.cons, constraint{terms: out[:k:k], rhs: rhs})
 	m.edits++
 	return nil
 }
+
+// slabTerms is the size of a chunk of row storage, in terms: 8 kB.
+const slabTerms = 512
 
 // MustConstraint is AddConstraint that panics on error, for construction
 // code whose inputs are programmatically correct.

@@ -233,7 +233,7 @@ func (g *Group) RunUntil(deadline Time) {
 }
 
 // window advances every shard to wEnd. When inclusive, events at
-// exactly wEnd fire too (deadline semantics matching Kernel.RunUntil);
+// exactly wEnd fire too (as in Group.RunUntil's deadline);
 // otherwise the window is half-open [now, wEnd) as the conservative
 // horizon demands.
 func (g *Group) window(wEnd Time, inclusive bool) {

@@ -266,13 +266,7 @@ func (k *Kernel) next(limit Time, inclusive bool) bool {
 // Run executes events until the schedule is empty.
 //
 //slate:hot
-func (k *Kernel) Run() { k.RunUntil(MaxTime) }
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to deadline (if any events remain beyond it, they stay scheduled).
-//
-//slate:hot
-func (k *Kernel) RunUntil(deadline Time) { k.run(deadline, true) }
+func (k *Kernel) Run() { k.run(MaxTime, true) }
 
 // run fires due events, then moves the clock to the limit — except to
 // MaxTime, the limit of a draining run, which is no instant to be at.

@@ -100,14 +100,14 @@ func TestKernelRunUntil(t *testing.T) {
 		d := Time(time.Duration(i) * 10 * time.Millisecond)
 		k.At(d, func(kk *Kernel) { fired = append(fired, kk.Now()) })
 	}
-	k.RunUntil(Time(25 * time.Millisecond))
+	k.run(Time(25*time.Millisecond), true)
 	if len(fired) != 2 {
 		t.Fatalf("fired %d events, want 2", len(fired))
 	}
 	if k.Now() != Time(25*time.Millisecond) {
 		t.Errorf("Now() = %v, want 25ms (clock advances to deadline)", k.Now())
 	}
-	k.RunUntil(Time(100 * time.Millisecond))
+	k.run(Time(100*time.Millisecond), true)
 	if len(fired) != 5 {
 		t.Errorf("fired %d events total, want 5", len(fired))
 	}
@@ -367,14 +367,14 @@ func TestKernelDrainKeepsLastEventTime(t *testing.T) {
 	}
 }
 
-// TestKernelRunUntilNeverMovesClockBack: a deadline earlier than the
-// clock fires nothing and leaves the clock where it is.
+// TestKernelRunUntilNeverMovesClockBack: a run to a limit earlier than
+// the clock fires nothing and leaves the clock where it is.
 func TestKernelRunUntilNeverMovesClockBack(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	k.At(Time(20*time.Millisecond), func(*Kernel) { fired++ })
-	k.RunUntil(Time(10 * time.Millisecond))
-	k.RunUntil(Time(5 * time.Millisecond))
+	k.run(Time(10*time.Millisecond), true)
+	k.run(Time(5*time.Millisecond), true)
 	if fired != 0 || k.Now() != Time(10*time.Millisecond) {
 		t.Errorf("fired %d, Now() = %v; want 0, 10ms", fired, k.Now())
 	}

@@ -1,25 +1,51 @@
 #!/usr/bin/env bash
-# reach.sh — which functions no production entry point reaches.
+# reach.sh — every function no production entry point reaches, and the
+# gate that each one is deleted or carries a written reason.
 #
 # Builds every cmd and example with coverage counters
 # (go build -cover -coverpkg=./...) and runs them the way an operator
 # would, offline:
 #   - slate-bench -exp all, with -metrics and -trace-out;
 #   - the five examples;
-#   - slate-emul on testdata/two-cluster-overload.json;
+#   - slate-emul on testdata/two-cluster-overload.json, with -trace-out;
 #   - slatectl on the same scenario under each policy, and slatectl diff
 #     of two of its tables;
-#   - slate-lint ./...;
-#   - two slate-global -replica and two slate-cluster, as
-#     scripts/ha-quickstart.sh starts them, with a slate-proxy sidecar
-#     (gateway@west) in front of a stub app: the stub gets unclassified
-#     requests through the sidecar and calls svc-1 back through it, so
-#     the sidecar classifies, routes, and syncs with its cluster;
-#   - slatectl metrics, optstats and leader against the daemons.
-# Every daemon is stopped with SIGINT, so each writes its counters. The
-# counters are merged with `go tool covdata`, and every function at
-# 0.0 % is printed, one per line, as covdata names it, followed by a
-# count. Needs only the Go toolchain; takes about 2 minutes on 2 cores.
+#   - slate-lint ./..., -audit ./... and -run of two analyzers;
+#   - two slate-global -replica -predictive and two slate-cluster (west
+#     with -pprof), as scripts/ha-quickstart.sh starts them, on a
+#     low-capacity twin of that scenario, with a slate-proxy sidecar
+#     (gateway@west) in front of a stub app. The stub gets requests of
+#     class "default" through the sidecar, more than west can serve, and
+#     unclassified ones, and calls svc-1 back through it; so the sidecar
+#     classifies, reports, and routes by the non-local rule the leader
+#     plans for svc-1@west;
+#   - slatectl metrics, optstats and leader against the daemons;
+#   - then the leader is stopped with SIGINT mid-session: the follower
+#     restores its snapshot (forecaster included) and leads, and the
+#     sidecar's agent sees the new leader epoch and resyncs its rules.
+# The tour fails unless the sidecar routes svc-1 calls to east after the
+# failover, that is, unless it ends on a table (version > 0) with the
+# non-local rule. Every daemon is stopped with SIGINT, so each writes
+# its counters. The counters are merged with `go tool covdata`, and
+# every function at 0.0 % is printed, one per line, as covdata names it,
+# followed by a count. Needs only the Go toolchain; takes about 2.5
+# minutes on 2 cores.
+#
+# The gate: scripts/reach.allow lists the functions that may stay at
+# 0.0 %, one a line:
+#
+#   <package> <function> <reason>
+#
+# <package> is the package's directory relative to the module root
+# ("." for the root package), <function> is the name covdata prints
+# (Func, Type.Method or *Type.Method), and <reason>, the rest of the
+# line, says why no entry point runs it; it may not be empty. Blank
+# lines and lines starting with # are ignored. Entries name no line
+# number, so they survive edits around the function. The script exits
+# 1, naming the function, if a function at 0.0 % is not listed, if a
+# listed function no longer exists, or if an entry has no reason or is
+# listed twice. A listed function that happens to run is reported, not
+# failed: some run only on a retry or a race the tour does not force.
 #
 # Usage:
 #   ./scripts/reach.sh                  # from the repo root
@@ -33,7 +59,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base=${BASE_PORT:-29000}
-timeout=20 # seconds for the daemons to elect a leader
+timeout=20 # seconds for an election, a failover or a resync
 work=$(mktemp -d)
 bin=$work/bin
 export GOCOVERDIR=$work/cov
@@ -59,8 +85,10 @@ log "building with coverage counters"
 go build -cover -coverpkg=./... -o "$bin/" ./cmd/... ./examples/...
 # The stub app serves GET / by calling svc-1 through its sidecar
 # (X-Slate-Outbound, X-Slate-Context copied) and answers everything
-# else itself; `stub send URL N` is the client. Standard library only,
-# built without counters: it is not part of the repository.
+# else itself; `stub send URL N` is the client: N requests, two of
+# every three to / with X-Slate-Class: default, the third to /cart
+# unclassified. Standard library only, built without counters: it is
+# not part of the repository.
 mkdir -p "$work/stub"
 cat >"$work/stub/main.go" <<'EOF'
 package main
@@ -79,7 +107,12 @@ func main() {
 	if len(os.Args) == 4 && os.Args[1] == "send" {
 		n, _ := strconv.Atoi(os.Args[3])
 		for i := 0; i < n; i++ {
-			resp, err := http.Get(os.Args[2] + []string{"/", "/", "/cart"}[i%3])
+			req, _ := http.NewRequest(http.MethodGet, os.Args[2]+"/cart", nil)
+			if i%3 != 2 {
+				req, _ = http.NewRequest(http.MethodGet, os.Args[2]+"/", nil)
+				req.Header.Set("X-Slate-Class", "default")
+			}
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -131,24 +164,43 @@ for ex in anomaly-detection gcp-topology quickstart trace-learning traffic-class
 	"$bin/$ex" >"$work/$ex.out"
 done
 log "slate-emul"
-"$bin/slate-emul" -scenario "$scenario" -duration 3s -seed 7 >"$work/emul.out"
+"$bin/slate-emul" -scenario "$scenario" -duration 3s -seed 7 -trace-out "$work/emul-trace.jsonl" >"$work/emul.out"
 log "slatectl offline"
 "$bin/slatectl" -scenario "$scenario" >"$work/ctl.out"
 "$bin/slatectl" -scenario "$scenario" -json >"$work/slate.json"
 "$bin/slatectl" -scenario "$scenario" -policy waterfall -json >"$work/waterfall.json"
 "$bin/slatectl" -scenario "$scenario" -policy locality-failover >"$work/failover.out"
 "$bin/slatectl" diff "$work/slate.json" "$work/waterfall.json" >"$work/diff.out"
-log "slate-lint ./..."
+log "slate-lint"
 "$bin/slate-lint" ./... >"$work/lint.out"
+"$bin/slate-lint" -audit ./... >"$work/audit.out"
+"$bin/slate-lint" -run floatcmp,detrand ./internal/... >"$work/lint-run.out"
 
 log "daemons"
+# The scenario's pools serve 800 rps a cluster, far more than the stub
+# sends, so the daemons plan for a twin whose pools serve 20 (one
+# replica of concurrency 1 at 50 ms): the stub's ≈ 30 rps of class
+# default at west then needs svc-1@west to send part of its calls east.
+# The regression guard is off: it would judge that plan by the stub's
+# sub-millisecond latencies, which are noise.
+daemons=$work/daemons.json
+cat >"$daemons" <<'EOF'
+{
+  "topology": {"preset": "two-clusters", "rtt_ms": 40},
+  "app": {"preset": "linear-chain",
+          "preset_options": {"services": 3, "mean_service_time_ms": 50, "replicas": 1, "concurrency": 1}},
+  "demand": {"default": {"west": 30, "east": 2}}
+}
+EOF
 globals=()
+gpids=()
 for i in 0 1; do
 	addr=127.0.0.1:$((base + i))
-	"$bin/slate-global" -scenario "$scenario" -listen "$addr" \
+	"$bin/slate-global" -scenario "$daemons" -listen "$addr" \
 		-replica "http://$addr" -period 1s -lease-ttl 2s -event-threshold 0.25 \
-		2>>"$work/global$i.log" &
+		-predictive -guard=false 2>>"$work/global$i.log" &
 	pids+=($!)
+	gpids+=($!)
 	globals+=("http://$addr")
 done
 list=$(IFS=,; echo "${globals[*]}")
@@ -156,7 +208,11 @@ clusters=()
 i=0
 for c in west east; do
 	addr=127.0.0.1:$((base + 101 + i))
-	"$bin/slate-cluster" -cluster "$c" -listen "$addr" -global "$list" -period 1s \
+	pprof=()
+	if [ "$c" = west ]; then
+		pprof=(-pprof)
+	fi
+	"$bin/slate-cluster" -cluster "$c" -listen "$addr" -global "$list" -period 1s "${pprof[@]}" \
 		2>>"$work/cluster-$c.log" &
 	pids+=($!)
 	clusters+=("$addr")
@@ -169,33 +225,47 @@ printf '{"gateway@west": "%s", "svc-1@west": "%s", "svc-1@east": "%s"}\n' "$prox
 pids+=($!)
 "$bin/slate-proxy" -service gateway -cluster west -listen "${proxy#http://}" \
 	-local-app "http://$app" -cluster-controller "http://${clusters[0]}" \
-	-resolver "$work/peers.json" -sync-period 1s -seed 7 2>>"$work/proxy.log" &
+	-resolver "$work/peers.json" -sync-period 1s -stale-after 30s -seed 7 2>>"$work/proxy.log" &
 pids+=($!)
+
+# metric ADDR REGEX sums the samples of a daemon's metrics whose name
+# and labels match REGEX.
+metric() {
+	"$bin/slatectl" metrics "$1" | awk -v re="$2" '$1 ~ re { s += $NF } END { print s + 0 }'
+}
+# leaders prints each live replica that reports itself leader.
+leaders() {
+	for g in "${globals[@]}"; do
+		if "$bin/slatectl" leader "$g" 2>/dev/null | grep -q '^global controller leader$'; then
+			echo "$g"
+		fi
+	done
+}
+# round sends one sync period's traffic through the sidecar.
+round() {
+	"$bin/stub" send "$proxy" 45 2>>"$work/stub.log"
+	sleep 1
+}
+fail() {
+	log "$*"
+	tail -n 5 "$work"/*.log >&2 || true
+	exit 1
+}
 
 leader=
 for ((t = 0; t < timeout; t++)); do
 	sleep 1
-	leaders=()
-	for g in "${globals[@]}"; do
-		if "$bin/slatectl" leader "$g" 2>/dev/null | grep -q '^global controller leader$'; then
-			leaders+=("$g")
-		fi
-	done
-	if [ "${#leaders[@]}" -eq 1 ] && "$bin/stub" send "$proxy" 30 2>>"$work/stub.log"; then
-		leader=${leaders[0]}
+	mapfile -t led < <(leaders)
+	if [ "${#led[@]}" -eq 1 ] && "$bin/stub" send "$proxy" 3 2>>"$work/stub.log"; then
+		leader=${led[0]}
 		break
 	fi
 done
-if [ -z "$leader" ]; then
-	log "no single leader, or the sidecar did not answer, within ${timeout}s"
-	tail -n 5 "$work"/*.log >&2 || true
-	exit 1
-fi
-# Three sync periods more of traffic, so the sidecar pushes telemetry
-# and pulls the rules the leader solved for it.
+[ -n "$leader" ] || fail "no single leader, or the sidecar did not answer, within ${timeout}s"
+# Three sync periods of traffic, so the sidecar reports telemetry and
+# pulls the rules the leader solved for it.
 for _ in 1 2 3; do
-	"$bin/stub" send "$proxy" 30
-	sleep 1
+	round
 done
 for d in "${globals[@]}" "${clusters[@]}"; do
 	"$bin/slatectl" leader "$d" >>"$work/leader.out"
@@ -203,13 +273,81 @@ for d in "${globals[@]}" "${clusters[@]}"; do
 done
 "$bin/slatectl" optstats "$leader" >"$work/optstats.out"
 "$bin/slatectl" metrics "$proxy" >>"$work/metrics.out"
+
+log "failover: SIGINT the leader"
+for i in 0 1; do
+	if [ "${globals[$i]}" = "$leader" ]; then
+		kill -INT "${gpids[$i]}"
+		wait "${gpids[$i]}" || true
+		unset 'globals[i]'
+		globals=("${globals[@]}")
+		break
+	fi
+done
+failover=
+for ((t = 0; t < timeout; t++)); do
+	round
+	if [ "$(leaders)" = "${globals[0]}" ] &&
+		[ "$(metric "$proxy" '^slate_agent_leader_failovers_total')" -gt 0 ]; then
+		failover=1
+		break
+	fi
+done
+[ -n "$failover" ] || fail "the follower did not lead, or the sidecar did not resync to it, within ${timeout}s"
+east='^slate_proxy_routed_requests_total[{].*target="east"'
+before=$(metric "$proxy" "$east")
+round
+after=$(metric "$proxy" "$east")
+[ "$after" -gt "$before" ] ||
+	fail "the sidecar routed no svc-1 call east after the failover: it holds no non-local rule"
+"$bin/slatectl" metrics "$proxy" >>"$work/metrics.out"
 stop_daemons
 
 # covdata func ends with a "total" line; every other line is
-# file:line:<tab>function<tab>percent.
+# file:line:<tab>function<tab>percent. funcs.txt keys each function by
+# its package directory and name: "<package> <function> <percent>".
 go tool covdata func -i="$GOCOVERDIR" >"$work/func.txt"
+awk -v mod="$(go list -m)/" '$1 != "total:" {
+	f = $1
+	sub(/:[0-9]+:$/, "", f)
+	if (index(f, mod) == 1) f = substr(f, length(mod) + 1)
+	dir = "."
+	if (match(f, /.*\//)) dir = substr(f, 1, RLENGTH - 1)
+	print dir, $2, $NF
+}' "$work/func.txt" >"$work/funcs.txt"
 awk '$NF == "0.0%" && $1 != "total:" { print $1, $2 }' "$work/func.txt" | sort
 zero=$(awk '$NF == "0.0%" && $1 != "total:"' "$work/func.txt" | wc -l)
 outside=$(awk '$NF == "0.0%" && $1 != "total:" && $1 !~ /internal\/analysis\/|cmd\/slate-lint\//' "$work/func.txt" | wc -l)
 all=$(grep -vc '^total:' "$work/func.txt")
 echo "reach: $zero of $all functions at 0.0 %, $outside outside internal/analysis and cmd/slate-lint"
+
+# The gate. Each failure goes to stdout and stderr, so it lands both in
+# the list (reach.txt) and in the log.
+awk '
+function problem(msg) {
+	print "reach: " msg
+	print "reach: " msg >"/dev/stderr"
+	bad = 1
+}
+FILENAME == ARGV[1] {
+	if ($0 ~ /^[ \t]*(#|$)/) next
+	key = $1 " " $2
+	if (NF < 3) problem("scripts/reach.allow:" FNR ": " key " has no reason")
+	if (key in line) problem("scripts/reach.allow:" FNR ": " key " is listed twice")
+	line[key] = FNR
+	listed++
+	next
+}
+{
+	key = $1 " " $2
+	seen[key] = 1
+	if ($3 == "0.0%" && !(key in line)) problem("at 0.0 % and not in scripts/reach.allow: " key)
+	if ($3 != "0.0%" && key in line) ran = ran "\n  " key
+}
+END {
+	for (key in line)
+		if (!(key in seen)) problem("scripts/reach.allow:" line[key] ": " key " does not exist")
+	if (ran != "") print "reach: listed in scripts/reach.allow, yet ran this time:" ran
+	print "reach: " listed " functions in scripts/reach.allow"
+	exit bad
+}' scripts/reach.allow "$work/funcs.txt"

@@ -51,17 +51,9 @@ type (
 	// Topology is the set of clusters with inter-cluster RTTs and
 	// egress prices.
 	Topology = topology.Topology
-	// TopologyBuilder accumulates clusters and links.
-	TopologyBuilder = topology.Builder
 	// ClusterID names a cluster.
 	ClusterID = topology.ClusterID
 )
-
-// NewTopology returns a builder; defaultEgressPerGB prices unlisted
-// cluster pairs.
-func NewTopology(defaultEgressPerGB float64) *TopologyBuilder {
-	return topology.NewBuilder(defaultEgressPerGB)
-}
 
 // GCPTopology returns the paper's four-cluster GCP topology (OR, UT,
 // IOW, SC with measured inter-region RTTs).
