@@ -14,10 +14,7 @@
 package slate_test
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"path"
 	"sort"
 	"testing"
@@ -25,7 +22,6 @@ import (
 
 	slate "github.com/servicelayernetworking/slate"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
-	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/experiments"
 	"github.com/servicelayernetworking/slate/internal/forecast"
@@ -535,61 +531,5 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}
 	if st := cold.OptimizerStats(); st.ColdSolves != 0 {
 		b.Fatalf("post-restore tick went cold: %+v", st)
-	}
-}
-
-// BenchmarkEventSolve measures the event-driven reaction path end to
-// end: the two clusters' telemetry uploads, whose load swing breaches
-// the threshold, then the immediate re-solve they arm — the latency between
-// a traffic jump and a fresh routing table, independent of the sync
-// period.
-func BenchmarkEventSolve(b *testing.B) {
-	s := benchSnapshot(b)
-	g := controlplane.NewGlobal(s.ctrl)
-	// No registered clusters: this replica is trivially leader, and the
-	// solve result stays local instead of being pushed anywhere.
-	g.EnableHA("http://bench.invalid", controlplane.HAConfig{EventThreshold: 0.25, EventBurst: 2})
-	ctx := context.Background()
-	if err := g.HAStep(ctx); err != nil {
-		b.Fatal(err)
-	}
-	h := g.Handler()
-	post := func(scale float64) {
-		// Each cluster reports its own keys.
-		stats := s.stats(scale)
-		for _, c := range []topology.ClusterID{topology.West, topology.East} {
-			rep := controlplane.MetricsReport{Cluster: c, WindowMS: 1000}
-			for _, ws := range stats {
-				if ws.Key.Cluster == string(c) {
-					rep.Stats = append(rep.Stats, ws)
-				}
-			}
-			body, err := json.Marshal(rep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			req := httptest.NewRequest("POST", "/v1/metrics", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code/100 != 2 {
-				b.Fatalf("metrics upload: status %d", rec.Code)
-			}
-		}
-	}
-	post(1) // establish the last-seen load
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scale := 1.5
-		if i%2 == 1 {
-			scale = 1.0
-		}
-		post(scale) // >25% swing: arms the event
-		// Refill the token the solve consumes; in production HAStep banks
-		// one per sync period.
-		g.EnableHA("http://bench.invalid", controlplane.HAConfig{EventThreshold: 0.25, EventBurst: 2})
-		if !g.TryEventSolve(ctx) {
-			b.Fatal("event solve did not fire")
-		}
 	}
 }

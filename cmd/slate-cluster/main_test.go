@@ -36,7 +36,7 @@ func TestRegistersWithEveryReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := controlplane.NewGlobal(ctrl)
-		g.EnableHA(srv.URL, controlplane.HAConfig{LeaseTTL: time.Minute, EventThreshold: -1})
+		g.EnableHA(srv.URL, time.Minute)
 		return g, g.Handler()
 	}
 	// server serves whichever replica h holds, and 503 while it holds none.

@@ -12,7 +12,7 @@
 // peer list:
 //
 //	slate-global -scenario scenario.json -listen 10.0.0.1:7000 \
-//	    -replica http://10.0.0.1:7000 -lease-ttl 10s -event-threshold 0.25
+//	    -replica http://10.0.0.1:7000 -lease-ttl 10s
 package main
 
 import (
@@ -47,8 +47,6 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		replica    = flag.String("replica", "", "advertised base URL of this replica; enables replicated mode (leader lease + warm snapshot handoff)")
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "replicated mode: leader lease TTL (2x the period is a good choice)")
-		eventThr   = flag.Float64("event-threshold", 0.25, "replicated mode: relative per-cluster load change arming an immediate re-solve (negative disables)")
-		eventBurst = flag.Int("event-burst", 2, "replicated mode: max banked event-solve tokens")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -83,11 +81,7 @@ func main() {
 	}
 	g := controlplane.NewGlobal(ctrl)
 	if *replica != "" {
-		g.EnableHA(*replica, controlplane.HAConfig{
-			LeaseTTL:       *leaseTTL,
-			EventThreshold: *eventThr,
-			EventBurst:     *eventBurst,
-		})
+		g.EnableHA(*replica, *leaseTTL)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)

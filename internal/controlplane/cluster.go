@@ -36,10 +36,13 @@ type ingestGroup struct {
 // Graceful degradation: pushing proxies identify themselves via the
 // X-Slate-Source header; the controller remembers when each source was
 // last heard from. With a staleness bound set (SetStaleAfter), Collect
-// excludes buffered batches older than the bound from the global
-// snapshot — a re-delivered backlog from a long-dead agent must not
-// masquerade as current load — and marks sources that have gone silent
-// (MissingProxies, also served at GET /v1/health).
+// excludes batches that sat in this controller's buffer longer than the
+// bound from the global snapshot, and marks sources that have gone
+// silent (MissingProxies, also served at GET /v1/health). The bound is
+// on time in the buffer, not on the age of the windows a batch carries:
+// IngestFrom stamps each batch on arrival, and an Agent that reconnects
+// merges its whole backlog into one upload, so that backlog arrives
+// stamped fresh and is merged like current load.
 type Cluster struct {
 	id topology.ClusterID
 
@@ -186,8 +189,10 @@ func (c *Cluster) SetTransport(rt http.RoundTripper) {
 }
 
 // SetStaleAfter bounds telemetry staleness: Collect excludes pushed
-// batches older than d and marks sources silent for longer than d as
-// missing. Zero (the default) disables both.
+// batches that arrived more than d before it (their time in this
+// controller's buffer, not the age of the windows they carry) and
+// marks sources silent for longer than d as missing. Zero (the
+// default) disables both.
 func (c *Cluster) SetStaleAfter(d time.Duration) {
 	c.mu.Lock()
 	c.staleAfter = d

@@ -212,6 +212,50 @@ func TestStatusDoesNotRaceTick(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReportDoesNotWaitForTick: a telemetry report touches only the
+// ingest, under its own lock, so one that arrives while a tick holds
+// g.mu for its whole solve is accepted at once, not after the solve —
+// by a lone controller and by a replica alike.
+func TestReportDoesNotWaitForTick(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		replicated bool
+	}{{"single", false}, {"replicated", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, srv := newGlobalServer(t)
+			if tc.replicated {
+				g.EnableHA(srv.URL, time.Second)
+			}
+			body, err := json.Marshal(MetricsReport{Cluster: topology.West, WindowMS: 1000, Stats: feStats(900, 100)[:1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.mu.Lock() // as Tick does
+			code := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(srv.URL+"/v1/metrics", "application/json", strings.NewReader(string(body)))
+				if err != nil {
+					code <- 0
+					return
+				}
+				drain(resp)
+				code <- resp.StatusCode
+			}()
+			select { //slate:nolint lockguard -- the test holds g.mu as a tick does, to show a report does not wait on it; both arms release it
+			case c := <-code:
+				g.mu.Unlock()
+				if c != http.StatusAccepted {
+					t.Fatalf("report status = %d, want %d", c, http.StatusAccepted)
+				}
+			case <-time.After(2 * time.Second):
+				g.mu.Unlock()
+				<-code
+				t.Fatal("report not answered within 2s while g.mu was held")
+			}
+		})
+	}
+}
+
 func TestGlobalRegisterValidation(t *testing.T) {
 	_, srv := newGlobalServer(t)
 	resp := postJSONReq(t, srv.URL+"/v1/register", RegisterRequest{})

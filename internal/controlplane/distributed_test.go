@@ -188,7 +188,7 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 		g := NewGlobal(ctrl)
 		srv := httptest.NewServer(g.Handler())
 		t.Cleanup(srv.Close)
-		g.EnableHA(srv.URL, HAConfig{LeaseTTL: ttl, EventThreshold: -1})
+		g.EnableHA(srv.URL, ttl)
 		g.SetNow(clk.Now)
 		return g, srv.URL
 	}

@@ -100,9 +100,6 @@ type clusterIngest struct {
 	epoch    uint64
 	stats    []telemetry.WindowStats
 	reported bool // reported since the last tick merged this cluster
-	// lastRPS is the reconstructed window's total RPS after the previous
-	// report, the baseline for event-driven breach detection.
-	lastRPS float64
 }
 
 // shadow is what one cluster last acknowledged: its slice of the rules
@@ -132,15 +129,12 @@ type Global struct {
 	// Replication state (EnableHA; see ha.go). Guarded by mu.
 	haEnabled    bool
 	replica      string
-	haCfg        HAConfig
+	leaseTTL     time.Duration
 	isLeader     bool
 	leaseEpoch   uint64
 	maxSeenEpoch uint64
 	leaderURL    string
 	snapCache    *core.ControllerSnapshot
-	eventArmed   bool
-	eventTokens  int
-	eventCh      chan struct{}
 	now          func() time.Time
 
 	// pushSem (capacity 1) serializes whole push rounds — a semaphore
@@ -151,39 +145,37 @@ type Global struct {
 	sentMu  sync.Mutex
 	sent    map[topology.ClusterID]shadow
 
-	metricsH       http.Handler
-	mTicks         *obs.Counter
-	mTickErrs      *obs.Counter
-	mTickDur       *obs.Histogram
-	mPushErrs      *obs.Counter
-	mReports       *obs.Counter
-	mReportErrs    *obs.Counter
-	mEpochGaps     *obs.Counter
-	mTableVer      *obs.Gauge
-	mIterHolds     *obs.Gauge
-	mReverts       *obs.Gauge
-	mWarmSolves    *obs.Gauge
-	mKeptSolves    *obs.Gauge
-	mDualRepairs   *obs.Gauge
-	mColdSolves    *obs.Gauge
-	mShards        *obs.Gauge
-	mSubSolves     *obs.Gauge
-	mSkipSolves    *obs.Gauge
-	mSearchWins    *obs.Gauge
-	mSimplexWins   *obs.Gauge
-	mGapAbandons   *obs.Gauge
-	mStaleGroups   *obs.Gauge
-	mLeader        *obs.Gauge
-	mLeaseEpoch    *obs.Gauge
-	mFailovers     *obs.Counter
-	mStepDowns     *obs.Counter
-	mSnapFetches   *obs.Counter
-	mSnapRestores  *obs.Counter
-	mEventBreaches *obs.Counter
-	mEventSolves   *obs.Counter
-	mPushDur       *obs.HistogramVec
-	mPatchBytes    *obs.CounterVec
-	mResyncs       *obs.CounterVec
+	metricsH      http.Handler
+	mTicks        *obs.Counter
+	mTickErrs     *obs.Counter
+	mTickDur      *obs.Histogram
+	mPushErrs     *obs.Counter
+	mReports      *obs.Counter
+	mReportErrs   *obs.Counter
+	mEpochGaps    *obs.Counter
+	mTableVer     *obs.Gauge
+	mIterHolds    *obs.Gauge
+	mReverts      *obs.Gauge
+	mWarmSolves   *obs.Gauge
+	mKeptSolves   *obs.Gauge
+	mDualRepairs  *obs.Gauge
+	mColdSolves   *obs.Gauge
+	mShards       *obs.Gauge
+	mSubSolves    *obs.Gauge
+	mSkipSolves   *obs.Gauge
+	mSearchWins   *obs.Gauge
+	mSimplexWins  *obs.Gauge
+	mGapAbandons  *obs.Gauge
+	mStaleGroups  *obs.Gauge
+	mLeader       *obs.Gauge
+	mLeaseEpoch   *obs.Gauge
+	mFailovers    *obs.Counter
+	mStepDowns    *obs.Counter
+	mSnapFetches  *obs.Counter
+	mSnapRestores *obs.Counter
+	mPushDur      *obs.HistogramVec
+	mPatchBytes   *obs.CounterVec
+	mResyncs      *obs.CounterVec
 }
 
 // NewGlobal wraps a core controller as a daemon, instrumenting into
@@ -196,7 +188,6 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		sent:     make(map[topology.ClusterID]shadow),
 		rt:       &dataplane.Upstream{},
 		window:   time.Second,
-		eventCh:  make(chan struct{}, 1),
 		now:      time.Now,
 		metricsH: reg.Handler(),
 		mTicks: reg.Counter("slate_global_ticks_total",
@@ -253,10 +244,6 @@ func NewGlobal(ctrl *core.Controller) *Global {
 			"Leader warm-state snapshots fetched while following."),
 		mSnapRestores: reg.Counter("slate_global_snapshot_restores_total",
 			"Cached snapshots restored on winning an election."),
-		mEventBreaches: reg.Counter("slate_global_event_breaches_total",
-			"Telemetry reports whose load swing armed an event-driven re-solve."),
-		mEventSolves: reg.Counter("slate_global_event_solves_total",
-			"Immediate re-solves run outside the scheduled tick."),
 		mPushDur: reg.HistogramVec("slate_global_push_seconds",
 			"Wall time of one rule push to a cluster controller.", nil, "cluster"),
 		mPatchBytes: reg.CounterVec("slate_global_patch_bytes_total",
@@ -378,18 +365,8 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.pending++
 		g.mStaleGroups.Set(float64(g.pending))
 	}
-	// Event-driven re-solve trigger: compare the reconstructed window's
-	// total load against the previous report's. The window is in key order,
-	// so the total (and a near-threshold breach) never depends on arrival order.
-	lastRPS := ci.lastRPS
-	var curRPS float64
-	for i := range ci.stats {
-		curRPS += ci.stats[i].RPS
-	}
-	ci.lastRPS = curRPS
 	g.ingestMu.Unlock()
 	g.mReports.Inc()
-	g.noteClusterLoad(lastRPS, curRPS)
 	w.WriteHeader(http.StatusAccepted)
 }
 
@@ -644,9 +621,9 @@ func (g *Global) postPatch(ctx context.Context, t *peer, p *routing.Patch, hdr h
 	return rpc(ctx, g.rt, http.MethodPost, t.patchURL, hdr, body, nil)
 }
 
-// Run steps the controller until the context is cancelled: a scheduled
-// HAStep every period — a plain Tick without EnableHA — plus, when
-// replicated, immediate event-driven re-solves between steps.
+// Run steps the controller until the context is cancelled: one HAStep
+// every period, a plain Tick without EnableHA. The period is the only
+// trigger; a report never starts a solve.
 func (g *Global) Run(ctx context.Context, period time.Duration) {
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -654,8 +631,6 @@ func (g *Global) Run(ctx context.Context, period time.Duration) {
 		select {
 		case <-t.C:
 			g.HAStep(ctx) // errors surface via /v1/status
-		case <-g.eventCh:
-			g.TryEventSolve(ctx)
 		case <-ctx.Done():
 			return
 		}

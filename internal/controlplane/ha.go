@@ -25,54 +25,26 @@ import (
 //     a cold-solve storm at the worst possible moment. Serving a
 //     snapshot makes the leader's shards forget the tableaux their
 //     solvers kept, which it leaves out (core.Controller.Snapshot).
-//   - Event-driven re-solve: telemetry reports whose per-cluster load
-//     moves beyond EventThreshold arm an immediate re-solve instead of
-//     waiting out the sync period. A token bucket (EventBurst tokens,
-//     one refilled per scheduled step) bounds the extra solve rate, and
-//     shard fingerprints already confine the work to dirty shards.
 //
-// Everything steps through HAStep, which is synchronous and
-// deterministic given the acceptors' responses — the wall-clock Run
-// loop and the virtual-time chaos harness drive the same code.
-
-// HAConfig tunes one replica. Zero values get defaults.
-type HAConfig struct {
-	// LeaseTTL is the leader lease duration (default 2×period is a good
-	// choice; absolute default 10s). Failover time is bounded by the
-	// TTL: a dead leader's lease must lapse before a rival can win.
-	LeaseTTL time.Duration
-	// EventThreshold is the relative per-cluster load change that arms
-	// an immediate re-solve (default 0.25; a cluster going 0→nonzero
-	// always arms). Negative disables event-driven re-solves.
-	EventThreshold float64
-	// EventBurst caps banked event-solve tokens (default 2).
-	EventBurst int
-}
-
-func (c HAConfig) withDefaults() HAConfig {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
-	if c.EventThreshold == 0 { //slate:nolint floatcmp -- exact zero is the unset sentinel; disabling is expressed as a negative threshold
-		c.EventThreshold = 0.25
-	}
-	if c.EventBurst <= 0 {
-		c.EventBurst = 2
-	}
-	return c
-}
+// Everything steps through HAStep, once per period, which is
+// synchronous and deterministic given the acceptors' responses — the
+// wall-clock Run loop and the virtual-time chaos harness drive the same
+// code. The period is the only re-plan trigger, replicated or not.
 
 // EnableHA makes this Global one replica of a replicated control
 // plane. replica is its advertised base URL (doubling as its identity
 // in lease requests, so rivals and operators can find the leader).
-// Call before Handler/Run.
-func (g *Global) EnableHA(replica string, cfg HAConfig) {
-	cfg = cfg.withDefaults()
+// leaseTTL is the leader lease duration, 10 s when ≤ 0 (2×period is a
+// good choice); failover time is bounded by it, since a dead leader's
+// lease must lapse before a rival can win. Call before Handler/Run.
+func (g *Global) EnableHA(replica string, leaseTTL time.Duration) {
+	if leaseTTL <= 0 {
+		leaseTTL = 10 * time.Second
+	}
 	g.mu.Lock()
 	g.haEnabled = true
 	g.replica = replica
-	g.haCfg = cfg
-	g.eventTokens = cfg.EventBurst
+	g.leaseTTL = leaseTTL
 	g.mu.Unlock()
 }
 
@@ -93,8 +65,8 @@ func (g *Global) IsLeader() bool {
 }
 
 // HAStep runs one replica step: campaign or renew the lease; as leader,
-// refill one event token and run a full optimization tick; as follower,
-// refresh the cached leader snapshot. Without EnableHA it degenerates
+// run a full optimization tick; as follower, refresh the cached leader
+// snapshot. Without EnableHA it degenerates
 // to a plain Tick, so callers can drive both modes identically.
 func (g *Global) HAStep(ctx context.Context) error {
 	g.mu.Lock()
@@ -106,9 +78,6 @@ func (g *Global) HAStep(ctx context.Context) error {
 	g.campaign(ctx)
 	g.mu.Lock()
 	leader := g.isLeader
-	if leader && g.eventTokens < g.haCfg.EventBurst {
-		g.eventTokens++
-	}
 	g.mu.Unlock()
 	if leader {
 		return g.Tick(ctx)
@@ -129,7 +98,7 @@ func (g *Global) campaign(ctx context.Context) {
 	if !g.isLeader {
 		epoch = g.maxSeenEpoch + 1
 	}
-	req := LeaseRequest{Candidate: g.replica, Epoch: epoch, TTLMS: g.haCfg.LeaseTTL.Milliseconds()}
+	req := LeaseRequest{Candidate: g.replica, Epoch: epoch, TTLMS: g.leaseTTL.Milliseconds()}
 	g.mu.Unlock()
 	body, _ := json.Marshal(req) // strings and integers always encode
 
@@ -262,60 +231,6 @@ func (g *Global) publisherHeaders() http.Header {
 	h.Set(headerLeaderEpoch, strconv.FormatUint(g.leaseEpoch, 10))
 	h.Set(headerLeader, g.replica)
 	return h
-}
-
-// TryEventSolve runs an immediate re-solve if one is armed and a token
-// is available (leader only). It reports whether a solve ran. The
-// wall-clock Run loop calls it when the event channel fires; the
-// deterministic harness calls it directly between windows.
-func (g *Global) TryEventSolve(ctx context.Context) bool {
-	g.mu.Lock()
-	if (g.haEnabled && !g.isLeader) || !g.eventArmed || g.eventTokens <= 0 {
-		g.mu.Unlock()
-		return false
-	}
-	g.eventArmed = false
-	g.eventTokens--
-	g.mu.Unlock()
-	g.mEventSolves.Inc()
-	g.Tick(ctx) // errors surface via /v1/status, like scheduled ticks
-	return true
-}
-
-// noteClusterLoad feeds breach detection with one cluster's
-// reconstructed total RPS. On a relative swing beyond EventThreshold
-// (or a silent cluster stirring) it arms an event re-solve and nudges
-// the Run loop.
-func (g *Global) noteClusterLoad(last, cur float64) {
-	g.mu.Lock()
-	th := g.haCfg.EventThreshold
-	enabled := g.haEnabled
-	g.mu.Unlock()
-	if !enabled || th < 0 {
-		return
-	}
-	breach := false
-	switch {
-	case last == 0: //slate:nolint floatcmp -- exact zero means no prior load; any nonzero arrival is a breach by definition
-		breach = cur > 0
-	default:
-		diff := cur - last
-		if diff < 0 {
-			diff = -diff
-		}
-		breach = diff > th*last
-	}
-	if !breach {
-		return
-	}
-	g.mEventBreaches.Inc()
-	g.mu.Lock()
-	g.eventArmed = true
-	g.mu.Unlock()
-	select {
-	case g.eventCh <- struct{}{}:
-	default: // a wakeup is already pending
-	}
 }
 
 // GlobalHealth is the global replica's health snapshot, served at

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/fault"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
@@ -60,32 +59,6 @@ func (v *vclock) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// starApp2 is a two-class star application whose classes own disjoint
-// call subtrees behind a shared gateway, so a decomposed controller
-// splits it into two independent shards — one per class.
-func starApp2() *appgraph.App {
-	clusters := []topology.ClusterID{topology.West, topology.East}
-	app := &appgraph.App{Name: "star2", Services: map[appgraph.ServiceID]*appgraph.Service{}}
-	const gateway appgraph.ServiceID = "gateway"
-	front := appgraph.ReplicaPool{Replicas: 2, Concurrency: 64}
-	pool := appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}
-	app.Services[gateway] = &appgraph.Service{ID: gateway, Placement: appgraph.Uniform(front, clusters...)}
-	work := appgraph.Work{MeanServiceTime: 10 * time.Millisecond, RequestBytes: 1 << 10, ResponseBytes: 4 << 10}
-	for _, name := range []string{"ca", "cb"} {
-		svc := appgraph.ServiceID("svc-" + name)
-		app.Services[svc] = &appgraph.Service{ID: svc, Placement: appgraph.Uniform(pool, clusters...)}
-		app.Classes = append(app.Classes, &appgraph.Class{Name: name, Root: &appgraph.CallNode{
-			Service: gateway, Method: "POST", Path: "/" + name,
-			Work:  appgraph.Work{MeanServiceTime: 100 * time.Microsecond},
-			Count: 1,
-			Children: []*appgraph.CallNode{{
-				Service: svc, Method: "POST", Path: "/work", Work: work, Count: 1,
-			}},
-		}})
-	}
-	return app
-}
-
 // haReplica is one replicated global controller under test.
 type haReplica struct {
 	g    *Global
@@ -103,7 +76,7 @@ type haRig struct {
 	ccURLs   []string
 }
 
-func newHARig(t *testing.T, n int, cfg HAConfig) *haRig {
+func newHARig(t *testing.T, n int, ttl time.Duration) *haRig {
 	t.Helper()
 	rig := &haRig{t: t, clk: newVclock()}
 	top := topology.TwoClusters(40 * time.Millisecond)
@@ -117,7 +90,7 @@ func newHARig(t *testing.T, n int, cfg HAConfig) *haRig {
 		g := NewGlobal(ctrl)
 		srv := httptest.NewServer(g.Handler())
 		t.Cleanup(srv.Close)
-		g.EnableHA(srv.URL, cfg)
+		g.EnableHA(srv.URL, ttl)
 		g.SetNow(rig.clk.Now)
 		rig.reps = append(rig.reps, &haReplica{g: g, ctrl: ctrl, srv: srv})
 	}
@@ -188,7 +161,7 @@ func getJSON[T any](t *testing.T, url string) T {
 // and the deposed leader's zombie publish bouncing off the fence.
 func TestLeaderElectionAndFailover(t *testing.T) {
 	const ttl = 10 * time.Second
-	rig := newHARig(t, 3, HAConfig{LeaseTTL: ttl, EventThreshold: -1})
+	rig := newHARig(t, 3, ttl)
 	r0, r1, r2 := rig.reps[0], rig.reps[1], rig.reps[2]
 
 	// Round 1: the first replica to campaign wins epoch 1; rivals learn
@@ -327,14 +300,70 @@ func TestLeaderElectionAndFailover(t *testing.T) {
 	}
 }
 
+// TestEnableHALeaseTTL: the TTL EnableHA is given is the one a
+// campaign asks the acceptors for, and one ≤ 0 asks for the 10 s
+// default.
+func TestEnableHALeaseTTL(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ttl    time.Duration
+		wantMS int64
+	}{
+		{"zero-defaults", 0, 10_000},
+		{"negative-defaults", -time.Second, 10_000},
+		{"given", 3 * time.Second, 3_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			asked := make(chan int64, 1)
+			acc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/lease" {
+					return
+				}
+				var req LeaseRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				select {
+				case asked <- req.TTLMS:
+				default:
+				}
+				_ = json.NewEncoder(w).Encode(LeaseResponse{Granted: true, Holder: req.Candidate, Epoch: req.Epoch, ExpiresInMS: req.TTLMS})
+			}))
+			t.Cleanup(acc.Close)
+			g, srv := newGlobalServer(t)
+			g.EnableHA(srv.URL, tc.ttl)
+			resp := postJSONReq(t, srv.URL+"/v1/register", RegisterRequest{Cluster: topology.West, URL: acc.URL})
+			drain(resp)
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("register status = %d, want %d", resp.StatusCode, http.StatusNoContent)
+			}
+			if err := g.HAStep(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got := <-asked:
+				if got != tc.wantMS {
+					t.Errorf("campaign asked for TTL %d ms, want %d", got, tc.wantMS)
+				}
+			default:
+				t.Fatal("HAStep sent no lease request")
+			}
+			if !g.IsLeader() {
+				t.Error("replica granted by its only acceptor does not lead")
+			}
+		})
+	}
+}
+
 // TestFollowerPlansOnlyThroughHAStep: no HTTP request makes a follower
-// plan. A replica runs its Controller's Tick only from HAStep or
-// TryEventSolve, each behind the leader check; a POST to the retired
+// plan. A replica runs its Controller's Tick only from HAStep, behind
+// the leader check; a POST to the retired
 // /v1/optimize, which ticked the replica it reached, is refused and
 // leaves the follower's controller and every cluster's table as they
 // were.
 func TestFollowerPlansOnlyThroughHAStep(t *testing.T) {
-	rig := newHARig(t, 2, HAConfig{LeaseTTL: 10 * time.Second, EventThreshold: -1})
+	rig := newHARig(t, 2, 10*time.Second)
 	r0, r1 := rig.reps[0], rig.reps[1]
 	rig.report(900, 100)
 	rig.step(nil)
@@ -439,7 +468,7 @@ func failoverWithStaleSnapshot(t *testing.T, format int) {
 		t.Fatalf("format %d is the current one", format)
 	}
 	const ttl = 10 * time.Second
-	rig := newHARig(t, 2, HAConfig{LeaseTTL: ttl, EventThreshold: -1})
+	rig := newHARig(t, 2, ttl)
 	r0, r1 := rig.reps[0], rig.reps[1]
 	for i := 0; i < 3; i++ {
 		rig.report(900-200*float64(i), 100)
@@ -503,140 +532,5 @@ func failoverWithStaleSnapshot(t *testing.T, format int) {
 			t.Fatalf("cluster %s holds table v%d with %d rules after failover, want rules at v%d or later",
 				cc.id, tab.Version, len(tab.Keys()), vBefore)
 		}
-	}
-}
-
-// TestEventDrivenResolve exercises the telemetry-triggered re-solve:
-// a load swing beyond the threshold arms an immediate solve, the token
-// bucket bounds the rate, and shard fingerprints confine the work to
-// the shards whose demand actually moved.
-func TestEventDrivenResolve(t *testing.T) {
-	top := topology.TwoClusters(40 * time.Millisecond)
-	ctrl, err := core.NewController(top, starApp2(), core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGlobal(ctrl)
-	srv := httptest.NewServer(g.Handler())
-	t.Cleanup(srv.Close)
-	// No cluster controllers registered: the replica trivially holds
-	// leadership (bootstrap shape), isolating the event machinery.
-	g.EnableHA(srv.URL, HAConfig{EventThreshold: 0.25, EventBurst: 2})
-	// The counters are process-global (obs.Default()): read them as
-	// deltas, so an earlier run in the same process cannot show here.
-	b0, s0 := g.mEventBreaches.Value(), g.mEventSolves.Value()
-	if err := g.HAStep(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsLeader() {
-		t.Fatal("single replica with no acceptors must lead")
-	}
-
-	report := func(caRPS, cbRPS float64) {
-		t.Helper()
-		stats := []telemetry.WindowStats{
-			{Key: telemetry.MetricKey{Service: "gateway", Class: "ca", Cluster: string(topology.West)},
-				RPS: caRPS, Requests: uint64(caRPS), Window: time.Second},
-			{Key: telemetry.MetricKey{Service: "gateway", Class: "cb", Cluster: string(topology.West)},
-				RPS: cbRPS, Requests: uint64(cbRPS), Window: time.Second},
-		}
-		resp := postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{
-			Cluster: topology.West, WindowMS: 1000, Stats: stats,
-		})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("metrics report: status %d", resp.StatusCode)
-		}
-	}
-
-	// A silent cluster stirring (0 -> nonzero) always arms.
-	report(400, 400)
-	if g.mEventBreaches.Value() == b0 {
-		t.Fatal("0->nonzero load did not arm an event solve")
-	}
-	if !g.TryEventSolve(t.Context()) {
-		t.Fatal("armed event solve did not run")
-	}
-	if solves := g.mEventSolves.Value() - s0; solves != 1 {
-		t.Fatalf("event solves = %d, want 1", solves)
-	}
-
-	// An identical window is below threshold: nothing arms.
-	report(400, 400)
-	if g.TryEventSolve(t.Context()) {
-		t.Fatal("unchanged load ran an event solve")
-	}
-
-	// One class doubles (total +50% > 25% threshold): the solve runs and
-	// touches ONLY the dirty shard — the other class's subproblem is
-	// skipped on its clean fingerprint.
-	before := ctrl.OptimizerStats()
-	report(800, 400)
-	if !g.TryEventSolve(t.Context()) {
-		t.Fatal("50% swing did not trigger an event solve")
-	}
-	after := ctrl.OptimizerStats()
-	if solved := after.SubSolves - before.SubSolves; solved != 1 {
-		t.Fatalf("event solve ran %d subproblems, want 1 (dirty shard only)", solved)
-	}
-	if skipped := after.SkippedSolves - before.SkippedSolves; skipped != 1 {
-		t.Fatalf("event solve skipped %d subproblems, want 1 (the clean shard)", skipped)
-	}
-
-	// Token bucket: EventBurst=2 tokens are spent; a third breach must
-	// wait for the scheduled step to refill.
-	report(1300, 400)
-	if g.TryEventSolve(t.Context()) {
-		t.Fatal("event solve ran with an empty token bucket")
-	}
-	if err := g.HAStep(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if !g.TryEventSolve(t.Context()) {
-		t.Fatal("scheduled step did not refill an event token")
-	}
-}
-
-// TestEventSolveDeterminism re-runs the breach/solve sequence on a
-// fresh rig and checks the decision trail (breaches, solves, table
-// version) is identical — event-driven behavior must be a pure function
-// of the telemetry sequence, never of timing.
-func TestEventSolveDeterminism(t *testing.T) {
-	run := func() (breaches, solves uint64, version uint64) {
-		top := topology.TwoClusters(40 * time.Millisecond)
-		ctrl, err := core.NewController(top, starApp2(), core.ControllerConfig{
-			DemandSmoothing: 1, Decompose: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := NewGlobal(ctrl)
-		srv := httptest.NewServer(g.Handler())
-		defer srv.Close()
-		g.EnableHA(srv.URL, HAConfig{EventThreshold: 0.25, EventBurst: 2})
-		b0, s0 := g.mEventBreaches.Value(), g.mEventSolves.Value()
-		g.HAStep(t.Context())
-		for _, rps := range []float64{300, 300, 500, 900, 900, 1400} {
-			resp := postJSONReq(t, srv.URL+"/v1/metrics", MetricsReport{
-				Cluster: topology.West, WindowMS: 1000,
-				Stats: []telemetry.WindowStats{{
-					Key: telemetry.MetricKey{Service: "gateway", Class: "ca", Cluster: string(topology.West)},
-					RPS: rps, Requests: uint64(rps), Window: time.Second,
-				}},
-			})
-			resp.Body.Close()
-			g.TryEventSolve(t.Context())
-		}
-		return g.mEventBreaches.Value() - b0, g.mEventSolves.Value() - s0, ctrl.Table().Version
-	}
-	b1, s1, v1 := run()
-	b2, s2, v2 := run()
-	if b1 != b2 || s1 != s2 || v1 != v2 {
-		t.Fatalf("event trail diverged: (%d,%d,%d) vs (%d,%d,%d)", b1, s1, v1, b2, s2, v2)
-	}
-	if b1 == 0 || s1 == 0 {
-		t.Fatalf("sequence armed %d breaches / %d solves, want >0 of each", b1, s1)
 	}
 }

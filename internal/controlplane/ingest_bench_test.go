@@ -24,7 +24,7 @@ import (
 // atomic count of pending clusters. It is kept to hold the one lock to
 // it under concurrent reports (BenchmarkConcurrentReports).
 type stripedIngest struct {
-	g       *Global // intern table, counters, mu and the event trigger
+	g       *Global // intern table, counters and mu
 	stripes [ingestStripes]ingestStripe
 	pending atomic.Int64
 	window  time.Duration // guarded by g.mu
@@ -92,15 +92,8 @@ func (s *stripedIngest) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ci.reported = true
 		g.mStaleGroups.Set(float64(s.pending.Add(1)))
 	}
-	lastRPS := ci.lastRPS
-	var curRPS float64
-	for i := range ci.stats {
-		curRPS += ci.stats[i].RPS
-	}
-	ci.lastRPS = curRPS
 	st.mu.Unlock()
 	g.mReports.Inc()
-	g.noteClusterLoad(lastRPS, curRPS)
 	w.WriteHeader(http.StatusAccepted)
 }
 

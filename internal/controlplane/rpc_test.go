@@ -126,7 +126,7 @@ func TestControlRPCCarriesDeadline(t *testing.T) {
 
 	tr = &cannedRPC{status: http.StatusOK, body: []byte(`{"granted":true,"holder":"http://a.invalid","epoch":1}`)}
 	g = newCannedGlobal(t, tr)
-	g.EnableHA("http://a.invalid", HAConfig{})
+	g.EnableHA("http://a.invalid", 0)
 	g.campaign(t.Context())
 	check("lease", tr, "http://west.invalid/v1/lease", true)
 	if !g.IsLeader() {
@@ -383,7 +383,7 @@ func TestControlResponseCapped(t *testing.T) {
 
 		tr := answer(`{"granted":true,"holder":"http://a.invalid","epoch":1}`)
 		g := newCannedGlobal(t, tr)
-		g.EnableHA("http://a.invalid", HAConfig{})
+		g.EnableHA("http://a.invalid", 0)
 		g.campaign(t.Context())
 		if g.IsLeader() {
 			t.Errorf("an oversized lease grant (chunked %v) made a leader", chunked)
@@ -392,7 +392,7 @@ func TestControlResponseCapped(t *testing.T) {
 
 		tr = answer(`{"format":1,"version":7}`)
 		g = newCannedGlobal(t, tr)
-		g.EnableHA("http://a.invalid", HAConfig{})
+		g.EnableHA("http://a.invalid", 0)
 		g.leaderURL = "http://west.invalid"
 		g.fetchSnapshot(t.Context())
 		if g.snapCache != nil {

@@ -41,7 +41,6 @@ type refClusterIngest struct {
 	epoch    uint64
 	stats    map[telemetry.MetricKey]telemetry.WindowStats
 	reported bool
-	lastRPS  float64
 }
 
 // ingestStripes is the number of lock stripes the ingest was sharded
@@ -71,8 +70,7 @@ func refStripe(c topology.ClusterID) int {
 }
 
 // handle is the parent's handleMetrics from the epoch check on; it
-// returns the status the parent answered. The event-trigger total it
-// handed to noteClusterLoad stays in lastRPS.
+// returns the status the parent answered.
 func (r *refGlobal) handle(stripe int, rep MetricsReport) int {
 	st := r.stripes[stripe]
 	ci := st[rep.Cluster]
@@ -97,22 +95,11 @@ func (r *refGlobal) handle(stripe int, rep MetricsReport) int {
 		}
 		if ci != nil {
 			next.reported = ci.reported
-			next.lastRPS = ci.lastRPS
 		}
 		st[rep.Cluster] = next
 		ci = next
 	}
 	ci.reported = true
-	keys := make([]telemetry.MetricKey, 0, len(ci.stats))
-	for k := range ci.stats {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessMetricKey(keys[i], keys[j]) })
-	var curRPS float64
-	for _, k := range keys {
-		curRPS += ci.stats[k].RPS
-	}
-	ci.lastRPS = curRPS
 	return http.StatusAccepted
 }
 
@@ -183,10 +170,9 @@ func checkWindow(t *testing.T, g *Global, ref *refGlobal, c topology.ClusterID) 
 	if w := want.window(); !sameWindow(w, live.stats) {
 		t.Fatalf("cluster %q: window differs from the reference fold:\nlive %v\nref  %v", c, live.stats, w)
 	}
-	if live.epoch != want.epoch || live.reported != want.reported ||
-		math.Float64bits(live.lastRPS) != math.Float64bits(want.lastRPS) {
-		t.Fatalf("cluster %q: epoch/reported/lastRPS = %d/%v/%v, reference %d/%v/%v",
-			c, live.epoch, live.reported, live.lastRPS, want.epoch, want.reported, want.lastRPS)
+	if live.epoch != want.epoch || live.reported != want.reported {
+		t.Fatalf("cluster %q: epoch/reported = %d/%v, reference %d/%v",
+			c, live.epoch, live.reported, want.epoch, want.reported)
 	}
 }
 
@@ -223,10 +209,9 @@ func postMetrics(h http.Handler, body []byte) int {
 // — full and delta, in key order and shuffled, with duplicated, new and
 // removed keys, epoch gaps, and ticks in between — through the live
 // ingest and the map-based reference: after every report the cluster's
-// reconstructed window, epoch and event-trigger total are equal bit for
-// bit, and every merge a tick takes equals telemetry.Merge of the groups
-// the reference's snapshotIngest hands out, in its striped order, bit
-// for bit.
+// reconstructed window and epoch are equal bit for bit, and every merge
+// a tick takes equals telemetry.Merge of the groups the reference's
+// snapshotIngest hands out, in its striped order, bit for bit.
 func TestSteadyPathMatchesFullRecompute(t *testing.T) {
 	clusters := []topology.ClusterID{"west", "east", "zeta", "alpha", "c07", "c11", "c23"}
 	for seed := int64(1); seed <= 8; seed++ {

@@ -210,8 +210,9 @@ func TestSteadyPathMatchesFullRecompute(t *testing.T) {
 // haChaosStream is the controller tick stream of the hachaos experiment:
 // 120 windows of the gateway's two arrival rates — steady, a west-heavy
 // burst, then the flip to east-heavy on the window the leader dies —
-// with an event-driven re-solve (a tick on the one report that breached)
-// at each swing and, at the kill, the follower's snapshot restore.
+// with an extra tick on the west report alone at each swing (a tick
+// that lands between the two clusters' uploads) and, at the kill, the
+// follower's snapshot restore.
 func haChaosStream(t *testing.T) *core.SteadyTee {
 	const n, period = 120, 100 * time.Millisecond
 	top := topology.TwoClusters(10 * time.Millisecond)

@@ -72,8 +72,9 @@ type Options struct {
 	// live replica, in replica order. Zero or one keeps the classic
 	// single controller under the "global" target.
 	Replicas int
-	// HA tunes the replicated control plane (only read when Replicas > 1).
-	HA controlplane.HAConfig
+	// LeaseTTL is the replicated control plane's leader lease duration
+	// (only read when Replicas > 1; 10 s when ≤ 0).
+	LeaseTTL time.Duration
 }
 
 // Mesh is a running emulated deployment. Close it when done.
@@ -188,7 +189,7 @@ func Start(opts Options) (*Mesh, error) {
 			return nil, err
 		}
 		if len(m.globals) > 1 {
-			g.EnableHA(gURL, opts.HA)
+			g.EnableHA(gURL, opts.LeaseTTL)
 		}
 		g.SetTransport(controlFrom(target))
 		m.gURLs = append(m.gURLs, gURL)

@@ -36,7 +36,7 @@ func TestMeshReplicatedControlPlaneFailsOver(t *testing.T) {
 		Fault:      inj,
 		Controller: core.ControllerConfig{DemandSmoothing: 1, Decompose: true},
 		Replicas:   3,
-		HA:         controlplane.HAConfig{LeaseTTL: ttl, EventThreshold: -1},
+		LeaseTTL:   ttl,
 	})
 	if got := len(m.Globals()); got != 3 {
 		t.Fatalf("replicas = %d, want 3", got)

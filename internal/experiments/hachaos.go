@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/appgraph"
-	"github.com/servicelayernetworking/slate/internal/controlplane"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/emul"
 	"github.com/servicelayernetworking/slate/internal/fault"
@@ -55,8 +54,8 @@ type haChaosLeg struct {
 // burst, then a flip to east-heavy that lands the very round the
 // elected leader is killed — run twice on the socket-level emulation
 // mesh. The replicated leg runs three global replicas contending for
-// the majority lease with warm snapshot handoff and event-driven
-// re-solve; the baseline leg runs the classic single ticker, restarted
+// the majority lease with warm snapshot handoff, each re-planning once
+// per sync period like the single controller; the baseline leg runs the classic single ticker, restarted
 // by an "operator" after haChaosMTTR sync periods.
 //
 // Availability is evaluated analytically each window at the ingress:
@@ -97,7 +96,7 @@ func HAChaos(opt Options) (*Figure, error) {
 
 	fig := &Figure{
 		ID:    "hachaos",
-		Title: "Leader failover: replicated event-driven control plane vs single ticker",
+		Title: "Leader failover: replicated control plane with warm handoff vs single ticker",
 		Notes: []string{
 			fmt.Sprintf("%d sync periods of %v; demand flips east-heavy and the leader dies at period %d", n, haChaosPeriod, kill),
 			fmt.Sprintf("3 replicas, lease TTL %v (1.5 periods), warm snapshot handoff; baseline restarted after %d periods", haChaosLeaseTTL, haChaosMTTR),
@@ -142,7 +141,7 @@ func runHAChaosLeg(opt Options, n, kill int, demandAt func(int) haChaosDemand, r
 	}
 	if replicated {
 		mo.Replicas = 3
-		mo.HA = controlplane.HAConfig{LeaseTTL: haChaosLeaseTTL, EventThreshold: 0.25}
+		mo.LeaseTTL = haChaosLeaseTTL
 	}
 	m, err := emul.Start(mo)
 	if err != nil {

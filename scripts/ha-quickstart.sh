@@ -39,7 +39,7 @@ globals=()
 for i in 0 1; do
 	addr=127.0.0.1:$((base + i))
 	"$bin/slate-global" -scenario testdata/two-cluster-overload.json -listen "$addr" \
-		-replica "http://$addr" -period 1s -lease-ttl 2s -event-threshold 0.25 \
+		-replica "http://$addr" -period 1s -lease-ttl 2s \
 		2>>"$bin/global$i.log" &
 	pids+=($!)
 	globals+=("http://$addr")

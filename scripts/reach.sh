@@ -197,7 +197,7 @@ gpids=()
 for i in 0 1; do
 	addr=127.0.0.1:$((base + i))
 	"$bin/slate-global" -scenario "$daemons" -listen "$addr" \
-		-replica "http://$addr" -period 1s -lease-ttl 2s -event-threshold 0.25 \
+		-replica "http://$addr" -period 1s -lease-ttl 2s \
 		-predictive -guard=false 2>>"$work/global$i.log" &
 	pids+=($!)
 	gpids+=($!)
