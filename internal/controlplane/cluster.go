@@ -89,6 +89,7 @@ type Cluster struct {
 	mReportErrs   *obs.Counter
 	mExcluded     *obs.Counter
 	mPatches      *obs.Counter
+	mRenewals     *obs.Counter
 	mPatchGaps    *obs.Counter
 	mStaleRejects *obs.Counter
 	mLeaseEpoch   *obs.Gauge
@@ -136,6 +137,8 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 			"Pushed batches excluded from the global snapshot as stale.", "cluster").With(cl),
 		mPatches: reg.CounterVec("slate_cluster_patches_applied_total",
 			"Incremental rule patches applied.", "cluster").With(cl),
+		mRenewals: reg.CounterVec("slate_cluster_rules_renewed_total",
+			"Report answers (200) that confirmed the table and renewed the proxies' rules in place of a push.", "cluster").With(cl),
 		mPatchGaps: reg.CounterVec("slate_cluster_patch_gaps_total",
 			"Rule patches rejected for a version gap (answered 409).", "cluster").With(cl),
 		mStaleRejects: reg.CounterVec("slate_cluster_stale_pushes_rejected_total",
@@ -402,7 +405,8 @@ func (c *Cluster) ApplyTable(t *routing.Table) {
 // ApplyPatch applies an incremental rule push atomically: the new table
 // is built from the patch and, only if that succeeds, swapped in and
 // fanned out to every proxy. Even a no-op patch fans out — the push
-// confirms the table version and renews the proxies' staleness TTL.
+// confirms the table version and renews the proxies' staleness TTL, as
+// a report answered 200 does (renew).
 func (c *Cluster) ApplyPatch(p *routing.Patch) error {
 	c.mu.Lock()
 	next, proxies, err := c.applyPatchLocked(p)
@@ -543,14 +547,18 @@ func (c *Cluster) Report(ctx context.Context, window time.Duration) error {
 }
 
 // reportTo uploads one collected window to one upstream replica,
-// maintaining that upstream's private delta state.
+// maintaining that upstream's private delta state. The report names the
+// table version and fenced leader epoch this cluster runs; a 200 answer
+// confirms both, and renews the proxies' rules.
 func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.WindowStats, window time.Duration) error {
 	c.mu.Lock()
 	up.epoch++
 	rep := MetricsReport{
-		Cluster:  c.id,
-		WindowMS: window.Milliseconds(),
-		Epoch:    up.epoch,
+		Cluster:      c.id,
+		WindowMS:     window.Milliseconds(),
+		Epoch:        up.epoch,
+		TableVersion: c.table.Version,
+		LeaderEpoch:  c.pubEpoch,
 	}
 	if up.needFull || up.epoch == 1 {
 		rep.Stats = stats
@@ -564,7 +572,12 @@ func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.
 	if err != nil {
 		return err
 	}
-	if err := rpc(ctx, c.rt, http.MethodPost, up.metricsURL, jsonHeader, body, nil); err != nil {
+	confirmed := false
+	err = rpc(ctx, c.rt, http.MethodPost, up.metricsURL, jsonHeader, body, func(resp *http.Response, _ []byte) error {
+		confirmed = resp.StatusCode == http.StatusOK
+		return nil
+	})
+	if err != nil {
 		c.mu.Lock()
 		up.needFull = true
 		c.mu.Unlock()
@@ -576,7 +589,30 @@ func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.
 	up.lastReport = stats
 	c.mu.Unlock()
 	c.mReports.Inc()
+	if confirmed {
+		c.renew(rep.TableVersion, rep.LeaderEpoch)
+	}
 	return nil
+}
+
+// renew restarts every proxy's staleness TTL on a report answered 200,
+// as an empty push would, if the cluster still runs the table version
+// and fenced epoch the report named: a push that landed in between has
+// renewed the proxies already, and a newer fence means another leader.
+// c.proxies only grows by append, so the slice read under c.mu stays
+// valid after it.
+func (c *Cluster) renew(version, epoch uint64) {
+	c.mu.Lock()
+	current := c.table.Version == version && c.pubEpoch == epoch
+	proxies := c.proxies
+	c.mu.Unlock()
+	if !current {
+		return
+	}
+	c.mRenewals.Inc()
+	for _, p := range proxies {
+		p.MarkRulesFresh()
+	}
 }
 
 // reportEpsilon is the relative change below which a telemetry

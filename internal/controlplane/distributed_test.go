@@ -189,7 +189,6 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 		srv := httptest.NewServer(g.Handler())
 		t.Cleanup(srv.Close)
 		g.EnableHA(srv.URL, ttl)
-		g.SetNow(clk.Now)
 		return g, srv.URL
 	}
 	gA, urlA := mkReplica()

@@ -34,15 +34,17 @@ func fuzzGlobal(f *testing.F) (*Global, http.Handler) {
 // FuzzHandleMetrics feeds arbitrary bodies to the global controller's
 // telemetry ingest endpoint: it must never panic, and must answer only
 // 202 (decoded), 400 (malformed or out of range), or 409 (delta with an
-// epoch gap). Every execution first posts a fixed full report for the
-// seed cluster, so a delta body finds a base at epoch 7 and the delta
-// fold is reachable; after every 202 the reported cluster's
-// reconstructed window must have unique keys in lessMetricKey order and
-// equal the map-based reference fold of the same two reports. Both
-// directions are held to json.Unmarshal: a body gets 202 exactly when it
-// decodes there into an acceptable report — naming a cluster, with no
-// negative rate, every stat keyed to that cluster, and either full or
-// the base's next delta.
+// epoch gap). An acceptable report gets 202, or 200 only from a replica
+// that has pushed to that cluster; this one registers no cluster and
+// pushes nothing, so it answers 202. Every execution first posts a
+// fixed full report for the seed cluster, so a delta body finds a base
+// at epoch 7 and the delta fold is reachable; after every 202 the
+// reported cluster's reconstructed window must have unique keys in
+// lessMetricKey order and equal the map-based reference fold of the same
+// two reports. Both directions are held to json.Unmarshal: a body gets
+// 202 exactly when it decodes there into an acceptable report — naming a
+// cluster, with no negative rate, every stat keyed to that cluster, and
+// either full or the base's next delta.
 func FuzzHandleMetrics(f *testing.F) {
 	g, h := fuzzGlobal(f)
 	base := MetricsReport{Cluster: topology.West, WindowMS: 1000, Epoch: 7, Stats: append(feStats(900, 0)[:1],

@@ -9,7 +9,7 @@
 // Wire protocol (JSON over HTTP):
 //
 //	POST global:/v1/register   {cluster, url}          cluster joins
-//	POST global:/v1/metrics    {cluster, window_ms, stats[], delta?, epoch?, removed?}
+//	POST global:/v1/metrics    {cluster, window_ms, stats[], delta?, epoch?, removed?, table_version?, leader_epoch?}
 //	GET  global:/v1/table                              current rules
 //	GET  global:/v1/status                             demand, version
 //	POST cluster:/v1/patch     routing.Patch           incremental rule push
@@ -23,7 +23,11 @@
 // per-cluster shadow of the last acknowledged table slice and pushes
 // only the changed rules (routing.Patch) to each cluster, concurrently
 // with bounded parallelism. A cluster that answers 409 (version gap —
-// e.g. it restarted) is resynced with a full patch. Telemetry ingest is
+// e.g. it restarted) is resynced with a full patch. A report names the
+// table version and leader epoch its cluster runs; when that is what
+// this replica's newest push round gave it, the answer is 200 instead
+// of 202, the cluster renews its proxies' rules on it, and the round
+// sends that cluster nothing. Telemetry ingest is
 // likewise incremental: cluster controllers upload only changed
 // (service, class) aggregates with a monotonically increasing epoch;
 // an epoch gap makes the global answer 409, which tells the cluster to
@@ -69,6 +73,12 @@ type MetricsReport struct {
 	// full report. Full reports set the epoch unconditionally.
 	Epoch   uint64                `json:"epoch,omitempty"`
 	Removed []telemetry.MetricKey `json:"removed,omitempty"`
+	// TableVersion and LeaderEpoch are the routing table version and
+	// the fenced leader epoch the cluster runs as it reports. The global
+	// answers 200 when they show the cluster runs what its newest push
+	// round sent there.
+	TableVersion uint64 `json:"table_version,omitempty"`
+	LeaderEpoch  uint64 `json:"leader_epoch,omitempty"`
 }
 
 // RegisterRequest announces a cluster controller to the global
@@ -102,9 +112,15 @@ type clusterIngest struct {
 	reported bool // reported since the last tick merged this cluster
 }
 
-// shadow is what one cluster last acknowledged: its slice of the rules
-// and the published table that slice was cut from.
-type shadow struct{ slice, from *routing.Table }
+// shadow is what one cluster last acknowledged: its slice of the rules,
+// the published table that slice was cut from, and the leader epoch the
+// push carried (0 without EnableHA). renewed marks a report answered 200
+// since a push round last looked at the cluster.
+type shadow struct {
+	slice, from *routing.Table
+	epoch       uint64
+	renewed     bool
+}
 
 // Global is the Global Controller daemon: an HTTP API around
 // core.Controller plus incremental rule push-down to registered cluster
@@ -135,21 +151,23 @@ type Global struct {
 	maxSeenEpoch uint64
 	leaderURL    string
 	snapCache    *core.ControllerSnapshot
-	now          func() time.Time
 
 	// pushSem (capacity 1) serializes whole push rounds — a semaphore
 	// rather than a mutex because a round blocks until its fan-out's
 	// pushes return; sentMu guards the per-cluster shadow of the last
-	// acknowledged table slice within a round.
-	pushSem chan struct{}
-	sentMu  sync.Mutex
-	sent    map[topology.ClusterID]shadow
+	// acknowledged table slice and published, the table of the newest
+	// push round (nil before one, and once the replica stops leading).
+	pushSem   chan struct{}
+	sentMu    sync.Mutex
+	sent      map[topology.ClusterID]shadow
+	published *routing.Table
 
 	metricsH      http.Handler
 	mTicks        *obs.Counter
 	mTickErrs     *obs.Counter
 	mTickDur      *obs.Histogram
 	mPushErrs     *obs.Counter
+	mPushSkips    *obs.Counter
 	mReports      *obs.Counter
 	mReportErrs   *obs.Counter
 	mEpochGaps    *obs.Counter
@@ -188,7 +206,6 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		sent:     make(map[topology.ClusterID]shadow),
 		rt:       &dataplane.Upstream{},
 		window:   time.Second,
-		now:      time.Now,
 		metricsH: reg.Handler(),
 		mTicks: reg.Counter("slate_global_ticks_total",
 			"Optimization ticks run (including failed ones)."),
@@ -198,6 +215,8 @@ func NewGlobal(ctrl *core.Controller) *Global {
 			"Wall time of one optimization tick (merge + solve + push).", nil),
 		mPushErrs: reg.Counter("slate_global_push_errors_total",
 			"Rule pushes to cluster controllers that failed."),
+		mPushSkips: reg.Counter("slate_global_pushes_skipped_total",
+			"Rule pushes not sent because the cluster's report was answered 200 for the round's table."),
 		mReports: reg.Counter("slate_global_reports_total",
 			"Telemetry reports accepted from cluster controllers."),
 		mReportErrs: reg.Counter("slate_global_report_errors_total",
@@ -321,7 +340,7 @@ func register(ps []peer, id topology.ClusterID, u string) []peer {
 // 409 so the cluster resyncs. A report naming no cluster, or carrying a
 // negative rate or a stat keyed to another cluster, gets 400 (checkRates,
 // checkKeys). A refused report leaves the ingest as it was, window
-// length included.
+// length included. An accepted report gets 202, or 200 from answer.
 func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var rep MetricsReport
 	err := readBody(r.Body, r.ContentLength, func(b []byte) error { return decodeReport(b, &rep, &g.names) })
@@ -367,7 +386,25 @@ func (g *Global) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	g.ingestMu.Unlock()
 	g.mReports.Inc()
-	w.WriteHeader(http.StatusAccepted)
+	w.WriteHeader(g.answer(&rep))
+}
+
+// answer is the status of an accepted report: 200 when the table
+// version and leader epoch it names are what this replica last pushed
+// to the cluster, in its newest push round, and 202 otherwise. A 200
+// renews the cluster's rules as the round's empty push would, so it
+// marks the shadow for push to skip. It takes sentMu only: a report
+// never waits for a tick.
+func (g *Global) answer(rep *MetricsReport) int {
+	g.sentMu.Lock()
+	defer g.sentMu.Unlock()
+	s, ok := g.sent[rep.Cluster]
+	if !ok || s.from != g.published || s.from.Version != rep.TableVersion || s.epoch != rep.LeaderEpoch {
+		return http.StatusAccepted
+	}
+	s.renewed = true
+	g.sent[rep.Cluster] = s
+	return http.StatusOK
 }
 
 // checkRates refuses stats carrying a negative rate, which as demand
@@ -538,19 +575,24 @@ func (g *Global) Tick(ctx context.Context) error {
 // the cluster's slice of the table against the last acknowledged push
 // and sends only the changed rules, on pushParallelism workers that
 // take the targets in order, so one slow peer does not stall the rest.
-// An empty patch is still sent — it confirms the table version and
-// renews the proxies' staleness TTL downstream. A 409 from the cluster
-// (version gap: it restarted or missed a push) triggers an immediate
-// full-table resync. Of several failures, the first target's is
-// returned.
+// A cluster whose report was answered 200 for this very table and epoch
+// since the last round is skipped: the answer renewed its proxies'
+// staleness TTL. Any other cluster still gets the empty patch when
+// nothing changed, which confirms the table version and renews the TTL
+// downstream. A 409 from the cluster (version gap: it restarted or
+// missed a push) triggers an immediate full-table resync. Of several
+// failures, the first target's is returned.
 func (g *Global) push(ctx context.Context, table *routing.Table, targets []peer) error {
 	g.pushSem <- struct{}{}
 	defer func() { <-g.pushSem }()
 
-	hdr := g.publisherHeaders()
+	hdr, epoch := g.publisher()
+	g.sentMu.Lock()
+	g.published = table
+	g.sentMu.Unlock()
 	errs := make([]error, len(targets))
 	par.Each(len(targets), pushParallelism, func(_, i int) error {
-		errs[i] = g.pushOne(ctx, &targets[i], table, hdr)
+		errs[i] = g.pushOne(ctx, &targets[i], table, hdr, epoch)
 		return nil // one wedged cluster stops no push to the others
 	})
 	for i, err := range errs {
@@ -561,21 +603,29 @@ func (g *Global) push(ctx context.Context, table *routing.Table, targets []peer)
 	return nil
 }
 
-// pushOne sends one cluster its rule patch with header hdr, resyncing
-// with a full patch on a version gap. The shadow of what the cluster
-// acknowledged only advances on success, so a failed push is retried
-// as a (larger) patch next tick.
-func (g *Global) pushOne(ctx context.Context, t *peer, table *routing.Table, hdr http.Header) error {
+// pushOne sends one cluster its rule patch with header hdr, which
+// carries leader epoch epoch, resyncing with a full patch on a version
+// gap. The shadow of what the cluster acknowledged only advances on
+// success, so a failed push is retried as a (larger) patch next tick.
+func (g *Global) pushOne(ctx context.Context, t *peer, table *routing.Table, hdr http.Header, epoch uint64) error {
 	c := t.id
+	g.sentMu.Lock()
+	prev := g.sent[c]
+	renewed := prev.renewed && prev.from == table && prev.epoch == epoch
+	if prev.renewed {
+		prev.renewed = false
+		g.sent[c] = prev
+	}
+	g.sentMu.Unlock()
+	if renewed {
+		g.mPushSkips.Inc()
+		return nil
+	}
+
 	start := time.Now()
 	defer func() {
 		g.mPushDur.With(string(c)).Observe(time.Since(start).Seconds())
 	}()
-
-	g.sentMu.Lock()
-	prev := g.sent[c]
-	g.sentMu.Unlock()
-
 	// A shadow cut from this very table object (tables are immutable)
 	// needs no restrict-and-diff: the patch is the empty keep-alive.
 	desired := prev.slice
@@ -606,7 +656,7 @@ func (g *Global) pushOne(ctx context.Context, t *peer, table *routing.Table, hdr
 		}
 	}
 	g.sentMu.Lock()
-	g.sent[c] = shadow{slice: desired, from: table}
+	g.sent[c] = shadow{slice: desired, from: table, epoch: epoch}
 	g.sentMu.Unlock()
 	return nil
 }

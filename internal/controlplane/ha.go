@@ -48,13 +48,6 @@ func (g *Global) EnableHA(replica string, leaseTTL time.Duration) {
 	g.mu.Unlock()
 }
 
-// SetNow swaps the replica's clock (deterministic harnesses, tests).
-func (g *Global) SetNow(f func() time.Time) {
-	g.mu.Lock()
-	g.now = f
-	g.mu.Unlock()
-}
-
 // IsLeader reports whether this replica currently holds the lease
 // majority (always true without EnableHA — a single controller is its
 // own leader).
@@ -145,6 +138,7 @@ func (g *Global) campaign(ctx context.Context) {
 	if rivalHolder != "" && rivalHolder != g.replica {
 		g.leaderURL = rivalHolder
 	}
+	g.unpublish()
 }
 
 // restoreFromCacheLocked installs the cached leader snapshot on an
@@ -215,22 +209,33 @@ func (g *Global) stepDown(reason string) {
 	g.lastErr = "stepped down: " + reason
 	g.mLeader.Set(0)
 	g.mStepDowns.Inc()
+	g.unpublish()
 }
 
-// publisherHeaders returns the header of one push round's rule pushes:
-// jsonHeader when not replicated (single-controller pushes carry no
-// fencing headers), else a copy with the leader's lease epoch and URL
-// added, so acceptors can fence out a deposed leader.
-func (g *Global) publisherHeaders() http.Header {
+// unpublish forgets the newest push round's table once this replica
+// stops leading, so its report answers are 202 again: only the
+// cluster's fenced publisher renews its rules.
+func (g *Global) unpublish() {
+	g.sentMu.Lock()
+	g.published = nil
+	g.sentMu.Unlock()
+}
+
+// publisher returns the header of one push round's rule pushes and the
+// leader epoch it carries: jsonHeader and 0 when not replicated
+// (single-controller pushes carry no fencing headers), else a copy
+// with the leader's lease epoch and URL added, so acceptors can fence
+// out a deposed leader.
+func (g *Global) publisher() (http.Header, uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.haEnabled {
-		return jsonHeader
+		return jsonHeader, 0
 	}
 	h := jsonHeader.Clone()
 	h.Set(headerLeaderEpoch, strconv.FormatUint(g.leaseEpoch, 10))
 	h.Set(headerLeader, g.replica)
-	return h
+	return h, g.leaseEpoch
 }
 
 // GlobalHealth is the global replica's health snapshot, served at

@@ -91,7 +91,6 @@ func newHARig(t *testing.T, n int, ttl time.Duration) *haRig {
 		srv := httptest.NewServer(g.Handler())
 		t.Cleanup(srv.Close)
 		g.EnableHA(srv.URL, ttl)
-		g.SetNow(rig.clk.Now)
 		rig.reps = append(rig.reps, &haReplica{g: g, ctrl: ctrl, srv: srv})
 	}
 	for _, id := range []topology.ClusterID{topology.West, topology.East} {

@@ -240,6 +240,7 @@ func (h handlerRPC) RoundTrip(req *http.Request) (*http.Response, error) {
 // round reaches all of them on the push workers. Every report lands,
 // every reachable cluster takes the table, and of two unreachable
 // clusters the error names the first in cluster order, on every round.
+// Last, the reports race a round that republishes the table.
 func TestConcurrentControlRPCs(t *testing.T) {
 	tr := handlerRPC{hosts: map[string]http.Handler{}, down: map[string]bool{"c05.invalid": true, "c17.invalid": true}}
 	g := newCannedGlobal(t, tr)
@@ -287,6 +288,37 @@ func TestConcurrentControlRPCs(t *testing.T) {
 				t.Fatalf("round %d: %s at table version %d, want %d", v, c.id, got, want)
 			}
 		}
+	}
+
+	// Reports race a round that republishes the last table: each
+	// reachable cluster is skipped on its report's 200 or sent the
+	// keep-alive, and not both.
+	last := g.published
+	skips := g.mPushSkips.Value()
+	applied := make([]uint64, len(clusters))
+	for i, c := range clusters {
+		applied[i] = c.mPatches.Value()
+	}
+	for _, c := range clusters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Ingest(feStats(900, 100))
+			if err := c.Report(t.Context(), time.Second); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	if err := g.push(t.Context(), last, g.clusters); err == nil || !strings.HasPrefix(err.Error(), "push to c05: ") {
+		t.Errorf("republish: error %v, want the push to c05's", err)
+	}
+	wg.Wait()
+	pushed := uint64(0)
+	for i, c := range clusters {
+		pushed += c.mPatches.Value() - applied[i]
+	}
+	if skipped := g.mPushSkips.Value() - skips; skipped+pushed != 22 {
+		t.Errorf("republish skipped %d and pushed %d of 22 reachable clusters", skipped, pushed)
 	}
 }
 

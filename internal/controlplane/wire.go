@@ -86,7 +86,7 @@ const minListCap = 8
 // telemetry.WindowStats or telemetry.MetricKey needs an entry here and a
 // case there, or TestReportCodecRoundTrip fails.
 var (
-	reportFields = fieldNames("cluster", "window_ms", "stats", "delta", "epoch", "removed")
+	reportFields = fieldNames("cluster", "window_ms", "stats", "delta", "epoch", "removed", "table_version", "leader_epoch")
 	statFields   = fieldNames("Key", "Window", "Requests", "RPS", "MeanLatency", "P50", "P99", "EgressBytes")
 	keyFields    = fieldNames("Service", "Class", "Cluster")
 )
@@ -622,6 +622,10 @@ func (d *wireDecoder) report(rep *MetricsReport) error {
 			err = d.uint(&rep.Epoch)
 		case 5: // removed
 			rep.Removed, err = list(d, rep.Removed)
+		case 6: // table_version
+			err = d.uint(&rep.TableVersion)
+		case 7: // leader_epoch
+			err = d.uint(&rep.LeaderEpoch)
 		default:
 			err = d.skip()
 		}

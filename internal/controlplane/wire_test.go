@@ -26,7 +26,8 @@ import (
 // merging into the first array's elements, integer literals through
 // ParseInt/ParseUint (1e3, 1.0, -0 into a uint), floats out of range and
 // in json.Marshal's 'e' format, escapes (HTML ones and U+2028 included)
-// and invalid UTF-8, nesting at and past 10 000, trailing data.
+// and invalid UTF-8, nesting at and past 10 000, trailing data, and the
+// table version and leader epoch out of range, negative and null.
 func FuzzReportCodec(f *testing.F) {
 	var names internTable
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -338,14 +338,12 @@ func (m *Mesh) RestartGlobalReplica(i int) {
 	}
 }
 
-// SetNow overrides the control plane's clock — every global replica and
-// cluster controller reads lease deadlines from it. Experiments advance
+// SetNow overrides the cluster controllers' clock, the control plane's
+// only one: the controllers are the lease acceptors and decide lease
+// expiry by it, and a global replica keeps no time. Experiments advance
 // a virtual clock one control period per round so leader-failover
 // timing is deterministic regardless of wall-clock speed.
 func (m *Mesh) SetNow(now func() time.Time) {
-	for _, g := range m.globals {
-		g.SetNow(now)
-	}
 	for _, cc := range m.ccs {
 		cc.SetNow(now)
 	}

@@ -118,7 +118,8 @@ func TestMeshStaleAfterFlowsToProxies(t *testing.T) {
 	if p.DegradationLevel() != 2 {
 		t.Fatal("rules not stale past StaleAfter without a control tick")
 	}
-	// A control round refreshes every proxy through the rule push.
+	// A control round refreshes every proxy, through the rule push or,
+	// once its cluster runs the published table, the report's answer.
 	if err := m.TickControl(time.Second); err != nil {
 		t.Fatalf("tick: %v", err)
 	}

@@ -258,8 +258,8 @@ func haChaosHops(app *appgraph.App) []string {
 	return hops
 }
 
-// haChaosClock is the experiment's virtual lease clock: control-plane
-// components read it through Mesh.SetNow, and the leg advances it one
+// haChaosClock is the experiment's virtual lease clock: the cluster
+// controllers read it through Mesh.SetNow, and the leg advances it one
 // sync period per control round.
 type haChaosClock struct {
 	mu sync.Mutex
