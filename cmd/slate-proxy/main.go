@@ -51,7 +51,6 @@ func main() {
 		staleAfter = flag.Duration("stale-after", 0, "rule staleness TTL: past it the proxy degrades to local-biased routing until the controller answers (0 = hold stale rules forever)")
 		retries    = flag.Int("sync-retries", 2, "per-RPC retry attempts within one sync round (-1 disables)")
 		backoff    = flag.Duration("sync-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt with seeded jitter")
-		maxPending = flag.Int("max-pending-windows", 8, "telemetry windows re-queued across failed pushes before dropping the oldest")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
@@ -83,11 +82,10 @@ func main() {
 	defer stop()
 	if *ccURL != "" {
 		agent, err := controlplane.NewAgent(proxy, *ccURL, controlplane.AgentOptions{
-			Period:            *period,
-			MaxRetries:        *retries,
-			BackoffBase:       *backoff,
-			Seed:              *seed,
-			MaxPendingWindows: *maxPending,
+			Period:      *period,
+			MaxRetries:  *retries,
+			BackoffBase: *backoff,
+			Seed:        *seed,
 		})
 		if err != nil {
 			log.Fatalf("slate-proxy: %v", err)

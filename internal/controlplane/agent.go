@@ -13,7 +13,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/sim"
-	"github.com/servicelayernetworking/slate/internal/telemetry"
 )
 
 // AgentOptions tunes the Agent's fault tolerance. The zero value gets
@@ -30,12 +29,6 @@ type AgentOptions struct {
 	BackoffBase time.Duration
 	// Seed seeds the backoff jitter stream.
 	Seed int64
-	// MaxPendingWindows caps how many unpushed telemetry windows the
-	// agent re-queues across failed rounds before dropping the oldest
-	// (default 8). Re-queued windows are merged into the next
-	// successful push, so a controller outage loses no telemetry as
-	// long as it is shorter than MaxPendingWindows sync periods.
-	MaxPendingWindows int
 }
 
 // backoffMax caps the doubling retry backoff within one sync round.
@@ -54,9 +47,6 @@ func (o AgentOptions) withDefaults() AgentOptions {
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 100 * time.Millisecond
 	}
-	if o.MaxPendingWindows <= 0 {
-		o.MaxPendingWindows = 8
-	}
 	return o
 }
 
@@ -68,10 +58,12 @@ func (o AgentOptions) withDefaults() AgentOptions {
 // a SLATE deployment can span real processes and hosts.
 //
 // The Agent is hardened against a faulty control plane: each RPC is
-// retried with exponential backoff and seeded jitter, and a telemetry
-// window whose push ultimately fails is re-queued and merged into the
-// next round's upload instead of being dropped (bounded by
-// MaxPendingWindows).
+// retried with exponential backoff and seeded jitter within its round.
+// A telemetry window whose push still fails is dropped and counted,
+// not carried into a later round: the cluster controller merges what
+// arrives into its current window, so a late window would read as
+// current load. The DES drops a missed control tick's window the same
+// way.
 type Agent struct {
 	proxy      *dataplane.Proxy
 	clusterURL string
@@ -84,11 +76,6 @@ type Agent struct {
 	// Only touched from Sync (one goroutine), so no lock.
 	leaderEpoch uint64
 	failovers   int
-	// pending holds flushed-but-unacknowledged telemetry windows.
-	// Only touched from Sync (one goroutine), so no lock.
-	pending [][]telemetry.WindowStats
-	// droppedWindows counts windows evicted by the pending cap.
-	droppedWindows int
 	// sleep is swapped by tests to avoid real backoff waits.
 	sleep func(ctx context.Context, d time.Duration) error
 
@@ -96,7 +83,6 @@ type Agent struct {
 	mDropped   *obs.Counter
 	mResyncs   *obs.Counter
 	mFailovers *obs.Counter
-	mPending   *obs.Gauge
 }
 
 // NewAgent wires a proxy to a cluster controller base URL. Zero
@@ -119,7 +105,7 @@ func NewAgent(p *dataplane.Proxy, clusterURL string, opts AgentOptions) (*Agent,
 			"Control-plane RPC retry attempts (beyond the first try).",
 			"service", "cluster").With(svc, cl),
 		mDropped: reg.CounterVec("slate_agent_dropped_windows_total",
-			"Telemetry windows evicted because the controller stayed unreachable past the pending cap.",
+			"Telemetry windows dropped because their push failed every retry.",
 			"service", "cluster").With(svc, cl),
 		mResyncs: reg.CounterVec("slate_agent_rule_resyncs_total",
 			"Rule polls that fell back to a full-table fetch after a patch version gap.",
@@ -127,63 +113,40 @@ func NewAgent(p *dataplane.Proxy, clusterURL string, opts AgentOptions) (*Agent,
 		mFailovers: reg.CounterVec("slate_agent_leader_failovers_total",
 			"Leader-epoch changes observed on rule polls.",
 			"service", "cluster").With(svc, cl),
-		mPending: reg.GaugeVec("slate_agent_pending_windows",
-			"Telemetry windows queued awaiting a successful push.",
-			"service", "cluster").With(svc, cl),
 	}, nil
 }
 
 // Sync performs one round: upload the telemetry accumulated since the
-// last round (plus any re-queued windows from failed rounds), then
-// fetch and apply the current routing table. The context bounds both
-// RPCs so an agent shutdown cancels an in-flight round instead of
-// waiting out network timeouts. Errors are returned but non-fatal: the
-// proxy keeps serving with its last rules (a real data plane must
-// survive control-plane outages).
+// last round, then fetch and apply the current routing table. The
+// context bounds both RPCs so an agent shutdown cancels an in-flight
+// round instead of waiting out network timeouts. Errors are returned
+// but non-fatal: the proxy keeps serving with its last rules (a real
+// data plane must survive control-plane outages).
 func (a *Agent) Sync(ctx context.Context) error {
 	pushErr := a.pushTelemetry(ctx)
 	pollErr := a.pollRules(ctx)
 	return errors.Join(pushErr, pollErr)
 }
 
-// pushTelemetry flushes the proxy's window, queues it behind any
-// unacknowledged windows, and attempts one (retried) upload of the
-// merged backlog. On failure the backlog is kept for the next round —
-// the fix for the telemetry-loss bug where a failed POST discarded the
-// flushed window.
+// pushTelemetry flushes the proxy's window and uploads it, retried
+// within the round. A window whose push fails every retry is dropped
+// and counted in slate_agent_dropped_windows_total.
 func (a *Agent) pushTelemetry(ctx context.Context) error {
-	if stats := a.proxy.FlushTelemetry(a.opts.Period); len(stats) > 0 {
-		a.pending = append(a.pending, stats)
-		if over := len(a.pending) - a.opts.MaxPendingWindows; over > 0 {
-			a.pending = a.pending[over:]
-			a.droppedWindows += over
-			a.mDropped.Add(uint64(over))
-		}
-	}
-	a.mPending.Set(float64(len(a.pending)))
-	if len(a.pending) == 0 {
+	stats := a.proxy.FlushTelemetry(a.opts.Period)
+	if len(stats) == 0 {
 		return nil
 	}
-	// Merge the backlog into one upload: same-key windows combine into
-	// request-weighted totals, so a late push carries the outage's full
-	// traffic picture in one body.
-	merged := telemetry.Merge(a.pending...)
-	body, err := json.Marshal(merged)
+	body, err := json.Marshal(stats)
 	if err != nil {
 		return err
 	}
-	hdr := http.Header{
-		"Content-Type": {"application/json"},
-		headerSource:   {a.proxy.Service() + "@" + string(a.proxy.Cluster())},
-	}
 	err = a.withRetries(ctx, func(ctx context.Context) error {
-		return rpc(ctx, a.rt, http.MethodPost, a.clusterURL+"/v1/metrics", hdr, body, nil)
+		return rpc(ctx, a.rt, http.MethodPost, a.clusterURL+"/v1/metrics", jsonHeader, body, nil)
 	})
 	if err != nil {
+		a.mDropped.Inc()
 		return fmt.Errorf("dataplane: agent push: %w", err)
 	}
-	a.pending = nil
-	a.mPending.Set(0)
 	return nil
 }
 

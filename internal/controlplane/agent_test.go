@@ -2,7 +2,7 @@ package controlplane
 
 // Tests for the Agent, the sidecar's end of the cluster-controller
 // protocol: telemetry push and rule poll against a fake controller,
-// retry/backoff, telemetry re-queueing across failed pushes, and
+// retry/backoff, dropping a window whose push failed, and
 // leader-failover resync.
 
 import (
@@ -117,6 +117,44 @@ func TestClusterRulesAnswerIsAPatch(t *testing.T) {
 	}
 }
 
+// TestKeepAliveKeepsRuleHistory: a push that leaves the table as it is,
+// the empty keep-alive patch or the same table installed again, does
+// not enter the ?since=N history. After any number of them a poller one
+// version behind still gets the changed rule only, not a full patch.
+func TestKeepAliveKeepsRuleHistory(t *testing.T) {
+	key := routing.Key{Service: "callee", Class: routing.AnyClass, Cluster: topology.West}
+	v1 := routing.NewTable(1, map[routing.Key]routing.Distribution{key: routing.Local(topology.West)})
+	v2 := routing.NewTable(2, map[routing.Key]routing.Distribution{key: routing.Local(topology.East)})
+	for _, tc := range []struct {
+		name      string
+		keepAlive func(*Cluster) error
+	}{
+		{"patch", func(c *Cluster) error { return c.ApplyPatch(&routing.Patch{FromVersion: 2, Version: 2}) }},
+		{"table", func(c *Cluster) error { c.ApplyTable(v2); return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := NewCluster(topology.West, "")
+			cc.ApplyTable(v1)
+			cc.ApplyTable(v2)
+			for range tableHistoryCap {
+				if err := tc.keepAlive(cc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := httptest.NewRecorder()
+			cc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/rules?since=1", nil))
+			var p routing.Patch
+			if err := json.NewDecoder(rec.Body).Decode(&p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Full || p.FromVersion != 1 || p.Version != 2 || len(p.Set) != 1 || len(p.Del) != 0 {
+				t.Errorf("after %d keep-alives, GET /v1/rules?since=1 = full %v, v%d → v%d, %d set, %d deleted; want the one changed rule from v1",
+					tableHistoryCap, p.Full, p.FromVersion, p.Version, len(p.Set), len(p.Del))
+			}
+		})
+	}
+}
+
 func TestAgentSyncPushesTelemetryAndAppliesRules(t *testing.T) {
 	// Fake cluster controller: records pushed metrics, serves a table.
 	var pushed int
@@ -211,10 +249,9 @@ func TestAgentZeroOptionsTakeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := agent.opts
-	if o.Period != 5*time.Second || o.MaxRetries != 2 || o.BackoffBase != 100*time.Millisecond ||
-		o.MaxPendingWindows != 8 {
-		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v pending=%d",
-			o.Period, o.MaxRetries, o.BackoffBase, o.MaxPendingWindows)
+	if o.Period != 5*time.Second || o.MaxRetries != 2 || o.BackoffBase != 100*time.Millisecond {
+		t.Errorf("zero options resolved to period=%v retries=%d backoff=%v",
+			o.Period, o.MaxRetries, o.BackoffBase)
 	}
 	// Seed 0 seeds the jitter stream, as any other seed does.
 	want := sim.NewRNG(0).DeriveNamed("agent-backoff")
@@ -395,108 +432,47 @@ func generateTraffic(t *testing.T, srv *httptest.Server) {
 	resp.Body.Close()
 }
 
-// TestAgentRequeuesFailedTelemetryWindow is the regression test for
-// the telemetry-loss bug: a failed POST /v1/metrics used to discard
-// the flushed window. The window must survive to the next round and
-// arrive merged into the next successful push.
-func TestAgentRequeuesFailedTelemetryWindow(t *testing.T) {
+// TestAgentDropsAWindowItCouldNotPush: a window whose push fails every
+// retry of its round is dropped and counted, not carried into the next
+// round, whose push carries only the window measured since.
+func TestAgentDropsAWindowItCouldNotPush(t *testing.T) {
 	cc := newCCServer(t, routing.EmptyTable())
-	cc.failMetrics = 1
+	cc.failMetrics = 3 // the first try and both retries
 
 	p, srv := newAgentProxy(t, dataplane.Config{})
-	generateTraffic(t, srv)
-
-	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
+	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var waits []time.Duration
+	agent.sleep = noSleep(&waits)
+	dropped := agent.mDropped.Value()
+
+	generateTraffic(t, srv)
 	if err := agent.Sync(t.Context()); err == nil {
-		t.Fatal("first sync should report the failed push")
+		t.Fatal("sync should report the failed push")
 	}
-	if got := len(agent.pending); got != 1 {
-		t.Fatalf("pending windows after failed push = %d, want 1", got)
+	if got := cc.calls(); got != 3 {
+		t.Fatalf("metrics attempts = %d, want 3 (1 + 2 retries)", got)
+	}
+	if got := agent.mDropped.Value() - dropped; got != 1 {
+		t.Errorf("dropped windows rose by %d, want 1", got)
 	}
 
-	// Controller is healthy again; no new traffic arrived. The retained
-	// window must be delivered now.
-	if err := agent.Sync(t.Context()); err != nil {
-		t.Fatalf("second sync: %v", err)
-	}
-	if got := len(agent.pending); got != 0 {
-		t.Errorf("pending windows after successful push = %d, want 0", got)
-	}
-	stats := cc.lastReceived()
-	var total uint64
-	for _, ws := range stats {
-		total += ws.Requests
-	}
-	if total != 1 {
-		t.Errorf("re-delivered window carries %d requests, want the 1 from the failed round (stats: %+v)", total, stats)
-	}
-}
-
-// TestAgentMergesBacklogAcrossOutage: several windows accumulated
-// during an outage arrive as one merged upload when the controller
-// returns.
-func TestAgentMergesBacklogAcrossOutage(t *testing.T) {
-	cc := newCCServer(t, routing.EmptyTable())
-	cc.failMetrics = 2
-
-	p, srv := newAgentProxy(t, dataplane.Config{})
-
-	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{Period: time.Second, MaxRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		generateTraffic(t, srv)
-		if err := agent.Sync(t.Context()); err == nil {
-			t.Fatalf("sync %d should fail during outage", round)
-		}
-	}
-	if got := len(agent.pending); got != 2 {
-		t.Fatalf("pending windows = %d, want 2", got)
-	}
+	generateTraffic(t, srv)
 	generateTraffic(t, srv)
 	if err := agent.Sync(t.Context()); err != nil {
-		t.Fatalf("post-outage sync: %v", err)
+		t.Fatalf("sync after the outage: %v", err)
 	}
 	var total uint64
 	for _, ws := range cc.lastReceived() {
 		total += ws.Requests
 	}
-	if total != 3 {
-		t.Errorf("merged upload carries %d requests, want all 3 from the outage", total)
+	if total != 2 {
+		t.Errorf("push after the outage carries %d requests, want the new window's 2", total)
 	}
-	if agent.droppedWindows != 0 {
-		t.Errorf("dropped windows = %d, want 0", agent.droppedWindows)
-	}
-}
-
-// TestAgentPendingCapBoundsMemory: an unreachable controller cannot
-// grow the backlog without bound; the oldest windows are dropped and
-// counted.
-func TestAgentPendingCapBoundsMemory(t *testing.T) {
-	cc := newCCServer(t, routing.EmptyTable())
-	cc.failMetrics = 1 << 30
-
-	p, srv := newAgentProxy(t, dataplane.Config{})
-
-	agent, err := NewAgent(p, cc.srv.URL, AgentOptions{
-		Period: time.Second, MaxRetries: -1, MaxPendingWindows: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		generateTraffic(t, srv)
-		agent.Sync(t.Context())
-	}
-	if got := len(agent.pending); got != 2 {
-		t.Errorf("pending windows = %d, want cap 2", got)
-	}
-	if got := agent.droppedWindows; got != 2 {
-		t.Errorf("dropped windows = %d, want 2", got)
+	if got := agent.mDropped.Value() - dropped; got != 1 {
+		t.Errorf("dropped windows rose by %d after a successful push, want still 1", got)
 	}
 }
 
@@ -578,36 +554,5 @@ func TestAgentPollRefreshesUnchangedTable(t *testing.T) {
 	}
 	if p.DegradationLevel() == 2 {
 		t.Error("successful poll with unchanged version left rules stale")
-	}
-}
-
-// TestAgentSendsSourceHeader: telemetry uploads carry the proxy
-// identity so the cluster controller can track silent proxies.
-func TestAgentSendsSourceHeader(t *testing.T) {
-	var gotSource string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/metrics" {
-			gotSource = r.Header.Get(headerSource)
-		}
-		if r.URL.Path == "/v1/rules" {
-			serveRules(w, r, routing.EmptyTable())
-			return
-		}
-		io.Copy(io.Discard, r.Body)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer srv.Close()
-
-	p, psrv := newAgentProxy(t, dataplane.Config{})
-	generateTraffic(t, psrv)
-	agent, err := NewAgent(p, srv.URL, AgentOptions{Period: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agent.Sync(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if gotSource != "svc@west" {
-		t.Errorf("source header = %q, want svc@west", gotSource)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -18,44 +17,25 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// ingestGroup is one externally pushed telemetry batch, stamped with
-// the pushing proxy's identity and arrival time so stale batches can
-// be excluded from the upstream snapshot.
-type ingestGroup struct {
-	source string // "service@cluster" from X-Slate-Source, or ""
-	at     time.Time
-	stats  []telemetry.WindowStats
-}
-
 // Cluster is the Cluster Controller daemon for one cluster: it
 // aggregates telemetry from the cluster's SLATE-proxies, tags it with
 // the cluster ID (instances don't know which cluster they belong to —
 // paper §3.2), relays it to the Global Controller, and fans rule pushes
 // out to every proxy.
 //
-// Graceful degradation: pushing proxies identify themselves via the
-// X-Slate-Source header; the controller remembers when each source was
-// last heard from. With a staleness bound set (SetStaleAfter), Collect
-// excludes batches that sat in this controller's buffer longer than the
-// bound from the global snapshot, and marks sources that have gone
-// silent (MissingProxies, also served at GET /v1/health). The bound is
-// on time in the buffer, not on the age of the windows a batch carries:
-// IngestFrom stamps each batch on arrival, and an Agent that reconnects
-// merges its whole backlog into one upload, so that backlog arrives
-// stamped fresh and is merged like current load.
+// Telemetry a sidecar pushes between two Collects is merged into the
+// next one's window, whatever its age: a sidecar reports each window
+// once, in the period it measured it, and drops a window it could not
+// push (Agent).
 type Cluster struct {
 	id topology.ClusterID
 
-	mu         sync.Mutex
-	proxies    []*dataplane.Proxy
-	ingested   []ingestGroup
-	sources    map[string]time.Time
-	missing    []string
-	excluded   int
-	staleAfter time.Duration
-	last       []telemetry.WindowStats
-	table      *routing.Table
-	history    []*routing.Table // superseded tables, oldest first
+	mu       sync.Mutex
+	proxies  []*dataplane.Proxy
+	ingested [][]telemetry.WindowStats // pushed batches since the last Collect
+	last     []telemetry.WindowStats
+	table    *routing.Table
+	history  []*routing.Table // superseded tables, oldest first
 
 	// ups are the global-controller replicas this cluster reports to.
 	// Each carries its own delta-report state (last acked window, report
@@ -87,13 +67,11 @@ type Cluster struct {
 	mIngestErrs   *obs.Counter
 	mReports      *obs.Counter
 	mReportErrs   *obs.Counter
-	mExcluded     *obs.Counter
 	mPatches      *obs.Counter
 	mRenewals     *obs.Counter
 	mPatchGaps    *obs.Counter
 	mStaleRejects *obs.Counter
 	mLeaseEpoch   *obs.Gauge
-	mMissing      *obs.Gauge
 	mTableVer     *obs.Gauge
 }
 
@@ -120,7 +98,6 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 	cl := string(id)
 	c := &Cluster{
 		id:       id,
-		sources:  make(map[string]time.Time),
 		table:    routing.EmptyTable(),
 		rt:       &dataplane.Upstream{},
 		now:      time.Now,
@@ -133,8 +110,6 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 			"Window reports uploaded to the global controller.", "cluster").With(cl),
 		mReportErrs: reg.CounterVec("slate_cluster_report_errors_total",
 			"Window reports that failed to reach the global controller.", "cluster").With(cl),
-		mExcluded: reg.CounterVec("slate_cluster_excluded_stale_windows_total",
-			"Pushed batches excluded from the global snapshot as stale.", "cluster").With(cl),
 		mPatches: reg.CounterVec("slate_cluster_patches_applied_total",
 			"Incremental rule patches applied.", "cluster").With(cl),
 		mRenewals: reg.CounterVec("slate_cluster_rules_renewed_total",
@@ -145,8 +120,6 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 			"Rule pushes rejected as fenced: stale leader epoch or older table version.", "cluster").With(cl),
 		mLeaseEpoch: reg.GaugeVec("slate_cluster_lease_epoch",
 			"Leader-lease epoch this cluster last granted.", "cluster").With(cl),
-		mMissing: reg.GaugeVec("slate_cluster_missing_proxies",
-			"Proxies silent past the staleness bound as of the last Collect.", "cluster").With(cl),
 		mTableVer: reg.GaugeVec("slate_cluster_table_version",
 			"Version of the routing table last applied.", "cluster").With(cl),
 	}
@@ -189,17 +162,6 @@ func (c *Cluster) SetNow(f func() time.Time) {
 // own. Call before Run.
 func (c *Cluster) SetTransport(rt http.RoundTripper) {
 	c.rt = rt
-}
-
-// SetStaleAfter bounds telemetry staleness: Collect excludes pushed
-// batches that arrived more than d before it (their time in this
-// controller's buffer, not the age of the windows they carry) and
-// marks sources silent for longer than d as missing. Zero (the
-// default) disables both.
-func (c *Cluster) SetStaleAfter(d time.Duration) {
-	c.mu.Lock()
-	c.staleAfter = d
-	c.mu.Unlock()
 }
 
 // AddProxy registers a local sidecar for telemetry collection and rule
@@ -286,36 +248,23 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		badBody(w, err)
 		return
 	}
-	c.IngestFrom(r.Header.Get(headerSource), stats)
+	c.Ingest(stats)
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// Ingest buffers externally pushed telemetry for the next Report,
-// without a source identity.
+// Ingest buffers externally pushed telemetry for the next Collect.
 func (c *Cluster) Ingest(stats []telemetry.WindowStats) {
-	c.IngestFrom("", stats)
-}
-
-// IngestFrom buffers externally pushed telemetry for the next Report
-// and records when the pushing proxy was last heard from.
-func (c *Cluster) IngestFrom(source string, stats []telemetry.WindowStats) {
-	now := c.now()
 	c.mu.Lock()
-	c.ingested = append(c.ingested, ingestGroup{source: source, at: now, stats: stats})
-	if source != "" {
-		c.sources[source] = now
-	}
+	c.ingested = append(c.ingested, stats)
 	c.mu.Unlock()
 	c.mIngested.Inc()
 }
 
-// Health is the cluster controller's degradation snapshot, served at
-// GET /v1/health.
+// Health is the cluster controller's snapshot served at GET
+// /v1/health: the table it runs and the lease it granted.
 type Health struct {
-	Cluster        topology.ClusterID `json:"cluster"`
-	TableVersion   uint64             `json:"table_version"`
-	MissingProxies []string           `json:"missing_proxies,omitempty"`
-	ExcludedStale  int                `json:"excluded_stale_windows"`
+	Cluster      topology.ClusterID `json:"cluster"`
+	TableVersion uint64             `json:"table_version"`
 	// LeaderURL and LeaderEpoch describe the global replica holding
 	// this cluster's leader-lease vote ("" / 0 without a replicated
 	// control plane). PubEpoch is the fence: pushes below it are
@@ -335,13 +284,11 @@ func (c *Cluster) health() Health {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Health{
-		Cluster:        c.id,
-		TableVersion:   c.table.Version,
-		MissingProxies: append([]string(nil), c.missing...),
-		ExcludedStale:  c.excluded,
-		LeaderURL:      c.leaseHolder,
-		LeaderEpoch:    c.leaseEpoch,
-		PubEpoch:       c.pubEpoch,
+		Cluster:      c.id,
+		TableVersion: c.table.Version,
+		LeaderURL:    c.leaseHolder,
+		LeaderEpoch:  c.leaseEpoch,
+		PubEpoch:     c.pubEpoch,
 	}
 }
 
@@ -392,7 +339,7 @@ func (c *Cluster) handleStats(w http.ResponseWriter, _ *http.Request) {
 // ApplyTable distributes a routing table to every registered proxy.
 func (c *Cluster) ApplyTable(t *routing.Table) {
 	c.mu.Lock()
-	c.recordHistory(c.table)
+	c.recordHistory(t)
 	c.table = t
 	proxies := append([]*dataplane.Proxy(nil), c.proxies...)
 	c.mu.Unlock()
@@ -426,7 +373,7 @@ func (c *Cluster) applyPatchLocked(p *routing.Patch) (*routing.Table, []*datapla
 	if err != nil {
 		return nil, nil, err
 	}
-	c.recordHistory(c.table)
+	c.recordHistory(next)
 	c.table = next
 	return next, append([]*dataplane.Proxy(nil), c.proxies...), nil
 }
@@ -440,13 +387,15 @@ func (c *Cluster) fanOutPatch(next *routing.Table, proxies []*dataplane.Proxy) {
 	}
 }
 
-// recordHistory remembers a superseded table (bounded ring) so
-// ?since=N polls can be answered with a patch. Caller holds c.mu.
-func (c *Cluster) recordHistory(old *routing.Table) {
-	if old == nil {
+// recordHistory remembers the current table (bounded ring) so ?since=N
+// polls can be answered with a patch, if next supersedes it: a push
+// that leaves the table as it is, as an empty keep-alive does, must
+// not evict older versions. Caller holds c.mu.
+func (c *Cluster) recordHistory(next *routing.Table) {
+	if next == c.table {
 		return
 	}
-	c.history = append(c.history, old)
+	c.history = append(c.history, c.table)
 	if len(c.history) > tableHistoryCap {
 		c.history = c.history[len(c.history)-tableHistoryCap:]
 	}
@@ -471,40 +420,12 @@ func (c *Cluster) Table() *routing.Table {
 // and stamps the cluster ID onto every key (the proxies already tag
 // their own cluster, but the controller is authoritative — a proxy
 // cannot know its cluster in a real deployment).
-//
-// With a staleness bound set, pushed batches that sat in the buffer
-// longer than the bound are excluded from the merge — stale load data
-// in the global snapshot is worse than missing data, because the
-// optimizer would steer current traffic by a dead proxy's past — and
-// the set of silent sources is recomputed for MissingProxies.
 func (c *Cluster) Collect(window time.Duration) []telemetry.WindowStats {
-	now := c.now()
 	c.mu.Lock()
 	proxies := append([]*dataplane.Proxy(nil), c.proxies...)
-	buffered := c.ingested
+	groups := c.ingested
 	c.ingested = nil
-	staleAfter := c.staleAfter
-	var groups [][]telemetry.WindowStats
-	for _, g := range buffered {
-		if staleAfter > 0 && now.Sub(g.at) > staleAfter {
-			c.excluded++
-			c.mExcluded.Inc()
-			continue
-		}
-		groups = append(groups, g.stats)
-	}
-	var missing []string
-	if staleAfter > 0 {
-		for src, seen := range c.sources {
-			if now.Sub(seen) > staleAfter {
-				missing = append(missing, src)
-			}
-		}
-		sort.Strings(missing)
-	}
-	c.missing = missing
 	c.mu.Unlock()
-	c.mMissing.Set(float64(len(missing)))
 
 	for _, p := range proxies {
 		groups = append(groups, p.FlushTelemetry(window))

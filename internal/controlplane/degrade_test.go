@@ -1,19 +1,20 @@
 package controlplane
 
-// Tests for the cluster controller's graceful-degradation behaviour:
-// tracking silent proxies and excluding stale pushed telemetry from
-// the global snapshot.
+// Tests for what the cluster controller does with pushed telemetry
+// across a sidecar's push outage, and for its health snapshot.
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/dataplane"
+	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -46,123 +47,83 @@ func oneWindow(svc string, reqs uint64) []telemetry.WindowStats {
 	}}
 }
 
-func TestCollectExcludesStaleIngestedWindows(t *testing.T) {
-	clock := newTestClock()
+// TestCollectKeepsPushedTelemetry: a batch pushed before a Collect is
+// in that Collect's window, and in no later one.
+func TestCollectKeepsPushedTelemetry(t *testing.T) {
 	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-	cc.SetStaleAfter(10 * time.Second)
-
-	cc.IngestFrom("old@west", oneWindow("old", 5))
-	clock.Advance(30 * time.Second)
-	cc.IngestFrom("new@west", oneWindow("new", 3))
-
-	merged := cc.Collect(time.Second)
-	for _, ws := range merged {
-		if ws.Key.Service == "old" {
-			t.Errorf("stale batch leaked into the snapshot: %+v", ws)
-		}
-	}
-	var seen bool
-	for _, ws := range merged {
-		if ws.Key.Service == "new" && ws.Requests == 3 {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Errorf("fresh batch missing from snapshot: %+v", merged)
-	}
-	if got := cc.health().ExcludedStale; got != 1 {
-		t.Errorf("excluded windows = %d, want 1", got)
-	}
-}
-
-func TestCollectKeepsEverythingWithoutStaleBound(t *testing.T) {
-	clock := newTestClock()
-	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-
-	cc.IngestFrom("a@west", oneWindow("a", 5))
-	clock.Advance(time.Hour)
+	cc.Ingest(oneWindow("a", 5))
 	merged := cc.Collect(time.Second)
 	if len(merged) != 1 || merged[0].Requests != 5 {
-		t.Errorf("unbounded controller dropped telemetry: %+v", merged)
+		t.Errorf("collected %+v, want the pushed batch's 5 requests", merged)
 	}
-	if len(cc.health().MissingProxies) != 0 {
-		t.Error("missing proxies reported with staleness disabled")
-	}
-}
-
-func TestMissingProxiesMarkedAndRecovered(t *testing.T) {
-	clock := newTestClock()
-	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-	cc.SetStaleAfter(10 * time.Second)
-
-	cc.IngestFrom("alive@west", oneWindow("alive", 1))
-	cc.IngestFrom("silent@west", oneWindow("silent", 1))
-	cc.Collect(time.Second)
-	if got := cc.health().MissingProxies; len(got) != 0 {
-		t.Fatalf("missing = %v right after both reported", got)
-	}
-
-	// Only one proxy keeps reporting.
-	clock.Advance(15 * time.Second)
-	cc.IngestFrom("alive@west", oneWindow("alive", 1))
-	cc.Collect(time.Second)
-	if got := cc.health().MissingProxies; len(got) != 1 || got[0] != "silent@west" {
-		t.Fatalf("missing = %v, want [silent@west]", got)
-	}
-
-	// The silent proxy returns.
-	cc.IngestFrom("silent@west", oneWindow("silent", 1))
-	cc.Collect(time.Second)
-	if got := cc.health().MissingProxies; len(got) != 0 {
-		t.Fatalf("missing = %v after recovery, want none", got)
+	if next := cc.Collect(time.Second); len(next) != 0 {
+		t.Errorf("the next window holds %+v, want nothing: a batch counts once", next)
 	}
 }
 
-func TestHandleMetricsRecordsSourceHeader(t *testing.T) {
-	clock := newTestClock()
-	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-	cc.SetStaleAfter(10 * time.Second)
-	srv := httptest.NewServer(cc.Handler())
-	defer srv.Close()
-
-	body, _ := json.Marshal(oneWindow("svc", 2))
-	req, err := http.NewRequestWithContext(t.Context(), http.MethodPost, srv.URL+"/v1/metrics", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(headerSource, "svc@west")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-
-	clock.Advance(15 * time.Second)
-	cc.Collect(time.Second)
-	if got := cc.health().MissingProxies; len(got) != 1 || got[0] != "svc@west" {
-		t.Errorf("missing = %v, want [svc@west]; source header not recorded", got)
+// TestClusterWindowCarriesTheSidecarsRateAfterOutage: a sidecar doing
+// 10 requests a 1 s period pushes through its Agent to a real Cluster,
+// which collects every period. Every push of an outage of k periods
+// fails; the cluster's first window after it reads the sidecar's
+// 10 rps. The windows the outage cost are gone: merged into the current
+// one, they would read as (k+1) × 10 rps of current load.
+func TestClusterWindowCarriesTheSidecarsRateAfterOutage(t *testing.T) {
+	const perPeriod = 10
+	for _, outage := range []int{0, 1, 3, 7} {
+		t.Run(fmt.Sprintf("outage-%d", outage), func(t *testing.T) {
+			cc := NewCluster(topology.West, "")
+			rt := handlerRPC{hosts: map[string]http.Handler{"cluster.test": cc.Handler()}, down: map[string]bool{}}
+			p, srv := newAgentProxy(t, dataplane.Config{})
+			agent, err := NewAgent(p, "http://cluster.test", AgentOptions{Period: time.Second, MaxRetries: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agent.rt = rt
+			period := func() []telemetry.WindowStats {
+				t.Helper()
+				for range perPeriod {
+					generateTraffic(t, srv)
+				}
+				if err := agent.Sync(t.Context()); (err != nil) != rt.down["cluster.test"] {
+					t.Fatalf("sync: %v, with the cluster down %v", err, rt.down["cluster.test"])
+				}
+				return cc.Collect(time.Second)
+			}
+			period()
+			rt.down["cluster.test"] = true
+			for range outage {
+				period()
+			}
+			rt.down["cluster.test"] = false
+			var rps float64
+			var reqs uint64
+			for _, ws := range period() {
+				rps += ws.RPS
+				reqs += ws.Requests
+			}
+			if math.Abs(rps-perPeriod) > 1e-9 || reqs != perPeriod {
+				t.Errorf("after a %d-period outage the cluster's window reads %v rps (%d requests), want %d",
+					outage, rps, reqs, perPeriod)
+			}
+		})
 	}
 }
 
+// TestHealthEndpoint: GET /v1/health serves the cluster, the table
+// version it runs and the lease it granted.
 func TestHealthEndpoint(t *testing.T) {
-	clock := newTestClock()
 	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-	cc.SetStaleAfter(10 * time.Second)
 	srv := httptest.NewServer(cc.Handler())
 	defer srv.Close()
 
-	cc.IngestFrom("gone@west", oneWindow("gone", 1))
-	clock.Advance(20 * time.Second)
-	cc.Collect(time.Second)
+	cc.ApplyTable(routing.NewTable(4, nil))
+	body, err := json.Marshal(LeaseRequest{Candidate: "http://g0.invalid", Epoch: 3, TTLMS: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := postLease(cc.Handler(), body); rec.Code != http.StatusOK {
+		t.Fatalf("lease: status %d", rec.Code)
+	}
 
 	req, err := http.NewRequestWithContext(t.Context(), http.MethodGet, srv.URL+"/v1/health", nil)
 	if err != nil {
@@ -177,35 +138,8 @@ func TestHealthEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Cluster != topology.West {
-		t.Errorf("health cluster = %q", h.Cluster)
-	}
-	if len(h.MissingProxies) != 1 || !strings.HasPrefix(h.MissingProxies[0], "gone@") {
-		t.Errorf("health missing = %v", h.MissingProxies)
-	}
-	if h.ExcludedStale != 1 {
-		t.Errorf("health excluded = %d, want 1", h.ExcludedStale)
-	}
-}
-
-// TestHealthSnapshotOwnsItsSlices: health copies the missing list out
-// under the lock, so a caller that writes to its copy leaves the
-// controller's list alone.
-func TestHealthSnapshotOwnsItsSlices(t *testing.T) {
-	clock := newTestClock()
-	cc := NewCluster(topology.West, "")
-	cc.now = clock.Now
-	cc.SetStaleAfter(10 * time.Second)
-	cc.IngestFrom("gone@west", oneWindow("gone", 1))
-	clock.Advance(20 * time.Second)
-	cc.Collect(time.Second)
-
-	h := cc.health()
-	if len(h.MissingProxies) != 1 || !strings.HasPrefix(h.MissingProxies[0], "gone@") {
-		t.Fatalf("health missing = %v, want the one silent proxy", h.MissingProxies)
-	}
-	h.MissingProxies[0] = "scribbled"
-	if got := cc.health().MissingProxies; len(got) != 1 || !strings.HasPrefix(got[0], "gone@") {
-		t.Errorf("after a caller wrote to its snapshot, health missing = %v", got)
+	want := Health{Cluster: topology.West, TableVersion: 4, LeaderURL: "http://g0.invalid", LeaderEpoch: 3, PubEpoch: 3}
+	if h != want {
+		t.Errorf("health = %+v, want %+v", h, want)
 	}
 }

@@ -26,11 +26,6 @@ var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 // package: the Cluster handlers enforce them, and the Global and the
 // Agent send or read them.
 const (
-	// headerSource identifies the pushing proxy ("service@cluster") on
-	// telemetry uploads, so the cluster controller can track which
-	// proxies have gone silent and exclude their stale windows from the
-	// global snapshot.
-	headerSource = "X-Slate-Source"
 	// headerLeaderEpoch carries the publishing leader's lease epoch on
 	// rule pushes (requests) and the accepting controller's fenced epoch
 	// on rule reads (responses). A push whose epoch is below the fenced

@@ -18,7 +18,6 @@ import (
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/routing"
-	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -178,14 +177,14 @@ func TestControlRPCErrorShape(t *testing.T) {
 	// The Agent's push and rules poll fail as they did through its own
 	// client, (&http.Client{Timeout: 10 * time.Second}).Do, which took
 	// any 2xx for a push and only 200 for a poll.
-	p, _ := newAgentProxy(t, dataplane.Config{})
+	p, psrv := newAgentProxy(t, dataplane.Config{})
 	for _, tr := range []*cannedRPC{{err: cause}, {status: http.StatusServiceUnavailable}} {
 		a, err := NewAgent(p, "http://cluster.invalid", AgentOptions{MaxRetries: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		a.rt = tr
-		a.pending = [][]telemetry.WindowStats{feStats(900, 100)}
+		generateTraffic(t, psrv) // a window for the push to send
 		for _, row := range []struct {
 			name, method, url string
 			ok                func(code int) bool
@@ -341,8 +340,8 @@ func TestReportAllocations(t *testing.T) {
 	}
 	// The first report is full; the measured ones are deltas.
 	report()
-	if got := int(testing.AllocsPerRun(100, report)); got != 20 {
-		t.Errorf("Ingest+Report allocates %d heap objects, want 20", got)
+	if got := int(testing.AllocsPerRun(100, report)); got != 19 {
+		t.Errorf("Ingest+Report allocates %d heap objects, want 19", got)
 	}
 }
 

@@ -60,10 +60,9 @@ type Options struct {
 	// global optimization while the global controller is down. Drive
 	// it with Crash/Restart and PartitionClusters/HealClusters.
 	Fault *fault.Injector
-	// StaleAfter bounds control-plane staleness during faults: cluster
-	// controllers exclude pushed telemetry older than this from the
-	// global snapshot, and proxies degrade to local-biased routing when
-	// their rules have not been refreshed within it. Zero disables both.
+	// StaleAfter is the proxies' rule staleness TTL: a proxy whose rules
+	// have not been refreshed within it degrades to local-biased
+	// routing. Zero holds stale rules forever.
 	StaleAfter time.Duration //slate:nolint testonly -- the emulator's fault seam: the fault tests bound control-plane staleness with it
 	// Replicas > 1 runs a replicated global control plane: N global
 	// controllers (fault targets "global:0" … "global:N-1") contend for
@@ -200,9 +199,6 @@ func Start(opts Options) (*Mesh, error) {
 		cc := controlplane.NewCluster(cl, m.gURLs[0])
 		for _, u := range m.gURLs[1:] {
 			cc.AddUpstream(u)
-		}
-		if opts.StaleAfter > 0 {
-			cc.SetStaleAfter(opts.StaleAfter)
 		}
 		cc.SetTransport(controlFrom(fault.ClusterTarget(cl)))
 		ccURL, err := m.serveTarget(cc.Handler(), fault.ClusterTarget(cl))
