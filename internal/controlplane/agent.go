@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -65,11 +66,13 @@ func (o AgentOptions) withDefaults() AgentOptions {
 // current load. The DES drops a missed control tick's window the same
 // way.
 type Agent struct {
-	proxy      *dataplane.Proxy
-	clusterURL string
-	opts       AgentOptions
-	rt         http.RoundTripper // a dataplane.Upstream of its own; tests swap it
-	jitter     *sim.RNG          // the backoff jitter stream, seeded by opts.Seed
+	proxy  *dataplane.Proxy
+	opts   AgentOptions
+	rt     http.RoundTripper // a NewTransport of its own; tests swap it
+	jitter *sim.RNG          // the backoff jitter stream, seeded by opts.Seed
+	// metricsURL and rulesURL are the cluster controller's endpoints,
+	// parsed once; a poll sets a copy's query.
+	metricsURL, rulesURL *url.URL
 
 	// leaderEpoch is the control plane's fenced leader epoch as last
 	// reported on a rules response; failovers counts observed changes.
@@ -91,15 +94,24 @@ func NewAgent(p *dataplane.Proxy, clusterURL string, opts AgentOptions) (*Agent,
 	if p == nil || clusterURL == "" {
 		return nil, fmt.Errorf("dataplane: agent needs a proxy and a cluster controller URL")
 	}
+	metricsURL, err := url.Parse(clusterURL + "/v1/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("dataplane: agent: %w", err)
+	}
+	rulesURL, err := url.Parse(clusterURL + "/v1/rules")
+	if err != nil {
+		return nil, fmt.Errorf("dataplane: agent: %w", err)
+	}
 	opts = opts.withDefaults()
 	reg := obs.Default()
 	svc, cl := p.Service(), string(p.Cluster())
 	return &Agent{
 		proxy:      p,
-		clusterURL: clusterURL,
 		opts:       opts,
-		rt:         &dataplane.Upstream{},
+		rt:         NewTransport(),
 		jitter:     sim.NewRNG(opts.Seed).DeriveNamed("agent-backoff"),
+		metricsURL: metricsURL,
+		rulesURL:   rulesURL,
 		sleep:      sleepCtx,
 		mRetries: reg.CounterVec("slate_agent_retries_total",
 			"Control-plane RPC retry attempts (beyond the first try).",
@@ -141,7 +153,7 @@ func (a *Agent) pushTelemetry(ctx context.Context) error {
 		return err
 	}
 	err = a.withRetries(ctx, func(ctx context.Context) error {
-		return rpc(ctx, a.rt, http.MethodPost, a.clusterURL+"/v1/metrics", jsonHeader, body, nil)
+		return rpc(ctx, a.rt, http.MethodPost, a.metricsURL, jsonHeader, body, nil)
 	})
 	if err != nil {
 		a.mDropped.Inc()
@@ -160,7 +172,7 @@ func (a *Agent) pushTelemetry(ctx context.Context) error {
 // is unchanged — freshness means "the controller answered", not "the
 // rules changed".
 func (a *Agent) pollRules(ctx context.Context) error {
-	patch, epoch, err := a.getRules(ctx, fmt.Sprintf("?since=%d", a.proxy.TableVersion()))
+	patch, epoch, err := a.getRules(ctx, "since="+strconv.FormatUint(a.proxy.TableVersion(), 10))
 	if err != nil {
 		return fmt.Errorf("dataplane: agent poll: %w", err)
 	}
@@ -205,13 +217,15 @@ func (a *Agent) resyncRules(ctx context.Context) error {
 }
 
 // getRules performs one (retried) GET of the controller's rules
-// endpoint and returns the patch it answered plus the leader epoch the
-// controller advertised (0 when it did not).
+// endpoint with URL query query and returns the patch it answered plus
+// the leader epoch the controller advertised (0 when it did not).
 func (a *Agent) getRules(ctx context.Context, query string) (*routing.Patch, uint64, error) {
 	var body []byte
 	var epoch uint64
+	u := *a.rulesURL
+	u.RawQuery = query
 	err := a.withRetries(ctx, func(ctx context.Context) error {
-		return rpc(ctx, a.rt, http.MethodGet, a.clusterURL+"/v1/rules"+query, nil, nil, func(resp *http.Response, b []byte) error {
+		return rpc(ctx, a.rt, http.MethodGet, &u, nil, nil, func(resp *http.Response, b []byte) error {
 			if h := resp.Header.Get(headerLeaderEpoch); h != "" {
 				if e, perr := strconv.ParseUint(h, 10, 64); perr == nil {
 					epoch = e

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -78,11 +79,15 @@ type Cluster struct {
 // upstream is one global-controller replica this cluster reports to,
 // with its private delta-report state.
 type upstream struct {
-	url        string
-	metricsURL string // url + "/v1/metrics", joined once
-	lastReport []telemetry.WindowStats
-	epoch      uint64
-	needFull   bool
+	url string
+	// metricsURL and registerURL are the replica's endpoints, parsed
+	// once; err is the parse error of either, which every RPC to the
+	// replica returns instead.
+	metricsURL, registerURL *url.URL
+	err                     error
+	lastReport              []telemetry.WindowStats
+	epoch                   uint64
+	needFull                bool
 }
 
 // tableHistoryCap bounds how many superseded tables the controller
@@ -99,7 +104,7 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 	c := &Cluster{
 		id:       id,
 		table:    routing.EmptyTable(),
-		rt:       &dataplane.Upstream{},
+		rt:       NewTransport(),
 		now:      time.Now,
 		metricsH: reg.Handler(),
 		mIngested: reg.CounterVec("slate_cluster_ingested_batches_total",
@@ -132,22 +137,26 @@ func NewCluster(id topology.ClusterID, globalURL string) *Cluster {
 // AddUpstream registers one more global-controller replica to report
 // to. Every upstream receives the same telemetry with independent delta
 // state; duplicates are ignored.
-func (c *Cluster) AddUpstream(url string) {
-	if url == "" {
+func (c *Cluster) AddUpstream(base string) {
+	if base == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, up := range c.ups {
-		if up.url == url {
+		if up.url == base {
 			return
 		}
 	}
-	c.ups = append(c.ups, newUpstream(url))
+	c.ups = append(c.ups, newUpstream(base))
 }
 
-func newUpstream(url string) *upstream {
-	return &upstream{url: url, metricsURL: url + "/v1/metrics"}
+func newUpstream(base string) *upstream {
+	up := &upstream{url: base}
+	if up.metricsURL, up.err = url.Parse(base + "/v1/metrics"); up.err == nil {
+		up.registerURL, up.err = url.Parse(base + "/v1/register")
+	}
+	return up
 }
 
 // SetNow swaps the controller's clock (deterministic harnesses, tests).
@@ -158,8 +167,8 @@ func (c *Cluster) SetNow(f func() time.Time) {
 }
 
 // SetTransport swaps the HTTP transport used for upstream RPCs (fault
-// injection, tests), by default a dataplane.Upstream of this Cluster's
-// own. Call before Run.
+// injection, tests), by default a NewTransport of this Cluster's own.
+// Call before Run.
 func (c *Cluster) SetTransport(rt http.RoundTripper) {
 	c.rt = rt
 }
@@ -494,10 +503,12 @@ func (c *Cluster) reportTo(ctx context.Context, up *upstream, stats []telemetry.
 		return err
 	}
 	confirmed := false
-	err = rpc(ctx, c.rt, http.MethodPost, up.metricsURL, jsonHeader, body, func(resp *http.Response, _ []byte) error {
-		confirmed = resp.StatusCode == http.StatusOK
-		return nil
-	})
+	if err = up.err; err == nil {
+		err = rpc(ctx, c.rt, http.MethodPost, up.metricsURL, jsonHeader, body, func(resp *http.Response, _ []byte) error {
+			confirmed = resp.StatusCode == http.StatusOK
+			return nil
+		})
+	}
 	if err != nil {
 		c.mu.Lock()
 		up.needFull = true
@@ -574,7 +585,11 @@ func (c *Cluster) register(ctx context.Context) error {
 	}
 	var firstErr error
 	for _, up := range ups {
-		if err := rpc(ctx, c.rt, http.MethodPost, up.url+"/v1/register", jsonHeader, body, nil); err != nil && firstErr == nil {
+		err := up.err
+		if err == nil {
+			err = rpc(ctx, c.rt, http.MethodPost, up.registerURL, jsonHeader, body, nil)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("controlplane: register with %s: %w", up.url, err)
 		}
 	}

@@ -42,13 +42,13 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/servicelayernetworking/slate/internal/core"
-	"github.com/servicelayernetworking/slate/internal/dataplane"
 	"github.com/servicelayernetworking/slate/internal/obs"
 	"github.com/servicelayernetworking/slate/internal/par"
 	"github.com/servicelayernetworking/slate/internal/routing"
@@ -151,6 +151,10 @@ type Global struct {
 	maxSeenEpoch uint64
 	leaderURL    string
 	snapCache    *core.ControllerSnapshot
+	// snapURL is where a follower fetches the leader's snapshot, parsed
+	// once from snapFrom, the leader URL it was last derived from.
+	snapFrom string
+	snapURL  *url.URL
 
 	// pushSem (capacity 1) serializes whole push rounds — a semaphore
 	// rather than a mutex because a round blocks until its fan-out's
@@ -204,7 +208,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 		ctrl:     ctrl,
 		pushSem:  make(chan struct{}, 1),
 		sent:     make(map[topology.ClusterID]shadow),
-		rt:       &dataplane.Upstream{},
+		rt:       NewTransport(),
 		window:   time.Second,
 		metricsH: reg.Handler(),
 		mTicks: reg.Counter("slate_global_ticks_total",
@@ -275,7 +279,7 @@ func NewGlobal(ctrl *core.Controller) *Global {
 
 // SetTransport swaps the HTTP transport used for rule pushes, lease
 // requests and snapshot fetches (fault injection, tests), by default a
-// dataplane.Upstream of this Global's own. Call before Run.
+// NewTransport of this Global's own. Call before Run.
 func (g *Global) SetTransport(rt http.RoundTripper) {
 	g.rt = rt
 }
@@ -304,33 +308,48 @@ func (g *Global) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.mu.Lock()
-	g.clusters = register(g.clusters, req.Cluster, req.URL)
+	ps, err := register(g.clusters, req.Cluster, req.URL)
+	if err == nil {
+		g.clusters = ps
+	}
 	g.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// peer is one registered cluster controller, with the endpoints the
-// global calls joined once, at registration.
+// peer is one registered cluster controller at base URL base, with the
+// endpoints the global calls joined and parsed once, at registration.
 type peer struct {
 	id                 topology.ClusterID
-	patchURL, leaseURL string
+	base               string
+	patchURL, leaseURL *url.URL
 }
 
 // register returns ps, which is in cluster order, with cluster id at
-// base URL u. A change is made on a copy: a push round may still be
-// reading ps.
-func register(ps []peer, id topology.ClusterID, u string) []peer {
-	p := peer{id: id, patchURL: u + "/v1/patch", leaseURL: u + "/v1/lease"}
+// base URL base, or an error if an endpoint of base does not parse. A
+// change is made on a copy: a push round may still be reading ps.
+func register(ps []peer, id topology.ClusterID, base string) ([]peer, error) {
 	i, found := slices.BinarySearchFunc(ps, id, func(p peer, id topology.ClusterID) int { return cmp.Compare(p.id, id) })
-	if found && ps[i] == p {
-		return ps // a cluster re-registering each period changes nothing
+	if found && ps[i].base == base {
+		return ps, nil // a cluster re-registering each period changes nothing
+	}
+	p := peer{id: id, base: base}
+	var err error
+	if p.patchURL, err = url.Parse(base + "/v1/patch"); err != nil {
+		return ps, err
+	}
+	if p.leaseURL, err = url.Parse(base + "/v1/lease"); err != nil {
+		return ps, err
 	}
 	ps = slices.Clone(ps)
 	if found {
 		ps[i] = p
-		return ps
+		return ps, nil
 	}
-	return slices.Insert(ps, i, p)
+	return slices.Insert(ps, i, p), nil
 }
 
 // handleMetrics ingests one telemetry report. Full reports replace the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -158,7 +159,7 @@ func (g *Global) restoreFromCacheLocked() {
 }
 
 // requestLease POSTs one encoded LeaseRequest and decodes the decision.
-func (g *Global) requestLease(ctx context.Context, leaseURL string, body []byte) (*LeaseResponse, error) {
+func (g *Global) requestLease(ctx context.Context, leaseURL *url.URL, body []byte) (*LeaseResponse, error) {
 	var lr LeaseResponse
 	err := rpc(ctx, g.rt, http.MethodPost, leaseURL, jsonHeader, body, func(_ *http.Response, b []byte) error {
 		return json.Unmarshal(b, &lr)
@@ -175,13 +176,24 @@ func (g *Global) requestLease(ctx context.Context, leaseURL string, body []byte)
 func (g *Global) fetchSnapshot(ctx context.Context) {
 	g.mu.Lock()
 	leader := g.leaderURL
-	self := g.replica
+	if leader == g.replica {
+		leader = ""
+	}
+	if leader != g.snapFrom {
+		// Parsed once per leader; a leader URL that does not parse
+		// leaves nothing to fetch from.
+		g.snapFrom, g.snapURL = leader, nil
+		if leader != "" {
+			g.snapURL, _ = url.Parse(leader + "/v1/snapshot")
+		}
+	}
+	snapURL := g.snapURL
 	g.mu.Unlock()
-	if leader == "" || leader == self {
+	if snapURL == nil {
 		return
 	}
 	var snap core.ControllerSnapshot
-	err := rpc(ctx, g.rt, http.MethodGet, leader+"/v1/snapshot", nil, nil, func(_ *http.Response, b []byte) error {
+	err := rpc(ctx, g.rt, http.MethodGet, snapURL, nil, nil, func(_ *http.Response, b []byte) error {
 		return json.Unmarshal(b, &snap)
 	})
 	if err != nil {

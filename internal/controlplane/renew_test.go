@@ -124,7 +124,7 @@ type answerLog struct {
 
 // logAnswers makes cc report through a new answerLog.
 func logAnswers(cc *Cluster) *answerLog {
-	a := &answerLog{base: &dataplane.Upstream{}, last: make(map[string]int)}
+	a := &answerLog{base: NewTransport(), last: make(map[string]int)}
 	cc.SetTransport(a)
 	return a
 }
@@ -271,7 +271,7 @@ func TestFailedPushLeavesRulesAging(t *testing.T) {
 	r.report(900, 100)
 	r.tick()
 	first := r.g.ctrl.Table()
-	r.g.SetTransport(&failPatches{host: strings.TrimPrefix(r.urls[0], "http://"), base: &dataplane.Upstream{}})
+	r.g.SetTransport(&failPatches{host: strings.TrimPrefix(r.urls[0], "http://"), base: NewTransport()})
 
 	r.report(100, 900)
 	if err := r.g.Tick(t.Context()); err == nil {

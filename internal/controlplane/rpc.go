@@ -12,15 +12,28 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/dataplane"
 )
 
-// rpcTimeout bounds one control RPC, from sending the request to the
-// last byte of the response.
-const rpcTimeout = 10 * time.Second
+// rpcTimeout bounds each exchange of a control RPC on the transport
+// NewTransport makes: its dial, and then its request and answer, from
+// the connection's checkout to the last byte of the answer's body. A
+// variable only so that a test can shorten it.
+var rpcTimeout = 10 * time.Second
 
-// jsonHeader is the header of every control POST. It is shared by all
-// of them and never written: a RoundTripper must not modify a request.
-var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+// NewTransport returns a transport for control RPCs, bounded by
+// rpcTimeout: what NewGlobal, NewCluster and NewAgent each start with,
+// and what an in-process mesh shares among its controllers.
+func NewTransport() *dataplane.Control { return dataplane.NewControl(rpcTimeout) }
+
+// jsonHeader is the header of every control POST, and noHeader of every
+// control GET. They are shared by all of them and never written: a
+// RoundTripper must not modify a request.
+var (
+	jsonHeader = http.Header{"Content-Type": {"application/json"}}
+	noHeader   = http.Header{}
+)
 
 // Control-protocol headers. Both ends of the protocol live in this
 // package: the Cluster handlers enforce them, and the Global and the
@@ -45,34 +58,35 @@ const (
 	rejectCAS = "cas"
 )
 
-// rpc does one control RPC: it sends body (nil for none) to u with
-// header h (nil for none) straight over rt, under ctx and rpcTimeout,
-// and hands a 2xx response with its body to decode (nil to discard
-// it), which must not keep the body. The body is read whole first and
-// is held to maxBodyBytes, as a request's is: a longer one fails the
-// RPC. The response is closed before rpc returns; a non-2xx one unread.
-// A non-2xx answer comes back as a statusError, a transport failure as
+// rpc does one control RPC: it sends body (nil or empty for none) to
+// u with header h (nil for none) straight over rt, under ctx, and hands
+// a 2xx response with its body to decode (nil to discard it), which
+// must not keep the body. The body is read whole first and is held to
+// maxBodyBytes, as a request's is: a longer one fails the RPC. The
+// response is closed before rpc returns; a non-2xx one unread. A
+// non-2xx answer comes back as a statusError, a transport failure as
 // the *url.Error http.Client.Do would have returned ("Post \"<u>\": …").
-// Going around http.Client skips what it does per request that a
-// control RPC never needs: a redirect-safe copy of the header, and a
-// timer and cancel context of its own for the timeout.
-func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Header, body []byte, decode func(*http.Response, []byte) error) error {
-	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+//
+// u was parsed once, where its peer became known, and rpc builds the
+// request itself, with a body GetBody can replay: no URL parse, no
+// header of its own, no copy of the body. Nor does rpc set a timeout:
+// the transport (NewTransport) bounds each exchange by rpcTimeout on
+// the connection itself, which costs no timer, context or goroutine per
+// call. Going around http.Client skips the rest of what it does per
+// request that a control RPC never needs, a redirect-safe copy of the
+// header among it.
+func rpc(ctx context.Context, rt http.RoundTripper, method string, u *url.URL, h http.Header, body []byte, decode func(*http.Response, []byte) error) error {
+	if h == nil {
+		h = noHeader
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return err
-	}
-	if h != nil {
-		req.Header = h
+	req := (&http.Request{Method: method, URL: u, Header: h}).WithContext(ctx)
+	if len(body) > 0 {
+		req.Body, req.ContentLength = newRPCBody(body), int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return newRPCBody(body), nil }
 	}
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
-		return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.Redacted(), Err: err}
+		return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.Redacted(), Err: err}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
@@ -85,6 +99,18 @@ func rpc(ctx context.Context, rt http.RoundTripper, method, u string, h http.Hea
 		return decode(resp, b)
 	})
 }
+
+// rpcBody is a control request's body: a reader over bytes rpc's
+// caller holds until the RPC returns.
+type rpcBody struct{ bytes.Reader }
+
+func newRPCBody(b []byte) *rpcBody {
+	r := &rpcBody{}
+	r.Reset(b)
+	return r
+}
+
+func (*rpcBody) Close() error { return nil }
 
 // statusError is a non-2xx HTTP response, preserved as a typed error so
 // callers can branch on the code (409 → resync) and the X-Slate-Reject

@@ -3,12 +3,15 @@ package controlplane
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -73,31 +76,44 @@ func newCannedGlobal(t *testing.T, tr http.RoundTripper) *Global {
 	}
 	g := NewGlobal(ctrl)
 	g.SetTransport(tr)
-	g.clusters = register(g.clusters, topology.West, "http://west.invalid")
+	g.clusters = mustRegister(t, g.clusters, topology.West, "http://west.invalid")
 	return g
 }
 
-// TestControlRPCCarriesDeadline: a report, a push and a lease request
-// each reach the transport with a deadline no further off than
-// rpcTimeout, the URL joined at registration, and the shared header —
-// the very jsonHeader map for plain POSTs, a per-round copy carrying the
-// fencing headers for a replicated leader's push.
-func TestControlRPCCarriesDeadline(t *testing.T) {
-	check := func(name string, tr *cannedRPC, wantURL string, shared bool) {
+// mustURL parses s, failing the test if it does not parse.
+func mustURL(t testing.TB, s string) *url.URL {
+	t.Helper()
+	u, err := url.Parse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// mustRegister is register for a base URL the test knows parses.
+func mustRegister(t testing.TB, ps []peer, id topology.ClusterID, base string) []peer {
+	t.Helper()
+	ps, err := register(ps, id, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// TestControlRPCRequestShape: a report, a push and a lease request each
+// reach the transport with the URL parsed at registration, the very
+// *url.URL, and the shared header: the very jsonHeader map for plain
+// POSTs, a per-round copy carrying the fencing headers for a replicated
+// leader's push.
+func TestControlRPCRequestShape(t *testing.T) {
+	check := func(name string, tr *cannedRPC, wantURL *url.URL, shared bool) {
 		t.Helper()
 		req := tr.last
 		if req == nil {
 			t.Fatalf("%s: no request reached the transport", name)
 		}
-		dl, ok := req.Context().Deadline()
-		if !ok {
-			t.Fatalf("%s: request carries no deadline", name)
-		}
-		if left := time.Until(dl); left <= 0 || left > rpcTimeout {
-			t.Errorf("%s: deadline %v away, want within (0, %v]", name, left, rpcTimeout)
-		}
-		if got := req.URL.String(); got != wantURL {
-			t.Errorf("%s: URL %q, want %q", name, got, wantURL)
+		if req.URL != wantURL {
+			t.Errorf("%s: URL %q is not the one parsed at registration, %q", name, req.URL, wantURL)
 		}
 		if ct := req.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q", name, ct)
@@ -114,20 +130,26 @@ func TestControlRPCCarriesDeadline(t *testing.T) {
 	if err := c.Report(t.Context(), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	check("report", tr, "http://global.invalid/v1/metrics", true)
+	check("report", tr, c.ups[0].metricsURL, true)
+	if got := tr.last.URL.String(); got != "http://global.invalid/v1/metrics" {
+		t.Errorf("report URL %q", got)
+	}
 
 	tr = &cannedRPC{status: http.StatusNoContent}
 	g := newCannedGlobal(t, tr)
 	if err := g.push(t.Context(), routing.NewTable(1, nil), g.clusters); err != nil {
 		t.Fatal(err)
 	}
-	check("push", tr, "http://west.invalid/v1/patch", true)
+	check("push", tr, g.clusters[0].patchURL, true)
+	if got := tr.last.URL.String(); got != "http://west.invalid/v1/patch" {
+		t.Errorf("push URL %q", got)
+	}
 
 	tr = &cannedRPC{status: http.StatusOK, body: []byte(`{"granted":true,"holder":"http://a.invalid","epoch":1}`)}
 	g = newCannedGlobal(t, tr)
 	g.EnableHA("http://a.invalid", 0)
 	g.campaign(t.Context())
-	check("lease", tr, "http://west.invalid/v1/lease", true)
+	check("lease", tr, g.clusters[0].leaseURL, true)
 	if !g.IsLeader() {
 		t.Fatal("one granted lease of one acceptor did not make a leader")
 	}
@@ -136,12 +158,137 @@ func TestControlRPCCarriesDeadline(t *testing.T) {
 	if err := g.push(t.Context(), routing.NewTable(2, nil), g.clusters); err != nil {
 		t.Fatal(err)
 	}
-	check("replicated push", tr, "http://west.invalid/v1/patch", false)
+	check("replicated push", tr, g.clusters[0].patchURL, false)
 	if e, l := tr.last.Header.Get(headerLeaderEpoch), tr.last.Header.Get(headerLeader); e != "1" || l != "http://a.invalid" {
 		t.Errorf("replicated push carries epoch %q leader %q, want 1 and http://a.invalid", e, l)
 	}
-	if len(jsonHeader) != 1 {
-		t.Errorf("jsonHeader was written: %v", jsonHeader)
+	if len(jsonHeader) != 1 || len(noHeader) != 0 {
+		t.Errorf("a shared header was written: %v, %v", jsonHeader, noHeader)
+	}
+
+	// Re-registering the same URL keeps the parsed endpoints; a new
+	// URL replaces them, and one that does not parse is refused.
+	ps := g.clusters
+	if again := mustRegister(t, ps, topology.West, "http://west.invalid"); &again[0] != &ps[0] {
+		t.Error("re-registering the same URL changed the peers")
+	}
+	if moved := mustRegister(t, ps, topology.West, "http://west2.invalid"); moved[0].patchURL.Host != "west2.invalid" || ps[0].patchURL.Host != "west.invalid" {
+		t.Errorf("a moved cluster's patch URL reads %q, and the old peers' %q", moved[0].patchURL, ps[0].patchURL)
+	}
+	if _, err := register(ps, topology.West, "http://bad host"); err == nil {
+		t.Error("a URL that does not parse was registered")
+	}
+}
+
+// stalledServer accepts connections and reads what comes, and never
+// answers.
+func stalledServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return "http://" + ln.Addr().String()
+}
+
+// TestControlRPCCarriesDeadline: every kind of control RPC, on the
+// transport NewGlobal, NewCluster and NewAgent start with, is bounded by
+// rpcTimeout with no deadline of the caller's: against a peer that
+// accepts the connection and never answers, each fails within a few
+// bounds, as a *url.Error whose cause is the connection's deadline
+// (os.ErrDeadlineExceeded, not a context's). Where the loopback can be
+// made to stall a dial (stalledDial), each RPC fails as soon against a
+// peer that never completes the handshake. The bound is shortened to
+// 100 ms; the caller's context, the net under the test, expires after
+// 50 bounds.
+func TestControlRPCCarriesDeadline(t *testing.T) {
+	was := rpcTimeout
+	rpcTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { rpcTimeout = was })
+
+	p, psrv := newAgentProxy(t, dataplane.Config{})
+	run := func(stage, base string, dial bool) {
+		check := func(name string, call func(context.Context) error) {
+			t.Helper()
+			ctx, cancel := context.WithTimeout(t.Context(), 50*rpcTimeout)
+			defer cancel()
+			start := time.Now()
+			err := call(ctx)
+			took := time.Since(start)
+			var ue *url.Error
+			switch {
+			case !errors.As(err, &ue) || !ue.Timeout():
+				t.Errorf("%s %s: %v, want a *url.Error that timed out", stage, name, err)
+			case !dial && !errors.Is(err, os.ErrDeadlineExceeded):
+				t.Errorf("%s %s: %v, want the connection's deadline as its cause", stage, name, err)
+			case took > 25*rpcTimeout:
+				t.Errorf("%s %s: failed after %v, want within a few of %v", stage, name, took, rpcTimeout)
+			}
+		}
+
+		c := NewCluster(topology.West, base)
+		check("report", func(ctx context.Context) error {
+			c.Ingest(feStats(900, 100))
+			return c.Report(ctx, time.Second)
+		})
+		check("register", func(ctx context.Context) error { return c.Register(ctx, "http://west.invalid") })
+
+		ctrl, err := core.NewController(topology.TwoClusters(40*time.Millisecond), chainApp(), core.ControllerConfig{DemandSmoothing: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGlobal(ctrl)
+		g.clusters = mustRegister(t, nil, topology.West, base)
+		check("push", func(ctx context.Context) error { return g.push(ctx, routing.NewTable(1, nil), g.clusters) })
+		check("lease", func(ctx context.Context) error {
+			_, err := g.requestLease(ctx, g.clusters[0].leaseURL, []byte(`{"candidate":"http://a.invalid","epoch":1}`))
+			return err
+		})
+		check("snapshot", func(ctx context.Context) error {
+			return rpc(ctx, g.rt, http.MethodGet, mustURL(t, base+"/v1/snapshot"), nil, nil, nil)
+		})
+
+		a, err := NewAgent(p, base, AgentOptions{MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		generateTraffic(t, psrv) // a window for the push to send
+		check("agent push", a.pushTelemetry)
+		check("agent poll", a.pollRules)
+	}
+	run("stalled answer:", stalledServer(t), false)
+	if base := stalledDial(t); base != "" {
+		run("stalled dial:", base, true)
 	}
 }
 
@@ -152,7 +299,7 @@ func TestControlRPCCarriesDeadline(t *testing.T) {
 func TestControlRPCErrorShape(t *testing.T) {
 	cause := errors.New("link down")
 	const u = "http://global.invalid/v1/metrics"
-	err := rpc(t.Context(), &cannedRPC{err: cause}, http.MethodPost, u, jsonHeader, []byte("{}"), nil)
+	err := rpc(t.Context(), &cannedRPC{err: cause}, http.MethodPost, mustURL(t, u), jsonHeader, []byte("{}"), nil)
 	var ue *url.Error
 	if !errors.As(err, &ue) || !errors.Is(err, cause) {
 		t.Fatalf("transport failure = %#v, want a *url.Error wrapping the cause", err)
@@ -228,11 +375,35 @@ func (h handlerRPC) RoundTrip(req *http.Request) (*http.Response, error) {
 	if h.down[req.URL.Host] {
 		return nil, errors.New("unreachable")
 	}
-	in := httptest.NewRequestWithContext(req.Context(), req.Method, req.URL.Path, io.NopCloser(req.Body))
+	in := httptest.NewRequestWithContext(req.Context(), req.Method, req.URL.RequestURI(), io.NopCloser(req.Body))
 	in.Header = req.Header.Clone()
 	rec := httptest.NewRecorder()
 	h.hosts[req.URL.Host].ServeHTTP(rec, in)
 	return rec.Result(), nil
+}
+
+// TestHandlerRPCKeepsQuery: handlerRPC hands a handler the request's
+// query along with its path, so a rules poll from a proxy already at the
+// cluster's version is answered with the empty patch, not a full one.
+func TestHandlerRPCKeepsQuery(t *testing.T) {
+	c := NewCluster(topology.West, "")
+	c.ApplyTable(routing.NewTable(3, nil))
+	tr := handlerRPC{hosts: map[string]http.Handler{"west.invalid": c.Handler()}}
+	for _, q := range []struct {
+		query string
+		full  bool
+	}{{"?since=3", false}, {"", true}} {
+		var p routing.Patch
+		err := rpc(t.Context(), tr, http.MethodGet, mustURL(t, "http://west.invalid/v1/rules"+q.query), nil, nil, func(_ *http.Response, b []byte) error {
+			return json.Unmarshal(b, &p)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Full != q.full || p.Version != 3 || len(p.Set) != 0 || len(p.Del) != 0 {
+			t.Errorf("GET /v1/rules%s answered %+v, want full %v at version 3", q.query, p, q.full)
+		}
+	}
 }
 
 // TestConcurrentControlRPCs: 24 clusters report at once, then one push
@@ -251,7 +422,7 @@ func TestConcurrentControlRPCs(t *testing.T) {
 		c := NewCluster(id, "http://global.invalid")
 		c.SetTransport(tr)
 		tr.hosts[string(id)+".invalid"] = c.Handler()
-		g.clusters = register(g.clusters, id, "http://"+string(id)+".invalid")
+		g.clusters = mustRegister(t, g.clusters, id, "http://"+string(id)+".invalid")
 		clusters = append(clusters, c)
 	}
 
@@ -323,7 +494,9 @@ func TestConcurrentControlRPCs(t *testing.T) {
 
 // TestReportAllocations pins the heap objects of one Ingest+Report over
 // a canned transport, collect, delta report, encoding and RPC included.
-// Through http.Client.Do, with the URL joined per call, it was 48.
+// Through http.Client.Do, with the URL joined per call, it was 48; with
+// rpc's own request but a URL parsed and a timeout context made per
+// call, 19.
 func TestReportAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so counts vary")
@@ -340,8 +513,8 @@ func TestReportAllocations(t *testing.T) {
 	}
 	// The first report is full; the measured ones are deltas.
 	report()
-	if got := int(testing.AllocsPerRun(100, report)); got != 19 {
-		t.Errorf("Ingest+Report allocates %d heap objects, want 19", got)
+	if got := int(testing.AllocsPerRun(100, report)); got != 12 {
+		t.Errorf("Ingest+Report allocates %d heap objects, want 12", got)
 	}
 }
 
@@ -458,4 +631,103 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += n
 	return n, err
+}
+
+// cannedControlServer answers each control request it reads with the
+// same 202 and no body. It reads the head into one fixed buffer, takes
+// the body's length from its Content-Length line and skips that many
+// bytes, so it allocates nothing per request: an RPC's allocations are
+// all the caller's.
+func cannedControlServer(t testing.TB) string {
+	t.Helper()
+	resp := []byte("HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n")
+	end, clen := []byte("\r\n\r\n"), []byte("\r\nContent-Length: ")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				buf := make([]byte, 64<<10)
+				n, skip := 0, 0
+				for {
+					m, err := conn.Read(buf[n:])
+					if err != nil {
+						return
+					}
+					n += m
+					for {
+						if skip > 0 {
+							k := min(skip, n)
+							n, skip = copy(buf, buf[k:n]), skip-k
+							if skip > 0 {
+								break
+							}
+						}
+						i := bytes.Index(buf[:n], end)
+						if i < 0 {
+							break
+						}
+						if j := bytes.Index(buf[:i+2], clen); j >= 0 {
+							for _, b := range buf[j+len(clen) : i+2] {
+								if b < '0' || b > '9' {
+									break
+								}
+								skip = skip*10 + int(b-'0')
+							}
+						}
+						if _, err := conn.Write(resp); err != nil {
+							return
+						}
+						n = copy(buf, buf[i+len(end):n])
+					}
+					if n == len(buf) {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return "http://" + ln.Addr().String()
+}
+
+// TestControlRPCAllocs pins the heap objects of one control RPC, a
+// report's POST with its JSON body, answered 202 over a pooled loopback
+// connection of the transport a Cluster starts with, under a context
+// that can be cancelled, as a daemon's is. Through net/http's request
+// writer, with a URL parsed and a timeout context made per call, it was
+// 29.
+func TestControlRPCAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so counts vary")
+	}
+	u := mustURL(t, cannedControlServer(t)+"/v1/metrics")
+	rt := NewTransport()
+	defer rt.CloseIdleConnections()
+	body := bytes.Repeat([]byte("x"), 900)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got := testing.AllocsPerRun(200, func() {
+		if err := rpc(ctx, rt, http.MethodPost, u, jsonHeader, body, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := int(got); n != 11 {
+		t.Errorf("a control RPC allocates %d heap objects, want 11", n)
+	}
 }

@@ -9,9 +9,11 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // Upstream is the http.RoundTripper a sidecar forwards through, and the
@@ -61,9 +63,17 @@ import (
 //
 // The zero value is ready to use. Safe for concurrent use. A response
 // body's Close must not run concurrently with its Read; cancel the
-// request's context to abort a blocked Read.
+// request's context to abort a blocked Read. Control RPCs ride the
+// same pool through Control, which differs in how it writes a request
+// and in a deadline on each exchange.
 type Upstream struct {
 	dialer net.Dialer
+	// control writes requests with writeControlHead, refusing what
+	// checkControl refuses, instead of with (*http.Request).Write.
+	control bool
+	// timeout, when set, is each exchange's bound: a connection holds
+	// the deadline from its checkout until it goes back to the pool.
+	timeout time.Duration
 
 	mu    sync.Mutex
 	hosts map[string]*idleConns // dial address -> its idle connections
@@ -118,6 +128,9 @@ var errReadOnClosedBody = errors.New("http: read on closed response body")
 // RoundTrip implements http.RoundTripper.
 func (t *Upstream) RoundTrip(req *http.Request) (*http.Response, error) {
 	addr, err := checkRequest(req)
+	if err == nil && t.control {
+		err = checkControl(req)
+	}
 	if err != nil {
 		if req.Body != nil {
 			req.Body.Close()
@@ -127,11 +140,14 @@ func (t *Upstream) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx := req.Context()
 	if c := t.get(addr); c != nil {
 		resp, err := t.exchange(ctx, c, req)
-		if err == nil || ctx.Err() != nil || c.got > 0 || c.wrote > 0 && !idempotent(req) {
+		if err == nil || ctx.Err() != nil || c.got > 0 || c.wrote > 0 && !idempotent(req) ||
+			errors.Is(err, os.ErrDeadlineExceeded) {
 			return resp, err
 		}
 		// The server closed the reused connection before it answered:
-		// retry once on a fresh one, if the body can be replayed.
+		// retry once on a fresh one, if the body can be replayed. An
+		// exchange that ran out its deadline is not retried: the bound
+		// is the round trip's.
 		if req.Body != nil && req.Body != http.NoBody {
 			if req.GetBody == nil {
 				return nil, err
@@ -163,7 +179,12 @@ func (t *Upstream) exchange(ctx context.Context, c *upConn, req *http.Request) (
 		stop = context.AfterFunc(ctx, c.abort)
 	}
 	c.wrote, c.got = 0, 0
-	err := req.Write(wireWriter{c.bw})
+	var err error
+	if t.control {
+		err = writeControlHead(c.bw, req)
+	} else {
+		err = req.Write(wireWriter{c.bw})
+	}
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -232,7 +253,8 @@ func (t *Upstream) release(c *upConn, stop func() bool, keep bool) {
 }
 
 // get checks out an idle connection to addr that the probe finds
-// alive, closing the dead ones it meets; nil if there is none.
+// alive, and arms its deadline, closing the dead ones it meets; nil if
+// there is none.
 //
 //slate:hot
 func (t *Upstream) get(addr string) *upConn {
@@ -248,18 +270,32 @@ func (t *Upstream) get(addr string) *upConn {
 		l.conns[n] = nil
 		l.conns = l.conns[:n]
 		t.mu.Unlock()
-		if c.alive() {
+		if c.alive() && t.arm(c) == nil {
 			return c
 		}
 		c.close()
 	}
 }
 
-// put returns c to its host's idle list, or closes it if the list is
-// full.
+// arm sets c's deadline to t.timeout from now, if t has a bound.
+//
+//slate:hot
+func (t *Upstream) arm(c *upConn) error {
+	if t.timeout == 0 {
+		return nil
+	}
+	return c.conn.SetDeadline(time.Now().Add(t.timeout))
+}
+
+// put returns c to its host's idle list, its deadline cleared, or
+// closes it if the list is full.
 //
 //slate:hot
 func (t *Upstream) put(c *upConn) {
+	if t.timeout != 0 && c.conn.SetDeadline(time.Time{}) != nil {
+		c.close()
+		return
+	}
 	t.mu.Lock()
 	if l := c.idle; len(l.conns) < maxIdlePerHost {
 		l.conns = append(l.conns, c)
@@ -284,6 +320,10 @@ func (t *Upstream) dial(ctx context.Context, addr string) (*upConn, error) {
 	}
 	c.peek = c.peekFD
 	c.abort = c.close
+	if err := t.arm(c); err != nil {
+		c.close()
+		return nil, err
+	}
 	t.mu.Lock()
 	l := t.hosts[addr]
 	if l == nil {

@@ -123,29 +123,32 @@ func roundTrip(rt http.RoundTripper, req *http.Request, readN int) outcome {
 // added on its own.
 func oracle() *http.Transport { return &http.Transport{DisableCompression: true} }
 
+// answerFramings are the ways a server may frame an answer that the
+// transports are held to each other over.
+var answerFramings = []struct {
+	name string
+	head string // status line and fields, without the blank line
+	body string
+	// closeDelimited answers end when the server closes.
+	closeDelimited bool
+}{
+	{"content-length", "HTTP/1.1 200 OK\r\nContent-Length: 5", "hello", false},
+	{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked", "2\r\nhe\r\n3\r\nllo\r\n0\r\nX-Trailer: t\r\n\r\n", false},
+	{"close-delimited", "HTTP/1.1 200 OK", "hello", true},
+	{"204", "HTTP/1.1 204 No Content", "", false},
+	{"304", "HTTP/1.1 304 Not Modified\r\nEtag: \"x\"", "", false},
+	{"empty", "HTTP/1.1 200 OK\r\nContent-Length: 0", "", false},
+	{"1xx-then-200", "HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2", "ok", false},
+}
+
 // TestUpstreamMatchesHTTPTransport runs the matrix of methods × answer
 // framings × who says Connection: close × whether the caller reads the
 // body whole. Each case makes two round trips on one transport, so a
 // pooled connection is reused where it should be; both transports must
 // see the same outcomes and open the same number of connections.
 func TestUpstreamMatchesHTTPTransport(t *testing.T) {
-	framings := []struct {
-		name string
-		head string // status line and fields, without the blank line
-		body string
-		// closeDelimited answers end when the server closes.
-		closeDelimited bool
-	}{
-		{"content-length", "HTTP/1.1 200 OK\r\nContent-Length: 5", "hello", false},
-		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked", "2\r\nhe\r\n3\r\nllo\r\n0\r\nX-Trailer: t\r\n\r\n", false},
-		{"close-delimited", "HTTP/1.1 200 OK", "hello", true},
-		{"204", "HTTP/1.1 204 No Content", "", false},
-		{"304", "HTTP/1.1 304 Not Modified\r\nEtag: \"x\"", "", false},
-		{"empty", "HTTP/1.1 200 OK\r\nContent-Length: 0", "", false},
-		{"1xx-then-200", "HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2", "ok", false},
-	}
 	for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodHead} {
-		for _, f := range framings {
+		for _, f := range answerFramings {
 			for _, closer := range []string{"none", "request", "response"} {
 				for _, readN := range []int{-1, 1} {
 					name := fmt.Sprintf("%s/%s/close-%s/read-%d", method, f.name, closer, readN)

@@ -94,9 +94,9 @@ type Mesh struct {
 	stopCtrl chan struct{}
 	wg       sync.WaitGroup
 
-	// upstreams are the sidecars' and apps' transports, one each, and
+	// transports are the sidecars' and apps' transports, one each, and
 	// the control plane's; Close closes their idle connections.
-	upstreams []*dataplane.Upstream
+	transports []interface{ CloseIdleConnections() }
 
 	mu     sync.Mutex
 	closed bool
@@ -155,10 +155,10 @@ func Start(opts Options) (*Mesh, error) {
 	if opts.Fault != nil {
 		m.hosts = fault.NewHostMap()
 	}
-	// Every control RPC of the mesh rides one Upstream; under faults
-	// each controller wraps it.
-	ctrlRT := &dataplane.Upstream{}
-	m.upstreams = append(m.upstreams, ctrlRT)
+	// Every control RPC of the mesh rides one control transport; under
+	// faults each controller wraps it.
+	ctrlRT := controlplane.NewTransport()
+	m.transports = append(m.transports, ctrlRT)
 	controlFrom := func(from fault.Target) http.RoundTripper {
 		if opts.Fault == nil {
 			return ctrlRT
@@ -221,7 +221,7 @@ func Start(opts Options) (*Mesh, error) {
 			}
 			id := poolID{sid, cl}
 			appRT, proxyRT := &dataplane.Upstream{}, &dataplane.Upstream{}
-			m.upstreams = append(m.upstreams, appRT, proxyRT)
+			m.transports = append(m.transports, appRT, proxyRT)
 			app := newAppServer(opts.App, sid, cl, pool.Servers(), opts.TimeScale, m.registry, appRT)
 			appURL, err := m.serve(app)
 			if err != nil {
@@ -469,8 +469,8 @@ func (m *Mesh) Close() {
 		s.Shutdown(ctx)
 	}
 	m.wg.Wait()
-	for _, u := range m.upstreams {
-		u.CloseIdleConnections()
+	for _, t := range m.transports {
+		t.CloseIdleConnections()
 	}
 }
 
